@@ -650,15 +650,14 @@ let e14 () =
      every report column reads 'identical'@."
 
 (* ------------------------------------------------------------------ *)
-(* E15 — the parallel engine (DESIGN.md §10): sharded backward search   *)
-(* and batch coredump triage.  The property under test is twofold:      *)
-(* byte-identical output at every -j, and wall-clock speedup bounded by *)
-(* the host's core count.  Forked backend throughout — it is the        *)
-(* runtime-selected default here, and fork runs must precede any        *)
-(* domains run in a process.                                            *)
+(* E15 — batch coredump triage on the worker pool.  The property under *)
+(* test is twofold: byte-identical TSV at every -j, and wall-clock      *)
+(* speedup bounded by the host's core count.  Forked backend throughout *)
+(* — it is the runtime-selected default here, and fork runs must        *)
+(* precede any domains run in a process.                                *)
 (* ------------------------------------------------------------------ *)
 let e15 () =
-  section "e15" "parallel engine — serial vs -j N wall clock, equivalence";
+  section "e15" "batch triage — -j 1 vs -j N wall clock, equivalence";
   let wall f =
     (* Sys.time is process CPU time and excludes forked workers; the
        claim here is about wall clock, so measure that. *)
@@ -669,43 +668,7 @@ let e15 () =
   let backend = Res_parallel.Pool.Forked in
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "host cores (Domain.recommended_domain_count): %d@." cores;
-  (* 1. Sharded search on the long-execution workload. *)
-  let w = Res_workloads.Workloads.find "long-exec-50" in
-  let prog = w.Res_workloads.Truth.w_prog in
-  let serial_run () =
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let ctx = Res_core.Backstep.make_ctx prog in
-    let outcome = Res_core.Res.analyze ctx dump in
-    Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome)
-  in
-  let parallel_run jobs =
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let ctx = Res_core.Backstep.make_ctx prog in
-    let outcome, stats =
-      Res_parallel.Engine.analyze ~jobs ~shard_depth:1 ~backend ~prog ctx dump
-    in
-    ( Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome),
-      stats )
-  in
-  let base_body, t_serial = wall serial_run in
-  Fmt.pr "@.sharded search, long-exec-50 (shard depth 1):@.";
-  Fmt.pr "%-10s %-11s %-9s %-7s %s@." "engine" "wall (s)" "speedup" "units"
-    "reports";
-  Fmt.pr "%-10s %-11.4f %-9s %-7s %s@." "serial" t_serial "1.00x" "-"
-    "baseline";
-  List.iter
-    (fun jobs ->
-      let (body, stats), t = wall (fun () -> parallel_run jobs) in
-      Fmt.pr "%-10s %-11.4f %-9s %-7d %s@."
-        (Fmt.str "-j %d" jobs)
-        t
-        (Fmt.str "%.2fx" (t_serial /. t))
-        stats.Res_parallel.Engine.e_units
-        (if String.equal body base_body then "identical" else "DIVERGED"))
-    [ 1; 2; 4 ];
-  (* 2. Full-corpus batch triage: one dump per work unit.  The per-dump
+  (* Full-corpus batch triage: one dump per work unit.  The per-dump
      config is deliberately heavier than the triage default (full
      deepening, more replays) so the fixed pool cost — fork, pipes, one
      round trip per dump — amortizes and the measurement is about

@@ -293,17 +293,16 @@ let mk_budget deadline fuel =
   | None, None -> None
   | _ -> Some (Res_core.Budget.create ?wall_seconds:deadline ?fuel ())
 
-(* --- parallel flags (shared by analyze and triage) --- *)
+(* --- worker-pool flags (shared by triage, serve and node) --- *)
 
 let jobs_arg =
   Arg.(
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker count for the parallel engine.  0 (the default) uses the \
-           serial engine; any explicit value — including 1 — routes through \
-           the sharded parallel engine, whose results are byte-identical to \
-           the serial ones.")
+          "Worker count: how many coredumps are analyzed at once, one per \
+           worker.  0 (the default) picks the verb's default: 1 for \
+           $(b,triage), 2 for $(b,serve) and $(b,node).")
 
 let backend_arg =
   Arg.(
@@ -317,14 +316,6 @@ let backend_arg =
            $(b,fork) (isolated processes; survives worker death), or \
            $(b,auto) (domains on multicore, fork otherwise; the \
            RES_PARALLEL_BACKEND environment variable overrides).")
-
-let shard_depth_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "shard-depth" ] ~docv:"D"
-        ~doc:
-          "Search depth at which subtrees split off as independent work \
-           units (parallel engine only).")
 
 (* --- result-cache flags (shared by triage, serve, node, coordinate,
    client submit) --- *)
@@ -366,13 +357,21 @@ let stats_arg =
     own (domain-local) counter delta plus what workers reported over the
     wire, so the total is meaningful under every backend.  [restarts] is
     how many times the pool's supervisor respawned a dead worker — a
-    healthy run prints 0, so a nonzero value is a cheap flake signal. *)
-let print_stats ~wall_s ~nodes ~pruned ~reversed ~slice_skipped ~queries
-    ~workers ~restarts =
+    healthy run prints 0, so a nonzero value is a cheap flake signal.
+    [reverse] is the (reversed, slice_skipped) pair of reverse-execution
+    counts, printed only by the callers that measure them. *)
+let print_stats ?reverse ~wall_s ~nodes ~pruned ~queries ~workers ~restarts
+    () =
+  let reverse =
+    match reverse with
+    | Some (reversed, slice_skipped) ->
+        Fmt.str " reversed=%d slice_skipped=%d" reversed slice_skipped
+    | None -> ""
+  in
   Fmt.epr
-    "wall_s=%.3f nodes=%d pruned=%d reversed=%d slice_skipped=%d \
-     solver_queries=%d workers=%d restarts=%d@."
-    wall_s nodes pruned reversed slice_skipped queries workers restarts
+    "wall_s=%.3f nodes=%d pruned=%d%s solver_queries=%d workers=%d \
+     restarts=%d@."
+    wall_s nodes pruned reverse queries workers restarts
 
 let analyze_cmd =
   let deadline =
@@ -434,15 +433,7 @@ let analyze_cmd =
              amount of symbolic execution and solver work).")
   in
   let run prog_path dump_path depth breadcrumbs deadline fuel attempts salvage
-      checkpoint checkpoint_every no_static_prune no_reverse_exec jobs backend
-      shard_depth stats =
-    if jobs > 0 && checkpoint <> None then
-      raise
-        (Die
-           ( exit_internal,
-             "--checkpoint is a serial-engine feature (the parallel engine \
-              checkpoints per worker unit instead); drop -j or --checkpoint"
-           ));
+      checkpoint checkpoint_every no_static_prune no_reverse_exec stats =
     let prog = or_die (load_prog prog_path) in
     let dump = load_dump ~salvage dump_path in
     let ctx = Res_core.Backstep.make_ctx prog in
@@ -464,36 +455,23 @@ let analyze_cmd =
     let budget = mk_budget deadline fuel in
     let t0 = Unix.gettimeofday () in
     let q0 = Res_solver.Solver.queries () in
-    let outcome, workers, worker_queries, restarts =
-      if jobs > 0 then begin
-        let outcome, st =
-          Res_parallel.Engine.analyze ~config ?budget ~jobs ~shard_depth
-            ?backend ~prog ctx dump
-        in
-        (outcome, st.Res_parallel.Engine.e_jobs,
-         st.Res_parallel.Engine.e_worker_queries,
-         st.Res_parallel.Engine.e_respawns)
-      end
-      else
-        let checkpointer =
-          Option.map
-            (fun path ->
-              Res_persist.Checkpoint.checkpointer
-                ~every:(max 1 checkpoint_every) ~path ~config ~prog ~dump ())
-            checkpoint
-        in
-        (Res_core.Res.analyze ~config ?budget ?checkpointer ctx dump, 1, 0, 0)
+    let checkpointer =
+      Option.map
+        (fun path ->
+          Res_persist.Checkpoint.checkpointer ~every:(max 1 checkpoint_every)
+            ~path ~config ~prog ~dump ())
+        checkpoint
     in
+    let outcome = Res_core.Res.analyze ~config ?budget ?checkpointer ctx dump in
     if stats then begin
       let a = Res_core.Res.analysis outcome in
       print_stats
+        ~reverse:(a.Res_core.Res.nodes_reversed, a.Res_core.Res.slice_skipped)
         ~wall_s:(Unix.gettimeofday () -. t0)
         ~nodes:a.Res_core.Res.nodes_expanded
         ~pruned:a.Res_core.Res.nodes_pruned
-        ~reversed:a.Res_core.Res.nodes_reversed
-        ~slice_skipped:a.Res_core.Res.slice_skipped
-        ~queries:(Res_solver.Solver.queries () - q0 + worker_queries)
-        ~workers ~restarts
+        ~queries:(Res_solver.Solver.queries () - q0)
+        ~workers:1 ~restarts:0 ()
     end;
     report_outcome ctx outcome
   in
@@ -501,14 +479,11 @@ let analyze_cmd =
     (Cmd.info "analyze"
        ~doc:
          "Synthesize execution suffixes for a coredump, replay them, and \
-          classify the root cause.  With $(b,-j N) the search is sharded \
-          across N workers; the reports are byte-identical to the serial \
-          engine's.")
+          classify the root cause.")
     Term.(
       const run $ prog_arg $ dump_arg 1 $ depth_arg $ breadcrumbs_arg
       $ deadline $ fuel $ attempts $ salvage_arg $ checkpoint
-      $ checkpoint_every $ no_static_prune $ no_reverse_exec $ jobs_arg
-      $ backend_arg $ shard_depth_arg $ stats_arg)
+      $ checkpoint_every $ no_static_prune $ no_reverse_exec $ stats_arg)
 
 (* --- resume --- *)
 
@@ -927,12 +902,11 @@ let triage_batch_cmd =
         ~wall_s:(Unix.gettimeofday () -. t0)
         ~nodes:(Res_parallel.Batch.total_nodes t)
         ~pruned:(Res_parallel.Batch.total_pruned t)
-        ~reversed:0 ~slice_skipped:0
         ~queries:
           (Res_solver.Solver.queries () - q0
           + t.Res_parallel.Batch.worker_queries)
         ~workers:t.Res_parallel.Batch.workers
-        ~restarts:t.Res_parallel.Batch.respawns;
+        ~restarts:t.Res_parallel.Batch.respawns ();
       match cache with
       | Some c ->
           Fmt.epr "cache cache_hits=%d %a@." t.Res_parallel.Batch.cache_hits
@@ -1585,16 +1559,6 @@ let selftest_cmd =
              and assert the coordinator reschedules the unit and the final \
              TSV is identical to an undisturbed run's.")
   in
-  let parallel_equivalence =
-    Arg.(
-      value
-      & opt ~vopt:(Some 2) (some int) None
-      & info [ "parallel-equivalence" ] ~docv:"JOBS"
-          ~doc:
-            "Run the parallel-equivalence campaign: analyze every workload \
-             serially and with the sharded engine at $(docv) workers \
-             (default 2) and assert byte-identical reports.")
-  in
   let serve_soak =
     Arg.(
       value & flag
@@ -1646,8 +1610,8 @@ let selftest_cmd =
              with zero lost units.")
   in
   let run runs seed verbose skip_deadline kill_resume prune_equivalence
-      reverse_equivalence debug_equivalence worker_kill parallel_equivalence
-      serve_soak cluster_soak byzantine cache_chaos backend =
+      reverse_equivalence debug_equivalence worker_kill serve_soak cluster_soak
+      byzantine cache_chaos =
     let open Res_faultinject.Faultinject in
     (* Fork-backed campaigns (cluster/daemon soak, byzantine, worker
        kill, cache chaos) must precede any campaign that spawns domains:
@@ -1693,35 +1657,14 @@ let selftest_cmd =
       List.iter (fun m -> Fmt.epr "SERVE-SOAK FAILURE: %s@." m) s.sk_failures;
       if s.sk_failures = [] then exit_ok else exit_internal
     end
-    else if worker_kill || parallel_equivalence <> None then begin
-      let wk_ok =
-        if not worker_kill then true
-        else begin
-          let s = worker_kill_campaign () in
-          if verbose then
-            List.iter (fun r -> Fmt.pr "%a@." pp_wk_run r) s.wk_runs;
-          Fmt.pr "%a@." pp_wk_summary s;
-          List.iter
-            (fun r -> Fmt.epr "WORKER-KILL FAILURE: %a@." pp_wk_run r)
-            s.wk_failures;
-          s.wk_failures = []
-        end
-      in
-      let pq_ok =
-        match parallel_equivalence with
-        | None -> true
-        | Some jobs ->
-            let s = parallel_equivalence_campaign ~jobs ?backend () in
-            if verbose then
-              List.iter (fun r -> Fmt.pr "%a@." pp_pq_run r) s.pq_runs;
-            Fmt.pr "%a@." pp_pq_summary s;
-            List.iter
-              (fun r ->
-                Fmt.epr "PARALLEL-EQUIVALENCE FAILURE: %a@." pp_pq_run r)
-              s.pq_failures;
-            s.pq_failures = []
-      in
-      if wk_ok && pq_ok then exit_ok else exit_internal
+    else if worker_kill then begin
+      let s = worker_kill_campaign () in
+      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_wk_run r) s.wk_runs;
+      Fmt.pr "%a@." pp_wk_summary s;
+      List.iter
+        (fun r -> Fmt.epr "WORKER-KILL FAILURE: %a@." pp_wk_run r)
+        s.wk_failures;
+      if s.wk_failures = [] then exit_ok else exit_internal
     end
     else if debug_equivalence then begin
       let s = debug_equivalence_campaign () in
@@ -1783,8 +1726,7 @@ let selftest_cmd =
     Term.(
       const run $ runs $ seed $ verbose $ skip_deadline $ kill_resume
       $ prune_equivalence $ reverse_equivalence $ debug_equivalence
-      $ worker_kill $ parallel_equivalence $ serve_soak $ cluster_soak
-      $ byzantine $ cache_chaos $ backend_arg)
+      $ worker_kill $ serve_soak $ cluster_soak $ byzantine $ cache_chaos)
 
 let main_cmd =
   let doc = "reverse execution synthesis for MiniIR coredumps" in

@@ -67,12 +67,6 @@ let tick ?(cost = 1) t =
 
 let remaining_fuel t = t.fuel
 
-(** Wall-clock seconds until the deadline ([None] = no deadline), clamped
-    at zero.  Parallel coordinators use this to hand each worker a budget
-    slice ending at the same absolute instant. *)
-let remaining_seconds t =
-  Option.map (fun d -> Float.max 0. (d -. now ())) t.deadline
-
 (** A cooperative-interrupt closure for the solver and symbolic executor:
     returns [true] when work must stop.  Checks the deadline but does not
     spend fuel (fuel meters search nodes, not solver nodes). *)

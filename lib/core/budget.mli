@@ -34,11 +34,6 @@ val tick : ?cost:int -> t -> bool
 (** Remaining fuel ([None] = unlimited). *)
 val remaining_fuel : t -> int option
 
-(** Wall-clock seconds until the deadline ([None] = no deadline), clamped
-    at zero — how parallel coordinators derive worker budget slices that
-    end at the same absolute instant. *)
-val remaining_seconds : t -> float option
-
 (** Cooperative-interrupt closure for {!Res_solver.Solver} and
     {!Res_symex.Symexec}: [true] means stop now.  Checks the deadline only;
     fuel meters search nodes. *)

@@ -249,31 +249,13 @@ let found_definite_in reports =
       | None -> false)
     reports
 
-(** The per-depth search primitive the deepening engine calls.  The
-    default is {!Search.search}; {!Res_parallel} substitutes its sharded
-    coordinator/worker search here, which is how the whole
-    analyze/replay/classify pipeline runs in parallel without the
-    deepening logic knowing. *)
-type search_fn =
-  config:Search.config ->
-  budget:Budget.t ->
-  resume:Search.suspended option ->
-  on_node:(Search.suspended -> unit) option ->
-  Backstep.ctx ->
-  Res_vm.Coredump.t ->
-  Search.result
-
-let default_search_fn : search_fn =
- fun ~config ~budget ~resume ~on_node ctx dump ->
-  Search.search ~config ~budget ?resume ?on_node ctx dump
-
 (** The engine shared by {!analyze} and {!resume}: run the
     retry-with-escalation / iterative-deepening schedule starting from
     [st0] (fresh for [analyze], a reloaded checkpoint for [resume]),
     writing checkpoints through [checkpointer] every [ck_every] expanded
     nodes and at the moment a budget trips. *)
-let run ?(search_fn = default_search_fn) config budget checkpointer ctx
-    (dump : Res_vm.Coredump.t) (st0 : ckpt_state) : outcome =
+let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
+    (st0 : ckpt_state) : outcome =
   let t0 = Sys.time () in
   (* Counters over completed depths; the in-flight depth's share lives in
      the suspended search state, so a resumed run re-reports it. *)
@@ -378,10 +360,10 @@ let run ?(search_fn = default_search_fn) config budget checkpointer ctx
       end
       else begin
         let result =
-          search_fn
+          Search.search
             ~config:{ search_config with Search.max_segments = depth }
-            ~budget ~resume
-            ~on_node:(hook ~attempt:i ~max_nodes ~depth ~acc)
+            ~budget ?resume
+            ?on_node:(hook ~attempt:i ~max_nodes ~depth ~acc)
             ctx dump
         in
         (* Capture the suspension point before folding this depth's stats
@@ -454,19 +436,6 @@ let analyze ?(config = default_config) ?budget ?checkpointer ctx
   | Ok () ->
       guarded (fun () ->
           run config budget checkpointer ctx dump (initial_state config))
-
-(** {!analyze} with a substituted per-depth search primitive — the hook
-    {!Res_parallel.Engine} hangs its sharded search on.  No checkpointer:
-    a parallel analysis persists per-worker unit checkpoints instead of a
-    single whole-analysis image. *)
-let analyze_with ~search_fn ?(config = default_config) ?budget ctx
-    (dump : Res_vm.Coredump.t) : outcome =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match check_dump ctx dump with
-  | Error msg -> Failed (Bad_dump msg)
-  | Ok () ->
-      guarded (fun () ->
-          run ~search_fn config budget None ctx dump (initial_state config))
 
 (** Continue an analysis from a reloaded checkpoint.  Restores the
     fresh-symbol counter first, recomputes the reports of completed depths

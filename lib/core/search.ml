@@ -276,15 +276,6 @@ type suspended = {
   s_out : Suffix.t list;
 }
 
-(** One slot of the emission plan a sharded (coordinator) search records:
-    the DFS order in which its own shallow emissions interleave with the
-    collected subtree shards.  Replaying the plan — substituting each
-    shard's suffixes for its [P_shard] slot — reconstructs the exact
-    serial emission order. *)
-type plan_entry =
-  | P_emit  (** the next of the coordinator's own [suffixes], in order *)
-  | P_shard of int  (** all suffixes of the [i]th entry of [shards] *)
-
 type result = {
   suffixes : Suffix.t list;
   stats : stats;
@@ -294,11 +285,6 @@ type result = {
   suspended : suspended option;
       (** the remaining frontier, when a budget stopped the search before
           it drained — the seed for a later resumed run *)
-  plan : plan_entry list;
-      (** emission plan, oldest first — empty unless [shard_at] was given *)
-  shards : frontier_item list;
-      (** the [F_visit] items collected at the shard depth instead of being
-          visited, in DFS pop order — the independent subtree work units *)
 }
 
 (* --- static pruning glue ------------------------------------------- *)
@@ -437,22 +423,9 @@ let statically_refuted ctx ~stop_snapshot node tid kind =
     in [suspended].  [resume] continues a previously suspended search
     instead of starting from the coredump.  [on_node] is called at every
     frontier-pop boundary with the state a resume from that instant would
-    need — the checkpoint hook.
-
-    [shard_at] turns the call into the {e coordinator} phase of a sharded
-    search: every [F_visit] popped at depth >= [shard_at] is {e collected}
-    into [result.shards] (in DFS pop order) instead of being visited, and
-    an interleaved emission [plan] records where each shard's subtree
-    emissions belong among the coordinator's own.  Shallower work (and its
-    emissions — early dead ends, program-start hits) proceeds exactly as
-    in the serial search, so replaying the plan with each shard's suffixes
-    substituted in reproduces the serial emission order byte for byte.
-    The [max_suffixes] early-stop stays active: the coordinator's own
-    emission count is a lower bound on the serial count at the same pop,
-    so stopping here never drops work the serial search would have kept —
-    the merge truncates the rest. *)
-let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node
-    ?shard_at ctx (dump : Res_vm.Coredump.t) : result =
+    need — the checkpoint hook. *)
+let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
+    (dump : Res_vm.Coredump.t) : result =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let ctx = Backstep.with_interrupt ctx (Budget.interrupt budget) in
   let stats =
@@ -471,11 +444,6 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node
   in
   let next_id = ref (match resume with Some s -> s.s_next_id | None -> 0) in
   let out = ref (match resume with Some s -> s.s_out | None -> []) in
-  (* Sharding state: collected subtree units and the interleaved emission
-     plan, both newest-first while building. *)
-  let plan = ref [] in
-  let shards = ref [] in
-  let n_shards = ref 0 in
   let budget_hit = ref false in
   let budget_ok () =
     if Budget.tick budget then true
@@ -513,7 +481,6 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node
           with
           | Solver.Sat model ->
               stats.emitted <- stats.emitted + 1;
-              if shard_at <> None then plan := P_emit :: !plan;
               out :=
                 {
                   Suffix.segments = node.n_segments;
@@ -676,17 +643,6 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node
             stopped := Some (snap_state (item :: rest))
           else begin
             (match item with
-            | F_visit { f_depth; _ }
-              when (match shard_at with
-                   | Some d -> f_depth >= d
-                   | None -> false) ->
-                (* Coordinator phase: this visit roots an independent
-                   subtree — collect it as a work unit instead of
-                   exploring it, and reserve its slot in the emission
-                   plan. *)
-                plan := P_shard !n_shards :: !plan;
-                incr n_shards;
-                shards := item :: !shards
             | F_visit { f_depth; f_node } -> visit ~depth:f_depth f_node
             | F_eval { e_depth; e_parent; e_node; e_move } ->
                 eval ~depth:e_depth ~parent:e_parent e_node e_move
@@ -782,6 +738,4 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node
     complete = not !budget_hit;
     exhausted = Budget.exhausted budget;
     suspended = !stopped;
-    plan = List.rev !plan;
-    shards = List.rev !shards;
   }

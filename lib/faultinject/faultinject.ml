@@ -135,7 +135,7 @@ let run_one (w : Res_workloads.Truth.t) perturbation : run =
   in
   try
     let dump = Res_workloads.Truth.coredump w in
-    let analyze_with ?budget ctx dump =
+    let run_analysis ?budget ctx dump =
       let outcome = Res_core.Res.analyze ~config:small_config ?budget ctx dump in
       finish (outcome_kind outcome) (Fmt.str "%a" Res_core.Res.pp_outcome outcome)
     in
@@ -146,7 +146,7 @@ let run_one (w : Res_workloads.Truth.t) perturbation : run =
           finish R_dump_error (Res_vm.Coredump_io.dump_error_to_string e)
       | Ok { dump = loaded; salvaged } ->
           let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-          let r = analyze_with ctx loaded in
+          let r = run_analysis ctx loaded in
           { r with r_salvaged = salvaged <> None }
     else
       let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
@@ -169,7 +169,7 @@ let run_one (w : Res_workloads.Truth.t) perturbation : run =
                 { ctx.Res_core.Backstep.solver_config with Res_solver.Solver.max_nodes = n };
             }
           in
-          analyze_with ctx dump
+          run_analysis ctx dump
       | Symex_starvation n ->
           let ctx =
             {
@@ -178,11 +178,11 @@ let run_one (w : Res_workloads.Truth.t) perturbation : run =
                 { ctx.Res_core.Backstep.sym_config with Res_symex.Symexec.max_steps = n };
             }
           in
-          analyze_with ctx dump
+          run_analysis ctx dump
       | Fuel_starvation n ->
-          analyze_with ~budget:(Res_core.Budget.create ~fuel:n ()) ctx dump
+          run_analysis ~budget:(Res_core.Budget.create ~fuel:n ()) ctx dump
       | Tight_deadline s ->
-          analyze_with ~budget:(Res_core.Budget.create ~wall_seconds:s ()) ctx dump
+          run_analysis ~budget:(Res_core.Budget.create ~wall_seconds:s ()) ctx dump
       | Truncate_dump _ | Flip_dump_byte _ | Empty_dump | Garbage_header ->
           assert false
   with exn -> finish (R_escaped (Printexc.to_string exn)) (Printexc.to_string exn)
@@ -919,99 +919,6 @@ let pp_de_summary ppf s =
      byte-identical transcripts: %d/%d@,\
      %d timeline steps, %d commands driven@]"
     s.de_total intervals s.de_ok s.de_total steps cmds
-
-(* --- campaign: parallel/serial equivalence --------------------------- *)
-
-type pq_run = {
-  pq_workload : string;
-  pq_equivalent : bool;
-  pq_units : int;  (** subtree work units farmed across all depths *)
-  pq_detail : string;
-}
-
-type pq_summary = {
-  pq_runs : pq_run list;
-  pq_total : int;
-  pq_ok : int;
-  pq_jobs : int;
-  pq_backend : string;
-  pq_failures : pq_run list;  (** empty iff sharding is observably sound *)
-}
-
-let pq_one ~jobs ~backend (w : Res_workloads.Truth.t) : pq_run =
-  let name = w.Res_workloads.Truth.w_name in
-  try
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let prog = w.Res_workloads.Truth.w_prog in
-    let ctx = Res_core.Backstep.make_ctx prog in
-    let serial = Res_core.Res.analyze ctx dump in
-    let s_body =
-      Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis serial)
-    in
-    Res_solver.Expr.reset_counter_for_tests ();
-    let par, st =
-      Res_parallel.Engine.analyze ~jobs ~backend ~shard_depth:1 ~prog ctx dump
-    in
-    let p_body =
-      Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis par)
-    in
-    let same_outcome =
-      String.equal
-        (Res_core.Res.outcome_name serial)
-        (Res_core.Res.outcome_name par)
-    in
-    let equivalent = String.equal s_body p_body && same_outcome in
-    {
-      pq_workload = name;
-      pq_equivalent = equivalent;
-      pq_units = st.Res_parallel.Engine.e_units;
-      pq_detail =
-        (if equivalent then ""
-         else if not same_outcome then "outcomes diverged"
-         else "report bodies diverged");
-    }
-  with exn ->
-    {
-      pq_workload = name;
-      pq_equivalent = false;
-      pq_units = 0;
-      pq_detail = Fmt.str "escaped exception: %s" (Printexc.to_string exn);
-    }
-
-(** Parallel-equivalence campaign: every workload analyzed serially and
-    with the sharded engine at [jobs] workers (shard depth 1, so even
-    shallow searches go through the farm/merge path); report bodies must
-    match byte for byte. *)
-let parallel_equivalence_campaign ?(jobs = 2) ?backend () : pq_summary =
-  let backend =
-    match backend with
-    | Some b -> b
-    | None -> Res_parallel.Pool.default_backend ()
-  in
-  let runs =
-    List.map (pq_one ~jobs ~backend) Res_workloads.Workloads.all
-  in
-  {
-    pq_runs = runs;
-    pq_total = List.length runs;
-    pq_ok = List.length (List.filter (fun r -> r.pq_equivalent) runs);
-    pq_jobs = jobs;
-    pq_backend = Res_parallel.Pool.backend_name backend;
-    pq_failures = List.filter (fun r -> not r.pq_equivalent) runs;
-  }
-
-let pp_pq_run ppf r =
-  Fmt.pf ppf "%-26s %s  (%d units)%s" r.pq_workload
-    (if r.pq_equivalent then "byte-identical" else "DIVERGED")
-    r.pq_units
-    (if r.pq_detail = "" then "" else Fmt.str " (%s)" r.pq_detail)
-
-let pp_pq_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>parallel equivalence self-test: %d workloads, serial vs -j %d \
-     (%s)@,byte-identical reports: %d/%d@]"
-    s.pq_total s.pq_jobs s.pq_backend s.pq_ok s.pq_total
 
 (* --- campaign: worker kill during batch triage ----------------------- *)
 

@@ -1,7 +1,7 @@
 (** Deterministic structured fuzzing for every untrusted byte boundary.
 
     The system decodes eight kinds of foreign bytes: coredumps,
-    checkpoints, parallel-search wire frames, daemon protocol frames,
+    checkpoints, batch-triage wire rows, daemon protocol frames,
     cache entries, cluster journal rows, IR program text, and the
     debugger's predicate/command grammars.  All of them are hostile
     input by definition — crash reports come from the wild, frames come
@@ -270,20 +270,6 @@ let replace_first ~marker ~sub s =
       String.sub s 0 i ^ sub
       ^ String.sub s (i + String.length marker) (String.length s - i - String.length marker)
 
-let empty_suspended =
-  {
-    Res_core.Search.s_frontier = [];
-    s_nodes = 0;
-    s_candidates = 0;
-    s_feasible = 0;
-    s_emitted = 0;
-    s_pruned = 0;
-    s_reversed = 0;
-    s_slice_skipped = 0;
-    s_next_id = 0;
-    s_out = [];
-  }
-
 (** Build the format descriptors.  The corpus programs/dumps seed the
     coredump, checkpoint, and protocol formats with realistic bytes —
     the same artifacts the system really ships. *)
@@ -358,38 +344,7 @@ let formats () =
           Result.is_ok (Res_persist.Checkpoint.of_string s));
     }
   in
-  (* -- parallel wire frames -- *)
-  let wire_unit =
-    W.encode_unit
-      {
-        W.u_index = 0;
-        u_config = Res_core.Search.default_config;
-        u_fuel = Some 1000;
-        u_wall_ms = Some 250;
-        u_restore = None;
-        u_suspended = empty_suspended;
-      }
-  in
-  let wire_result =
-    W.encode_result
-      {
-        W.r_index = 0;
-        r_complete = true;
-        r_exhausted = None;
-        r_nodes = 12;
-        r_candidates = 30;
-        r_feasible = 4;
-        r_emitted = 2;
-        r_pruned = 5;
-        r_reversed = 1;
-        r_slice_skipped = 0;
-        r_queries = 9;
-        r_suffixes = [];
-      }
-  in
-  let wire_ckpt =
-    W.encode_unit_ckpt { W.c_expr_counter = 7; c_suspended = empty_suspended }
-  in
+  (* -- batch-triage wire rows -- *)
   let wire_batch =
     W.encode_batch
       {
@@ -406,23 +361,20 @@ let formats () =
     {
       f_name = "wire";
       f_sealed = true;
-      f_seeds = [ wire_unit; wire_result; wire_ckpt; wire_batch ];
+      f_seeds = [ wire_batch ];
       f_hostile =
         [
-          tamper ~header:"resparres v2"
-            (fun p -> replace_first ~marker:"suffixes 0" ~sub:"suffixes 1048577" p)
-            wire_result;
-          tamper ~header:"resparunit v2"
-            (fun p -> replace_first ~marker:"frontier 0" ~sub:"frontier 999999999" p)
-            wire_unit;
+          tamper ~header:"resbatchres v1"
+            (fun p ->
+              replace_first ~marker:"work 41" ~sub:"work 99999999999999999999" p)
+            wire_batch;
+          tamper ~header:"resbatchres v1"
+            (fun p ->
+              replace_first ~marker:"\"race on g\"" ~sub:"\"race on g" p)
+            wire_batch;
           garbage_bytes;
         ];
-      f_decode =
-        (fun s ->
-          Result.is_ok (W.decode_unit s)
-          || Result.is_ok (W.decode_result s)
-          || Result.is_ok (W.decode_unit_ckpt s)
-          || Result.is_ok (W.decode_batch s));
+      f_decode = (fun s -> Result.is_ok (W.decode_batch s));
     }
   in
   (* -- serve protocol frames -- *)

@@ -20,8 +20,6 @@
 
 type backend = Domains | Forked
 
-let backend_name = function Domains -> "domains" | Forked -> "fork"
-
 (** Runtime backend selection: the [RES_PARALLEL_BACKEND] environment
     variable ("domains" / "fork") wins; otherwise [Domains] when the
     runtime reports more than one core, else [Forked] (a uniprocessor
@@ -151,13 +149,12 @@ type wrk = {
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let run_forked ?kill_unit ?on_retry ?(attempts = default_attempts)
+let run_forked ?kill_unit ?(attempts = default_attempts)
     ?(backoff_base = default_backoff_base) ?(backoff_cap = default_backoff_cap)
     ~jobs ~worker units =
   let max_attempts = max 1 attempts in
   let units = Array.of_list units in
   let n = Array.length units in
-  let payloads = Array.copy units in
   let results = Array.make n None in
   let attempts = Array.make n 0 in
   let retries = ref 0 and lost = ref 0 in
@@ -199,7 +196,7 @@ let run_forked ?kill_unit ?on_retry ?(attempts = default_attempts)
     | None -> close_quiet w.req_w (* retire: child exits on EOF *)
     | Some i -> (
         w.inflight <- Some i;
-        match write_frame w.req_w payloads.(i) with
+        match write_frame w.req_w units.(i) with
         | () -> (
             match !kill_armed with
             | Some k when k = i ->
@@ -208,11 +205,10 @@ let run_forked ?kill_unit ?on_retry ?(attempts = default_attempts)
             | _ -> ())
         | exception Unix.Unix_error _ -> handle_death w)
   (* A worker died (EOF on its reply pipe, or EPIPE writing to it).  Its
-     in-flight unit goes back on the queue — transformed by [on_retry],
-     which lets callers resume from a unit checkpoint instead of from
-     scratch — unless it has burned all its attempts.  The replacement is
-     forked after a capped exponential backoff so a crash-looping worker
-     cannot pin the coordinator in a fork storm. *)
+     in-flight unit goes back on the queue unless it has burned all its
+     attempts.  The replacement is forked after a capped exponential
+     backoff so a crash-looping worker cannot pin the coordinator in a
+     fork storm. *)
   and handle_death w =
     workers := List.filter (fun w' -> w'.pid <> w.pid) !workers;
     close_quiet w.req_w;
@@ -229,9 +225,6 @@ let run_forked ?kill_unit ?on_retry ?(attempts = default_attempts)
         end
         else begin
           incr retries;
-          (match on_retry with
-          | Some f -> payloads.(i) <- f i payloads.(i)
-          | None -> ());
           Queue.add i pending
         end);
     if not (Queue.is_empty pending) then begin
@@ -308,19 +301,17 @@ let run_forked ?kill_unit ?on_retry ?(attempts = default_attempts)
 
 (* --- entry point ---------------------------------------------------- *)
 
-(** [run ?backend ?kill_unit ?on_retry ~jobs ~worker units] processes
-    every payload in [units] on [jobs] workers and returns the replies in
+(** [run ?backend ?kill_unit ~jobs ~worker units] processes every
+    payload in [units] on [jobs] workers and returns the replies in
     request order plus run {!stats}.
 
     [kill_unit] (fork backend only) SIGKILLs the worker right after unit
     [i] is dispatched to it — the fault-injection hook behind the
-    worker-kill campaign.  [on_retry i payload] produces the payload for
-    a rescheduled attempt of unit [i] (fork backend only; domains workers
-    cannot die independently of the coordinator).  [attempts] bounds tries
-    per unit before it is written off as lost (default
-    {!default_attempts}); [backoff_base]/[backoff_cap] shape the capped
-    exponential delay before a dead worker's replacement is forked. *)
-let run ?backend ?kill_unit ?on_retry ?attempts ?backoff_base ?backoff_cap
+    worker-kill campaign.  [attempts] bounds tries per unit before it is
+    written off as lost (default {!default_attempts});
+    [backoff_base]/[backoff_cap] shape the capped exponential delay
+    before a dead worker's replacement is forked. *)
+let run ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap
     ~jobs ~worker units =
   let backend =
     match backend with Some b -> b | None -> default_backend ()
@@ -333,5 +324,5 @@ let run ?backend ?kill_unit ?on_retry ?attempts ?backoff_base ?backoff_cap
           "Res_parallel.Pool: the fork backend cannot run after the domains \
            backend has spawned workers in this process (OCaml runtime \
            restriction); run fork-backend work first";
-      run_forked ?kill_unit ?on_retry ?attempts ?backoff_base ?backoff_cap
+      run_forked ?kill_unit ?attempts ?backoff_base ?backoff_cap
         ~jobs ~worker units

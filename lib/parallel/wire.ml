@@ -1,17 +1,11 @@
-(** Wire formats for the parallel engine.
+(** Wire formats for the worker pool.
 
-    Everything that crosses a worker boundary — search work units, their
-    results, per-unit crash checkpoints, and batch-triage rows — travels
-    in the same hardened textual envelope as coredumps and checkpoints:
-    versioned header plus FNV-1a footer via {!Res_vm.Coredump_io.seal},
-    decoded with the shared token reader.  The payload bodies reuse the
-    checkpoint format's frontier/suffix encoding ({!Res_persist.Checkpoint}
-    exposes its printers), so a shard of the search frontier is literally
-    a one-item [suspended] record and needs no new encoding. *)
+    Batch-triage rows cross the worker boundary in the same hardened
+    textual envelope as coredumps and checkpoints: versioned header plus
+    FNV-1a footer via {!Res_core.Sealing.seal}, decoded with the shared
+    token reader. *)
 
 module Io = Res_vm.Coredump_io
-module Ckpt = Res_persist.Checkpoint
-open Res_core
 
 (* --- length-prefixed frames over file descriptors ------------------- *)
 
@@ -91,223 +85,25 @@ let read_frame fd =
 
 (* --- shared helpers (same idiom as checkpoint.ml) ------------------- *)
 
-let pp_bool ppf b = Fmt.int ppf (if b then 1 else 0)
-let pp_int_opt ppf = function None -> Fmt.string ppf "none" | Some n -> Fmt.int ppf n
-
-let pp_seq pp ppf l =
-  Fmt.pf ppf "%d" (List.length l);
-  List.iter (fun x -> Fmt.pf ppf "@,%a" pp x) l
-
 let keyword rd expected =
   let got = Io.ident rd in
   if not (String.equal got expected) then
     Io.fail "expected %S, got %S" expected got
 
-let bool_of rd =
-  match Io.int_tok rd with
-  | 0 -> false
-  | 1 -> true
-  | n -> Io.fail "expected boolean 0/1, got %d" n
-
-let int_opt_of rd =
-  match Io.peek rd with
-  | Some (Res_ir.Parser.IDENT "none") ->
-      ignore (Io.next rd);
-      None
-  | _ -> Some (Io.int_tok rd)
-
-let seq_of rd f =
-  let n = Res_core.Sealing.check_count ~what:"sequence" (Io.int_tok rd) in
-  let rec go acc k = if k = 0 then List.rev acc else go (f rd :: acc) (k - 1) in
-  go [] n
-
 let decode ~header ~version s parse =
   match Res_core.Sealing.validate ~header:(header ^ " " ^ version) s with
   | Error e -> Error (Io.dump_error_to_string e)
   | Ok payload -> (
-      let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
+      (* Tokenizing is inside the handler: a resealed payload can carry
+         an out-of-range literal or an unterminated string. *)
       try
+        let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
         keyword rd header;
         keyword rd version;
         Ok (parse rd)
       with
       | Io.Bad_format m -> Error m
       | exn -> Error (Printexc.to_string exn))
-
-(* --- search work units ---------------------------------------------- *)
-
-(** One independent subtree of the backward search: an [F_visit] collected
-    at the shard depth, shipped as a one-item suspended frontier together
-    with the search configuration and this unit's budget slice.
-    [u_restore] carries a fresh-symbol counter to restore first — set only
-    when the unit resumes from a crashed worker's checkpoint, where new
-    symbol ids must not collide with ids already baked into the
-    checkpointed frontier. *)
-type work_unit = {
-  u_index : int;
-  u_config : Search.config;
-  u_fuel : int option;
-  u_wall_ms : int option;  (** remaining wall budget, milliseconds *)
-  u_restore : int option;
-  u_suspended : Search.suspended;
-}
-
-let unit_header = "resparunit"
-let unit_version = "v2"
-
-let encode_unit u =
-  let c = u.u_config in
-  Res_core.Sealing.seal
-    (Fmt.str "@[<v>%s %s@,unit %d@,config %d %d %d %a %a %a@,budget %a %a@,restore %a@,%a@]@."
-       unit_header unit_version u.u_index c.Search.max_segments c.max_suffixes
-       c.max_nodes pp_bool c.use_breadcrumbs pp_bool c.static_prune pp_bool
-       c.reverse_exec pp_int_opt u.u_fuel pp_int_opt u.u_wall_ms pp_int_opt
-       u.u_restore Ckpt.pp_suspended u.u_suspended)
-
-let decode_unit s =
-  decode ~header:unit_header ~version:unit_version s (fun rd ->
-      keyword rd "unit";
-      let u_index = Io.int_tok rd in
-      keyword rd "config";
-      let max_segments = Io.int_tok rd in
-      let max_suffixes = Io.int_tok rd in
-      let max_nodes = Io.int_tok rd in
-      let use_breadcrumbs = bool_of rd in
-      let static_prune = bool_of rd in
-      let reverse_exec = bool_of rd in
-      keyword rd "budget";
-      let u_fuel = int_opt_of rd in
-      let u_wall_ms = int_opt_of rd in
-      keyword rd "restore";
-      let u_restore = int_opt_of rd in
-      let u_suspended =
-        match Ckpt.suspended_of rd with
-        | Some s -> s
-        | None -> Io.fail "work unit without a frontier"
-      in
-      {
-        u_index;
-        u_config =
-          {
-            Search.max_segments;
-            max_suffixes;
-            max_nodes;
-            use_breadcrumbs;
-            static_prune;
-            reverse_exec;
-          };
-        u_fuel;
-        u_wall_ms;
-        u_restore;
-        u_suspended;
-      })
-
-(* --- search unit results -------------------------------------------- *)
-
-(** What a worker sends back: the subtree's suffixes in DFS emission
-    order, completion/exhaustion flags, its {!Res_core.Search.stats}, and
-    how many solver queries it made (domain/process-local counters cannot
-    be read by the coordinator, so they travel explicitly). *)
-type unit_result = {
-  r_index : int;
-  r_complete : bool;
-  r_exhausted : Res_core.Budget.exhaustion option;
-  r_nodes : int;
-  r_candidates : int;
-  r_feasible : int;
-  r_emitted : int;
-  r_pruned : int;
-  r_reversed : int;
-  r_slice_skipped : int;
-  r_queries : int;
-  r_suffixes : Suffix.t list;
-}
-
-let result_header = "resparres"
-let result_version = "v2"
-
-let pp_exhaustion_opt ppf = function
-  | None -> Fmt.string ppf "none"
-  | Some Budget.Deadline -> Fmt.string ppf "deadline"
-  | Some Budget.Fuel -> Fmt.string ppf "fuel"
-
-let exhaustion_opt_of rd =
-  match Io.ident rd with
-  | "none" -> None
-  | "deadline" -> Some Budget.Deadline
-  | "fuel" -> Some Budget.Fuel
-  | s -> Io.fail "expected none/deadline/fuel, got %S" s
-
-let encode_result r =
-  Res_core.Sealing.seal
-    (Fmt.str
-       "@[<v>%s %s@,unit %d %a %a@,stats %d %d %d %d %d %d %d %d@,suffixes %a@]@."
-       result_header result_version r.r_index pp_bool r.r_complete
-       pp_exhaustion_opt r.r_exhausted r.r_nodes r.r_candidates r.r_feasible
-       r.r_emitted r.r_pruned r.r_reversed r.r_slice_skipped r.r_queries
-       (pp_seq Ckpt.pp_suffix) r.r_suffixes)
-
-let decode_result s =
-  decode ~header:result_header ~version:result_version s (fun rd ->
-      keyword rd "unit";
-      let r_index = Io.int_tok rd in
-      let r_complete = bool_of rd in
-      let r_exhausted = exhaustion_opt_of rd in
-      keyword rd "stats";
-      let r_nodes = Io.int_tok rd in
-      let r_candidates = Io.int_tok rd in
-      let r_feasible = Io.int_tok rd in
-      let r_emitted = Io.int_tok rd in
-      let r_pruned = Io.int_tok rd in
-      let r_reversed = Io.int_tok rd in
-      let r_slice_skipped = Io.int_tok rd in
-      let r_queries = Io.int_tok rd in
-      keyword rd "suffixes";
-      let r_suffixes = seq_of rd Ckpt.suffix_of in
-      {
-        r_index;
-        r_complete;
-        r_exhausted;
-        r_nodes;
-        r_candidates;
-        r_feasible;
-        r_emitted;
-        r_pruned;
-        r_reversed;
-        r_slice_skipped;
-        r_queries;
-        r_suffixes;
-      })
-
-(* --- per-unit worker checkpoints ------------------------------------ *)
-
-(** A forked worker's periodic crash checkpoint: the suspended frontier of
-    its unit plus the fresh-symbol counter at suspension.  When the worker
-    dies, the rescheduled attempt resumes from here instead of replaying
-    the subtree from scratch. *)
-type unit_ckpt = {
-  c_expr_counter : int;
-  c_suspended : Search.suspended;
-}
-
-let ckpt_header = "resparckpt"
-let ckpt_version = "v1"
-
-let encode_unit_ckpt c =
-  Res_core.Sealing.seal
-    (Fmt.str "@[<v>%s %s@,expr %d@,%a@]@." ckpt_header ckpt_version
-       c.c_expr_counter Ckpt.pp_suspended c.c_suspended)
-
-let decode_unit_ckpt s =
-  decode ~header:ckpt_header ~version:ckpt_version s (fun rd ->
-      keyword rd "expr";
-      let c_expr_counter = Io.int_tok rd in
-      let c_suspended =
-        match Ckpt.suspended_of rd with
-        | Some s -> s
-        | None -> Io.fail "unit checkpoint without a frontier"
-      in
-      { c_expr_counter; c_suspended })
 
 (* --- batch triage rows ---------------------------------------------- *)
 

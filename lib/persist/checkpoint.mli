@@ -56,25 +56,6 @@ val recover_dir : valid_for:(string -> string -> bool) -> string -> unit
 (** Load a checkpoint, after {!recover_journal}. *)
 val load : string -> (t, Res_vm.Coredump_io.dump_error) result
 
-(** {2 Wire-format building blocks}
-
-    The printers/readers for the checkpoint format's inner records,
-    exposed so {!Res_parallel} can reuse the suspend/resume frontier
-    encoding as its work-unit wire format (a shard of the search frontier
-    travels to a worker as a [suspended] record; emitted suffixes travel
-    back the same way).  Each [pp_x] output is read back by the matching
-    [x_of]; both sides are whitespace-tolerant token streams. *)
-
-val pp_suffix : Format.formatter -> Res_core.Suffix.t -> unit
-val suffix_of : Res_vm.Coredump_io.reader -> Res_core.Suffix.t
-val pp_item : Format.formatter -> Res_core.Search.frontier_item -> unit
-val item_of : Res_vm.Coredump_io.reader -> Res_core.Search.frontier_item
-
-(** [pp_suspended] writes a [suspended 1 ...] record; [suspended_of] also
-    accepts [suspended 0] (= [None]), the between-depths case. *)
-val pp_suspended : Format.formatter -> Res_core.Search.suspended -> unit
-val suspended_of : Res_vm.Coredump_io.reader -> Res_core.Search.suspended option
-
 (** A {!Res_core.Res.checkpointer} persisting to [path] every [every]
     expanded nodes (default 25).  Write failures surface as [Error] and
     leave the previous good checkpoint in place. *)

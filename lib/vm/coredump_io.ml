@@ -546,7 +546,7 @@ let journal_siblings path =
     loader then has to salvage.  Journal names are unique per process and
     call ({!fresh_tmp_path}), so concurrent writers in one directory never
     collide.  Shared by every on-disk artifact (coredumps, search
-    checkpoints, parallel work-unit checkpoints). *)
+    checkpoints, spool, journal and cache entries). *)
 (* Flush the directory entry for a just-renamed file to stable storage.
    Without this the rename is durable only against process death: after a
    power loss the directory block may still hold the old entry.  Some

@@ -9,10 +9,8 @@
 # pruner changes any workload's reports, and the reverse-equivalence
 # campaign does the same for the concrete reverse-execution fast path
 # (under a hard timeout: equivalence is only meaningful if the fast
-# path is also fast).  The parallel gates assert the
-# sharded engine is byte-identical to the serial one at -j 2 and -j 4
-# and that SIGKILLing batch-triage workers mid-unit never changes the
-# final TSV.  The serve-soak gate floods the triage daemon past
+# path is also fast).  The worker-kill gate asserts that SIGKILLing
+# batch-triage workers mid-unit never changes the final TSV.  The serve-soak gate floods the triage daemon past
 # capacity, SIGKILLs a worker and then the daemon itself, and exits
 # non-zero if any accepted request is lost, any served report diverges
 # from offline analyze, the breaker fails to trip and recover, or
@@ -47,8 +45,6 @@ dune exec bin/res_cli.exe -- selftest --kill-resume
 dune exec bin/res_cli.exe -- selftest --prune-equivalence
 timeout 120 dune exec bin/res_cli.exe -- selftest --reverse-equivalence
 dune exec bin/res_cli.exe -- selftest --worker-kill
-dune exec bin/res_cli.exe -- selftest --parallel-equivalence 2
-dune exec bin/res_cli.exe -- selftest --parallel-equivalence 4
 timeout 120 dune exec bin/res_cli.exe -- selftest --serve-soak
 timeout 240 dune exec bin/res_cli.exe -- selftest --cluster-soak
 

@@ -1,6 +1,5 @@
-(* Parallel engine: pool behaviour, wire round-trips, and the headline
-   property — parallel results byte-identical to serial for any worker
-   count, on both backends, plus deterministic batch triage.
+(* Worker pool behaviour on both backends, the batch wire codec, and
+   deterministic batch triage for any worker count.
 
    Suite ordering is load-bearing: the OCaml runtime forbids Unix.fork
    once any domain has been spawned, so every fork-backend test runs
@@ -9,42 +8,7 @@
 
 module Pool = Res_parallel.Pool
 module Wire = Res_parallel.Wire
-module Engine = Res_parallel.Engine
 module Batch = Res_parallel.Batch
-
-let serial_body (w : Res_workloads.Truth.t) =
-  Res_solver.Expr.reset_counter_for_tests ();
-  let dump = Res_workloads.Truth.coredump w in
-  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-  let outcome = Res_core.Res.analyze ctx dump in
-  ( Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome),
-    Res_core.Res.outcome_name outcome )
-
-let parallel_body ?ckpt_dir ?kill_unit ?shard_depth ~jobs ~backend
-    (w : Res_workloads.Truth.t) =
-  Res_solver.Expr.reset_counter_for_tests ();
-  let dump = Res_workloads.Truth.coredump w in
-  let prog = w.Res_workloads.Truth.w_prog in
-  let ctx = Res_core.Backstep.make_ctx prog in
-  let outcome, stats =
-    Engine.analyze ~jobs ~backend ?ckpt_dir ?kill_unit ?shard_depth ~prog ctx
-      dump
-  in
-  ( Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome),
-    Res_core.Res.outcome_name outcome,
-    stats )
-
-let check_equivalent ?shard_depth ~jobs ~backend (w : Res_workloads.Truth.t) =
-  let body, outcome = serial_body w in
-  let body', outcome', _ = parallel_body ?shard_depth ~jobs ~backend w in
-  Alcotest.(check string)
-    (Fmt.str "%s -j %d (%s) outcome" w.Res_workloads.Truth.w_name jobs
-       (Pool.backend_name backend))
-    outcome outcome';
-  Alcotest.(check string)
-    (Fmt.str "%s -j %d (%s) report bodies" w.Res_workloads.Truth.w_name jobs
-       (Pool.backend_name backend))
-    body body'
 
 (* --- pool: fork phase ----------------------------------------------- *)
 
@@ -92,170 +56,79 @@ let test_pool_kill_reschedules () =
 
 (* --- wire (no pool) ------------------------------------------------- *)
 
-(* Harvest a real frontier from a real workload so the round-trip
-   exercises genuine snapshots, not toy values. *)
-let some_shards () =
-  let w = Res_workloads.Workloads.find "counter-race" in
-  let dump = Res_workloads.Truth.coredump w in
-  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-  let config =
-    { Res_core.Search.default_config with Res_core.Search.max_segments = 3 }
-  in
-  let r = Res_core.Search.search ~config ~shard_at:1 ctx dump in
-  (config, r.Res_core.Search.shards, r.Res_core.Search.suffixes)
+let some_batch_row =
+  {
+    Wire.b_index = 5;
+    b_outcome = "complete";
+    b_bucket = "race sig";
+    b_cause = "write/write race on x";
+    b_nodes = 40;
+    b_pruned = 3;
+    b_queries = 12;
+  }
 
 let test_wire_roundtrip () =
-  let config, shards, suffixes = some_shards () in
-  Alcotest.(check bool) "harvested shards" true (shards <> []);
-  let suspended =
-    {
-      Res_core.Search.s_frontier = shards;
-      s_nodes = 7;
-      s_candidates = 9;
-      s_feasible = 4;
-      s_emitted = 2;
-      s_pruned = 1;
-      s_reversed = 6;
-      s_slice_skipped = 3;
-      s_next_id = 42;
-      s_out = suffixes;
-    }
-  in
-  let u =
-    {
-      Wire.u_index = 3;
-      u_config = config;
-      u_fuel = Some 500;
-      u_wall_ms = None;
-      u_restore = Some 17;
-      u_suspended = suspended;
-    }
-  in
-  let enc = Wire.encode_unit u in
-  (match Wire.decode_unit enc with
-  | Error m -> Alcotest.failf "unit decode failed: %s" m
-  | Ok u' ->
-      Alcotest.(check string) "unit re-encodes identically" enc
-        (Wire.encode_unit u'));
-  let res =
-    {
-      Wire.r_index = 3;
-      r_complete = true;
-      r_exhausted = Some Res_core.Budget.Fuel;
-      r_nodes = 11;
-      r_candidates = 13;
-      r_feasible = 5;
-      r_emitted = 2;
-      r_pruned = 0;
-      r_reversed = 4;
-      r_slice_skipped = 1;
-      r_queries = 21;
-      r_suffixes = suffixes;
-    }
-  in
-  let enc = Wire.encode_result res in
-  (match Wire.decode_result enc with
-  | Error m -> Alcotest.failf "result decode failed: %s" m
-  | Ok r' ->
-      Alcotest.(check string) "result re-encodes identically" enc
-        (Wire.encode_result r'));
-  let ck = { Wire.c_expr_counter = 99; c_suspended = suspended } in
-  let enc = Wire.encode_unit_ckpt ck in
-  (match Wire.decode_unit_ckpt enc with
-  | Error m -> Alcotest.failf "ckpt decode failed: %s" m
-  | Ok c' ->
-      Alcotest.(check string) "ckpt re-encodes identically" enc
-        (Wire.encode_unit_ckpt c'));
-  let b =
-    {
-      Wire.b_index = 5;
-      b_outcome = "complete";
-      b_bucket = "race sig";
-      b_cause = "write/write race on x";
-      b_nodes = 40;
-      b_pruned = 3;
-      b_queries = 12;
-    }
-  in
-  match Wire.decode_batch (Wire.encode_batch b) with
+  let enc = Wire.encode_batch some_batch_row in
+  match Wire.decode_batch enc with
   | Error m -> Alcotest.failf "batch decode failed: %s" m
   | Ok b' ->
-      Alcotest.(check string) "batch re-encodes identically"
-        (Wire.encode_batch b) (Wire.encode_batch b')
+      Alcotest.(check string) "batch re-encodes identically" enc
+        (Wire.encode_batch b')
 
 let test_wire_rejects_corrupt () =
-  let config, shards, _ = some_shards () in
-  let u =
-    {
-      Wire.u_index = 0;
-      u_config = config;
-      u_fuel = None;
-      u_wall_ms = None;
-      u_restore = None;
-      u_suspended =
-        {
-          Res_core.Search.s_frontier = shards;
-          s_nodes = 0;
-          s_candidates = 0;
-          s_feasible = 0;
-          s_emitted = 0;
-          s_pruned = 0;
-          s_reversed = 0;
-          s_slice_skipped = 0;
-          s_next_id = 0;
-          s_out = [];
-        };
-    }
-  in
-  let enc = Wire.encode_unit u in
+  let enc = Wire.encode_batch some_batch_row in
   let flipped = Bytes.of_string enc in
   Bytes.set flipped (String.length enc / 2) '\255';
-  (match Wire.decode_unit (Bytes.to_string flipped) with
+  (match Wire.decode_batch (Bytes.to_string flipped) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupt unit must not decode");
-  match Wire.decode_result enc with
+  | Ok _ -> Alcotest.fail "corrupt row must not decode");
+  match Wire.decode_batch (String.sub enc 0 (String.length enc - 3)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "wrong header must not decode"
+  | Ok _ -> Alcotest.fail "truncated row must not decode"
 
-(* --- equivalence: fork phase ---------------------------------------- *)
+(* --- batch vs serial triage ------------------------------------------ *)
 
-let test_equivalence_fork () =
+(** Per-dump parallelism changes no verdict: every workload's batch row,
+    analysed in a worker and shipped back over the wire, carries exactly
+    the fields an in-process serial triage of the same dump produces. *)
+let check_batch_matches_serial ~jobs ~backend =
+  let ws = Res_workloads.Workloads.all in
+  let items =
+    List.map
+      (fun (w : Res_workloads.Truth.t) ->
+        {
+          Batch.it_name = w.Res_workloads.Truth.w_name;
+          it_prog = w.w_prog;
+          it_dump = Ok (Res_workloads.Truth.coredump w);
+        })
+      ws
+  in
+  let t = Batch.run ~jobs ~backend items in
+  Alcotest.(check int) "one row per workload" (List.length items)
+    (List.length t.Batch.rows);
   List.iter
-    (fun w ->
-      check_equivalent ~jobs:2 ~backend:Pool.Forked w;
-      (* shard_depth 1 forces every workload through the farm/merge path
-         (at depth 2 the shallow ones never shard) *)
-      check_equivalent ~shard_depth:1 ~jobs:2 ~backend:Pool.Forked w)
-    Res_workloads.Workloads.all
-
-let test_equivalence_kill_and_checkpoint () =
-  (* Fork backend with a worker SIGKILLed mid-search at every depth, unit
-     checkpoints enabled: the rescheduled units must reproduce the serial
-     report bodies exactly. *)
-  let dir = Filename.temp_file "res_par" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  List.iter
-    (fun name ->
-      let w = Res_workloads.Workloads.find name in
-      let body, outcome = serial_body w in
-      let body', outcome', stats =
-        parallel_body ~jobs:2 ~backend:Pool.Forked ~ckpt_dir:dir ~kill_unit:0
-          w
+    (fun (it : Batch.item) ->
+      let dump = Result.get_ok it.Batch.it_dump in
+      let tr = Res_usecases.Triage.triage_one it.Batch.it_prog dump in
+      let row =
+        List.find (fun r -> r.Batch.row_name = it.Batch.it_name) t.Batch.rows
       in
-      Alcotest.(check string)
-        (name ^ " outcome survives worker kill")
-        outcome outcome';
-      Alcotest.(check string)
-        (name ^ " bodies survive worker kill")
-        body body';
-      Alcotest.(check bool)
-        (name ^ " a unit was rescheduled")
-        true
-        (stats.Engine.e_retries >= 1))
-    [ "counter-race"; "long-exec-50" ];
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+      let field what = Fmt.str "%s -j %d: %s" it.Batch.it_name jobs what in
+      Alcotest.(check string) (field "outcome")
+        tr.Res_usecases.Triage.tr_outcome row.Batch.row_outcome;
+      Alcotest.(check string) (field "bucket") tr.tr_bucket row.Batch.row_bucket;
+      Alcotest.(check string) (field "cause") tr.tr_cause row.Batch.row_cause;
+      Alcotest.(check int) (field "nodes") tr.tr_nodes row.Batch.row_nodes;
+      Alcotest.(check int) (field "pruned") tr.tr_pruned row.Batch.row_pruned)
+    items
+
+let test_batch_serial_fork () =
+  check_batch_matches_serial ~jobs:2 ~backend:Pool.Forked
+
+let test_batch_serial_domains () =
+  List.iter
+    (fun jobs -> check_batch_matches_serial ~jobs ~backend:Pool.Domains)
+    [ 1; 4 ]
 
 (* --- batch: fork phase ---------------------------------------------- *)
 
@@ -462,16 +335,6 @@ let test_pool_fork_after_domains_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fork after domains must be rejected, not hang"
 
-(* --- equivalence: domains phase ------------------------------------- *)
-
-let test_equivalence_domains () =
-  List.iter
-    (fun w ->
-      check_equivalent ~jobs:1 ~backend:Pool.Domains w;
-      check_equivalent ~jobs:4 ~backend:Pool.Domains w;
-      check_equivalent ~shard_depth:1 ~jobs:4 ~backend:Pool.Domains w)
-    Res_workloads.Workloads.all
-
 (* --- batch: domains phase ------------------------------------------- *)
 
 let test_batch_deterministic_domains () =
@@ -505,10 +368,8 @@ let () =
         ] );
       ( "equivalence-fork",
         [
-          Alcotest.test_case "serial = parallel -j 2, all workloads" `Slow
-            test_equivalence_fork;
-          Alcotest.test_case "worker kill + unit checkpoints" `Slow
-            test_equivalence_kill_and_checkpoint;
+          Alcotest.test_case "batch rows = serial triage, all workloads" `Slow
+            test_batch_serial_fork;
         ] );
       ( "batch-fork",
         [
@@ -543,8 +404,8 @@ let () =
         ] );
       ( "equivalence-domains",
         [
-          Alcotest.test_case "serial = parallel -j 1/4, all workloads" `Slow
-            test_equivalence_domains;
+          Alcotest.test_case "batch rows = serial triage, all workloads" `Slow
+            test_batch_serial_domains;
         ] );
       ( "batch-domains",
         [
