@@ -1030,6 +1030,31 @@ let e19 () =
   Fmt.pr "query reduction: %.1fx; wall speedup: %.1fx@."
     (float_of_int q_off /. float_of_int (max 1 q_on))
     (t_off /. t_on);
+  (* The depth curve: deepening continues each depth's carry, so nodes
+     grow linearly with depth.  The restart column is what deepening cost
+     when every depth searched from the coredump again: the sum of
+     from-scratch searches at depths 1..d. *)
+  Fmt.pr "@.depth curve, long-exec-50 (fast path on):@.";
+  Fmt.pr "%-7s %-9s %-11s %s@." "depth" "nodes" "wall (s)" "restart nodes";
+  List.iter
+    (fun d ->
+      let dump = Res_workloads.Truth.coredump w in
+      let ctx = Res_core.Backstep.make_ctx prog in
+      let c = config true in
+      let c = { c with search = { c.search with max_segments = d } } in
+      let outcome, t = wall (fun () -> Res_core.Res.analyze ~config:c ctx dump) in
+      let restart = ref 0 in
+      for k = 1 to d do
+        let r =
+          Res_core.Search.search
+            ~config:{ c.search with max_segments = k }
+            (Res_core.Backstep.make_ctx prog) dump
+        in
+        restart := !restart + r.Res_core.Search.stats.Res_core.Search.nodes
+      done;
+      Fmt.pr "%-7d %-9d %-11.4f %d@." d
+        (Res_core.Res.analysis outcome).Res_core.Res.nodes_expanded t !restart)
+    [ 10; 20; 40; 55 ];
   (* Per-workload equivalence campaign at the triage config. *)
   Fmt.pr "@.equivalence campaign (triage depth, all workloads):@.";
   let s = Res_faultinject.Faultinject.reverse_equivalence_campaign () in

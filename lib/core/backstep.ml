@@ -18,6 +18,13 @@ module ISet = Set.Make (Int)
 module SSet = Set.Make (String)
 open Res_solver
 
+(** What a {!Res_core.Search.search} call leaves on its context for the
+    next, one-deeper call: extended by [Search], so this module need not
+    know the search's types. *)
+type carry = ..
+
+type carry += No_carry
+
 type ctx = {
   prog : Res_ir.Prog.t;
   layout : Res_mem.Layout.t;
@@ -39,6 +46,9 @@ type ctx = {
       (** memoized invertibility verdicts per (func, block) — the
           classifier is purely static, so one verdict serves every
           segment over the same block *)
+  carry : carry ref;
+      (** the last search's deepening carry — a cell, so the copies
+          {!with_interrupt} makes share it *)
 }
 
 let make_ctx ?(sym_config = Res_symex.Symexec.default_config)
@@ -55,6 +65,7 @@ let make_ctx ?(sym_config = Res_symex.Symexec.default_config)
     use_addr_pool;
     statics = lazy (Res_static.Summary.of_prog prog);
     invert_memo = Hashtbl.create 64;
+    carry = ref No_carry;
   }
 
 (** Thread a cooperative interrupt into every engine the context drives:

@@ -117,14 +117,18 @@ type outcome =
     deterministic, so recomputation is cheaper than persisting verdicts),
     the pipeline counters over completed depths, the suspended in-flight
     search (whose own counters cover the partial depth, so nothing is
-    double-counted), the budget's remaining fuel, and the fresh-symbol
-    counter (restored absolutely so a resumed run mints identical symbol
-    ids and produces bit-identical reports). *)
+    double-counted) or, between depths, the carry the last depth left for
+    the next ({!Search.search}), the budget's remaining fuel, and the
+    fresh-symbol counter (restored absolutely so a resumed run mints
+    identical symbol ids and produces bit-identical reports). *)
 type ckpt_state = {
   ck_attempt : int;  (** 0-based escalation attempt in progress *)
   ck_max_nodes : int;  (** the attempt's (possibly doubled) node budget *)
   ck_depth : int;  (** suffix depth in progress (or next, if no frontier) *)
   ck_suffixes : Suffix.t list;  (** reproduced suffixes of completed depths *)
+  ck_carry : Search.frontier_item list;
+      (** between depths, the carry depth [ck_depth - 1] left; [[]] at
+          depth 1 and mid-depth, where [ck_suspended] records it *)
   ck_truncated : bool;  (** a depth of this attempt hit the node budget *)
   ck_nodes : int;
   ck_cands : int;
@@ -143,7 +147,9 @@ type ckpt_state = {
     path in {!analysis.checkpoint} and ignores write errors (a failed
     checkpoint must never kill the analysis it protects). *)
 type checkpointer = {
-  ck_every : int;  (** auto-checkpoint every this many expanded nodes *)
+  ck_every : int;
+      (** auto-checkpoint every this many ticks: frontier pops and depth
+          boundaries *)
   ck_write : ckpt_state -> (string, string) result;
 }
 
@@ -229,6 +235,7 @@ let initial_state config =
     ck_max_nodes = config.search.Search.max_nodes;
     ck_depth = 1;
     ck_suffixes = [];
+    ck_carry = [];
     ck_truncated = false;
     ck_nodes = 0;
     ck_cands = 0;
@@ -252,8 +259,8 @@ let found_definite_in reports =
 (** The engine shared by {!analyze} and {!resume}: run the
     retry-with-escalation / iterative-deepening schedule starting from
     [st0] (fresh for [analyze], a reloaded checkpoint for [resume]),
-    writing checkpoints through [checkpointer] every [ck_every] expanded
-    nodes and at the moment a budget trips. *)
+    writing checkpoints through [checkpointer] every [ck_every] ticks and
+    at the moment a budget trips. *)
 let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
     (st0 : ckpt_state) : outcome =
   let t0 = Sys.time () in
@@ -274,6 +281,8 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
       ck_max_nodes = max_nodes;
       ck_depth = depth;
       ck_suffixes = List.map (fun r -> r.suffix) acc;
+      ck_carry =
+        (if Option.is_none suspended && depth > 1 then Search.carry ctx else []);
       ck_truncated = !truncated;
       ck_nodes = !nodes;
       ck_cands = !cands;
@@ -296,19 +305,21 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         | Ok path -> last_ckpt := Some path
         | Error _ -> ())
   in
+  (* Checkpoint every [ck_every] ticks; a tick is a frontier pop or a
+     depth boundary. *)
+  let tick c state =
+    incr ckpt_tick;
+    if !ckpt_tick >= c.ck_every then begin
+      ckpt_tick := 0;
+      write_state (state ())
+    end
+  in
   let hook ~attempt ~max_nodes ~depth ~acc =
-    match checkpointer with
-    | None -> None
-    | Some c ->
-        Some
-          (fun (susp : Search.suspended) ->
-            incr ckpt_tick;
-            if !ckpt_tick >= c.ck_every then begin
-              ckpt_tick := 0;
-              write_state
-                (mk_state ~attempt ~max_nodes ~depth ~acc
-                   ~suspended:(Some susp))
-            end)
+    Option.map
+      (fun c (susp : Search.suspended) ->
+        tick c (fun () ->
+            mk_state ~attempt ~max_nodes ~depth ~acc ~suspended:(Some susp)))
+      checkpointer
   in
   (* The state a resume from the exhaustion instant needs — captured as
      close to the trip as possible (in-search, with the live frontier)
@@ -388,7 +399,15 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         in
         let acc = acc @ reports in
         if config.stop_at_first_cause && found_definite_in acc then (acc, depth)
-        else deepen (depth + 1) acc ~resume:None
+        else begin
+          (match checkpointer with
+          | Some c when depth < search_config.Search.max_segments ->
+              tick c (fun () ->
+                  mk_state ~attempt:i ~max_nodes ~depth:(depth + 1) ~acc
+                    ~suspended:None)
+          | _ -> ());
+          deepen (depth + 1) acc ~resume:None
+        end
       end
     in
     let reports, depth = deepen depth0 acc0 ~resume in
@@ -438,11 +457,11 @@ let analyze ?(config = default_config) ?budget ?checkpointer ctx
           run config budget checkpointer ctx dump (initial_state config))
 
 (** Continue an analysis from a reloaded checkpoint.  Restores the
-    fresh-symbol counter first, recomputes the reports of completed depths
-    from the checkpointed suffixes (replay is deterministic), then
-    re-enters the schedule exactly where the checkpoint suspended it —
-    producing, by construction, the same reports an uninterrupted run
-    would.  [budget] defaults to unlimited: the interrupted run's budget
+    fresh-symbol counter and, between depths, the deepening carry first,
+    recomputes the reports of completed depths from the checkpointed
+    suffixes (replay is deterministic), then re-enters the schedule
+    exactly where the checkpoint suspended it — producing, by
+    construction, the same reports an uninterrupted run would.  [budget] defaults to unlimited: the interrupted run's budget
     already tripped, and a resume usually wants to finish the job. *)
 let resume ?(config = default_config) ?budget ?checkpointer ctx
     (dump : Res_vm.Coredump.t) (st : ckpt_state) : outcome =
@@ -452,6 +471,15 @@ let resume ?(config = default_config) ?budget ?checkpointer ctx
   | Ok () ->
       guarded (fun () ->
           Res_solver.Expr.restore_counter st.ck_expr_counter;
+          if Option.is_none st.ck_suspended && st.ck_depth > 1 then
+            Search.restore_carry ctx
+              ~config:
+                {
+                  config.search with
+                  Search.max_nodes = st.ck_max_nodes;
+                  max_segments = st.ck_depth - 1;
+                }
+              dump st.ck_carry;
           run config budget checkpointer ctx dump st)
 
 (** The best root cause of an analysis, if any. *)

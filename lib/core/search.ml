@@ -15,8 +15,12 @@ open Res_solver
 
 type config = {
   max_segments : int;  (** how far back to synthesize *)
-  max_suffixes : int;  (** stop after this many feasible suffixes *)
-  max_nodes : int;  (** search budget *)
+  max_suffixes : int;
+      (** stop after this many feasible suffixes, re-emitted ones included *)
+  max_nodes : int;
+      (** search budget: backward steps {e this call} may evaluate — a call
+          that continues the previous depth's carry does not re-count the
+          steps that depth already took *)
   use_breadcrumbs : bool;  (** prune candidate predecessors with the LBR *)
   static_prune : bool;
       (** skip candidate steps the static chain refuter proves the solver
@@ -38,6 +42,9 @@ let default_config =
     reverse_exec = true;
   }
 
+(** Work counters of one call.  A call that continues the previous
+    depth's carry counts only the work it does itself; [emitted] counts
+    every suffix it returns, re-emitted ones included. *)
 type stats = {
   mutable nodes : int;  (** backward-step evaluations performed *)
   mutable candidates : int;  (** backward-step candidates generated *)
@@ -244,9 +251,14 @@ type move = {
     produced no children.
 
     The frontier (work stack, next-to-visit first) remains the {e entire}
-    mutable state of the search besides its counters and its emitted
-    suffixes — which is what makes the search suspendable: persist the
-    frontier and the search can continue in another process. *)
+    mutable state of the search besides its counters, its emitted
+    suffixes and the carry it is recording — which is what makes the
+    search suspendable: persist the frontier and the search can continue
+    in another process.
+
+    [F_emit] only ever comes from a carry (see {!search}): a suffix an
+    earlier depth emitted at a dead end or at the program start, which
+    every deeper search emits again at the same point of its traversal. *)
 type frontier_item =
   | F_visit of { f_depth : int; f_node : node }
   | F_eval of {
@@ -256,15 +268,18 @@ type frontier_item =
       e_move : move;
     }
   | F_seal of { s_parent : int; s_node : node }
+  | F_emit of Suffix.t  (** re-emit a built suffix, no solver call *)
 
 (** A suspended search: everything needed to continue it exactly where it
     stopped (and nothing else).  [s_frontier] is the work stack,
     next-to-visit first; [s_out] the suffixes emitted so far, newest first;
+    [s_carry] the next depth's carry recorded so far, newest first;
     [s_next_id] the visit-id counter; the counters are a copy of {!stats}
     at suspension time.  Resuming with this value yields the same remaining
     visits, in the same order, as the uninterrupted search. *)
 type suspended = {
   s_frontier : frontier_item list;
+  s_carry : frontier_item list;
   s_nodes : int;
   s_candidates : int;
   s_feasible : int;
@@ -414,6 +429,35 @@ let statically_refuted ctx ~stop_snapshot node tid kind =
   | query, chain -> Res_static.Chain.refute query chain <> None
   | exception Exit -> false
 
+(** The carry a call leaves on its context: its traversal as events,
+    next-to-process first. *)
+type Backstep.carry +=
+  | Carry of {
+      c_config : config;  (** the config of the call that left it *)
+      c_dump : Res_vm.Coredump.t;
+      c_items : frontier_item list;
+    }
+
+(** The carry the last call on [ctx] left, next-to-process first ([[]]
+    if none) — what a checkpoint taken between depths records. *)
+let carry ctx =
+  match !(ctx.Backstep.carry) with Carry c -> c.c_items | _ -> []
+
+(** Install [items] as the carry a call with [config] over [dump] left on
+    [ctx] — how a resumed analysis picks up a checkpoint taken between
+    depths. *)
+let restore_carry ctx ~config dump items =
+  ctx.Backstep.carry :=
+    Carry { c_config = config; c_dump = dump; c_items = items }
+
+(* The smallest visit id no carried eval or seal uses. *)
+let next_free_id items =
+  List.fold_left
+    (fun m -> function
+      | F_eval { e_parent = p; _ } | F_seal { s_parent = p; _ } -> max m (p + 1)
+      | F_visit _ | F_emit _ -> m)
+    0 items
+
 (** Synthesize suffixes of up to [max_segments] segments for [dump].
     [snapshot0] overrides the base snapshot — e.g.
     {!Snapshot.of_minidump} for the minidump ablation; the default is the
@@ -423,9 +467,32 @@ let statically_refuted ctx ~stop_snapshot node tid kind =
     in [suspended].  [resume] continues a previously suspended search
     instead of starting from the coredump.  [on_node] is called at every
     frontier-pop boundary with the state a resume from that instant would
-    need — the checkpoint hook. *)
+    need — the checkpoint hook.
+
+    Deepening costs one expansion per node, not one per node per depth.
+    Every call leaves on [ctx] a {e carry}: its traversal as a list of
+    events — each dead-end or program-start suffix it emitted
+    ([F_emit]), each node it reached at [max_segments] ([F_visit]), then
+    whatever frontier [max_suffixes] or a budget cut off.  A call with
+    [max_segments] one greater, the config otherwise equal, over the
+    physically same [dump], and with neither [snapshot0] nor [resume],
+    drains that carry instead of starting from the coredump: it expands
+    only the new layer, yet emits the same suffixes in the same order as
+    a search from scratch would.  Every other call starts from the
+    coredump and replaces the carry. *)
 let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
     (dump : Res_vm.Coredump.t) : result =
+  let cell = ctx.Backstep.carry in
+  let overridden = Option.is_some snapshot0 in
+  let carried =
+    match (resume, overridden, !cell) with
+    | None, false, Carry c
+      when c.c_dump == dump
+           && c.c_config = { config with max_segments = config.max_segments - 1 }
+      ->
+        Some c.c_items
+    | _ -> None
+  in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let ctx = Backstep.with_interrupt ctx (Budget.interrupt budget) in
   let stats =
@@ -442,8 +509,18 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
         }
     | None -> new_stats ()
   in
-  let next_id = ref (match resume with Some s -> s.s_next_id | None -> 0) in
+  let next_id =
+    ref
+      (match (resume, carried) with
+      | Some s, _ -> s.s_next_id
+      | None, Some items -> next_free_id items
+      | None, None -> 0)
+  in
   let out = ref (match resume with Some s -> s.s_out | None -> []) in
+  (* The next call's carry: events newest first, then the frontier a cut
+     left unprocessed. *)
+  let recorded = ref (match resume with Some s -> s.s_carry | None -> []) in
+  let left = ref [] in
   let budget_hit = ref false in
   let budget_ok () =
     if Budget.tick budget then true
@@ -459,8 +536,13 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
     match snapshot0 with Some s -> s | None -> Snapshot.of_coredump dump
   in
   let crash = dump.Res_vm.Coredump.crash in
+  let push_out sx =
+    stats.emitted <- stats.emitted + 1;
+    out := sx :: !out
+  in
   let emit ?(at_start = false) node =
-    if stats.emitted < config.max_suffixes then
+    if stats.emitted >= config.max_suffixes then None
+    else
       (* A suffix that reaches the program start must satisfy the initial
          conditions: zero-initialized globals, empty heap. *)
       let start_constraints =
@@ -473,15 +555,14 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
                (Snapshot.symbolic_addrs node.n_snapshot))
       in
       match start_constraints with
-      | None -> ()
+      | None -> None
       | Some start_cs -> (
           match
             Solver.solve ~config:ctx.Backstep.solver_config
               (start_cs @ node.n_snapshot.Snapshot.constraints)
           with
           | Solver.Sat model ->
-              stats.emitted <- stats.emitted + 1;
-              out :=
+              let sx =
                 {
                   Suffix.segments = node.n_segments;
                   snapshot = Snapshot.add_constraints node.n_snapshot start_cs;
@@ -489,8 +570,17 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
                   crash;
                   complete = at_start;
                 }
-                :: !out
-          | Solver.Unsat | Solver.Unknown -> ())
+              in
+              push_out sx;
+              Some sx
+          | Solver.Unsat | Solver.Unknown -> None)
+  in
+  (* A dead-end or program-start suffix: every deeper search emits it
+     again at this point of its traversal. *)
+  let emit_final ?at_start node =
+    Option.iter
+      (fun sx -> recorded := F_emit sx :: !recorded)
+      (emit ?at_start node)
   in
   (* The frontier: an explicit work stack (next-to-visit first), visited
      depth-first so expansion order — and therefore fresh-symbol
@@ -503,6 +593,7 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
   let snap_state frontier =
     {
       s_frontier = frontier;
+      s_carry = !recorded;
       s_nodes = stats.nodes;
       s_candidates = stats.candidates;
       s_feasible = stats.feasible;
@@ -518,8 +609,12 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
      prune) its candidate moves and schedule one eval per survivor, sealed
      below by the dead-end detector. *)
   let visit ~depth (node : node) =
-    if at_program_start ctx node then emit ~at_start:true node
-    else if depth >= config.max_segments then emit node
+    if at_program_start ctx node then emit_final ~at_start:true node
+    else if depth >= config.max_segments then begin
+      (* The next depth expands this node instead of emitting it. *)
+      recorded := F_visit { f_depth = depth; f_node = node } :: !recorded;
+      ignore (emit node)
+    end
     else begin
       let moves = candidate_moves ctx config node in
       let kept =
@@ -539,7 +634,7 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
       if kept = [] then begin
         (* Dead end earlier than the target depth: emit what we have, as
            long as the suffix is non-empty. *)
-        if node.n_segments <> [] then emit node
+        if node.n_segments <> [] then emit_final node
       end
       else begin
         let id = !next_id in
@@ -623,25 +718,26 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
   let rec drain () =
     match !stack with
     | [] -> ()
-    | item :: rest ->
-        stack := rest;
-        if stats.emitted >= config.max_suffixes then
-          (* Enough suffixes: the remaining frontier would not be expanded
-             by the recursive search either — drop it wholesale. *)
+    | item :: rest as frontier ->
+        if stats.emitted >= config.max_suffixes then begin
+          (* Enough suffixes: the recursive search would not expand the
+             remaining frontier either — it is left to the next depth. *)
+          left := frontier;
           stack := []
+        end
         else begin
           (* A resume from this instant must re-process [item]: report the
              pre-pop state (frontier including it, counters unbumped). *)
           (match on_node with
-          | Some hook -> hook (snap_state (item :: rest))
+          | Some hook -> hook (snap_state frontier)
           | None -> ());
-          if stats.nodes >= config.max_nodes then begin
+          if stats.nodes >= config.max_nodes || not (budget_ok ()) then begin
             budget_hit := true;
-            stopped := Some (snap_state (item :: rest))
+            stopped := Some (snap_state frontier);
+            left := frontier
           end
-          else if not (budget_ok ()) then
-            stopped := Some (snap_state (item :: rest))
           else begin
+            stack := rest;
             (match item with
             | F_visit { f_depth; f_node } -> visit ~depth:f_depth f_node
             | F_eval { e_depth; e_parent; e_node; e_move } ->
@@ -649,14 +745,18 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
             | F_seal { s_node; _ } ->
                 (* All of the node's evals ran and none produced a child:
                    the node is a dead end. *)
-                if s_node.n_segments <> [] then emit s_node);
+                if s_node.n_segments <> [] then emit_final s_node
+            | F_emit sx ->
+                push_out sx;
+                recorded := item :: !recorded);
             drain ()
           end
         end
   in
-  (match resume with
-  | Some s -> stack := s.s_frontier
-  | None -> (
+  (match (resume, carried) with
+  | Some s, _ -> stack := s.s_frontier
+  | None, Some items -> stack := items
+  | None, None -> (
       let crumbs0 =
         if config.use_breadcrumbs then crumbs_of_dump ctx dump else IMap.empty
       in
@@ -732,6 +832,15 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
                          }))
               applied));
   drain ();
+  cell :=
+    if overridden then Backstep.No_carry
+    else
+      Carry
+        {
+          c_config = config;
+          c_dump = dump;
+          c_items = List.rev_append !recorded !left;
+        };
   {
     suffixes = List.rev !out;
     stats;

@@ -270,6 +270,44 @@ let replace_first ~marker ~sub s =
       String.sub s 0 i ^ sub
       ^ String.sub s (i + String.length marker) (String.length s - i - String.length marker)
 
+(** A real checkpoint taken between two depths of an exhaustive
+    long-exec-50 analysis, whose carry holds the next depth's frontier.
+    Symbol ids are minted from zero, so its bytes do not depend on what
+    ran earlier in the process. *)
+let deepening_checkpoint () =
+  let w = Res_workloads.Workloads.find "long-exec-50" in
+  let prog = w.Res_workloads.Truth.w_prog in
+  let dump = Res_workloads.Truth.coredump w in
+  let config =
+    {
+      Res_core.Res.default_config with
+      search = { Res_core.Res.default_config.search with max_segments = 4 };
+      stop_at_first_cause = false;
+    }
+  in
+  let between = ref None in
+  let checkpointer =
+    {
+      Res_core.Res.ck_every = 1;
+      ck_write =
+        (fun st ->
+          if !between = None && st.Res_core.Res.ck_carry <> [] then
+            between := Some st;
+          Ok "captured");
+    }
+  in
+  let saved = Res_solver.Expr.counter_value () in
+  Res_solver.Expr.restore_counter 0;
+  ignore
+    (Res_core.Res.analyze ~config ~checkpointer
+       (Res_core.Backstep.make_ctx prog) dump);
+  Res_solver.Expr.restore_counter saved;
+  match !between with
+  | Some state ->
+      Res_persist.Checkpoint.to_string
+        { Res_persist.Checkpoint.config; prog; dump; state }
+  | None -> failwith "long-exec-50 left no carry between depths"
+
 (** Build the format descriptors.  The corpus programs/dumps seed the
     coredump, checkpoint, and protocol formats with realistic bytes —
     the same artifacts the system really ships. *)
@@ -310,7 +348,7 @@ let formats () =
           Result.is_ok (Io.of_string_result s));
     }
   in
-  (* -- checkpoint v3 -- *)
+  (* -- checkpoint v4 -- *)
   let ckpt_seed =
     Res_persist.Checkpoint.to_string
       {
@@ -320,14 +358,18 @@ let formats () =
         state = Res_core.Res.initial_state Res_core.Res.default_config;
       }
   in
-  let ckpt_header = "rescheckpoint v3" in
+  let carry_seed = deepening_checkpoint () in
+  let ckpt_header = Res_persist.Checkpoint.header in
   let checkpoint =
     {
       f_name = "checkpoint";
       f_sealed = true;
-      f_seeds = [ ckpt_seed ];
+      f_seeds = [ ckpt_seed; carry_seed ];
       f_hostile =
         [
+          tamper ~header:ckpt_header
+            (fun p -> replace_first ~marker:"carry 1" ~sub:"carry 999999" p)
+            carry_seed;
           tamper ~header:ckpt_header
             (fun p -> replace_first ~marker:"suffixes 0" ~sub:"suffixes 1048577" p)
             ckpt_seed;

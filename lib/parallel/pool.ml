@@ -145,9 +145,18 @@ type wrk = {
   req_w : Unix.file_descr;
   res_r : Unix.file_descr;
   mutable inflight : int option;  (** unit index awaiting a reply *)
+  mutable req_open : bool;
+      (** [req_w] not yet closed: a retired worker's descriptor number may
+          already belong to a newer pipe, which a second close would cut *)
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let close_req w =
+  if w.req_open then begin
+    w.req_open <- false;
+    close_quiet w.req_w
+  end
 
 let run_forked ?kill_unit ?(attempts = default_attempts)
     ?(backoff_base = default_backoff_base) ?(backoff_cap = default_backoff_cap)
@@ -179,7 +188,7 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
         close_quiet res_r;
         List.iter
           (fun w ->
-            close_quiet w.req_w;
+            close_req w;
             close_quiet w.res_r)
           !workers;
         (try child_serve req_r res_w worker with _ -> ());
@@ -187,13 +196,13 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
     | pid ->
         close_quiet req_r;
         close_quiet res_w;
-        let w = { pid; req_w; res_r; inflight = None } in
+        let w = { pid; req_w; res_r; inflight = None; req_open = true } in
         workers := w :: !workers;
         w
   in
   let rec dispatch w =
     match Queue.take_opt pending with
-    | None -> close_quiet w.req_w (* retire: child exits on EOF *)
+    | None -> close_req w (* retire: child exits on EOF *)
     | Some i -> (
         w.inflight <- Some i;
         match write_frame w.req_w units.(i) with
@@ -211,7 +220,7 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
      fork storm. *)
   and handle_death w =
     workers := List.filter (fun w' -> w'.pid <> w.pid) !workers;
-    close_quiet w.req_w;
+    close_req w;
     close_quiet w.res_r;
     (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
     (match w.inflight with
@@ -251,7 +260,7 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
         dispatch w
   in
   let finalize () =
-    List.iter (fun w -> close_quiet w.req_w) !workers;
+    List.iter close_req !workers;
     List.iter
       (fun w ->
         (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());

@@ -3,14 +3,14 @@
     A checkpoint is a self-contained image of a running {!Res_core.Res}
     analysis: the program, the coredump, the analysis configuration, and
     the {!Res_core.Res.ckpt_state} (deepening position, suffixes of
-    completed depths, the suspended search frontier, counters, fuel, and
-    the fresh-symbol counter).  "Self-contained" is the point: a resumed
-    process needs nothing but the checkpoint file to continue the analysis
-    and produce bit-identical reports.
+    completed depths, the suspended search frontier, the deepening carry,
+    counters, fuel, and the fresh-symbol counter).  "Self-contained" is
+    the point: a resumed process needs nothing but the checkpoint file to
+    continue the analysis and produce bit-identical reports.
 
     The on-disk format reuses the coredump format's building blocks
     ({!Res_vm.Coredump_io}): a line-oriented text record under a
-    [rescheckpoint v3] header, sealed with the FNV-1a
+    [rescheckpoint v4] header, sealed with the FNV-1a
     [end <lines> <checksum>] footer, written via temp-file + atomic
     rename.  Loading classifies damage into the same {!dump_error}
     taxonomy as coredumps — truncation, bit corruption, and torn writes
@@ -34,7 +34,7 @@ type t = {
   state : Res_core.Res.ckpt_state;
 }
 
-let header = "rescheckpoint v3"
+let header = "rescheckpoint v4"
 
 (* --- writers ------------------------------------------------------- *)
 
@@ -159,12 +159,14 @@ let pp_item ppf (it : Res_core.Search.frontier_item) =
         e_move.mv_crumbs pp_node e_node
   | Res_core.Search.F_seal { s_parent; s_node } ->
       Fmt.pf ppf "item seal %d@,%a" s_parent pp_node s_node
+  | Res_core.Search.F_emit sx -> Fmt.pf ppf "item emit@,%a" pp_suffix sx
 
 let pp_suspended ppf (s : Res_core.Search.suspended) =
-  Fmt.pf ppf "@[<v>suspended 1 %d %d %d %d %d %d %d %d@,out %a@,frontier %a@]"
+  Fmt.pf ppf
+    "@[<v>suspended 1 %d %d %d %d %d %d %d %d@,out %a@,frontier %a@,carry %a@]"
     s.Res_core.Search.s_nodes s.s_candidates s.s_feasible s.s_emitted
     s.s_pruned s.s_reversed s.s_slice_skipped s.s_next_id (pp_seq pp_suffix)
-    s.s_out (pp_seq pp_item) s.s_frontier
+    s.s_out (pp_seq pp_item) s.s_frontier (pp_seq pp_item) s.s_carry
 
 let to_string (c : t) =
   let cfg = c.config in
@@ -172,7 +174,7 @@ let to_string (c : t) =
   let st = c.state in
   let payload =
     Fmt.str
-      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %d %d %d %d %d %d %d@,fuel %a@,suffixes %a@,%a@]@."
+      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %d %d %d %d %d %d %d@,fuel %a@,suffixes %a@,carry %a@,%a@]@."
       header sc.Res_core.Search.max_segments sc.max_suffixes sc.max_nodes
       pp_bool sc.use_breadcrumbs pp_bool sc.static_prune pp_bool sc.reverse_exec
       cfg.determinism_runs pp_bool cfg.stop_at_first_cause cfg.max_attempts
@@ -181,6 +183,7 @@ let to_string (c : t) =
       st.ck_depth pp_bool st.ck_truncated st.ck_nodes st.ck_cands st.ck_pruned
       st.ck_reversed st.ck_slice_skipped st.ck_synth st.ck_expr_counter
       pp_int_opt st.ck_fuel (pp_seq pp_suffix) st.ck_suffixes
+      (pp_seq pp_item) st.ck_carry
       (fun ppf -> function
         | None -> Fmt.string ppf "suspended 0"
         | Some s -> pp_suspended ppf s)
@@ -486,6 +489,7 @@ let item_of rd : Res_core.Search.frontier_item =
   | "seal" ->
       let s_parent = Io.int_tok rd in
       Res_core.Search.F_seal { s_parent; s_node = node_of rd }
+  | "emit" -> Res_core.Search.F_emit (suffix_of rd)
   | k -> Io.fail "unknown frontier item tag %S" k
 
 let suspended_of rd : Res_core.Search.suspended option =
@@ -505,9 +509,12 @@ let suspended_of rd : Res_core.Search.suspended option =
       let s_out = seq_of rd suffix_of in
       keyword rd "frontier";
       let s_frontier = seq_of rd item_of in
+      keyword rd "carry";
+      let s_carry = seq_of rd item_of in
       Some
         {
           Res_core.Search.s_frontier;
+          s_carry;
           s_nodes;
           s_candidates;
           s_feasible;
@@ -523,7 +530,7 @@ let suspended_of rd : Res_core.Search.suspended option =
 let parse_payload payload : t =
   let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
   keyword rd "rescheckpoint";
-  keyword rd "v3";
+  keyword rd "v4";
   keyword rd "config";
   let max_segments = Io.int_tok rd in
   let max_suffixes = Io.int_tok rd in
@@ -574,6 +581,8 @@ let parse_payload payload : t =
   let ck_fuel = int_opt_of rd in
   keyword rd "suffixes";
   let ck_suffixes = seq_of rd suffix_of in
+  keyword rd "carry";
+  let ck_carry = seq_of rd item_of in
   let ck_suspended = suspended_of rd in
   (match Io.peek rd with
   | None -> ()
@@ -588,6 +597,7 @@ let parse_payload payload : t =
         ck_max_nodes;
         ck_depth;
         ck_suffixes;
+        ck_carry;
         ck_truncated;
         ck_nodes;
         ck_cands;

@@ -3,9 +3,10 @@
     A checkpoint is a self-contained image of a running {!Res_core.Res}
     analysis — program, coredump, configuration, and the
     {!Res_core.Res.ckpt_state} (deepening position, suffixes of completed
-    depths, suspended search frontier, counters, fuel, fresh-symbol
-    counter).  A resumed process needs nothing but the checkpoint file to
-    continue the analysis and produce bit-identical reports.
+    depths, suspended search frontier, deepening carry, counters, fuel,
+    fresh-symbol counter).  A resumed process needs nothing but the
+    checkpoint file to continue the analysis and produce bit-identical
+    reports.
 
     The format reuses the coredump format's hardening: versioned header,
     FNV-1a [end <lines> <checksum>] footer, atomic temp-file + rename
@@ -19,6 +20,9 @@ type t = {
   dump : Res_vm.Coredump.t;
   state : Res_core.Res.ckpt_state;
 }
+
+(** The format's versioned header line. *)
+val header : string
 
 (** Serialize to the sealed textual format. *)
 val to_string : t -> string
@@ -57,7 +61,7 @@ val recover_dir : valid_for:(string -> string -> bool) -> string -> unit
 val load : string -> (t, Res_vm.Coredump_io.dump_error) result
 
 (** A {!Res_core.Res.checkpointer} persisting to [path] every [every]
-    expanded nodes (default 25).  Write failures surface as [Error] and
+    ticks (frontier pops and depth boundaries; default 25).  Write failures surface as [Error] and
     leave the previous good checkpoint in place. *)
 val checkpointer :
   ?every:int ->

@@ -125,6 +125,108 @@ let test_search_budget () =
   in
   check bool_t "budget flag set" false result.Search.complete
 
+(* --- linear-time deepening: the carry --- *)
+
+(* What a search shows its user: each suffix as its report renders. *)
+let rendered ctx dump (r : Search.result) =
+  let config = { Res.default_config with determinism_runs = 1 } in
+  List.map
+    (fun s -> Fmt.str "%a" (Report.pp_report ctx) (Res.report_of ctx config dump s))
+    r.Search.suffixes
+
+(* Deepen 1..[depth] on one ctx, which continues each depth's carry, and
+   on a fresh ctx per depth, which cannot: every depth must render the
+   same suffixes. *)
+let check_carry_invisible ?(max_suffixes = 4) ~depth (w : Res_workloads.Truth.t)
+    =
+  let dump = Res_workloads.Truth.coredump w in
+  let prog = w.Res_workloads.Truth.w_prog in
+  let ctx = Backstep.make_ctx prog in
+  for d = 1 to depth do
+    let config = { Search.default_config with max_segments = d; max_suffixes } in
+    let carried = Search.search ~config ctx dump in
+    let fresh_ctx = Backstep.make_ctx prog in
+    let fresh = Search.search ~config fresh_ctx dump in
+    check (Alcotest.list Alcotest.string)
+      (Fmt.str "%s depth %d (max_suffixes %d)" w.Res_workloads.Truth.w_name d
+         max_suffixes)
+      (rendered fresh_ctx dump fresh)
+      (rendered ctx dump carried)
+  done
+
+let test_carry_invisible_all_workloads () =
+  List.iter
+    (fun w ->
+      check_carry_invisible ~depth:8 w;
+      check_carry_invisible ~max_suffixes:64 ~depth:8 w)
+    Res_workloads.Workloads.all
+
+let long_exec_50 () = Res_workloads.Workloads.find "long-exec-50"
+
+let test_carry_invisible_long_exec () =
+  check_carry_invisible ~depth:55 (long_exec_50 ())
+
+let test_deep_analysis_nodes_linear () =
+  let w = long_exec_50 () in
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let config =
+    {
+      Res.default_config with
+      search = { Search.default_config with max_segments = 55; max_nodes = 10_000 };
+    }
+  in
+  let a = Res.analysis (Res.analyze ~config ctx (Res_workloads.Truth.coredump w)) in
+  check int_t "depth reached" 55 a.Res.depth_reached;
+  check bool_t
+    (Fmt.str "%d nodes for 55 segments" a.Res.nodes_expanded)
+    true
+    (a.Res.nodes_expanded <= 110)
+
+let test_carry_belongs_to_one_ctx () =
+  let w = long_exec_50 () in
+  let prog = w.Res_workloads.Truth.w_prog in
+  let dump = Res_workloads.Truth.coredump w in
+  let nodes ?snapshot0 ?(max_suffixes = 4) ctx d =
+    let config = { Search.default_config with max_segments = d; max_suffixes } in
+    (Search.search ?snapshot0 ~config ctx dump).Search.stats.Search.nodes
+  in
+  let scratch d = nodes (Backstep.make_ctx prog) d in
+  (* Deepening one ctx expands every node once: its per-depth counts add
+     up to one search from the coredump. *)
+  let a = Backstep.make_ctx prog in
+  let total = ref 0 in
+  for d = 1 to 12 do
+    total := !total + nodes a d
+  done;
+  check int_t "per-depth nodes sum to one search" (scratch 12) !total;
+  (* A second ctx over the same dump sees none of [a]'s carry, and
+     leaves [a]'s in place. *)
+  let b = Backstep.make_ctx prog in
+  check int_t "other ctx starts from the coredump" (scratch 13) (nodes b 13);
+  check bool_t "own ctx continues" true (nodes a 13 < scratch 13);
+  (* The copies with_interrupt makes share the cell. *)
+  let a' = Backstep.with_interrupt a (fun () -> false) in
+  check bool_t "interrupt copy continues" true (nodes a' 14 < scratch 14);
+  check bool_t "and hands the carry back" true (nodes a 15 < scratch 15);
+  (* Any other call starts from the coredump. *)
+  check int_t "depth skipped" (scratch 17) (nodes a 17);
+  check int_t "config changed" (scratch 18) (nodes ~max_suffixes:5 a 18);
+  let copy =
+    match
+      Res_vm.Coredump_io.of_string_result (Res_vm.Coredump_io.to_string dump)
+    with
+    | Ok { Res_vm.Coredump_io.dump; _ } -> dump
+    | Error _ -> Alcotest.fail "dump round-trip"
+  in
+  check int_t "equal but distinct dump" (scratch 19)
+    (Search.search
+       ~config:{ Search.default_config with max_segments = 19 }
+       a copy)
+      .Search.stats.Search.nodes;
+  let snapshot0 = Snapshot.of_coredump dump in
+  check int_t "snapshot override" (scratch 20) (nodes ~snapshot0 a 20);
+  check int_t "an override leaves no carry" (scratch 21) (nodes a 21)
+
 (* --- address-pool ablation --- *)
 
 let test_addr_pool_ablation () =
@@ -535,6 +637,14 @@ let () =
             test_fig1_complete_search;
           Alcotest.test_case "stats accounting" `Quick test_search_stats_accounting;
           Alcotest.test_case "node budget" `Quick test_search_budget;
+          Alcotest.test_case "carry invisible, all workloads" `Quick
+            test_carry_invisible_all_workloads;
+          Alcotest.test_case "carry invisible, long-exec-50" `Quick
+            test_carry_invisible_long_exec;
+          Alcotest.test_case "deep analysis nodes linear" `Quick
+            test_deep_analysis_nodes_linear;
+          Alcotest.test_case "carry belongs to one ctx" `Quick
+            test_carry_belongs_to_one_ctx;
           Alcotest.test_case "LBR pruning" `Quick test_lbr_prunes_candidates;
           Alcotest.test_case "minidump ablation" `Quick
             test_minidump_keeps_both_predecessors;

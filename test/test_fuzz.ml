@@ -115,7 +115,7 @@ let test_inflated_count_is_typed_error () =
     | Ok _ -> true
     | Error _ -> false);
   let inflated =
-    Fuzz.tamper ~header:"rescheckpoint v3"
+    Fuzz.tamper ~header:Res_persist.Checkpoint.header
       (fun payload ->
         Fuzz.replace_first ~marker:"suffixes 0" ~sub:"suffixes 999999" payload)
       pristine

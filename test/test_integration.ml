@@ -275,8 +275,44 @@ let prop_random_programs_reconstruct =
               let v = Res_core.Replay.replay ctx suffix dump in
               v.Res_core.Replay.reproduced))
 
+(* property: deepening one ctx, which continues each depth's carry,
+   synthesizes the same suffixes at every depth as a fresh ctx per depth,
+   which cannot — compared as the replayed reports render them *)
+let prop_random_programs_carry_invisible =
+  QCheck2.Test.make ~name:"deepening carry is invisible on random programs"
+    ~count:25 gen_random_crash_prog (fun (prog, input_value) ->
+      let config =
+        {
+          (Res_vm.Exec.default_config ()) with
+          oracle = Res_vm.Oracle.scripted [ input_value ];
+        }
+      in
+      match Res_vm.Exec.run_to_coredump ~config prog with
+      | None, _ -> QCheck2.Test.fail_report "program did not crash"
+      | Some dump, _ ->
+          let render ctx (r : Res_core.Search.result) =
+            List.map
+              (fun s ->
+                Fmt.str "%a" (Res_core.Report.pp_report ctx)
+                  (Res_core.Res.report_of ctx
+                     { Res_core.Res.default_config with determinism_runs = 1 }
+                     dump s))
+              r.Res_core.Search.suffixes
+          in
+          let ctx = Res_core.Backstep.make_ctx prog in
+          List.for_all
+            (fun d ->
+              let config =
+                { Res_core.Search.default_config with max_segments = d }
+              in
+              let fresh = Res_core.Backstep.make_ctx prog in
+              render ctx (Res_core.Search.search ~config ctx dump)
+              = render fresh (Res_core.Search.search ~config fresh dump))
+            [ 1; 2; 3; 4; 5; 6 ])
+
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ prop_random_programs_reconstruct ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_random_programs_reconstruct; prop_random_programs_carry_invisible ]
 
 let () =
   Alcotest.run "integration"

@@ -54,6 +54,25 @@ let test_pool_kill_reschedules () =
   Alcotest.(check bool) "unit was rescheduled" true (stats.Pool.p_retries >= 1);
   Alcotest.(check int) "nothing lost" 0 stats.Pool.p_lost
 
+(* A kill late in the queue, when some workers have already retired and
+   closed their request pipes, respawns a worker whose new pipes reuse
+   those descriptor numbers: the retired workers' ends must never be
+   closed a second time, or the new worker's pipe goes with them. *)
+let test_pool_kill_after_retirement () =
+  let worker () s =
+    Unix.sleepf 0.003;
+    s
+  in
+  let units = List.init 14 string_of_int in
+  for _ = 1 to 20 do
+    let replies, stats =
+      Pool.run ~backend:Pool.Forked ~jobs:3 ~kill_unit:12 ~worker units
+    in
+    Alcotest.(check (list (option string)))
+      "all units answered" (List.map Option.some units) replies;
+    Alcotest.(check int) "nothing lost" 0 stats.Pool.p_lost
+  done
+
 (* --- wire (no pool) ------------------------------------------------- *)
 
 let some_batch_row =
@@ -359,6 +378,8 @@ let () =
             test_pool_worker_exception_fork;
           Alcotest.test_case "SIGKILL mid-unit reschedules" `Quick
             test_pool_kill_reschedules;
+          Alcotest.test_case "SIGKILL after retirements" `Quick
+            test_pool_kill_after_retirement;
         ] );
       ( "wire",
         [

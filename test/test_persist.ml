@@ -67,6 +67,7 @@ let test_roundtrip_all_workloads () =
                 ck_max_nodes = 2_000;
                 ck_depth = 1;
                 ck_suffixes = [];
+                ck_carry = [];
                 ck_truncated = false;
                 ck_nodes = 0;
                 ck_cands = 0;
@@ -254,6 +255,110 @@ let test_resume_bit_identical () =
       try Sys.remove (path ^ ".tmp") with Sys_error _ -> ())
     [ 1; 4; 9 ]
 
+(* --- kill and resume with a live deepening carry --- *)
+
+(* long-exec-50 deepened to 55 segments without an early stop: every
+   depth continues the previous one's carry, so a kill between depths
+   leaves the carry in [ck_carry] and a kill mid-depth leaves the
+   partial next carry in the suspended search. *)
+let deep_config =
+  {
+    test_config with
+    Res_core.Res.search =
+      { test_config.Res_core.Res.search with max_segments = 55; max_nodes = 10_000 };
+  }
+
+let deep_states () =
+  let w = Res_workloads.Workloads.find "long-exec-50" in
+  let states = ref [] in
+  let checkpointer =
+    {
+      Res_core.Res.ck_every = 1;
+      ck_write =
+        (fun st ->
+          states := st :: !states;
+          Ok "captured");
+    }
+  in
+  Res_solver.Expr.reset_counter_for_tests ();
+  let dump = Res_workloads.Truth.coredump w in
+  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let baseline =
+    Res_core.Report.reports_to_string ctx
+      (Res_core.Res.analysis
+         (Res_core.Res.analyze ~config:deep_config ~checkpointer ctx dump))
+  in
+  let pick what p =
+    match List.find_opt p (List.rev !states) with
+    | Some st -> st
+    | None -> Alcotest.failf "no %s state captured" what
+  in
+  let between =
+    pick "between-depths" (fun st ->
+        st.Res_core.Res.ck_suspended = None
+        && st.ck_depth >= 20 && st.ck_carry <> [])
+  in
+  let mid =
+    pick "mid-depth" (fun st ->
+        match st.Res_core.Res.ck_suspended with
+        | Some s -> st.ck_depth >= 20 && s.Res_core.Search.s_carry <> []
+        | None -> false)
+  in
+  (w, dump, baseline, [ ("between depths", between); ("mid-depth", mid) ])
+
+let test_v4_roundtrip_with_carry () =
+  let w, dump, _, states = deep_states () in
+  List.iter
+    (fun (what, state) ->
+      let text =
+        Ckpt.to_string
+          {
+            Ckpt.config = deep_config;
+            prog = w.Res_workloads.Truth.w_prog;
+            dump;
+            state;
+          }
+      in
+      check bool_t "v4 header" true
+        (String.starts_with ~prefix:Ckpt.header text && Ckpt.header = "rescheckpoint v4");
+      match Ckpt.of_string text with
+      | Error e ->
+          Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
+      | Ok c ->
+          check string_t (what ^ " round-trips") text (Ckpt.to_string c))
+    states
+
+let test_resume_with_carry () =
+  let w, dump, baseline, states = deep_states () in
+  List.iter
+    (fun (what, state) ->
+      (* The killed process wrote [state]; a new one loads it. *)
+      let text =
+        Ckpt.to_string
+          {
+            Ckpt.config = deep_config;
+            prog = w.Res_workloads.Truth.w_prog;
+            dump;
+            state;
+          }
+      in
+      Res_solver.Expr.reset_counter_for_tests ();
+      match Ckpt.of_string text with
+      | Error e ->
+          Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
+      | Ok ck ->
+          let ctx = Res_core.Backstep.make_ctx ck.Ckpt.prog in
+          let outcome =
+            Res_core.Res.resume ~config:ck.Ckpt.config ctx ck.Ckpt.dump
+              ck.Ckpt.state
+          in
+          check string_t
+            (what ^ ": resumed reports and counters are bit-identical")
+            baseline
+            (Res_core.Report.reports_to_string ctx
+               (Res_core.Res.analysis outcome)))
+    states
+
 (* --- the kill-and-resume campaign (repeated kills + torn write) --- *)
 
 let test_kill_resume_campaign () =
@@ -285,6 +390,8 @@ let () =
         [
           Alcotest.test_case "round-trip over all workloads" `Quick
             test_roundtrip_all_workloads;
+          Alcotest.test_case "v4 round-trip with a carry" `Quick
+            test_v4_roundtrip_with_carry;
           Alcotest.test_case "loader rejects damage" `Quick
             test_loader_rejects_damage;
           Alcotest.test_case "journal promotes completed write" `Quick
@@ -298,6 +405,8 @@ let () =
         [
           Alcotest.test_case "resume is bit-identical" `Quick
             test_resume_bit_identical;
+          Alcotest.test_case "resume with a live carry" `Quick
+            test_resume_with_carry;
           Alcotest.test_case "kill-and-resume campaign" `Quick
             test_kill_resume_campaign;
         ] );
