@@ -7,10 +7,11 @@
 
 let section id title = Fmt.pr "@.=== %s: %s ===@." (String.uppercase_ascii id) title
 
+(* Wall clock, not [Sys.time]: process CPU time misses forked workers. *)
 let time f =
-  let t0 = Sys.time () in
+  let t0 = Unix.gettimeofday () in
   let r = f () in
-  (r, Sys.time () -. t0)
+  (r, Unix.gettimeofday () -. t0)
 
 let analyze ?(max_segments = 8) w =
   let dump = Res_workloads.Truth.coredump w in
@@ -567,23 +568,36 @@ let a1 () =
 (* ------------------------------------------------------------------ *)
 let e13 () =
   section "e13" "crash-safe checkpoint/resume — equivalence and overhead";
-  let open Res_faultinject.Faultinject in
+  let open Res_faultinject in
   let tmp = Filename.get_temp_dir_name () in
-  Fmt.pr "%-22s %-18s %-6s %-6s %-7s %-10s %-10s@." "workload" "kill point"
-    "legs" "equal" "clean" "base (s)" "chain (s)";
+  (* equal: the chain reconverged to the reference's bytes and left no torn
+     file on disk *)
+  Fmt.pr "%-22s %-18s %-6s %-6s %-10s %-10s@." "workload" "kill point"
+    "legs" "equal" "base (s)" "chain (s)";
+  let timed elapsed f x =
+    let p, t = time (fun () -> f x) in
+    elapsed := t;
+    p
+  in
   List.iter
     (fun name ->
       let w = Res_workloads.Workloads.find name in
-      let baseline, tb = time (fun () -> kr_baseline w) in
       List.iter
-        (fun kill ->
-          let r, tc =
-            time (fun () -> kill_resume_one ~every:4 ~dir:tmp w kill ~baseline)
+        (fun (kill, torn, k) ->
+          let tb = ref 0. and tc = ref 0. in
+          let s =
+            Differential.run ~campaign:"e13"
+              ~reference:(timed tb Faultinject.kr_reference)
+              ~variants:[ (kill, timed tc (Faultinject.kill_chain ~torn k)) ]
+              [ (name, w) ]
           in
-          Fmt.pr "%-22s %-18s %-6d %-6b %-7b %-10.4f %-10.4f@." name
-            (Fmt.str "%a" pp_kill_point kill)
-            r.kr_legs r.kr_equivalent r.kr_clean_disk tb tc)
-        [ Kill_after_nodes 5; Kill_mid_write 13 ])
+          List.iter
+            (fun r ->
+              Fmt.pr "%-22s %-18s %-6d %-6b %-10.4f %-10.4f@." name kill
+                (Differential.count r (kill ^ ".legs"))
+                r.Differential.equivalent !tb !tc)
+            s.Differential.runs)
+        [ ("kill@5", false, 5); ("torn@13", true, 13) ])
     [ "fig1-overflow"; "counter-race"; "lock-order-deadlock";
       "use-after-free-a"; "kvstore-stats-race" ];
   (* Checkpoint footprint: persist a mid-flight state and measure it. *)
@@ -592,7 +606,7 @@ let e13 () =
   let dump = Res_workloads.Truth.coredump w in
   let prog = w.Res_workloads.Truth.w_prog in
   let ctx = Res_core.Backstep.make_ctx prog in
-  let config = kr_config in
+  let config = Faultinject.kr_config in
   let path = Filename.concat tmp "e13-size.ckpt" in
   let cp = Res_persist.Checkpoint.checkpointer ~every:4 ~path ~config ~prog ~dump () in
   ignore
@@ -620,31 +634,34 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 let e14 () =
   section "e14" "static chain-refutation pruning — work saved, reports equal";
-  let open Res_faultinject.Faultinject in
+  let module D = Res_faultinject.Differential in
   Fmt.pr "%-24s %-12s %-12s %-10s %-12s %-10s@." "workload" "nodes(off)"
     "nodes(on)" "pruned" "reduction" "reports";
+  let s =
+    Res_faultinject.Faultinject.prune_equivalence_campaign
+      ~workloads:
+        (List.map Res_workloads.Workloads.find
+           [
+             "fig1-overflow";
+             "long-exec-50";
+             "kvstore-stats-race";
+             "counter-race";
+             "div-by-zero";
+           ])
+      ()
+  in
   List.iter
-    (fun name ->
-      let w = Res_workloads.Workloads.find name in
-      let r, _ = time (fun () -> prune_equivalence_one w) in
+    (fun r ->
+      let off = D.count r "nodes" and on = D.count r "static-prune.nodes" in
       let reduction =
-        if r.pe_nodes_off = 0 then 0.
-        else
-          100.
-          *. float_of_int (r.pe_nodes_off - r.pe_nodes_on)
-          /. float_of_int r.pe_nodes_off
+        if off = 0 then 0.
+        else 100. *. float_of_int (off - on) /. float_of_int off
       in
-      Fmt.pr "%-24s %-12d %-12d %-10d %-12s %-10s@." name r.pe_nodes_off
-        r.pe_nodes_on r.pe_pruned
+      Fmt.pr "%-24s %-12d %-12d %-10d %-12s %-10s@." r.D.name off on
+        (D.count r "static-prune.pruned")
         (Fmt.str "%.1f%%" reduction)
-        (if r.pe_equivalent then "identical" else "DIVERGED"))
-    [
-      "fig1-overflow";
-      "long-exec-50";
-      "kvstore-stats-race";
-      "counter-race";
-      "div-by-zero";
-    ];
+        (if r.D.equivalent then "identical" else "DIVERGED"))
+    s.D.runs;
   Fmt.pr
     "expected shape: long-exec drops >=30%% of backward-step evaluations; \
      every report column reads 'identical'@."
@@ -658,13 +675,6 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 let e15 () =
   section "e15" "batch triage — -j 1 vs -j N wall clock, equivalence";
-  let wall f =
-    (* Sys.time is process CPU time and excludes forked workers; the
-       claim here is about wall clock, so measure that. *)
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let backend = Res_parallel.Pool.Forked in
   let cores = Domain.recommended_domain_count () in
   Fmt.pr "host cores (Domain.recommended_domain_count): %d@." cores;
@@ -696,7 +706,7 @@ let e15 () =
   let triage jobs =
     Res_parallel.Batch.run ~config:triage_config ~jobs ~backend items
   in
-  let base, t1 = wall (fun () -> triage 1) in
+  let base, t1 = time (fun () -> triage 1) in
   Fmt.pr "@.batch triage, corpus of %d dumps:@." (List.length items);
   Fmt.pr "%-10s %-11s %-9s %-9s %s@." "engine" "wall (s)" "speedup" "clusters"
     "tsv";
@@ -705,7 +715,7 @@ let e15 () =
     "baseline";
   List.iter
     (fun jobs ->
-      let t, tj = wall (fun () -> triage jobs) in
+      let t, tj = time (fun () -> triage jobs) in
       Fmt.pr "%-10s %-11.4f %-9s %-9d %s@."
         (Fmt.str "-j %d" jobs)
         tj
@@ -751,82 +761,24 @@ let e16 () =
 (* ------------------------------------------------------------------ *)
 let e17 () =
   section "e17" "triage cluster — multi-node scaling and fault recovery";
-  let module Transport = Res_cluster.Transport in
   let module C = Res_cluster.Coordinator in
-  let base =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "res-e17-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let reports = Res_workloads.Corpus.generate ~n_per_bug:6 () in
-  let items =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      reports
-  in
-  let units =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          C.ci_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          ci_prog = Res_ir.Prog.to_string r.r_prog;
-          ci_dump = Res_vm.Coredump_io.to_string r.r_dump;
-          ci_sig = Res_usecases.Triage.wer_key r.r_dump;
-        })
-      reports
-  in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
+  let module Fleet = Res_faultinject.Fleet in
+  Fleet.with_kit "res-e17" @@ fun k ->
+  let items, units = Fleet.corpus ~n_per_bug:6 in
   let next_node = ref 0 in
   let start_node () =
     incr next_node;
-    let spool = Filename.concat base (Fmt.str "node%d-spool" !next_node) in
-    let fd, port = Transport.listen_ephemeral () in
-    let pid =
-      match Unix.fork () with
-      | 0 ->
-          (try
-             Res_serve.Server.run
-               {
-                 Res_serve.Server.default_config with
-                 Res_serve.Server.prebound = Some fd;
-                 spool_dir = spool;
-                 jobs = 2;
-                 capacity = 16;
-               }
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-      | pid -> pid
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (pid, { Transport.host = "127.0.0.1"; port })
-  in
-  let wait_ready addr =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      Transport.ping addr
-      || (Unix.gettimeofday () < deadline
-         && begin
-              Unix.sleepf 0.02;
-              go ()
-            end)
-    in
-    ignore (go ())
-  in
-  let drain pid =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+    Fleet.fork_node k
+      {
+        Res_serve.Server.default_config with
+        Res_serve.Server.spool_dir =
+          Filename.concat k.Fleet.dir (Fmt.str "node%d-spool" !next_node);
+        jobs = 2;
+        capacity = 16;
+      }
   in
   let baseline, t_base =
-    wall (fun () ->
+    time (fun () ->
         Res_parallel.Batch.run ~jobs:2 ~backend:Res_parallel.Pool.Forked items)
   in
   Fmt.pr "corpus: %d dumps; single-process batch triage (-j 2): %.4fs@."
@@ -836,18 +788,20 @@ let e17 () =
   List.iter
     (fun n_nodes ->
       let fleet = List.init n_nodes (fun _ -> start_node ()) in
-      List.iter (fun (_, a) -> wait_ready a) fleet;
+      List.iter (fun (_, a) -> Fleet.node_ready k a) fleet;
       let config =
         { C.default_config with C.nodes = List.map snd fleet; window = 2 }
       in
-      let t, tw = wall (fun () -> C.run ~config units) in
+      let t, tw = time (fun () -> C.run ~config units) in
       Fmt.pr "%-10d %-11.4f %-9s %-9d %s@." n_nodes tw
         (Fmt.str "%.2fx" (t_base /. tw))
         t.C.stats.C.cs_retries
         (if String.equal t.C.tsv baseline.Res_parallel.Batch.tsv then
            "identical"
          else "DIVERGED");
-      List.iter (fun (pid, _) -> drain pid) fleet)
+      List.iter
+        (fun (pid, _) -> ignore (Fleet.reap k ~signal:Sys.sigterm "node" pid))
+        fleet)
     [ 1; 2; 3 ];
   Fmt.pr "@.fault campaign (kills, resume, partition):@.";
   let s = Res_faultinject.Faultinject.cluster_soak_campaign () in
@@ -873,11 +827,6 @@ let e17 () =
 let e18 () =
   section "e18" "result cache — cold vs warm triage, growth, damage";
   let module Cache = Res_cache.Cache in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let backend = Res_parallel.Pool.Forked in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -914,11 +863,11 @@ let e18 () =
     n 5;
   Fmt.pr "%-14s %-11s %-9s %-11s %-8s %s@." "run" "wall (s)" "speedup"
     "hit rate" "entries" "tsv";
-  let cold, t_cold = wall (fun () -> triage ~cache:(Cache.openr dir) corpus) in
+  let cold, t_cold = time (fun () -> triage ~cache:(Cache.openr dir) corpus) in
   Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "cold" t_cold "1.00x"
     (Fmt.str "%d/%d" cold.Res_parallel.Batch.cache_hits n)
     (Cache.entry_count dir) "baseline";
-  let warm, t_warm = wall (fun () -> triage ~cache:(Cache.openr dir) corpus) in
+  let warm, t_warm = time (fun () -> triage ~cache:(Cache.openr dir) corpus) in
   Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "warm" t_warm
     (Fmt.str "%.2fx" (t_cold /. t_warm))
     (Fmt.str "%d/%d" warm.Res_parallel.Batch.cache_hits n)
@@ -930,7 +879,7 @@ let e18 () =
   let grown = items 3366 in
   let n_grown = List.length grown in
   let incr_run, t_incr =
-    wall (fun () -> triage ~cache:(Cache.openr dir) grown)
+    time (fun () -> triage ~cache:(Cache.openr dir) grown)
   in
   Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@."
     (Fmt.str "grown +%d" (n_grown - n))
@@ -954,7 +903,7 @@ let e18 () =
       end)
     entries;
   let dcache = Cache.openr dir in
-  let damaged, t_damaged = wall (fun () -> triage ~cache:dcache corpus) in
+  let damaged, t_damaged = time (fun () -> triage ~cache:dcache corpus) in
   Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "damaged" t_damaged
     (Fmt.str "%.2fx" (t_cold /. t_damaged))
     (Fmt.str "%d/%d" damaged.Res_parallel.Batch.cache_hits n)
@@ -981,11 +930,6 @@ let e18 () =
 (* ------------------------------------------------------------------ *)
 let e19 () =
   section "e19" "reverse execution — solver queries saved, reports equal";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let w = Res_workloads.Workloads.find "long-exec-50" in
   let prog = w.Res_workloads.Truth.w_prog in
   (* Deep chain: enough segments to walk the whole busy loop backward,
@@ -1008,7 +952,7 @@ let e19 () =
     let ctx = Res_core.Backstep.make_ctx prog in
     let q0 = Res_solver.Solver.queries () in
     let outcome, t =
-      wall (fun () -> Res_core.Res.analyze ~config:(config reverse_exec) ctx dump)
+      time (fun () -> Res_core.Res.analyze ~config:(config reverse_exec) ctx dump)
     in
     let a = Res_core.Res.analysis outcome in
     ( Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome),
@@ -1042,7 +986,7 @@ let e19 () =
       let ctx = Res_core.Backstep.make_ctx prog in
       let c = config true in
       let c = { c with search = { c.search with max_segments = d } } in
-      let outcome, t = wall (fun () -> Res_core.Res.analyze ~config:c ctx dump) in
+      let outcome, t = time (fun () -> Res_core.Res.analyze ~config:c ctx dump) in
       let restart = ref 0 in
       for k = 1 to d do
         let r =
@@ -1057,22 +1001,20 @@ let e19 () =
     [ 10; 20; 40; 55 ];
   (* Per-workload equivalence campaign at the triage config. *)
   Fmt.pr "@.equivalence campaign (triage depth, all workloads):@.";
+  let module D = Res_faultinject.Differential in
   let s = Res_faultinject.Faultinject.reverse_equivalence_campaign () in
   Fmt.pr "%-24s %-10s %-14s %-13s %s@." "workload" "reversed" "slice-skipped"
     "queries" "reports";
   List.iter
-    (fun (r : Res_faultinject.Faultinject.re_run) ->
-      Fmt.pr "%-24s %-10d %-14d %-13s %s@."
-        r.Res_faultinject.Faultinject.re_workload
-        r.Res_faultinject.Faultinject.re_reversed
-        r.Res_faultinject.Faultinject.re_slice_skipped
-        (Fmt.str "%d -> %d" r.Res_faultinject.Faultinject.re_queries_off
-           r.Res_faultinject.Faultinject.re_queries_on)
-        (if r.Res_faultinject.Faultinject.re_equivalent then "identical"
-         else "DIVERGED"))
-    s.Res_faultinject.Faultinject.re_runs;
-  Fmt.pr "campaign: %d/%d identical@." s.Res_faultinject.Faultinject.re_ok
-    s.Res_faultinject.Faultinject.re_total;
+    (fun r ->
+      Fmt.pr "%-24s %-10d %-14d %-13s %s@." r.D.name
+        (D.count r "reverse-exec.reversed")
+        (D.count r "reverse-exec.slice_skipped")
+        (Fmt.str "%d -> %d" (D.count r "queries")
+           (D.count r "reverse-exec.queries"))
+        (if r.D.equivalent then "identical" else "DIVERGED"))
+    s.D.runs;
+  Fmt.pr "campaign: %d/%d identical@." s.D.ok s.D.total;
   (* Per-step microbench: the pure engine cost of reversing the loop
      body concretely, vs the in-situ per-node cost of the two legs. *)
   let block = Res_ir.Prog.block prog ~func:"main" ~label:"loop" in
@@ -1100,7 +1042,7 @@ let e19 () =
   in
   let iters = 200_000 in
   let (), t_rev =
-    wall (fun () ->
+    time (fun () ->
         for _ = 1 to iters do
           match Res_static.Revexec.run block plan oracle with
           | Res_static.Revexec.Reversed _ -> ()
@@ -1128,11 +1070,6 @@ let e19 () =
 let e20 () =
   section "e20"
     "time-travel debugging — snapshot index vs replay-from-zero";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let w = Res_workloads.Workloads.find "long-exec-50" in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
@@ -1188,9 +1125,9 @@ let e20 () =
       done
     done
   in
-  let (), t_on = wall (fun () -> walk (Res_core.Debugger.state_at d) reps_on) in
+  let (), t_on = time (fun () -> walk (Res_core.Debugger.state_at d) reps_on) in
   let (), t_off =
-    wall (fun () -> walk (Res_core.Debugger.state_at_linear d) reps_off)
+    time (fun () -> walk (Res_core.Debugger.state_at_linear d) reps_off)
   in
   let per_query t reps = 1e6 *. t /. float_of_int (reps * (n + 1)) in
   let us_on = per_query t_on reps_on and us_off = per_query t_off reps_off in
@@ -1229,11 +1166,6 @@ let e20 () =
 let e21 () =
   section "e21"
     "structured fuzzing — throughput and violations per decode surface";
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let runs = 2_000 and seed = 1 in
   Fmt.pr "%-11s %8s %9s %9s %11s %11s@." "format" "cases" "accepted"
     "rejected" "violations" "execs/sec";
@@ -1241,7 +1173,7 @@ let e21 () =
   List.iter
     (fun name ->
       let r, t =
-        wall (fun () -> Res_fuzz.Fuzz.run ~only:[ name ] ~seed ~runs ())
+        time (fun () -> Res_fuzz.Fuzz.run ~only:[ name ] ~seed ~runs ())
       in
       let f = List.hd r.Res_fuzz.Fuzz.r_formats in
       let open Res_fuzz.Fuzz in

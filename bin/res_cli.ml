@@ -1492,16 +1492,128 @@ let coordinate_cmd =
 
 (* --- selftest --- *)
 
+(* Every campaign but the default fault-injection one: its flag, its doc,
+   and how to run it into (report text, failure lines). *)
+let selftest_campaigns =
+  let open Res_faultinject in
+  let differential f ~verbose =
+    let s = f () in
+    ( Fmt.str "@[<v>%a%a@]"
+        Fmt.(list ~sep:nop (Differential.pp_run ++ cut))
+        (if verbose then s.Differential.runs else [])
+        Differential.pp_summary s,
+      List.map (Fmt.str "%a" Differential.pp_run) s.Differential.failures )
+  in
+  let soak name campaign pp failures ~verbose =
+    let log = if verbose then fun m -> Fmt.epr "%s: %s@." name m else ignore in
+    let s = campaign log in
+    (Fmt.str "%a" pp s, failures s)
+  in
+  Faultinject.
+    [
+      ( "kill-resume",
+        "Run the kill-and-resume campaign: deterministically kill analyses \
+         after k nodes (including mid-checkpoint-write), resume from the \
+         checkpoint, and assert bit-identical reports.",
+        differential kill_resume_campaign );
+      ( "prune-equivalence",
+        "Run the static-prune equivalence campaign: analyze every workload \
+         with pruning on and off and assert byte-identical reports.",
+        differential prune_equivalence_campaign );
+      ( "reverse-equivalence",
+        "Run the reverse-execution equivalence campaign: analyze every \
+         workload with the concrete reverse-execution fast path on and off \
+         and assert byte-identical reports.",
+        differential reverse_equivalence_campaign );
+      ( "debug-equivalence",
+        "Run the debug-equivalence campaign: drive a scripted time-travel \
+         session over every workload at snapshot intervals 1, 7, 64 and with \
+         the index disabled, and assert the transcripts are byte-identical.",
+        differential debug_equivalence_campaign );
+      ( "worker-kill",
+        "Run the worker-kill campaign: batch-triage the corpus on forked \
+         workers, SIGKILL one mid-unit at several deterministic points, and \
+         assert the coordinator reschedules the unit and the final TSV is \
+         identical to an undisturbed run's.",
+        differential worker_kill_campaign );
+      ( "serve-soak",
+        "Run the triage-service soak campaign: flood a daemon at 2x \
+         capacity, SIGKILL workers and the daemon itself, restart on the \
+         same spool, trip and recover a circuit breaker, drain gracefully — \
+         and assert zero lost accepted requests and byte-identical completed \
+         report bodies.",
+        soak "soak"
+          (fun log -> serve_soak_campaign ~log ())
+          pp_sk_summary
+          (fun s -> s.sk_failures) );
+      ( "cluster-soak",
+        "Run the multi-node cluster soak campaign: shard the corpus across \
+         three TCP node daemons, SIGKILL the coordinator mid-corpus and \
+         resume it from its journal, SIGKILL a node and watch its units \
+         reschedule, stall a node past the unit deadline — and assert the \
+         merged TSV stays byte-identical to single-node triage with zero \
+         lost units.",
+        soak "cluster"
+          (fun log -> cluster_soak_campaign ~log ())
+          pp_ck_summary
+          (fun s -> s.ck_failures) );
+      ( "byzantine",
+        "Run the byzantine-node campaign: shard the corpus across three TCP \
+         node daemons where one computes honestly but falsifies the rows it \
+         returns (wrong unit name, then plausible fabricated verdict \
+         fields), and assert every lie is rejected — by the structural \
+         identity check and by the replay spot-check respectively — the liar \
+         is quarantined, its units reschedule, and the merged TSV stays \
+         byte-identical to single-node triage with zero lost units.",
+        soak "byzantine"
+          (fun log -> byzantine_campaign ~log ())
+          pp_bz_summary
+          (fun s -> s.bz_failures) );
+      ( "cache-chaos",
+        "Run the result-cache chaos campaign: triage the corpus cold then \
+         warm and assert byte-identical TSVs with a full hit rate; kill a \
+         cache write mid-rename and assert recovery; sweep injected disk \
+         faults (ENOSPC, EIO, failed fsync, torn writes) over every cache, \
+         spool, and checkpoint write and assert no lost accepted work and no \
+         wrong verdicts; fill the cache with garbage and assert it behaves \
+         exactly like a cold cache.",
+        soak "cache"
+          (fun log -> cache_chaos_campaign ~log ())
+          pp_cc_summary
+          (fun s -> s.cc_failures) );
+    ]
+
+(* The default campaign: perturbed analyses, then the deadline check. *)
+let fault_injection ~runs ~seed ~skip_deadline ~verbose =
+  let open Res_faultinject.Faultinject in
+  let s = campaign ~seed ~runs () in
+  let d = if skip_deadline then None else Some (deadline_compliance ()) in
+  ( Fmt.str "@[<v>%a%a%a@]"
+      Fmt.(list ~sep:nop (pp_run ++ cut))
+      (if verbose then s.runs else [])
+      pp_summary s
+      Fmt.(option (cut ++ pp_deadline_check))
+      d,
+    List.map (Fmt.str "escaped: %a" pp_run) s.escaped
+    @
+    match d with
+    | Some d when not d.d_within -> [ Fmt.str "%a" pp_deadline_check d ]
+    | _ -> [] )
+
 let selftest_cmd =
   let runs =
     Arg.(
-      value & opt int 60
-      & info [ "runs" ] ~docv:"N" ~doc:"How many perturbed analyses to run.")
+      value
+      & opt (some int) None
+      & info [ "runs" ] ~docv:"N" ~absent:"60"
+          ~doc:"How many perturbed analyses to run.")
   in
   let seed =
     Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"N" ~doc:"Campaign seed (fully deterministic).")
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"N" ~absent:"1"
+          ~doc:"Campaign seed (fully deterministic).")
   in
   let verbose =
     Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print every run.")
@@ -1512,221 +1624,45 @@ let selftest_cmd =
       & info [ "no-deadline-check" ]
           ~doc:"Skip the wall-clock deadline compliance measurement.")
   in
-  let kill_resume =
+  let campaign =
     Arg.(
-      value & flag
-      & info [ "kill-resume" ]
-          ~doc:
-            "Run the kill-and-resume campaign: deterministically kill \
-             analyses after k nodes (including mid-checkpoint-write), resume \
-             from the checkpoint, and assert bit-identical reports.")
+      value
+      & vflag None
+          (List.map
+             (fun (name, doc, f) -> (Some (name, f), info [ name ] ~doc))
+             selftest_campaigns))
   in
-  let prune_equivalence =
-    Arg.(
-      value & flag
-      & info [ "prune-equivalence" ]
-          ~doc:
-            "Run the static-prune equivalence campaign: analyze every \
-             workload with pruning on and off and assert byte-identical \
-             reports.")
-  in
-  let reverse_equivalence =
-    Arg.(
-      value & flag
-      & info [ "reverse-equivalence" ]
-          ~doc:
-            "Run the reverse-execution equivalence campaign: analyze every \
-             workload with the concrete reverse-execution fast path on and \
-             off and assert byte-identical reports.")
-  in
-  let debug_equivalence =
-    Arg.(
-      value & flag
-      & info [ "debug-equivalence" ]
-          ~doc:
-            "Run the debug-equivalence campaign: drive a scripted \
-             time-travel session over every workload at snapshot intervals \
-             1, 7, 64 and with the index disabled, and assert the \
-             transcripts are byte-identical.")
-  in
-  let worker_kill =
-    Arg.(
-      value & flag
-      & info [ "worker-kill" ]
-          ~doc:
-            "Run the worker-kill campaign: batch-triage the corpus on forked \
-             workers, SIGKILL one mid-unit at several deterministic points, \
-             and assert the coordinator reschedules the unit and the final \
-             TSV is identical to an undisturbed run's.")
-  in
-  let serve_soak =
-    Arg.(
-      value & flag
-      & info [ "serve-soak" ]
-          ~doc:
-            "Run the triage-service soak campaign: flood a daemon at 2x \
-             capacity, SIGKILL workers and the daemon itself, restart on the \
-             same spool, trip and recover a circuit breaker, drain \
-             gracefully — and assert zero lost accepted requests and \
-             byte-identical completed report bodies.")
-  in
-  let cache_chaos =
-    Arg.(
-      value & flag
-      & info [ "cache-chaos" ]
-          ~doc:
-            "Run the result-cache chaos campaign: triage the corpus cold \
-             then warm and assert byte-identical TSVs with a full hit rate; \
-             kill a cache write mid-rename and assert recovery; sweep \
-             injected disk faults (ENOSPC, EIO, failed fsync, torn writes) \
-             over every cache, spool, and checkpoint write and assert no \
-             lost accepted work and no wrong verdicts; fill the cache with \
-             garbage and assert it behaves exactly like a cold cache.")
-  in
-  let cluster_soak =
-    Arg.(
-      value & flag
-      & info [ "cluster-soak" ]
-          ~doc:
-            "Run the multi-node cluster soak campaign: shard the corpus \
-             across three TCP node daemons, SIGKILL the coordinator \
-             mid-corpus and resume it from its journal, SIGKILL a node and \
-             watch its units reschedule, stall a node past the unit \
-             deadline — and assert the merged TSV stays byte-identical to \
-             single-node triage with zero lost units.")
-  in
-  let byzantine =
-    Arg.(
-      value & flag
-      & info [ "byzantine" ]
-          ~doc:
-            "Run the byzantine-node campaign: shard the corpus across three \
-             TCP node daemons where one computes honestly but falsifies the \
-             rows it returns (wrong unit name, then plausible fabricated \
-             verdict fields), and assert every lie is rejected — by the \
-             structural identity check and by the replay spot-check \
-             respectively — the liar is quarantined, its units reschedule, \
-             and the merged TSV stays byte-identical to single-node triage \
-             with zero lost units.")
-  in
-  let run runs seed verbose skip_deadline kill_resume prune_equivalence
-      reverse_equivalence debug_equivalence worker_kill serve_soak cluster_soak
-      byzantine cache_chaos =
-    let open Res_faultinject.Faultinject in
-    (* Fork-backed campaigns (cluster/daemon soak, byzantine, worker
-       kill, cache chaos) must precede any campaign that spawns domains:
-       the runtime forbids fork after domains. *)
-    if byzantine then begin
-      let s =
-        byzantine_campaign
-          ~log:(if verbose then fun m -> Fmt.epr "byzantine: %s@." m else ignore)
-          ()
-      in
-      Fmt.pr "%a@." pp_bz_summary s;
-      List.iter (fun m -> Fmt.epr "BYZANTINE FAILURE: %s@." m) s.bz_failures;
-      if s.bz_failures = [] then exit_ok else exit_internal
-    end
-    else if cache_chaos then begin
-      let s =
-        cache_chaos_campaign
-          ~dir:(Filename.get_temp_dir_name ())
-          ~log:(if verbose then fun m -> Fmt.epr "cache: %s@." m else ignore)
-          ()
-      in
-      Fmt.pr "%a@." pp_cc_summary s;
-      List.iter (fun m -> Fmt.epr "CACHE-CHAOS FAILURE: %s@." m) s.cc_failures;
-      if s.cc_failures = [] then exit_ok else exit_internal
-    end
-    else if cluster_soak then begin
-      let s =
-        cluster_soak_campaign
-          ~log:(if verbose then fun m -> Fmt.epr "cluster: %s@." m else ignore)
-          ()
-      in
-      Fmt.pr "%a@." pp_ck_summary s;
-      List.iter (fun m -> Fmt.epr "CLUSTER-SOAK FAILURE: %s@." m) s.ck_failures;
-      if s.ck_failures = [] then exit_ok else exit_internal
-    end
-    else if serve_soak then begin
-      let s =
-        serve_soak_campaign
-          ~log:(if verbose then fun m -> Fmt.epr "soak: %s@." m else ignore)
-          ()
-      in
-      Fmt.pr "%a@." pp_sk_summary s;
-      List.iter (fun m -> Fmt.epr "SERVE-SOAK FAILURE: %s@." m) s.sk_failures;
-      if s.sk_failures = [] then exit_ok else exit_internal
-    end
-    else if worker_kill then begin
-      let s = worker_kill_campaign () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_wk_run r) s.wk_runs;
-      Fmt.pr "%a@." pp_wk_summary s;
-      List.iter
-        (fun r -> Fmt.epr "WORKER-KILL FAILURE: %a@." pp_wk_run r)
-        s.wk_failures;
-      if s.wk_failures = [] then exit_ok else exit_internal
-    end
-    else if debug_equivalence then begin
-      let s = debug_equivalence_campaign () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_de_run r) s.de_runs;
-      Fmt.pr "%a@." pp_de_summary s;
-      List.iter
-        (fun r -> Fmt.epr "DEBUG-EQUIVALENCE FAILURE: %a@." pp_de_run r)
-        s.de_failures;
-      if s.de_failures = [] then exit_ok else exit_internal
-    end
-    else if reverse_equivalence then begin
-      let s = reverse_equivalence_campaign () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_re_run r) s.re_runs;
-      Fmt.pr "%a@." pp_re_summary s;
-      List.iter
-        (fun r -> Fmt.epr "REVERSE-EQUIVALENCE FAILURE: %a@." pp_re_run r)
-        s.re_failures;
-      if s.re_failures = [] then exit_ok else exit_internal
-    end
-    else if prune_equivalence then begin
-      let s = prune_equivalence_campaign () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_pe_run r) s.pe_runs;
-      Fmt.pr "%a@." pp_pe_summary s;
-      List.iter
-        (fun r -> Fmt.epr "PRUNE-EQUIVALENCE FAILURE: %a@." pp_pe_run r)
-        s.pe_failures;
-      if s.pe_failures = [] then exit_ok else exit_internal
-    end
-    else if kill_resume then begin
-      let s = kill_resume_campaign ~dir:(Filename.get_temp_dir_name ()) () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_kr_run r) s.kr_runs;
-      Fmt.pr "%a@." pp_kr_summary s;
-      List.iter (fun r -> Fmt.epr "KILL-RESUME FAILURE: %a@." pp_kr_run r)
-        s.kr_failures;
-      if s.kr_failures = [] then exit_ok else exit_internal
-    end
-    else begin
-      let s = campaign ~seed ~runs () in
-      if verbose then List.iter (fun r -> Fmt.pr "%a@." pp_run r) s.runs;
-      Fmt.pr "%a@." pp_summary s;
-      List.iter (fun r -> Fmt.epr "ESCAPED: %a@." pp_run r) s.escaped;
-      let deadline_ok =
-        if skip_deadline then true
-        else begin
-          let d = deadline_compliance () in
-          Fmt.pr "%a@." pp_deadline_check d;
-          d.d_within
-        end
-      in
-      if s.escaped = [] && deadline_ok then exit_ok else exit_internal
-    end
+  let run runs seed verbose skip_deadline campaign =
+    match campaign with
+    | Some _ when runs <> None || seed <> None || skip_deadline ->
+        `Error
+          ( true,
+            "--runs, --seed and --no-deadline-check apply only to the default \
+             fault-injection campaign" )
+    | _ ->
+        let name, (text, failures) =
+          match campaign with
+          | Some (name, f) -> (name, f ~verbose)
+          | None ->
+              ( "fault-injection",
+                fault_injection
+                  ~runs:(Option.value runs ~default:60)
+                  ~seed:(Option.value seed ~default:1)
+                  ~skip_deadline ~verbose )
+        in
+        Fmt.pr "%s@." text;
+        List.iter
+          (Fmt.epr "%s FAILURE: %s@." (String.uppercase_ascii name))
+          failures;
+        `Ok (if failures = [] then exit_ok else exit_internal)
   in
   Cmd.v
     (Cmd.info "selftest"
        ~doc:
          "Fault-inject the analysis pipeline itself (corrupt dumps, starved \
           budgets, tight deadlines) and assert it always degrades to a typed \
-          outcome.")
-    Term.(
-      const run $ runs $ seed $ verbose $ skip_deadline $ kill_resume
-      $ prune_equivalence $ reverse_equivalence $ debug_equivalence
-      $ worker_kill $ serve_soak $ cluster_soak $ byzantine $ cache_chaos)
+          outcome.  At most one campaign flag selects another campaign.")
+    Term.(ret (const run $ runs $ seed $ verbose $ skip_deadline $ campaign))
 
 let main_cmd =
   let doc = "reverse execution synthesis for MiniIR coredumps" in

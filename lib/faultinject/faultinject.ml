@@ -281,39 +281,64 @@ let deadline_compliance ?(deadline = 1.0) ?(tolerance = 0.10) () : deadline_chec
     d_within = elapsed <= deadline *. (1. +. tolerance);
   }
 
-(* --- kill-and-resume campaign (crash-safe checkpointing) --- *)
+(* --- reporting --- *)
 
-(** Where a simulated process death lands. *)
-type kill_point =
-  | Kill_after_nodes of int
-      (** die exactly after this many expanded search nodes (the fuel
-          budget makes the kill deterministic) *)
-  | Kill_mid_write of int
-      (** die after this many nodes {e inside} the exhaustion-time
-          checkpoint write, leaving a torn [.tmp] journal to recover *)
+let pp_run ppf r =
+  Fmt.pf ppf "%-18s %-32s -> %-10s%s (%.3fs)" r.r_workload
+    (Fmt.str "%a" pp_perturbation r.r_perturbation)
+    (result_kind_name r.r_kind)
+    (if r.r_salvaged then " [salvaged]" else "")
+    r.r_elapsed
 
-let pp_kill_point ppf = function
-  | Kill_after_nodes k -> Fmt.pf ppf "kill after %d nodes" k
-  | Kill_mid_write k -> Fmt.pf ppf "kill after %d nodes, mid-checkpoint-write" k
+let pp_summary ppf s =
+  Fmt.pf ppf
+    "@[<v>fault-injection self-test: %d perturbed analyses@,\
+     complete %d | partial %d | failed %d | dump-error %d (salvaged %d)@,\
+     escaped exceptions: %d@]"
+    s.total s.complete s.partial s.failed s.dump_errors s.salvaged
+    (List.length s.escaped)
 
-type kr_run = {
-  kr_workload : string;
-  kr_kill : kill_point;
-  kr_legs : int;  (** process lifetimes the analysis took (1 = never killed again) *)
-  kr_equivalent : bool;  (** resumed reports bit-identical to the baseline's *)
-  kr_clean_disk : bool;  (** no torn [.tmp] left; final checkpoint validates *)
-  kr_detail : string;  (** diagnosis when not equivalent/clean *)
-}
+let pp_deadline_check ppf d =
+  Fmt.pf ppf
+    "deadline %.2fs: elapsed %.3fs, cut off by clock: %b, within tolerance: %b (%s)"
+    d.d_deadline d.d_elapsed d.d_hit_deadline d.d_within d.d_outcome
 
-type kr_summary = {
-  kr_runs : kr_run list;
-  kr_total : int;
-  kr_ok : int;
-  kr_failures : kr_run list;  (** empty iff every chain reconverged cleanly *)
-}
+(* --- equivalence campaigns (subjects x variants x projection) --- *)
 
-(* Exhaustive deepening (no early stop) so every workload's search is
-   deep enough for kill points to land mid-analysis. *)
+(** Analyze a crash with a fresh symbol counter and render the
+    display-sorted report bodies — or, with [counters], the reports under
+    their work-counter header.  This is the bit-stable projection every
+    equivalence check compares and the triage daemon's workers emit. *)
+let rendered_analysis ?(config = Res_core.Res.default_config)
+    ?(counters = false) prog dump =
+  Res_solver.Expr.reset_counter_for_tests ();
+  let ctx = Res_core.Backstep.make_ctx prog in
+  let a = Res_core.Res.analysis (Res_core.Res.analyze ~config ctx dump) in
+  let render =
+    if counters then Res_core.Report.reports_to_string
+    else Res_core.Report.report_list_to_string
+  in
+  (render ctx a, a)
+
+let workload_analysis ?config ?counters (w : Res_workloads.Truth.t) =
+  rendered_analysis ?config ?counters w.Res_workloads.Truth.w_prog
+    (Res_workloads.Truth.coredump w)
+
+let subjects workloads =
+  List.map
+    (fun (w : Res_workloads.Truth.t) -> (w.Res_workloads.Truth.w_name, w))
+    workloads
+
+(* Exhaustive deepening (no early stop) so a fast path is exercised on
+   every branch of every workload's search, not just the path to the
+   first cause. *)
+let exhaustive search =
+  { Res_core.Res.default_config with search; stop_at_first_cause = false }
+
+(* --- kill-and-resume (crash-safe checkpointing) --- *)
+
+(* Exhaustive deepening so every workload's search is deep enough for
+   kill points to land mid-analysis. *)
 let kr_config =
   {
     Res_core.Res.search =
@@ -328,427 +353,175 @@ let kr_config =
     max_attempts = 2;
   }
 
+(** The never-killed reference run.  Rendered with its work counters: a
+    resumed analysis must neither redo nor skip work. *)
+let kr_reference w =
+  {
+    Differential.bytes =
+      fst (workload_analysis ~config:kr_config ~counters:true w);
+    counts = [];
+  }
+
 (** One kill-and-resume chain: run the analysis under a fuel budget that
-    dies at the kill point, then keep reloading the checkpoint and
-    resuming — each resumed leg under the {e same} lethal fuel budget, so
-    long analyses die and resume many times — until the analysis
-    completes.  The chain must reconverge to the never-killed baseline's
-    reports, bit for bit. *)
-let kill_resume_one ?(every = 4) ?(dir = Filename.current_dir_name)
-    (w : Res_workloads.Truth.t) (kill : kill_point) ~(baseline : string) :
-    kr_run =
-  let k, torn =
-    match kill with Kill_after_nodes k -> (k, false) | Kill_mid_write k -> (k, true)
-  in
+    dies after [k] expanded nodes, then keep reloading the checkpoint and
+    resuming — each leg under the {e same} lethal fuel, so long analyses
+    die and resume many times — until it completes.  With [torn], the
+    first leg also dies halfway through its exhaustion-time checkpoint
+    write, leaving a torn journal to recover.  A chain that leaves a torn
+    [.tmp] or an invalid checkpoint on disk fails. *)
+let kill_chain ~torn k (w : Res_workloads.Truth.t) =
+  let every = 4 in
   let path =
-    Filename.concat dir (Fmt.str "kr-%s-%d%s.ckpt" w.Res_workloads.Truth.w_name k
-                           (if torn then "-torn" else ""))
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "kr-%d-%s-%d%s.ckpt" (Unix.getpid ()) w.Res_workloads.Truth.w_name k
+         (if torn then "-torn" else ""))
   in
   let cleanup () =
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
       (path :: Res_vm.Coredump_io.journal_siblings path)
   in
-  let finish ~legs ~equivalent ~detail =
-    (* Acceptance: the chain never leaves a torn journal behind, and
-       whatever checkpoint remains on disk validates. *)
-    let tmp_left = Res_vm.Coredump_io.journal_siblings path <> [] in
-    let final_valid =
-      (not (Sys.file_exists path))
-      || (match Res_persist.Checkpoint.load path with Ok _ -> true | Error _ -> false)
-    in
-    cleanup ();
-    {
-      kr_workload = w.Res_workloads.Truth.w_name;
-      kr_kill = kill;
-      kr_legs = legs;
-      kr_equivalent = equivalent;
-      kr_clean_disk = (not tmp_left) && final_valid;
-      kr_detail =
-        (if tmp_left then "torn .tmp journal left on disk; " else "")
-        ^ (if final_valid then "" else "final checkpoint does not validate; ")
-        ^ detail;
-    }
-  in
-  try
-    cleanup ();
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let prog = w.Res_workloads.Truth.w_prog in
-    let ctx = Res_core.Backstep.make_ctx prog in
-    let lethal_budget () = Res_core.Budget.create ~fuel:k () in
-    let ckpt ~config ~prog ~dump ~budget =
-      let base =
-        Res_persist.Checkpoint.checkpointer ~every ~path ~config ~prog ~dump ()
-      in
-      if not torn then base
-      else
-        {
-          base with
-          Res_core.Res.ck_write =
-            (fun st ->
-              if Res_core.Budget.exhausted budget = None then
-                base.Res_core.Res.ck_write st
-              else begin
-                (* The exhaustion-time write: simulate the process dying
-                   halfway through it.  The atomic writer's intermediate
-                   state is a [path.<pid>.<n>.tmp] journal, so a mid-write
-                   death is a torn journal — and no update of [path]. *)
-                let full =
-                  Res_persist.Checkpoint.to_string
-                    { Res_persist.Checkpoint.config; prog; dump; state = st }
-                in
-                let oc =
-                  open_out_bin (Res_vm.Coredump_io.fresh_tmp_path path)
-                in
-                output_string oc (String.sub full 0 (String.length full / 2));
-                close_out oc;
-                Error "simulated death mid-checkpoint-write"
-              end);
-        }
-    in
-    let budget0 = lethal_budget () in
-    let first =
-      Res_core.Res.analyze ~config:kr_config ~budget:budget0
-        ~checkpointer:(ckpt ~config:kr_config ~prog ~dump ~budget:budget0)
-        ctx dump
-    in
-    let rec chase legs outcome =
-      match outcome with
-      | Res_core.Res.Partial
-          ((Res_core.Res.Fuel_exhausted | Res_core.Res.Deadline_exceeded), _)
-        when legs < 500 -> (
-          (* The process died.  A new one reloads the checkpoint (running
-             journal recovery) and resumes — under the same lethal fuel. *)
-          match Res_persist.Checkpoint.load path with
-          | Error e ->
-              `Load_error
-                (legs, Res_vm.Coredump_io.dump_error_to_string e)
-          | Ok ck ->
-              let ctx' =
-                Res_core.Backstep.make_ctx ck.Res_persist.Checkpoint.prog
-              in
-              let budget = lethal_budget () in
-              let cp =
-                (* Only the first leg dies mid-write: later legs check
-                   that recovery converges, not that it loops forever. *)
-                Res_persist.Checkpoint.checkpointer ~every ~path
-                  ~config:ck.Res_persist.Checkpoint.config
-                  ~prog:ck.Res_persist.Checkpoint.prog
-                  ~dump:ck.Res_persist.Checkpoint.dump ()
-              in
-              chase (legs + 1)
-                (Res_core.Res.resume ~config:ck.Res_persist.Checkpoint.config
-                   ~budget ~checkpointer:cp ctx'
-                   ck.Res_persist.Checkpoint.dump
-                   ck.Res_persist.Checkpoint.state))
-      | o -> `Done (legs, o)
-    in
-    match chase 1 first with
-    | `Load_error (legs, msg) ->
-        finish ~legs ~equivalent:false
-          ~detail:(Fmt.str "checkpoint load failed: %s" msg)
-    | `Done (legs, outcome) ->
-        let rendered =
-          Res_core.Report.reports_to_string ctx
-            (Res_core.Res.analysis outcome)
-        in
-        if String.equal rendered baseline then
-          finish ~legs ~equivalent:true ~detail:""
-        else
-          finish ~legs ~equivalent:false
-            ~detail:
-              (Fmt.str "reports diverged from baseline (%s after %d legs)"
-                 (Res_core.Res.outcome_name outcome) legs)
-  with exn ->
-    finish ~legs:0 ~equivalent:false
-      ~detail:(Fmt.str "escaped exception: %s" (Printexc.to_string exn))
-
-(** The never-killed reference run for a workload, rendered bit-stably. *)
-let kr_baseline (w : Res_workloads.Truth.t) =
-  Res_solver.Expr.reset_counter_for_tests ();
+  cleanup ();
+  Fun.protect ~finally:cleanup @@ fun () ->
   let dump = Res_workloads.Truth.coredump w in
-  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-  let outcome = Res_core.Res.analyze ~config:kr_config ctx dump in
-  Res_core.Report.reports_to_string ctx (Res_core.Res.analysis outcome)
-
-(** Kill-and-resume equivalence campaign: for every workload, kill the
-    analysis after [kills] nodes (plus once mid-checkpoint-write), resume
-    each chain to completion, and compare its reports bit-for-bit against
-    the never-killed baseline. *)
-let kill_resume_campaign ?(every = 4) ?dir ?(kills = [ 1; 5; 17 ])
-    ?(torn_kill = 13) ?workloads () : kr_summary =
-  let workloads =
-    match workloads with Some ws -> ws | None -> default_workloads ()
+  let prog = w.Res_workloads.Truth.w_prog in
+  let ctx = Res_core.Backstep.make_ctx prog in
+  let lethal_budget () = Res_core.Budget.create ~fuel:k () in
+  let budget0 = lethal_budget () in
+  let base =
+    Res_persist.Checkpoint.checkpointer ~every ~path ~config:kr_config ~prog ~dump ()
   in
-  let runs =
-    List.concat_map
-      (fun w ->
-        let baseline = kr_baseline w in
-        List.map
-          (fun kill -> kill_resume_one ~every ?dir w kill ~baseline)
-          (List.map (fun k -> Kill_after_nodes k) kills
-          @ [ Kill_mid_write torn_kill ]))
-      workloads
-  in
-  let ok r = r.kr_equivalent && r.kr_clean_disk in
-  {
-    kr_runs = runs;
-    kr_total = List.length runs;
-    kr_ok = List.length (List.filter ok runs);
-    kr_failures = List.filter (fun r -> not (ok r)) runs;
-  }
-
-let pp_kr_run ppf r =
-  Fmt.pf ppf "%-18s %-36s -> %s in %d leg(s)%s%s" r.kr_workload
-    (Fmt.str "%a" pp_kill_point r.kr_kill)
-    (if r.kr_equivalent then "bit-identical" else "DIVERGED")
-    r.kr_legs
-    (if r.kr_clean_disk then "" else " [DIRTY DISK]")
-    (if r.kr_detail = "" then "" else Fmt.str " (%s)" r.kr_detail)
-
-let pp_kr_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>kill-and-resume self-test: %d chains (kill, resume, compare)@,\
-     bit-identical and clean: %d/%d@,\
-     failures: %d@]"
-    s.kr_total s.kr_ok s.kr_total (List.length s.kr_failures)
-
-(* --- static-prune equivalence campaign --- *)
-
-(** One workload analyzed twice — static pruning on and off — with the
-    display-sorted report {e bodies} compared byte for byte.  The chain
-    refuter is admissible: it may only discard candidate moves whose
-    backward step would produce no children, so the two runs must report
-    exactly the same defects (only the work counters may differ). *)
-type pe_run = {
-  pe_workload : string;
-  pe_equivalent : bool;
-  pe_nodes_on : int;  (** backward-step evaluations with pruning on *)
-  pe_nodes_off : int;  (** … with pruning off *)
-  pe_pruned : int;  (** candidate moves refuted statically *)
-  pe_detail : string;  (** diagnosis when not equivalent *)
-}
-
-type pe_summary = {
-  pe_runs : pe_run list;
-  pe_total : int;
-  pe_ok : int;
-  pe_failures : pe_run list;  (** empty iff pruning is observably sound *)
-}
-
-(* Exhaustive deepening (no early stop) so pruning is exercised on every
-   branch of every workload's search, not just the path to the first
-   cause. *)
-let pe_config ~prune =
-  {
-    Res_core.Res.default_config with
-    search =
+  let first_ckpt =
+    if not torn then base
+    else
       {
-        Res_core.Search.default_config with
-        Res_core.Search.static_prune = prune;
-      };
-    stop_at_first_cause = false;
-  }
-
-let prune_equivalence_one (w : Res_workloads.Truth.t) : pe_run =
-  let analyze ~prune =
-    (* Reset the symbol counter so both runs mint identical symbol ids
-       for the search prefixes they share. *)
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-    let outcome = Res_core.Res.analyze ~config:(pe_config ~prune) ctx dump in
-    let a = Res_core.Res.analysis outcome in
-    (Res_core.Report.report_list_to_string ctx a, a)
+        base with
+        Res_core.Res.ck_write =
+          (fun st ->
+            if Res_core.Budget.exhausted budget0 = None then
+              base.Res_core.Res.ck_write st
+            else begin
+              (* The atomic writer's intermediate state is a
+                 [path.<pid>.<n>.tmp] journal, so a mid-write death is a
+                 torn journal — and no update of [path]. *)
+              let full =
+                Res_persist.Checkpoint.to_string
+                  { Res_persist.Checkpoint.config = kr_config; prog; dump; state = st }
+              in
+              let oc = open_out_bin (Res_vm.Coredump_io.fresh_tmp_path path) in
+              output_string oc (String.sub full 0 (String.length full / 2));
+              close_out oc;
+              Error "simulated death mid-checkpoint-write"
+            end);
+      }
   in
-  try
-    let s_on, a_on = analyze ~prune:true in
-    let s_off, a_off = analyze ~prune:false in
-    let equivalent = String.equal s_on s_off in
-    {
-      pe_workload = w.Res_workloads.Truth.w_name;
-      pe_equivalent = equivalent;
-      pe_nodes_on = a_on.Res_core.Res.nodes_expanded;
-      pe_nodes_off = a_off.Res_core.Res.nodes_expanded;
-      pe_pruned = a_on.Res_core.Res.nodes_pruned;
-      pe_detail = (if equivalent then "" else "reports diverged");
-    }
-  with exn ->
-    {
-      pe_workload = w.Res_workloads.Truth.w_name;
-      pe_equivalent = false;
-      pe_nodes_on = 0;
-      pe_nodes_off = 0;
-      pe_pruned = 0;
-      pe_detail = Fmt.str "escaped exception: %s" (Printexc.to_string exn);
-    }
-
-(** Static-prune equivalence campaign over the whole workload corpus
-    (every workload, both prune settings, reports compared bitwise). *)
-let prune_equivalence_campaign ?workloads () : pe_summary =
-  let workloads =
-    match workloads with
-    | Some ws -> ws
-    | None -> Res_workloads.Workloads.all
+  let rec chase legs = function
+    | Res_core.Res.Partial
+        ((Res_core.Res.Fuel_exhausted | Res_core.Res.Deadline_exceeded), _)
+      when legs < 500 ->
+        (* The process died.  A new one reloads the checkpoint (running
+           journal recovery) and resumes — under the same lethal fuel.
+           Only the first leg dies mid-write: later legs check that
+           recovery converges, not that it loops forever. *)
+        let ck =
+          match Res_persist.Checkpoint.load path with
+          | Ok ck -> ck
+          | Error e ->
+              Fmt.failwith "checkpoint load failed after %d legs: %s" legs
+                (Res_vm.Coredump_io.dump_error_to_string e)
+        in
+        let open Res_persist.Checkpoint in
+        let cp =
+          checkpointer ~every ~path ~config:ck.config ~prog:ck.prog
+            ~dump:ck.dump ()
+        in
+        chase (legs + 1)
+          (Res_core.Res.resume ~config:ck.config ~budget:(lethal_budget ())
+             ~checkpointer:cp
+             (Res_core.Backstep.make_ctx ck.prog)
+             ck.dump ck.state)
+    | o -> (legs, o)
   in
-  let runs = List.map prune_equivalence_one workloads in
+  let legs, outcome =
+    chase 1
+      (Res_core.Res.analyze ~config:kr_config ~budget:budget0 ~checkpointer:first_ckpt
+         ctx dump)
+  in
+  if Res_vm.Coredump_io.journal_siblings path <> [] then
+    failwith "torn .tmp journal left on disk";
+  if Sys.file_exists path && Result.is_error (Res_persist.Checkpoint.load path) then
+    failwith "final checkpoint does not validate";
   {
-    pe_runs = runs;
-    pe_total = List.length runs;
-    pe_ok = List.length (List.filter (fun r -> r.pe_equivalent) runs);
-    pe_failures = List.filter (fun r -> not r.pe_equivalent) runs;
+    Differential.bytes =
+      Res_core.Report.reports_to_string ctx (Res_core.Res.analysis outcome);
+    counts = [ ("legs", legs) ];
   }
 
-let pp_pe_run ppf r =
-  Fmt.pf ppf "%-26s %s  nodes %d -> %d (pruned %d)%s" r.pe_workload
-    (if r.pe_equivalent then "bit-identical" else "DIVERGED")
-    r.pe_nodes_off r.pe_nodes_on r.pe_pruned
-    (if r.pe_detail = "" then "" else Fmt.str " (%s)" r.pe_detail)
+(** Kill-and-resume equivalence: every workload's never-killed reports
+    against one chain per kill point in [kills] plus a mid-write kill at
+    [torn_kill]. *)
+let kill_resume_campaign ?(kills = [ 1; 5; 17 ]) ?(torn_kill = 13)
+    ?(workloads = default_workloads ()) () =
+  Differential.run ~campaign:"kill-resume" ~reference:kr_reference
+    ~variants:
+      (List.map (fun k -> (Fmt.str "kill@%d" k, kill_chain ~torn:false k)) kills
+      @ [ (Fmt.str "torn@%d" torn_kill, kill_chain ~torn:true torn_kill) ])
+    (subjects workloads)
 
-let pp_pe_summary ppf s =
-  let off = List.fold_left (fun a r -> a + r.pe_nodes_off) 0 s.pe_runs in
-  let on = List.fold_left (fun a r -> a + r.pe_nodes_on) 0 s.pe_runs in
-  Fmt.pf ppf
-    "@[<v>static-prune equivalence self-test: %d workloads analyzed twice@,\
-     bit-identical reports: %d/%d@,\
-     backward-step evaluations: %d unpruned -> %d pruned@]"
-    s.pe_total s.pe_ok s.pe_total off on
+(* --- static pruning and concrete reverse execution --- *)
 
-(* --- reverse-execution equivalence campaign --- *)
-
-(** One workload analyzed twice — concrete reverse execution on and off —
-    with the display-sorted report {e bodies} compared byte for byte.  The
-    fast path is admissible: it only decides a step when it can prove the
-    unique pre-state (or its absence) the symbolic step would have found,
-    and it mints the same fresh symbols the symbolic path would, so the
-    two runs must report exactly the same defects. *)
-type re_run = {
-  re_workload : string;
-  re_equivalent : bool;
-  re_reversed : int;  (** backward steps the fast path decided *)
-  re_slice_skipped : int;  (** instructions skipped as outside the slice *)
-  re_queries_on : int;  (** solver queries with the fast path on *)
-  re_queries_off : int;  (** … with it off *)
-  re_detail : string;  (** diagnosis when not equivalent *)
-}
-
-type re_summary = {
-  re_runs : re_run list;
-  re_total : int;
-  re_ok : int;
-  re_failures : re_run list;  (** empty iff reverse execution is sound *)
-}
-
-(* Exhaustive deepening (no early stop) so the fast path is exercised on
-   every branch of every workload's search. *)
-let re_config ~reverse =
-  {
-    Res_core.Res.default_config with
-    search =
-      {
-        Res_core.Search.default_config with
-        Res_core.Search.reverse_exec = reverse;
-      };
-    stop_at_first_cause = false;
-  }
-
-let reverse_equivalence_one (w : Res_workloads.Truth.t) : re_run =
-  let analyze ~reverse =
-    (* Reset the symbol counter so both runs mint identical symbol ids
-       for the search prefixes they share. *)
-    Res_solver.Expr.reset_counter_for_tests ();
-    let dump = Res_workloads.Truth.coredump w in
-    let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-    let q0 = Res_solver.Solver.queries () in
-    let outcome =
-      Res_core.Res.analyze ~config:(re_config ~reverse) ctx dump
+(** Static pruning off (reference) and on.  The chain refuter is
+    admissible — it only discards candidate moves whose backward step
+    would produce no children — so the report bodies must match; only the
+    work counters may differ. *)
+let prune_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
+  let projection static_prune w =
+    let bytes, a =
+      workload_analysis
+        ~config:(exhaustive { Res_core.Search.default_config with static_prune })
+        w
     in
-    let a = Res_core.Res.analysis outcome in
-    (Res_core.Report.report_list_to_string ctx a, a, Res_solver.Solver.queries () - q0)
-  in
-  try
-    let s_on, a_on, q_on = analyze ~reverse:true in
-    let s_off, _a_off, q_off = analyze ~reverse:false in
-    let equivalent = String.equal s_on s_off in
     {
-      re_workload = w.Res_workloads.Truth.w_name;
-      re_equivalent = equivalent;
-      re_reversed = a_on.Res_core.Res.nodes_reversed;
-      re_slice_skipped = a_on.Res_core.Res.slice_skipped;
-      re_queries_on = q_on;
-      re_queries_off = q_off;
-      re_detail = (if equivalent then "" else "reports diverged");
+      Differential.bytes;
+      counts =
+        ("nodes", a.Res_core.Res.nodes_expanded)
+        :: (if static_prune then [ ("pruned", a.Res_core.Res.nodes_pruned) ] else []);
     }
-  with exn ->
-    {
-      re_workload = w.Res_workloads.Truth.w_name;
-      re_equivalent = false;
-      re_reversed = 0;
-      re_slice_skipped = 0;
-      re_queries_on = 0;
-      re_queries_off = 0;
-      re_detail = Fmt.str "escaped exception: %s" (Printexc.to_string exn);
-    }
-
-(** Reverse-execution equivalence campaign over the whole workload corpus
-    (every workload, fast path on and off, reports compared bitwise). *)
-let reverse_equivalence_campaign ?workloads () : re_summary =
-  let workloads =
-    match workloads with
-    | Some ws -> ws
-    | None -> Res_workloads.Workloads.all
   in
-  let runs = List.map reverse_equivalence_one workloads in
-  {
-    re_runs = runs;
-    re_total = List.length runs;
-    re_ok = List.length (List.filter (fun r -> r.re_equivalent) runs);
-    re_failures = List.filter (fun r -> not r.re_equivalent) runs;
-  }
+  Differential.run ~campaign:"prune-equivalence" ~reference:(projection false)
+    ~variants:[ ("static-prune", projection true) ]
+    (subjects workloads)
 
-let pp_re_run ppf r =
-  Fmt.pf ppf "%-26s %s  reversed %d (sliced %d), queries %d -> %d%s"
-    r.re_workload
-    (if r.re_equivalent then "bit-identical" else "DIVERGED")
-    r.re_reversed r.re_slice_skipped r.re_queries_off r.re_queries_on
-    (if r.re_detail = "" then "" else Fmt.str " (%s)" r.re_detail)
+(** Concrete reverse execution off (reference) and on.  The fast path
+    only decides a step when it can prove the unique pre-state (or its
+    absence) the symbolic step would have found, and mints the same fresh
+    symbols, so the report bodies must match. *)
+let reverse_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
+  let projection reverse_exec w =
+    let q0 = Res_solver.Solver.queries () in
+    let bytes, a =
+      workload_analysis
+        ~config:(exhaustive { Res_core.Search.default_config with reverse_exec })
+        w
+    in
+    {
+      Differential.bytes;
+      counts =
+        ("queries", Res_solver.Solver.queries () - q0)
+        ::
+        (if reverse_exec then
+           [
+             ("reversed", a.Res_core.Res.nodes_reversed);
+             ("slice_skipped", a.Res_core.Res.slice_skipped);
+           ]
+         else []);
+    }
+  in
+  Differential.run ~campaign:"reverse-equivalence" ~reference:(projection false)
+    ~variants:[ ("reverse-exec", projection true) ]
+    (subjects workloads)
 
-let pp_re_summary ppf s =
-  let rev = List.fold_left (fun a r -> a + r.re_reversed) 0 s.re_runs in
-  let q_on = List.fold_left (fun a r -> a + r.re_queries_on) 0 s.re_runs in
-  let q_off = List.fold_left (fun a r -> a + r.re_queries_off) 0 s.re_runs in
-  Fmt.pf ppf
-    "@[<v>reverse-execution equivalence self-test: %d workloads analyzed \
-     twice@,\
-     bit-identical reports: %d/%d@,\
-     steps decided concretely: %d@,\
-     solver queries: %d symbolic -> %d with fast path@]"
-    s.re_total s.re_ok s.re_total rev q_off q_on
-
-(* --- debug-equivalence campaign -------------------------------------- *)
-
-(** One workload debugged four times — snapshot intervals 1, 7, 64, and
-    the index disabled — with the scripted-session transcripts compared
-    byte for byte.  The snapshot index must only change how much replay a
-    state query costs, never what any command prints: every query goes
-    through the same seek path, an interval of 0 merely degenerates it to
-    replay-from-zero. *)
-type de_run = {
-  de_workload : string;
-  de_equivalent : bool;
-  de_steps : int;  (** timeline length (completed suffix instructions) *)
-  de_commands : int;  (** script lines driven through the session *)
-  de_exit : int;  (** script exit code (must also agree across intervals) *)
-  de_detail : string;  (** diagnosis when not equivalent *)
-}
-
-type de_summary = {
-  de_runs : de_run list;
-  de_total : int;
-  de_ok : int;
-  de_failures : de_run list;  (** empty iff the index never changes output *)
-}
+(* --- the snapshot index of the time-travel debugger --- *)
 
 (* A session script exercising every command family, derived from the
    suffix's own trace (first written address, a mid-trace pc, the final
@@ -814,213 +587,102 @@ let de_script (dump : Res_vm.Coredump.t) (trace : Res_vm.Event.t list) =
   in
   base @ watch_part @ break_part
 
-let de_intervals = [ 64; 7; 1; 0 ]
-
-let debug_equivalence_one (w : Res_workloads.Truth.t) : de_run =
-  try
-    let dump = Res_workloads.Truth.coredump w in
-    let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-    let result =
-      Res_core.Search.search
-        ~config:
-          { Res_core.Search.default_config with max_segments = 8; max_suffixes = 8 }
-        ctx dump
+(** The scripted time-travel session over every workload's crash at
+    snapshot interval 64 (reference), 7, 1, and with the index disabled.
+    Every state query goes through the same seek path — interval 0 merely
+    degenerates it to replay-from-zero — so transcripts and exit codes
+    must match byte for byte. *)
+let debug_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
+  let session ~interval (ctx, suffixes, dump) =
+    let rec first = function
+      | [] -> failwith "no suffix reproduces the coredump"
+      | suffix :: rest -> (
+          match Res_debug.Session.create ~interval ctx suffix dump with
+          | Ok s -> (suffix, s)
+          | Error _ -> first rest)
     in
-    let suffixes =
-      let complete, rest =
-        List.partition
-          (fun s -> s.Res_core.Suffix.complete)
-          result.Res_core.Search.suffixes
-      in
-      complete @ rest
-    in
-    let session interval =
-      let rec first = function
-        | [] -> failwith "no suffix reproduces the coredump"
-        | suffix :: rest -> (
-            match Res_debug.Session.create ~interval ctx suffix dump with
-            | Ok s -> (suffix, s)
-            | Error _ -> first rest)
-      in
-      first suffixes
-    in
-    let suffix, s0 = session (List.hd de_intervals) in
-    let verdict = Res_core.Replay.replay ctx suffix dump in
-    let script = de_script dump verdict.Res_core.Replay.trace in
-    let run s =
-      let r = Res_debug.Script.run_lines s script in
-      (r.Res_debug.Script.transcript, r.Res_debug.Script.exit_code)
-    in
-    let t0, c0 = run s0 in
-    let divergence =
-      List.find_map
-        (fun interval ->
-          let _, s = session interval in
-          let t, c = run s in
-          if not (String.equal t t0) then
-            Some (Fmt.str "transcript diverges at interval %d" interval)
-          else if c <> c0 then
-            Some
-              (Fmt.str "exit code diverges at interval %d: %d vs %d" interval
-                 c c0)
-          else None)
-        (List.tl de_intervals)
-    in
-    {
-      de_workload = w.Res_workloads.Truth.w_name;
-      de_equivalent = divergence = None;
-      de_steps = Res_debug.Session.length s0;
-      de_commands = List.length script;
-      de_exit = c0;
-      de_detail = Option.value divergence ~default:"";
-    }
-  with exn ->
-    {
-      de_workload = w.Res_workloads.Truth.w_name;
-      de_equivalent = false;
-      de_steps = 0;
-      de_commands = 0;
-      de_exit = -1;
-      de_detail = Fmt.str "escaped exception: %s" (Printexc.to_string exn);
-    }
-
-(** Debug-equivalence campaign over the whole workload corpus: scripted
-    time-travel sessions must be byte-identical across snapshot intervals
-    {1, 7, 64} and with the index disabled. *)
-let debug_equivalence_campaign ?workloads () : de_summary =
-  let workloads =
-    match workloads with
-    | Some ws -> ws
-    | None -> Res_workloads.Workloads.all
+    first suffixes
   in
-  let runs = List.map debug_equivalence_one workloads in
-  {
-    de_runs = runs;
-    de_total = List.length runs;
-    de_ok = List.length (List.filter (fun r -> r.de_equivalent) runs);
-    de_failures = List.filter (fun r -> not r.de_equivalent) runs;
-  }
-
-let pp_de_run ppf r =
-  Fmt.pf ppf "%-26s %s  %d steps, %d commands, exit %d%s" r.de_workload
-    (if r.de_equivalent then "byte-identical" else "DIVERGED")
-    r.de_steps r.de_commands r.de_exit
-    (if r.de_detail = "" then "" else Fmt.str " (%s)" r.de_detail)
-
-let pp_de_summary ppf s =
-  let steps = List.fold_left (fun a r -> a + r.de_steps) 0 s.de_runs in
-  let cmds = List.fold_left (fun a r -> a + r.de_commands) 0 s.de_runs in
-  let intervals =
-    String.concat "," (List.map string_of_int de_intervals)
+  (* search once per workload, on first use inside the harness *)
+  let prepare (w : Res_workloads.Truth.t) =
+    lazy
+      (let dump = Res_workloads.Truth.coredump w in
+       let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+       let result =
+         Res_core.Search.search
+           ~config:
+             {
+               Res_core.Search.default_config with
+               max_segments = 8;
+               max_suffixes = 8;
+             }
+           ctx dump
+       in
+       let complete, rest =
+         List.partition
+           (fun s -> s.Res_core.Suffix.complete)
+           result.Res_core.Search.suffixes
+       in
+       let found = (ctx, complete @ rest, dump) in
+       let suffix, _ = session ~interval:64 found in
+       let trace =
+         (Res_core.Replay.replay ctx suffix dump).Res_core.Replay.trace
+       in
+       (found, de_script dump trace))
   in
-  Fmt.pf ppf
-    "@[<v>debug-equivalence self-test: %d workloads debugged at intervals \
-     {%s}@,\
-     byte-identical transcripts: %d/%d@,\
-     %d timeline steps, %d commands driven@]"
-    s.de_total intervals s.de_ok s.de_total steps cmds
+  let play interval p =
+    let found, script = Lazy.force p in
+    let _, s = session ~interval found in
+    let r = Res_debug.Script.run_lines s script in
+    ( {
+        Differential.bytes =
+          Fmt.str "%s\nexit %d\n" r.Res_debug.Script.transcript
+            r.Res_debug.Script.exit_code;
+        counts = [];
+      },
+      [
+        ("steps", Res_debug.Session.length s);
+        ("commands", List.length script);
+        ("exit", r.Res_debug.Script.exit_code);
+      ] )
+  in
+  Differential.run ~campaign:"debug-equivalence"
+    ~reference:(fun p ->
+      let proj, counts = play 64 p in
+      { proj with counts })
+    ~variants:
+      (List.map
+         (fun (name, interval) -> (name, fun p -> fst (play interval p)))
+         [ ("interval-7", 7); ("interval-1", 1); ("no-index", 0) ])
+    (List.map (fun (name, w) -> (name, prepare w)) (subjects workloads))
 
-(* --- campaign: worker kill during batch triage ----------------------- *)
+(* --- worker kill during batch triage --- *)
 
-type wk_run = {
-  wk_kill : int;  (** corpus index whose worker was SIGKILLed *)
-  wk_equivalent : bool;  (** final TSV identical to the undisturbed one *)
-  wk_retries : int;  (** units rescheduled by the coordinator *)
-  wk_lost : int;  (** units that never produced a row *)
-  wk_detail : string;
-}
-
-type wk_summary = {
-  wk_runs : wk_run list;
-  wk_total : int;
-  wk_ok : int;
-  wk_failures : wk_run list;  (** empty iff the coordinator heals every kill *)
-}
-
-let wk_items () =
-  List.map
-    (fun (r : Res_workloads.Corpus.report) ->
-      {
-        Res_parallel.Batch.it_name =
-          Fmt.str "%s-%02d" r.Res_workloads.Corpus.r_bug r.r_id;
-        it_prog = r.r_prog;
-        it_dump = Ok r.r_dump;
-      })
-    (Res_workloads.Corpus.generate ~n_per_bug:2 ())
-
-(** Worker-kill campaign: batch-triage the corpus undisturbed, then
-    re-run it on forked workers with a SIGKILL landing mid-unit at each
-    of [kills]; the coordinator must reschedule the murdered unit and the
-    final TSV must come out identical every time.  Forked backend by
-    construction (domains cannot be killed without killing the process —
-    and the fork runs must precede any domains run in this process). *)
-let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () : wk_summary =
-  let items = wk_items () in
+(** The corpus batch-triaged on one worker (reference), then on [jobs]
+    forked workers with a SIGKILL landing mid-unit at each of [kills]: the
+    coordinator must reschedule the murdered unit and the TSV must not
+    change.  Forked backend by construction (domains cannot be killed
+    without killing the process), so it must run before any domains run in
+    this process. *)
+let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () =
   let backend = Res_parallel.Pool.Forked in
-  let baseline = Res_parallel.Batch.run ~jobs:1 ~backend items in
-  let one kill =
-    try
-      let t = Res_parallel.Batch.run ~jobs ~backend ~kill_unit:kill items in
-      let equivalent =
-        String.equal baseline.Res_parallel.Batch.tsv t.Res_parallel.Batch.tsv
-      in
-      {
-        wk_kill = kill;
-        wk_equivalent = equivalent;
-        wk_retries = t.Res_parallel.Batch.retries;
-        wk_lost = t.Res_parallel.Batch.lost;
-        wk_detail = (if equivalent then "" else "TSV diverged");
-      }
-    with exn ->
-      {
-        wk_kill = kill;
-        wk_equivalent = false;
-        wk_retries = 0;
-        wk_lost = 0;
-        wk_detail = Fmt.str "escaped exception: %s" (Printexc.to_string exn);
-      }
+  let triage ?kill_unit jobs items =
+    let t = Res_parallel.Batch.run ~jobs ~backend ?kill_unit items in
+    {
+      Differential.bytes = t.Res_parallel.Batch.tsv;
+      counts =
+        [
+          ("retries", t.Res_parallel.Batch.retries);
+          ("lost", t.Res_parallel.Batch.lost);
+        ];
+    }
   in
-  let runs = List.map one kills in
-  {
-    wk_runs = runs;
-    wk_total = List.length runs;
-    wk_ok = List.length (List.filter (fun r -> r.wk_equivalent) runs);
-    wk_failures = List.filter (fun r -> not r.wk_equivalent) runs;
-  }
+  Differential.run ~campaign:"worker-kill"
+    ~reference:(fun items -> { (triage 1 items) with counts = [] })
+    ~variants:
+      (List.map (fun k -> (Fmt.str "kill@%d" k, triage ~kill_unit:k jobs)) kills)
+    [ ("corpus", fst (Fleet.corpus ~n_per_bug:2)) ]
 
-let pp_wk_run ppf r =
-  Fmt.pf ppf "kill at unit %-3d %s  (retries %d, lost %d)%s" r.wk_kill
-    (if r.wk_equivalent then "TSV identical" else "DIVERGED")
-    r.wk_retries r.wk_lost
-    (if r.wk_detail = "" then "" else Fmt.str " (%s)" r.wk_detail)
-
-let pp_wk_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>worker-kill self-test: %d SIGKILLed batch runs vs undisturbed \
-     baseline@,identical TSVs: %d/%d@]"
-    s.wk_total s.wk_ok s.wk_total
-
-(* --- reporting --- *)
-
-let pp_run ppf r =
-  Fmt.pf ppf "%-18s %-32s -> %-10s%s (%.3fs)" r.r_workload
-    (Fmt.str "%a" pp_perturbation r.r_perturbation)
-    (result_kind_name r.r_kind)
-    (if r.r_salvaged then " [salvaged]" else "")
-    r.r_elapsed
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>fault-injection self-test: %d perturbed analyses@,\
-     complete %d | partial %d | failed %d | dump-error %d (salvaged %d)@,\
-     escaped exceptions: %d@]"
-    s.total s.complete s.partial s.failed s.dump_errors s.salvaged
-    (List.length s.escaped)
-
-let pp_deadline_check ppf d =
-  Fmt.pf ppf
-    "deadline %.2fs: elapsed %.3fs, cut off by clock: %b, within tolerance: %b (%s)"
-    d.d_deadline d.d_elapsed d.d_hit_deadline d.d_within d.d_outcome
 
 (* --- campaign: triage service soak ----------------------------------- *)
 
@@ -1063,86 +725,50 @@ let percentile_ms p latencies =
       let idx = min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1) in
       List.nth l (max 0 idx)
 
-(** The expected report body for a dump the service completed: a serial,
-    unbudgeted offline analysis with a fresh symbol counter — the same
-    bit-stable projection the daemon's workers emit. *)
-let offline_body prog dump =
-  Res_solver.Expr.reset_counter_for_tests ();
-  let ctx = Res_core.Backstep.make_ctx prog in
-  let outcome = Res_core.Res.analyze ctx dump in
-  Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome)
-
-let serve_soak_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
-    () : sk_summary =
+let serve_soak_campaign ?log () : sk_summary =
   let module Server = Res_serve.Server in
   let module Client = Res_serve.Client in
   let module P = Res_serve.Protocol in
-  let base = Filename.concat dir (Fmt.str "res-soak-%d" (Unix.getpid ())) in
-  (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let socket = Filename.concat base "serve.sock" in
-  let spool = Filename.concat base "spool" in
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> log m; failures := m :: !failures) fmt in
-  let cfg ~fi ~delay =
-    {
-      Server.default_config with
-      Server.socket_path = socket;
-      spool_dir = spool;
-      jobs = 2;
-      capacity = 3;
-      default_deadline = Some 10.;
-      breaker_threshold = 3;
-      breaker_cooldown = 0.4;
-      fi_kill_workers = fi;
-      fi_worker_delay = delay;
-    }
-  in
+  Fleet.with_kit ?log "res-soak" @@ fun k ->
+  let socket = Filename.concat k.Fleet.dir "serve.sock" in
+  let fail fmt = Fleet.fail k fmt in
   let start ~fi ~delay =
-    match Unix.fork () with
-    | 0 ->
-        (try Server.run (cfg ~fi ~delay) with _ -> Unix._exit 1);
-        Unix._exit 0
-    | pid -> pid
+    Fleet.fork_daemon k
+      {
+        Server.default_config with
+        Server.socket_path = socket;
+        spool_dir = Filename.concat k.Fleet.dir "spool";
+        jobs = 2;
+        capacity = 3;
+        default_deadline = Some 10.;
+        breaker_threshold = 3;
+        breaker_cooldown = 0.4;
+        fi_kill_workers = fi;
+        fi_worker_delay = delay;
+      }
   in
-  let wait_ready () =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      match Client.ping ~timeout:1.0 socket with
-      | Ok (P.Pong _) -> true
-      | _ ->
-          if Unix.gettimeofday () > deadline then false
-          else begin
-            Unix.sleepf 0.02;
-            go ()
-          end
-    in
-    go ()
+  let ready () =
+    Fleet.await (fun () ->
+        match Client.ping ~timeout:1.0 socket with
+        | Ok (P.Pong _) -> true
+        | _ -> false)
   in
-  (* corpus texts: each report submitted twice makes the flood 2x the
-     daemon's total absorption (jobs + capacity) *)
-  let reports = Res_workloads.Corpus.generate ~n_per_bug:1 () in
-  let texts =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        ( Fmt.str "%s-%02d" r.r_bug r.r_id,
-          r.r_prog,
-          r.r_dump,
-          Res_ir.Prog.to_string r.r_prog,
-          Res_vm.Coredump_io.to_string r.r_dump ))
-      reports
-  in
-  let flood = texts @ texts in
+  (* each report submitted twice makes the flood 2x the daemon's total
+     absorption (jobs + capacity) *)
+  let items, units = Fleet.corpus ~n_per_bug:1 in
+  let flood = units @ units in
   (* --- phase 1: flood a worker-killing daemon at 2x capacity.  Workers
      are slowed by injected delay so the queue pressure is deterministic:
      2 running + 3 queued absorb 5 of the 10 submissions, the rest must
      shed --- *)
   let pid1 = start ~fi:[ 2 ] ~delay:0.5 in
-  if not (wait_ready ()) then fail "daemon 1 never became ready";
+  if not (ready ()) then fail "daemon 1 never became ready";
   let accepted = ref [] and shed = ref 0 and submitted = ref 0 in
   List.iter
-    (fun (name, _, _, prog_text, dump_text) ->
+    (fun (u : Res_cluster.Coordinator.unit_item) ->
+      let name = u.Res_cluster.Coordinator.ci_name in
       incr submitted;
-      match Client.submit socket ~prog:prog_text ~dump:dump_text () with
+      match Client.submit socket ~prog:u.ci_prog ~dump:u.ci_dump () with
       | Ok (conn, reply) -> (
           Client.close conn;
           match reply with
@@ -1153,14 +779,13 @@ let serve_soak_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
       | Error e -> fail "flood submit %s: %s" name (Client.error_to_string e))
     flood;
   if !shed = 0 then fail "flood at 2x capacity shed nothing";
-  (* --- phase 2: SIGKILL the daemon mid-flight, restart on the spool --- *)
-  (try Unix.kill pid1 Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid1) with Unix.Unix_error _ -> ());
-  (* the small worker delay keeps the injected SIGKILL honest: without
-     it the scheduler often runs the doomed child to completion before
-     the daemon's kill lands *)
+  (* --- phase 2: SIGKILL the daemon mid-flight, restart on the spool.
+     The small worker delay keeps the injected SIGKILL honest: without it
+     the scheduler often runs the doomed child to completion before the
+     daemon's kill lands --- *)
+  Fleet.kill k pid1;
   let pid2 = start ~fi:[ 1 ] ~delay:0.05 in
-  if not (wait_ready ()) then fail "daemon 2 never became ready after restart";
+  if not (ready ()) then fail "daemon 2 never became ready after restart";
   (* --- phase 3: every accepted request must yield a reply --- *)
   let latencies = ref [] and completed = ref 0 and lost = ref 0 in
   let mismatched = ref 0 in
@@ -1173,10 +798,15 @@ let serve_soak_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
             int_of_float ((Unix.gettimeofday () -. t_submit) *. 1000.)
             :: !latencies;
           if String.equal rs_outcome "complete" then begin
-            let _, prog, dump, _, _ =
-              List.find (fun (n, _, _, _, _) -> String.equal n name) texts
+            let it =
+              List.find
+                (fun it -> String.equal it.Res_parallel.Batch.it_name name)
+                items
             in
-            let expected = offline_body prog dump in
+            let expected, _ =
+              rendered_analysis it.Res_parallel.Batch.it_prog
+                (Result.get_ok it.Res_parallel.Batch.it_dump)
+            in
             if not (String.equal rs_body expected) then begin
               incr mismatched;
               fail "%s (%s): completed body differs from offline analyze" id
@@ -1282,31 +912,7 @@ let serve_soak_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
   if restarts = 0 then
     fail "injected worker SIGKILL produced no supervised restart";
   ignore (Client.drain ~timeout:5.0 socket);
-  let drain_ok =
-    let rec reap tries =
-      match Unix.waitpid [ Unix.WNOHANG ] pid2 with
-      | 0, _ ->
-          if tries = 0 then begin
-            (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid2);
-            fail "daemon 2 did not drain within 30s";
-            false
-          end
-          else begin
-            Unix.sleepf 0.05;
-            reap (tries - 1)
-          end
-      | _, Unix.WEXITED 0 -> true
-      | _, st ->
-          fail "daemon 2 drain exit: %s"
-            (match st with
-            | Unix.WEXITED n -> Fmt.str "exit %d" n
-            | Unix.WSIGNALED n -> Fmt.str "signal %d" n
-            | Unix.WSTOPPED n -> Fmt.str "stopped %d" n);
-          false
-    in
-    reap 600
-  in
+  let drain_ok = Fleet.reap k "daemon 2" pid2 in
   {
     sk_submitted = !submitted;
     sk_accepted = List.length !accepted;
@@ -1321,7 +927,7 @@ let serve_soak_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
     sk_drain_exit_ok = drain_ok;
     sk_p50_ms = percentile_ms 0.50 !latencies;
     sk_p99_ms = percentile_ms 0.99 !latencies;
-    sk_failures = List.rev !failures;
+    sk_failures = Fleet.failures k;
   }
 
 let pp_sk_summary ppf s =
@@ -1334,6 +940,17 @@ let pp_sk_summary ppf s =
     s.sk_submitted s.sk_accepted s.sk_shed s.sk_completed s.sk_lost
     s.sk_mismatched s.sk_recovered s.sk_worker_restarts s.sk_breaker_tripped
     s.sk_breaker_recovered s.sk_drain_exit_ok s.sk_p50_ms s.sk_p99_ms
+
+(* A node daemon of the cluster and byzantine soaks, spooling under the
+   kit's scratch directory. *)
+let soak_node (k : Fleet.t) name =
+  {
+    Res_serve.Server.default_config with
+    Res_serve.Server.spool_dir = Filename.concat k.Fleet.dir (name ^ "-spool");
+    jobs = 2;
+    capacity = 8;
+    default_deadline = Some 10.;
+  }
 
 (* --- campaign: multi-node cluster soak ------------------------------- *)
 
@@ -1367,88 +984,25 @@ type ck_summary = {
   ck_failures : string list;  (** empty iff the cluster kept its contract *)
 }
 
-let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
-    ?(log = ignore) () : ck_summary =
-  let module Server = Res_serve.Server in
+let cluster_soak_campaign ?log () : ck_summary =
   let module Transport = Res_cluster.Transport in
   let module Journal = Res_cluster.Journal in
   let module C = Res_cluster.Coordinator in
-  let base = Filename.concat dir (Fmt.str "res-cluster-%d" (Unix.getpid ())) in
-  (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> log m; failures := m :: !failures) fmt in
+  Fleet.with_kit ?log "res-cluster" @@ fun k ->
+  let fail fmt = Fleet.fail k fmt in
   (* --- corpus and the single-node truth ------------------------------ *)
-  let reports = Res_workloads.Corpus.generate ~n_per_bug:3 () in
-  let items =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      reports
-  in
-  let n_units = List.length items in
+  let items, units = Fleet.corpus ~n_per_bug:3 in
   (* fork-backed single-node baseline: domains must not exist yet *)
   let baseline =
     Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
   in
-  let units =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          C.ci_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          ci_prog = Res_ir.Prog.to_string r.r_prog;
-          ci_dump = Res_vm.Coredump_io.to_string r.r_dump;
-          ci_sig = Res_usecases.Triage.wer_key r.r_dump;
-        })
-      reports
-  in
-  (* --- node fleet: bind ephemeral ports in the parent, fork each node
-     on its prebound socket, then close the parent's fd copy so a killed
-     node's port refuses instead of silently queueing connects --- *)
   let start_node ~name ~delay =
-    let fd, port = Transport.listen_ephemeral () in
-    let pid =
-      match Unix.fork () with
-      | 0 ->
-          (try
-             Server.run
-               {
-                 Server.default_config with
-                 Server.prebound = Some fd;
-                 spool_dir = Filename.concat base (name ^ "-spool");
-                 jobs = 2;
-                 capacity = 8;
-                 default_deadline = Some 10.;
-                 fi_worker_delay = delay;
-               }
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-      | pid -> pid
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (pid, { Transport.host = "127.0.0.1"; port })
+    Fleet.fork_node k { (soak_node k name) with fi_worker_delay = delay }
   in
   let pid1, addr1 = start_node ~name:"node1" ~delay:0.08 in
   let pid2, addr2 = start_node ~name:"node2" ~delay:0.08 in
   let pid3, addr3 = start_node ~name:"node3" ~delay:0.08 in
-  let wait_ready addr =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      Transport.ping addr
-      ||
-      if Unix.gettimeofday () > deadline then false
-      else begin
-        Unix.sleepf 0.02;
-        go ()
-      end
-    in
-    if not (go ()) then
-      fail "node %s never became ready" (Transport.addr_to_string addr)
-  in
-  List.iter wait_ready [ addr1; addr2; addr3 ];
+  List.iter (Fleet.node_ready k) [ addr1; addr2; addr3 ];
   let config journal_dir =
     {
       C.default_config with
@@ -1458,52 +1012,23 @@ let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
          corpus must still reach the declaration before it runs out *)
       node_attempts = 2;
       journal_dir = Some journal_dir;
-      log;
+      log = k.Fleet.log;
     }
   in
-  let check_identical phase (t : C.t) =
-    if t.C.stats.C.cs_lost > 0 then
-      fail "%s: %d unit(s) lost" phase t.C.stats.C.cs_lost;
-    if String.equal t.C.tsv baseline.Res_parallel.Batch.tsv then true
-    else begin
-      fail "%s: merged TSV differs from single-node triage" phase;
-      false
-    end
-  in
-  (* poll a journal directory until [want] rows exist (how the campaign
-     times its kills to land mid-corpus) *)
-  let await_rows journal want =
-    let deadline = Unix.gettimeofday () +. 30. in
-    let rec go () =
-      Journal.count journal >= want
-      || Unix.gettimeofday () > deadline
-         && begin
-              fail "journal %s never reached %d rows" journal want;
-              false
-            end
-      || begin
-           Unix.sleepf 0.01;
-           go ()
-         end
-    in
-    go ()
-  in
+  let check_identical = Fleet.check_identical k ~baseline in
+  (* how the campaign times its kills to land mid-corpus *)
+  let journaled journal want () = Journal.count journal >= want in
   (* --- phase 1: SIGKILL the coordinator mid-corpus, resume from its
      journal.  The first incarnation is a forked child; the parent waits
      for a few journaled rows, kills it, and re-runs the same corpus on
      the same journal in-process --- *)
-  let journal1 = Filename.concat base "journal1" in
+  let journal1 = Filename.concat k.Fleet.dir "journal1" in
   let co_pid =
-    match Unix.fork () with
-    | 0 ->
-        (try ignore (C.run ~config:(config journal1) units)
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-    | pid -> pid
+    Fleet.spawn k (fun () -> ignore (C.run ~config:(config journal1) units))
   in
-  ignore (await_rows journal1 3);
-  (try Unix.kill co_pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] co_pid) with Unix.Unix_error _ -> ());
+  if not (Fleet.await ~timeout:30. ~every:0.01 (journaled journal1 3)) then
+    fail "journal %s never reached %d rows" journal1 3;
+  Fleet.kill k co_pid;
   let t1 = C.run ~config:(config journal1) units in
   let identical1 = check_identical "coordinator-kill" t1 in
   if t1.C.stats.C.cs_recovered < 3 then
@@ -1512,26 +1037,15 @@ let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
   (* --- phase 2: SIGKILL a node mid-corpus.  A forked killer waits for
      the run to be underway (journaled rows), then SIGKILLs node 2; its
      units must reschedule onto the survivors --- *)
-  let journal2 = Filename.concat base "journal2" in
+  let journal2 = Filename.concat k.Fleet.dir "journal2" in
   let killer =
-    match Unix.fork () with
-    | 0 ->
-        let deadline = Unix.gettimeofday () +. 30. in
-        let rec poll () =
-          if Journal.count journal2 >= 1 then
-            try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ()
-          else if Unix.gettimeofday () < deadline then begin
-            Unix.sleepf 0.01;
-            poll ()
-          end
-        in
-        poll ();
-        Unix._exit 0
-    | pid -> pid
+    Fleet.spawn k (fun () ->
+        if Fleet.await ~timeout:30. ~every:0.01 (journaled journal2 1) then
+          try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ())
   in
   let t2 = C.run ~config:(config journal2) units in
-  (try ignore (Unix.waitpid [] killer) with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid2) with Unix.Unix_error _ -> ());
+  ignore (Fleet.reap k "killer" killer);
+  Fleet.kill k pid2;
   let identical2 = check_identical "node-kill" t2 in
   if t2.C.stats.C.cs_retries = 0 then
     fail "node-kill: no unit was ever retried";
@@ -1541,8 +1055,8 @@ let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
      workers sleep far past the unit deadline, so every exchange routed
      to it times out mid-wait and fails over to the healthy nodes --- *)
   let pid4, addr4 = start_node ~name:"node4" ~delay:3.0 in
-  wait_ready addr4;
-  let journal3 = Filename.concat base "journal3" in
+  Fleet.node_ready k addr4;
+  let journal3 = Filename.concat k.Fleet.dir "journal3" in
   let t3 =
     C.run
       ~config:
@@ -1558,38 +1072,11 @@ let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
     fail "partition: no exchange was ever cut off by the unit deadline";
   (* --- drain: the surviving healthy nodes must exit 0 on SIGTERM; the
      stalled node still has sleeping workers, so it is killed --- *)
-  let reap_drained name pid =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    let rec reap tries =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          if tries = 0 then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid);
-            fail "%s did not drain within 30s" name;
-            false
-          end
-          else begin
-            Unix.sleepf 0.05;
-            reap (tries - 1)
-          end
-      | _, Unix.WEXITED 0 -> true
-      | _, st ->
-          fail "%s drain exit: %s" name
-            (match st with
-            | Unix.WEXITED c -> Fmt.str "exit %d" c
-            | Unix.WSIGNALED c -> Fmt.str "signal %d" c
-            | Unix.WSTOPPED c -> Fmt.str "stopped %d" c);
-          false
-    in
-    reap 600
-  in
-  let drain1 = reap_drained "node1" pid1 in
-  let drain3 = reap_drained "node3" pid3 in
-  (try Unix.kill pid4 Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid4) with Unix.Unix_error _ -> ());
+  let drain1 = Fleet.reap k ~signal:Sys.sigterm "node1" pid1 in
+  let drain3 = Fleet.reap k ~signal:Sys.sigterm "node3" pid3 in
+  Fleet.kill k pid4;
   {
-    ck_units = n_units;
+    ck_units = List.length items;
     ck_identical =
       List.length (List.filter Fun.id [ identical1; identical2; identical3 ]);
     ck_runs = 3;
@@ -1604,7 +1091,7 @@ let cluster_soak_campaign ?(dir = Filename.get_temp_dir_name ())
       t1.C.stats.C.cs_duplicates + t2.C.stats.C.cs_duplicates
       + t3.C.stats.C.cs_duplicates;
     ck_drain_ok = drain1 && drain3;
-    ck_failures = List.rev !failures;
+    ck_failures = Fleet.failures k;
   }
 
 let pp_ck_summary ppf s =
@@ -1617,6 +1104,7 @@ let pp_ck_summary ppf s =
     s.ck_units s.ck_identical s.ck_runs s.ck_recovered s.ck_retries
     s.ck_reschedules s.ck_nodes_dead s.ck_stall_failures s.ck_lost
     s.ck_duplicates s.ck_drain_ok
+
 
 (* --- campaign: byzantine node ---------------------------------------- *)
 
@@ -1657,42 +1145,15 @@ type bz_summary = {
   bz_failures : string list;  (** empty iff every lie was caught *)
 }
 
-let byzantine_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
-    () : bz_summary =
-  let module Server = Res_serve.Server in
-  let module Transport = Res_cluster.Transport in
+let byzantine_campaign ?log () : bz_summary =
   let module C = Res_cluster.Coordinator in
-  let base = Filename.concat dir (Fmt.str "res-byzantine-%d" (Unix.getpid ())) in
-  (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> log m; failures := m :: !failures) fmt in
+  Fleet.with_kit ?log "res-byzantine" @@ fun k ->
+  let fail fmt = Fleet.fail k fmt in
   (* --- corpus and the single-node truth ------------------------------ *)
-  let reports = Res_workloads.Corpus.generate ~n_per_bug:3 () in
-  let items =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      reports
-  in
-  let n_units = List.length items in
+  let items, units = Fleet.corpus ~n_per_bug:3 in
   (* fork-backed single-node baseline: domains must not exist yet *)
   let baseline =
     Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
-  in
-  let units =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          C.ci_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          ci_prog = Res_ir.Prog.to_string r.r_prog;
-          ci_dump = Res_vm.Coredump_io.to_string r.r_dump;
-          ci_sig = Res_usecases.Triage.wer_key r.r_dump;
-        })
-      reports
   in
   (* The coordinator routes unit [u] to node [fnv1a32 ci_sig mod 3]; put
      the liar at the index that owns the most units so the lie is
@@ -1709,45 +1170,11 @@ let byzantine_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
     !best
   in
   let start_node ~name ~corrupt =
-    let fd, port = Transport.listen_ephemeral () in
-    let pid =
-      match Unix.fork () with
-      | 0 ->
-          (try
-             Server.run
-               {
-                 Server.default_config with
-                 Server.prebound = Some fd;
-                 spool_dir = Filename.concat base (name ^ "-spool");
-                 jobs = 2;
-                 capacity = 8;
-                 default_deadline = Some 10.;
-                 fi_corrupt_rows = corrupt;
-               }
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-      | pid -> pid
-    in
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    (pid, { Transport.host = "127.0.0.1"; port })
-  in
-  let wait_ready addr =
-    let deadline = Unix.gettimeofday () +. 10. in
-    let rec go () =
-      Transport.ping addr
-      ||
-      if Unix.gettimeofday () > deadline then false
-      else begin
-        Unix.sleepf 0.02;
-        go ()
-      end
-    in
-    if not (go ()) then
-      fail "node %s never became ready" (Transport.addr_to_string addr)
+    Fleet.fork_node k { (soak_node k name) with fi_corrupt_rows = corrupt }
   in
   let pid_h1, addr_h1 = start_node ~name:"honest1" ~corrupt:"" in
   let pid_h2, addr_h2 = start_node ~name:"honest2" ~corrupt:"" in
-  List.iter wait_ready [ addr_h1; addr_h2 ];
+  List.iter (Fleet.node_ready k) [ addr_h1; addr_h2 ];
   (* honest nodes fill the non-liar slots in index order *)
   let fleet liar_addr =
     match liar_slot with
@@ -1763,18 +1190,10 @@ let byzantine_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
       node_attempts = 2;
       spot_check;
       journal_dir = Some journal_dir;
-      log;
+      log = k.Fleet.log;
     }
   in
-  let check_identical phase (t : C.t) =
-    if t.C.stats.C.cs_lost > 0 then
-      fail "%s: %d unit(s) lost" phase t.C.stats.C.cs_lost;
-    if String.equal t.C.tsv baseline.Res_parallel.Batch.tsv then true
-    else begin
-      fail "%s: merged TSV differs from single-node triage" phase;
-      false
-    end
-  in
+  let check_identical = Fleet.check_identical k ~baseline in
   let check_caught phase (t : C.t) =
     if t.C.stats.C.cs_byzantine = 0 then
       fail "%s: no corrupted row was ever rejected" phase;
@@ -1785,65 +1204,37 @@ let byzantine_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
   in
   (* --- phase A: wrong-name corruption vs. the identity check --------- *)
   let pid_la, addr_la = start_node ~name:"liar-name" ~corrupt:"name" in
-  wait_ready addr_la;
+  Fleet.node_ready k addr_la;
   let ta =
     C.run
       ~config:
         (config ~nodes:(fleet addr_la) ~spot_check:0
-           (Filename.concat base "journalA"))
+           (Filename.concat k.Fleet.dir "journalA"))
       units
   in
   let identical_a = check_identical "wrong-name" ta in
   check_caught "wrong-name" ta;
-  (try Unix.kill pid_la Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid_la) with Unix.Unix_error _ -> ());
+  Fleet.kill k pid_la;
   (* --- phase B: plausible fabricated fields vs. the replay oracle.
      The row is structurally perfect, so only re-deriving the verdict
      locally can expose it; spot_check = 1 replays every row --- *)
   let pid_lb, addr_lb = start_node ~name:"liar-fields" ~corrupt:"fields" in
-  wait_ready addr_lb;
+  Fleet.node_ready k addr_lb;
   let tb =
     C.run
       ~config:
         (config ~nodes:(fleet addr_lb) ~spot_check:1
-           (Filename.concat base "journalB"))
+           (Filename.concat k.Fleet.dir "journalB"))
       units
   in
   let identical_b = check_identical "fabricated-fields" tb in
   check_caught "fabricated-fields" tb;
-  (try Unix.kill pid_lb Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid_lb) with Unix.Unix_error _ -> ());
+  Fleet.kill k pid_lb;
   (* --- drain: the honest nodes must exit 0 on SIGTERM ---------------- *)
-  let reap_drained name pid =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    let rec reap tries =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          if tries = 0 then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid);
-            fail "%s did not drain within 30s" name;
-            false
-          end
-          else begin
-            Unix.sleepf 0.05;
-            reap (tries - 1)
-          end
-      | _, Unix.WEXITED 0 -> true
-      | _, st ->
-          fail "%s drain exit: %s" name
-            (match st with
-            | Unix.WEXITED c -> Fmt.str "exit %d" c
-            | Unix.WSIGNALED c -> Fmt.str "signal %d" c
-            | Unix.WSTOPPED c -> Fmt.str "stopped %d" c);
-          false
-    in
-    reap 600
-  in
-  let drain1 = reap_drained "honest1" pid_h1 in
-  let drain2 = reap_drained "honest2" pid_h2 in
+  let drain1 = Fleet.reap k ~signal:Sys.sigterm "honest1" pid_h1 in
+  let drain2 = Fleet.reap k ~signal:Sys.sigterm "honest2" pid_h2 in
   {
-    bz_units = n_units;
+    bz_units = List.length items;
     bz_identical =
       List.length (List.filter Fun.id [ identical_a; identical_b ]);
     bz_runs = 2;
@@ -1853,7 +1244,7 @@ let byzantine_campaign ?(dir = Filename.get_temp_dir_name ()) ?(log = ignore)
     bz_nodes_dead = ta.C.stats.C.cs_nodes_dead + tb.C.stats.C.cs_nodes_dead;
     bz_lost = ta.C.stats.C.cs_lost + tb.C.stats.C.cs_lost;
     bz_drain_ok = drain1 && drain2;
-    bz_failures = List.rev !failures;
+    bz_failures = Fleet.failures k;
   }
 
 let pp_bz_summary ppf s =
@@ -1896,15 +1287,14 @@ type cc_summary = {
   cc_failures : string list;  (** empty iff the cache kept its contract *)
 }
 
-let cache_chaos_campaign ?(dir = Filename.get_temp_dir_name ())
-    ?(log = ignore) () : cc_summary =
+let cache_chaos_campaign ?log () : cc_summary =
   let module Cache = Res_cache.Cache in
   let module Batch = Res_parallel.Batch in
   let module Shim = Res_core.Ioshim in
-  let base = Filename.concat dir (Fmt.str "res-cache-chaos-%d" (Unix.getpid ())) in
-  (try Unix.mkdir base 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let failures = ref [] in
-  let fail fmt = Fmt.kstr (fun m -> log m; failures := m :: !failures) fmt in
+  Fleet.with_kit ?log "res-cache-chaos" @@ fun k ->
+  let base = k.Fleet.dir in
+  let log = k.Fleet.log in
+  let fail fmt = Fleet.fail k fmt in
   let under d path =
     let n = String.length d in
     String.length path > n && String.equal (String.sub path 0 n) d
@@ -1920,7 +1310,7 @@ let cache_chaos_campaign ?(dir = Filename.get_temp_dir_name ())
           es
   in
   let backend = Res_parallel.Pool.Forked in
-  let items = wk_items () in
+  let items, _ = Fleet.corpus ~n_per_bug:2 in
   let n_units = List.length items in
   (* the truth every run must reproduce: an uncached fork-backed triage *)
   let baseline = Batch.run ~jobs:1 ~backend items in
@@ -2149,7 +1539,7 @@ let cache_chaos_campaign ?(dir = Filename.get_temp_dir_name ())
     cc_quarantined = !quarantined;
     cc_store_failures = !store_failures;
     cc_injected = !injected;
-    cc_failures = List.rev !failures;
+    cc_failures = Fleet.failures k;
   }
 
 let pp_cc_summary ppf s =

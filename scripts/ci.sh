@@ -40,20 +40,36 @@ cd "$(dirname "$0")/.."
 dune build
 dune build @fmt
 dune runtest
+
+# The fork-backed gates (and kill-resume's checkpoints) keep their scratch
+# files under $TMPDIR.  They run the built binary under a private TMPDIR,
+# which must be empty again once the last of them has exited.
+RES=_build/default/bin/res_cli.exe
+gate_tmp=$(mktemp -d)
+cache_tmp=$(mktemp -d)
+trap 'rm -rf "$gate_tmp" "$cache_tmp"' EXIT
+
+# At most one campaign per selftest: a second campaign flag is a usage
+# error (exit 124), not a silently dropped campaign.
+rc=0
+"$RES" selftest --kill-resume --prune-equivalence >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 124 ] \
+  || { echo "conflicting selftest flags exited $rc, expected 124"; exit 1; }
+
 dune exec bin/res_cli.exe -- selftest --runs 60
-dune exec bin/res_cli.exe -- selftest --kill-resume
+TMPDIR="$gate_tmp" "$RES" selftest --kill-resume
 dune exec bin/res_cli.exe -- selftest --prune-equivalence
 timeout 120 dune exec bin/res_cli.exe -- selftest --reverse-equivalence
-dune exec bin/res_cli.exe -- selftest --worker-kill
-timeout 120 dune exec bin/res_cli.exe -- selftest --serve-soak
-timeout 240 dune exec bin/res_cli.exe -- selftest --cluster-soak
+TMPDIR="$gate_tmp" "$RES" selftest --worker-kill
+TMPDIR="$gate_tmp" timeout 120 "$RES" selftest --serve-soak
+TMPDIR="$gate_tmp" timeout 240 "$RES" selftest --cluster-soak
 
 # Byzantine-node gate: one of three node daemons computes honestly but
 # falsifies the rows it returns (wrong unit name, then fabricated
 # verdict fields); exits non-zero unless every lie is rejected, the
 # liar is quarantined, its units reschedule, and the merged TSV stays
 # byte-identical to single-node triage with zero lost units.
-timeout 240 dune exec bin/res_cli.exe -- selftest --byzantine
+TMPDIR="$gate_tmp" timeout 240 "$RES" selftest --byzantine
 
 # Fuzzing gate: a bounded deterministic campaign over every sealed
 # codec and text grammar; exits non-zero on any uncaught exception,
@@ -72,9 +88,10 @@ timeout 120 dune exec bin/res_cli.exe -- selftest --debug-equivalence
 # cold/warm byte-identity smoke of the CLI flags themselves: a second
 # triage of the same dumps must be answered entirely from the cache and
 # emit the byte-identical TSV.
-timeout 120 dune exec bin/res_cli.exe -- selftest --cache-chaos
-cache_tmp=$(mktemp -d)
-trap 'rm -rf "$cache_tmp"' EXIT
+TMPDIR="$gate_tmp" timeout 120 "$RES" selftest --cache-chaos
+[ -z "$(ls -A "$gate_tmp")" ] \
+  || { echo "selftest gates left files under TMPDIR:"; ls -A "$gate_tmp"; exit 1; }
+
 mkdir "$cache_tmp/dumps"
 dune exec bin/res_cli.exe -- workload counter-race \
   -o "$cache_tmp/dumps/a.core" --program "$cache_tmp/prog.res"
@@ -132,7 +149,6 @@ dune exec bin/res_cli.exe -- debug "$cache_tmp/prog.res" \
 # The daemon is run from the built binary, not `dune exec`: a
 # backgrounded dune holds the build lock for as long as the daemon
 # lives, deadlocking every later dune command in this script.
-RES=_build/default/bin/res_cli.exe
 "$RES" serve --socket "$cache_tmp/s.sock" \
   --spool "$cache_tmp/spool" --cache-dir "$cache_tmp/srv-cache" &
 serve_pid=$!

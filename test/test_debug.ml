@@ -454,9 +454,9 @@ let test_campaign_subset () =
       ()
   in
   check int_t "subset campaign all equivalent" 3
-    s.Res_faultinject.Faultinject.de_ok;
+    s.Res_faultinject.Differential.ok;
   check bool_t "no failures" true
-    (s.Res_faultinject.Faultinject.de_failures = [])
+    (s.Res_faultinject.Differential.failures = [])
 
 let () =
   Alcotest.run "res_debug"

@@ -211,7 +211,10 @@ let test_coredump_save_atomic () =
 
 let test_resume_bit_identical () =
   let w = Res_workloads.Workloads.find "use-after-free-a" in
-  let baseline = Res_faultinject.Faultinject.kr_baseline w in
+  let baseline =
+    (Res_faultinject.Faultinject.kr_reference w).Res_faultinject.Differential
+      .bytes
+  in
   List.iter
     (fun k ->
       let path = Fmt.str "resume-eq-%d.ckpt" k in
@@ -373,15 +376,9 @@ let test_kill_resume_campaign () =
     Res_faultinject.Faultinject.kill_resume_campaign ~kills:[ 2; 9 ]
       ~torn_kill:13 ~workloads ()
   in
-  List.iter
-    (fun r ->
-      Alcotest.failf "kill-resume failure: %a"
-        (fun ppf -> Res_faultinject.Faultinject.pp_kr_run ppf)
-        r)
-    s.Res_faultinject.Faultinject.kr_failures;
-  check bool_t "all chains bit-identical and clean" true
-    (s.Res_faultinject.Faultinject.kr_ok
-    = s.Res_faultinject.Faultinject.kr_total)
+  let module D = Res_faultinject.Differential in
+  List.iter (Alcotest.failf "kill-resume failure: %a" D.pp_run) s.D.failures;
+  check bool_t "all chains bit-identical and clean" true (s.D.ok = s.D.total)
 
 let () =
   Alcotest.run "persist"

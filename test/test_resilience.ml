@@ -244,6 +244,94 @@ let test_deadline_compliance () =
        d.Res_faultinject.Faultinject.d_elapsed)
     true d.Res_faultinject.Faultinject.d_within
 
+(* --- the differential harness and the fleet kit --- *)
+
+module D = Res_faultinject.Differential
+
+let projection bytes counts = { D.bytes; counts }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_differential_one_byte () =
+  let s =
+    D.run ~campaign:"t"
+      ~reference:(fun x -> projection x [])
+      ~variants:
+        [
+          ("same", fun x -> projection x []);
+          ("flip", fun x -> projection (x ^ "!") []);
+        ]
+      [ ("a", "abc") ]
+  in
+  check int_t "no subject equivalent" 0 s.D.ok;
+  match s.D.failures with
+  | [ r ] ->
+      check bool_t "detail names the diverging variant" true
+        (contains r.D.detail "flip");
+      check bool_t "detail spares the matching variant" false
+        (contains r.D.detail "same")
+  | _ -> Alcotest.fail "expected one failure"
+
+let test_differential_raise_is_failure () =
+  let s =
+    D.run ~campaign:"t"
+      ~reference:(fun x -> projection x [])
+      ~variants:[ ("boom", fun _ -> raise Not_found) ]
+      [ ("a", "abc"); ("b", "def") ]
+  in
+  check int_t "both subjects fail" 2 (List.length s.D.failures);
+  List.iter
+    (fun r ->
+      check bool_t "detail names the raising variant" true
+        (contains r.D.detail "boom: escaped exception: Not_found"))
+    s.D.failures;
+  let s =
+    D.run ~campaign:"t"
+      ~reference:(fun _ -> failwith "no reference")
+      ~variants:[] [ ("a", ()) ]
+  in
+  check bool_t "a raising reference fails its subject" true
+    (s.D.ok = 0 && contains (List.hd s.D.runs).D.detail "no reference")
+
+let test_differential_counts_sum () =
+  let s =
+    D.run ~campaign:"t"
+      ~reference:(fun n -> projection "x" [ ("nodes", n) ])
+      ~variants:[ ("fast", fun n -> projection "x" [ ("nodes", n - 1) ]) ]
+      [ ("a", 10); ("b", 5) ]
+  in
+  check int_t "per-run count" 9 (D.count (List.hd s.D.runs) "fast.nodes");
+  let text = Fmt.str "%a" D.pp_summary s in
+  check bool_t "summary sums the reference counts" true
+    (contains text "nodes 15");
+  check bool_t "summary sums the variant counts" true
+    (contains text "fast.nodes 13")
+
+let test_kit_removes_scratch () =
+  let module Fleet = Res_faultinject.Fleet in
+  let fill (k : Fleet.t) =
+    let sub = Filename.concat k.Fleet.dir "sub" in
+    Unix.mkdir sub 0o755;
+    close_out (open_out (Filename.concat sub "f"));
+    k.Fleet.dir
+  in
+  let dir = Fleet.with_kit "res-kit-test" fill in
+  check bool_t "removed on return" false (Sys.file_exists dir);
+  let seen = ref "" in
+  (match
+     Fleet.with_kit "res-kit-test" (fun k ->
+         seen := fill k;
+         failwith "mid-campaign")
+   with
+  | () -> Alcotest.fail "the exception must propagate"
+  | exception Failure _ -> ());
+  check bool_t "removed on exception" false (Sys.file_exists !seen)
+
 let () =
   Alcotest.run "resilience"
     [
@@ -297,5 +385,16 @@ let () =
             `Slow test_campaign_no_escapes;
           Alcotest.test_case "1s deadline honored within 10%" `Slow
             test_deadline_compliance;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "a one-byte divergence names its variant" `Quick
+            test_differential_one_byte;
+          Alcotest.test_case "a raising projection is a failure" `Quick
+            test_differential_raise_is_failure;
+          Alcotest.test_case "counts sum across runs" `Quick
+            test_differential_counts_sum;
+          Alcotest.test_case "fleet kit removes its scratch tree" `Quick
+            test_kit_removes_scratch;
         ] );
     ]

@@ -483,28 +483,32 @@ entry:
 
 (* --- pruning never changes the reports (the soundness property) --- *)
 
+module D = Res_faultinject.Differential
+
+let check_all_identical what (s : D.summary) =
+  List.iter (Alcotest.failf "%s violated: %a" what D.pp_run) s.D.failures;
+  check int_t "all workloads bit-identical" s.D.total s.D.ok
+
+let long_exec () = [ Res_workloads.Workloads.find "long-exec-50" ]
+
+let only_run (s : D.summary) =
+  match s.D.runs with [ r ] -> r | _ -> Alcotest.fail "expected one run"
+
 let test_prune_equivalence_all_workloads () =
-  let s = Res_faultinject.Faultinject.prune_equivalence_campaign () in
-  List.iter
-    (fun r ->
-      Alcotest.failf "prune equivalence violated: %a"
-        (fun ppf -> Res_faultinject.Faultinject.pp_pe_run ppf)
-        r)
-    s.Res_faultinject.Faultinject.pe_failures;
-  check int_t "all workloads bit-identical"
-    s.Res_faultinject.Faultinject.pe_total s.Res_faultinject.Faultinject.pe_ok
+  check_all_identical "prune equivalence"
+    (Res_faultinject.Faultinject.prune_equivalence_campaign ())
 
 let test_prune_reduces_long_exec () =
   (* E14 acceptance: >= 30% fewer backward-step evaluations on the
      long-execution workload. *)
   let r =
-    Res_faultinject.Faultinject.prune_equivalence_one
-      (Res_workloads.Workloads.find "long-exec-50")
+    only_run
+      (Res_faultinject.Faultinject.prune_equivalence_campaign
+         ~workloads:(long_exec ()) ())
   in
-  check bool_t "long-exec reports unchanged" true
-    r.Res_faultinject.Faultinject.pe_equivalent;
-  let on = r.Res_faultinject.Faultinject.pe_nodes_on in
-  let off = r.Res_faultinject.Faultinject.pe_nodes_off in
+  check bool_t "long-exec reports unchanged" true r.D.equivalent;
+  let on = D.count r "static-prune.nodes" in
+  let off = D.count r "nodes" in
   if not (on * 10 <= off * 7) then
     Alcotest.failf "expected >=30%% node reduction, got %d -> %d" off on
 
@@ -768,29 +772,22 @@ done:
 (* --- reverse execution never changes the reports --- *)
 
 let test_reverse_equivalence_all_workloads () =
-  let s = Res_faultinject.Faultinject.reverse_equivalence_campaign () in
-  List.iter
-    (fun r ->
-      Alcotest.failf "reverse equivalence violated: %a"
-        (fun ppf -> Res_faultinject.Faultinject.pp_re_run ppf)
-        r)
-    s.Res_faultinject.Faultinject.re_failures;
-  check int_t "all workloads bit-identical"
-    s.Res_faultinject.Faultinject.re_total s.Res_faultinject.Faultinject.re_ok
+  check_all_identical "reverse equivalence"
+    (Res_faultinject.Faultinject.reverse_equivalence_campaign ())
 
 let test_reverse_reduces_long_exec_queries () =
   (* E19 acceptance: >= 2x fewer solver queries on the long-execution
      workload when the fast path is on. *)
   let r =
-    Res_faultinject.Faultinject.reverse_equivalence_one
-      (Res_workloads.Workloads.find "long-exec-50")
+    only_run
+      (Res_faultinject.Faultinject.reverse_equivalence_campaign
+         ~workloads:(long_exec ()) ())
   in
-  check bool_t "long-exec reports unchanged" true
-    r.Res_faultinject.Faultinject.re_equivalent;
+  check bool_t "long-exec reports unchanged" true r.D.equivalent;
   check bool_t "fast path actually fired" true
-    (r.Res_faultinject.Faultinject.re_reversed > 0);
-  let q_on = r.Res_faultinject.Faultinject.re_queries_on in
-  let q_off = r.Res_faultinject.Faultinject.re_queries_off in
+    (D.count r "reverse-exec.reversed" > 0);
+  let q_on = D.count r "reverse-exec.queries" in
+  let q_off = D.count r "queries" in
   if not (q_on * 2 <= q_off) then
     Alcotest.failf "expected >=2x fewer solver queries, got %d -> %d" q_off q_on
 
