@@ -148,18 +148,34 @@ let store t k body =
 
 (* --- triage row codec ----------------------------------------------- *)
 
-(** The per-dump triage verdict the batch layers cache: exactly the
-    fields that reproduce a TSV row (and the stats columns) without
-    re-running the analysis. *)
+(** The per-dump triage verdict: what {!Res_usecases.Triage.triage_one}
+    returns, what a pool worker ships back, what the daemon's [Row] reply
+    carries and what every triage layer caches — exactly the fields that
+    reproduce a TSV row (and the stats columns) without re-running the
+    analysis. *)
 type row = {
-  c_outcome : string;
-  c_timeout : bool;
-  c_bucket : string;
-  c_cause : string;
+  c_outcome : string;  (** {!Res_core.Res.outcome_name}: complete/partial/failed *)
+  c_timeout : bool;  (** the analysis burned its whole budget *)
+  c_bucket : string;  (** root-cause signature, annotation bucket, or WER fallback *)
+  c_cause : string;  (** rendered root cause; empty when none reproduced *)
   c_nodes : int;
   c_pruned : int;
-  c_queries : int;
+  c_queries : int;  (** solver queries the analysis issued *)
 }
+
+(** The verdict for a dump no analysis answered: [failed], filed under
+    [bucket] ([dump-error], [worker-lost], [analysis-error]), no work
+    counted. *)
+let failed_row ~bucket ~cause =
+  {
+    c_outcome = "failed";
+    c_timeout = false;
+    c_bucket = bucket;
+    c_cause = cause;
+    c_nodes = 0;
+    c_pruned = 0;
+    c_queries = 0;
+  }
 
 (* Bump the trailing tag if this codec ever changes shape: it is folded
    into every key, so old entries become honest misses, not parse

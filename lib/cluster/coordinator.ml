@@ -131,94 +131,34 @@ let pp_stats ppf s =
     s.cs_reschedules s.cs_node_failures s.cs_nodes_dead s.cs_duplicates
     s.cs_cache_hits s.cs_queries s.cs_byzantine
 
-(** Decode a [Row] reply frame into a renderable batch row. *)
+(** Decode a [Row] reply frame into a renderable batch row and the
+    solver queries it reports. *)
 let row_of_frame frame =
   match P.decode_reply frame with
-  | Ok
-      (P.Row
-         { rw_name; rw_outcome; rw_bucket; rw_cause; rw_nodes; rw_pruned;
-           rw_queries; _ }) ->
-      Some
-        ( {
-            Batch.row_name = rw_name;
-            row_outcome = rw_outcome;
-            row_bucket = rw_bucket;
-            row_cause = rw_cause;
-            row_nodes = rw_nodes;
-            row_pruned = rw_pruned;
-          },
-          rw_queries )
+  | Ok (P.Row { rw_name; rw_verdict = v; _ }) ->
+      Some (Batch.row_of_verdict rw_name v, v.c_queries)
   | _ -> None
 
 (* Frames stored in the result cache are identity-normalized: the unit
    name and elapsed time are per-run noise, not part of the verdict.
    Timed-out and worker-lost rows are what a {e run} managed, not what
    the inputs mean, so they are neither stored nor served. *)
+let cacheable (v : Res_cache.Cache.row) =
+  (not v.c_timeout) && not (String.equal v.c_bucket "worker-lost")
 
 let normalize_frame frame =
   match P.decode_reply frame with
-  | Ok
-      (P.Row
-         {
-           rw_name = _;
-           rw_outcome;
-           rw_timeout;
-           rw_elapsed_ms = _;
-           rw_bucket;
-           rw_cause;
-           rw_nodes;
-           rw_pruned;
-           rw_queries;
-         })
-    when (not rw_timeout) && not (String.equal rw_bucket "worker-lost") ->
+  | Ok (P.Row r) when cacheable r.rw_verdict ->
       Some
-        (P.encode_reply
-           (P.Row
-              {
-                rw_name = "cached";
-                rw_outcome;
-                rw_timeout;
-                rw_elapsed_ms = 0;
-                rw_bucket;
-                rw_cause;
-                rw_nodes;
-                rw_pruned;
-                rw_queries;
-              }))
+        (P.encode_reply (P.Row { r with rw_name = "cached"; rw_elapsed_ms = 0 }))
   | _ -> None
 
 (** Re-label a cached (normalized) frame with this unit's corpus name so
     the row merges into the output like a node answer. *)
 let relabel_frame name body =
   match P.decode_reply body with
-  | Ok
-      (P.Row
-         {
-           rw_name = _;
-           rw_outcome;
-           rw_timeout;
-           rw_elapsed_ms;
-           rw_bucket;
-           rw_cause;
-           rw_nodes;
-           rw_pruned;
-           rw_queries;
-         })
-    when (not rw_timeout) && not (String.equal rw_bucket "worker-lost") ->
-      Some
-        (P.encode_reply
-           (P.Row
-              {
-                rw_name = name;
-                rw_outcome;
-                rw_timeout;
-                rw_elapsed_ms;
-                rw_bucket;
-                rw_cause;
-                rw_nodes;
-                rw_pruned;
-                rw_queries;
-              }))
+  | Ok (P.Row r) when cacheable r.rw_verdict ->
+      Some (P.encode_reply (P.Row { r with rw_name = name }))
   | _ -> None
 
 (** One open exchange: the connection, which unit it carries, which node
@@ -476,55 +416,42 @@ let run ?(config = default_config) ?(extra_rows = []) items =
     config.spot_check > 0
     && Io.fnv1a32 items.(u).ci_sig mod config.spot_check = 0
   in
-  let replay_verdict u ~rw_outcome ~rw_bucket ~rw_cause ~rw_nodes ~rw_pruned =
+  let replay_verdict u (v : Res_cache.Cache.row) =
     let it = items.(u) in
     match Res_ir.Parser.parse_result it.ci_prog with
     | Error _ -> Ok () (* cannot replay locally: inconclusive, accept *)
     | Ok prog -> (
         match Io.of_string_result it.ci_dump with
         | Error _ -> Ok ()
-        | Ok { Io.dump; _ } -> (
-            match
-              (* fresh symbol ids, as each node worker starts with *)
-              Res_solver.Expr.reset_counter_for_tests ();
-              let budget =
-                Option.map
-                  (fun f -> Res_core.Budget.create ~fuel:f ())
-                  config.fuel
-              in
-              Res_usecases.Triage.triage_one ?budget prog dump
-            with
-            | exception _ -> Ok ()
-            | tr ->
-                let module T = Res_usecases.Triage in
-                if
-                  String.equal tr.T.tr_outcome rw_outcome
-                  && String.equal tr.T.tr_bucket rw_bucket
-                  && String.equal tr.T.tr_cause rw_cause
-                  && tr.T.tr_nodes = rw_nodes
-                  && tr.T.tr_pruned = rw_pruned
-                then Ok ()
-                else
-                  Error
-                    (Fmt.str
-                       "replay mismatch: node said %s/%s/%s nodes=%d \
-                        pruned=%d; local replay says %s/%s/%s nodes=%d \
-                        pruned=%d"
-                       rw_outcome rw_bucket rw_cause rw_nodes rw_pruned
-                       tr.T.tr_outcome tr.T.tr_bucket tr.T.tr_cause
-                       tr.T.tr_nodes tr.T.tr_pruned)))
+        | Ok { Io.dump; _ } ->
+            (* fresh symbol ids, as each node worker starts with *)
+            Res_solver.Expr.reset_counter_for_tests ();
+            let budget =
+              Option.map (fun f -> Res_core.Budget.create ~fuel:f ()) config.fuel
+            in
+            let local = Res_usecases.Triage.triage_one ?budget prog dump in
+            (* a local analysis that died is inconclusive, not evidence;
+               the comparison covers the fields a TSV row shows *)
+            if String.equal local.c_bucket "analysis-error" then Ok ()
+            else if
+              { local with c_timeout = v.c_timeout; c_queries = v.c_queries }
+              = v
+            then Ok ()
+            else
+              Error
+                (Fmt.str "replay mismatch: node said %s; local replay says %s"
+                   (Res_cache.Cache.encode_row v)
+                   (Res_cache.Cache.encode_row local)))
   in
-  let row_verdict u ~rw_name ~rw_outcome ~rw_timeout ~rw_elapsed_ms ~rw_bucket
-      ~rw_cause ~rw_nodes ~rw_pruned ~rw_queries =
+  let row_verdict u ~rw_name ~rw_elapsed_ms (v : Res_cache.Cache.row) =
     if not config.verify_rows then Ok ()
     else if not (String.equal rw_name items.(u).ci_name) then
       Error (Fmt.str "row names unit %S, we sent %S" rw_name items.(u).ci_name)
-    else if String.equal rw_outcome "" || String.equal rw_bucket "" then
+    else if String.equal v.c_outcome "" || String.equal v.c_bucket "" then
       Error "empty outcome or bucket"
-    else if rw_nodes < 0 || rw_pruned < 0 || rw_queries < 0 || rw_elapsed_ms < 0
+    else if v.c_nodes < 0 || v.c_pruned < 0 || v.c_queries < 0 || rw_elapsed_ms < 0
     then Error "negative work counters"
-    else if (not rw_timeout) && spot_check_due u then
-      replay_verdict u ~rw_outcome ~rw_bucket ~rw_cause ~rw_nodes ~rw_pruned
+    else if (not v.c_timeout) && spot_check_due u then replay_verdict u v
     else Ok ()
   in
   let on_reply f =
@@ -536,31 +463,16 @@ let run ?(config = default_config) ?(extra_rows = []) items =
     | Ok frame -> (
         match P.decode_reply frame with
         | Ok (P.Accepted _) -> f.if_accepted <- true
-        | Ok (P.Row { rw_bucket = "worker-lost"; rw_cause; _ }) ->
+        | Ok (P.Row { rw_verdict = { c_bucket = "worker-lost"; c_cause; _ }; _ })
+          ->
             (* the node's supervision gave up on the unit: the node is
                healthy (it answered), the unit gets retried elsewhere *)
             retire f;
             Registry.mark_success reg f.if_node;
             unit_failed f.if_unit
-              (Fmt.str "node supervision gave up: %s" rw_cause)
-        | Ok
-            (P.Row
-               {
-                 rw_name;
-                 rw_outcome;
-                 rw_timeout;
-                 rw_elapsed_ms;
-                 rw_bucket;
-                 rw_cause;
-                 rw_nodes;
-                 rw_pruned;
-                 rw_queries;
-               }) -> (
-            match
-              row_verdict f.if_unit ~rw_name ~rw_outcome ~rw_timeout
-                ~rw_elapsed_ms ~rw_bucket ~rw_cause ~rw_nodes ~rw_pruned
-                ~rw_queries
-            with
+              (Fmt.str "node supervision gave up: %s" c_cause)
+        | Ok (P.Row { rw_name; rw_elapsed_ms; rw_verdict }) -> (
+            match row_verdict f.if_unit ~rw_name ~rw_elapsed_ms rw_verdict with
             | Error why ->
                 (* a lying node is indistinguishable from a corrupt one:
                    charge it like any misbehaving peer (backoff, then the
@@ -650,14 +562,8 @@ let run ?(config = default_config) ?(extra_rows = []) items =
         match applied.(i) with
         | Some (row, _) -> row
         | None ->
-            {
-              Batch.row_name = items.(i).ci_name;
-              row_outcome = "failed";
-              row_bucket = "worker-lost";
-              row_cause = "";
-              row_nodes = 0;
-              row_pruned = 0;
-            })
+            Batch.row_of_verdict items.(i).ci_name
+              (Res_cache.Cache.failed_row ~bucket:"worker-lost" ~cause:""))
   in
   let rows =
     List.sort

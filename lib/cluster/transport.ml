@@ -17,7 +17,8 @@
       to each ({!Registry} backoff vs. immediate failover).
 
     Oversized or corrupt length prefixes are rejected before any
-    allocation (shared {!Res_parallel.Wire.max_frame_bytes} limit). *)
+    allocation, by the same {!Res_parallel.Wire.frame_length} parse the
+    worker pool and the daemon use. *)
 
 module Wire = Res_parallel.Wire
 
@@ -131,14 +132,9 @@ let recv ?(timeout = 30.0) fd =
   | Error (`Eof k) -> Error (Damaged (Fmt.str "torn header (%d/10 bytes)" k))
   | Error (`Err m) -> Error (Damaged m)
   | Ok () -> (
-      match int_of_string_opt (Bytes.to_string hdr) with
-      | None ->
-          Error (Damaged (Fmt.str "bad length prefix %S" (Bytes.to_string hdr)))
-      | Some len when len < 0 ->
-          Error (Damaged (Fmt.str "negative length prefix %d" len))
-      | Some len when len > Wire.max_frame_bytes ->
-          Error (Damaged (Fmt.str "oversized frame (%d bytes)" len))
-      | Some len -> (
+      match Wire.frame_length hdr with
+      | Error e -> Error (Damaged (Wire.frame_error_to_string e))
+      | Ok len -> (
           let body = Bytes.create len in
           match read_exact_deadline fd body ~deadline with
           | Error `Deadline -> Error (Timeout timeout)

@@ -386,19 +386,12 @@ let formats () =
           Result.is_ok (Res_persist.Checkpoint.of_string s));
     }
   in
-  (* -- batch-triage wire rows -- *)
-  let wire_batch =
-    W.encode_batch
-      {
-        W.b_index = 3;
-        b_outcome = "complete";
-        b_bucket = "use-after-free@main";
-        b_cause = "race on g";
-        b_nodes = 41;
-        b_pruned = 6;
-        b_queries = 17;
-      }
-  in
+  (* one triage verdict, given as its cache body, seeds every surface
+     that carries one *)
+  let cache_body = {|verdict "complete" 0 "use-after-free@main" "race on g" 12 3 7|} in
+  let verdict = Option.get (Res_cache.Cache.decode_row cache_body) in
+  (* -- batch-triage pool replies -- *)
+  let wire_batch = W.encode_verdict ~index:3 verdict in
   let wire =
     {
       f_name = "wire";
@@ -406,17 +399,24 @@ let formats () =
       f_seeds = [ wire_batch ];
       f_hostile =
         [
-          tamper ~header:"resbatchres v1"
+          tamper ~header:W.verdict_header
             (fun p ->
-              replace_first ~marker:"work 41" ~sub:"work 99999999999999999999" p)
+              replace_first ~marker:"row 3" ~sub:"row 99999999999999999999" p)
             wire_batch;
-          tamper ~header:"resbatchres v1"
+          tamper ~header:W.verdict_header
+            (fun p -> replace_first ~marker:"row 3" ~sub:"rows 3" p)
+            wire_batch;
+          tamper ~header:W.verdict_header
+            (fun p -> replace_first ~marker:" 12 " ~sub:" 99999999999999999999 " p)
+            wire_batch;
+          tamper ~header:W.verdict_header
             (fun p ->
               replace_first ~marker:"\"race on g\"" ~sub:"\"race on g" p)
             wire_batch;
+          tamper ~header:W.verdict_header (fun p -> p ^ "trailing\n") wire_batch;
           garbage_bytes;
         ];
-      f_decode = (fun s -> Result.is_ok (W.decode_batch s));
+      f_decode = (fun s -> Result.is_ok (W.decode_verdict s));
     }
   in
   (* -- serve protocol frames -- *)
@@ -444,18 +444,7 @@ let formats () =
       P.encode_request P.Ping;
       P.encode_reply (P.Accepted { ac_id = "req-000017"; ac_queued = 3 });
       P.encode_reply
-        (P.Row
-           {
-             rw_name = "unit-00";
-             rw_outcome = "complete";
-             rw_timeout = false;
-             rw_elapsed_ms = 41;
-             rw_bucket = "use-after-free@main";
-             rw_cause = "race on g";
-             rw_nodes = 12;
-             rw_pruned = 3;
-             rw_queries = 7;
-           });
+        (P.Row { rw_name = "unit-00"; rw_elapsed_ms = 41; rw_verdict = verdict });
       P.encode_reply
         (P.Status_reply
            {
@@ -514,18 +503,6 @@ let formats () =
     }
   in
   (* -- cache entries -- *)
-  let cache_body =
-    Res_cache.Cache.encode_row
-      {
-        Res_cache.Cache.c_outcome = "complete";
-        c_timeout = false;
-        c_bucket = "use-after-free@main";
-        c_cause = "race on g";
-        c_nodes = 12;
-        c_pruned = 3;
-        c_queries = 7;
-      }
-  in
   let cache_seed =
     Sealing.seal (Res_cache.Cache.header ^ "\n" ^ cache_body ^ "\n")
   in
@@ -560,17 +537,7 @@ let formats () =
   let journal_seed =
     P.encode_reply
       (P.Row
-         {
-           rw_name = "counter-race-00";
-           rw_outcome = "complete";
-           rw_timeout = false;
-           rw_elapsed_ms = 12;
-           rw_bucket = "race@counter";
-           rw_cause = "lost update";
-           rw_nodes = 5;
-           rw_pruned = 1;
-           rw_queries = 2;
-         })
+         { rw_name = "counter-race-00"; rw_elapsed_ms = 12; rw_verdict = verdict })
   in
   let journal =
     {

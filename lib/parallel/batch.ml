@@ -19,6 +19,7 @@ type item = {
   it_dump : (Res_vm.Coredump.t, string) result;
 }
 
+(** One TSV row: a dump's name and the rendered part of its verdict. *)
 type row = {
   row_name : string;
   row_outcome : string;  (** complete | partial | failed *)
@@ -27,6 +28,16 @@ type row = {
   row_nodes : int;
   row_pruned : int;
 }
+
+let row_of_verdict name (v : Res_cache.Cache.row) =
+  {
+    row_name = name;
+    row_outcome = v.c_outcome;
+    row_bucket = v.c_bucket;
+    row_cause = v.c_cause;
+    row_nodes = v.c_nodes;
+    row_pruned = v.c_pruned;
+  }
 
 type t = {
   rows : row list;  (** sorted by dump name *)
@@ -67,8 +78,8 @@ let render rows clusters =
     triage wants: one pathological dump degrades to [partial] without
     starving its neighbours).  With [?cache], each loadable dump is
     looked up in the content-addressed result cache first and only
-    misses are farmed to the pool; fresh results are stored back
-    best-effort.  Cache hits reproduce the exact row an analysis would
+    misses are farmed to the pool; fresh verdicts that finished within
+    their budget are stored back best-effort.  Cache hits reproduce the exact row an analysis would
     have produced, so the TSV is byte-identical warm or cold. *)
 let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ?cache items =
@@ -129,34 +140,13 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
       let dump =
         match it.it_dump with Ok d -> d | Error _ -> assert false
       in
-      let q0 = Res_solver.Solver.queries () in
       let budget =
         match (budget_wall, budget_fuel) with
         | None, None -> None
         | w, f -> Some (Budget.create ?wall_seconds:w ?fuel:f ())
       in
-      let tr =
-        try Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump
-        with exn ->
-          {
-            Res_usecases.Triage.tr_outcome = "failed";
-            tr_timeout = false;
-            tr_bucket = "analysis-error";
-            tr_cause = Printexc.to_string exn;
-            tr_nodes = 0;
-            tr_pruned = 0;
-          }
-      in
-      Wire.encode_batch
-        {
-          Wire.b_index = i;
-          b_outcome = tr.Res_usecases.Triage.tr_outcome;
-          b_bucket = tr.Res_usecases.Triage.tr_bucket;
-          b_cause = tr.Res_usecases.Triage.tr_cause;
-          b_nodes = tr.Res_usecases.Triage.tr_nodes;
-          b_pruned = tr.Res_usecases.Triage.tr_pruned;
-          b_queries = Res_solver.Solver.queries () - q0;
-        }
+      Wire.encode_verdict ~index:i
+        (Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump)
   in
   let replies, pstats =
     Pool.run ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ~jobs
@@ -166,75 +156,34 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
   let triaged = Array.make n None in
   List.iter
     (fun reply ->
-      match Option.map Wire.decode_batch reply with
-      | Some (Ok b) when b.Wire.b_index >= 0 && b.Wire.b_index < n ->
-          triaged.(b.Wire.b_index) <- Some b
+      match Option.map Wire.decode_verdict reply with
+      | Some (Ok (i, v)) when i >= 0 && i < n -> triaged.(i) <- Some v
       | _ -> ())
     replies;
   (* store fresh verdicts back (best-effort; failures leave the entry
-     cold, they never fail the batch) *)
+     cold, they never fail the batch).  A timed-out verdict describes
+     what this run managed, not what the inputs mean: never cached. *)
   (match cache with
   | None -> ()
   | Some c ->
       Array.iteri
-        (fun i b ->
-          match b with
-          | Some b when keys.(i) <> "" && cached.(i) = None ->
-              Cache.store c keys.(i)
-                (Cache.encode_row
-                   {
-                     Cache.c_outcome = b.Wire.b_outcome;
-                     c_timeout = false;
-                     c_bucket = b.Wire.b_bucket;
-                     c_cause = b.Wire.b_cause;
-                     c_nodes = b.Wire.b_nodes;
-                     c_pruned = b.Wire.b_pruned;
-                     c_queries = b.Wire.b_queries;
-                   })
+        (fun i v ->
+          match v with
+          | Some (v : Cache.row) when keys.(i) <> "" && not v.c_timeout ->
+              Cache.store c keys.(i) (Cache.encode_row v)
           | _ -> ())
         triaged);
   let rows =
     List.init n (fun i ->
         let it = items.(i) in
-        match (it.it_dump, cached.(i), triaged.(i)) with
-        | Error msg, _, _ ->
-            {
-              row_name = it.it_name;
-              row_outcome = "failed";
-              row_bucket = "dump-error";
-              row_cause = msg;
-              row_nodes = 0;
-              row_pruned = 0;
-            }
-        | Ok _, Some r, _ ->
-            (* served from the cache: the exact row the analysis produced *)
-            {
-              row_name = it.it_name;
-              row_outcome = r.Cache.c_outcome;
-              row_bucket = r.Cache.c_bucket;
-              row_cause = r.Cache.c_cause;
-              row_nodes = r.Cache.c_nodes;
-              row_pruned = r.Cache.c_pruned;
-            }
-        | Ok _, None, None ->
-            (* every attempt died with the worker *)
-            {
-              row_name = it.it_name;
-              row_outcome = "failed";
-              row_bucket = "worker-lost";
-              row_cause = "";
-              row_nodes = 0;
-              row_pruned = 0;
-            }
-        | Ok _, None, Some b ->
-            {
-              row_name = it.it_name;
-              row_outcome = b.Wire.b_outcome;
-              row_bucket = b.Wire.b_bucket;
-              row_cause = b.Wire.b_cause;
-              row_nodes = b.Wire.b_nodes;
-              row_pruned = b.Wire.b_pruned;
-            })
+        row_of_verdict it.it_name
+          (match (it.it_dump, cached.(i), triaged.(i)) with
+          | Error msg, _, _ -> Cache.failed_row ~bucket:"dump-error" ~cause:msg
+          (* served from the cache: the exact verdict the analysis produced *)
+          | Ok _, Some v, _ | Ok _, None, Some v -> v
+          | Ok _, None, None ->
+              (* every attempt died with the worker *)
+              Cache.failed_row ~bucket:"worker-lost" ~cause:""))
   in
   let clusters =
     Res_usecases.Triage.bucket ~key:(fun r -> r.row_bucket) rows
@@ -242,7 +191,8 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
   in
   let worker_queries =
     Array.fold_left
-      (fun a o -> match o with Some b -> a + b.Wire.b_queries | None -> a)
+      (fun a o ->
+        match o with Some (v : Cache.row) -> a + v.c_queries | None -> a)
       0 triaged
   in
   {

@@ -1,9 +1,8 @@
 (** Wire formats for the worker pool.
 
-    Batch-triage rows cross the worker boundary in the same hardened
+    Batch-triage verdicts cross the worker boundary in the same hardened
     textual envelope as coredumps and checkpoints: versioned header plus
-    FNV-1a footer via {!Res_core.Sealing.seal}, decoded with the shared
-    token reader. *)
+    FNV-1a footer via {!Res_core.Sealing.seal}. *)
 
 module Io = Res_vm.Coredump_io
 
@@ -60,6 +59,18 @@ let read_exact fd n =
   in
   go 0
 
+(** Parse a frame's 10-byte length prefix.  A corrupt, negative or
+    oversized announcement is an error {e before} anything is allocated
+    for the payload; every frame reader goes through here. *)
+let frame_length hdr =
+  let hdr = Bytes.to_string hdr in
+  match int_of_string_opt hdr with
+  | None -> Error (Frame_torn (Fmt.str "bad length prefix %S" hdr))
+  | Some len when len < 0 ->
+      Error (Frame_torn (Fmt.str "negative length prefix %d" len))
+  | Some len when len > max_frame_bytes -> Error (Frame_oversized len)
+  | Some len -> Ok len
+
 (** Read one frame, classifying every failure mode. *)
 let read_frame_result fd =
   match read_exact fd 10 with
@@ -67,13 +78,9 @@ let read_frame_result fd =
   | `Eof n -> Error (Frame_torn (Fmt.str "%d/10 header bytes" n))
   | `Err m -> Error (Frame_torn m)
   | `Ok hdr -> (
-      match int_of_string_opt (Bytes.to_string hdr) with
-      | None ->
-          Error (Frame_torn (Fmt.str "bad length prefix %S" (Bytes.to_string hdr)))
-      | Some len when len < 0 ->
-          Error (Frame_torn (Fmt.str "negative length prefix %d" len))
-      | Some len when len > max_frame_bytes -> Error (Frame_oversized len)
-      | Some len -> (
+      match frame_length hdr with
+      | Error e -> Error e
+      | Ok len -> (
           match read_exact fd len with
           | `Eof n -> Error (Frame_torn (Fmt.str "%d/%d payload bytes" n len))
           | `Err m -> Error (Frame_torn m)
@@ -83,62 +90,32 @@ let read_frame_result fd =
 let read_frame fd =
   match read_frame_result fd with Ok s -> Some s | Error _ -> None
 
-(* --- shared helpers (same idiom as checkpoint.ml) ------------------- *)
+(* --- pool replies ------------------------------------------------------ *)
 
-let keyword rd expected =
-  let got = Io.ident rd in
-  if not (String.equal got expected) then
-    Io.fail "expected %S, got %S" expected got
+(** A batch worker's answer: the corpus index it triaged and its verdict,
+    in the result cache's body codec.  The request direction needs no
+    format of its own: batch payloads are indices into the corpus both
+    sides share (forked children inherit it copy-on-write; domains read
+    it in place). *)
+let verdict_header = "resbatchres v2"
 
-let decode ~header ~version s parse =
-  match Res_core.Sealing.validate ~header:(header ^ " " ^ version) s with
+let encode_verdict ~index v =
+  Res_core.Sealing.seal
+    (Fmt.str "%s\nrow %d\n%s\n" verdict_header index
+       (Res_cache.Cache.encode_row v))
+
+let decode_verdict s =
+  match Res_core.Sealing.validate ~header:verdict_header s with
   | Error e -> Error (Io.dump_error_to_string e)
   | Ok payload -> (
-      (* Tokenizing is inside the handler: a resealed payload can carry
-         an out-of-range literal or an unterminated string. *)
-      try
-        let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
-        keyword rd header;
-        keyword rd version;
-        Ok (parse rd)
+      match
+        Scanf.sscanf_opt payload "%_s@\nrow %d\n%n" (fun i off -> (i, off))
       with
-      | Io.Bad_format m -> Error m
-      | exn -> Error (Printexc.to_string exn))
-
-(* --- batch triage rows ---------------------------------------------- *)
-
-(** One triaged coredump, as reported by a batch worker.  The request
-    direction needs no format of its own: batch payloads are indices into
-    the corpus both sides share (forked children inherit it copy-on-write;
-    domains read it in place). *)
-type batch_result = {
-  b_index : int;
-  b_outcome : string;
-  b_bucket : string;
-  b_cause : string;
-  b_nodes : int;
-  b_pruned : int;
-  b_queries : int;
-}
-
-let batch_header = "resbatchres"
-let batch_version = "v1"
-
-let encode_batch b =
-  Res_core.Sealing.seal
-    (Fmt.str "@[<v>%s %s@,row %d %S %S %S@,work %d %d %d@]@." batch_header
-       batch_version b.b_index b.b_outcome b.b_bucket b.b_cause b.b_nodes
-       b.b_pruned b.b_queries)
-
-let decode_batch s =
-  decode ~header:batch_header ~version:batch_version s (fun rd ->
-      keyword rd "row";
-      let b_index = Io.int_tok rd in
-      let b_outcome = Io.string_tok rd in
-      let b_bucket = Io.string_tok rd in
-      let b_cause = Io.string_tok rd in
-      keyword rd "work";
-      let b_nodes = Io.int_tok rd in
-      let b_pruned = Io.int_tok rd in
-      let b_queries = Io.int_tok rd in
-      { b_index; b_outcome; b_bucket; b_cause; b_nodes; b_pruned; b_queries })
+      | None -> Error "expected a row index"
+      | Some (index, off) -> (
+          match
+            Res_cache.Cache.decode_row
+              (String.sub payload off (String.length payload - off))
+          with
+          | Some v -> Ok (index, v)
+          | None -> Error "undecodable verdict"))

@@ -70,14 +70,8 @@ type reply =
     }
   | Row of {
       rw_name : string;  (** unit identity, echoed from the [Triage] request *)
-      rw_outcome : string;  (** {!Res_core.Res.outcome_name} *)
-      rw_timeout : bool;  (** the analysis burned its whole budget *)
       rw_elapsed_ms : int;
-      rw_bucket : string;
-      rw_cause : string;
-      rw_nodes : int;
-      rw_pruned : int;
-      rw_queries : int;
+      rw_verdict : Res_cache.Cache.row;
     }  (** terminal answer to a [Triage] unit *)
   | Pending of { pd_id : string; pd_state : string }  (** queued | running *)
   | Unknown of string
@@ -154,15 +148,15 @@ let encode_reply = function
            rs_elapsed_ms);
       blob b "body" rs_body;
       seal (Buffer.contents b)
-  | Row r ->
-      let b = Buffer.create (String.length r.rw_bucket + 160) in
+  | Row { rw_name; rw_elapsed_ms; rw_verdict = v } ->
+      let b = Buffer.create (String.length v.c_bucket + 160) in
       Buffer.add_string b
-        (Fmt.str "%s\nrow %s %d %d %d %d %d\n" rep_header r.rw_outcome
-           (if r.rw_timeout then 1 else 0)
-           r.rw_elapsed_ms r.rw_nodes r.rw_pruned r.rw_queries);
-      blob b "name" r.rw_name;
-      blob b "bucket" r.rw_bucket;
-      blob b "cause" r.rw_cause;
+        (Fmt.str "%s\nrow %s %d %d %d %d %d\n" rep_header v.c_outcome
+           (if v.c_timeout then 1 else 0)
+           rw_elapsed_ms v.c_nodes v.c_pruned v.c_queries);
+      blob b "name" rw_name;
+      blob b "bucket" v.c_bucket;
+      blob b "cause" v.c_cause;
       seal (Buffer.contents b)
   | Pending { pd_id; pd_state } ->
       seal (Fmt.str "%s\npending %s %s\n" rep_header pd_id pd_state)
@@ -313,26 +307,29 @@ let decode_reply s =
           let rs_body = blob_word c "body" in
           Result { rs_id; rs_outcome; rs_timeout; rs_elapsed_ms; rs_body }
       | "row" ->
-          let rw_outcome = word c in
-          let rw_timeout = bool_word c in
+          let c_outcome = word c in
+          let c_timeout = bool_word c in
           let rw_elapsed_ms = int_word c in
-          let rw_nodes = int_word c in
-          let rw_pruned = int_word c in
-          let rw_queries = int_word c in
+          let c_nodes = int_word c in
+          let c_pruned = int_word c in
+          let c_queries = int_word c in
           let rw_name = blob_word c "name" in
-          let rw_bucket = blob_word c "bucket" in
-          let rw_cause = blob_word c "cause" in
+          let c_bucket = blob_word c "bucket" in
+          let c_cause = blob_word c "cause" in
           Row
             {
               rw_name;
-              rw_outcome;
-              rw_timeout;
               rw_elapsed_ms;
-              rw_bucket;
-              rw_cause;
-              rw_nodes;
-              rw_pruned;
-              rw_queries;
+              rw_verdict =
+                {
+                  c_outcome;
+                  c_timeout;
+                  c_bucket;
+                  c_cause;
+                  c_nodes;
+                  c_pruned;
+                  c_queries;
+                };
             }
       | "pending" ->
           let pd_id = word c in
@@ -402,10 +399,10 @@ let pp_reply ppf = function
       Fmt.pf ppf "result %s: %s%s (%dms)" rs_id rs_outcome
         (if rs_timeout then " [budget exhausted]" else "")
         rs_elapsed_ms
-  | Row r ->
-      Fmt.pf ppf "row %s: %s%s → %s (%dms)" r.rw_name r.rw_outcome
-        (if r.rw_timeout then " [budget exhausted]" else "")
-        r.rw_bucket r.rw_elapsed_ms
+  | Row { rw_name; rw_elapsed_ms; rw_verdict = v } ->
+      Fmt.pf ppf "row %s: %s%s → %s (%dms)" rw_name v.c_outcome
+        (if v.c_timeout then " [budget exhausted]" else "")
+        v.c_bucket rw_elapsed_ms
   | Pending { pd_id; pd_state } -> Fmt.pf ppf "pending %s (%s)" pd_id pd_state
   | Unknown id -> Fmt.pf ppf "unknown request id %s" id
   | Status_reply s ->

@@ -205,33 +205,16 @@ let worker_child cfg job wfd =
             rs_body = Report.report_list_to_string ctx (Res.analysis outcome);
           }
     | Triage_unit name ->
-        let q0 = Res_solver.Solver.queries () in
-        let tr =
-          try
-            Res_usecases.Triage.triage_one ~config:cfg.analyze_config ?budget
-              job.j_prog job.j_dump
-          with exn ->
-            {
-              Res_usecases.Triage.tr_outcome = "failed";
-              tr_timeout = false;
-              tr_bucket = "analysis-error";
-              tr_cause = Printexc.to_string exn;
-              tr_nodes = 0;
-              tr_pruned = 0;
-            }
+        let rw_verdict =
+          Res_usecases.Triage.triage_one ~config:cfg.analyze_config ?budget
+            job.j_prog job.j_dump
         in
         P.Row
           {
             rw_name = name;
-            rw_outcome = tr.Res_usecases.Triage.tr_outcome;
-            rw_timeout = tr.Res_usecases.Triage.tr_timeout;
             rw_elapsed_ms =
               int_of_float ((Unix.gettimeofday () -. t0) *. 1000.);
-            rw_bucket = tr.Res_usecases.Triage.tr_bucket;
-            rw_cause = tr.Res_usecases.Triage.tr_cause;
-            rw_nodes = tr.Res_usecases.Triage.tr_nodes;
-            rw_pruned = tr.Res_usecases.Triage.tr_pruned;
-            rw_queries = Res_solver.Solver.queries () - q0;
+            rw_verdict;
           }
   in
   (* byzantine fault injection: corrupt the honest answer just before it
@@ -241,12 +224,17 @@ let worker_child cfg job wfd =
     match (reply, cfg.fi_corrupt_rows) with
     | P.Row r, "name" -> P.Row { r with rw_name = r.rw_name ^ "-evil" }
     | P.Row r, "fields" ->
+        let v = r.rw_verdict in
         P.Row
           {
             r with
-            rw_bucket = "fabricated-bucket";
-            rw_cause = "fabricated cause";
-            rw_nodes = r.rw_nodes + 7;
+            rw_verdict =
+              {
+                v with
+                c_bucket = "fabricated-bucket";
+                c_cause = "fabricated cause";
+                c_nodes = v.c_nodes + 7;
+              };
           }
     | r, _ -> r
   in
@@ -306,33 +294,8 @@ let cache_lookup t ~task ~key =
         | Some body -> (
             match (task, P.decode_reply body) with
             | Analyze, Ok (P.Result _ as r) -> Some r
-            | ( Triage_unit name,
-                Ok
-                  (P.Row
-                     {
-                       rw_outcome;
-                       rw_timeout;
-                       rw_elapsed_ms;
-                       rw_bucket;
-                       rw_cause;
-                       rw_nodes;
-                       rw_pruned;
-                       rw_queries;
-                       _;
-                     }) ) ->
-                Some
-                  (P.Row
-                     {
-                       rw_name = name;
-                       rw_outcome;
-                       rw_timeout;
-                       rw_elapsed_ms;
-                       rw_bucket;
-                       rw_cause;
-                       rw_nodes;
-                       rw_pruned;
-                       rw_queries;
-                     })
+            | Triage_unit name, Ok (P.Row r) ->
+                Some (P.Row { r with rw_name = name })
             | _, (Ok _ | Error _) -> None))
 
 (** Store a worker-produced terminal reply, identity-normalized (id and
@@ -341,48 +304,15 @@ let cache_lookup t ~task ~key =
     {e this} run managed, not what the inputs mean. *)
 let cache_store t job (reply : P.reply) =
   match (t.cache, reply) with
-  | ( Some c,
-      P.Result { rs_id = _; rs_outcome; rs_timeout; rs_elapsed_ms = _; rs_body }
-    )
-    when (not (String.equal job.j_cache_key "")) && not rs_timeout ->
+  | Some c, P.Result r
+    when (not (String.equal job.j_cache_key "")) && not r.rs_timeout ->
       Res_cache.Cache.store c job.j_cache_key
-        (P.encode_reply
-           (P.Result
-              {
-                rs_id = "cached";
-                rs_outcome;
-                rs_timeout;
-                rs_elapsed_ms = 0;
-                rs_body;
-              }))
-  | ( Some c,
-      P.Row
-        {
-          rw_name = _;
-          rw_outcome;
-          rw_timeout;
-          rw_elapsed_ms = _;
-          rw_bucket;
-          rw_cause;
-          rw_nodes;
-          rw_pruned;
-          rw_queries;
-        } )
-    when (not (String.equal job.j_cache_key "")) && not rw_timeout ->
+        (P.encode_reply (P.Result { r with rs_id = "cached"; rs_elapsed_ms = 0 }))
+  | Some c, P.Row r
+    when (not (String.equal job.j_cache_key "")) && not r.rw_verdict.c_timeout
+    ->
       Res_cache.Cache.store c job.j_cache_key
-        (P.encode_reply
-           (P.Row
-              {
-                rw_name = "cached";
-                rw_outcome;
-                rw_timeout;
-                rw_elapsed_ms = 0;
-                rw_bucket;
-                rw_cause;
-                rw_nodes;
-                rw_pruned;
-                rw_queries;
-              }))
+        (P.encode_reply (P.Row { r with rw_name = "cached"; rw_elapsed_ms = 0 }))
   | _ -> ()
 
 (* --- result plumbing -------------------------------------------------- *)
@@ -405,7 +335,8 @@ let finish ?(store = true) t job (reply : P.reply) =
   Spool.complete t.spool ~id:job.j_id ~frame;
   if store then cache_store t job reply;
   (match reply with
-  | P.Result { rs_timeout = timeout; _ } | P.Row { rw_timeout = timeout; _ } ->
+  | P.Result { rs_timeout = timeout; _ }
+  | P.Row { rw_verdict = { c_timeout = timeout; _ }; _ } ->
       if timeout then Breaker.record_timeout t.breaker job.j_signature
       else Breaker.record_success t.breaker job.j_signature
   | _ -> ());
@@ -441,14 +372,14 @@ let finish_synthetic t job ~outcome ~timeout ~why =
         P.Row
           {
             rw_name = name;
-            rw_outcome = outcome;
-            rw_timeout = timeout;
             rw_elapsed_ms = elapsed_ms;
-            rw_bucket = "worker-lost";
-            rw_cause = why;
-            rw_nodes = 0;
-            rw_pruned = 0;
-            rw_queries = 0;
+            rw_verdict =
+              {
+                (Res_cache.Cache.failed_row ~bucket:"worker-lost" ~cause:why)
+                with
+                c_outcome = outcome;
+                c_timeout = timeout;
+              };
           }
   in
   (* a synthetic reply is what the daemon managed, not what the inputs

@@ -64,46 +64,45 @@ let res_key ?(config = Res_core.Res.default_config) ?(annotations = [])
       | None -> Res_core.Rootcause.signature cause)
   | None -> wer_key r.t_dump
 
-(** Everything batch triage records about one dump: how far the analysis
-    got, where the dump buckets, and the classified cause (empty when RES
-    fell back to the WER key).  The work counters ride along so a batch
-    coordinator can aggregate stats across workers. *)
-type triaged = {
-  tr_outcome : string;  (** {!Res_core.Res.outcome_name}: complete/partial/failed *)
-  tr_timeout : bool;  (** the analysis burned its whole budget *)
-  tr_bucket : string;  (** root-cause signature, annotation bucket, or WER fallback *)
-  tr_cause : string;  (** rendered root cause; empty when none reproduced *)
-  tr_nodes : int;
-  tr_pruned : int;
-}
-
 (** Analyze one (program, dump) pair for batch triage: like {!res_key} but
-    returning the full {!triaged} record instead of just the key — the
-    per-dump unit of work `res triage --dir` farms to its pool.  Never
-    raises: an analysis that dies internally degrades to a [failed] row in
-    the WER bucket. *)
+    returning the whole verdict, with the solver queries the analysis
+    issued, instead of just the key — the per-dump unit of work
+    `res triage --dir` farms to its pool.  Never raises: an analysis that
+    dies internally degrades to a [failed] verdict in the
+    [analysis-error] bucket. *)
 let triage_one ?(config = Res_core.Res.default_config) ?(annotations = [])
-    ?budget prog dump =
-  let ctx = Res_core.Backstep.make_ctx prog in
-  let outcome = Res_core.Res.analyze ~config ?budget ctx dump in
-  let analysis = Res_core.Res.analysis outcome in
-  let bucket, cause =
-    match Res_core.Res.best_cause analysis with
-    | Some cause -> (
-        let sig_ = Res_core.Rootcause.signature cause in
-        match List.find_opt (fun a -> a.a_matches cause dump) annotations with
-        | Some a -> (a.a_bucket, sig_)
-        | None -> (sig_, sig_))
-    | None -> (wer_key dump, "")
-  in
-  {
-    tr_outcome = Res_core.Res.outcome_name outcome;
-    tr_timeout = Res_core.Res.is_budget_partial outcome;
-    tr_bucket = bucket;
-    tr_cause = cause;
-    tr_nodes = analysis.Res_core.Res.nodes_expanded;
-    tr_pruned = analysis.Res_core.Res.nodes_pruned;
-  }
+    ?budget prog dump : Res_cache.Cache.row =
+  let q0 = Res_solver.Solver.queries () in
+  let queries () = Res_solver.Solver.queries () - q0 in
+  try
+    let ctx = Res_core.Backstep.make_ctx prog in
+    let outcome = Res_core.Res.analyze ~config ?budget ctx dump in
+    let analysis = Res_core.Res.analysis outcome in
+    let bucket, cause =
+      match Res_core.Res.best_cause analysis with
+      | Some cause -> (
+          let sig_ = Res_core.Rootcause.signature cause in
+          match List.find_opt (fun a -> a.a_matches cause dump) annotations with
+          | Some a -> (a.a_bucket, sig_)
+          | None -> (sig_, sig_))
+      | None -> (wer_key dump, "")
+    in
+    {
+      c_outcome = Res_core.Res.outcome_name outcome;
+      c_timeout = Res_core.Res.is_budget_partial outcome;
+      c_bucket = bucket;
+      c_cause = cause;
+      c_nodes = analysis.Res_core.Res.nodes_expanded;
+      c_pruned = analysis.Res_core.Res.nodes_pruned;
+      c_queries = queries ();
+    }
+  with exn ->
+    {
+      (Res_cache.Cache.failed_row ~bucket:"analysis-error"
+         ~cause:(Printexc.to_string exn))
+      with
+      c_queries = queries ();
+    }
 
 (** Group reports by a key function. *)
 let bucket ~key reports =

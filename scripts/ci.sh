@@ -41,6 +41,11 @@ dune build
 dune build @fmt
 dune runtest
 
+# resbench mirrors the batch path (cache key, layered analysis, TSV row)
+# to time it layer by layer; its counts check fails if that mirror no
+# longer reproduces the library's rows, TSV and cache hits.
+dune build @resbench/counts
+
 # The fork-backed gates (and kill-resume's checkpoints) keep their scratch
 # files under $TMPDIR.  They run the built binary under a private TMPDIR,
 # which must be empty again once the last of them has exited.

@@ -217,16 +217,12 @@ let test_row_roundtrip () =
       c_queries = 99;
     }
   in
-  match Cache.decode_row (Cache.encode_row r) with
-  | Some r' ->
-      Alcotest.(check string) "outcome" r.Cache.c_outcome r'.Cache.c_outcome;
-      Alcotest.(check bool) "timeout" r.Cache.c_timeout r'.Cache.c_timeout;
-      Alcotest.(check string) "bucket" r.Cache.c_bucket r'.Cache.c_bucket;
-      Alcotest.(check string) "cause" r.Cache.c_cause r'.Cache.c_cause;
-      Alcotest.(check int) "nodes" r.Cache.c_nodes r'.Cache.c_nodes;
-      Alcotest.(check int) "pruned" r.Cache.c_pruned r'.Cache.c_pruned;
-      Alcotest.(check int) "queries" r.Cache.c_queries r'.Cache.c_queries
-  | None -> Alcotest.fail "row did not round-trip"
+  List.iter
+    (fun r ->
+      Alcotest.(check (option Verdicts.testable))
+        "row round-trips" (Some r)
+        (Cache.decode_row (Cache.encode_row r)))
+    (r :: Verdicts.generate 300)
 
 let test_row_decode_rejects_garbage () =
   Alcotest.(check bool) "garbage body is an honest miss" true
@@ -289,6 +285,44 @@ let test_batch_budget_change_is_a_miss () =
   in
   Alcotest.(check int) "budget change misses everything" 0
     other.Res_parallel.Batch.cache_hits
+
+(* A verdict that burned its whole budget describes what that run
+   managed, not what the inputs mean: it is never stored, so the rerun
+   analyzes those dumps again instead of serving the truncated verdict. *)
+let test_batch_timeout_not_cached () =
+  let items = batch_items () in
+  let n = List.length items in
+  let timed_out =
+    List.length
+      (List.filter
+         (fun (it : Res_parallel.Batch.item) ->
+           (Res_usecases.Triage.triage_one
+              ~budget:(Res_core.Budget.create ~fuel:1 ())
+              it.it_prog (Result.get_ok it.it_dump))
+             .Cache.c_timeout)
+         items)
+  in
+  Alcotest.(check bool) "fuel 1 times some dumps out" true (timed_out > 0);
+  let backend = Res_parallel.Pool.Forked in
+  let dir = tmp_dir () in
+  let cold_cache = Cache.openr dir in
+  let cold =
+    Res_parallel.Batch.run ~jobs:1 ~backend ~budget_fuel:1 ~cache:cold_cache
+      items
+  in
+  Alcotest.(check int) "only the verdicts that finished are stored"
+    (n - timed_out) (Cache.stats cold_cache).Cache.stores;
+  let warm_cache = Cache.openr dir in
+  let warm =
+    Res_parallel.Batch.run ~jobs:1 ~backend ~budget_fuel:1 ~cache:warm_cache
+      items
+  in
+  Alcotest.(check int) "the rerun re-analyzes the timed-out dumps" timed_out
+    (Cache.stats warm_cache).Cache.misses;
+  Alcotest.(check int) "and serves the rest" (n - timed_out)
+    warm.Res_parallel.Batch.cache_hits;
+  Alcotest.(check string) "same TSV" cold.Res_parallel.Batch.tsv
+    warm.Res_parallel.Batch.tsv
 
 let test_batch_reverse_exec_flip_is_a_miss () =
   let items = batch_items () in
@@ -368,6 +402,8 @@ let () =
             test_batch_cold_warm_identity;
           Alcotest.test_case "budget change is a miss" `Quick
             test_batch_budget_change_is_a_miss;
+          Alcotest.test_case "timed-out verdicts are not cached" `Quick
+            test_batch_timeout_not_cached;
           Alcotest.test_case "reverse-exec flip is a miss" `Quick
             test_batch_reverse_exec_flip_is_a_miss;
         ] );

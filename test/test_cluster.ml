@@ -250,14 +250,17 @@ let row_frame name =
     (P.Row
        {
          rw_name = name;
-         rw_outcome = "complete";
-         rw_timeout = false;
          rw_elapsed_ms = 12;
-         rw_bucket = "uaf|f:a:0";
-         rw_cause = "free before use";
-         rw_nodes = 9;
-         rw_pruned = 2;
-         rw_queries = 4;
+         rw_verdict =
+           {
+             c_outcome = "complete";
+             c_timeout = false;
+             c_bucket = "uaf|f:a:0";
+             c_cause = "free before use";
+             c_nodes = 9;
+             c_pruned = 2;
+             c_queries = 4;
+           };
        })
 
 let test_journal_roundtrip () =

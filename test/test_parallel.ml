@@ -75,35 +75,27 @@ let test_pool_kill_after_retirement () =
 
 (* --- wire (no pool) ------------------------------------------------- *)
 
-let some_batch_row =
-  {
-    Wire.b_index = 5;
-    b_outcome = "complete";
-    b_bucket = "race sig";
-    b_cause = "write/write race on x";
-    b_nodes = 40;
-    b_pruned = 3;
-    b_queries = 12;
-  }
-
 let test_wire_roundtrip () =
-  let enc = Wire.encode_batch some_batch_row in
-  match Wire.decode_batch enc with
-  | Error m -> Alcotest.failf "batch decode failed: %s" m
-  | Ok b' ->
-      Alcotest.(check string) "batch re-encodes identically" enc
-        (Wire.encode_batch b')
+  List.iteri
+    (fun i v ->
+      let index = i * 7919 in
+      match Wire.decode_verdict (Wire.encode_verdict ~index v) with
+      | Error m -> Alcotest.failf "pool reply decode failed: %s" m
+      | Ok (index', v') ->
+          Alcotest.(check int) "index" index index';
+          Alcotest.(check Verdicts.testable) "verdict" v v')
+    (Verdicts.generate 300)
 
 let test_wire_rejects_corrupt () =
-  let enc = Wire.encode_batch some_batch_row in
+  let enc = Wire.encode_verdict ~index:5 (List.hd (Verdicts.generate 1)) in
   let flipped = Bytes.of_string enc in
   Bytes.set flipped (String.length enc / 2) '\255';
-  (match Wire.decode_batch (Bytes.to_string flipped) with
+  (match Wire.decode_verdict (Bytes.to_string flipped) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupt row must not decode");
-  match Wire.decode_batch (String.sub enc 0 (String.length enc - 3)) with
+  | Ok _ -> Alcotest.fail "corrupt reply must not decode");
+  match Wire.decode_verdict (String.sub enc 0 (String.length enc - 3)) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated row must not decode"
+  | Ok _ -> Alcotest.fail "truncated reply must not decode"
 
 (* --- batch vs serial triage ------------------------------------------ *)
 
@@ -134,11 +126,11 @@ let check_batch_matches_serial ~jobs ~backend =
       in
       let field what = Fmt.str "%s -j %d: %s" it.Batch.it_name jobs what in
       Alcotest.(check string) (field "outcome")
-        tr.Res_usecases.Triage.tr_outcome row.Batch.row_outcome;
-      Alcotest.(check string) (field "bucket") tr.tr_bucket row.Batch.row_bucket;
-      Alcotest.(check string) (field "cause") tr.tr_cause row.Batch.row_cause;
-      Alcotest.(check int) (field "nodes") tr.tr_nodes row.Batch.row_nodes;
-      Alcotest.(check int) (field "pruned") tr.tr_pruned row.Batch.row_pruned)
+        tr.Res_cache.Cache.c_outcome row.Batch.row_outcome;
+      Alcotest.(check string) (field "bucket") tr.c_bucket row.Batch.row_bucket;
+      Alcotest.(check string) (field "cause") tr.c_cause row.Batch.row_cause;
+      Alcotest.(check int) (field "nodes") tr.c_nodes row.Batch.row_nodes;
+      Alcotest.(check int) (field "pruned") tr.c_pruned row.Batch.row_pruned)
     items
 
 let test_batch_serial_fork () =

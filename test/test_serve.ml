@@ -194,19 +194,60 @@ let test_protocol_reply_roundtrip () =
       P.Row
         {
           rw_name = "bug-03";
-          rw_outcome = "complete";
-          rw_timeout = false;
           rw_elapsed_ms = 41;
-          rw_bucket = hostile_blob;
-          rw_cause = hostile_blob;
-          rw_nodes = 17;
-          rw_pruned = 3;
-          rw_queries = 22;
+          rw_verdict =
+            {
+              c_outcome = "complete";
+              c_timeout = false;
+              c_bucket = hostile_blob;
+              c_cause = hostile_blob;
+              c_nodes = 17;
+              c_pruned = 3;
+              c_queries = 22;
+            };
         };
       P.Drained { dr_remaining = 3 };
       P.Pong 4242;
       P.Err "spool directory vanished";
-    ]
+    ];
+  List.iteri
+    (fun i v ->
+      let r =
+        P.Row { rw_name = v.Res_cache.Cache.c_cause; rw_elapsed_ms = i; rw_verdict = v }
+      in
+      Alcotest.(check bool) "generated row round-trips" true
+        (roundtrip_reply r = r))
+    (Verdicts.generate 300)
+
+(* Spool journals, coordinator journals and daemon cache entries store
+   [Row] frames verbatim: the encoding of a fixed row is pinned byte for
+   byte, so files written by earlier builds keep decoding. *)
+let test_protocol_row_golden () =
+  let row =
+    P.Row
+      {
+        rw_name = "bug-03";
+        rw_elapsed_ms = 41;
+        rw_verdict =
+          {
+            c_outcome = "partial";
+            c_timeout = true;
+            c_bucket = "uaf|f:a:0\t\"q\"";
+            c_cause = "free \\ before\nuse";
+            c_nodes = 17;
+            c_pruned = 3;
+            c_queries = 4611686018427387903;
+          };
+      }
+  in
+  let golden =
+    "ressrvrep v1\nrow partial 1 41 17 3 4611686018427387903\nname 6\nbug-03\n\
+     bucket 13\nuaf|f:a:0\t\"q\"\ncause 17\nfree \\ before\nuse\n\
+     end 9 1631136333\n"
+  in
+  Alcotest.(check string) "ressrvrep v1 row bytes" golden (P.encode_reply row);
+  Alcotest.(check bool) "golden bytes decode to the row" true
+    (P.decode_reply golden = Ok row)
 
 let test_protocol_rejects_damage () =
   let sealed = P.encode_reply (P.Pong 1) in
@@ -430,6 +471,7 @@ let () =
             test_protocol_request_roundtrip;
           Alcotest.test_case "replies round-trip" `Quick
             test_protocol_reply_roundtrip;
+          Alcotest.test_case "row bytes pinned" `Quick test_protocol_row_golden;
           Alcotest.test_case "rejects corruption/truncation" `Quick
             test_protocol_rejects_damage;
         ] );
