@@ -13,16 +13,21 @@
       by the entry's content key ([<16 hex>.entry]); there is no
       manifest to corrupt or rebuild.  A fresh process scans nothing at
       boot beyond journal recovery — lookups are a single [read].
-    - {b Keys are content hashes.}  64-bit FNV-1a over the
-      length-prefixed (program bytes, dump bytes, analysis-config
-      string) — see {!Res_core.Sealing.content_key}.  Anything that can
-      change the result is in the key, so a stale entry is impossible;
-      the 32-bit envelope hash is not used for keys because its
-      birthday bound is too tight for 100k-dump corpora.
+    - {b Keys are content hashes.}  {!Res_core.Sealing.hash64} of each
+      of (program bytes, dump bytes, analysis-config string), combined
+      in order into 64 bits and rendered as 16 hex digits — see {!key}.
+      Anything that can change the result is in the key, so a stale
+      entry is impossible; the 32-bit envelope hash is not used for keys
+      because its birthday bound is too tight for 100k-dump corpora.
+      {!key_of_hashes} takes the part hashes instead, so a batch hashes
+      each program once, not once per dump.
     - {b Entries are sealed.}  The body travels inside the standard
-      [rescache v1] + FNV-1a-footer envelope, written with the atomic
+      [rescache v2] + FNV-1a-footer envelope, written with the atomic
       journal-then-rename writer via the injectable I/O shim.  A torn
-      or bit-flipped entry is {e detected}, never parsed.
+      or bit-flipped entry is {e detected}, never parsed.  v1 entries
+      sit under keys of an older hash, so they are honest misses; the
+      [rowv2] tag in {!row_config} marks the body codec that reads back
+      every byte it escapes.
     - {b Damage degrades to recompute.}  A entry that fails its seal is
       quarantined (moved aside to [quarantine/], or deleted if even
       that fails) and reported as a miss; the caller recomputes and
@@ -36,7 +41,7 @@
 module Sealing = Res_core.Sealing
 module Ioshim = Res_core.Ioshim
 
-let header = "rescache v1"
+let header = "rescache v2"
 
 type stats = {
   mutable hits : int;
@@ -54,10 +59,18 @@ let pp_stats ppf s =
   Fmt.pf ppf "hits=%d misses=%d stores=%d store_failures=%d quarantined=%d"
     s.hits s.misses s.stores s.store_failures s.quarantined
 
+(** {!key} from the parts' {!Sealing.hash64} hashes.  A caller keying
+    many dumps of one program hashes the program once; the key is the
+    same as {!key} of the parts' text. *)
+let key_of_hashes ~prog ~dump ~config =
+  Sealing.key_of_hashes [ prog; dump; config ]
+
 (** Derive an entry key.  [config] must render {e every} knob that can
     change the cached result (budgets, engine options, a format-version
     tag for the body codec) — the key is the only staleness defense. *)
-let key ~prog ~dump ~config = Sealing.content_key [ prog; dump; config ]
+let key ~prog ~dump ~config =
+  key_of_hashes ~prog:(Sealing.hash64 prog) ~dump:(Sealing.hash64 dump)
+    ~config:(Sealing.hash64 config)
 
 let entry_path t k = Filename.concat t.dir (k ^ ".entry")
 let quarantine_dir t = Filename.concat t.dir "quarantine"
@@ -181,7 +194,7 @@ let failed_row ~bucket ~cause =
    into every key, so old entries become honest misses, not parse
    errors. *)
 let row_config ~wall ~fuel ~engine =
-  Fmt.str "%s wall=%a fuel=%a rowv1" engine
+  Fmt.str "%s wall=%a fuel=%a rowv2" engine
     Fmt.(option ~none:(any "none") float)
     wall
     Fmt.(option ~none:(any "none") int)
@@ -193,25 +206,23 @@ let encode_row r =
     r.c_bucket r.c_cause r.c_nodes r.c_pruned r.c_queries
 
 (** Decode a cached row body; [None] (an honest miss) on any mismatch —
-    a sealed-but-unparsable body means a codec change, never a crash. *)
+    a sealed-but-unparsable body means a codec change, never a crash.
+    [Scanf]'s [%S] reads back every escape [%S] writes ([\r], [\ddd]
+    for NUL and bytes above 127, ...), so any bucket or cause text
+    round-trips. *)
 let decode_row body =
-  let module Io = Res_vm.Coredump_io in
   match
-    let rd = { Io.toks = Res_ir.Parser.tokenize body } in
-    (match Io.ident rd with
-    | "verdict" -> ()
-    | _ -> Io.fail "expected verdict");
-    let c_outcome = Io.string_tok rd in
-    let c_timeout = Io.int_tok rd <> 0 in
-    let c_bucket = Io.string_tok rd in
-    let c_cause = Io.string_tok rd in
-    let c_nodes = Io.int_tok rd in
-    let c_pruned = Io.int_tok rd in
-    let c_queries = Io.int_tok rd in
-    (match rd.Io.toks with
-    | [] -> ()
-    | _ -> Io.fail "trailing bytes after cached verdict");
-    { c_outcome; c_timeout; c_bucket; c_cause; c_nodes; c_pruned; c_queries }
+    Scanf.sscanf body "verdict %S %d %S %S %d %d %d %!"
+      (fun c_outcome timeout c_bucket c_cause c_nodes c_pruned c_queries ->
+        {
+          c_outcome;
+          c_timeout = timeout <> 0;
+          c_bucket;
+          c_cause;
+          c_nodes;
+          c_pruned;
+          c_queries;
+        })
   with
   | r -> Some r
   | exception _ -> None

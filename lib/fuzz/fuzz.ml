@@ -390,13 +390,18 @@ let formats () =
      that carries one *)
   let cache_body = {|verdict "complete" 0 "use-after-free@main" "race on g" 12 3 7|} in
   let verdict = Option.get (Res_cache.Cache.decode_row cache_body) in
+  (* ... and one whose text holds the bytes the body codec writes as
+     escapes ([\r], [\000], [\ddd] for UTF-8) and must read back *)
+  let escaped =
+    { verdict with c_bucket = "a\rb\000"; c_cause = "caf\195\169 \000\r" }
+  in
   (* -- batch-triage pool replies -- *)
   let wire_batch = W.encode_verdict ~index:3 verdict in
   let wire =
     {
       f_name = "wire";
       f_sealed = true;
-      f_seeds = [ wire_batch ];
+      f_seeds = [ wire_batch; W.encode_verdict ~index:4 escaped ];
       f_hostile =
         [
           tamper ~header:W.verdict_header
@@ -445,6 +450,8 @@ let formats () =
       P.encode_reply (P.Accepted { ac_id = "req-000017"; ac_queued = 3 });
       P.encode_reply
         (P.Row { rw_name = "unit-00"; rw_elapsed_ms = 41; rw_verdict = verdict });
+      P.encode_reply
+        (P.Row { rw_name = "unit-01"; rw_elapsed_ms = 7; rw_verdict = escaped });
       P.encode_reply
         (P.Status_reply
            {
@@ -503,14 +510,15 @@ let formats () =
     }
   in
   (* -- cache entries -- *)
-  let cache_seed =
-    Sealing.seal (Res_cache.Cache.header ^ "\n" ^ cache_body ^ "\n")
+  let cache_seed body =
+    Sealing.seal (Res_cache.Cache.header ^ "\n" ^ body ^ "\n")
   in
   let cache =
     {
       f_name = "cache";
       f_sealed = true;
-      f_seeds = [ cache_seed ];
+      f_seeds =
+        [ cache_seed cache_body; cache_seed (Res_cache.Cache.encode_row escaped) ];
       f_hostile =
         [
           Sealing.seal (Res_cache.Cache.header ^ "\nverdict \"x\" 99999999999999999999\n");
@@ -645,7 +653,8 @@ type fmt_report = {
   fr_accepted : int;
   fr_rejected : int;
   fr_findings : finding list;
-  fr_digest : string;  (** FNV-1a64 over (bytes, decision) of every case *)
+  fr_digest : string;
+      (** {!Sealing.hash64} chain over (bytes, decision) of every case *)
 }
 
 let pp_fmt_report ppf r =
@@ -674,7 +683,7 @@ let write_repro ~corpus_dir ~fmt_name ~case ~kind bytes =
     corpus, which always run).  Deterministic given [seed]. *)
 let fuzz_format ?corpus_dir ~seed ~runs fmt =
   let rng = Rng.create (seed lxor Hashtbl.hash fmt.f_name) in
-  let digest = ref (Sealing.fnv1a64 fmt.f_name) in
+  let digest = ref (Sealing.hash64 fmt.f_name) in
   let accepted = ref 0 and rejected = ref 0 and case = ref 0 in
   let findings = ref [] in
   let is_seed b = List.exists (String.equal b) fmt.f_seeds in
@@ -693,12 +702,12 @@ let fuzz_format ?corpus_dir ~seed ~runs fmt =
       | Error v -> Error v
     in
     digest :=
-      Sealing.fnv1a64_fold
-        (Sealing.fnv1a64_fold !digest bytes)
-        (match verdict with
-        | Ok true -> "+"
-        | Ok false -> "-"
-        | Error _ -> "!");
+      Sealing.combine64
+        [
+          !digest;
+          Sealing.hash64 bytes;
+          (match verdict with Ok true -> 1L | Ok false -> 2L | Error _ -> 3L);
+        ];
     match verdict with
     | Ok _ -> ()
     | Error kind ->

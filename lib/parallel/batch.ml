@@ -72,6 +72,18 @@ let render rows clusters =
     clusters;
   Buffer.contents b
 
+(** The config part of a cache key: everything besides the program and
+    dump bytes that can change a row — search limits, engine options,
+    per-dump budgets and the row codec's version tag. *)
+let config_key ?budget_wall ?budget_fuel (config : Res.config) =
+  let s = config.search in
+  Res_cache.Cache.row_config ~wall:budget_wall ~fuel:budget_fuel
+    ~engine:
+      (Fmt.str "batch %d %d %d %b %b %b %d %b %d" s.Search.max_segments
+         s.max_suffixes s.max_nodes s.use_breadcrumbs s.static_prune
+         s.reverse_exec config.determinism_runs config.stop_at_first_cause
+         config.max_attempts)
+
 (** [run items] triages every item on [jobs] workers.  [budget_wall] /
     [budget_fuel] bound each {e dump}'s analysis separately (a budget
     cannot be shared across processes, and per-dump bounds are what batch
@@ -88,28 +100,19 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
   in
   let n = Array.length items in
-  (* Everything that can change a row is folded into the cache key:
-     program and dump bytes plus this config/budget rendering. *)
-  let config_key =
-    let s = config.Res.search in
-    Cache.row_config ~wall:budget_wall ~fuel:budget_fuel
-      ~engine:
-        (Fmt.str "batch %d %d %d %b %b %b %d %b %d" s.Search.max_segments
-           s.max_suffixes s.max_nodes s.use_breadcrumbs s.static_prune
-           s.reverse_exec config.determinism_runs config.stop_at_first_cause
-           config.max_attempts)
+  (* Key parts are hashed separately, so each physically distinct program
+     is rendered and hashed once per batch, not once per dump: rows are
+     sorted by name, which interleaves a corpus's programs. *)
+  let prog_hashes = ref [] in
+  let prog_hash p =
+    match List.assq_opt p !prog_hashes with
+    | Some h -> h
+    | None ->
+        let h = Sealing.hash64 (Res_ir.Prog.to_string p) in
+        prog_hashes := (p, h) :: !prog_hashes;
+        h
   in
-  let prog_text =
-    (* items overwhelmingly share one program; memoize its rendering *)
-    let last = ref None in
-    fun p ->
-      match !last with
-      | Some (p', s) when p' == p -> s
-      | _ ->
-          let s = Res_ir.Prog.to_string p in
-          last := Some (p, s);
-          s
-  in
+  let config_hash = Sealing.hash64 (config_key ?budget_wall ?budget_fuel config) in
   let keys = Array.make n "" in
   let cached = Array.make n None in
   (match cache with
@@ -121,8 +124,9 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
           | Error _ -> ()
           | Ok d ->
               let k =
-                Cache.key ~prog:(prog_text it.it_prog)
-                  ~dump:(Res_vm.Coredump_io.to_string d) ~config:config_key
+                Cache.key_of_hashes ~prog:(prog_hash it.it_prog)
+                  ~dump:(Sealing.hash64 (Res_vm.Coredump_io.to_string d))
+                  ~config:config_hash
               in
               keys.(i) <- k;
               cached.(i) <- Option.bind (Cache.find c k) Cache.decode_row)

@@ -17,35 +17,63 @@
 
 module IMap = Map.Make (Int)
 
-let pp_pc ppf (pc : Res_ir.Pc.t) =
-  Fmt.pf ppf "%s %s %d" pc.func pc.block pc.idx
+(* Record writers append straight to a [Buffer]: one space before each
+   word, never a line break inside a record, no [Format] engine.  The
+   [pp_*] printers other formats embed (checkpoints) are the same
+   writers, so a value renders identically everywhere. *)
 
-let pp_kind ppf (k : Crash.kind) =
+let add_word b s =
+  Buffer.add_char b ' ';
+  Buffer.add_string b s
+
+let add_int b i = add_word b (string_of_int i)
+
+let add_quoted b s =
+  Buffer.add_string b " \"";
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+let add_pc b (pc : Res_ir.Pc.t) =
+  add_word b pc.func;
+  add_word b pc.block;
+  add_int b pc.idx
+
+let add_kind b (k : Crash.kind) =
   match k with
-  | Crash.Seg_fault a -> Fmt.pf ppf "seg_fault %d" a
+  | Crash.Seg_fault a -> add_word b "seg_fault"; add_int b a
   | Crash.Out_of_bounds { addr; base; size } ->
-      Fmt.pf ppf "out_of_bounds %d %d %d" addr base size
-  | Crash.Use_after_free { addr; base } -> Fmt.pf ppf "use_after_free %d %d" addr base
-  | Crash.Double_free a -> Fmt.pf ppf "double_free %d" a
-  | Crash.Invalid_free a -> Fmt.pf ppf "invalid_free %d" a
+      add_word b "out_of_bounds"; add_int b addr; add_int b base; add_int b size
+  | Crash.Use_after_free { addr; base } ->
+      add_word b "use_after_free"; add_int b addr; add_int b base
+  | Crash.Double_free a -> add_word b "double_free"; add_int b a
+  | Crash.Invalid_free a -> add_word b "invalid_free"; add_int b a
   | Crash.Global_overflow { addr; global } ->
-      Fmt.pf ppf "global_overflow %d %s" addr global
-  | Crash.Div_by_zero -> Fmt.string ppf "div_by_zero"
-  | Crash.Assert_fail m -> Fmt.pf ppf "assert_fail %S" m
-  | Crash.Abort_called m -> Fmt.pf ppf "abort_called %S" m
-  | Crash.Unlock_error a -> Fmt.pf ppf "unlock_error %d" a
-  | Crash.Deadlock tids -> Fmt.pf ppf "deadlock %a" Fmt.(list ~sep:sp int) tids
-  | Crash.Alloc_error n -> Fmt.pf ppf "alloc_error %d" n
+      add_word b "global_overflow"; add_int b addr; add_word b global
+  | Crash.Div_by_zero -> add_word b "div_by_zero"
+  | Crash.Assert_fail m -> add_word b "assert_fail"; add_quoted b m
+  | Crash.Abort_called m -> add_word b "abort_called"; add_quoted b m
+  | Crash.Unlock_error a -> add_word b "unlock_error"; add_int b a
+  | Crash.Deadlock tids -> add_word b "deadlock"; List.iter (add_int b) tids
+  | Crash.Alloc_error n -> add_word b "alloc_error"; add_int b n
 
-let pp_status ppf = function
-  | Thread.Runnable -> Fmt.string ppf "runnable"
-  | Thread.Blocked_on_lock a -> Fmt.pf ppf "blocked_on_lock %d" a
-  | Thread.Blocked_on_join t -> Fmt.pf ppf "blocked_on_join %d" t
-  | Thread.Halted -> Fmt.string ppf "halted"
+let add_status b = function
+  | Thread.Runnable -> add_word b "runnable"
+  | Thread.Blocked_on_lock a -> add_word b "blocked_on_lock"; add_int b a
+  | Thread.Blocked_on_join t -> add_word b "blocked_on_join"; add_int b t
+  | Thread.Halted -> add_word b "halted"
 
-let pp_site ppf = function
-  | None -> Fmt.string ppf "none"
-  | Some pc -> pp_pc ppf pc
+let add_site b = function None -> add_word b "none" | Some pc -> add_pc b pc
+
+(* A writer as a printer: the words without their leading space. *)
+let pp_of add ppf x =
+  let b = Buffer.create 64 in
+  add b x;
+  Fmt.string ppf (Buffer.sub b 1 (Buffer.length b - 1))
+
+let pp_pc = pp_of add_pc
+let pp_kind = pp_of add_kind
+let pp_status = pp_of add_status
+let pp_site = pp_of add_site
 
 (* --- envelope: header, line count, checksum --- *)
 
@@ -65,49 +93,93 @@ let count_lines s =
 (** Append the validating [end <lines> <checksum>] footer to a payload
     (which must end in a newline). *)
 let seal payload =
-  Fmt.str "%send %d %d\n" payload (count_lines payload) (fnv1a32 payload)
+  payload ^ Printf.sprintf "end %d %d\n" (count_lines payload) (fnv1a32 payload)
 
-(** Serialize a coredump to its textual format (v2: checksummed). *)
+(** Serialize a coredump to its textual format (v2: checksummed), one
+    record per line.  The buffer starts small enough for the minor heap
+    (a 4 KiB one would be allocated in the major heap on every call) and
+    grows for big dumps. *)
 let to_string (d : Coredump.t) =
-  let buf = Buffer.create 4096 in
-  let ppf = Fmt.with_buffer buf in
-  Fmt.pf ppf "coredump v2@\n";
-  Fmt.pf ppf "steps %d@\n" d.Coredump.steps;
-  Fmt.pf ppf "crash %d %a %a@\n" d.Coredump.crash.Crash.tid pp_pc
-    d.Coredump.crash.Crash.pc pp_kind d.Coredump.crash.Crash.kind;
+  let b = Buffer.create 512 in
+  let record kw = Buffer.add_string b kw in
+  let eol () = Buffer.add_char b '\n' in
+  record "coredump v2";
+  eol ();
+  record "steps";
+  add_int b d.Coredump.steps;
+  eol ();
+  let c = d.Coredump.crash in
+  record "crash";
+  add_int b c.Crash.tid;
+  add_pc b c.Crash.pc;
+  add_kind b c.Crash.kind;
+  eol ();
   List.iter
-    (fun (a, v) -> Fmt.pf ppf "mem %d %d@\n" a v)
+    (fun (a, v) ->
+      record "mem";
+      add_int b a;
+      add_int b v;
+      eol ())
     (Res_mem.Memory.bindings d.Coredump.mem);
-  Fmt.pf ppf "heap_next %d@\n" (Res_mem.Heap.next_addr d.Coredump.heap);
+  record "heap_next";
+  add_int b (Res_mem.Heap.next_addr d.Coredump.heap);
+  eol ();
   List.iter
-    (fun (b : Res_mem.Heap.block) ->
-      Fmt.pf ppf "heap_block %d %d %s %a %a@\n" b.base b.size
-        (match b.state with Res_mem.Heap.Live -> "live" | Res_mem.Heap.Freed -> "freed")
-        pp_site b.alloc_site pp_site b.free_site)
+    (fun (blk : Res_mem.Heap.block) ->
+      record "heap_block";
+      add_int b blk.base;
+      add_int b blk.size;
+      add_word b
+        (match blk.state with Res_mem.Heap.Live -> "live" | Res_mem.Heap.Freed -> "freed");
+      add_site b blk.alloc_site;
+      add_site b blk.free_site;
+      eol ())
     (Res_mem.Heap.blocks d.Coredump.heap);
   List.iter
     (fun (th : Thread.t) ->
-      Fmt.pf ppf "thread %d %a@\n" th.tid pp_status th.status;
+      record "thread";
+      add_int b th.tid;
+      add_status b th.status;
+      eol ();
       List.iter
         (fun (fr : Frame.t) ->
-          Fmt.pf ppf "frame %s %s %d %s@\n" fr.func fr.block fr.idx
+          record "frame";
+          add_word b fr.func;
+          add_word b fr.block;
+          add_int b fr.idx;
+          add_word b
             (match fr.ret_reg with Some r -> string_of_int r | None -> "none");
+          eol ();
           List.iter
-            (fun (r, v) -> Fmt.pf ppf "reg %d %d@\n" r v)
+            (fun (r, v) ->
+              record "reg";
+              add_int b r;
+              add_int b v;
+              eol ())
             (Frame.reg_bindings fr))
         th.frames)
     (Coredump.threads d);
-  Fmt.pf ppf "lbr_depth %d@\n" d.Coredump.tracer.Tracer.lbr_depth;
+  record "lbr_depth";
+  add_int b d.Coredump.tracer.Tracer.lbr_depth;
+  eol ();
   List.iter
-    (fun (b : Tracer.branch) ->
-      Fmt.pf ppf "branch %d %s %s %s@\n" b.br_tid b.br_func b.br_from b.br_to)
+    (fun (br : Tracer.branch) ->
+      record "branch";
+      add_int b br.br_tid;
+      add_word b br.br_func;
+      add_word b br.br_from;
+      add_word b br.br_to;
+      eol ())
     (Tracer.branches d.Coredump.tracer);
   List.iter
     (fun (e : Tracer.log_entry) ->
-      Fmt.pf ppf "log %d %S %d@\n" e.log_tid e.log_tag e.log_value)
+      record "log";
+      add_int b e.log_tid;
+      add_quoted b e.log_tag;
+      add_int b e.log_value;
+      eol ())
     (Tracer.logs d.Coredump.tracer);
-  Fmt.flush ppf ();
-  seal (Buffer.contents buf)
+  seal (Buffer.contents b)
 
 exception Bad_format of string
 

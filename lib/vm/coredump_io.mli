@@ -29,7 +29,9 @@ val dump_error_to_string : dump_error -> string
     worked around when the dump had to be salvaged. *)
 type loaded = { dump : Coredump.t; salvaged : dump_error option }
 
-(** Serialize a coredump to its textual format (v2, checksummed). *)
+(** Serialize a coredump to its textual format (v2, checksummed), one
+    record per line: the salvage path reads the intact prefix line by
+    line. *)
 val to_string : Coredump.t -> string
 
 (** Parse a coredump, classifying damage instead of raising.  With

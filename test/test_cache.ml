@@ -49,6 +49,32 @@ let test_content_key_part_boundaries () =
        (Sealing.content_key [ "prog"; "dump"; "config" ])
        (Sealing.content_key [ "prog"; "dump"; "confih" ]))
 
+(* Known answers: every key on disk depends on these bytes, so a change
+   to the hash must fail here and come with a [rescache v<n>] bump.  The
+   parts cover the empty string, a tail-only part, whole words, and
+   words plus a tail. *)
+let test_content_key_known_answers () =
+  List.iter
+    (fun (parts, want) ->
+      Alcotest.(check string)
+        (String.concat "|" (List.map String.escaped parts))
+        want
+        (Sealing.content_key parts))
+    [
+      ([], "84d69dcef1e6733a");
+      ([ "" ], "4e9987e432ac940d");
+      ([ "prog"; "dump"; "config" ], "5d74e24e2c8ab8ea");
+      ([ "12345678"; "abcdefghijklmnop"; "a\000b\rc\195\169" ], "1ff4d9d83cf76f6d");
+      ([ String.make 1000 'x'; "coredump v2\n" ], "2b1ccdcac22892da");
+    ];
+  Alcotest.(check string) "Cache.key is content_key of its parts"
+    (Sealing.content_key [ "prog"; "dump"; "config" ])
+    (Cache.key ~prog:"prog" ~dump:"dump" ~config:"config");
+  Alcotest.(check string) "key_of_hashes is Cache.key"
+    (Cache.key ~prog:"prog" ~dump:"dump" ~config:"config")
+    (Cache.key_of_hashes ~prog:(Sealing.hash64 "prog")
+       ~dump:(Sealing.hash64 "dump") ~config:(Sealing.hash64 "config"))
+
 (* --- store / find round trip ------------------------------------------ *)
 
 let test_store_find_roundtrip () =
@@ -224,6 +250,33 @@ let test_row_roundtrip () =
         (Cache.decode_row (Cache.encode_row r)))
     (r :: Verdicts.generate 300)
 
+(* The text [%S] escapes as [\r] and [\ddd] (CR, NUL, bytes above 127)
+   comes back whole through the cache body and the pool reply frame. *)
+let test_row_escaped_bytes_round_trip () =
+  let c = Cache.openr (tmp_dir ()) in
+  List.iter
+    (fun text ->
+      let r =
+        {
+          (Cache.failed_row ~bucket:text ~cause:("cause: " ^ text ^ text)) with
+          c_outcome = "complete";
+          c_nodes = 3;
+        }
+      in
+      let k = Cache.key ~prog:"p" ~dump:text ~config:"cfg" in
+      Cache.store c k (Cache.encode_row r);
+      Alcotest.(check (option Verdicts.testable))
+        "cache body round-trips" (Some r)
+        (Option.bind (Cache.find c k) Cache.decode_row);
+      match
+        Res_parallel.Wire.decode_verdict (Res_parallel.Wire.encode_verdict ~index:7 r)
+      with
+      | Ok (i, r') ->
+          Alcotest.(check int) "frame index" 7 i;
+          Alcotest.(check Verdicts.testable) "pool frame round-trips" r r'
+      | Error e -> Alcotest.fail e)
+    [ "a\rb"; "\000"; "caf\195\169" ]
+
 let test_row_decode_rejects_garbage () =
   Alcotest.(check bool) "garbage body is an honest miss" true
     (Cache.decode_row "not a verdict at all" = None);
@@ -355,6 +408,102 @@ let test_batch_reverse_exec_flip_is_a_miss () =
   Alcotest.(check int) "same flag hits everything" (List.length items)
     again.Res_parallel.Batch.cache_hits
 
+(* --- batch keys ---------------------------------------------------------- *)
+
+(* A mixed-program corpus whose names interleave the families once
+   sorted, plus dumps of one program each carried by its own physically
+   distinct parse of that program.  Every key the batch stores is
+   [Cache.key] of the parts' text, and a warm re-run hits every dump. *)
+let test_batch_keys_are_cache_keys () =
+  let reports = Res_workloads.Corpus.generate ~n_per_bug:2 () in
+  let reparse p =
+    Res_ir.Validate.check_exn (Res_ir.Parser.parse (Res_ir.Prog.to_string p))
+  in
+  let item name prog dump =
+    { Res_parallel.Batch.it_name = name; it_prog = prog; it_dump = Ok dump }
+  in
+  let div0 = Res_workloads.Div_zero.workload in
+  let div0_dump = Res_workloads.Truth.coredump div0 in
+  let items =
+    List.map
+      (fun (r : Res_workloads.Corpus.report) ->
+        item (Fmt.str "%d-%s-%02d" (r.r_id mod 3) r.r_bug r.r_id) r.r_prog r.r_dump)
+      reports
+    @ List.init 6 (fun i ->
+          item (Fmt.str "%d-copy-%02d" (i mod 3) i) (reparse div0.w_prog) div0_dump)
+  in
+  let expected =
+    List.sort_uniq compare
+      (List.map
+         (fun (it : Res_parallel.Batch.item) ->
+           Cache.key
+             ~prog:(Res_ir.Prog.to_string it.it_prog)
+             ~dump:(Io.to_string (Result.get_ok it.it_dump))
+             ~config:(Res_parallel.Batch.config_key Res_core.Res.default_config))
+         items)
+  in
+  let dir = tmp_dir () in
+  let backend = Res_parallel.Pool.Forked in
+  ignore (Res_parallel.Batch.run ~jobs:1 ~backend ~cache:(Cache.openr dir) items);
+  let stored =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:".entry" f)
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "stored keys = Cache.key of the parts" expected
+    stored;
+  let warm =
+    Res_parallel.Batch.run ~jobs:1 ~backend ~cache:(Cache.openr dir) items
+  in
+  Alcotest.(check int) "warm run hits every dump" (List.length items)
+    warm.Res_parallel.Batch.cache_hits
+
+(* No two distinct (program, dump) pairs of the E18 corpus (about 10k
+   dumps) share a key.  The corpus repeats a handful of crashes, so every
+   one-bit variant of each distinct dump is keyed too: some 30k
+   near-identical inputs, the case a weak mixing step would collide on. *)
+let test_no_key_collisions_e18 () =
+  let config = Res_parallel.Batch.config_key Res_core.Res.default_config in
+  let prog_texts = ref [] in
+  let prog_text p =
+    match List.assq_opt p !prog_texts with
+    | Some s -> s
+    | None ->
+        let s = Res_ir.Prog.to_string p in
+        prog_texts := (p, s) :: !prog_texts;
+        s
+  in
+  let seen = Hashtbl.create 16384 in
+  let add prog dump =
+    let k = Cache.key ~prog ~dump ~config in
+    match Hashtbl.find_opt seen k with
+    | Some pair when pair <> (prog, dump) -> Alcotest.failf "key %s collides" k
+    | Some _ -> ()
+    | None -> Hashtbl.add seen k (prog, dump)
+  in
+  let reports = Res_workloads.Corpus.generate ~n_per_bug:3333 () in
+  List.iter
+    (fun (r : Res_workloads.Corpus.report) ->
+      add (prog_text r.r_prog) (Io.to_string r.r_dump))
+    reports;
+  let distinct = Hashtbl.to_seq_values seen |> List.of_seq in
+  List.iter
+    (fun (prog, dump) ->
+      String.iteri
+        (fun i c ->
+          for bit = 0 to 7 do
+            let b = Bytes.of_string dump in
+            Bytes.set b i (Char.chr (Char.code c lxor (1 lsl bit)));
+            add prog (Bytes.to_string b)
+          done)
+        dump)
+    distinct;
+  Alcotest.(check bool)
+    (Fmt.str "%d dumps, %d distinct pairs, %d keys" (List.length reports)
+       (List.length distinct) (Hashtbl.length seen))
+    true
+    (List.length reports >= 10_000 && Hashtbl.length seen >= 30_000)
+
 let () =
   Alcotest.run "cache"
     [
@@ -363,6 +512,8 @@ let () =
           Alcotest.test_case "content key shape" `Quick test_content_key_shape;
           Alcotest.test_case "part boundaries matter" `Quick
             test_content_key_part_boundaries;
+          Alcotest.test_case "content key known answers" `Quick
+            test_content_key_known_answers;
           Alcotest.test_case "row_config covers budgets" `Quick
             test_row_config_covers_budgets;
         ] );
@@ -393,6 +544,8 @@ let () =
       ( "rows",
         [
           Alcotest.test_case "row round trip" `Quick test_row_roundtrip;
+          Alcotest.test_case "escaped bytes round trip" `Quick
+            test_row_escaped_bytes_round_trip;
           Alcotest.test_case "decode rejects garbage" `Quick
             test_row_decode_rejects_garbage;
         ] );
@@ -406,5 +559,9 @@ let () =
             test_batch_timeout_not_cached;
           Alcotest.test_case "reverse-exec flip is a miss" `Quick
             test_batch_reverse_exec_flip_is_a_miss;
+          Alcotest.test_case "stored keys are Cache.key" `Quick
+            test_batch_keys_are_cache_keys;
+          Alcotest.test_case "no key collisions on the E18 corpus" `Quick
+            test_no_key_collisions_e18;
         ] );
     ]

@@ -122,6 +122,102 @@ let test_dump_salvage_recovers_prefix () =
       Alcotest.fail
         ("salvage failed: " ^ Res_vm.Coredump_io.dump_error_to_string e)
 
+(* --- one record per line ------------------------------------------------ *)
+
+let deadlock_dump () = Res_workloads.Truth.coredump Res_workloads.Deadlock.workload
+
+let deadlock_facts (d : Res_vm.Coredump.t) =
+  ( (match d.Res_vm.Coredump.crash.Res_vm.Crash.kind with
+    | Res_vm.Crash.Deadlock tids -> tids
+    | _ -> Alcotest.fail "expected a deadlock crash"),
+    List.length (Res_vm.Coredump.threads d) )
+
+let facts_t = Alcotest.(pair (list int) int)
+
+let tear_footer text =
+  String.sub text 0 (String.rindex_from text (String.length text - 2) '\n' + 1)
+
+(* The line-based salvage parser reads a record per line, so the writer
+   must never break one: every line of every workload's dump is a whole
+   record, and salvaging the dump with its footer torn off recovers what
+   a strict load of the whole dump does. *)
+let test_dump_one_record_per_line () =
+  List.iter
+    (fun (w : Res_workloads.Truth.t) ->
+      let text = Res_vm.Coredump_io.to_string (Res_workloads.Truth.coredump w) in
+      String.split_on_char '\n' text
+      |> List.iteri (fun i line ->
+             if i > 0 && line <> "" then
+               check bool_t
+                 (Fmt.str "%s line %d is a whole record: %S" w.w_name i line)
+                 true
+                 (List.mem
+                    (List.hd (String.split_on_char ' ' line))
+                    [ "steps"; "crash"; "mem"; "heap_next"; "heap_block";
+                      "thread"; "frame"; "reg"; "lbr_depth"; "branch"; "log";
+                      "end" ]));
+      match
+        Res_vm.Coredump_io.of_string_result ~salvage:true (tear_footer text)
+      with
+      | Ok { Res_vm.Coredump_io.dump; _ } ->
+          check Alcotest.string (w.w_name ^ ": salvage = strict load") text
+            (Res_vm.Coredump_io.to_string dump)
+      | Error e -> Alcotest.fail (Res_vm.Coredump_io.dump_error_to_string e))
+    Res_workloads.Workloads.all
+
+(* A torn deadlock dump (footer gone) salvages every deadlocked tid and
+   every thread, as the strict load of the whole dump does. *)
+let test_dump_torn_deadlock_salvages () =
+  let d = deadlock_dump () in
+  let text = Res_vm.Coredump_io.to_string d in
+  let torn = tear_footer text in
+  check facts_t "strict load" ([ 0; 1; 2 ], 3) (deadlock_facts d);
+  match Res_vm.Coredump_io.of_string_result ~salvage:true torn with
+  | Ok { Res_vm.Coredump_io.dump; salvaged = Some _ } ->
+      check facts_t "salvaged tids and threads" ([ 0; 1; 2 ], 3)
+        (deadlock_facts dump)
+  | Ok { salvaged = None; _ } -> Alcotest.fail "a torn dump needs salvage"
+  | Error e -> Alcotest.fail (Res_vm.Coredump_io.dump_error_to_string e)
+
+(* Earlier writers broke the deadlock tid list across two lines.  Such
+   files are sealed and well-formed to the token reader, so they still
+   load strictly. *)
+let old_split_deadlock =
+  {|coredump v2
+steps 13
+crash 0 main entry 2 deadlock 0 1
+2
+mem 4096 2
+mem 4098 3
+heap_next 16777216
+thread 0 blocked_on_join 1
+frame main entry 2 none
+reg 0 1
+reg 1 2
+thread 1 blocked_on_lock 4098
+frame left second 1 none
+reg 0 4096
+reg 1 4098
+thread 2 blocked_on_lock 4096
+frame right second 1 none
+reg 0 4098
+reg 1 4096
+lbr_depth 16
+branch 2 right entry second
+branch 1 left entry second
+end 22 2760442366
+|}
+
+let test_dump_old_split_form_loads () =
+  match Res_vm.Coredump_io.of_string_result old_split_deadlock with
+  | Ok { Res_vm.Coredump_io.dump; salvaged = None } ->
+      check facts_t "tids and threads" ([ 0; 1; 2 ], 3) (deadlock_facts dump);
+      check Alcotest.string "re-renders as today's dump"
+        (Res_vm.Coredump_io.to_string (deadlock_dump ()))
+        (Res_vm.Coredump_io.to_string dump)
+  | Ok { salvaged = Some _; _ } -> Alcotest.fail "old dump needed salvage"
+  | Error e -> Alcotest.fail (Res_vm.Coredump_io.dump_error_to_string e)
+
 (* property: of_string_result NEVER raises, whatever we do to the bytes *)
 let test_dump_no_exception_escapes () =
   let text = Res_vm.Coredump_io.to_string (sample_dump ()) in
@@ -362,6 +458,12 @@ let () =
             test_dump_salvage_recovers_prefix;
           Alcotest.test_case "no exception escapes the loader" `Quick
             test_dump_no_exception_escapes;
+          Alcotest.test_case "one record per line" `Quick
+            test_dump_one_record_per_line;
+          Alcotest.test_case "torn deadlock dump salvages all tids" `Quick
+            test_dump_torn_deadlock_salvages;
+          Alcotest.test_case "old split deadlock record loads" `Quick
+            test_dump_old_split_form_loads;
         ] );
       ( "graceful degradation",
         [

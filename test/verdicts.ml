@@ -1,14 +1,15 @@
 (* Generated triage verdicts for the codec round-trip tests (cache body,
    pool reply frame, daemon [Row] reply).  Bucket and cause mix plain
    text with the pieces an escaper or an envelope could mangle: empty
-   strings, quotes, backslashes, tabs, newlines, a line that looks like a
-   seal footer.  Counters run up to [max_int].  The stream is seeded, so
-   every run checks the same verdicts. *)
+   strings, quotes, backslashes, tabs, newlines, CR, NUL, UTF-8 bytes, a
+   line that looks like a seal footer.  Counters run up to [max_int].
+   The stream is seeded, so every run checks the same verdicts. *)
 
 module Cache = Res_cache.Cache
 
 let pieces =
-  [ ""; "\""; "\\"; "\t"; "\n"; "\\\""; "\"\""; "\\n"; " "; "end 3 12345\n"; "verdict" ]
+  [ ""; "\""; "\\"; "\t"; "\n"; "\\\""; "\"\""; "\\n"; " "; "end 3 12345\n"; "verdict";
+    "a\rb"; "\000"; "caf\195\169"; "\\195" ]
 
 let text =
   QCheck.Gen.(
