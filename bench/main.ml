@@ -667,70 +667,6 @@ let e14 () =
      every report column reads 'identical'@."
 
 (* ------------------------------------------------------------------ *)
-(* E15 — batch coredump triage on the worker pool.  The property under *)
-(* test is twofold: byte-identical TSV at every -j, and wall-clock      *)
-(* speedup bounded by the host's core count.  Forked backend throughout *)
-(* — it is the runtime-selected default here, and fork runs must        *)
-(* precede any domains run in a process.                                *)
-(* ------------------------------------------------------------------ *)
-let e15 () =
-  section "e15" "batch triage — -j 1 vs -j N wall clock, equivalence";
-  let backend = Res_parallel.Pool.Forked in
-  let cores = Domain.recommended_domain_count () in
-  Fmt.pr "host cores (Domain.recommended_domain_count): %d@." cores;
-  (* Full-corpus batch triage: one dump per work unit.  The per-dump
-     config is deliberately heavier than the triage default (full
-     deepening, more replays) so the fixed pool cost — fork, pipes, one
-     round trip per dump — amortizes and the measurement is about
-     scaling, not setup. *)
-  let triage_config =
-    {
-      Res_core.Res.default_config with
-      stop_at_first_cause = false;
-      determinism_runs = 10;
-      search =
-        { Res_core.Search.default_config with max_segments = 8; max_suffixes = 8 };
-    }
-  in
-  let items =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name =
-            Fmt.str "%s-%03d" r.Res_workloads.Corpus.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      (Res_workloads.Corpus.generate ~n_per_bug:24 ())
-  in
-  let triage jobs =
-    Res_parallel.Batch.run ~config:triage_config ~jobs ~backend items
-  in
-  let base, t1 = time (fun () -> triage 1) in
-  Fmt.pr "@.batch triage, corpus of %d dumps:@." (List.length items);
-  Fmt.pr "%-10s %-11s %-9s %-9s %s@." "engine" "wall (s)" "speedup" "clusters"
-    "tsv";
-  Fmt.pr "%-10s %-11.4f %-9s %-9d %s@." "-j 1" t1 "1.00x"
-    (List.length base.Res_parallel.Batch.clusters)
-    "baseline";
-  List.iter
-    (fun jobs ->
-      let t, tj = time (fun () -> triage jobs) in
-      Fmt.pr "%-10s %-11.4f %-9s %-9d %s@."
-        (Fmt.str "-j %d" jobs)
-        tj
-        (Fmt.str "%.2fx" (t1 /. tj))
-        (List.length t.Res_parallel.Batch.clusters)
-        (if String.equal t.Res_parallel.Batch.tsv base.Res_parallel.Batch.tsv
-         then "identical"
-         else "DIVERGED"))
-    [ 2; 4 ];
-  Fmt.pr
-    "expected shape: every row reads 'identical'; speedup approaches \
-     min(jobs, cores) on multi-core hosts (a single-core host pins it \
-     near 1.0x and measures pool overhead instead)@."
-
-(* ------------------------------------------------------------------ *)
 (* E16: the triage service under abuse.  Runs the full soak campaign — *)
 (* flood at 2x capacity, worker SIGKILLs, daemon SIGKILL + restart on  *)
 (* the spool, breaker trip/recovery, graceful drain — and prints the   *)
@@ -813,111 +749,6 @@ let e17 () =
     "expected shape: every scaling row reads 'identical' (remote protocol \
      overhead bounds speedup on this small corpus); every faulted run \
      byte-identical with lost = 0@."
-
-(* ------------------------------------------------------------------ *)
-(* E18: the content-addressed result cache (DESIGN.md §13).  The       *)
-(* paper's deployment is WER-scale: millions of dumps, a handful of    *)
-(* root causes, so re-triage of already-seen evidence should cost a    *)
-(* file read, not an analysis.  Measures cold vs warm wall clock and   *)
-(* hit rate on a generated corpus, the cost of incremental re-triage   *)
-(* after the corpus grows, and warm-run byte-identity after entries    *)
-(* are damaged (quarantine + recompute, never wrong bytes).  Forked    *)
-(* backend, so it must run before any domains experiment.              *)
-(* ------------------------------------------------------------------ *)
-let e18 () =
-  section "e18" "result cache — cold vs warm triage, growth, damage";
-  let module Cache = Res_cache.Cache in
-  let backend = Res_parallel.Pool.Forked in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "res-e18-cache-%d" (Unix.getpid ()))
-  in
-  let items n_per_bug =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name =
-            Fmt.str "%s-%04d" r.Res_workloads.Corpus.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      (Res_workloads.Corpus.generate ~n_per_bug ())
-  in
-  let corpus = items 3333 in
-  let n = List.length corpus in
-  (* the same deliberately heavy per-dump config as E15's batch triage:
-     the measurement is analysis avoided, not pool setup amortized *)
-  let config =
-    {
-      Res_core.Res.default_config with
-      stop_at_first_cause = false;
-      determinism_runs = 10;
-      search =
-        { Res_core.Search.default_config with max_segments = 8; max_suffixes = 8 };
-    }
-  in
-  let triage ?cache items =
-    Res_parallel.Batch.run ~config ~jobs:2 ~backend ?cache items
-  in
-  Fmt.pr "corpus: %d dumps (WER-style: every dump drawn from %d root causes)@."
-    n 5;
-  Fmt.pr "%-14s %-11s %-9s %-11s %-8s %s@." "run" "wall (s)" "speedup"
-    "hit rate" "entries" "tsv";
-  let cold, t_cold = time (fun () -> triage ~cache:(Cache.openr dir) corpus) in
-  Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "cold" t_cold "1.00x"
-    (Fmt.str "%d/%d" cold.Res_parallel.Batch.cache_hits n)
-    (Cache.entry_count dir) "baseline";
-  let warm, t_warm = time (fun () -> triage ~cache:(Cache.openr dir) corpus) in
-  Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "warm" t_warm
-    (Fmt.str "%.2fx" (t_cold /. t_warm))
-    (Fmt.str "%d/%d" warm.Res_parallel.Batch.cache_hits n)
-    (Cache.entry_count dir)
-    (if String.equal warm.Res_parallel.Batch.tsv cold.Res_parallel.Batch.tsv
-     then "identical"
-     else "DIVERGED");
-  (* the corpus grows: re-triage everything, pay only for unseen content *)
-  let grown = items 3366 in
-  let n_grown = List.length grown in
-  let incr_run, t_incr =
-    time (fun () -> triage ~cache:(Cache.openr dir) grown)
-  in
-  Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@."
-    (Fmt.str "grown +%d" (n_grown - n))
-    t_incr
-    (Fmt.str "%.2fx" (t_cold /. t_incr))
-    (Fmt.str "%d/%d" incr_run.Res_parallel.Batch.cache_hits n_grown)
-    (Cache.entry_count dir) "-";
-  (* damage a slice of the entries: the warm run must quarantine them,
-     recompute, and still produce the identical TSV *)
-  let entries =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun e -> Filename.check_suffix e ".entry")
-    |> List.sort compare
-  in
-  List.iteri
-    (fun i e ->
-      if i mod 3 = 0 then begin
-        let oc = open_out_bin (Filename.concat dir e) in
-        output_string oc "bit rot";
-        close_out oc
-      end)
-    entries;
-  let dcache = Cache.openr dir in
-  let damaged, t_damaged = time (fun () -> triage ~cache:dcache corpus) in
-  Fmt.pr "%-14s %-11.4f %-9s %-11s %-8d %s@." "damaged" t_damaged
-    (Fmt.str "%.2fx" (t_cold /. t_damaged))
-    (Fmt.str "%d/%d" damaged.Res_parallel.Batch.cache_hits n)
-    (Cache.entry_count dir)
-    (if String.equal damaged.Res_parallel.Batch.tsv cold.Res_parallel.Batch.tsv
-     then "identical"
-     else "DIVERGED");
-  Fmt.pr "damaged entries quarantined and recomputed: %d@."
-    (Cache.stats dcache).Cache.quarantined;
-  Fmt.pr
-    "expected shape: warm hit rate %d/%d with speedup >= 20x; the grown \
-     corpus pays only for unseen content; every row reads 'identical' — a \
-     damaged cache changes wall clock, never bytes@."
-    n n
 
 (* ------------------------------------------------------------------ *)
 (* E19: the concrete reverse-execution fast path (DESIGN.md §14).      *)
@@ -1067,9 +898,15 @@ let e19 () =
      symbolic step costs milliseconds@."
     q_off q_on
 
+(* ------------------------------------------------------------------ *)
+(* E20: the time-travel debugger's transition watchpoint.  On the     *)
+(* deepest long-exec-50 suffix, the binary-searched transition probe   *)
+(* touches O(log n) states where a linear scan evaluates all of them.  *)
+(* The per-step wall clock of reverse walks is resbench deep-chain's   *)
+(* debug_step_us_p50.                                                  *)
+(* ------------------------------------------------------------------ *)
 let e20 () =
-  section "e20"
-    "time-travel debugging — snapshot index vs replay-from-zero";
+  section "e20" "time-travel debugging — transition watchpoint probes";
   let w = Res_workloads.Workloads.find "long-exec-50" in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
@@ -1103,40 +940,10 @@ let e20 () =
     | s :: _ -> s
     | [] -> Fmt.failwith "no reproducing suffix for long-exec-50"
   in
-  let dbg interval =
-    match Res_core.Debugger.start ~snapshot_every:interval ctx suffix dump with
-    | Ok d -> d
-    | Error e -> Fmt.failwith "debugger: %s" e
-  in
-  let interval = 16 in
-  let d = dbg interval in
-  let n = Res_core.Debugger.total_steps d in
+  let index = Res_debug.Snapindex.create ~interval:16 ctx suffix in
+  let n = Res_debug.Snapindex.length index in
   Fmt.pr "suffix timeline: %d instruction steps (%d segments)@." n
     (List.length suffix.Res_core.Suffix.segments);
-  (* Query workload: a full reverse walk — state at N, N-1, ..., 0 — the
-     access pattern of step-back.  Descending positions are the index's
-     worst case (every query restores a snapshot) and the baseline's
-     average case (replay from zero regardless). *)
-  let reps_on = 20 and reps_off = 2 in
-  let walk state_at reps =
-    for _ = 1 to reps do
-      for p = n downto 0 do
-        ignore (state_at p)
-      done
-    done
-  in
-  let (), t_on = time (fun () -> walk (Res_core.Debugger.state_at d) reps_on) in
-  let (), t_off =
-    time (fun () -> walk (Res_core.Debugger.state_at_linear d) reps_off)
-  in
-  let per_query t reps = 1e6 *. t /. float_of_int (reps * (n + 1)) in
-  let us_on = per_query t_on reps_on and us_off = per_query t_off reps_off in
-  Fmt.pr "@.reverse walk (state_at %d..0), per-query latency:@." n;
-  Fmt.pr "%-34s %.3f us@."
-    (Fmt.str "snapshot index (interval %d)" interval)
-    us_on;
-  Fmt.pr "%-34s %.3f us@." "replay-from-zero baseline" us_off;
-  Fmt.pr "%-34s %.1fx@." "speedup" (us_off /. us_on);
   (* Transition watchpoint: binary-searched probes vs a linear scan. *)
   let layout = ctx.Res_core.Backstep.layout in
   let counter =
@@ -1147,7 +954,6 @@ let e20 () =
   let eval st =
     if Res_mem.Memory.read st.Res_vm.Exec.mem counter = final then 1 else 0
   in
-  let index = Res_debug.Snapindex.create ~interval ctx suffix in
   (match Res_debug.Snapindex.find_transition index eval with
   | Some tr ->
       Fmt.pr "@.transition watchpoint ([0x%x] reaches %d):@." counter final;
@@ -1157,10 +963,8 @@ let e20 () =
         tr.Res_debug.Snapindex.tr_pos
   | None -> Fmt.pr "@.transition watchpoint: endpoints agree (no flip)@.");
   Fmt.pr
-    "@.expected shape: the snapshot index answers reverse-walk queries \
-     >=10x faster than replay-from-zero on this timeline, and the \
-     transition search probes O(log n) states where the scan evaluates \
-     all %d@."
+    "@.expected shape: the transition search probes O(log n) states where \
+     the scan evaluates all %d@."
     (n + 1)
 
 let e21 () =
@@ -1213,10 +1017,8 @@ let experiments =
     ("e11", e11);
     ("e13", e13);
     ("e14", e14);
-    ("e15", e15);
     ("e16", e16);
     ("e17", e17);
-    ("e18", e18);
     ("e19", e19);
     ("e20", e20);
     ("e21", e21);

@@ -293,7 +293,7 @@ let mk_budget deadline fuel =
   | None, None -> None
   | _ -> Some (Res_core.Budget.create ?wall_seconds:deadline ?fuel ())
 
-(* --- worker-pool flags (shared by triage, serve and node) --- *)
+(* --- worker-pool flags (shared by triage and serve) --- *)
 
 let jobs_arg =
   Arg.(
@@ -302,7 +302,7 @@ let jobs_arg =
         ~doc:
           "Worker count: how many coredumps are analyzed at once, one per \
            worker.  0 (the default) picks the verb's default: 1 for \
-           $(b,triage), 2 for $(b,serve) and $(b,node).")
+           $(b,triage), 2 for $(b,serve).")
 
 let backend_arg =
   Arg.(
@@ -317,7 +317,7 @@ let backend_arg =
            $(b,auto) (domains on multicore, fork otherwise; the \
            RES_PARALLEL_BACKEND environment variable overrides).")
 
-(* --- result-cache flags (shared by triage, serve, node, coordinate,
+(* --- result-cache flags (shared by triage, serve, coordinate,
    client submit) --- *)
 
 let cache_dir_arg =
@@ -973,12 +973,22 @@ let triage_cmd =
 
 (* --- serve / client --- *)
 
+(* A daemon address: a Unix socket path, or TCP HOST:PORT. *)
+let addr_conv =
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Res_serve.Client.parse_addr s)
+  in
+  Arg.conv (parse, Res_serve.Client.pp_addr)
+
 let socket_arg =
   Arg.(
     value
-    & opt string "res-serve.sock"
-    & info [ "socket" ] ~docv:"PATH"
-        ~doc:"Unix domain socket the daemon listens on.")
+    & opt addr_conv (Res_serve.Client.Unix_socket "res-serve.sock")
+    & info [ "socket" ] ~docv:"ADDR"
+        ~doc:
+          "Address the daemon listens on: a Unix domain socket path, or \
+           $(i,HOST):$(i,PORT) for TCP (port 0 binds an ephemeral port, \
+           which $(b,--verbose) logs).")
 
 let serve_cmd =
   let spool =
@@ -1050,7 +1060,7 @@ let serve_cmd =
     let cfg =
       {
         Res_serve.Server.default_config with
-        Res_serve.Server.socket_path = socket;
+        Res_serve.Server.listen = socket;
         spool_dir = spool;
         cache_dir = (if no_cache then None else cache_dir);
         jobs = (if jobs <= 0 then 2 else jobs);
@@ -1071,10 +1081,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the resilient triage daemon: accept coredump submissions over \
-          a Unix socket, analyze them in supervised forked workers, shed \
-          load beyond $(b,--capacity), trip per-workload circuit breakers, \
-          and recover accepted-but-unfinished requests from the spool after \
-          a crash.  SIGTERM drains gracefully and exits 0.")
+          a Unix socket or TCP, analyze them in supervised forked workers, \
+          shed load beyond $(b,--capacity), trip per-workload circuit \
+          breakers, and recover accepted-but-unfinished requests from the \
+          spool after a crash.  On TCP it is a cluster node that $(b,res \
+          coordinate) shards across.  SIGTERM drains gracefully and exits 0.")
     Term.(
       const run $ socket_arg $ spool $ jobs_arg $ capacity $ deadline $ fuel
       $ grace $ breaker_threshold $ breaker_cooldown $ attempts $ verbose
@@ -1254,58 +1265,7 @@ let client_cmd =
         (fun s -> Res_serve.Client.ping s);
     ]
 
-(* --- cluster: node daemon + coordinator --- *)
-
-let node_cmd =
-  let host =
-    Arg.(
-      value
-      & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST" ~doc:"Address to listen on.")
-  in
-  let port =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "port" ] ~docv:"PORT" ~doc:"TCP port to listen on.")
-  in
-  let spool =
-    Arg.(
-      value
-      & opt string "res-node-spool"
-      & info [ "spool" ] ~docv:"DIR"
-          ~doc:"Durable request spool (per node).")
-  in
-  let verbose =
-    Arg.(
-      value & flag & info [ "verbose"; "v" ] ~doc:"Log node events to stderr.")
-  in
-  let run host port spool jobs verbose cache_dir no_cache =
-    if port <= 0 || port > 65535 then
-      raise (Die (exit_internal, Fmt.str "bad port %d" port));
-    let cfg =
-      {
-        Res_serve.Server.default_config with
-        Res_serve.Server.tcp = Some (host, port);
-        spool_dir = spool;
-        cache_dir = (if no_cache then None else cache_dir);
-        jobs = (if jobs <= 0 then 2 else jobs);
-        log = (if verbose then fun m -> Fmt.epr "res-node: %s@." m else ignore);
-      }
-    in
-    Res_serve.Server.run cfg;
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "node"
-       ~doc:
-         "Run a triage cluster node: the same resilient daemon as \
-          $(b,res serve) (supervised workers, spool recovery, circuit \
-          breakers, graceful drain) listening on TCP for a $(b,res \
-          coordinate) coordinator.")
-    Term.(
-      const run $ host $ port $ spool $ jobs_arg $ verbose $ cache_dir_arg
-      $ no_cache_arg)
+(* --- cluster coordinator --- *)
 
 let coordinate_cmd =
   let dir_arg =
@@ -1318,9 +1278,11 @@ let coordinate_cmd =
   let nodes_arg =
     Arg.(
       required
-      & opt (some (list string)) None
+      & opt (some (list addr_conv)) None
       & info [ "nodes" ] ~docv:"HOST:PORT,..."
-          ~doc:"Comma-separated node daemon addresses to shard across.")
+          ~doc:
+            "Comma-separated addresses of the node daemons ($(b,res serve \
+             --socket) $(i,HOST):$(i,PORT)) to shard across.")
   in
   let journal =
     Arg.(
@@ -1407,9 +1369,6 @@ let coordinate_cmd =
     let module C = Res_cluster.Coordinator in
     let prog = or_die (load_prog prog_path) in
     let prog_text = Res_ir.Prog.to_string prog in
-    let addrs =
-      List.map (fun s -> or_die (Res_cluster.Transport.parse_addr s)) nodes
-    in
     let files = Sys.readdir dir in
     Array.sort compare files;
     let units = ref [] and extra = ref [] in
@@ -1448,7 +1407,7 @@ let coordinate_cmd =
     let config =
       {
         C.default_config with
-        C.nodes = addrs;
+        C.nodes = nodes;
         window = max 1 window;
         unit_attempts = max 1 attempts;
         unit_deadline;
@@ -1480,7 +1439,7 @@ let coordinate_cmd =
   Cmd.v
     (Cmd.info "coordinate"
        ~doc:
-         "Shard a batch-triage corpus across $(b,res node) daemons: route \
+         "Shard a batch-triage corpus across $(b,res serve) daemons: route \
           each dump to a node by workload-signature hash, retry and \
           reschedule units off dead or stalled nodes with capped backoff, \
           journal applied rows for crash-resume, and print the same \
@@ -1685,7 +1644,6 @@ let main_cmd =
       selftest_cmd;
       serve_cmd;
       client_cmd;
-      node_cmd;
       coordinate_cmd;
     ]
 

@@ -35,6 +35,7 @@ module Io = Res_vm.Coredump_io
 module P = Res_serve.Protocol
 module Batch = Res_parallel.Batch
 module Pool = Res_parallel.Pool
+module Client = Res_serve.Client
 
 (** One triage unit: the corpus name (unit identity), raw program and
     dump texts, and the workload signature that routes it. *)
@@ -46,7 +47,7 @@ type unit_item = {
 }
 
 type config = {
-  nodes : Transport.addr list;
+  nodes : Client.addr list;
   window : int;  (** in-flight units per node (match the node's [jobs]) *)
   unit_attempts : int;  (** exchange attempts per unit before worker-lost *)
   node_attempts : int;  (** consecutive failures before a node is dead *)
@@ -352,7 +353,7 @@ let run ?(config = default_config) ?(extra_rows = []) items =
     incr n_node_failures;
     config.log
       (Fmt.str "node %s failed (%s)"
-         (Transport.addr_to_string (Registry.addr reg f.if_node))
+         (Client.addr_to_string (Registry.addr reg f.if_node))
          why);
     unit_failed f.if_unit why
   in
@@ -369,11 +370,11 @@ let run ?(config = default_config) ?(extra_rows = []) items =
             incr n_reschedules;
           last_node.(u) <- nd;
           let addr = Registry.addr reg nd in
-          match Transport.connect ~timeout:config.connect_timeout addr with
+          match Client.connect ~timeout:config.connect_timeout addr with
           | Error e ->
               Registry.mark_failure reg nd ~now:tnow;
               incr n_node_failures;
-              unit_failed u (Transport.error_to_string e)
+              unit_failed u (Client.error_to_string e)
           | Ok fd -> (
               let it = items.(u) in
               let req =
@@ -386,12 +387,12 @@ let run ?(config = default_config) ?(extra_rows = []) items =
                     tg_fuel = config.fuel;
                   }
               in
-              match Transport.send fd (P.encode_request req) with
+              match Client.send fd req with
               | Error e ->
-                  (try Unix.close fd with Unix.Unix_error _ -> ());
+                  Client.close fd;
                   Registry.mark_failure reg nd ~now:tnow;
                   incr n_node_failures;
-                  unit_failed u (Transport.error_to_string e)
+                  unit_failed u (Client.error_to_string e)
               | Ok () ->
                   window_used.(nd) <- window_used.(nd) + 1;
                   inflight :=
@@ -458,8 +459,8 @@ let run ?(config = default_config) ?(extra_rows = []) items =
     (* the descriptor is readable: a frame should complete promptly; a
        peer that stalls mid-frame is cut off well before the unit
        deadline *)
-    match Transport.recv ~timeout:5.0 f.if_fd with
-    | Error e -> exchange_failed f (Transport.error_to_string e)
+    match Client.recv_frame ~timeout:5.0 f.if_fd with
+    | Error e -> exchange_failed f (Client.error_to_string e)
     | Ok frame -> (
         match P.decode_reply frame with
         | Ok (P.Accepted _) -> f.if_accepted <- true

@@ -23,7 +23,7 @@ let state_name = function
   | Dead -> "dead"
 
 type node = {
-  nd_addr : Transport.addr;
+  nd_addr : Res_serve.Client.addr;
   mutable nd_state : state;
   mutable nd_streak : int;  (** consecutive failures *)
   mutable nd_failures : int;  (** total failed exchanges *)
@@ -107,7 +107,7 @@ let next_gate t =
 let report t =
   Array.to_list t.nodes
   |> List.map (fun n ->
-         (Transport.addr_to_string n.nd_addr, state_name n.nd_state,
+         (Res_serve.Client.addr_to_string n.nd_addr, state_name n.nd_state,
           n.nd_completed, n.nd_failures))
 
 let pp_report ppf t =

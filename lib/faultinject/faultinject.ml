@@ -730,13 +730,13 @@ let serve_soak_campaign ?log () : sk_summary =
   let module Client = Res_serve.Client in
   let module P = Res_serve.Protocol in
   Fleet.with_kit ?log "res-soak" @@ fun k ->
-  let socket = Filename.concat k.Fleet.dir "serve.sock" in
+  let socket = Client.Unix_socket (Filename.concat k.Fleet.dir "serve.sock") in
   let fail fmt = Fleet.fail k fmt in
   let start ~fi ~delay =
     Fleet.fork_daemon k
       {
         Server.default_config with
-        Server.socket_path = socket;
+        Server.listen = socket;
         spool_dir = Filename.concat k.Fleet.dir "spool";
         jobs = 2;
         capacity = 3;
@@ -747,12 +747,7 @@ let serve_soak_campaign ?log () : sk_summary =
         fi_worker_delay = delay;
       }
   in
-  let ready () =
-    Fleet.await (fun () ->
-        match Client.ping ~timeout:1.0 socket with
-        | Ok (P.Pong _) -> true
-        | _ -> false)
-  in
+  let ready () = Fleet.await (fun () -> Client.alive socket) in
   (* each report submitted twice makes the flood 2x the daemon's total
      absorption (jobs + capacity) *)
   let items, units = Fleet.corpus ~n_per_bug:1 in
@@ -985,7 +980,6 @@ type ck_summary = {
 }
 
 let cluster_soak_campaign ?log () : ck_summary =
-  let module Transport = Res_cluster.Transport in
   let module Journal = Res_cluster.Journal in
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-cluster" @@ fun k ->

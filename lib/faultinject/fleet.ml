@@ -80,9 +80,9 @@ let fork_daemon k (cfg : Res_serve.Server.config) =
 
 (** Fork a node daemon on an ephemeral localhost port. *)
 let fork_node k cfg =
-  let fd, port = Res_cluster.Transport.listen_ephemeral () in
+  let fd, addr = Res_serve.Client.listen_ephemeral () in
   let pid = fork_daemon k { cfg with Res_serve.Server.prebound = Some fd } in
-  (pid, { Res_cluster.Transport.host = "127.0.0.1"; port })
+  (pid, addr)
 
 (** Poll [ready] every [every] seconds until it holds (true) or [timeout]
     seconds pass (false). *)
@@ -100,8 +100,8 @@ let await ?(timeout = 10.) ?(every = 0.02) ready =
 
 (** Poll a node until it answers a ping; a failure if it never does. *)
 let node_ready k addr =
-  if not (await (fun () -> Res_cluster.Transport.ping addr)) then
-    fail k "node %s never became ready" (Res_cluster.Transport.addr_to_string addr)
+  if not (await (fun () -> Res_serve.Client.alive addr)) then
+    fail k "node %s never became ready" (Res_serve.Client.addr_to_string addr)
 
 (** Wait up to 30s for [pid] (sent [signal] first, if given) to exit 0.
     Any other exit is a failure; a process still running at the deadline

@@ -79,11 +79,29 @@ let tokenize src =
           closed := true;
           incr i)
         else if c = '\\' && !i + 1 < n then (
-          (match src.[!i + 1] with
-          | 'n' -> Buffer.add_char buf '\n'
-          | 't' -> Buffer.add_char buf '\t'
-          | c -> Buffer.add_char buf c);
-          i := !i + 2)
+          (* decode every escape [String.escaped] (so [%S]) writes:
+             n t r b, three decimal digits for any other byte, and the
+             escaped character itself for a backslash or a quote *)
+          match src.[!i + 1] with
+          | '0' .. '9' ->
+              let digits = if !i + 3 < n then String.sub src (!i + 1) 3 else "" in
+              let code =
+                if String.length digits = 3 && String.for_all is_digit digits
+                then int_of_string digits
+                else 256
+              in
+              if code > 255 then fail !line "bad decimal escape in string literal";
+              Buffer.add_char buf (Char.chr code);
+              i := !i + 4
+          | e ->
+              Buffer.add_char buf
+                (match e with
+                | 'n' -> '\n'
+                | 't' -> '\t'
+                | 'r' -> '\r'
+                | 'b' -> '\b'
+                | e -> e);
+              i := !i + 2)
         else (
           Buffer.add_char buf c;
           incr i)

@@ -11,7 +11,7 @@ module Io = Res_vm.Coredump_io
 (* Frames are a 10-digit decimal length header followed by the payload;
    big enough for any unit, trivially resynchronizable, and a partial
    header/payload (the writer died mid-write) reads as EOF.  Shared by
-   the worker pool's pipes and the triage daemon's Unix-domain sockets. *)
+   the worker pool's pipes and the triage daemon's sockets. *)
 
 let rec write_all fd b off len =
   if len > 0 then
@@ -28,34 +28,60 @@ let write_frame fd s =
 (** Why a frame could not be read.  [Frame_eof] is the clean case (the
     peer closed between frames); everything else is damage worth
     reporting: a writer that died mid-frame, a corrupt or hostile length
-    prefix.  Oversized prefixes are rejected {e before} allocating, so a
-    corrupted header surfaces as a typed error instead of
-    [Out_of_memory]. *)
+    prefix, or a peer that went silent past the reader's deadline.
+    Oversized prefixes are rejected {e before} allocating, so a corrupted
+    header surfaces as a typed error instead of [Out_of_memory]. *)
 type frame_error =
   | Frame_eof  (** EOF at a frame boundary *)
   | Frame_torn of string  (** the writer died mid-header or mid-payload *)
   | Frame_oversized of int  (** length prefix beyond {!max_frame_bytes} *)
+  | Frame_timeout  (** the deadline passed before the frame was whole *)
 
 let frame_error_to_string = function
   | Frame_eof -> "connection closed"
   | Frame_torn what -> Fmt.str "torn frame (%s)" what
   | Frame_oversized n -> Fmt.str "oversized frame (%d bytes > limit)" n
+  | Frame_timeout -> "deadline exceeded mid-frame"
 
 (** Largest payload a frame may announce (64 MiB) — far above any sealed
     unit or triage blob, far below an allocation that would take the
     process down. *)
 let max_frame_bytes = 64 * 1024 * 1024
 
-let read_exact fd n =
+(** Wait until [fd] is readable (or, with [~write:true], writable);
+    [false] once the absolute [deadline] passes first.  A failing
+    [select] reports ready, so the call that follows classifies the
+    error. *)
+let rec ready_by ?(write = false) fd deadline =
+  let remaining = deadline -. Unix.gettimeofday () in
+  remaining > 0.
+  &&
+  let rd, wr = if write then ([], [ fd ]) else ([ fd ], []) in
+  match Unix.select rd wr [] remaining with
+  | [], [], _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ready_by ~write fd deadline
+  | exception Unix.Unix_error _ -> true
+
+(** Read exactly [n] bytes.  With an absolute [deadline], every chunk
+    waits in [select] first, so a peer that stalls mid-frame costs at
+    most the deadline; without one (the pool's pipes, whose writer is a
+    child the pool supervises) it is a plain blocking loop. *)
+let read_exact ?deadline fd n =
   let b = Bytes.create n in
   let rec go off =
     if off = n then `Ok b
     else
-      match Unix.read fd b off (n - off) with
-      | 0 -> `Eof off
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error (e, _, _) -> `Err (Unix.error_message e)
+      match deadline with
+      | Some d when not (ready_by fd d) -> `Deadline
+      | _ -> (
+          match Unix.read fd b off (n - off) with
+          | 0 -> `Eof off
+          | k -> go (off + k)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+          (* a reset is the peer hanging up, like EOF *)
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof off
+          | exception Unix.Unix_error (e, _, _) -> `Err (Unix.error_message e))
   in
   go 0
 
@@ -71,9 +97,12 @@ let frame_length hdr =
   | Some len when len > max_frame_bytes -> Error (Frame_oversized len)
   | Some len -> Ok len
 
-(** Read one frame, classifying every failure mode. *)
-let read_frame_result fd =
-  match read_exact fd 10 with
+(** Read one frame, classifying every failure mode; with [deadline]
+    (absolute), a frame still incomplete when it passes is
+    [Frame_timeout]. *)
+let read_frame_result ?deadline fd =
+  match read_exact ?deadline fd 10 with
+  | `Deadline -> Error Frame_timeout
   | `Eof 0 -> Error Frame_eof
   | `Eof n -> Error (Frame_torn (Fmt.str "%d/10 header bytes" n))
   | `Err m -> Error (Frame_torn m)
@@ -81,7 +110,8 @@ let read_frame_result fd =
       match frame_length hdr with
       | Error e -> Error e
       | Ok len -> (
-          match read_exact fd len with
+          match read_exact ?deadline fd len with
+          | `Deadline -> Error Frame_timeout
           | `Eof n -> Error (Frame_torn (Fmt.str "%d/%d payload bytes" n len))
           | `Err m -> Error (Frame_torn m)
           | `Ok b -> Ok (Bytes.to_string b)))

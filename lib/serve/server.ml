@@ -1,7 +1,8 @@
 (** The triage daemon: a long-running analysis service engineered to stay
     alive under hostile load.
 
-    One process owns a Unix domain socket and a durable request spool
+    One process owns a listening socket (a Unix socket path, or TCP
+    [host:port] for a cluster node) and a durable request spool
     ({!Spool}); clients submit (program, coredump) pairs and the daemon
     runs each analysis in a {e forked worker} under a wall/fuel budget.
     The design is defensive at every boundary:
@@ -40,14 +41,13 @@ module Pool = Res_parallel.Pool
 module P = Protocol
 
 type config = {
-  socket_path : string;
-  tcp : (string * int) option;
-      (** listen on [host, port] instead of the Unix socket — the
-          cluster node mode ([res node]) *)
+  listen : Client.addr;
+      (** a Unix socket path, or TCP [host:port] for a cluster node that
+          [res coordinate] shards across *)
   prebound : Unix.file_descr option;
       (** an already-bound, already-listening socket to serve on (test
           harnesses bind ephemeral ports race-free and pass the fd
-          through fork); overrides [tcp] and [socket_path] *)
+          through fork); overrides [listen] *)
   spool_dir : string;
   cache_dir : string option;
       (** content-addressed result cache ({!Res_cache.Cache}): a
@@ -82,8 +82,7 @@ type config = {
 
 let default_config =
   {
-    socket_path = "res-serve.sock";
-    tcp = None;
+    listen = Client.Unix_socket "res-serve.sock";
     prebound = None;
     spool_dir = "res-spool";
     cache_dir = None;
@@ -245,12 +244,12 @@ let worker_child cfg job wfd =
 
 (* --- result cache ----------------------------------------------------- *)
 
-(** The config part of a cache key: everything beyond the raw program and
-    dump bytes that can change the answer — the task kind, the
-    {e effective} budgets (daemon defaults applied, so a request that
-    says nothing and one that spells out the default share an entry), the
-    analysis knobs, and the reply codec version (so a protocol bump turns
-    old entries into honest misses). *)
+(** The config part of a cache key: the batch key
+    ({!Res_parallel.Batch.config_key}: every analysis knob and the
+    {e effective} budgets, daemon defaults applied, so a request that
+    says nothing and one that spells out the default share an entry),
+    tagged with the task kind and the reply codec version (so a protocol
+    bump turns old entries into honest misses). *)
 let cache_config cfg ~task ~deadline_ms ~fuel =
   let wall =
     match deadline_ms with
@@ -258,15 +257,10 @@ let cache_config cfg ~task ~deadline_ms ~fuel =
     | None -> cfg.default_deadline
   in
   let fuel = match fuel with Some _ -> fuel | None -> cfg.default_fuel in
-  let c = cfg.analyze_config in
-  let s = c.Res.search in
-  Res_cache.Cache.row_config ~wall ~fuel
-    ~engine:
-      (Fmt.str "%s %s %d %d %d %b %b %d %b %d" P.rep_header
-         (match task with Analyze -> "serve" | Triage_unit _ -> "servetriage")
-         s.Res_core.Search.max_segments s.max_suffixes s.max_nodes
-         s.use_breadcrumbs s.static_prune c.determinism_runs
-         c.stop_at_first_cause c.max_attempts)
+  Fmt.str "%s %s %s" P.rep_header
+    (match task with Analyze -> "serve" | Triage_unit _ -> "servetriage")
+    (Res_parallel.Batch.config_key ?budget_wall:wall ?budget_fuel:fuel
+       cfg.analyze_config)
 
 let cache_key_for t ~task ~prog_text ~dump_text ~deadline_ms ~fuel =
   match t.cache with
@@ -772,34 +766,23 @@ let recover t =
 
 (* --- event loop ------------------------------------------------------- *)
 
-(** Resolve a host name or dotted quad to an address. *)
-let resolve_host host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ ->
-      failwith (Fmt.str "cannot resolve host %S" host))
-
 let run (cfg : config) =
   let spool = Spool.openr cfg.spool_dir in
-  let unix_socket = cfg.prebound = None && cfg.tcp = None in
+  (* only a socket file this daemon binds is its to remove *)
+  let remove_socket_file () =
+    match (cfg.prebound, cfg.listen) with
+    | None, Client.Unix_socket path -> (
+        try Unix.unlink path with Unix.Unix_error _ -> ())
+    | _ -> ()
+  in
   let listen_fd =
-    match (cfg.prebound, cfg.tcp) with
-    | Some fd, _ -> fd
-    | None, Some (host, port) ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
-        Unix.listen fd 64;
-        fd
-    | None, None ->
+    match cfg.prebound with
+    | Some fd -> fd
+    | None ->
         (* a previous incarnation's socket is stale by definition: we own
            the spool, so we own the address *)
-        (try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX cfg.socket_path);
-        Unix.listen fd 64;
-        fd
+        remove_socket_file ();
+        Client.listen cfg.listen
   in
   let sig_rd, sig_wr = Unix.pipe () in
   let t =
@@ -836,15 +819,10 @@ let run (cfg : config) =
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_drain);
   recover t;
   dispatch t;
-  let where =
-    match (cfg.prebound, cfg.tcp) with
-    | Some _, _ -> "prebound socket"
-    | None, Some (host, port) -> Fmt.str "%s:%d" host port
-    | None, None -> cfg.socket_path
-  in
   cfg.log
-    (Fmt.str "listening on %s (jobs=%d capacity=%d, %d recovered)" where
-       cfg.jobs cfg.capacity t.n_recovered);
+    (Fmt.str "listening on %a (jobs=%d capacity=%d, %d recovered)"
+       Client.pp_addr (Client.bound_addr listen_fd) cfg.jobs cfg.capacity
+       t.n_recovered);
   let finished () =
     t.draining && Queue.is_empty t.queue && t.workers = []
   in
@@ -895,5 +873,4 @@ let run (cfg : config) =
   cfg.log "drained; exiting";
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.clients;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  if unix_socket then
-    try Unix.unlink cfg.socket_path with Unix.Unix_error _ -> ()
+  remove_socket_file ()

@@ -177,6 +177,32 @@ sed '1s/^result .*: \(.*\) (.*)$/result: \1/' "$cache_tmp/s2.txt" > "$cache_tmp/
 cmp "$cache_tmp/s1.norm" "$cache_tmp/s2.norm" \
   || { echo "fetched cached report diverged from the computed one"; exit 1; }
 
+# The same daemon smoke over TCP, the transport `res coordinate` uses:
+# ping, a blocking submit whose report must match the Unix-socket one,
+# and a drain that exits 0.  Port 0 binds an ephemeral port, so
+# concurrent runs cannot collide; --verbose logs the bound address.
+"$RES" serve --socket 127.0.0.1:0 --spool "$cache_tmp/tcp-spool" \
+  --verbose 2> "$cache_tmp/tcp.log" &
+tcp_pid=$!
+tcp_fail() { kill "$tcp_pid" 2>/dev/null; echo "$1"; cat "$cache_tmp/tcp.log"; exit 1; }
+i=0
+until tcp_addr=$(sed -n 's/^res-serve: listening on \([^ ]*\) .*/\1/p' \
+    "$cache_tmp/tcp.log") && [ -n "$tcp_addr" ]; do
+  i=$((i + 1)); [ "$i" -le 100 ] || tcp_fail "TCP daemon never came up"
+  sleep 0.1
+done
+"$RES" client ping --socket "$tcp_addr" >/dev/null \
+  || tcp_fail "TCP ping to $tcp_addr failed"
+"$RES" client submit "$cache_tmp/prog.res" "$cache_tmp/dumps/a.core" \
+  --socket "$tcp_addr" > "$cache_tmp/t1.txt" \
+  || tcp_fail "TCP submit to $tcp_addr failed"
+"$RES" client drain --socket "$tcp_addr" >/dev/null \
+  || tcp_fail "TCP drain of $tcp_addr failed"
+wait "$tcp_pid" || { echo "TCP daemon drain exited non-zero"; exit 1; }
+sed '1s/^result .*: \(.*\) (.*)$/result: \1/' "$cache_tmp/t1.txt" > "$cache_tmp/t1.norm"
+cmp "$cache_tmp/s1.norm" "$cache_tmp/t1.norm" \
+  || { echo "TCP-served report diverged from the Unix-socket one"; exit 1; }
+
 # Static lint over the corpus: warnings are expected (exit 2) but only
 # on the seeded bugs; any other program producing a finding, or any
 # lint error, fails CI.

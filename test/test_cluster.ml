@@ -1,6 +1,7 @@
-(* The triage cluster: address parsing, typed wire-frame damage over a
-   real socketpair (torn headers, torn payloads, torn seals, oversized
-   announcements, stalls — every one a classified error, never a hang),
+(* The triage cluster: the daemon client's address parsing, typed
+   wire-frame damage over a real socketpair (torn headers, torn payloads,
+   torn seals, oversized announcements, stalls — every one a classified
+   error, never a hang), connect and receive deadlines under a watchdog,
    node-health registry transitions, the coordinator's at-most-once
    result journal, and a forked two-node end-to-end run whose merged TSV
    must be byte-identical to single-node batch triage — with and without
@@ -16,7 +17,7 @@ module Batch = Res_parallel.Batch
 module P = Res_serve.Protocol
 module Server = Res_serve.Server
 module Io = Res_vm.Coredump_io
-module Transport = Res_cluster.Transport
+module Client = Res_serve.Client
 module Registry = Res_cluster.Registry
 module Journal = Res_cluster.Journal
 module C = Res_cluster.Coordinator
@@ -24,22 +25,26 @@ module C = Res_cluster.Coordinator
 (* --- addresses ------------------------------------------------------- *)
 
 let test_parse_addr () =
-  (match Transport.parse_addr "127.0.0.1:9000" with
-  | Ok { Transport.host; port } ->
-      Alcotest.(check string) "host" "127.0.0.1" host;
-      Alcotest.(check int) "port" 9000 port
-  | Error e -> Alcotest.fail e);
-  (match Transport.parse_addr "triage-3.internal:65535" with
-  | Ok { Transport.host; port } ->
-      Alcotest.(check string) "named host" "triage-3.internal" host;
-      Alcotest.(check int) "max port" 65535 port
-  | Error e -> Alcotest.fail e);
+  let parses s expect =
+    match Client.parse_addr s with
+    | Ok a when a = expect -> ()
+    | Ok a -> Alcotest.failf "%S parsed as %a" s Client.pp_addr a
+    | Error e -> Alcotest.fail e
+  in
+  parses "127.0.0.1:9000" (Client.Tcp ("127.0.0.1", 9000));
+  parses "triage-3.internal:65535" (Client.Tcp ("triage-3.internal", 65535));
+  (* port 0 is for listeners: bind an ephemeral port *)
+  parses "127.0.0.1:0" (Client.Tcp ("127.0.0.1", 0));
+  (* anything else is a Unix socket path, and a '/' always is *)
+  List.iter
+    (fun path -> parses path (Client.Unix_socket path))
+    [ "res-serve.sock"; "localhost"; "host:"; "host:port"; "/tmp/a:9000" ];
   List.iter
     (fun bad ->
-      match Transport.parse_addr bad with
+      match Client.parse_addr bad with
       | Ok _ -> Alcotest.fail (Fmt.str "%S must not parse" bad)
       | Error _ -> ())
-    [ "localhost"; ":9000"; "host:"; "host:0"; "host:65536"; "host:port" ]
+    [ ":9000"; "host:65536"; "host:99999999999999999999" ]
 
 (* --- wire-frame damage over a real socketpair ------------------------ *)
 
@@ -70,9 +75,9 @@ let test_damage_eof_at_boundary () =
       (match Wire.read_frame_result r with
       | Error Wire.Frame_eof -> ()
       | _ -> fail_on "EOF at a frame boundary must be Frame_eof");
-      match Transport.recv ~timeout:1.0 r with
-      | Error Transport.Closed -> ()
-      | _ -> fail_on "transport EOF at a boundary must be Closed")
+      match Client.recv ~timeout:1.0 r with
+      | Error Client.Closed -> ()
+      | _ -> fail_on "client EOF at a boundary must be Closed")
 
 let test_damage_torn_header () =
   with_socketpair (fun w r ->
@@ -88,9 +93,9 @@ let test_damage_torn_header_transport () =
   with_socketpair (fun w r ->
       write_all w "00000";
       Unix.close w;
-      match Transport.recv ~timeout:1.0 r with
-      | Error (Transport.Damaged _) -> ()
-      | _ -> fail_on "transport truncation mid-header must be Damaged")
+      match Client.recv ~timeout:1.0 r with
+      | Error (Client.Damaged _) -> ()
+      | _ -> fail_on "client truncation mid-header must be Damaged")
 
 let test_damage_torn_body () =
   with_socketpair (fun w r ->
@@ -104,9 +109,9 @@ let test_damage_torn_body () =
       write_all w (Fmt.str "%010d" 100);
       write_all w "only ten b";
       Unix.close w;
-      match Transport.recv ~timeout:1.0 r with
-      | Error (Transport.Damaged _) -> ()
-      | _ -> fail_on "transport truncation mid-payload must be Damaged")
+      match Client.recv ~timeout:1.0 r with
+      | Error (Client.Damaged _) -> ()
+      | _ -> fail_on "client truncation mid-payload must be Damaged")
 
 let test_damage_corrupt_prefix () =
   with_socketpair (fun w r ->
@@ -129,9 +134,9 @@ let test_damage_oversized_prefix () =
       | _ -> fail_on "an oversized length prefix must be Frame_oversized"));
   with_socketpair (fun w r ->
       write_all w (Fmt.str "%010d" (Wire.max_frame_bytes + 1));
-      match Transport.recv ~timeout:1.0 r with
-      | Error (Transport.Damaged _) -> ()
-      | _ -> fail_on "transport oversized prefix must be Damaged")
+      match Client.recv ~timeout:1.0 r with
+      | Error (Client.Damaged _) -> ()
+      | _ -> fail_on "client oversized prefix must be Damaged")
 
 let test_damage_stall_is_timeout () =
   (* a peer that goes silent mid-frame must surface as a deadline, not a
@@ -140,15 +145,15 @@ let test_damage_stall_is_timeout () =
       write_all w (Fmt.str "%010d" 100);
       write_all w "half";
       let t0 = Unix.gettimeofday () in
-      match Transport.recv ~timeout:0.2 r with
-      | Error (Transport.Timeout _) ->
+      match Client.recv ~timeout:0.2 r with
+      | Error (Client.Timeout _) ->
           Alcotest.(check bool) "returned promptly" true
             (Unix.gettimeofday () -. t0 < 2.0)
       | _ -> fail_on "a mid-frame stall must be Timeout")
 
 let test_damage_torn_seal () =
   (* the frame layer delivers an intact frame whose sealed payload was
-     truncated mid-seal: the codec, not the transport, must reject it *)
+     truncated mid-seal: the codec, not the frame layer, must reject it *)
   let reply =
     P.encode_reply
       (P.Err "a reply body long enough to truncate meaningfully")
@@ -158,17 +163,84 @@ let test_damage_torn_seal () =
       write_all w (Fmt.str "%010d" (String.length torn));
       write_all w torn;
       Unix.close w;
-      match Transport.recv ~timeout:1.0 r with
+      (match Client.recv_frame ~timeout:1.0 r with
       | Ok frame -> (
           match P.decode_reply frame with
           | Error _ -> ()
           | Ok _ -> fail_on "a torn seal must not decode")
-      | Error e -> fail_on (Transport.error_to_string e))
+      | Error e -> fail_on (Client.error_to_string e)));
+  (* [recv] decodes: the same frame is a Damaged reply *)
+  with_socketpair (fun w r ->
+      write_all w (Fmt.str "%010d" (String.length torn));
+      write_all w torn;
+      Unix.close w;
+      match Client.recv ~timeout:1.0 r with
+      | Error (Client.Damaged _) -> ()
+      | _ -> fail_on "a torn seal must be a Damaged reply")
+
+(* --- deadlines under a watchdog -------------------------------------- *)
+
+(* Run [f] in a forked child and fail unless it returns [true] within
+   [limit] seconds.  A child still blocked at the limit is SIGKILLed, so
+   a call that ignores its deadline fails the test instead of hanging
+   the suite. *)
+let within ~limit what f =
+  match Unix.fork () with
+  | 0 -> Unix._exit (match f () with true -> 0 | false -> 1 | exception _ -> 2)
+  | pid ->
+      let until = Unix.gettimeofday () +. limit in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < until ->
+            Unix.sleepf 0.02;
+            wait ()
+        | 0, _ ->
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid);
+            Alcotest.failf "%s: still blocked after %.0fs" what limit
+        | _, Unix.WEXITED 0 -> ()
+        | _, _ -> Alcotest.failf "%s: wrong outcome" what
+      in
+      wait ()
+
+(* A deadline is honoured when the call returns [Timeout] within 1 s. *)
+let times_out call =
+  let t0 = Unix.gettimeofday () in
+  match call () with
+  | Error (Client.Timeout _) -> Unix.gettimeofday () -. t0 < 1.0
+  | _ -> false
+
+let test_recv_half_frame_times_out () =
+  (* the peer wrote half a frame and went silent *)
+  with_socketpair (fun w r ->
+      write_all w (Fmt.str "%010d" 100);
+      write_all w "half a frame";
+      within ~limit:5.0 "recv on a half-written frame" (fun () ->
+          times_out (fun () -> Client.recv ~timeout:0.2 r)))
+
+let test_connect_full_backlog_times_out () =
+  (* a TCP listener that never accepts, with backlog 0 and one filler
+     connection already queued: a further handshake is never answered *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 0;
+  let addr = Client.bound_addr fd in
+  Fun.protect
+    ~finally:(fun () -> Client.close fd)
+    (fun () ->
+      match Client.connect ~timeout:2.0 addr with
+      | Error e -> Alcotest.fail (Client.error_to_string e)
+      | Ok filler ->
+          Fun.protect
+            ~finally:(fun () -> Client.close filler)
+            (fun () ->
+              within ~limit:5.0 "connect to a full accept queue" (fun () ->
+                  times_out (fun () -> Client.connect ~timeout:0.2 addr))))
 
 (* --- registry -------------------------------------------------------- *)
 
 let reg_addrs n =
-  List.init n (fun i -> { Transport.host = "10.0.0.1"; port = 7000 + i })
+  List.init n (fun i -> Client.Tcp ("10.0.0.1", 7000 + i))
 
 let test_registry_backoff_then_dead () =
   let r = Registry.create ~attempts:3 ~backoff_base:1.0 ~backoff_cap:8.0
@@ -328,7 +400,7 @@ let corpus_units () =
   (items, units)
 
 let start_node ?(corrupt = "") ~name () =
-  let fd, port = Transport.listen_ephemeral () in
+  let fd, addr = Client.listen_ephemeral () in
   let pid =
     match Unix.fork () with
     | 0 ->
@@ -349,12 +421,12 @@ let start_node ?(corrupt = "") ~name () =
   (* close the parent's copy so a dead node's port refuses connections
      instead of queueing them on an orphaned listen socket *)
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (pid, { Transport.host = "127.0.0.1"; port })
+  (pid, addr)
 
 let wait_ready addr =
   let deadline = Unix.gettimeofday () +. 10. in
   let rec go () =
-    Transport.ping addr
+    Client.alive addr
     || (Unix.gettimeofday () < deadline
        && begin
             Unix.sleepf 0.02;
@@ -362,7 +434,7 @@ let wait_ready addr =
           end)
   in
   Alcotest.(check bool)
-    (Fmt.str "node %s ready" (Transport.addr_to_string addr))
+    (Fmt.str "node %s ready" (Client.addr_to_string addr))
     true (go ())
 
 let drain_node pid =
@@ -418,7 +490,7 @@ let test_cluster_matches_single_node () =
       (* a re-run on the same journal is pure recovery: at-most-once
          application means no unit is re-dispatched, so even a fleet of
          unreachable nodes completes it *)
-      let dead = { Transport.host = "127.0.0.1"; port = 1 } in
+      let dead = Client.Tcp ("127.0.0.1", 1) in
       let t2 =
         C.run
           ~config:{ config with C.nodes = [ dead ] }
@@ -437,9 +509,8 @@ let test_cluster_survives_dead_node_in_fleet () =
   let items, units = corpus_units () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   (* a listener bound and immediately closed: a port that refuses *)
-  let dead_fd, dead_port = Transport.listen_ephemeral () in
+  let dead_fd, dead = Client.listen_ephemeral () in
   Unix.close dead_fd;
-  let dead = { Transport.host = "127.0.0.1"; port = dead_port } in
   let pid1, addr1 = start_node ~name:"e2e-dead-n1" () in
   Fun.protect
     ~finally:(fun () ->
@@ -581,6 +652,10 @@ let () =
             `Quick test_damage_stall_is_timeout;
           Alcotest.test_case "torn seal rejected by the codec" `Quick
             test_damage_torn_seal;
+          Alcotest.test_case "half-written frame: recv times out" `Quick
+            test_recv_half_frame_times_out;
+          Alcotest.test_case "full accept queue: connect times out" `Quick
+            test_connect_full_backlog_times_out;
         ] );
       ( "registry",
         [

@@ -193,6 +193,28 @@ let test_parse_roundtrip () =
   let p' = Parser.parse (Prog.to_string p) in
   check bool_t "print/parse round-trip" true (Prog.equal p p')
 
+let test_parse_string_escapes () =
+  (* every byte [%S] escapes: CR, NUL and a byte above 127 as well as
+     quote, backslash, tab, newline and backspace *)
+  let msg = "cr\r nul\000 hi\200 q\" bs\\ tab\t nl\n bs\b" in
+  let src =
+    Fmt.str "func main() {\nentry:\n  r0 = const 1\n  assert r0, %S\n  abort %S\n}\n"
+      msg msg
+  in
+  let p = Parser.parse src in
+  let p' = Parser.parse (Prog.to_string p) in
+  check bool_t "print/parse round-trip" true (Prog.equal p p');
+  let b = Func.entry_block (Prog.main p) in
+  check bool_t "assert message byte-equal" true
+    (Array.mem (Instr.Assert (0, msg)) b.Block.instrs);
+  check bool_t "abort message byte-equal" true (b.Block.term = Instr.Abort msg);
+  List.iter
+    (fun lit ->
+      match Parser.parse_result (Fmt.str "func main() { e: abort \"%s\" }" lit) with
+      | Ok _ -> Alcotest.failf "%S must not parse" lit
+      | Error _ -> ())
+    [ "\\256"; "\\999"; "\\12"; "\\1x1" ]
+
 let test_parse_all_instrs () =
   let src =
     {|
@@ -399,6 +421,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_parse_roundtrip;
           Alcotest.test_case "all instructions" `Quick test_parse_all_instrs;
+          Alcotest.test_case "string escapes round-trip" `Quick
+            test_parse_string_escapes;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error line numbers" `Quick test_parse_line_numbers;
         ] );

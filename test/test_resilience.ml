@@ -74,6 +74,41 @@ let test_dump_roundtrip () =
   | Error e ->
       Alcotest.fail (Res_vm.Coredump_io.dump_error_to_string e)
 
+(* Bytes that [%S] writes as escapes ([\r], [\000], [\200]) next to
+   the ones it always escaped: crash messages and log tags must load
+   back byte-equal. *)
+let escaped_bytes = "cr\r nul\000 hi\200 q\" bs\\ tab\t nl\n bs\b"
+
+let test_dump_escaped_strings_roundtrip () =
+  let dump = sample_dump () in
+  let tracer =
+    Res_vm.Tracer.record_log dump.Res_vm.Coredump.tracer ~tid:0
+      ~tag:escaped_bytes ~value:7
+  in
+  List.iter
+    (fun kind ->
+      let d =
+        {
+          dump with
+          Res_vm.Coredump.crash = { dump.Res_vm.Coredump.crash with kind };
+          tracer;
+        }
+      in
+      match Res_vm.Coredump_io.of_string_result (Res_vm.Coredump_io.to_string d)
+      with
+      | Ok { Res_vm.Coredump_io.dump = back; _ } ->
+          check bool_t "crash kind byte-equal" true
+            (back.Res_vm.Coredump.crash.Res_vm.Crash.kind = kind);
+          check bool_t "log tag byte-equal" true
+            (List.exists
+               (fun e -> String.equal e.Res_vm.Tracer.log_tag escaped_bytes)
+               (Res_vm.Tracer.logs back.Res_vm.Coredump.tracer))
+      | Error e -> Alcotest.fail (Res_vm.Coredump_io.dump_error_to_string e))
+    [
+      Res_vm.Crash.Assert_fail escaped_bytes;
+      Res_vm.Crash.Abort_called escaped_bytes;
+    ]
+
 let test_dump_empty_classified () =
   check Alcotest.string "empty string" "empty" (classify "");
   check Alcotest.string "whitespace only" "empty" (classify "  \n\n ")
@@ -444,6 +479,8 @@ let () =
       ( "coredump hardening",
         [
           Alcotest.test_case "v2 round-trip" `Quick test_dump_roundtrip;
+          Alcotest.test_case "escaped message bytes round-trip" `Quick
+            test_dump_escaped_strings_roundtrip;
           Alcotest.test_case "empty classified" `Quick
             test_dump_empty_classified;
           Alcotest.test_case "bad header classified" `Quick

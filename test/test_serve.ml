@@ -363,12 +363,12 @@ let offline_body prog_text dump_text =
 
 let test_daemon_lifecycle () =
   let dir = fresh_dir "res_e2e" in
-  let socket = Filename.concat dir "s.sock" in
+  let socket = Client.Unix_socket (Filename.concat dir "s.sock") in
   let spool = Filename.concat dir "spool" in
   let cfg =
     {
       Server.default_config with
-      Server.socket_path = socket;
+      Server.listen = socket;
       spool_dir = spool;
       jobs = 1;
       capacity = 4;
@@ -447,6 +447,47 @@ let test_daemon_lifecycle () =
       in
       reap 200)
 
+(* --- daemon cache key ---------------------------------------------------- *)
+
+let test_cache_config_keys_every_knob () =
+  let key ?(cfg = Server.default_config) ?(task = Server.Analyze)
+      ?deadline_ms ?fuel () =
+    Server.cache_config cfg ~task ~deadline_ms ~fuel
+  in
+  let base = key () in
+  let with_search f =
+    let c = Server.default_config.Server.analyze_config in
+    {
+      Server.default_config with
+      Server.analyze_config = { c with Res_core.Res.search = f c.search };
+    }
+  in
+  Alcotest.(check bool) "reverse-exec flip changes the key" false
+    (String.equal base
+       (key
+          ~cfg:
+            (with_search (fun s -> { s with Res_core.Search.reverse_exec = false }))
+          ()));
+  Alcotest.(check bool) "the task kind changes the key" false
+    (String.equal base (key ~task:(Server.Triage_unit "u") ()));
+  Alcotest.(check bool) "a budget changes the key" false
+    (String.equal base (key ~fuel:7 ()));
+  (* the daemon default deadline, spelled out, shares the entry *)
+  let default_ms =
+    match Server.default_config.Server.default_deadline with
+    | Some s -> int_of_float (s *. 1000.)
+    | None -> Alcotest.fail "expected a default deadline"
+  in
+  Alcotest.(check string) "an explicit default deadline is the same key"
+    base (key ~deadline_ms:default_ms ());
+  Alcotest.(check bool) "keyed through the batch config key" true
+    (let b =
+       Res_parallel.Batch.config_key
+         ?budget_wall:Server.default_config.Server.default_deadline
+         Server.default_config.Server.analyze_config
+     in
+     String.ends_with ~suffix:b base)
+
 let () =
   Alcotest.run "serve"
     [
@@ -484,6 +525,8 @@ let () =
         ] );
       ( "daemon",
         [
+          Alcotest.test_case "cache key covers every knob" `Quick
+            test_cache_config_keys_every_knob;
           Alcotest.test_case "submit/result/fetch/drain lifecycle" `Slow
             test_daemon_lifecycle;
         ] );
