@@ -700,7 +700,7 @@ let e17 () =
   let module C = Res_cluster.Coordinator in
   let module Fleet = Res_faultinject.Fleet in
   Fleet.with_kit "res-e17" @@ fun k ->
-  let items, units = Fleet.corpus ~n_per_bug:6 in
+  let items = Fleet.corpus ~n_per_bug:6 in
   let next_node = ref 0 in
   let start_node () =
     incr next_node;
@@ -728,7 +728,7 @@ let e17 () =
       let config =
         { C.default_config with C.nodes = List.map snd fleet; window = 2 }
       in
-      let t, tw = time (fun () -> C.run ~config units) in
+      let t, tw = time (fun () -> C.run ~config items) in
       Fmt.pr "%-10d %-11.4f %-9s %-9d %s@." n_nodes tw
         (Fmt.str "%.2fx" (t_base /. tw))
         t.C.stats.C.cs_retries

@@ -156,7 +156,8 @@ let run_cmd =
         Fmt.pr "%a@." Res_vm.Crash.pp dump.Res_vm.Coredump.crash;
         (match out with
         | Some path ->
-            Res_vm.Coredump_io.save path dump;
+            Res_core.Ioshim.write_file_atomic path
+              (Res_vm.Coredump_io.to_string dump);
             Fmt.pr "coredump written to %s@." path
         | None -> Fmt.pr "%s@." (Res_vm.Coredump.to_string dump));
         exit_ok
@@ -317,8 +318,7 @@ let backend_arg =
            $(b,auto) (domains on multicore, fork otherwise; the \
            RES_PARALLEL_BACKEND environment variable overrides).")
 
-(* --- result-cache flags (shared by triage, serve, coordinate,
-   client submit) --- *)
+(* --- result-cache flags (shared by triage, serve, coordinate) --- *)
 
 let cache_dir_arg =
   Arg.(
@@ -829,7 +829,8 @@ let workload_cmd =
         | None -> ());
         (match out with
         | Some path ->
-            Res_vm.Coredump_io.save path dump;
+            Res_core.Ioshim.write_file_atomic path
+              (Res_vm.Coredump_io.to_string dump);
             Fmt.pr "coredump written to %s@." path
         | None -> ());
         exit_ok
@@ -841,54 +842,62 @@ let workload_cmd =
 
 (* --- triage (batch) --- *)
 
+let corpus_dir_arg =
+  Arg.(
+    required
+    & opt (some dir) None
+    & info [ "dir" ] ~docv:"DIR"
+        ~doc:"Directory of coredump files to triage (every regular file).")
+
+(** The corpus [res triage] and [res coordinate] read: one batch item per
+    regular file under [dir], all against [prog]; a file that does not
+    load is an [Error] item, which becomes a [dump-error] row. *)
+let load_corpus prog dir =
+  let files = Sys.readdir dir in
+  Array.sort compare files;
+  let items =
+    Array.to_list files
+    |> List.filter_map (fun name ->
+           let path = Filename.concat dir name in
+           match (Unix.stat path).Unix.st_kind with
+           | Unix.S_REG ->
+               Some
+                 {
+                   Res_parallel.Batch.it_name = name;
+                   it_prog = prog;
+                   it_dump =
+                     (match Res_vm.Coredump_io.load_result path with
+                     | Ok { Res_vm.Coredump_io.dump; _ } -> Ok dump
+                     | Error e ->
+                         Error (Res_vm.Coredump_io.dump_error_to_string e));
+                 }
+           | _ -> None
+           | exception Unix.Unix_error _ -> None)
+  in
+  if items = [] then
+    raise (Die (exit_internal, Fmt.str "no coredump files under %s" dir));
+  items
+
+(* Per-dump budgets of [res triage] and [res coordinate] (which forwards
+   them to the nodes). *)
+let per_dump_deadline_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "deadline" ] ~docv:"SECONDS"
+        ~doc:
+          "Per-dump wall-clock deadline; a dump that exceeds it degrades to \
+           a partial row without starving the rest of the batch.")
+
+let per_dump_fuel_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "fuel" ] ~docv:"N" ~doc:"Per-dump search-node budget.")
+
 let triage_batch_cmd =
-  let dir_arg =
-    Arg.(
-      required
-      & opt (some dir) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Directory of coredump files to triage (every regular file).")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-dump wall-clock deadline; a dump that exceeds it degrades \
-             to a partial row without starving the rest of the batch.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N" ~doc:"Per-dump search-node budget.")
-  in
   let run prog_path dir jobs backend deadline fuel stats cache_dir no_cache =
-    let prog = or_die (load_prog prog_path) in
-    let files = Sys.readdir dir in
-    Array.sort compare files;
-    let items =
-      Array.to_list files
-      |> List.filter_map (fun name ->
-             let path = Filename.concat dir name in
-             match (Unix.stat path).Unix.st_kind with
-             | Unix.S_REG ->
-                 Some
-                   {
-                     Res_parallel.Batch.it_name = name;
-                     it_prog = prog;
-                     it_dump =
-                       (match Res_vm.Coredump_io.load_result path with
-                       | Ok { Res_vm.Coredump_io.dump; _ } -> Ok dump
-                       | Error e ->
-                           Error (Res_vm.Coredump_io.dump_error_to_string e));
-                   }
-             | _ -> None
-             | exception Unix.Unix_error _ -> None)
-    in
-    if items = [] then
-      raise (Die (exit_internal, Fmt.str "no coredump files under %s" dir));
+    let items = load_corpus (or_die (load_prog prog_path)) dir in
     let cache = open_cache cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
     let q0 = Res_solver.Solver.queries () in
@@ -915,7 +924,8 @@ let triage_batch_cmd =
     end;
     (* a batch where literally every dump failed is a pipeline problem,
        not a triage result: make it visible to orchestrators *)
-    if Res_parallel.Batch.all_failed t then exit_internal else exit_ok
+    if Res_parallel.Batch.all_failed t.Res_parallel.Batch.rows then exit_internal
+    else exit_ok
   in
   Cmd.v
     (Cmd.info "triage"
@@ -926,8 +936,9 @@ let triage_batch_cmd =
           rows).  Unloadable or repeatedly-failing dumps degrade to \
           $(b,failed) rows; the batch always completes.")
     Term.(
-      const run $ prog_arg $ dir_arg $ jobs_arg $ backend_arg $ deadline
-      $ fuel $ stats_arg $ cache_dir_arg $ no_cache_arg)
+      const run $ prog_arg $ corpus_dir_arg $ jobs_arg $ backend_arg
+      $ per_dump_deadline_arg $ per_dump_fuel_arg $ stats_arg $ cache_dir_arg
+      $ no_cache_arg)
 
 (* --- triage demo --- *)
 
@@ -1146,82 +1157,25 @@ let client_cmd =
         & pos 1 (some file) None
         & info [] ~docv:"COREDUMP" ~doc:"Coredump file to triage.")
     in
-    let run socket prog_path dump_path deadline_ms fuel no_wait cache_dir
-        no_cache =
-      let module Cache = Res_cache.Cache in
-      let module P = Res_serve.Protocol in
+    let run socket prog_path dump_path deadline_ms fuel no_wait =
       let prog = read_file prog_path in
       let dump = read_file dump_path in
-      let cache = open_cache cache_dir no_cache in
-      (* Client-side keying sees only what the client knows: the raw
-         bytes and the budgets it forwards (daemon defaults are not in
-         the key, so an unspecified and a spelled-out deadline are
-         distinct entries — conservative, never wrong). *)
-      let key =
-        match cache with
-        | None -> ""
-        | Some _ ->
-            Cache.key ~prog ~dump
-              ~config:
-                (Cache.row_config
-                   ~wall:
-                     (Option.map
-                        (fun ms -> float_of_int ms /. 1000.)
-                        deadline_ms)
-                   ~fuel
-                   ~engine:(Fmt.str "client submit %s" P.rep_header))
-      in
-      let cached =
-        match cache with
-        | Some c when not (String.equal key "") -> (
-            match Cache.find c key with
-            | None -> None
-            | Some body -> (
-                match P.decode_reply body with
-                | Ok (P.Result _ as r) -> Some r
-                | _ -> None))
-        | _ -> None
-      in
-      let store_result reply =
-        match (cache, reply) with
-        | ( Some c,
-            P.Result
-              { rs_id = _; rs_outcome; rs_timeout; rs_elapsed_ms = _; rs_body }
-          )
-          when (not (String.equal key "")) && not rs_timeout ->
-            Cache.store c key
-              (P.encode_reply
-                 (P.Result
-                    {
-                      rs_id = "cached";
-                      rs_outcome;
-                      rs_timeout;
-                      rs_elapsed_ms = 0;
-                      rs_body;
-                    }))
-        | _ -> ()
-      in
-      match cached with
-      | Some r -> client_finish (Ok r)
-      | None -> (
-          if no_wait then
-            match
-              Res_serve.Client.submit socket ~prog ~dump ?deadline_ms ?fuel ()
-            with
-            | Ok (conn, reply) ->
-                Res_serve.Client.close conn;
-                client_finish (Ok reply)
-            | Error e -> client_finish (Error e)
-          else
-            match
-              Res_serve.Client.submit_wait ~timeout:3600. socket ~prog ~dump
-                ?deadline_ms ?fuel ()
-            with
-            | Ok (_, Some result) ->
-                store_result result;
-                client_finish (Ok result)
-            | Ok (admission, None) -> client_finish (Ok admission)
-            | Error e -> client_finish (Error e))
+      if no_wait then
+        match
+          Res_serve.Client.submit socket ~prog ~dump ?deadline_ms ?fuel ()
+        with
+        | Ok (conn, reply) ->
+            Res_serve.Client.close conn;
+            client_finish (Ok reply)
+        | Error e -> client_finish (Error e)
+      else
+        match
+          Res_serve.Client.submit_wait ~timeout:3600. socket ~prog ~dump
+            ?deadline_ms ?fuel ()
+        with
+        | Ok (_, Some result) -> client_finish (Ok result)
+        | Ok (admission, None) -> client_finish (Ok admission)
+        | Error e -> client_finish (Error e)
     in
     Cmd.v
       (Cmd.info "submit"
@@ -1231,7 +1185,7 @@ let client_cmd =
             draining).")
       Term.(
         const run $ socket_arg $ prog_arg $ dump_arg $ deadline_ms $ fuel
-        $ no_wait $ cache_dir_arg $ no_cache_arg)
+        $ no_wait)
   in
   let fetch =
     let id_arg =
@@ -1268,13 +1222,6 @@ let client_cmd =
 (* --- cluster coordinator --- *)
 
 let coordinate_cmd =
-  let dir_arg =
-    Arg.(
-      required
-      & opt (some dir) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Directory of coredump files to triage (every regular file).")
-  in
   let nodes_arg =
     Arg.(
       required
@@ -1322,22 +1269,6 @@ let coordinate_cmd =
       & info [ "connect-timeout" ] ~docv:"SECONDS"
           ~doc:"Deadline for establishing each node connection.")
   in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-dump wall-clock deadline, forwarded to the nodes; a dump \
-             that exceeds it degrades to a partial row.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Per-dump search-node budget, forwarded to the nodes.")
-  in
   let spot_check =
     Arg.(
       value & opt int 0
@@ -1367,43 +1298,7 @@ let coordinate_cmd =
       connect_timeout deadline fuel spot_check no_verify_rows stats verbose
       cache_dir no_cache =
     let module C = Res_cluster.Coordinator in
-    let prog = or_die (load_prog prog_path) in
-    let prog_text = Res_ir.Prog.to_string prog in
-    let files = Sys.readdir dir in
-    Array.sort compare files;
-    let units = ref [] and extra = ref [] in
-    Array.iter
-      (fun name ->
-        let path = Filename.concat dir name in
-        match (Unix.stat path).Unix.st_kind with
-        | Unix.S_REG -> (
-            match Res_vm.Coredump_io.load_result path with
-            | Ok { Res_vm.Coredump_io.dump; _ } ->
-                units :=
-                  {
-                    C.ci_name = name;
-                    ci_prog = prog_text;
-                    ci_dump = Res_vm.Coredump_io.to_string dump;
-                    ci_sig = Res_usecases.Triage.wer_key dump;
-                  }
-                  :: !units
-            | Error e ->
-                (* settled locally, exactly as batch triage rows them *)
-                extra :=
-                  {
-                    Res_parallel.Batch.row_name = name;
-                    row_outcome = "failed";
-                    row_bucket = "dump-error";
-                    row_cause = Res_vm.Coredump_io.dump_error_to_string e;
-                    row_nodes = 0;
-                    row_pruned = 0;
-                  }
-                  :: !extra)
-        | _ -> ()
-        | exception Unix.Unix_error _ -> ())
-      files;
-    if !units = [] && !extra = [] then
-      raise (Die (exit_internal, Fmt.str "no coredump files under %s" dir));
+    let items = load_corpus (or_die (load_prog prog_path)) dir in
     let config =
       {
         C.default_config with
@@ -1424,7 +1319,7 @@ let coordinate_cmd =
       }
     in
     let t0 = Unix.gettimeofday () in
-    let t = C.run ~config ~extra_rows:!extra !units in
+    let t = C.run ~config items in
     print_string t.C.tsv;
     if stats then begin
       Fmt.epr "%a@." C.pp_stats t.C.stats;
@@ -1434,7 +1329,7 @@ let coordinate_cmd =
         t.C.node_health;
       Fmt.epr "wall %.3fs@." (Unix.gettimeofday () -. t0)
     end;
-    if C.all_failed t then exit_internal else exit_ok
+    if Res_parallel.Batch.all_failed t.C.rows then exit_internal else exit_ok
   in
   Cmd.v
     (Cmd.info "coordinate"
@@ -1443,11 +1338,14 @@ let coordinate_cmd =
           each dump to a node by workload-signature hash, retry and \
           reschedule units off dead or stalled nodes with capped backoff, \
           journal applied rows for crash-resume, and print the same \
-          deterministic TSV a single-node $(b,res triage) prints.")
+          deterministic TSV a single-node $(b,res triage) prints.  The \
+          per-dump budgets are forwarded to the nodes; unloadable files \
+          are settled locally.")
     Term.(
-      const run $ prog_arg $ dir_arg $ nodes_arg $ journal $ window $ attempts
-      $ unit_deadline $ connect_timeout $ deadline $ fuel $ spot_check
-      $ no_verify_rows $ stats_arg $ verbose $ cache_dir_arg $ no_cache_arg)
+      const run $ prog_arg $ corpus_dir_arg $ nodes_arg $ journal $ window
+      $ attempts $ unit_deadline $ connect_timeout $ per_dump_deadline_arg
+      $ per_dump_fuel_arg $ spot_check $ no_verify_rows $ stats_arg $ verbose
+      $ cache_dir_arg $ no_cache_arg)
 
 (* --- selftest --- *)
 

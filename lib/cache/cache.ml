@@ -4,8 +4,8 @@
     crash reports, a handful of root causes.  Re-deriving the same
     root-cause report for the same (program, dump, analysis budget)
     triple is pure waste, so every triage layer — [res triage] batches,
-    the serve daemon, [res client submit], the cluster coordinator —
-    consults this cache first and recomputes only unseen work.
+    the serve daemon, the cluster coordinator — consults this cache
+    first and recomputes only unseen work.
 
     The design is crash-only, like the spool and the cluster journal:
 
@@ -84,7 +84,7 @@ let quarantine_dir t = Filename.concat t.dir "quarantine"
 let openr dir =
   (try Ioshim.mkdir_durable dir with Unix.Unix_error _ | Sys_error _ -> ());
   (try
-     Res_persist.Checkpoint.recover_dir dir ~valid_for:(fun _ ->
+     Ioshim.recover_dir dir ~valid_for:(fun _ ->
          Sealing.valid ~header)
    with Unix.Unix_error _ | Sys_error _ -> ());
   {

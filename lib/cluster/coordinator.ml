@@ -26,25 +26,19 @@
     double-applying units; late duplicate rows (a retried unit whose
     first node answered after all) are counted and dropped.
 
-    The output path reuses {!Res_parallel.Batch} rows, clustering, and
-    TSV rendering verbatim — byte-identical merged output is a matter of
-    construction, then enforced under kill schedules by the cluster-soak
-    campaign. *)
+    {b Everything else is {!Res_parallel.Batch}}: the input is a list of
+    [Batch.item]s, the result cache is Batch's lookup and store phases
+    under a tag of the coordinator's own, and rows, clusters and the TSV
+    come from Batch's merge — byte-identical merged output is a matter
+    of construction, then enforced under kill schedules by the
+    cluster-soak campaign.  Only where a dump is analyzed differs. *)
 
 module Io = Res_vm.Coredump_io
 module P = Res_serve.Protocol
 module Batch = Res_parallel.Batch
 module Pool = Res_parallel.Pool
 module Client = Res_serve.Client
-
-(** One triage unit: the corpus name (unit identity), raw program and
-    dump texts, and the workload signature that routes it. *)
-type unit_item = {
-  ci_name : string;
-  ci_prog : string;
-  ci_dump : string;
-  ci_sig : string;
-}
+module Cache = Res_cache.Cache
 
 type config = {
   nodes : Client.addr list;
@@ -60,8 +54,8 @@ type config = {
   journal_dir : string option;  (** durable at-most-once journal *)
   cache_dir : string option;
       (** content-addressed result cache: units whose exact
-          (program, dump, budgets) were triaged by any earlier run are
-          applied from disk and never dispatched to a node *)
+          (program, dump, {!cache_config}) a node triaged in any earlier
+          run are applied from disk and never dispatched *)
   verify_rows : bool;
       (** structural verification of every node-returned row: the seal
           and schema were already checked by the codec; this adds
@@ -99,7 +93,7 @@ let default_config =
   }
 
 type stats = {
-  cs_units : int;
+  cs_units : int;  (** corpus items, unloadable ones included *)
   cs_applied : int;  (** rows applied from live node answers *)
   cs_recovered : int;  (** rows recovered from the journal at boot *)
   cs_lost : int;  (** units degraded to worker-lost rows *)
@@ -132,34 +126,22 @@ let pp_stats ppf s =
     s.cs_reschedules s.cs_node_failures s.cs_nodes_dead s.cs_duplicates
     s.cs_cache_hits s.cs_queries s.cs_byzantine
 
-(** Decode a [Row] reply frame into a renderable batch row and the
-    solver queries it reports. *)
-let row_of_frame frame =
+(** The config part of the coordinator's cache keys: {!Batch.config_key}
+    of the default analysis config, which is what [res serve] nodes run,
+    with the budgets this coordinator forwards.  The tag keeps verdicts
+    computed by nodes out of a local [res triage], which does not trust
+    nodes. *)
+let cache_config config =
+  "coordinate "
+  ^ Batch.config_key
+      ?budget_wall:
+        (Option.map (fun ms -> float_of_int ms /. 1000.) config.deadline_ms)
+      ?budget_fuel:config.fuel Res_core.Res.default_config
+
+(** The verdict a [Row] reply frame carries. *)
+let verdict_of_frame frame =
   match P.decode_reply frame with
-  | Ok (P.Row { rw_name; rw_verdict = v; _ }) ->
-      Some (Batch.row_of_verdict rw_name v, v.c_queries)
-  | _ -> None
-
-(* Frames stored in the result cache are identity-normalized: the unit
-   name and elapsed time are per-run noise, not part of the verdict.
-   Timed-out and worker-lost rows are what a {e run} managed, not what
-   the inputs mean, so they are neither stored nor served. *)
-let cacheable (v : Res_cache.Cache.row) =
-  (not v.c_timeout) && not (String.equal v.c_bucket "worker-lost")
-
-let normalize_frame frame =
-  match P.decode_reply frame with
-  | Ok (P.Row r) when cacheable r.rw_verdict ->
-      Some
-        (P.encode_reply (P.Row { r with rw_name = "cached"; rw_elapsed_ms = 0 }))
-  | _ -> None
-
-(** Re-label a cached (normalized) frame with this unit's corpus name so
-    the row merges into the output like a node answer. *)
-let relabel_frame name body =
-  match P.decode_reply body with
-  | Ok (P.Row r) when cacheable r.rw_verdict ->
-      Some (P.encode_reply (P.Row { r with rw_name = name }))
+  | Ok (P.Row { rw_verdict; _ }) -> Some rw_verdict
   | _ -> None
 
 (** One open exchange: the connection, which unit it carries, which node
@@ -172,15 +154,28 @@ type inflight = {
   mutable if_accepted : bool;
 }
 
-(** Run the corpus to completion.  [extra_rows] are rows the caller
-    settled locally (unloadable dumps) that only participate in the
-    final merge — exactly as unloadable items do in {!Batch.run}. *)
-let run ?(config = default_config) ?(extra_rows = []) items =
+(** Run the corpus to completion.  Unloadable items are settled
+    locally as [dump-error] rows and never dispatched. *)
+let run ?(config = default_config) items =
   if config.nodes = [] then invalid_arg "Coordinator.run: empty node list";
   let items =
-    List.sort (fun a b -> compare a.ci_name b.ci_name) items |> Array.of_list
+    List.sort (fun (a : Batch.item) b -> compare a.it_name b.it_name) items
+    |> Array.of_list
   in
   let n = Array.length items in
+  let dump u =
+    match items.(u).it_dump with Ok d -> d | Error _ -> assert false
+  in
+  (* the WER key routes a unit: crash family + stack *)
+  let sigs =
+    Array.map
+      (fun (it : Batch.item) ->
+        match it.it_dump with
+        | Ok d -> Res_usecases.Triage.wer_key d
+        | Error _ -> "")
+      items
+  in
+  let prog_text = Batch.per_prog Res_ir.Prog.to_string in
   let reg =
     Registry.create ~attempts:config.node_attempts
       ~backoff_base:config.backoff_base ~backoff_cap:config.backoff_cap
@@ -188,29 +183,11 @@ let run ?(config = default_config) ?(extra_rows = []) items =
   in
   let n_nodes = Registry.count reg in
   let journal = Option.map Journal.openr config.journal_dir in
-  let cache = Option.map Res_cache.Cache.openr config.cache_dir in
-  (* Cache keys are content keys over the raw unit bytes plus the
-     budgets this coordinator forwards; the reply codec version makes a
-     protocol bump an honest miss.  The unit {e name} is deliberately
-     not in the key — identical (program, dump) bytes mean an identical
-     verdict, whatever the corpus calls the file. *)
-  let cache_cfg =
-    Res_cache.Cache.row_config
-      ~wall:(Option.map (fun ms -> float_of_int ms /. 1000.) config.deadline_ms)
-      ~fuel:config.fuel
-      ~engine:(Fmt.str "coord %s" P.rep_header)
+  let cache = Option.map Cache.openr config.cache_dir in
+  let keys, cached =
+    Batch.lookup ?cache ~config:(cache_config config) items
   in
-  let keys =
-    Array.map
-      (fun it ->
-        match cache with
-        | None -> ""
-        | Some _ ->
-            Res_cache.Cache.key ~prog:it.ci_prog ~dump:it.ci_dump
-              ~config:cache_cfg)
-      items
-  in
-  let applied = Array.make n None in
+  let verdicts = Array.make n None in
   let lost = Array.make n false in
   let attempts = Array.make n 0 in
   let last_node = Array.make n (-1) in
@@ -218,7 +195,6 @@ let run ?(config = default_config) ?(extra_rows = []) items =
   let window_used = Array.make n_nodes 0 in
   let pending = Queue.create () in
   let inflight = ref [] in
-  let remaining = ref n in
   let n_applied = ref 0 in
   let n_recovered = ref 0 in
   let n_lost = ref 0 in
@@ -238,50 +214,37 @@ let run ?(config = default_config) ?(extra_rows = []) items =
         (fun (name, frame) -> Hashtbl.replace by_name name frame)
         (Journal.recovered_rows j);
       Array.iteri
-        (fun i it ->
-          match Hashtbl.find_opt by_name it.ci_name with
-          | Some frame -> (
-              match row_of_frame frame with
-              | Some payload ->
-                  applied.(i) <- Some payload;
-                  incr n_recovered;
-                  decr remaining
-              | None -> ())
-          | None -> ())
+        (fun i (it : Batch.item) ->
+          if Result.is_ok it.it_dump then
+            match
+              Option.bind (Hashtbl.find_opt by_name it.it_name) verdict_of_frame
+            with
+            | Some v ->
+                verdicts.(i) <- Some v;
+                incr n_recovered
+            | None -> ())
         items;
       if !n_recovered > 0 then
         config.log
           (Fmt.str "recovered %d applied row(s) from journal" !n_recovered));
-  (* warm start: units the cache already answers never touch the network.
-     Hits are journaled like node answers, so a coordinator killed during
-     a warm run recovers them as applied rows. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i it ->
-          if applied.(i) = None then
-            match Res_cache.Cache.find c keys.(i) with
-            | None -> ()
-            | Some body -> (
-                match relabel_frame it.ci_name body with
-                | None -> ()
-                | Some frame -> (
-                    match row_of_frame frame with
-                    | None -> ()
-                    | Some payload ->
-                        Option.iter
-                          (fun j -> Journal.append j ~index:i ~frame)
-                          journal;
-                        applied.(i) <- Some payload;
-                        incr n_cache_hits;
-                        decr remaining)))
-        items;
-      if !n_cache_hits > 0 then
-        config.log (Fmt.str "%d unit(s) applied from cache" !n_cache_hits));
-  Array.iteri (fun i _ -> if applied.(i) = None then Queue.push i pending) items;
+  (* warm start: units the cache already answers never touch the network *)
+  Array.iteri
+    (fun i c ->
+      if verdicts.(i) = None && c <> None then begin
+        verdicts.(i) <- c;
+        incr n_cache_hits
+      end)
+    cached;
+  if !n_cache_hits > 0 then
+    config.log (Fmt.str "%d unit(s) applied from cache" !n_cache_hits);
+  Array.iteri
+    (fun i (it : Batch.item) ->
+      if Result.is_ok it.it_dump && verdicts.(i) = None then
+        Queue.push i pending)
+    items;
+  let remaining = ref (Queue.length pending) in
   let now () = Unix.gettimeofday () in
-  let route i = Io.fnv1a32 items.(i).ci_sig mod n_nodes in
+  let route i = Io.fnv1a32 sigs.(i) mod n_nodes in
   (* deterministic failover walk from the signature's primary node *)
   let pick_node u tnow =
     let p = route u in
@@ -300,28 +263,19 @@ let run ?(config = default_config) ?(extra_rows = []) items =
       lost.(u) <- true;
       incr n_lost;
       decr remaining;
-      config.log (Fmt.str "unit %s lost: %s" items.(u).ci_name why)
+      config.log (Fmt.str "unit %s lost: %s" items.(u).it_name why)
     end
   in
-  let apply u frame =
-    match applied.(u) with
+  let apply u frame v =
+    match verdicts.(u) with
     | Some _ -> incr n_duplicates
-    | None -> (
-        match row_of_frame frame with
-        | None -> incr n_duplicates  (* unreachable: caller decoded *)
-        | Some payload ->
-            (* journal before applying: a kill between the two re-reads
-               the row instead of re-running the unit *)
-            Option.iter (fun j -> Journal.append j ~index:u ~frame) journal;
-            (match cache with
-            | Some c when not (String.equal keys.(u) "") -> (
-                match normalize_frame frame with
-                | Some body -> Res_cache.Cache.store c keys.(u) body
-                | None -> ())
-            | _ -> ());
-            applied.(u) <- Some payload;
-            incr n_applied;
-            decr remaining)
+    | None ->
+        (* journal before applying: a kill between the two re-reads the
+           row instead of re-running the unit *)
+        Option.iter (fun j -> Journal.append j ~index:u ~frame) journal;
+        verdicts.(u) <- Some v;
+        incr n_applied;
+        decr remaining
   in
   (* a failed exchange: charge the unit an attempt and requeue (or give
      up), gated by capped exponential backoff *)
@@ -337,7 +291,7 @@ let run ?(config = default_config) ?(extra_rows = []) items =
              (attempts.(u) - 1);
       Queue.push u pending;
       config.log
-        (Fmt.str "unit %s attempt %d failed (%s); requeued" items.(u).ci_name
+        (Fmt.str "unit %s attempt %d failed (%s); requeued" items.(u).it_name
            attempts.(u) why)
     end
   in
@@ -358,7 +312,7 @@ let run ?(config = default_config) ?(extra_rows = []) items =
     unit_failed f.if_unit why
   in
   let dispatch_one u tnow =
-    if applied.(u) <> None || lost.(u) then ()
+    if verdicts.(u) <> None || lost.(u) then ()
     else if Registry.all_dead reg then
       mark_lost u "every node is dead"
     else if gate.(u) > tnow then Queue.push u pending
@@ -380,9 +334,9 @@ let run ?(config = default_config) ?(extra_rows = []) items =
               let req =
                 P.Triage
                   {
-                    tg_name = it.ci_name;
-                    tg_prog = it.ci_prog;
-                    tg_dump = it.ci_dump;
+                    tg_name = it.it_name;
+                    tg_prog = prog_text it.it_prog;
+                    tg_dump = Io.to_string (dump u);
                     tg_deadline_ms = config.deadline_ms;
                     tg_fuel = config.fuel;
                   }
@@ -415,39 +369,31 @@ let run ?(config = default_config) ?(extra_rows = []) items =
      their verdict reflects the node's wall clock, not the inputs. *)
   let spot_check_due u =
     config.spot_check > 0
-    && Io.fnv1a32 items.(u).ci_sig mod config.spot_check = 0
+    && Io.fnv1a32 sigs.(u) mod config.spot_check = 0
   in
-  let replay_verdict u (v : Res_cache.Cache.row) =
-    let it = items.(u) in
-    match Res_ir.Parser.parse_result it.ci_prog with
-    | Error _ -> Ok () (* cannot replay locally: inconclusive, accept *)
-    | Ok prog -> (
-        match Io.of_string_result it.ci_dump with
-        | Error _ -> Ok ()
-        | Ok { Io.dump; _ } ->
-            (* fresh symbol ids, as each node worker starts with *)
-            Res_solver.Expr.reset_counter_for_tests ();
-            let budget =
-              Option.map (fun f -> Res_core.Budget.create ~fuel:f ()) config.fuel
-            in
-            let local = Res_usecases.Triage.triage_one ?budget prog dump in
-            (* a local analysis that died is inconclusive, not evidence;
-               the comparison covers the fields a TSV row shows *)
-            if String.equal local.c_bucket "analysis-error" then Ok ()
-            else if
-              { local with c_timeout = v.c_timeout; c_queries = v.c_queries }
-              = v
-            then Ok ()
-            else
-              Error
-                (Fmt.str "replay mismatch: node said %s; local replay says %s"
-                   (Res_cache.Cache.encode_row v)
-                   (Res_cache.Cache.encode_row local)))
+  let replay_verdict u (v : Cache.row) =
+    (* fresh symbol ids, as each node worker starts with *)
+    Res_solver.Expr.reset_counter_for_tests ();
+    let budget =
+      Option.map (fun f -> Res_core.Budget.create ~fuel:f ()) config.fuel
+    in
+    let local =
+      Res_usecases.Triage.triage_one ?budget items.(u).it_prog (dump u)
+    in
+    (* a local analysis that died is inconclusive, not evidence; the
+       comparison covers the fields a TSV row shows *)
+    if String.equal local.c_bucket "analysis-error" then Ok ()
+    else if { local with c_timeout = v.c_timeout; c_queries = v.c_queries } = v
+    then Ok ()
+    else
+      Error
+        (Fmt.str "replay mismatch: node said %s; local replay says %s"
+           (Cache.encode_row v) (Cache.encode_row local))
   in
-  let row_verdict u ~rw_name ~rw_elapsed_ms (v : Res_cache.Cache.row) =
+  let row_verdict u ~rw_name ~rw_elapsed_ms (v : Cache.row) =
     if not config.verify_rows then Ok ()
-    else if not (String.equal rw_name items.(u).ci_name) then
-      Error (Fmt.str "row names unit %S, we sent %S" rw_name items.(u).ci_name)
+    else if not (String.equal rw_name items.(u).it_name) then
+      Error (Fmt.str "row names unit %S, we sent %S" rw_name items.(u).it_name)
     else if String.equal v.c_outcome "" || String.equal v.c_bucket "" then
       Error "empty outcome or bucket"
     else if v.c_nodes < 0 || v.c_pruned < 0 || v.c_queries < 0 || rw_elapsed_ms < 0
@@ -483,7 +429,7 @@ let run ?(config = default_config) ?(extra_rows = []) items =
             | Ok () ->
                 retire f;
                 Registry.mark_success reg f.if_node;
-                apply f.if_unit frame)
+                apply f.if_unit frame rw_verdict)
         | Ok (P.Rejected_overload _) ->
             (* backpressure, not failure: back off without charging the
                node *)
@@ -558,33 +504,17 @@ let run ?(config = default_config) ?(extra_rows = []) items =
           sweep_deadlines (now ())
         end
       done);
-  let unit_rows =
-    List.init n (fun i ->
-        match applied.(i) with
-        | Some (row, _) -> row
-        | None ->
-            Batch.row_of_verdict items.(i).ci_name
-              (Res_cache.Cache.failed_row ~bucket:"worker-lost" ~cause:""))
-  in
-  let rows =
-    List.sort
-      (fun (a : Batch.row) b -> compare a.Batch.row_name b.Batch.row_name)
-      (unit_rows @ extra_rows)
-  in
-  let clusters =
-    Res_usecases.Triage.bucket ~key:(fun r -> r.Batch.row_bucket) rows
-    |> List.map (fun (k, rs) ->
-           (k, List.map (fun r -> r.Batch.row_name) rs))
-  in
+  Batch.store ?cache keys ~cached verdicts;
+  let rows, clusters, tsv = Batch.merge items verdicts in
   let queries =
     Array.fold_left
-      (fun acc -> function Some (_, q) -> acc + q | None -> acc)
-      0 applied
+      (fun acc -> function Some (v : Cache.row) -> acc + v.c_queries | None -> acc)
+      0 verdicts
   in
   {
     rows;
     clusters;
-    tsv = Batch.render rows clusters;
+    tsv;
     stats =
       {
         cs_units = n;
@@ -602,9 +532,3 @@ let run ?(config = default_config) ?(extra_rows = []) items =
       };
     node_health = Registry.report reg;
   }
-
-(** Every unit degraded to a failed row — the all-nodes-down shape an
-    orchestrator gates on, mirroring {!Batch.all_failed}. *)
-let all_failed t =
-  t.rows <> []
-  && List.for_all (fun r -> String.equal r.Batch.row_outcome "failed") t.rows

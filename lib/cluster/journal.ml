@@ -7,7 +7,7 @@
     One file per applied unit, [u<index>.row], holding the node's [Row]
     reply frame verbatim (the same "journal the wire format" trick as
     the spool: recovery needs no third format).  Files are written with
-    {!Res_vm.Coredump_io.write_file_atomic} {e before} the row is
+    {!Res_core.Ioshim.write_file_atomic} {e before} the row is
     applied in memory, so at-most-once application survives a SIGKILL
     between the two: the reborn coordinator reads the row back instead
     of re-running the unit.  A [.tmp] journal left by a killed writer is
@@ -26,7 +26,7 @@ let valid src = Res_core.Sealing.valid ~header:P.rep_header src
     fsynced via the I/O shim) if needed. *)
 let openr dir =
   Res_core.Ioshim.mkdir_durable dir;
-  Res_persist.Checkpoint.recover_dir dir ~valid_for:(fun _ -> valid);
+  Res_core.Ioshim.recover_dir dir ~valid_for:(fun _ -> valid);
   { dir }
 
 (** Durably record a unit's applied [Row] frame.  Once this returns, a

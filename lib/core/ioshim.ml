@@ -3,8 +3,9 @@
     Every persistence module (checkpoint, spool, cluster journal, result
     cache) routes its disk traffic through this thin shim instead of
     calling {!Res_vm.Coredump_io} directly.  In production the shim is
-    transparent: {!write_file_atomic} is exactly the journal-then-rename
-    writer, {!read_file} is exactly the hardened reader.  Under test,
+    transparent: {!write_file_atomic} is the journal-then-rename writer
+    (and {!recover_dir} the recovery of its journals), {!read_file} is
+    exactly the hardened reader.  Under test,
     {!with_injector} installs a decision function that can make any
     individual operation fail the way a hostile disk fails — ENOSPC
     mid-write, EIO on read, a failed fsync, a torn write that leaves a
@@ -75,11 +76,20 @@ let fail_torn ~tmp ~contents ~keep code =
   close_out_noerr oc;
   raise (Unix.Unix_error (code, "write", tmp))
 
-(** {!Res_vm.Coredump_io.write_file_atomic} with injection points at
-    every stage: journal write, fsync, rename, directory fsync.  A fault
-    raises [Unix.Unix_error] (after leaving a realistic torn journal for
-    write-stage faults); callers treat any exception as "this write did
-    not happen" and fall back to their degrade path. *)
+(** Write [contents] to [path] atomically: write a fresh
+    [path.<pid>.<n>.tmp] journal ({!Res_vm.Coredump_io.fresh_tmp_path})
+    in full, fsync it, rename it over [path], then fsync the parent
+    directory — durable against power loss, not just process death.  A
+    crash mid-write leaves at worst a stale journal, which
+    {!recover_journal_with} promotes or deletes; never a torn
+    destination.  Journal names are unique per process and call, so
+    concurrent writers in one directory never collide.
+
+    Every stage is an injection point: journal write, fsync, rename,
+    directory fsync.  A fault raises [Unix.Unix_error] (after leaving a
+    realistic torn journal for write-stage faults); callers treat any
+    exception as "this write did not happen" and fall back to their
+    degrade path. *)
 let write_file_atomic path contents =
   let tmp = Io.fresh_tmp_path path in
   (match check Write path with
@@ -122,6 +132,56 @@ let read_file path =
       Error
         (Io.Unreadable (Printf.sprintf "injected %s fault" (fault_name f)))
   | None -> Io.read_file path
+
+(** Journal recovery for the atomic writer's intermediate states, the
+    [path.<pid>.<n>.tmp] siblings (plus the legacy [path.tmp]): a valid
+    one ([valid src]) is a completed write that died before its rename —
+    promote it; an invalid one is a torn write — delete it.  Siblings are
+    scanned in sorted order (deterministic), so with several valid
+    journals the lexicographically last wins.  Idempotent. *)
+let recover_journal_with ~valid path =
+  List.iter
+    (fun tmp ->
+      match read_file tmp with
+      | Error _ -> ()
+      | Ok src ->
+          if valid src then (try Sys.rename tmp path with Sys_error _ -> ())
+          else try Sys.remove tmp with Sys_error _ -> ())
+    (Io.journal_siblings path)
+
+(** Directory-wide journal recovery: map every [.tmp] entry back to its
+    destination by stripping the [.<pid>.<n>] journal suffix (or the
+    legacy bare [.tmp]), then promote-or-delete each with the
+    destination's own validator [valid_for dest].  The request spool,
+    the cluster result journal and the result cache boot through this. *)
+let recover_dir ~valid_for dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | entries ->
+      let dests = Hashtbl.create 8 in
+      Array.iter
+        (fun e ->
+          if Filename.check_suffix e ".tmp" then begin
+            let stem = Filename.chop_suffix e ".tmp" in
+            let num s i =
+              int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
+              <> None
+            in
+            let stem =
+              match String.rindex_opt stem '.' with
+              | Some i when num stem i -> (
+                  let stem2 = String.sub stem 0 i in
+                  match String.rindex_opt stem2 '.' with
+                  | Some j when num stem2 j -> String.sub stem2 0 j
+                  | _ -> stem)
+              | _ -> stem
+            in
+            Hashtbl.replace dests (Filename.concat dir stem) ()
+          end)
+        entries;
+      Hashtbl.iter
+        (fun dest () -> recover_journal_with ~valid:(valid_for dest) dest)
+        dests
 
 (** Create [dir] if needed and — unlike a bare [Unix.mkdir] — fsync its
     parent, so the directory itself survives a power loss.  The spool

@@ -681,7 +681,7 @@ let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () =
     ~reference:(fun items -> { (triage 1 items) with counts = [] })
     ~variants:
       (List.map (fun k -> (Fmt.str "kill@%d" k, triage ~kill_unit:k jobs)) kills)
-    [ ("corpus", fst (Fleet.corpus ~n_per_bug:2)) ]
+    [ ("corpus", Fleet.corpus ~n_per_bug:2) ]
 
 
 (* --- campaign: triage service soak ----------------------------------- *)
@@ -750,8 +750,8 @@ let serve_soak_campaign ?log () : sk_summary =
   let ready () = Fleet.await (fun () -> Client.alive socket) in
   (* each report submitted twice makes the flood 2x the daemon's total
      absorption (jobs + capacity) *)
-  let items, units = Fleet.corpus ~n_per_bug:1 in
-  let flood = units @ units in
+  let items = Fleet.corpus ~n_per_bug:1 in
+  let flood = items @ items in
   (* --- phase 1: flood a worker-killing daemon at 2x capacity.  Workers
      are slowed by injected delay so the queue pressure is deterministic:
      2 running + 3 queued absorb 5 of the 10 submissions, the rest must
@@ -760,10 +760,12 @@ let serve_soak_campaign ?log () : sk_summary =
   if not (ready ()) then fail "daemon 1 never became ready";
   let accepted = ref [] and shed = ref 0 and submitted = ref 0 in
   List.iter
-    (fun (u : Res_cluster.Coordinator.unit_item) ->
-      let name = u.Res_cluster.Coordinator.ci_name in
+    (fun (it : Res_parallel.Batch.item) ->
+      let name = it.it_name in
       incr submitted;
-      match Client.submit socket ~prog:u.ci_prog ~dump:u.ci_dump () with
+      let prog = Res_ir.Prog.to_string it.it_prog in
+      let dump = Res_vm.Coredump_io.to_string (Result.get_ok it.it_dump) in
+      match Client.submit socket ~prog ~dump () with
       | Ok (conn, reply) -> (
           Client.close conn;
           match reply with
@@ -985,7 +987,7 @@ let cluster_soak_campaign ?log () : ck_summary =
   Fleet.with_kit ?log "res-cluster" @@ fun k ->
   let fail fmt = Fleet.fail k fmt in
   (* --- corpus and the single-node truth ------------------------------ *)
-  let items, units = Fleet.corpus ~n_per_bug:3 in
+  let items = Fleet.corpus ~n_per_bug:3 in
   (* fork-backed single-node baseline: domains must not exist yet *)
   let baseline =
     Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
@@ -1018,12 +1020,12 @@ let cluster_soak_campaign ?log () : ck_summary =
      the same journal in-process --- *)
   let journal1 = Filename.concat k.Fleet.dir "journal1" in
   let co_pid =
-    Fleet.spawn k (fun () -> ignore (C.run ~config:(config journal1) units))
+    Fleet.spawn k (fun () -> ignore (C.run ~config:(config journal1) items))
   in
   if not (Fleet.await ~timeout:30. ~every:0.01 (journaled journal1 3)) then
     fail "journal %s never reached %d rows" journal1 3;
   Fleet.kill k co_pid;
-  let t1 = C.run ~config:(config journal1) units in
+  let t1 = C.run ~config:(config journal1) items in
   let identical1 = check_identical "coordinator-kill" t1 in
   if t1.C.stats.C.cs_recovered < 3 then
     fail "coordinator-kill: resumed run recovered only %d journaled row(s)"
@@ -1037,7 +1039,7 @@ let cluster_soak_campaign ?log () : ck_summary =
         if Fleet.await ~timeout:30. ~every:0.01 (journaled journal2 1) then
           try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ())
   in
-  let t2 = C.run ~config:(config journal2) units in
+  let t2 = C.run ~config:(config journal2) items in
   ignore (Fleet.reap k "killer" killer);
   Fleet.kill k pid2;
   let identical2 = check_identical "node-kill" t2 in
@@ -1059,7 +1061,7 @@ let cluster_soak_campaign ?log () : ck_summary =
           C.nodes = [ addr1; addr4; addr3 ];
           unit_deadline = 1.0;
         }
-      units
+      items
   in
   let identical3 = check_identical "partition" t3 in
   if t3.C.stats.C.cs_node_failures = 0 then
@@ -1144,21 +1146,22 @@ let byzantine_campaign ?log () : bz_summary =
   Fleet.with_kit ?log "res-byzantine" @@ fun k ->
   let fail fmt = Fleet.fail k fmt in
   (* --- corpus and the single-node truth ------------------------------ *)
-  let items, units = Fleet.corpus ~n_per_bug:3 in
+  let items = Fleet.corpus ~n_per_bug:3 in
   (* fork-backed single-node baseline: domains must not exist yet *)
   let baseline =
     Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
   in
-  (* The coordinator routes unit [u] to node [fnv1a32 ci_sig mod 3]; put
-     the liar at the index that owns the most units so the lie is
+  (* The coordinator routes a unit to node [fnv1a32 (wer_key dump) mod 3];
+     put the liar at the index that owns the most units so the lie is
      guaranteed traffic, deterministically. *)
   let liar_slot =
     let counts = Array.make 3 0 in
     List.iter
-      (fun u ->
-        let i = Res_vm.Coredump_io.fnv1a32 u.C.ci_sig mod 3 in
+      (fun (it : Res_parallel.Batch.item) ->
+        let sig_ = Res_usecases.Triage.wer_key (Result.get_ok it.it_dump) in
+        let i = Res_vm.Coredump_io.fnv1a32 sig_ mod 3 in
         counts.(i) <- counts.(i) + 1)
-      units;
+      items;
     let best = ref 0 in
     Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
     !best
@@ -1204,7 +1207,7 @@ let byzantine_campaign ?log () : bz_summary =
       ~config:
         (config ~nodes:(fleet addr_la) ~spot_check:0
            (Filename.concat k.Fleet.dir "journalA"))
-      units
+      items
   in
   let identical_a = check_identical "wrong-name" ta in
   check_caught "wrong-name" ta;
@@ -1219,7 +1222,7 @@ let byzantine_campaign ?log () : bz_summary =
       ~config:
         (config ~nodes:(fleet addr_lb) ~spot_check:1
            (Filename.concat k.Fleet.dir "journalB"))
-      units
+      items
   in
   let identical_b = check_identical "fabricated-fields" tb in
   check_caught "fabricated-fields" tb;
@@ -1304,7 +1307,7 @@ let cache_chaos_campaign ?log () : cc_summary =
           es
   in
   let backend = Res_parallel.Pool.Forked in
-  let items, _ = Fleet.corpus ~n_per_bug:2 in
+  let items = Fleet.corpus ~n_per_bug:2 in
   let n_units = List.length items in
   (* the truth every run must reproduce: an uncached fork-backed triage *)
   let baseline = Batch.run ~jobs:1 ~backend items in
@@ -1313,7 +1316,7 @@ let cache_chaos_campaign ?log () : cc_summary =
   let drain_stats c =
     let s = Cache.stats c in
     quarantined := !quarantined + s.Cache.quarantined;
-    store_failures := !store_failures + s.Cache.store_failures
+    store_failures := !store_failures + s.store_failures
   in
   let run_cached phase c =
     incr runs;
@@ -1337,7 +1340,7 @@ let cache_chaos_campaign ?log () : cc_summary =
     | Some t ->
         if t.Batch.cache_hits <> 0 then
           fail "cold: %d hit(s) served from an empty cache" t.Batch.cache_hits;
-        (Cache.stats c_cold).Cache.stores
+        (Cache.stats c_cold).stores
     | None -> 0
   in
   if Cache.entry_count dir1 < n_units then
@@ -1462,11 +1465,11 @@ let cache_chaos_campaign ?log () : cc_summary =
              run_cached (Fmt.str "store-fault %s" name) c)
        with
       | Some _ ->
-          if (Cache.stats c).Cache.store_failures = 0 then
+          if (Cache.stats c).store_failures = 0 then
             fail "store-fault %s: no store ever failed under injection" name;
-          if (Cache.stats c).Cache.stores <> 0 then
+          if (Cache.stats c).stores <> 0 then
             fail "store-fault %s: %d store(s) claimed success under injection"
-              name (Cache.stats c).Cache.stores
+              name (Cache.stats c).stores
       | None -> ());
       (* reopen sweeps torn journals; the cache is simply still cold *)
       let c2 = Cache.openr cdir in
@@ -1521,7 +1524,7 @@ let cache_chaos_campaign ?log () : cc_summary =
   | Some t ->
       if t.Batch.cache_hits <> 0 then
         fail "no-dir: hits from a cache whose directory does not exist";
-      if (Cache.stats c7).Cache.store_failures = 0 then
+      if (Cache.stats c7).store_failures = 0 then
         fail "no-dir: stores into a missing directory claimed success"
   | None -> ());
   {

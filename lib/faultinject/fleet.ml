@@ -1,7 +1,6 @@
 (** The fleet kit shared by the fork-backed soak campaigns: a scratch
     directory that is always removed, a failure collector, forked daemons
-    and nodes, one readiness poll, one reap, and the generated corpus in
-    both the batch and the coordinator shape.
+    and nodes, one readiness poll, one reap, and the generated corpus.
 
     Every process [spawn] starts is remembered until it is reaped or
     killed here; whatever is still running when [with_kit] returns (or
@@ -135,28 +134,17 @@ let reap k ?signal name pid =
         | Unix.WSTOPPED c -> Fmt.str "stopped %d" c);
       false
 
-(** The generated corpus, [n_per_bug] reports per bug, as batch items and
-    as coordinator units (same names, same order). *)
+(** The generated corpus, [n_per_bug] reports per bug, as batch items
+    (the input of both [Batch.run] and [Coordinator.run]). *)
 let corpus ~n_per_bug =
-  let reports = Res_workloads.Corpus.generate ~n_per_bug () in
-  let name (r : Res_workloads.Corpus.report) = Fmt.str "%s-%02d" r.r_bug r.r_id in
-  ( List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_parallel.Batch.it_name = name r;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      reports,
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Res_cluster.Coordinator.ci_name = name r;
-          ci_prog = Res_ir.Prog.to_string r.r_prog;
-          ci_dump = Res_vm.Coredump_io.to_string r.r_dump;
-          ci_sig = Res_usecases.Triage.wer_key r.r_dump;
-        })
-      reports )
+  List.map
+    (fun (r : Res_workloads.Corpus.report) ->
+      {
+        Res_parallel.Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
+        it_prog = r.r_prog;
+        it_dump = Ok r.r_dump;
+      })
+    (Res_workloads.Corpus.generate ~n_per_bug ())
 
 (** A coordinator run must lose no unit and merge the byte-identical TSV
     single-node triage produced. *)

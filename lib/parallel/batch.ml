@@ -10,6 +10,7 @@
     sinking the batch. *)
 
 open Res_core
+module Cache = Res_cache.Cache
 
 (** One triage candidate.  [it_dump] is a [result] so unloadable dumps
     flow through as rows rather than exceptions. *)
@@ -29,7 +30,7 @@ type row = {
   row_pruned : int;
 }
 
-let row_of_verdict name (v : Res_cache.Cache.row) =
+let row_of_verdict name (v : Cache.row) =
   {
     row_name = name;
     row_outcome = v.c_outcome;
@@ -77,47 +78,42 @@ let render rows clusters =
     per-dump budgets and the row codec's version tag. *)
 let config_key ?budget_wall ?budget_fuel (config : Res.config) =
   let s = config.search in
-  Res_cache.Cache.row_config ~wall:budget_wall ~fuel:budget_fuel
+  Cache.row_config ~wall:budget_wall ~fuel:budget_fuel
     ~engine:
       (Fmt.str "batch %d %d %d %b %b %b %d %b %d" s.Search.max_segments
          s.max_suffixes s.max_nodes s.use_breadcrumbs s.static_prune
          s.reverse_exec config.determinism_runs config.stop_at_first_cause
          config.max_attempts)
 
-(** [run items] triages every item on [jobs] workers.  [budget_wall] /
-    [budget_fuel] bound each {e dump}'s analysis separately (a budget
-    cannot be shared across processes, and per-dump bounds are what batch
-    triage wants: one pathological dump degrades to [partial] without
-    starving its neighbours).  With [?cache], each loadable dump is
-    looked up in the content-addressed result cache first and only
-    misses are farmed to the pool; fresh verdicts that finished within
-    their budget are stored back best-effort.  Cache hits reproduce the exact row an analysis would
-    have produced, so the TSV is byte-identical warm or cold. *)
-let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
-    ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ?cache items =
-  let module Cache = Res_cache.Cache in
-  let items =
-    List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
-  in
-  let n = Array.length items in
-  (* Key parts are hashed separately, so each physically distinct program
-     is rendered and hashed once per batch, not once per dump: rows are
-     sorted by name, which interleaves a corpus's programs. *)
-  let prog_hashes = ref [] in
-  let prog_hash p =
-    match List.assq_opt p !prog_hashes with
-    | Some h -> h
+(** [per_prog f] memoizes [f] on physically distinct programs: a corpus
+    shares a handful of programs across many dumps, and its items are
+    sorted by name, which interleaves them. *)
+let per_prog f =
+  let memo = ref [] in
+  fun p ->
+    match List.assq_opt p !memo with
+    | Some v -> v
     | None ->
-        let h = Sealing.hash64 (Res_ir.Prog.to_string p) in
-        prog_hashes := (p, h) :: !prog_hashes;
-        h
-  in
-  let config_hash = Sealing.hash64 (config_key ?budget_wall ?budget_fuel config) in
+        let v = f p in
+        memo := (p, v) :: !memo;
+        v
+
+(** Cache phase: each loadable item's content key under [config] (a
+    {!config_key} string) and the verdict the cache holds for it.  With
+    no cache every key is [""] and nothing is rendered.  Key parts are
+    hashed separately, so each program is rendered and hashed once per
+    batch, each dump once. *)
+let lookup ?cache ~config items =
+  let n = Array.length items in
   let keys = Array.make n "" in
   let cached = Array.make n None in
   (match cache with
   | None -> ()
   | Some c ->
+      let prog_hash =
+        per_prog (fun p -> Sealing.hash64 (Res_ir.Prog.to_string p))
+      in
+      let config = Sealing.hash64 config in
       Array.iteri
         (fun i it ->
           match it.it_dump with
@@ -126,11 +122,68 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
               let k =
                 Cache.key_of_hashes ~prog:(prog_hash it.it_prog)
                   ~dump:(Sealing.hash64 (Res_vm.Coredump_io.to_string d))
-                  ~config:config_hash
+                  ~config
               in
               keys.(i) <- k;
               cached.(i) <- Option.bind (Cache.find c k) Cache.decode_row)
         items);
+  (keys, cached)
+
+(** Store phase: write back every verdict the cache did not serve
+    (best-effort; failures leave the entry cold, they never fail the
+    batch).  A timed-out verdict describes what this run managed, not
+    what the inputs mean: never cached. *)
+let store ?cache keys ~cached verdicts =
+  match cache with
+  | None -> ()
+  | Some c ->
+      Array.iteri
+        (fun i v ->
+          match (v, cached.(i)) with
+          | Some (v : Cache.row), None when keys.(i) <> "" && not v.c_timeout
+            ->
+              Cache.store c keys.(i) (Cache.encode_row v)
+          | _ -> ())
+        verdicts
+
+(** Merge phase: each item's verdict ([None]: no analysis answered, so
+    [worker-lost]; an unloadable item is [dump-error] whatever it holds)
+    into rows in item order, their clusters, and the TSV. *)
+let merge items verdicts =
+  let rows =
+    List.init (Array.length items) (fun i ->
+        let it = items.(i) in
+        row_of_verdict it.it_name
+          (match (it.it_dump, verdicts.(i)) with
+          | Error msg, _ -> Cache.failed_row ~bucket:"dump-error" ~cause:msg
+          | Ok _, Some v -> v
+          | Ok _, None -> Cache.failed_row ~bucket:"worker-lost" ~cause:""))
+  in
+  let clusters =
+    Res_usecases.Triage.bucket ~key:(fun r -> r.row_bucket) rows
+    |> List.map (fun (k, rs) -> (k, List.map (fun r -> r.row_name) rs))
+  in
+  (rows, clusters, render rows clusters)
+
+(** [run items] triages every item on [jobs] workers.  [budget_wall] /
+    [budget_fuel] bound each {e dump}'s analysis separately (a budget
+    cannot be shared across processes, and per-dump bounds are what batch
+    triage wants: one pathological dump degrades to [partial] without
+    starving its neighbours).  With [?cache], each loadable dump is
+    looked up in the content-addressed result cache first and only
+    misses are farmed to the pool; fresh verdicts that finished within
+    their budget are stored back best-effort.  Cache hits reproduce the
+    exact row an analysis would have produced, so the TSV is
+    byte-identical warm or cold. *)
+let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
+    ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ?cache items =
+  let items =
+    List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
+  in
+  let n = Array.length items in
+  let keys, cached =
+    lookup ?cache ~config:(config_key ?budget_wall ?budget_fuel config) items
+  in
   let farm =
     (* only loadable dumps the cache could not answer go to the pool *)
     List.filter
@@ -157,57 +210,27 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
       ~worker
       (List.map string_of_int farm)
   in
-  let triaged = Array.make n None in
+  let verdicts = Array.copy cached in
+  let worker_queries = ref 0 in
   List.iter
     (fun reply ->
       match Option.map Wire.decode_verdict reply with
-      | Some (Ok (i, v)) when i >= 0 && i < n -> triaged.(i) <- Some v
+      | Some (Ok (i, v)) when i >= 0 && i < n ->
+          verdicts.(i) <- Some v;
+          worker_queries := !worker_queries + v.Cache.c_queries
       | _ -> ())
     replies;
-  (* store fresh verdicts back (best-effort; failures leave the entry
-     cold, they never fail the batch).  A timed-out verdict describes
-     what this run managed, not what the inputs mean: never cached. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Some (v : Cache.row) when keys.(i) <> "" && not v.c_timeout ->
-              Cache.store c keys.(i) (Cache.encode_row v)
-          | _ -> ())
-        triaged);
-  let rows =
-    List.init n (fun i ->
-        let it = items.(i) in
-        row_of_verdict it.it_name
-          (match (it.it_dump, cached.(i), triaged.(i)) with
-          | Error msg, _, _ -> Cache.failed_row ~bucket:"dump-error" ~cause:msg
-          (* served from the cache: the exact verdict the analysis produced *)
-          | Ok _, Some v, _ | Ok _, None, Some v -> v
-          | Ok _, None, None ->
-              (* every attempt died with the worker *)
-              Cache.failed_row ~bucket:"worker-lost" ~cause:""))
-  in
-  let clusters =
-    Res_usecases.Triage.bucket ~key:(fun r -> r.row_bucket) rows
-    |> List.map (fun (k, rs) -> (k, List.map (fun r -> r.row_name) rs))
-  in
-  let worker_queries =
-    Array.fold_left
-      (fun a o ->
-        match o with Some (v : Cache.row) -> a + v.c_queries | None -> a)
-      0 triaged
-  in
+  store ?cache keys ~cached verdicts;
+  let rows, clusters, tsv = merge items verdicts in
   {
     rows;
     clusters;
-    tsv = render rows clusters;
+    tsv;
     workers = pstats.Pool.p_workers;
     retries = pstats.Pool.p_retries;
     lost = pstats.Pool.p_lost;
     respawns = pstats.Pool.p_respawns;
-    worker_queries;
+    worker_queries = !worker_queries;
     cache_hits =
       Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached;
   }
@@ -216,8 +239,8 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
 let total_nodes t = List.fold_left (fun a r -> a + r.row_nodes) 0 t.rows
 let total_pruned t = List.fold_left (fun a r -> a + r.row_pruned) 0 t.rows
 
-(** Every dump in the batch degraded to a [failed] row — the signal an
-    orchestrator gates on (bad program, poisoned dump directory, or a
-    worker pool that cannot keep a child alive). *)
-let all_failed t =
-  t.rows <> [] && List.for_all (fun r -> String.equal r.row_outcome "failed") t.rows
+(** Every dump degraded to a [failed] row — the signal an orchestrator
+    gates on (bad program, poisoned dump directory, a worker pool that
+    cannot keep a child alive, or a fleet with every node down). *)
+let all_failed rows =
+  rows <> [] && List.for_all (fun r -> String.equal r.row_outcome "failed") rows

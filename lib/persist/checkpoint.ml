@@ -625,58 +625,10 @@ let of_string src : (t, Io.dump_error) result =
 
 let save path c = Res_core.Ioshim.write_file_atomic path (to_string c)
 
-(** Journal recovery for the atomic writer's intermediate states, the
-    [path.<pid>.<n>.tmp] siblings (plus the legacy [path.tmp]): a valid
-    one is a completed write that died before its rename — promote it; an
-    invalid one is a torn write — delete it.  Siblings are scanned in
-    sorted order (deterministic), so with several valid journals the
-    lexicographically last wins. *)
-let recover_journal_with ~valid path =
-  List.iter
-    (fun tmp ->
-      match Res_core.Ioshim.read_file tmp with
-      | Error _ -> ()
-      | Ok src ->
-          if valid src then (try Sys.rename tmp path with Sys_error _ -> ())
-          else try Sys.remove tmp with Sys_error _ -> ())
-    (Io.journal_siblings path)
-
 let recover_journal path =
-  recover_journal_with ~valid:(Res_core.Sealing.valid ~header) path
-
-(** Directory-wide journal recovery: map every [.tmp] entry back to its
-    destination by stripping the [.<pid>.<n>] journal suffix (or the
-    legacy bare [.tmp]), then promote-or-delete each with the
-    destination's own validator.  One copy of the stem arithmetic,
-    shared by the spool, the cluster journal, and the result cache. *)
-let recover_dir ~valid_for dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-      let dests = Hashtbl.create 8 in
-      Array.iter
-        (fun e ->
-          if Filename.check_suffix e ".tmp" then begin
-            let stem = Filename.chop_suffix e ".tmp" in
-            let num s i =
-              int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-              <> None
-            in
-            let stem =
-              match String.rindex_opt stem '.' with
-              | Some i when num stem i -> (
-                  let stem2 = String.sub stem 0 i in
-                  match String.rindex_opt stem2 '.' with
-                  | Some j when num stem2 j -> String.sub stem2 0 j
-                  | _ -> stem)
-              | _ -> stem
-            in
-            Hashtbl.replace dests (Filename.concat dir stem) ()
-          end)
-        entries;
-      Hashtbl.iter
-        (fun dest () -> recover_journal_with ~valid:(valid_for dest) dest)
-        dests
+  Res_core.Ioshim.recover_journal_with
+    ~valid:(Res_core.Sealing.valid ~header)
+    path
 
 let load path : (t, Io.dump_error) result =
   recover_journal path;

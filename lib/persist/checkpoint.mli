@@ -38,24 +38,9 @@ val save : string -> t -> unit
 (** Recover the atomic writer's journals at [path.<pid>.<n>.tmp] (and the
     legacy [path ^ ".tmp"]), if any: a valid sibling is a completed write
     that died before its rename — promote it over [path]; an invalid
-    sibling is a torn write — delete it.  Idempotent; called automatically
-    by {!load}. *)
+    sibling is a torn write — delete it ({!Res_core.Ioshim.recover_journal_with}
+    with the checkpoint seal).  Idempotent; called automatically by {!load}. *)
 val recover_journal : string -> unit
-
-(** The same promote-or-delete journal recovery for {e any} sealed on-disk
-    format: [valid src] decides whether a journal's bytes are a completed
-    write.  The triage daemon's request spool recovers its [.req]/[.res]
-    journals through this. *)
-val recover_journal_with : valid:(string -> bool) -> string -> unit
-
-(** Journal recovery across a whole directory: for every [.tmp] sibling
-    found under [dir], derive its destination (stripping the
-    [.<pid>.<n>.tmp] journal suffix, or the legacy [.tmp]) and
-    promote/delete it with {!recover_journal_with}, using
-    [valid_for dest] as that destination's validator.  The request
-    spool, the cluster result journal, and the result cache all boot
-    through this. *)
-val recover_dir : valid_for:(string -> string -> bool) -> string -> unit
 
 (** Load a checkpoint, after {!recover_journal}. *)
 val load : string -> (t, Res_vm.Coredump_io.dump_error) result

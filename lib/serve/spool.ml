@@ -4,7 +4,7 @@
     payload, verbatim) in the spool directory {e before} the [Accepted]
     reply is sent; a finished request additionally has [<id>.res] (the
     [Result] reply's sealed payload, verbatim).  Both are written with
-    {!Res_vm.Coredump_io.write_file_atomic}, which fsyncs the file and
+    {!Res_core.Ioshim.write_file_atomic}, which fsyncs the file and
     the directory — so "accepted" means "survives [kill -9] and power
     loss", and recovery after any crash is a directory scan:
 
@@ -12,7 +12,7 @@
     - a [.req] with a [.res] is done (kept for [fetch] until pruned);
     - a [.tmp] journal is a write that died mid-flight — promoted if its
       seal validates, deleted otherwise (via
-      {!Res_persist.Checkpoint.recover_journal_with}).
+      {!Res_core.Ioshim.recover_dir}).
 
     There is no other daemon state on disk, which is what makes the
     restart path crash-only: the daemon never "shuts down cleanly" as far
@@ -39,7 +39,7 @@ let valid_with header src = Res_core.Sealing.valid ~header src
 (** Journal recovery across the whole spool: for every [.tmp] sibling,
     derive its destination and promote/delete it by seal validity. *)
 let recover_journals dir =
-  Res_persist.Checkpoint.recover_dir dir ~valid_for:(fun dest ->
+  Res_core.Ioshim.recover_dir dir ~valid_for:(fun dest ->
       valid_with
         (if Filename.check_suffix dest ".res" then Protocol.rep_header
          else Protocol.req_header))

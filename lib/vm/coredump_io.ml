@@ -611,14 +611,6 @@ let journal_siblings path =
       |> List.sort compare
       |> List.map (Filename.concat dir)
 
-(** Write [contents] to [path] atomically: write a fresh
-    [path.<pid>.<n>.tmp] journal in full, then [Sys.rename] over the
-    destination.  A crash mid-write leaves the previous file (if any)
-    intact and at worst a stale journal — never a torn destination that a
-    loader then has to salvage.  Journal names are unique per process and
-    call ({!fresh_tmp_path}), so concurrent writers in one directory never
-    collide.  Shared by every on-disk artifact (coredumps, search
-    checkpoints, spool, journal and cache entries). *)
 (* Flush the directory entry for a just-renamed file to stable storage.
    Without this the rename is durable only against process death: after a
    power loss the directory block may still hold the old entry.  Some
@@ -631,29 +623,6 @@ let fsync_dir dir =
   | fd ->
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
-
-let write_file_atomic path contents =
-  let tmp = fresh_tmp_path path in
-  let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  let oc = Unix.out_channel_of_descr fd in
-  (try
-     output_string oc contents;
-     flush oc;
-     (* Data must be on stable storage before the rename publishes it:
-        rename-before-fsync can surface an empty/torn file after power
-        loss even though the rename itself was atomic. *)
-     try Unix.fsync fd with Unix.Unix_error _ -> ()
-   with exn ->
-     close_out_noerr oc;
-     raise exn);
-  close_out oc;
-  Sys.rename tmp path;
-  fsync_dir (Filename.dirname path)
-
-(** Write a coredump to [path] (atomically, via temp file + rename). *)
-let save path d = write_file_atomic path (to_string d)
 
 let read_file path =
   match open_in_bin path with

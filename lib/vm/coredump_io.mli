@@ -44,15 +44,12 @@ val of_string_result : ?salvage:bool -> string -> (loaded, dump_error) result
     @raise Bad_format on malformed input. *)
 val of_string : string -> Coredump.t
 
-(** Write a coredump to a file (atomically: temp file + rename, so a crash
-    mid-write never leaves a torn dump at the destination). *)
-val save : string -> Coredump.t -> unit
-
 (** {2 Shared on-disk-format helpers}
 
     Other sealed textual formats (the search checkpoints of
     {!Res_persist.Checkpoint}) reuse the coredump format's building blocks:
-    the FNV-1a envelope, the atomic writer, and the token-level record
+    the FNV-1a envelope, the journal names of the atomic writer
+    ({!Res_core.Ioshim.write_file_atomic}), and the token-level record
     readers/printers. *)
 
 (** 32-bit FNV-1a checksum of a string. *)
@@ -69,15 +66,6 @@ val seal : string -> string
     returns the record payload (footer stripped). *)
 val validate_sealed : header:(string -> bool) -> string -> (string, dump_error) result
 
-(** [write_file_atomic path contents] writes a fresh [path.<pid>.<n>.tmp]
-    journal in full, fsyncs it, renames it over [path], then fsyncs the
-    parent directory — durable against power loss, not just process
-    death.  A crash mid-write leaves at worst a stale journal, never a
-    torn destination; journal names are unique per process and call, so
-    concurrent workers writing into one directory never collide or
-    cross-promote each other's journals. *)
-val write_file_atomic : string -> string -> unit
-
 (** Best-effort fsync of a directory (publishes renames/creates within it
     across power loss); silently a no-op where directory fsync is
     unsupported. *)
@@ -89,8 +77,8 @@ val fsync_dir : string -> unit
 val fresh_tmp_path : string -> string
 
 (** All journal siblings of [path] on disk, sorted: [path.<pid>.<n>.tmp]
-    files plus the legacy [path.tmp].  What {!Res_persist.Checkpoint}'s
-    journal recovery scans. *)
+    files plus the legacy [path.tmp].  What {!Res_core.Ioshim}'s journal
+    recovery scans. *)
 val journal_siblings : string -> string list
 
 (** Read a whole file, classifying failures as {!Unreadable}. *)

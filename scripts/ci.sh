@@ -21,7 +21,9 @@
 # must reschedule), and stalls a node past the unit deadline — and
 # exits non-zero if any unit is lost or any merged TSV differs from
 # single-node triage by a byte; same hard timeout so a wedged cluster
-# fails CI instead of hanging it.  The byzantine gate puts a lying
+# fails CI instead of hanging it; a CLI smoke then runs `res coordinate`
+# against a live and then a dead TCP node, the second run answered from
+# its result cache.  The byzantine gate puts a lying
 # node in the fleet and exits non-zero unless both corruption modes
 # (wrong unit name, fabricated verdict fields) are rejected, the liar
 # quarantined, and the TSV unchanged.  The fuzz gate runs a bounded
@@ -196,9 +198,33 @@ done
 "$RES" client submit "$cache_tmp/prog.res" "$cache_tmp/dumps/a.core" \
   --socket "$tcp_addr" > "$cache_tmp/t1.txt" \
   || tcp_fail "TCP submit to $tcp_addr failed"
+# `res coordinate` against that node, over a copy of the dumps plus one
+# unloadable file: its TSV must be `res triage`'s over the same copy.
+mkdir "$cache_tmp/co-dumps"
+cp "$cache_tmp/dumps/a.core" "$cache_tmp/dumps/b.core" "$cache_tmp/co-dumps/"
+echo "not a coredump" > "$cache_tmp/co-dumps/c.core"
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" \
+  > "$cache_tmp/co-triage.tsv"
+"$RES" coordinate "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" \
+  --nodes "$tcp_addr" --cache-dir "$cache_tmp/co-cache" > "$cache_tmp/co1.tsv" \
+  || tcp_fail "res coordinate over $tcp_addr failed"
+cmp "$cache_tmp/co-triage.tsv" "$cache_tmp/co1.tsv" \
+  || tcp_fail "res coordinate TSV diverged from res triage"
 "$RES" client drain --socket "$tcp_addr" >/dev/null \
   || tcp_fail "TCP drain of $tcp_addr failed"
 wait "$tcp_pid" || { echo "TCP daemon drain exited non-zero"; exit 1; }
+# The same corpus and cache against the now-dead node, one attempt per
+# unit: the loadable dumps are answered from the cache, the unloadable
+# file is settled locally, and the TSV is unchanged.
+"$RES" coordinate "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" \
+  --nodes "$tcp_addr" --cache-dir "$cache_tmp/co-cache" --attempts 1 --stats \
+  > "$cache_tmp/co2.tsv" 2> "$cache_tmp/co2.stats" \
+  || { echo "cached res coordinate failed:"; cat "$cache_tmp/co2.stats"; exit 1; }
+cmp "$cache_tmp/co1.tsv" "$cache_tmp/co2.tsv" \
+  || { echo "cached res coordinate TSV diverged"; exit 1; }
+grep -q " lost=0 .*cache_hits=2 " "$cache_tmp/co2.stats" \
+  || { echo "cached res coordinate did not answer from the cache:";
+       cat "$cache_tmp/co2.stats"; exit 1; }
 sed '1s/^result .*: \(.*\) (.*)$/result: \1/' "$cache_tmp/t1.txt" > "$cache_tmp/t1.norm"
 cmp "$cache_tmp/s1.norm" "$cache_tmp/t1.norm" \
   || { echo "TCP-served report diverged from the Unix-socket one"; exit 1; }

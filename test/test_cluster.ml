@@ -5,7 +5,8 @@
    node-health registry transitions, the coordinator's at-most-once
    result journal, and a forked two-node end-to-end run whose merged TSV
    must be byte-identical to single-node batch triage — with and without
-   a dead node in the fleet.
+   a dead node in the fleet — plus the parts the coordinator shares with
+   batch triage: dump-error rows and the result cache.
 
    The end-to-end tests fork node daemons; like test_parallel and
    test_serve, no domains are spawned in this binary, so fork is always
@@ -374,30 +375,29 @@ let test_journal_recovers_torn_tmp () =
 
 (* --- end-to-end: forked nodes, byte-identical merged TSV ------------- *)
 
-let corpus_units () =
-  let reports = Res_workloads.Corpus.generate ~n_per_bug:1 () in
-  let items =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          it_prog = r.r_prog;
-          it_dump = Ok r.r_dump;
-        })
-      reports
-  in
-  let units =
-    List.map
-      (fun (r : Res_workloads.Corpus.report) ->
-        {
-          C.ci_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-          ci_prog = Res_ir.Prog.to_string r.r_prog;
-          ci_dump = Io.to_string r.r_dump;
-          ci_sig = Res_usecases.Triage.wer_key r.r_dump;
-        })
-      reports
-  in
-  (items, units)
+let corpus_items () =
+  List.map
+    (fun (r : Res_workloads.Corpus.report) ->
+      {
+        Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
+        it_prog = r.r_prog;
+        it_dump = Ok r.r_dump;
+      })
+    (Res_workloads.Corpus.generate ~n_per_bug:1 ())
+
+(* An item whose file did not load: settled locally, never dispatched. *)
+let unloadable items =
+  {
+    Batch.it_name = "zz-unloadable";
+    it_prog = (List.hd items).Batch.it_prog;
+    it_dump = Error "corrupted: checksum mismatch";
+  }
+
+(* A listener bound and immediately closed: a port that refuses. *)
+let refusing_addr () =
+  let fd, addr = Client.listen_ephemeral () in
+  Unix.close fd;
+  addr
 
 let start_node ?(corrupt = "") ~name () =
   let fd, addr = Client.listen_ephemeral () in
@@ -456,8 +456,21 @@ let drain_node pid =
   in
   reap 600
 
+(* Run [f addr] against one live node, which is drained afterwards. *)
+let with_node name f =
+  let pid, addr = start_node ~name () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
+      with Unix.Unix_error _ -> ())
+    (fun () ->
+      wait_ready addr;
+      f addr;
+      drain_node pid)
+
 let test_cluster_matches_single_node () =
-  let items, units = corpus_units () in
+  let items = corpus_items () in
   (* fork-backed baseline: no domains may exist in this binary *)
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   let pid1, addr1 = start_node ~name:"e2e-n1" () in
@@ -481,12 +494,12 @@ let test_cluster_matches_single_node () =
           journal_dir = Some journal;
         }
       in
-      let t = C.run ~config units in
+      let t = C.run ~config items in
       Alcotest.(check string) "merged TSV = single-node triage"
         baseline.Batch.tsv t.C.tsv;
       Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
       Alcotest.(check int) "every unit applied"
-        (List.length units) t.C.stats.C.cs_applied;
+        (List.length items) t.C.stats.C.cs_applied;
       (* a re-run on the same journal is pure recovery: at-most-once
          application means no unit is re-dispatched, so even a fleet of
          unreachable nodes completes it *)
@@ -494,31 +507,22 @@ let test_cluster_matches_single_node () =
       let t2 =
         C.run
           ~config:{ config with C.nodes = [ dead ] }
-          units
+          items
       in
       Alcotest.(check string) "journal replay reproduces the TSV"
         baseline.Batch.tsv t2.C.tsv;
       Alcotest.(check int) "all rows recovered, none re-run"
-        (List.length units) t2.C.stats.C.cs_recovered;
+        (List.length items) t2.C.stats.C.cs_recovered;
       Alcotest.(check int) "recovery applied nothing new" 0
         t2.C.stats.C.cs_applied;
       drain_node pid1;
       drain_node pid2)
 
 let test_cluster_survives_dead_node_in_fleet () =
-  let items, units = corpus_units () in
+  let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
-  (* a listener bound and immediately closed: a port that refuses *)
-  let dead_fd, dead = Client.listen_ephemeral () in
-  Unix.close dead_fd;
-  let pid1, addr1 = start_node ~name:"e2e-dead-n1" () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid1 Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [ Unix.WNOHANG ] pid1)
-      with Unix.Unix_error _ -> ())
-    (fun () ->
-      wait_ready addr1;
+  let dead = refusing_addr () in
+  with_node "e2e-dead-n1" (fun addr1 ->
       let config =
         {
           C.default_config with
@@ -526,7 +530,7 @@ let test_cluster_survives_dead_node_in_fleet () =
           node_attempts = 2;
         }
       in
-      let t = C.run ~config units in
+      let t = C.run ~config items in
       Alcotest.(check string) "TSV identical despite a dead node"
         baseline.Batch.tsv t.C.tsv;
       Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
@@ -535,8 +539,105 @@ let test_cluster_survives_dead_node_in_fleet () =
       Alcotest.(check bool) "refused connections were charged" true
         (t.C.stats.C.cs_node_failures >= 1);
       Alcotest.(check int) "the dead node was declared dead" 1
-        t.C.stats.C.cs_nodes_dead;
-      drain_node pid1)
+        t.C.stats.C.cs_nodes_dead)
+
+(* --- the coordinator is a Batch pipeline: failed rows and cache ------- *)
+
+(* An unloadable item is settled locally as the dump-error row batch
+   triage writes; the only node refuses connections, so contacting it
+   for the item would show as a node failure. *)
+let test_cluster_unloadable_never_dispatched () =
+  let items = [ unloadable (corpus_items ()) ] in
+  let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
+  let t =
+    C.run ~config:{ C.default_config with C.nodes = [ refusing_addr () ] } items
+  in
+  Alcotest.(check string) "TSV = batch triage's" baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check (list string)) "one dump-error row" [ "dump-error" ]
+    (List.map (fun r -> r.Batch.row_bucket) t.C.rows);
+  Alcotest.(check int) "no node contacted" 0 t.C.stats.C.cs_node_failures;
+  Alcotest.(check int) "no retry" 0 t.C.stats.C.cs_retries;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost
+
+(* A first run against a live node fills the cache; a second run whose
+   only node refuses connections answers every unit from it. *)
+let test_cluster_cache_answers_dead_fleet () =
+  let ok = corpus_items () in
+  let items = unloadable ok :: ok in
+  let n = List.length ok in
+  let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
+  let cache_dir = fresh_dir "coord-cache" in
+  with_node "cache-n1" (fun addr ->
+      let config =
+        { C.default_config with C.nodes = [ addr ]; cache_dir = Some cache_dir }
+      in
+      let cold = C.run ~config items in
+      Alcotest.(check string) "cold TSV = batch triage's" baseline.Batch.tsv
+        cold.C.tsv;
+      Alcotest.(check int) "cold: every loadable unit from the node" n
+        cold.C.stats.C.cs_applied;
+      Alcotest.(check int) "cold: one entry per loadable unit" n
+        (Res_cache.Cache.entry_count cache_dir);
+      let warm =
+        C.run ~config:{ config with C.nodes = [ refusing_addr () ] } items
+      in
+      Alcotest.(check string) "warm TSV byte-identical" cold.C.tsv warm.C.tsv;
+      Alcotest.(check int) "every unit a cache hit" n
+        warm.C.stats.C.cs_cache_hits;
+      Alcotest.(check int) "nothing lost" 0 warm.C.stats.C.cs_lost;
+      Alcotest.(check int) "no node contacted" 0
+        warm.C.stats.C.cs_node_failures)
+
+(* Nodes are not trusted by a local [res triage], and the coordinator
+   does not assume a local run's config: the two write disjoint keys and
+   neither is served the other's entries. *)
+let test_cluster_cache_disjoint_from_batch () =
+  let items = corpus_items () in
+  let n = List.length items in
+  let batch_dir = fresh_dir "batch-cache" in
+  let coord_dir = fresh_dir "coord-cache-2" in
+  let batch_entries () = Array.to_list (Sys.readdir batch_dir) in
+  let filled =
+    Batch.run ~jobs:1 ~backend:Pool.Forked
+      ~cache:(Res_cache.Cache.openr batch_dir) items
+  in
+  Alcotest.(check int) "batch filled its cache" n
+    (Res_cache.Cache.entry_count batch_dir);
+  with_node "cache-n2" (fun addr ->
+      let t =
+        C.run
+          ~config:
+            { C.default_config with C.nodes = [ addr ]; cache_dir = Some coord_dir }
+          items
+      in
+      Alcotest.(check string) "coordinator TSV" filled.Batch.tsv t.C.tsv);
+  Alcotest.(check int) "coordinator filled its cache" n
+    (Res_cache.Cache.entry_count coord_dir);
+  Alcotest.(check (list string)) "no key in both" []
+    (List.filter
+       (fun e -> Sys.file_exists (Filename.concat coord_dir e))
+       (batch_entries ()));
+  let from_coord =
+    Batch.run ~jobs:1 ~backend:Pool.Forked
+      ~cache:(Res_cache.Cache.openr coord_dir) items
+  in
+  Alcotest.(check int) "batch misses coordinator entries" 0
+    from_coord.Batch.cache_hits;
+  let from_batch =
+    C.run
+      ~config:
+        {
+          C.default_config with
+          C.nodes = [ refusing_addr () ];
+          cache_dir = Some batch_dir;
+          unit_attempts = 1;
+        }
+      items
+  in
+  Alcotest.(check int) "coordinator misses batch entries" 0
+    from_batch.C.stats.C.cs_cache_hits;
+  Alcotest.(check int) "so every unit is lost to the dead node" n
+    from_batch.C.stats.C.cs_lost
 
 (* --- byzantine nodes: lying answers are rejected, liars quarantined -- *)
 
@@ -545,7 +646,7 @@ let test_cluster_survives_dead_node_in_fleet () =
    walk the liar down its Dead path, and the rescheduled units must
    still produce a TSV byte-identical to single-node triage. *)
 let test_cluster_quarantines_byzantine_name () =
-  let items, units = corpus_units () in
+  let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   let pid_h, addr_h = start_node ~name:"bz-honest" () in
   let pid_l, addr_l = start_node ~name:"bz-liar" ~corrupt:"name" () in
@@ -567,7 +668,7 @@ let test_cluster_quarantines_byzantine_name () =
           node_attempts = 2;
         }
       in
-      let t = C.run ~config units in
+      let t = C.run ~config items in
       Alcotest.(check string)
         "TSV identical despite a lying node" baseline.Batch.tsv t.C.tsv;
       Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
@@ -586,7 +687,7 @@ let test_cluster_quarantines_byzantine_name () =
    with [verify_rows] off the same lie must poison the TSV, proving the
    defense (not luck) is what kept the first run clean. *)
 let test_cluster_replay_catches_fabricated_fields () =
-  let items, units = corpus_units () in
+  let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   let pid_h, addr_h = start_node ~name:"bzf-honest" () in
   let pid_l, addr_l = start_node ~name:"bzf-liar" ~corrupt:"fields" () in
@@ -610,7 +711,7 @@ let test_cluster_replay_catches_fabricated_fields () =
           verify_rows;
         }
       in
-      let t = C.run ~config:(config 1 true) units in
+      let t = C.run ~config:(config 1 true) items in
       Alcotest.(check string)
         "TSV identical: every fabricated row re-derived and rejected"
         baseline.Batch.tsv t.C.tsv;
@@ -621,7 +722,7 @@ let test_cluster_replay_catches_fabricated_fields () =
       Alcotest.(check int) "the liar was quarantined as dead" 1
         t.C.stats.C.cs_nodes_dead;
       (* negative control: with verification off the lie goes through *)
-      let t2 = C.run ~config:(config 0 false) units in
+      let t2 = C.run ~config:(config 0 false) items in
       Alcotest.(check bool)
         "with verify_rows off, fabricated rows poison the TSV" false
         (String.equal baseline.Batch.tsv t2.C.tsv);
@@ -685,5 +786,11 @@ let () =
             test_cluster_quarantines_byzantine_name;
           Alcotest.test_case "replay spot-check catches fabricated fields"
             `Slow test_cluster_replay_catches_fabricated_fields;
+          Alcotest.test_case "an unloadable dump is never dispatched" `Quick
+            test_cluster_unloadable_never_dispatched;
+          Alcotest.test_case "the cache answers a dead fleet" `Slow
+            test_cluster_cache_answers_dead_fleet;
+          Alcotest.test_case "batch and coordinator entries are disjoint"
+            `Slow test_cluster_cache_disjoint_from_batch;
         ] );
     ]

@@ -245,7 +245,7 @@ let test_batch_worker_lost_row () =
     (List.length items)
     (List.length t.Batch.rows);
   Alcotest.(check bool) "one lost unit is not a failed batch" false
-    (Batch.all_failed t)
+    (Batch.all_failed t.Batch.rows)
 
 (** A batch where every dump is unloadable still completes — and is
     recognizable as wholly failed, which the CLI maps to a nonzero
@@ -265,10 +265,10 @@ let test_batch_all_failed () =
   Alcotest.(check int) "every item produced a row" (List.length items)
     (List.length t.Batch.rows);
   Alcotest.(check bool) "wholly failed batch detected" true
-    (Batch.all_failed t);
+    (Batch.all_failed t.Batch.rows);
   let healthy = Batch.run ~jobs:2 ~backend:Pool.Forked items in
   Alcotest.(check bool) "healthy batch is not wholly failed" false
-    (Batch.all_failed healthy)
+    (Batch.all_failed healthy.Batch.rows)
 
 (* --- supervision backoff (satellite; no pool) ------------------------ *)
 

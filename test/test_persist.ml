@@ -197,7 +197,7 @@ let test_coredump_save_atomic () =
   let w = Res_workloads.Workloads.find "div-by-zero" in
   let dump = Res_workloads.Truth.coredump w in
   let path = "atomic-dump.core" in
-  Io.save path dump;
+  Res_core.Ioshim.write_file_atomic path (Io.to_string dump);
   check bool_t "no .tmp left behind" false (Sys.file_exists (path ^ ".tmp"));
   (match Io.load_result path with
   | Ok { Io.dump = loaded; _ } ->
