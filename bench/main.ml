@@ -333,7 +333,8 @@ let e8 () =
 (* ------------------------------------------------------------------ *)
 let e9 () =
   section "e9" "replay determinism — 10 replays per synthesized suffix";
-  Fmt.pr "%-24s %-10s %-14s@." "workload" "replays" "exact matches";
+  Fmt.pr "%-24s %-10s %-10s %-14s@." "workload" "witnessed" "replays"
+    "exact matches";
   List.iter
     (fun w ->
       let dump, ctx, analysis = analyze w in
@@ -344,11 +345,16 @@ let e9 () =
             Res_core.Replay.replay_deterministically ~times:10 ctx
               r.Res_core.Res.suffix dump
           in
+          (* exact: reproduced, pinned, and identical in trace and
+             failure state to the witnessed replay behind the report *)
           let exact =
             List.length
-              (List.filter (fun v -> v.Res_core.Replay.reproduced) verdicts)
+              (List.filter
+                 (Res_core.Replay.agree r.Res_core.Res.verdict)
+                 verdicts)
           in
-          Fmt.pr "%-24s %-10d %-14d@." w.Res_workloads.Truth.w_name 10 exact)
+          Fmt.pr "%-24s %-10b %-10d %-14d@." w.Res_workloads.Truth.w_name
+            r.Res_core.Res.deterministic 10 exact)
     Res_workloads.Workloads.all
 
 (* ------------------------------------------------------------------ *)

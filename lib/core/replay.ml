@@ -16,6 +16,13 @@ type verdict = {
   replay_dump : Res_vm.Coredump.t option;
   trace : Res_vm.Event.t list;  (** instruction-level trace of the suffix *)
   divergence : string option;  (** why reproduction failed, if it did *)
+  pinned : bool;
+      (** the run consumed its scripts exactly: the scheduler picked
+          precisely the suffix's scripted tids (no skipped entry, no
+          round-robin fallback) and the oracle was read exactly once per
+          scripted input.  With every nondeterministic event pinned, a
+          reproducing run is the determinism witness (paper §2,
+          requirement 5). *)
 }
 
 (** Build the initial VM state [Mi] for a suffix. *)
@@ -40,17 +47,30 @@ let initial_state ctx (suffix : Suffix.t) =
 let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
     (dump : Res_vm.Coredump.t) : verdict =
   let state = initial_state ctx suffix in
+  let schedule = Suffix.schedule suffix in
+  let inputs = Suffix.input_script suffix in
+  let script = Res_vm.Oracle.scripted inputs in
+  let reads = ref 0 in
   let config =
     {
       (Res_vm.Exec.default_config ()) with
-      sched = Res_vm.Sched.create (Res_vm.Sched.Fixed (Suffix.schedule suffix));
-      oracle = Res_vm.Oracle.scripted (Suffix.input_script suffix);
+      sched = Res_vm.Sched.create (Res_vm.Sched.Fixed schedule);
+      oracle =
+        {
+          Res_vm.Oracle.next =
+            (fun kind ->
+              incr reads;
+              script.Res_vm.Oracle.next kind);
+        };
       max_steps;
       record_trace = true;
       lbr_depth = dump.Res_vm.Coredump.tracer.Res_vm.Tracer.lbr_depth;
     }
   in
   let result = Res_vm.Exec.run_state ~config state in
+  let pinned =
+    result.Res_vm.Exec.schedule = schedule && !reads = List.length inputs
+  in
   match result.Res_vm.Exec.outcome with
   | Res_vm.Exec.Crashed crash ->
       let replay_dump =
@@ -86,6 +106,7 @@ let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
         replay_dump = Some replay_dump;
         trace = result.Res_vm.Exec.trace;
         divergence;
+        pinned;
       }
   | Res_vm.Exec.Exited ->
       {
@@ -94,6 +115,7 @@ let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
         replay_dump = None;
         trace = result.Res_vm.Exec.trace;
         divergence = Some "replay exited without crashing";
+        pinned;
       }
   | Res_vm.Exec.Out_of_fuel ->
       {
@@ -102,13 +124,26 @@ let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
         replay_dump = None;
         trace = result.Res_vm.Exec.trace;
         divergence = Some "replay ran out of fuel";
+        pinned;
       }
 
-(** Replay [n] times and check every run reproduces the same failure —
-    the determinism requirement (5) of paper §2. *)
+(** Two runs agree: both reproduce under pinned scripts, with the same
+    instruction trace and the same failure state. *)
+let agree a b =
+  a.reproduced && b.reproduced && a.pinned && b.pinned && a.trace = b.trace
+  &&
+  match (a.replay_dump, b.replay_dump) with
+  | Some da, Some db -> Res_vm.Coredump.same_failure_state da db
+  | _ -> false
+
+(** Replay [times] times and check every run agrees with the first —
+    an independent check of the determinism requirement (5) of paper §2,
+    which [pinned] already witnesses for a single run. *)
 let replay_deterministically ?(times = 3) ctx suffix dump =
   let verdicts = List.init times (fun _ -> replay ctx suffix dump) in
-  (List.for_all (fun v -> v.reproduced) verdicts, verdicts)
+  match verdicts with
+  | [] -> (true, verdicts)
+  | first :: _ -> (List.for_all (agree first) verdicts, verdicts)
 
 (* --- resumable stepper ------------------------------------------------ *)
 

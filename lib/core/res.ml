@@ -13,7 +13,11 @@ type report = {
   suffix : Suffix.t;
   verdict : Replay.verdict;
   root_cause : Rootcause.t option;  (** None when replay failed *)
-  deterministic : bool;  (** replayed [determinism_runs] times identically *)
+  deterministic : bool;
+      (** the replay reproduced the failure with every schedule pick and
+          input read pinned to the suffix's scripts ({!Replay.verdict}'s
+          [pinned] witness), and each of the [determinism_runs] extra
+          replays agreed with it *)
 }
 
 type analysis = {
@@ -36,6 +40,8 @@ type analysis = {
 type config = {
   search : Search.config;
   determinism_runs : int;
+      (** extra replays beyond the witnessed one, each of which must agree
+          with it *)
   stop_at_first_cause : bool;
       (** stop deepening once a reproduced suffix has a concurrency or
           memory-safety root cause (not merely the crash site) *)
@@ -48,7 +54,7 @@ type config = {
 let default_config =
   {
     search = Search.default_config;
-    determinism_runs = 3;
+    determinism_runs = 0;
     stop_at_first_cause = true;
     max_attempts = 3;
   }
@@ -98,9 +104,12 @@ let report_of ctx config (dump : Res_vm.Coredump.t) suffix =
            ~crash:dump.Res_vm.Coredump.crash ~heap:dump.Res_vm.Coredump.heap
            ~layout:ctx.Backstep.layout verdict.Replay.trace)
     in
-    let deterministic, _ =
-      Replay.replay_deterministically ~times:config.determinism_runs ctx suffix
-        dump
+    let deterministic =
+      verdict.Replay.pinned
+      && List.for_all (Replay.agree verdict)
+           (snd
+              (Replay.replay_deterministically ~times:config.determinism_runs
+                 ctx suffix dump))
     in
     { suffix; verdict; root_cause; deterministic }
 

@@ -91,7 +91,6 @@ let small_config =
     Res_core.Res.default_config with
     search =
       { Res_core.Search.default_config with max_segments = 4; max_nodes = 2_000 };
-    determinism_runs = 1;
     max_attempts = 2;
   }
 
@@ -341,14 +340,14 @@ let exhaustive search =
    kill points to land mid-analysis. *)
 let kr_config =
   {
-    Res_core.Res.search =
+    Res_core.Res.default_config with
+    search =
       {
         Res_core.Search.default_config with
         max_segments = 6;
         max_nodes = 2_000;
         max_suffixes = 8;
       };
-    determinism_runs = 1;
     stop_at_first_cause = false;
     max_attempts = 2;
   }

@@ -54,7 +54,9 @@ let pick t ~runnable =
               tid
           | _ :: rest ->
               (* Scripted thread not runnable here: skip the entry.  The
-                 replayer treats this as a determinism failure upstream. *)
+                 picks then differ from the script, so the replayer's
+                 [pinned] witness fails and the report is not
+                 deterministic. *)
               t.script <- rest;
               round_robin t runnable
           | [] -> round_robin t runnable))

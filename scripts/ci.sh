@@ -48,6 +48,20 @@ dune runtest
 # longer reproduces the library's rows, TSV and cache hits.
 dune build @resbench/counts
 
+# Each suffix is replayed once.  The traced deep-chain run exits non-zero
+# if resbench's layered mirror renders a report that differs from
+# Res.analyze; its replay count must also equal the suffixes synthesized.
+trace_out=$(bash resbench/run.sh --workload deep-chain --seed 1 --seconds 0 \
+  --trace 1)
+trace_count() {
+  echo "$trace_out" | tail -n 1 \
+    | sed -n "s/.*\"$1\": {\"value\": \([0-9]*\),.*/\1/p"
+}
+replay_runs=$(trace_count replay.runs)
+suffixes=$(trace_count search.suffixes)
+[ -n "$replay_runs" ] && [ "$replay_runs" = "$suffixes" ] \
+  || { echo "replay.runs=$replay_runs but search.suffixes=$suffixes"; exit 1; }
+
 # The fork-backed gates (and kill-resume's checkpoints) keep their scratch
 # files under $TMPDIR.  They run the built binary under a private TMPDIR,
 # which must be empty again once the last of them has exited.

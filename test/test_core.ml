@@ -129,9 +129,10 @@ let test_search_budget () =
 
 (* What a search shows its user: each suffix as its report renders. *)
 let rendered ctx dump (r : Search.result) =
-  let config = { Res.default_config with determinism_runs = 1 } in
   List.map
-    (fun s -> Fmt.str "%a" (Report.pp_report ctx) (Res.report_of ctx config dump s))
+    (fun s ->
+      Fmt.str "%a" (Report.pp_report ctx)
+        (Res.report_of ctx Res.default_config dump s))
     r.Search.suffixes
 
 (* Deepen 1..[depth] on one ctx, which continues each depth's carry, and
@@ -318,10 +319,86 @@ let test_replay_exact_and_deterministic () =
   let ok, verdicts = Replay.replay_deterministically ~times:5 ctx suffix dump in
   check bool_t "5/5 deterministic reproductions" true ok;
   check int_t "five verdicts" 5 (List.length verdicts);
+  let first = List.hd verdicts in
   List.iter
     (fun (v : Replay.verdict) ->
-      check bool_t "trace non-empty" true (v.Replay.trace <> []))
+      check bool_t "trace non-empty" true (v.Replay.trace <> []);
+      check bool_t "scripts consumed exactly" true v.Replay.pinned;
+      check bool_t "agrees with the first run" true (Replay.agree first v))
     verdicts
+
+(* Every suffix a search emits for [w], with the workload's dump and ctx. *)
+let searched_suffixes (w : Res_workloads.Truth.t) =
+  let dump = Res_workloads.Truth.coredump w in
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let r =
+    Search.search ~config:{ Search.default_config with max_segments = 6 } ctx dump
+  in
+  (ctx, dump, r.Search.suffixes)
+
+(* The single witnessed replay decides [deterministic] exactly as five
+   agreeing replays do. *)
+let test_witness_agrees_with_replays () =
+  List.iter
+    (fun (w : Res_workloads.Truth.t) ->
+      let ctx, dump, suffixes = searched_suffixes w in
+      check bool_t "suffixes exist" true (suffixes <> []);
+      List.iter
+        (fun s ->
+          let r = Res.report_of ctx Res.default_config dump s in
+          check bool_t
+            (Fmt.str "%s: witness = 5 replays" w.Res_workloads.Truth.w_name)
+            (fst (Replay.replay_deterministically ~times:5 ctx s dump))
+            r.Res.deterministic)
+        suffixes)
+    [ fig1; Res_workloads.Counter_race.workload ]
+
+let first_reproduced ctx dump suffixes =
+  List.find
+    (fun s -> (Replay.replay ctx s dump).Replay.reproduced)
+    suffixes
+
+(* A scripted input nobody reads still reproduces, but is not pinned. *)
+let test_witness_unread_input () =
+  let ctx, dump, suffixes = searched_suffixes fig1 in
+  let s = first_reproduced ctx dump suffixes in
+  let extra =
+    match List.rev s.Suffix.segments with
+    | last :: rest ->
+        let unread = (Res_ir.Instr.Net, Res_solver.Expr.fresh_sym "unread") in
+        let last =
+          { last with Suffix.seg_inputs = last.Suffix.seg_inputs @ [ unread ] }
+        in
+        { s with Suffix.segments = List.rev (last :: rest) }
+    | [] -> Alcotest.fail "empty suffix"
+  in
+  let r = Res.report_of ctx Res.default_config dump extra in
+  check bool_t "still reproduces" true r.Res.verdict.Replay.reproduced;
+  check bool_t "not pinned" false r.Res.verdict.Replay.pinned;
+  check bool_t "not deterministic" false r.Res.deterministic
+
+(* A scripted tid the replay did not pick breaks the witness. *)
+let test_witness_rewritten_schedule () =
+  let ctx, dump, suffixes =
+    searched_suffixes Res_workloads.Counter_race.workload
+  in
+  let s = first_reproduced ctx dump suffixes in
+  let rewritten =
+    match s.Suffix.segments with
+    | seg :: rest ->
+        {
+          s with
+          Suffix.segments =
+            { seg with Suffix.seg_tid = seg.Suffix.seg_tid + 1 } :: rest;
+        }
+    | [] -> Alcotest.fail "empty suffix"
+  in
+  check bool_t "script changed" true
+    (Suffix.schedule rewritten <> Suffix.schedule s);
+  let r = Res.report_of ctx Res.default_config dump rewritten in
+  check bool_t "still reproduces" true r.Res.verdict.Replay.reproduced;
+  check bool_t "not pinned" false r.Res.verdict.Replay.pinned;
+  check bool_t "not deterministic" false r.Res.deterministic
 
 let test_replay_detects_tampered_suffix () =
   (* corrupting the model must break exact reproduction *)
@@ -616,6 +693,32 @@ let test_analyze_cpu_time_bounded () =
   let analysis = Res.analysis (Res.analyze ctx dump) in
   check bool_t "well under a minute" true (analysis.Res.cpu_seconds < 10.0)
 
+(* The witnessed single replay renders every report body exactly as three
+   extra agreeing replays do: on every workload at the CLI's default
+   depth, and on long-exec-50 at the deepening depths. *)
+let test_witness_default_differential () =
+  let bodies ~depth ~runs (w : Res_workloads.Truth.t) =
+    let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+    let config =
+      {
+        Res.default_config with
+        search =
+          { Search.default_config with max_segments = depth; max_nodes = 30_000 };
+        determinism_runs = runs;
+      }
+    in
+    let o = Res.analyze ~config ctx (Res_workloads.Truth.coredump w) in
+    Res.outcome_name o ^ "\n" ^ Report.report_list_to_string ctx (Res.analysis o)
+  in
+  let same ~depth w =
+    check Alcotest.string
+      (Fmt.str "%s depth %d" w.Res_workloads.Truth.w_name depth)
+      (bodies ~depth ~runs:3 w)
+      (bodies ~depth ~runs:Res.default_config.determinism_runs w)
+  in
+  List.iter (same ~depth:8) Res_workloads.Workloads.all;
+  List.iter (fun depth -> same ~depth (long_exec_50 ())) [ 10; 20; 40; 55 ]
+
 let () =
   Alcotest.run "res_core"
     [
@@ -657,6 +760,12 @@ let () =
             test_replay_exact_and_deterministic;
           Alcotest.test_case "tampered model rejected" `Quick
             test_replay_detects_tampered_suffix;
+          Alcotest.test_case "witness agrees with 5 replays" `Quick
+            test_witness_agrees_with_replays;
+          Alcotest.test_case "unread input breaks the witness" `Quick
+            test_witness_unread_input;
+          Alcotest.test_case "rewritten schedule breaks the witness" `Quick
+            test_witness_rewritten_schedule;
           Alcotest.test_case "suffix accessors" `Quick test_suffix_accessors;
         ] );
       ( "rootcause",
@@ -686,5 +795,7 @@ let () =
           Alcotest.test_case "counter race end-to-end" `Quick
             test_analyze_counter_race;
           Alcotest.test_case "cpu time" `Quick test_analyze_cpu_time_bounded;
+          Alcotest.test_case "witness = 3 replays, every report body" `Quick
+            test_witness_default_differential;
         ] );
     ]

@@ -277,7 +277,9 @@ let prop_random_programs_reconstruct =
 
 (* property: deepening one ctx, which continues each depth's carry,
    synthesizes the same suffixes at every depth as a fresh ctx per depth,
-   which cannot — compared as the replayed reports render them *)
+   which cannot — compared as the replayed reports render them.  Each
+   report also renders the same when three extra replays must agree with
+   its single witnessed one. *)
 let prop_random_programs_carry_invisible =
   QCheck2.Test.make ~name:"deepening carry is invisible on random programs"
     ~count:25 gen_random_crash_prog (fun (prog, input_value) ->
@@ -293,10 +295,18 @@ let prop_random_programs_carry_invisible =
           let render ctx (r : Res_core.Search.result) =
             List.map
               (fun s ->
-                Fmt.str "%a" (Res_core.Report.pp_report ctx)
-                  (Res_core.Res.report_of ctx
-                     { Res_core.Res.default_config with determinism_runs = 1 }
-                     dump s))
+                let pp config =
+                  Fmt.str "%a" (Res_core.Report.pp_report ctx)
+                    (Res_core.Res.report_of ctx config dump s)
+                in
+                let witnessed = pp Res_core.Res.default_config in
+                if
+                  witnessed
+                  <> pp { Res_core.Res.default_config with determinism_runs = 3 }
+                then
+                  QCheck2.Test.fail_reportf
+                    "witness disagrees with three replays:@.%s" witnessed;
+                witnessed)
               r.Res_core.Search.suffixes
           in
           let ctx = Res_core.Backstep.make_ctx prog in
