@@ -929,25 +929,22 @@ let e20 () =
         }
       ctx dump
   in
-  let suffix =
-    let reproducing =
-      List.filter
-        (fun s -> (Res_core.Replay.replay ctx s dump).Res_core.Replay.reproduced)
-        result.Res_core.Search.suffixes
-    in
-    match
-      List.sort
-        (fun a b ->
-          compare
-            (List.length b.Res_core.Suffix.segments)
-            (List.length a.Res_core.Suffix.segments))
-        reproducing
-    with
-    | s :: _ -> s
-    | [] -> Fmt.failwith "no reproducing suffix for long-exec-50"
+  let longest_first =
+    List.stable_sort
+      (fun a b ->
+        compare
+          (List.length b.Res_core.Suffix.segments)
+          (List.length a.Res_core.Suffix.segments))
+      result.Res_core.Search.suffixes
   in
-  let index = Res_debug.Snapindex.create ~interval:16 ctx suffix in
-  let n = Res_debug.Snapindex.length index in
+  let suffix, dbg =
+    match
+      Res_core.Debugger.start_first ~snapshot_every:16 ctx longest_first dump
+    with
+    | Some found -> found
+    | None -> Fmt.failwith "no reproducing suffix for long-exec-50"
+  in
+  let n = Res_core.Debugger.total_steps dbg in
   Fmt.pr "suffix timeline: %d instruction steps (%d segments)@." n
     (List.length suffix.Res_core.Suffix.segments);
   (* Transition watchpoint: binary-searched probes vs a linear scan. *)
@@ -960,13 +957,13 @@ let e20 () =
   let eval st =
     if Res_mem.Memory.read st.Res_vm.Exec.mem counter = final then 1 else 0
   in
-  (match Res_debug.Snapindex.find_transition index eval with
+  (match Res_core.Debugger.find_transition dbg eval with
   | Some tr ->
       Fmt.pr "@.transition watchpoint ([0x%x] reaches %d):@." counter final;
-      Fmt.pr "%-34s %d probes@." "binary search" tr.Res_debug.Snapindex.tr_probes;
+      Fmt.pr "%-34s %d probes@." "binary search" tr.Res_core.Debugger.tr_probes;
       Fmt.pr "%-34s %d state evaluations@." "linear scan" (n + 1);
       Fmt.pr "%-34s step %d@." "transition found at"
-        tr.Res_debug.Snapindex.tr_pos
+        tr.Res_core.Debugger.tr_pos
   | None -> Fmt.pr "@.transition watchpoint: endpoints agree (no flip)@.");
   Fmt.pr
     "@.expected shape: the transition search probes O(log n) states where \

@@ -596,7 +596,9 @@ let debug_cmd =
     Arg.(
       value & opt int 64
       & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Snapshot-index interval in instructions.")
+          ~doc:
+            "Snapshot-index interval in instructions; 0 or less disables \
+             the index, like $(b,--no-snapshot-index).")
   in
   let no_index =
     Arg.(
@@ -635,22 +637,20 @@ let debug_cmd =
         ~config:{ Res_core.Search.default_config with max_segments = depth }
         ctx dump
     in
-    let interval = if no_index then 0 else max 0 snapshot_every in
-    let session =
-      let rec first = function
-        | [] ->
-            raise
-              (Die
-                 ( exit_partial,
-                   "no suffix reproduces the coredump (try a larger --depth)"
-                 ))
-        | suffix :: rest -> (
-            match Res_debug.Session.create ~interval ctx suffix dump with
-            | Ok s -> s
-            | Error _ -> first rest)
-      in
-      first result.Res_core.Search.suffixes
+    let snapshot_every = if no_index then 0 else snapshot_every in
+    let dbg =
+      match
+        Res_core.Debugger.start_first ~snapshot_every ctx
+          result.Res_core.Search.suffixes dump
+      with
+      | Some (_, dbg) -> dbg
+      | None ->
+          raise
+            (Die
+               ( exit_partial,
+                 "no suffix reproduces the coredump (try a larger --depth)" ))
     in
+    let session = Res_debug.Session.create dbg in
     let code =
       match script with
       | Some path ->
@@ -660,11 +660,12 @@ let debug_cmd =
       | None -> Res_debug.Script.repl session
     in
     if stats then begin
-      let restores, replayed, probes = Res_debug.Session.stats session in
+      let restores, replayed, probes = Res_core.Debugger.stats dbg in
       Fmt.epr
         "index: interval %d, %d snapshot restores, %d instructions \
          re-executed, %d transition probes@."
-        interval restores replayed probes
+        (Res_core.Debugger.snapshot_every dbg)
+        restores replayed probes
     end;
     code
   in

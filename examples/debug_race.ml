@@ -49,9 +49,10 @@ let () =
   (* the write history of the corrupted location *)
   Fmt.pr "== write history of `counter` ==@.";
   List.iter
-    (fun i ->
-      let e = Res_core.Debugger.event_at dbg i in
-      Fmt.pr "step %d: %a@." i Res_vm.Event.pp e)
+    (fun p ->
+      Fmt.pr "step %d: counter %d -> %d@." p
+        (Res_core.Debugger.mem_at dbg p counter)
+        (Res_core.Debugger.mem_at dbg (p + 1) counter))
     (Res_core.Debugger.writes_to dbg counter);
 
   (* hypothesis: was a worker preempted between its read and its write? *)
@@ -68,20 +69,23 @@ let () =
   (* "what was the program state when executing at pc X?" *)
   let assert_pc = Res_ir.Pc.v ~func:"main" ~block:"check" ~idx:4 in
   (match Res_core.Debugger.break_at dbg assert_pc with
-  | Some i ->
-      Fmt.pr "@.== state when main reached the assert (step %d) ==@." i;
+  | Some p ->
+      Fmt.pr "@.== state when main reached the assert (step %d) ==@." p;
       Fmt.pr "counter = %d (expected 2: one update was lost)@."
-        (Res_core.Debugger.mem_at dbg i counter)
+        (Res_core.Debugger.mem_at dbg p counter)
   | None -> Fmt.pr "assert pc not reached?!@.");
 
   (* reverse debugging: walk backward from the crash *)
   Fmt.pr "@.== reverse stepping from the crash ==@.";
-  let n = Res_core.Debugger.length dbg in
+  let n = Res_core.Debugger.total_steps dbg in
+  Fmt.pr "step %d: crash (counter=%d)@." n
+    (Res_core.Debugger.mem_at dbg n counter);
   List.iter
     (fun back ->
-      let i = n - 1 - back in
-      if i >= 0 then
-        let e = Res_core.Debugger.event_at dbg i in
-        Fmt.pr "crash-%d: %a   (counter=%d)@." back Res_vm.Event.pp e
-          (Res_core.Debugger.mem_at dbg i counter))
-    [ 0; 1; 2; 3; 4 ]
+      let p = n - back in
+      if p >= 0 then
+        Fmt.pr "step %d: %a   (counter=%d)@." p
+          Fmt.(list ~sep:(any "; ") Res_vm.Event.pp)
+          (Res_core.Debugger.events_at dbg p)
+          (Res_core.Debugger.mem_at dbg p counter))
+    [ 1; 2; 3; 4; 5 ]

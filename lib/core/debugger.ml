@@ -11,16 +11,24 @@
     re-running one step less.  The hypothesis helpers answer the paper's
     example queries: "what was the program state when the program was
     executing at program counter X?" and "was a thread T preempted before
-    updating shared memory location M?". *)
+    updating shared memory location M?".
+
+    Every position this module takes or returns is a timeline position:
+    [p] means "the first [p] instructions of the suffix have completed",
+    so the instruction a position names is the one about to execute. *)
 
 module IMap = Map.Make (Int)
 
 (** One cached pass over the event trace, shared by every query that used
-    to rescan it per call: the write history of each address and the step
-    numbers of each thread. *)
+    to rescan it per call.  Trace indices are not positions: a blocked
+    scheduling attempt completes a step but emits no event, and a ret from
+    the last frame emits two events (ret + halt) for one step.  Events
+    carry their true step, which is the position they are grouped by. *)
 type scan = {
-  sc_writes : int list IMap.t;  (** addr -> steps that wrote it, oldest first *)
-  sc_thread_steps : int list IMap.t;  (** tid -> its steps, oldest first *)
+  sc_by_step : Res_vm.Event.t list array;
+      (** events grouped by the step that emitted them, oldest first *)
+  sc_writes : int list IMap.t;  (** addr -> positions writing it, oldest first *)
+  sc_thread_steps : int list IMap.t;  (** tid -> its positions, oldest first *)
 }
 
 type t = {
@@ -33,12 +41,14 @@ type t = {
       (** lazily-built snapshot index: state queries pay the one-time
           forward replay only if any are ever made *)
   mutable scan : scan option;  (** lazily-built shared event scan *)
+  mutable probes : int;  (** state evaluations made by transition searches *)
 }
 
 (** Open a debugging session for a suffix.  Returns [Error] if the suffix
     does not reproduce the coredump (nothing trustworthy to debug).
     [snapshot_every] is the snapshot-index interval for state queries
-    (0 disables the index: every query replays from step 0). *)
+    (0 disables the index: every query replays from step 0; negative
+    values are treated as 0). *)
 let start ?(snapshot_every = 64) ctx suffix dump =
   let verdict = Replay.replay ctx suffix dump in
   if not verdict.Replay.reproduced then Error "suffix does not reproduce the coredump"
@@ -52,25 +62,29 @@ let start ?(snapshot_every = 64) ctx suffix dump =
         snapshot_every = max 0 snapshot_every;
         index = None;
         scan = None;
+        probes = 0;
       }
 
-(** Number of instruction steps in the suffix. *)
-let length t = Array.length t.trace
+(** The first of [suffixes], in the caller's order, that opens a session. *)
+let rec start_first ?snapshot_every ctx suffixes dump =
+  match suffixes with
+  | [] -> None
+  | suffix :: rest -> (
+      match start ?snapshot_every ctx suffix dump with
+      | Ok t -> Some (suffix, t)
+      | Error _ -> start_first ?snapshot_every ctx rest dump)
 
-(** The event at step [i] (0-based, oldest first). *)
-let event_at t i =
-  if i < 0 || i >= Array.length t.trace then
-    invalid_arg (Fmt.str "Debugger.event_at: step %d out of range" i)
-  else t.trace.(i)
+(** The suffix's instruction trace, oldest first. *)
+let trace t = Array.to_list t.trace
 
 (** The crash the suffix runs into. *)
 let crash t = t.dump.Res_vm.Coredump.crash
 
-(* Trace indices are not step numbers: a blocked scheduling attempt
-   completes a step but emits no event, and a ret from the last frame
-   emits two events (ret + halt) for one step.  Events carry their true
-   step number; translate through it when reconstructing state. *)
-let step_of_event t i = (event_at t i).Res_vm.Event.step
+(** The program's memory layout, for naming addresses. *)
+let layout t = t.ctx.Backstep.layout
+
+(** The snapshot-index interval, after clamping (0 = no index). *)
+let snapshot_every t = t.snapshot_every
 
 let index t =
   match t.index with
@@ -99,8 +113,7 @@ let state_at_linear t steps =
   (Res_vm.Exec.run_state ~config state).Res_vm.Exec.final
 
 (** Total completed instruction steps in the suffix (the crash attempt
-    excluded) — the timeline's upper bound for {!state_at}.  Not the same
-    as {!length}: see {!step_of_event}. *)
+    excluded) — positions are [0..total_steps]. *)
 let total_steps t = Replay.Index.length (snd (index t))
 
 (** Reconstruct the exact machine state after executing the first [steps]
@@ -111,81 +124,85 @@ let state_at t steps =
   let sp, ix = index t in
   Replay.Index.seek ix sp steps
 
-(** Memory word [addr] just after trace event [i]. *)
-let mem_at t i addr =
-  Res_mem.Memory.read
-    (state_at t (step_of_event t i + 1)).Res_vm.Exec.mem
-    addr
+(** Replay-work counters: [(restores, replayed_steps, probes)]. *)
+let stats t =
+  match t.index with
+  | Some (_, ix) ->
+      (ix.Replay.Index.ix_restores, ix.Replay.Index.ix_replayed, t.probes)
+  | None -> (0, 0, t.probes)
 
-(** Register [r] of thread [tid] just after trace event [i] (innermost
-    frame). *)
-let reg_at t i ~tid ~reg =
-  let st = state_at t (step_of_event t i + 1) in
-  match IMap.find_opt tid st.Res_vm.Exec.threads with
-  | Some th -> (
-      match Res_vm.Thread.top_opt th with
-      | Some fr -> Some (Res_vm.Frame.read_reg fr reg)
-      | None -> None)
-  | None -> None
-
-(** Every step whose program counter matches [pc], oldest first — the full
-    hit list of a breakpoint (what a [continue] with a hit count walks). *)
-let break_all t (pc : Res_ir.Pc.t) =
-  let out = ref [] in
-  Array.iteri
-    (fun i (e : Res_vm.Event.t) ->
-      if Res_ir.Pc.equal e.Res_vm.Event.pc pc then out := i :: !out)
-    t.trace;
-  List.rev !out
-
-(** First step whose program counter matches [pc] — a breakpoint.  Answers
-    "what was the program state when the program was executing at X":
-    combine with {!state_at}. *)
-let break_at t (pc : Res_ir.Pc.t) =
-  let n = Array.length t.trace in
-  let rec go i =
-    if i >= n then None
-    else if Res_ir.Pc.equal t.trace.(i).Res_vm.Event.pc pc then Some i
-    else go (i + 1)
-  in
-  go 0
+(** Memory word [addr] at position [p]. *)
+let mem_at t p addr =
+  Res_mem.Memory.read (state_at t p).Res_vm.Exec.mem addr
 
 (* The shared event scan: one pass over the trace, built on first use,
-   instead of one pass per writes_to/steps_of_thread call. *)
+   instead of one pass per query. *)
 let scan t =
   match t.scan with
   | Some s -> s
   | None ->
-      let push k i m =
+      let push k p m =
         IMap.update k
-          (function None -> Some [ i ] | Some l -> Some (i :: l))
+          (function
+            | Some (q :: _ as l) when q = p -> Some l
+            | None -> Some [ p ]
+            | Some l -> Some (p :: l))
           m
       in
+      let n =
+        if Array.length t.trace = 0 then 0
+        else t.trace.(Array.length t.trace - 1).Res_vm.Event.step + 1
+      in
+      let by_step = Array.make n [] in
       let writes = ref IMap.empty and threads = ref IMap.empty in
-      Array.iteri
-        (fun i (e : Res_vm.Event.t) ->
-          threads := push e.Res_vm.Event.tid e.Res_vm.Event.step !threads;
-          match e.Res_vm.Event.action with
-          | Res_vm.Event.A_write { addr; _ } -> writes := push addr i !writes
-          | _ -> ())
-        t.trace;
+      for i = Array.length t.trace - 1 downto 0 do
+        let e = t.trace.(i) in
+        let p = e.Res_vm.Event.step in
+        by_step.(p) <- e :: by_step.(p);
+        threads := push e.Res_vm.Event.tid p !threads;
+        match e.Res_vm.Event.action with
+        | Res_vm.Event.A_write { addr; _ } -> writes := push addr p !writes
+        | _ -> ()
+      done;
       let s =
-        {
-          sc_writes = IMap.map List.rev !writes;
-          sc_thread_steps = IMap.map List.rev !threads;
-        }
+        { sc_by_step = by_step; sc_writes = !writes; sc_thread_steps = !threads }
       in
       t.scan <- Some s;
       s
 
-(** All steps executed by thread [tid]. *)
+(** The events the instruction at position [p] emits, oldest first: empty
+    for a blocked scheduling attempt and at the crash position. *)
+let events_at t p =
+  let by_step = (scan t).sc_by_step in
+  if p >= 0 && p < Array.length by_step then by_step.(p) else []
+
+(** The program counters position [p] executes, one per event (a final
+    ret counts twice, as ret and halt), or the faulting pc at the crash
+    position — the one definition of where a breakpoint stops. *)
+let pcs_at t p =
+  if p = total_steps t then [ (crash t).Res_vm.Crash.pc ]
+  else List.map (fun (e : Res_vm.Event.t) -> e.Res_vm.Event.pc) (events_at t p)
+
+(** Every position whose instruction is at [pc], oldest first — the full
+    hit list of a breakpoint (what a [continue] with a hit count walks). *)
+let break_all t (pc : Res_ir.Pc.t) =
+  List.filter
+    (fun p -> List.exists (Res_ir.Pc.equal pc) (pcs_at t p))
+    (List.init (total_steps t + 1) Fun.id)
+
+(** First position whose instruction is at [pc] — a breakpoint.  Answers
+    "what was the program state when the program was executing at X":
+    combine with {!state_at}. *)
+let break_at t pc = match break_all t pc with p :: _ -> Some p | [] -> None
+
+(** All positions at which thread [tid] executes an instruction. *)
 let steps_of_thread t tid =
   match IMap.find_opt tid (scan t).sc_thread_steps with
   | Some steps -> steps
   | None -> []
 
-(** Steps that wrote memory word [addr], oldest first — the write history
-    of a location within the suffix. *)
+(** Positions whose instruction writes memory word [addr], oldest first —
+    the write history of a location within the suffix. *)
 let writes_to t addr =
   match IMap.find_opt addr (scan t).sc_writes with
   | Some steps -> steps
@@ -234,12 +251,59 @@ let preempted_before_update t ~tid ~addr =
       in
       Some preempted
 
-(** Render the suffix as a navigable listing. *)
-let pp_listing ppf t =
-  Array.iteri
-    (fun i (e : Res_vm.Event.t) -> Fmt.pf ppf "%4d  %a@," i Res_vm.Event.pp e)
-    t.trace
+(** What a transition search found. *)
+type transition = {
+  tr_pos : int;  (** first position whose value differs from position 0 *)
+  tr_before : int;  (** value at [tr_pos - 1] (= value at position 0) *)
+  tr_after : int;  (** value at [tr_pos] *)
+  tr_probes : int;  (** state evaluations the search made *)
+}
 
+(** Binary search the timeline for a position where [eval] flips
+    (FReD-style transition watchpoint).
+
+    Evaluates the endpoints; when they agree, reports [None] (no
+    transition observable from the endpoints — the FReD precondition).
+    Otherwise maintains [eval lo = v0 <> eval hi] and bisects to an
+    adjacent pair, returning the higher position: the step executed at
+    [tr_pos - 1] changed the value.  O(log n) probes, each O(snapshot
+    interval) of replay — and the probe sequence depends only on the
+    timeline length and the probed values, never on the interval, so
+    transcripts that print probe counts stay byte-identical across
+    intervals.  Exceptions from [eval] propagate. *)
+let find_transition t eval =
+  let probes0 = t.probes in
+  let probe n =
+    t.probes <- t.probes + 1;
+    eval (state_at t n)
+  in
+  let n = total_steps t in
+  let v0 = probe 0 in
+  let vn = if n = 0 then v0 else probe n in
+  if n = 0 || v0 = vn then None
+  else begin
+    let lo = ref 0 and hi = ref n and vhi = ref vn in
+    while !hi - !lo > 1 do
+      let mid = !lo + ((!hi - !lo) / 2) in
+      let v = probe mid in
+      if v = v0 then lo := mid
+      else begin
+        hi := mid;
+        vhi := v
+      end
+    done;
+    Some
+      {
+        tr_pos = !hi;
+        tr_before = v0;
+        tr_after = !vhi;
+        tr_probes = t.probes - probes0;
+      }
+  end
+
+(** The session as a header plus an instruction listing of the trace. *)
 let pp ppf t =
-  Fmt.pf ppf "@[<v>debugging session: %d steps, crash %a@,%a@]" (length t)
-    Res_vm.Crash.pp t.dump.Res_vm.Coredump.crash pp_listing t
+  Fmt.pf ppf "@[<v>debugging session: %d steps, crash %a@,%a@]"
+    (total_steps t) Res_vm.Crash.pp (crash t)
+    Fmt.(array ~sep:cut Res_vm.Event.pp)
+    t.trace

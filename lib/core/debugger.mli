@@ -4,7 +4,16 @@
     any point in the suffix can be reconstructed exactly by re-running the
     replay for a bounded number of steps — reverse-stepping is just
     re-running one step less, with no recording anywhere.  The hypothesis
-    helpers answer the paper's example queries. *)
+    helpers answer the paper's example queries.
+
+    Positions: every query below takes or returns a timeline position
+    [p ∈ [0, total_steps]], meaning "the first [p] instructions have
+    completed" — the unit {!state_at} takes.  The instruction a position
+    names is the one about to execute there; [p = total_steps] is the
+    crash (the faulting instruction never completes).  A position is not
+    an index into {!trace}: a blocked scheduling attempt completes a step
+    but emits no event, and a final ret emits two; each event carries its
+    position in [Event.step]. *)
 
 type t
 
@@ -12,7 +21,7 @@ type t
     reproduce the coredump (nothing trustworthy to debug).
     [snapshot_every] (default 64) is the snapshot-index interval used by
     state queries; 0 disables the index, so every query replays from
-    step 0. *)
+    step 0, and negative values are treated as 0. *)
 val start :
   ?snapshot_every:int ->
   Backstep.ctx ->
@@ -20,58 +29,74 @@ val start :
   Res_vm.Coredump.t ->
   (t, string) result
 
-(** Number of instruction steps in the suffix. *)
-val length : t -> int
+(** The first of the suffixes, in the caller's order, that opens a
+    session; [None] when none reproduces the coredump. *)
+val start_first :
+  ?snapshot_every:int ->
+  Backstep.ctx ->
+  Suffix.t list ->
+  Res_vm.Coredump.t ->
+  (Suffix.t * t) option
 
-(** The event at step [i] (0-based, oldest first).
-    @raise Invalid_argument when out of range. *)
-val event_at : t -> int -> Res_vm.Event.t
+(** The suffix's instruction trace, oldest first. *)
+val trace : t -> Res_vm.Event.t list
 
 (** The crash the suffix runs into. *)
 val crash : t -> Res_vm.Crash.t
 
+(** The program's memory layout, for naming addresses. *)
+val layout : t -> Res_mem.Layout.t
+
+(** The snapshot-index interval in use (0 = no index). *)
+val snapshot_every : t -> int
+
 (** Total completed instruction steps in the suffix, the timeline bound
-    for {!state_at}.  Distinct from {!length}: a blocked scheduling
-    attempt completes a step but emits no event, and a final ret emits
-    two (ret + halt), so trace indices are not step numbers.  Events
-    carry their true step; {!mem_at}/{!reg_at} translate through it. *)
+    for {!state_at}. *)
 val total_steps : t -> int
 
-(** Reconstruct the exact machine state after the first [steps]
-    instructions of the suffix, via the snapshot index: restore the
-    nearest snapshot at or below [steps], re-execute forward —
-    O(snapshot interval) per query.  The returned state is the session's
-    shared replay cursor: it is valid until the next state query on [t];
-    extract what you need before querying again. *)
+(** Reconstruct the exact machine state at position [p], via the snapshot
+    index: restore the nearest snapshot at or below [p], re-execute
+    forward — O(snapshot interval) per query.  The returned state is the
+    session's shared replay cursor: it is valid until the next state query
+    on [t]; extract what you need before querying again. *)
 val state_at : t -> int -> Res_vm.Exec.state
 
-(** Replay-from-zero state reconstruction — the pre-index baseline kept
-    for benchmarking and cross-checking the index.  O(steps) per query;
-    returns a fresh state. *)
+(** Replay-from-zero state reconstruction — an independent reference
+    (it runs [Exec.run_state], not the stepper) kept for benchmarking and
+    cross-checking the index.  O(steps) per query; returns a fresh
+    state. *)
 val state_at_linear : t -> int -> Res_vm.Exec.state
 
-(** Memory word [addr] just after trace event [i]. *)
+(** Replay work done so far: [(snapshot restores, instructions
+    re-executed, transition probes)]. *)
+val stats : t -> int * int * int
+
+(** Memory word [addr] at position [p]. *)
 val mem_at : t -> int -> int -> int
 
-(** Register [reg] of thread [tid] just after trace event [i] (innermost
-    frame); [None] if the thread has no frame there. *)
-val reg_at : t -> int -> tid:int -> reg:Res_ir.Instr.reg -> int option
+(** The events the instruction at position [p] emits, oldest first: empty
+    for a blocked scheduling attempt and at the crash position. *)
+val events_at : t -> int -> Res_vm.Event.t list
 
-(** First step whose program counter matches — a breakpoint.  Answers
-    "what was the program state when the program was executing at X?"
-    (combine with {!state_at}).  The faulting instruction itself never
-    completes and so has no step. *)
+(** The program counters executed at position [p], one per event, or the
+    faulting pc at the crash position.  A breakpoint at [pc] stops at [p]
+    exactly when [pc] is among them. *)
+val pcs_at : t -> int -> Res_ir.Pc.t list
+
+(** First position at which a breakpoint on the pc stops.  Answers "what
+    was the program state when the program was executing at X?" (combine
+    with {!state_at}). *)
 val break_at : t -> Res_ir.Pc.t -> int option
 
-(** Every step whose program counter matches, oldest first — the full hit
-    list of a breakpoint. *)
+(** Every position at which a breakpoint on the pc stops, oldest first —
+    the full hit list of a breakpoint. *)
 val break_all : t -> Res_ir.Pc.t -> int list
 
-(** All step numbers executed by a thread. *)
+(** All positions at which the thread executes an instruction. *)
 val steps_of_thread : t -> int -> int list
 
-(** Steps that wrote the memory word, oldest first — a location's write
-    history within the suffix. *)
+(** Positions whose instruction writes the memory word, oldest first — a
+    location's write history within the suffix. *)
 val writes_to : t -> int -> int list
 
 (** Hypothesis (paper §3.3): "was thread T preempted before updating shared
@@ -80,7 +105,20 @@ val writes_to : t -> int -> int list
     writes M in this suffix. *)
 val preempted_before_update : t -> tid:int -> addr:int -> bool option
 
-(** The suffix as a navigable instruction listing. *)
-val pp_listing : Format.formatter -> t -> unit
+(** What a transition search found. *)
+type transition = {
+  tr_pos : int;  (** first position whose value differs from position 0 *)
+  tr_before : int;  (** value at [tr_pos - 1] (= value at position 0) *)
+  tr_after : int;  (** value at [tr_pos] *)
+  tr_probes : int;  (** state evaluations the search made *)
+}
 
+(** Binary search the timeline for a position where the evaluation flips
+    (FReD-style transition watchpoint): [None] when the endpoints agree,
+    else an adjacent flip found in O(log n) probes.  The probe sequence
+    depends only on the timeline length and the probed values, never on
+    the snapshot interval.  Exceptions from the evaluation propagate. *)
+val find_transition : t -> (Res_vm.Exec.state -> int) -> transition option
+
+(** The session as a header plus an instruction listing of the trace. *)
 val pp : Format.formatter -> t -> unit

@@ -1,20 +1,21 @@
 (** Interactive time-travel session over one verified suffix.
 
-    The engine is a pure command evaluator: it holds the session state
-    (position on the timeline, focused thread, breakpoints, watchpoints)
-    and renders every command's result to a formatter — no TTY anywhere,
-    so a session transcript is a deterministic function of the suffix and
-    the command sequence.  The REPL and script runner are thin drivers
-    ({!Script}).
+    The engine is a pure command evaluator over a {!Res_core.Debugger.t},
+    which verifies the suffix and owns its trace, stepper and snapshot
+    index.  The session holds only UI state (position on the timeline,
+    focused thread, breakpoints, watchpoints, assert counts) and renders
+    every command's result to a formatter — no TTY anywhere, so a session
+    transcript is a deterministic function of the suffix and the command
+    sequence.  The REPL and script runner are thin drivers ({!Script}).
 
-    Positions are {e completed instruction steps}: position [p] means "the
-    first [p] instructions of the suffix have executed", [p = 0] is the
-    synthesized suffix start, [p = N] is the crash point (the faulting
-    instruction never completes).  Trace events are grouped by the step
-    that emitted them; a step with no event is a scheduling attempt that
+    Positions are the debugger's: position [p] means "the first [p]
+    instructions of the suffix have executed", [p = 0] is the synthesized
+    suffix start, [p = N] is the crash point (the faulting instruction
+    never completes).  A step with no event is a scheduling attempt that
     blocked a thread, and the final [ret] of a thread emits two. *)
 
 module IMap = Map.Make (Int)
+module Debugger = Res_core.Debugger
 
 type breakpoint = { bp_id : int; bp_pc : Res_ir.Pc.t }
 
@@ -25,11 +26,7 @@ type watchpoint = {
 }
 
 type t = {
-  index : Snapindex.t;
-  trace : Res_vm.Event.t array;
-  by_step : Res_vm.Event.t list array;  (** events grouped by step, len N *)
-  crash : Res_vm.Crash.t;
-  layout : Res_mem.Layout.t;
+  dbg : Debugger.t;  (** the verified suffix: trace, stepper, index *)
   mutable pos : int;  (** current position, [0..N] *)
   mutable focus : int;  (** thread for [r<N>] and [regs] *)
   mutable breakpoints : breakpoint list;  (** newest first *)
@@ -40,63 +37,36 @@ type t = {
   mutable asserts_run : int;
 }
 
-(** Open a session: verify the suffix reproduces the dump (exactly as the
-    batch {!Res_core.Debugger} does), then build the snapshot index with
-    one forward replay.  [interval = 0] disables the index. *)
-let create ?(interval = 64) ctx suffix dump =
-  let verdict = Res_core.Replay.replay ctx suffix dump in
-  if not verdict.Res_core.Replay.reproduced then
-    Error "suffix does not reproduce the coredump"
-  else begin
-    let index = Snapindex.create ~interval ctx suffix in
-    let trace = Array.of_list verdict.Res_core.Replay.trace in
-    let n = Snapindex.length index in
-    let by_step = Array.make n [] in
-    Array.iter
-      (fun (e : Res_vm.Event.t) ->
-        by_step.(e.Res_vm.Event.step) <-
-          by_step.(e.Res_vm.Event.step) @ [ e ])
-      trace;
-    let crash = dump.Res_vm.Coredump.crash in
-    Ok
-      {
-        index;
-        trace;
-        by_step;
-        crash;
-        layout = ctx.Res_core.Backstep.layout;
-        pos = 0;
-        focus = crash.Res_vm.Crash.tid;
-        breakpoints = [];
-        next_bp = 1;
-        watchpoints = [];
-        next_wp = 1;
-        asserts_failed = 0;
-        asserts_run = 0;
-      }
-  end
+(** A session at position 0 of [dbg], focused on the crashing thread. *)
+let create dbg =
+  {
+    dbg;
+    pos = 0;
+    focus = (Debugger.crash dbg).Res_vm.Crash.tid;
+    breakpoints = [];
+    next_bp = 1;
+    watchpoints = [];
+    next_wp = 1;
+    asserts_failed = 0;
+    asserts_run = 0;
+  }
 
-let length t = Snapindex.length t.index
+let length t = Debugger.total_steps t.dbg
 let position t = t.pos
 let assert_failures t = t.asserts_failed
-let stats t = Snapindex.stats t.index
 
 (* --- evaluation helpers ------------------------------------------------ *)
 
-let state_at t p = Snapindex.state_at t.index p
+let state_at t p = Debugger.state_at t.dbg p
 
-let eval_at t p e =
-  Predicate.eval ~layout:t.layout ~focus:t.focus (state_at t p) e
+let eval t e st =
+  Predicate.eval ~layout:(Debugger.layout t.dbg) ~focus:t.focus st e
 
-(** Whether position [p] sits at a breakpoint: the instruction about to
-    execute there (= the events step [p] emits) matches a breakpoint pc.
-    Position [N] matches on the faulting pc. *)
+let eval_at t p e = eval t e (state_at t p)
+
+(** The breakpoint position [p] stops at, if any ({!Debugger.pcs_at}). *)
 let at_breakpoint t p =
-  let pcs =
-    if p < length t then
-      List.map (fun (e : Res_vm.Event.t) -> e.Res_vm.Event.pc) t.by_step.(p)
-    else [ t.crash.Res_vm.Crash.pc ]
-  in
+  let pcs = Debugger.pcs_at t.dbg p in
   List.find_opt
     (fun bp -> List.exists (Res_ir.Pc.equal bp.bp_pc) pcs)
     t.breakpoints
@@ -104,8 +74,8 @@ let at_breakpoint t p =
 (* --- rendering --------------------------------------------------------- *)
 
 let pp_position ppf (t, p) =
-  if p < Array.length t.by_step then
-    match t.by_step.(p) with
+  if p < length t then
+    match Debugger.events_at t.dbg p with
     | e :: _ ->
         Fmt.pf ppf "step %d/%d: t%d %a: %a" p (length t) e.Res_vm.Event.tid
           Res_ir.Pc.pp e.Res_vm.Event.pc Res_vm.Event.pp_action
@@ -114,12 +84,13 @@ let pp_position ppf (t, p) =
         Fmt.pf ppf "step %d/%d: (scheduling attempt, thread blocked)" p
           (length t)
   else
-    Fmt.pf ppf "step %d/%d: CRASH %a" p (length t) Res_vm.Crash.pp t.crash
+    Fmt.pf ppf "step %d/%d: CRASH %a" p (length t) Res_vm.Crash.pp
+      (Debugger.crash t.dbg)
 
 let print_where t ppf = Fmt.pf ppf "%a@." pp_position (t, t.pos)
 
 let describe_addr t addr =
-  match Res_mem.Layout.find_global t.layout addr with
+  match Res_mem.Layout.find_global (Debugger.layout t.dbg) addr with
   | Some (base, _, name) when base = addr -> Fmt.str " (&%s)" name
   | Some (base, _, name) -> Fmt.str " (&%s+%d)" name (addr - base)
   | None -> ""
@@ -147,82 +118,27 @@ let watch_origins t ppf =
           None)
     (List.rev t.watchpoints)
 
-(** Forward run: stop at the first position [> pos] that hits a
-    breakpoint or changes a watched value, else at the crash.  The sweep
-    seeks ascending positions, so the whole run costs one re-execution
-    pass no matter how many watchpoints are set. *)
-let run_forward t ppf =
-  let origins = watch_origins t ppf in
-  let n = length t in
-  let stop = ref None in
-  let p = ref (t.pos + 1) in
-  while !stop = None && !p <= n do
-    (match at_breakpoint t !p with
-    | Some bp -> stop := Some (`Bp (bp, !p))
-    | None ->
-        let changed =
-          List.filter_map
-            (fun (wp, v0) ->
-              match eval_at t !p wp.wp_expr with
-              | v when v <> v0 -> Some (wp, v0, v)
-              | _ -> None
-              | exception Predicate.Eval_error _ -> None)
-            origins
-        in
-        if changed <> [] then stop := Some (`Watch (changed, !p)));
-    if !stop = None then incr p
-  done;
-  match !stop with
-  | Some (`Bp (bp, p)) ->
-      t.pos <- p;
-      Fmt.pf ppf "breakpoint #%d hit@." bp.bp_id;
-      print_where t ppf
-  | Some (`Watch (changed, p)) ->
-      t.pos <- p;
-      List.iter
-        (fun (wp, v0, v) ->
-          Fmt.pf ppf "watchpoint #%d: %s: %d -> %d@." wp.wp_id wp.wp_src v0 v)
-        changed;
-      print_where t ppf
-  | None ->
-      t.pos <- n;
-      print_where t ppf
+(** What stops a run at position [p]: a breakpoint there, else the
+    watchpoints whose value differs from their origin [v0], as
+    [(wp, v0, v)]. *)
+let stop_at t origins p =
+  match at_breakpoint t p with
+  | Some bp -> Some (`Bp bp)
+  | None -> (
+      let changed =
+        List.filter_map
+          (fun (wp, v0) ->
+            match eval_at t p wp.wp_expr with
+            | v when v <> v0 -> Some (wp, v0, v)
+            | _ -> None
+            | exception Predicate.Eval_error _ -> None)
+          origins
+      in
+      match changed with [] -> None | l -> Some (`Watch l))
 
-(** Backward run: stop at the {e largest} position [< pos] that hits a
-    breakpoint or holds a watched value different from the current one,
-    else at position 0.  Scans snapshot-aligned chunks from the highest
-    downward; inside a chunk positions are swept ascending (cheap), and
-    the last match in the first matching chunk is the answer — identical
-    to a full backward scan, O(interval) replay per chunk. *)
-let run_backward t ppf =
-  let origins = watch_origins t ppf in
-  let hit p =
-    match at_breakpoint t p with
-    | Some bp -> Some (`Bp bp)
-    | None -> (
-        let changed =
-          List.filter_map
-            (fun (wp, v0) ->
-              match eval_at t p wp.wp_expr with
-              | v when v <> v0 -> Some (wp, v0, v)
-              | _ -> None
-              | exception Predicate.Eval_error _ -> None)
-            origins
-        in
-        match changed with [] -> None | l -> Some (`Watch l))
-  in
-  let k = Snapindex.interval t.index in
-  let chunk_of p = if k = 0 then 0 else p / k in
-  let found = ref None in
-  let hi = ref (t.pos - 1) in
-  while !found = None && !hi >= 0 do
-    let lo = if k = 0 then 0 else chunk_of !hi * k in
-    (* ascending sweep of [lo..hi]; keep the last (= largest) match *)
-    Snapindex.sweep t.index ~lo ~hi:!hi (fun p _st ->
-        match hit p with Some h -> found := Some (p, h) | None -> ());
-    hi := lo - 1
-  done;
-  match !found with
+(** Move to where a run stopped, or to [default] when nothing stopped it,
+    and report why. *)
+let finish_run t ppf ~backward ~default = function
   | Some (p, `Bp bp) ->
       t.pos <- p;
       Fmt.pf ppf "breakpoint #%d hit@." bp.bp_id;
@@ -231,13 +147,54 @@ let run_backward t ppf =
       t.pos <- p;
       List.iter
         (fun (wp, v0, v) ->
-          (* moving backward: the value changes from v (older) to v0 *)
-          Fmt.pf ppf "watchpoint #%d: %s: %d -> %d@." wp.wp_id wp.wp_src v v0)
+          (* moving backward, the value changes from v (older) to v0 *)
+          let older, newer = if backward then (v, v0) else (v0, v) in
+          Fmt.pf ppf "watchpoint #%d: %s: %d -> %d@." wp.wp_id wp.wp_src older
+            newer)
         changed;
       print_where t ppf
   | None ->
-      t.pos <- 0;
+      t.pos <- default;
       print_where t ppf
+
+(** Forward run: stop at the first position [> pos] that hits a
+    breakpoint or changes a watched value, else at the crash.  Positions
+    are visited ascending, so the whole run costs one re-execution pass no
+    matter how many watchpoints are set. *)
+let run_forward t ppf =
+  let origins = watch_origins t ppf in
+  let n = length t in
+  let rec go p =
+    if p > n then None
+    else
+      match stop_at t origins p with
+      | Some h -> Some (p, h)
+      | None -> go (p + 1)
+  in
+  finish_run t ppf ~backward:false ~default:n (go (t.pos + 1))
+
+(** Backward run: stop at the {e largest} position [< pos] that hits a
+    breakpoint or holds a watched value different from the current one,
+    else at position 0.  Scans snapshot-aligned chunks from the highest
+    downward; inside a chunk positions are visited ascending (cheap), and
+    the last match in the first matching chunk is the answer — identical
+    to a full backward scan, O(interval) replay per chunk. *)
+let run_backward t ppf =
+  let origins = watch_origins t ppf in
+  let k = Debugger.snapshot_every t.dbg in
+  let found = ref None in
+  let hi = ref (t.pos - 1) in
+  while !found = None && !hi >= 0 do
+    let lo = if k = 0 then 0 else !hi / k * k in
+    (* ascending pass over [lo..hi]; keep the last (= largest) match *)
+    for p = lo to !hi do
+      match stop_at t origins p with
+      | Some h -> found := Some (p, h)
+      | None -> ()
+    done;
+    hi := lo - 1
+  done;
+  finish_run t ppf ~backward:true ~default:0 !found
 
 let exec_list t ppf n =
   let lo = clamp_pos t (t.pos - n) and hi = clamp_pos t (t.pos + n) in
@@ -329,17 +286,15 @@ let exec_cmd t ppf (cmd : Command.t) : outcome =
       let bp = { bp_id = t.next_bp; bp_pc = pc } in
       t.next_bp <- t.next_bp + 1;
       t.breakpoints <- bp :: t.breakpoints;
+      (* counted per executed pc, so a final ret (ret + halt) counts twice *)
       let hits =
-        Array.to_list t.trace
-        |> List.filter (fun (e : Res_vm.Event.t) ->
-               Res_ir.Pc.equal e.Res_vm.Event.pc pc)
+        List.init (length t + 1) (Debugger.pcs_at t.dbg)
+        |> List.concat
+        |> List.filter (Res_ir.Pc.equal pc)
         |> List.length
       in
-      let crash_hits =
-        if Res_ir.Pc.equal t.crash.Res_vm.Crash.pc pc then 1 else 0
-      in
       Fmt.pf ppf "breakpoint #%d at %a (%d hits in suffix)@." bp.bp_id
-        Res_ir.Pc.pp pc (hits + crash_hits);
+        Res_ir.Pc.pp pc hits;
       `Ok
   | Command.Delete id ->
       if List.exists (fun bp -> bp.bp_id = id) t.breakpoints then begin
@@ -391,8 +346,7 @@ let exec_cmd t ppf (cmd : Command.t) : outcome =
           (List.rev t.watchpoints);
       `Ok
   | Command.Twatch (e, src) -> (
-      let eval st = Predicate.eval ~layout:t.layout ~focus:t.focus st e in
-      match Snapindex.find_transition t.index eval with
+      match Debugger.find_transition t.dbg (eval t e) with
       | exception Predicate.Eval_error msg ->
           Fmt.pf ppf "error: %s@." msg;
           `Err
@@ -403,9 +357,9 @@ let exec_cmd t ppf (cmd : Command.t) : outcome =
       | Some tr ->
           Fmt.pf ppf
             "transition: %s: %d -> %d at step %d (%d probes, %d steps)@." src
-            tr.Snapindex.tr_before tr.Snapindex.tr_after tr.Snapindex.tr_pos
-            tr.Snapindex.tr_probes (length t);
-          move t ppf tr.Snapindex.tr_pos;
+            tr.Debugger.tr_before tr.Debugger.tr_after tr.Debugger.tr_pos
+            tr.Debugger.tr_probes (length t);
+          move t ppf tr.Debugger.tr_pos;
           `Ok)
   | Command.Print (e, src) -> (
       match eval_at t t.pos e with

@@ -592,15 +592,12 @@ let de_script (dump : Res_vm.Coredump.t) (trace : Res_vm.Event.t list) =
     degenerates it to replay-from-zero — so transcripts and exit codes
     must match byte for byte. *)
 let debug_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
-  let session ~interval (ctx, suffixes, dump) =
-    let rec first = function
-      | [] -> failwith "no suffix reproduces the coredump"
-      | suffix :: rest -> (
-          match Res_debug.Session.create ~interval ctx suffix dump with
-          | Ok s -> (suffix, s)
-          | Error _ -> first rest)
-    in
-    first suffixes
+  let open_at interval (ctx, suffixes, dump) =
+    match
+      Res_core.Debugger.start_first ~snapshot_every:interval ctx suffixes dump
+    with
+    | Some (_, dbg) -> dbg
+    | None -> failwith "no suffix reproduces the coredump"
   in
   (* search once per workload, on first use inside the harness *)
   let prepare (w : Res_workloads.Truth.t) =
@@ -623,15 +620,11 @@ let debug_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
            result.Res_core.Search.suffixes
        in
        let found = (ctx, complete @ rest, dump) in
-       let suffix, _ = session ~interval:64 found in
-       let trace =
-         (Res_core.Replay.replay ctx suffix dump).Res_core.Replay.trace
-       in
-       (found, de_script dump trace))
+       (found, de_script dump (Res_core.Debugger.trace (open_at 64 found))))
   in
   let play interval p =
     let found, script = Lazy.force p in
-    let _, s = session ~interval found in
+    let s = Res_debug.Session.create (open_at interval found) in
     let r = Res_debug.Script.run_lines s script in
     ( {
         Differential.bytes =

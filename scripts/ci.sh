@@ -129,7 +129,10 @@ grep -q "cache_hits=2" "$cache_tmp/warm.stats" \
 
 # Scripted debugger session smoke: a passing script must exit 0 and its
 # transcript must be byte-identical at a different snapshot interval and
-# with the index off; a failing assert must exit 2, not 0 or 1.
+# with the index off; a failing assert must exit 2, not 0 or 1.  The
+# script also stops at breakpoints and watchpoints in both directions and
+# bisects a transition, so the backward chunk scan and the transition
+# search are byte-compared across intervals too.
 cat > "$cache_tmp/session.dbg" <<'EOF'
 where
 threads
@@ -140,6 +143,17 @@ where
 continue
 where
 goto 0
+break worker:upd:2
+continue
+continue
+breaks
+continue-back
+delete 1
+watch [&counter]
+continue
+continue-back
+twatch [&counter] == 1
+print [&counter]
 assert 2 == 1 + 1
 EOF
 dune exec bin/res_cli.exe -- debug "$cache_tmp/prog.res" \

@@ -543,20 +543,19 @@ let race_session () =
 let test_debugger_basics () =
   let w, dump, dbg = race_session () in
   ignore dump;
-  check bool_t "non-empty listing" true (Debugger.length dbg > 0);
+  check bool_t "non-empty listing" true (Debugger.trace dbg <> []);
   let layout = Res_mem.Layout.of_prog w.Res_workloads.Truth.w_prog in
   let counter = Res_mem.Layout.global_base layout "counter" in
   (* final memory state seen by the debugger equals the coredump *)
-  let last = Debugger.length dbg - 1 in
-  check int_t "counter at crash" 1 (Debugger.mem_at dbg last counter);
-  (* the instruction loading the counter for the failing assert is a
-     breakpoint (the faulting assert itself never completes, so it has no
-     trace event — same as a real debugger stopping *at* the fault) *)
+  check int_t "counter at crash" 1
+    (Debugger.mem_at dbg (Debugger.total_steps dbg) counter);
+  (* a breakpoint on the instruction loading the counter for the failing
+     assert stops just before the load, with the counter already lost *)
   let load_pc = Res_ir.Pc.v ~func:"main" ~block:"check" ~idx:1 in
   (match Debugger.break_at dbg load_pc with
-  | Some i ->
+  | Some p ->
       check int_t "counter already corrupted at the load" 1
-        (Debugger.mem_at dbg i counter)
+        (Debugger.mem_at dbg p counter)
   | None -> Alcotest.fail "load pc not found");
   (* write history of the counter is non-empty *)
   check bool_t "counter written in suffix" true

@@ -29,23 +29,24 @@ let suffix_for (w : Res_workloads.Truth.t) =
             { Search.default_config with max_segments = 8; max_suffixes = 8 }
           ctx dump
       in
-      let suffixes =
-        let complete, rest =
-          List.partition
-            (fun s -> s.Suffix.complete)
-            result.Search.suffixes
-        in
-        complete @ rest
+      let complete, rest =
+        List.partition (fun s -> s.Suffix.complete) result.Search.suffixes
       in
-      let rec first = function
-        | [] -> Alcotest.failf "%s: no reproducing suffix" w.Res_workloads.Truth.w_name
-        | s :: rest ->
-            if (Replay.replay ctx s dump).Replay.reproduced then s
-            else first rest
-      in
-      let v = (ctx, first suffixes, dump) in
-      Hashtbl.add sessions w.Res_workloads.Truth.w_name v;
-      v
+      match Debugger.start_first ctx (complete @ rest) dump with
+      | None ->
+          Alcotest.failf "%s: no reproducing suffix" w.Res_workloads.Truth.w_name
+      | Some (suffix, _) ->
+          let v = (ctx, suffix, dump) in
+          Hashtbl.add sessions w.Res_workloads.Truth.w_name v;
+          v
+
+let debugger ?(interval = 64) ctx suffix dump =
+  match Debugger.start ~snapshot_every:interval ctx suffix dump with
+  | Ok d -> d
+  | Error e -> Alcotest.fail e
+
+let session ?interval ctx suffix dump =
+  Res_debug.Session.create (debugger ?interval ctx suffix dump)
 
 let workload name =
   List.find
@@ -73,11 +74,7 @@ let test_index_matches_linear () =
   List.iter
     (fun wname ->
       let ctx, suffix, dump = suffix_for (workload wname) in
-      let dbg =
-        match Debugger.start ~snapshot_every:7 ctx suffix dump with
-        | Ok d -> d
-        | Error e -> Alcotest.fail e
-      in
+      let dbg = debugger ~interval:7 ctx suffix dump in
       let n = Debugger.total_steps dbg in
       check bool_t (wname ^ ": non-empty timeline") true (n > 0);
       (* every position: indexed seek == linear replay, bit for bit *)
@@ -95,11 +92,7 @@ let test_index_matches_linear () =
 let test_index_interval_sweep () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
   let mems interval =
-    let dbg =
-      match Debugger.start ~snapshot_every:interval ctx suffix dump with
-      | Ok d -> d
-      | Error e -> Alcotest.fail e
-    in
+    let dbg = debugger ~interval ctx suffix dump in
     List.init
       (Debugger.total_steps dbg + 1)
       (fun p ->
@@ -112,17 +105,13 @@ let test_index_interval_sweep () =
         (Fmt.str "interval %d yields identical memories" interval)
         true
         (mems interval = base))
-    [ 1; 7; 0 ]
+    [ 1; 7; 0; -1 ]
 
 (* --- step / step-back round trips --- *)
 
 let test_round_trip () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
-  let s =
-    match Res_debug.Session.create ~interval:7 ctx suffix dump with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
+  let s = session ~interval:7 ctx suffix dump in
   let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
   let exec line =
     match Res_debug.Session.exec_line s null line with
@@ -141,11 +130,7 @@ let test_round_trip () =
       check int_t (Fmt.str "round trip %d" k) 0 (Res_debug.Session.position s))
     [ 1; 3; n; n + 5 ];
   (* state at an interior position equals a fresh linear reconstruction *)
-  let dbg =
-    match Debugger.start ~snapshot_every:7 ctx suffix dump with
-    | Ok d -> d
-    | Error e -> Alcotest.fail e
-  in
+  let dbg = debugger ~interval:7 ctx suffix dump in
   exec (Fmt.str "goto %d" (n / 2));
   exec "step-back 2";
   exec "step 2";
@@ -158,68 +143,105 @@ let test_round_trip () =
 
 let test_break_all () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
-  let dbg =
-    match Debugger.start ctx suffix dump with
-    | Ok d -> d
-    | Error e -> Alcotest.fail e
-  in
+  let dbg = debugger ctx suffix dump in
   let pc = Res_ir.Pc.v ~func:"worker" ~block:"upd" ~idx:2 in
   let all = Debugger.break_all dbg pc in
   check int_t "both racing writes found" 2 (List.length all);
   check bool_t "break_at is the head of break_all" true
     (Debugger.break_at dbg pc = Some (List.hd all));
-  (* cross-check against a manual scan *)
-  let manual = ref [] in
-  for i = Debugger.length dbg - 1 downto 0 do
-    if Res_ir.Pc.equal (Debugger.event_at dbg i).Res_vm.Event.pc pc then
-      manual := i :: !manual
-  done;
-  check bool_t "break_all matches manual scan" true (all = !manual)
+  (* cross-check against a manual scan of the trace *)
+  let manual =
+    List.filter_map
+      (fun (e : Res_vm.Event.t) ->
+        if Res_ir.Pc.equal e.Res_vm.Event.pc pc then Some e.Res_vm.Event.step
+        else None)
+      (Debugger.trace dbg)
+  in
+  check bool_t "break_all matches manual scan" true (all = manual)
+
+(* Every breakpoint hit is a position [state_at] takes: at each hit of
+   each executed pc (and the faulting pc), some thread is about to run
+   that pc. *)
+let test_break_hits_are_positions () =
+  List.iter
+    (fun wname ->
+      let ctx, suffix, dump = suffix_for (workload wname) in
+      let dbg = debugger ~interval:7 ctx suffix dump in
+      let pcs =
+        (Debugger.crash dbg).Res_vm.Crash.pc
+        :: List.map (fun (e : Res_vm.Event.t) -> e.Res_vm.Event.pc)
+             (Debugger.trace dbg)
+        |> List.sort_uniq Res_ir.Pc.compare
+      in
+      List.iter
+        (fun pc ->
+          let hits = Debugger.break_all dbg pc in
+          check bool_t
+            (Fmt.str "%s: %a is hit" wname Res_ir.Pc.pp pc)
+            true (hits <> []);
+          List.iter
+            (fun p ->
+              let at_pc _ th =
+                match Res_vm.Thread.top_opt th with
+                | Some fr -> Res_ir.Pc.equal (Res_vm.Frame.pc fr) pc
+                | None -> false
+              in
+              check bool_t
+                (Fmt.str "%s: a thread is at %a at hit %d" wname Res_ir.Pc.pp
+                   pc p)
+                true
+                (IMap.exists at_pc (Debugger.state_at dbg p).Res_vm.Exec.threads))
+            hits)
+        pcs)
+    [ "counter-race"; "kvstore-stats-race" ]
 
 let test_shared_scan () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
-  let dbg =
-    match Debugger.start ctx suffix dump with
-    | Ok d -> d
-    | Error e -> Alcotest.fail e
-  in
+  let dbg = debugger ctx suffix dump in
   let layout =
     Res_mem.Layout.of_prog (workload "counter-race").Res_workloads.Truth.w_prog
   in
   let counter = Res_mem.Layout.global_base layout "counter" in
   let writes = Debugger.writes_to dbg counter in
   check int_t "two writes to the counter" 2 (List.length writes);
+  (* writes_to and steps_of_thread share a unit: each write position is a
+     step of the writing thread, and the write lands between p and p+1 *)
   List.iter
-    (fun i ->
-      check bool_t "writes_to entries are writes" true
-        (Res_vm.Event.is_write (Debugger.event_at dbg i)))
+    (fun p ->
+      match
+        List.find_opt Res_vm.Event.is_write (Debugger.events_at dbg p)
+      with
+      | Some ({ Res_vm.Event.action = Res_vm.Event.A_write { value; _ }; _ }
+              as e) ->
+          check bool_t "write position is a step of the writer" true
+            (List.mem p (Debugger.steps_of_thread dbg e.Res_vm.Event.tid));
+          check int_t "the write lands at p + 1" value
+            (Debugger.mem_at dbg (p + 1) counter)
+      | _ -> Alcotest.failf "no write at position %d" p)
     writes;
-  (* steps_of_thread covers the trace exactly once *)
+  (* steps_of_thread partitions the positions that emit events *)
   let by_thread =
     List.concat_map (fun tid -> Debugger.steps_of_thread dbg tid) [ 0; 1; 2 ]
   in
-  let n_events = Debugger.length dbg in
-  check int_t "thread partition covers the trace" n_events
-    (List.length by_thread)
+  let with_events =
+    List.filter
+      (fun p -> Debugger.events_at dbg p <> [])
+      (List.init (Debugger.total_steps dbg) Fun.id)
+  in
+  check (Alcotest.list int_t) "thread partition covers the timeline"
+    with_events
+    (List.sort compare by_thread)
 
 (* --- watchpoints vs linear scan --- *)
 
 let test_watchpoint_matches_scan () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
-  let s =
-    match Res_debug.Session.create ~interval:7 ctx suffix dump with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
+  let s = session ~interval:7 ctx suffix dump in
   let layout =
     Res_mem.Layout.of_prog (workload "counter-race").Res_workloads.Truth.w_prog
   in
   let counter = Res_mem.Layout.global_base layout "counter" in
-  let dbg =
-    match Debugger.start ~snapshot_every:7 ctx suffix dump with
-    | Ok d -> d
-    | Error e -> Alcotest.fail e
-  in
+  let dbg = debugger ~interval:7 ctx suffix dump in
   let n = Debugger.total_steps dbg in
   let value_at p =
     Res_mem.Memory.read (Debugger.state_at dbg p).Res_vm.Exec.mem counter
@@ -248,17 +270,16 @@ let test_transition_matches_scan () =
   List.iter
     (fun wname ->
       let ctx, suffix, dump = suffix_for (workload wname) in
-      let index = Res_debug.Snapindex.create ~interval:7 ctx suffix in
-      let n = Res_debug.Snapindex.length index in
+      let dbg = debugger ~interval:7 ctx suffix dump in
+      let n = Debugger.total_steps dbg in
       (* predicate: the first-written address has reached its final value *)
       let addr =
-        let v = Replay.replay ctx suffix dump in
         List.find_map
           (fun (e : Res_vm.Event.t) ->
             match e.Res_vm.Event.action with
             | Res_vm.Event.A_write { addr; _ } -> Some addr
             | _ -> None)
-          v.Replay.trace
+          (Debugger.trace dbg)
       in
       match addr with
       | None -> () (* workload without writes: nothing to search *)
@@ -269,25 +290,25 @@ let test_transition_matches_scan () =
             else 0
           in
           let linear =
-            let v0 = eval (Res_debug.Snapindex.state_at index 0) in
+            let v0 = eval (Debugger.state_at dbg 0) in
             let rec go p =
               if p > n then None
-              else if eval (Res_debug.Snapindex.state_at index p) <> v0 then
+              else if eval (Debugger.state_at dbg p) <> v0 then
                 Some p
               else go (p + 1)
             in
             go 1
           in
-          (match Res_debug.Snapindex.find_transition index eval with
+          (match Debugger.find_transition dbg eval with
           | None ->
               check bool_t (wname ^ ": no transition iff endpoints agree")
                 true (linear = None)
           | Some tr ->
-              let p = tr.Res_debug.Snapindex.tr_pos in
+              let p = tr.Debugger.tr_pos in
               (* the returned pair really is an adjacent flip *)
               check bool_t (wname ^ ": genuine transition") true
-                (eval (Res_debug.Snapindex.state_at index (p - 1))
-                 <> eval (Res_debug.Snapindex.state_at index p));
+                (eval (Debugger.state_at dbg (p - 1))
+                 <> eval (Debugger.state_at dbg p));
               (* a monotone predicate makes it THE first flip *)
               (match linear with
               | Some lp when lp = p -> ()
@@ -296,8 +317,8 @@ let test_transition_matches_scan () =
                     (Fmt.str "%s: bisection %d vs linear %d (non-monotone ok)"
                        wname p lp)
                     true
-                    (eval (Res_debug.Snapindex.state_at index (p - 1)) = 0
-                    && eval (Res_debug.Snapindex.state_at index p) = 1)
+                    (eval (Debugger.state_at dbg (p - 1)) = 0
+                    && eval (Debugger.state_at dbg p) = 1)
               | None -> Alcotest.fail (wname ^ ": bisection found a flip the scan missed"));
               (* O(log n) probes: endpoints + ceil(log2 n) bisections *)
               let bound =
@@ -306,19 +327,16 @@ let test_transition_matches_scan () =
               in
               check bool_t
                 (Fmt.str "%s: %d probes within O(log %d) bound %d" wname
-                   tr.Res_debug.Snapindex.tr_probes n bound)
+                   tr.Debugger.tr_probes n bound)
                 true
-                (tr.Res_debug.Snapindex.tr_probes <= bound)))
+                (tr.Debugger.tr_probes <= bound)))
     [ "fig1-overflow"; "counter-race"; "long-exec-50"; "kvstore-stats-race" ]
 
 (* --- scripted sessions: transcript byte-identity across intervals --- *)
 
 let transcript interval ctx suffix dump script =
-  match Res_debug.Session.create ~interval ctx suffix dump with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-      let r = Res_debug.Script.run_lines s script in
-      (r.Res_debug.Script.transcript, r.Res_debug.Script.exit_code)
+  let r = Res_debug.Script.run_lines (session ~interval ctx suffix dump) script in
+  (r.Res_debug.Script.transcript, r.Res_debug.Script.exit_code)
 
 let test_interval_transcripts () =
   List.iter
@@ -414,11 +432,7 @@ let test_command_negative_paths () =
    session keeps serving well-formed commands afterwards. *)
 let test_script_hostile_lines () =
   let ctx, suffix, dump = suffix_for (workload "fig1-overflow") in
-  let run script =
-    match Res_debug.Session.create ~interval:64 ctx suffix dump with
-    | Error e -> Alcotest.fail e
-    | Ok s -> Res_debug.Script.run_lines s script
-  in
+  let run script = Res_debug.Script.run_lines (session ctx suffix dump) script in
   let code script = (run script).Res_debug.Script.exit_code in
   check int_t "oversized line is a typed error" 1
     (code [ "print " ^ String.make 8192 'a' ]);
@@ -433,12 +447,9 @@ let test_script_hostile_lines () =
     (let open Res_debug.Script in
      String.length r.transcript > 0);
   (* EOF mid-line: a script with no final newline still runs cleanly *)
-  match Res_debug.Session.create ~interval:64 ctx suffix dump with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
-      check int_t "script without trailing newline" 0
-        (Res_debug.Script.run_script s "where\nassert 1").Res_debug.Script
-          .exit_code
+  check int_t "script without trailing newline" 0
+    (Res_debug.Script.run_script (session ctx suffix dump) "where\nassert 1")
+      .Res_debug.Script.exit_code
 
 (* --- the whole corpus drives the campaign --- *)
 
@@ -476,6 +487,8 @@ let () =
       ( "breakpoints",
         [
           Alcotest.test_case "break_all every hit" `Quick test_break_all;
+          Alcotest.test_case "hits are state_at positions" `Quick
+            test_break_hits_are_positions;
           Alcotest.test_case "shared event scan" `Quick test_shared_scan;
         ] );
       ( "watchpoints",
