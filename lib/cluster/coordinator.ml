@@ -49,8 +49,6 @@ type config = {
   unit_deadline : float;  (** wall seconds per exchange (accept → row) *)
   deadline_ms : int option;  (** per-unit analysis budget, forwarded *)
   fuel : int option;
-  backoff_base : float;
-  backoff_cap : float;
   journal_dir : string option;  (** durable at-most-once journal *)
   cache_dir : string option;
       (** content-addressed result cache: units whose exact
@@ -73,6 +71,12 @@ type config = {
   log : string -> unit;
 }
 
+(** Capped exponential backoff, for both a failing node and a requeued
+    unit: [backoff_base * 2^failures] seconds, at most [backoff_cap]. *)
+let backoff_base = 0.01
+
+let backoff_cap = 0.25
+
 let default_config =
   {
     nodes = [];
@@ -83,8 +87,6 @@ let default_config =
     unit_deadline = 60.0;
     deadline_ms = None;
     fuel = None;
-    backoff_base = 0.01;
-    backoff_cap = 0.25;
     journal_dir = None;
     cache_dir = None;
     verify_rows = true;
@@ -178,8 +180,7 @@ let run ?(config = default_config) items =
   let prog_text = Batch.per_prog Res_ir.Prog.to_string in
   let reg =
     Registry.create ~attempts:config.node_attempts
-      ~backoff_base:config.backoff_base ~backoff_cap:config.backoff_cap
-      config.nodes
+      ~backoff_base ~backoff_cap config.nodes
   in
   let n_nodes = Registry.count reg in
   let journal = Option.map Journal.openr config.journal_dir in
@@ -287,7 +288,7 @@ let run ?(config = default_config) items =
       incr n_retries;
       gate.(u) <-
         now ()
-        +. Pool.backoff_delay ~base:config.backoff_base ~cap:config.backoff_cap
+        +. Pool.backoff_delay ~base:backoff_base ~cap:backoff_cap
              (attempts.(u) - 1);
       Queue.push u pending;
       config.log

@@ -124,7 +124,7 @@ type outcome =
     [ck_max_nodes], [ck_depth]), the suffixes behind the reports of every
     {e completed} depth (reports are recomputed on resume — replay is
     deterministic, so recomputation is cheaper than persisting verdicts),
-    the pipeline counters over completed depths, the suspended in-flight
+    the search counters over completed depths, the suspended in-flight
     search (whose own counters cover the partial depth, so nothing is
     double-counted) or, between depths, the carry the last depth left for
     the next ({!Search.search}), the budget's remaining fuel, and the
@@ -139,12 +139,7 @@ type ckpt_state = {
       (** between depths, the carry depth [ck_depth - 1] left; [[]] at
           depth 1 and mid-depth, where [ck_suspended] records it *)
   ck_truncated : bool;  (** a depth of this attempt hit the node budget *)
-  ck_nodes : int;
-  ck_cands : int;
-  ck_pruned : int;
-  ck_reversed : int;
-  ck_slice_skipped : int;
-  ck_synth : int;
+  ck_stats : Search.stats;  (** search counters summed over completed depths *)
   ck_suspended : Search.suspended option;
       (** the in-flight search frontier; [None] between depths *)
   ck_fuel : int option;  (** remaining fuel at checkpoint time *)
@@ -246,12 +241,7 @@ let initial_state config =
     ck_suffixes = [];
     ck_carry = [];
     ck_truncated = false;
-    ck_nodes = 0;
-    ck_cands = 0;
-    ck_pruned = 0;
-    ck_reversed = 0;
-    ck_slice_skipped = 0;
-    ck_synth = 0;
+    ck_stats = Search.new_stats ();
     ck_suspended = None;
     ck_fuel = None;
     ck_expr_counter = Res_solver.Expr.counter_value ();
@@ -274,13 +264,10 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
     (st0 : ckpt_state) : outcome =
   let t0 = Sys.time () in
   (* Counters over completed depths; the in-flight depth's share lives in
-     the suspended search state, so a resumed run re-reports it. *)
-  let nodes = ref st0.ck_nodes
-  and cands = ref st0.ck_cands
-  and pruned = ref st0.ck_pruned
-  and reversed = ref st0.ck_reversed
-  and sliced = ref st0.ck_slice_skipped
-  and synth = ref st0.ck_synth in
+     the suspended search state, so a resumed run re-reports it.  Every
+     state built from them takes a copy: [susp_final] is written after
+     later depths have been added here. *)
+  let totals = Search.copy_stats st0.ck_stats in
   let truncated = ref st0.ck_truncated in
   let last_ckpt = ref None in
   let ckpt_tick = ref 0 in
@@ -293,12 +280,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
       ck_carry =
         (if Option.is_none suspended && depth > 1 then Search.carry ctx else []);
       ck_truncated = !truncated;
-      ck_nodes = !nodes;
-      ck_cands = !cands;
-      ck_pruned = !pruned;
-      ck_reversed = !reversed;
-      ck_slice_skipped = !sliced;
-      ck_synth = !synth;
+      ck_stats = Search.copy_stats totals;
       ck_suspended = suspended;
       ck_fuel = Budget.remaining_fuel budget;
       ck_expr_counter = Res_solver.Expr.counter_value ();
@@ -353,12 +335,12 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
     {
       reports;
       depth_reached = depth;
-      nodes_expanded = !nodes;
-      candidates_tried = !cands;
-      nodes_pruned = !pruned;
-      nodes_reversed = !reversed;
-      slice_skipped = !sliced;
-      suffixes_synthesized = !synth;
+      nodes_expanded = totals.Search.nodes;
+      candidates_tried = totals.candidates;
+      nodes_pruned = totals.pruned;
+      nodes_reversed = totals.reversed;
+      slice_skipped = totals.slice_skipped;
+      suffixes_synthesized = totals.emitted;
       cpu_seconds = Sys.time () -. t0;
       checkpoint = !last_ckpt;
     }
@@ -395,12 +377,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
                 (mk_state ~attempt:i ~max_nodes ~depth ~acc
                    ~suspended:(Some s))
         | _ -> ());
-        nodes := !nodes + result.Search.stats.Search.nodes;
-        cands := !cands + result.Search.stats.Search.candidates;
-        pruned := !pruned + result.Search.stats.Search.pruned;
-        reversed := !reversed + result.Search.stats.Search.reversed;
-        sliced := !sliced + result.Search.stats.Search.slice_skipped;
-        synth := !synth + List.length result.Search.suffixes;
+        Search.add_stats ~into:totals result.Search.stats;
         if not result.Search.complete then truncated := true;
         let reports =
           List.map (report_of ctx config dump) result.Search.suffixes

@@ -42,9 +42,10 @@ let default_config =
     reverse_exec = true;
   }
 
-(** Work counters of one call.  A call that continues the previous
-    depth's carry counts only the work it does itself; [emitted] counts
-    every suffix it returns, re-emitted ones included. *)
+(** Work counters of one call, or with {!add_stats} of several.  A call
+    that continues the previous depth's carry counts only the work it does
+    itself; [emitted] counts every suffix it returns, re-emitted ones
+    included. *)
 type stats = {
   mutable nodes : int;  (** backward-step evaluations performed *)
   mutable candidates : int;  (** backward-step candidates generated *)
@@ -67,6 +68,20 @@ let new_stats () =
     reversed = 0;
     slice_skipped = 0;
   }
+
+(** A fresh record with [s]'s counts, which later work on [s] leaves
+    unchanged. *)
+let copy_stats (s : stats) = { s with nodes = s.nodes }
+
+(** Add [s]'s counts to [into]. *)
+let add_stats ~into s =
+  into.nodes <- into.nodes + s.nodes;
+  into.candidates <- into.candidates + s.candidates;
+  into.feasible <- into.feasible + s.feasible;
+  into.emitted <- into.emitted + s.emitted;
+  into.pruned <- into.pruned + s.pruned;
+  into.reversed <- into.reversed + s.reversed;
+  into.slice_skipped <- into.slice_skipped + s.slice_skipped
 
 (** Per-thread LBR breadcrumbs: branches of the thread's root function,
     most recent first — exactly the segment-end branches, in reverse
@@ -274,19 +289,14 @@ type frontier_item =
     stopped (and nothing else).  [s_frontier] is the work stack,
     next-to-visit first; [s_out] the suffixes emitted so far, newest first;
     [s_carry] the next depth's carry recorded so far, newest first;
-    [s_next_id] the visit-id counter; the counters are a copy of {!stats}
-    at suspension time.  Resuming with this value yields the same remaining
-    visits, in the same order, as the uninterrupted search. *)
+    [s_stats] a copy of the call's {!stats} at suspension time, which the
+    resumed call continues from a copy of; [s_next_id] the visit-id
+    counter.  Resuming with this value yields the same remaining visits,
+    in the same order, as the uninterrupted search. *)
 type suspended = {
   s_frontier : frontier_item list;
   s_carry : frontier_item list;
-  s_nodes : int;
-  s_candidates : int;
-  s_feasible : int;
-  s_emitted : int;
-  s_pruned : int;
-  s_reversed : int;
-  s_slice_skipped : int;
+  s_stats : stats;
   s_next_id : int;
   s_out : Suffix.t list;
 }
@@ -496,18 +506,7 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let ctx = Backstep.with_interrupt ctx (Budget.interrupt budget) in
   let stats =
-    match resume with
-    | Some s ->
-        {
-          nodes = s.s_nodes;
-          candidates = s.s_candidates;
-          feasible = s.s_feasible;
-          emitted = s.s_emitted;
-          pruned = s.s_pruned;
-          reversed = s.s_reversed;
-          slice_skipped = s.s_slice_skipped;
-        }
-    | None -> new_stats ()
+    match resume with Some s -> copy_stats s.s_stats | None -> new_stats ()
   in
   let next_id =
     ref
@@ -594,13 +593,7 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
     {
       s_frontier = frontier;
       s_carry = !recorded;
-      s_nodes = stats.nodes;
-      s_candidates = stats.candidates;
-      s_feasible = stats.feasible;
-      s_emitted = stats.emitted;
-      s_pruned = stats.pruned;
-      s_reversed = stats.reversed;
-      s_slice_skipped = stats.slice_skipped;
+      s_stats = copy_stats stats;
       s_next_id = !next_id;
       s_out = !out;
     }

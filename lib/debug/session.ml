@@ -286,15 +286,9 @@ let exec_cmd t ppf (cmd : Command.t) : outcome =
       let bp = { bp_id = t.next_bp; bp_pc = pc } in
       t.next_bp <- t.next_bp + 1;
       t.breakpoints <- bp :: t.breakpoints;
-      (* counted per executed pc, so a final ret (ret + halt) counts twice *)
-      let hits =
-        List.init (length t + 1) (Debugger.pcs_at t.dbg)
-        |> List.concat
-        |> List.filter (Res_ir.Pc.equal pc)
-        |> List.length
-      in
       Fmt.pf ppf "breakpoint #%d at %a (%d hits in suffix)@." bp.bp_id
-        Res_ir.Pc.pp pc hits;
+        Res_ir.Pc.pp pc
+        (List.length (Debugger.break_all t.dbg pc));
       `Ok
   | Command.Delete id ->
       if List.exists (fun bp -> bp.bp_id = id) t.breakpoints then begin

@@ -348,7 +348,7 @@ let formats () =
           Result.is_ok (Io.of_string_result s));
     }
   in
-  (* -- checkpoint v4 -- *)
+  (* -- checkpoint v5 -- *)
   let ckpt_seed =
     Res_persist.Checkpoint.to_string
       {

@@ -176,7 +176,7 @@ let merge items verdicts =
     exact row an analysis would have produced, so the TSV is
     byte-identical warm or cold. *)
 let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
-    ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ?cache items =
+    ?backend ?kill_unit ?attempts ?cache items =
   let items =
     List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
   in
@@ -206,8 +206,7 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
         (Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump)
   in
   let replies, pstats =
-    Pool.run ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap ~jobs
-      ~worker
+    Pool.run ?backend ?kill_unit ?attempts ~jobs ~worker
       (List.map string_of_int farm)
   in
   let verdicts = Array.copy cached in

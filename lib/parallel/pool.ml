@@ -41,7 +41,7 @@ type stats = {
 (** Default attempts per unit before it is abandoned as lost. *)
 let default_attempts = 3
 
-(** Default backoff before respawning a dead worker: [base * 2^deaths],
+(** Backoff before respawning a dead worker: [base * 2^deaths],
     capped.  Immediate respawn (the old behavior) amplifies a persistent
     failure — a worker that dies on startup would be re-forked in a hot
     loop; the capped exponential delay keeps the coordinator responsive
@@ -158,9 +158,8 @@ let close_req w =
     close_quiet w.req_w
   end
 
-let run_forked ?kill_unit ?(attempts = default_attempts)
-    ?(backoff_base = default_backoff_base) ?(backoff_cap = default_backoff_cap)
-    ~jobs ~worker units =
+let run_forked ?kill_unit ?(attempts = default_attempts) ~jobs ~worker
+    units =
   let max_attempts = max 1 attempts in
   let units = Array.of_list units in
   let n = Array.length units in
@@ -237,7 +236,10 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
           Queue.add i pending
         end);
     if not (Queue.is_empty pending) then begin
-      let delay = backoff_delay ~base:backoff_base ~cap:backoff_cap !deaths in
+      let delay =
+        backoff_delay ~base:default_backoff_base ~cap:default_backoff_cap
+          !deaths
+      in
       incr deaths;
       if delay > 0. then Unix.sleepf delay;
       incr respawns;
@@ -317,11 +319,10 @@ let run_forked ?kill_unit ?(attempts = default_attempts)
     [kill_unit] (fork backend only) SIGKILLs the worker right after unit
     [i] is dispatched to it — the fault-injection hook behind the
     worker-kill campaign.  [attempts] bounds tries per unit before it is
-    written off as lost (default {!default_attempts});
-    [backoff_base]/[backoff_cap] shape the capped exponential delay
-    before a dead worker's replacement is forked. *)
-let run ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap
-    ~jobs ~worker units =
+    written off as lost (default {!default_attempts}).  A dead worker's
+    replacement is forked after {!backoff_delay} with
+    {!default_backoff_base} and {!default_backoff_cap}. *)
+let run ?backend ?kill_unit ?attempts ~jobs ~worker units =
   let backend =
     match backend with Some b -> b | None -> default_backend ()
   in
@@ -333,5 +334,4 @@ let run ?backend ?kill_unit ?attempts ?backoff_base ?backoff_cap
           "Res_parallel.Pool: the fork backend cannot run after the domains \
            backend has spawned workers in this process (OCaml runtime \
            restriction); run fork-backend work first";
-      run_forked ?kill_unit ?attempts ?backoff_base ?backoff_cap
-        ~jobs ~worker units
+      run_forked ?kill_unit ?attempts ~jobs ~worker units

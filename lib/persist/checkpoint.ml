@@ -10,7 +10,7 @@
 
     The on-disk format reuses the coredump format's building blocks
     ({!Res_vm.Coredump_io}): a line-oriented text record under a
-    [rescheckpoint v4] header, sealed with the FNV-1a
+    [rescheckpoint v5] header, sealed with the FNV-1a
     [end <lines> <checksum>] footer, written via temp-file + atomic
     rename.  Loading classifies damage into the same {!dump_error}
     taxonomy as coredumps — truncation, bit corruption, and torn writes
@@ -34,7 +34,7 @@ type t = {
   state : Res_core.Res.ckpt_state;
 }
 
-let header = "rescheckpoint v4"
+let header = "rescheckpoint v5"
 
 (* --- writers ------------------------------------------------------- *)
 
@@ -161,12 +161,14 @@ let pp_item ppf (it : Res_core.Search.frontier_item) =
       Fmt.pf ppf "item seal %d@,%a" s_parent pp_node s_node
   | Res_core.Search.F_emit sx -> Fmt.pf ppf "item emit@,%a" pp_suffix sx
 
+let pp_stats ppf (s : Res_core.Search.stats) =
+  Fmt.pf ppf "%d %d %d %d %d %d %d" s.Res_core.Search.nodes s.candidates
+    s.feasible s.emitted s.pruned s.reversed s.slice_skipped
+
 let pp_suspended ppf (s : Res_core.Search.suspended) =
-  Fmt.pf ppf
-    "@[<v>suspended 1 %d %d %d %d %d %d %d %d@,out %a@,frontier %a@,carry %a@]"
-    s.Res_core.Search.s_nodes s.s_candidates s.s_feasible s.s_emitted
-    s.s_pruned s.s_reversed s.s_slice_skipped s.s_next_id (pp_seq pp_suffix)
-    s.s_out (pp_seq pp_item) s.s_frontier (pp_seq pp_item) s.s_carry
+  Fmt.pf ppf "@[<v>suspended 1 %a %d@,out %a@,frontier %a@,carry %a@]" pp_stats
+    s.Res_core.Search.s_stats s.s_next_id (pp_seq pp_suffix) s.s_out
+    (pp_seq pp_item) s.s_frontier (pp_seq pp_item) s.s_carry
 
 let to_string (c : t) =
   let cfg = c.config in
@@ -174,14 +176,14 @@ let to_string (c : t) =
   let st = c.state in
   let payload =
     Fmt.str
-      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %d %d %d %d %d %d %d@,fuel %a@,suffixes %a@,carry %a@,%a@]@."
+      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %a %d@,fuel %a@,suffixes %a@,carry %a@,%a@]@."
       header sc.Res_core.Search.max_segments sc.max_suffixes sc.max_nodes
       pp_bool sc.use_breadcrumbs pp_bool sc.static_prune pp_bool sc.reverse_exec
       cfg.determinism_runs pp_bool cfg.stop_at_first_cause cfg.max_attempts
       (Res_ir.Prog.to_string c.prog)
       (Io.to_string c.dump) st.Res_core.Res.ck_attempt st.ck_max_nodes
-      st.ck_depth pp_bool st.ck_truncated st.ck_nodes st.ck_cands st.ck_pruned
-      st.ck_reversed st.ck_slice_skipped st.ck_synth st.ck_expr_counter
+      st.ck_depth pp_bool st.ck_truncated pp_stats st.ck_stats
+      st.ck_expr_counter
       pp_int_opt st.ck_fuel (pp_seq pp_suffix) st.ck_suffixes
       (pp_seq pp_item) st.ck_carry
       (fun ppf -> function
@@ -492,18 +494,30 @@ let item_of rd : Res_core.Search.frontier_item =
   | "emit" -> Res_core.Search.F_emit (suffix_of rd)
   | k -> Io.fail "unknown frontier item tag %S" k
 
+let stats_of rd : Res_core.Search.stats =
+  let nodes = Io.int_tok rd in
+  let candidates = Io.int_tok rd in
+  let feasible = Io.int_tok rd in
+  let emitted = Io.int_tok rd in
+  let pruned = Io.int_tok rd in
+  let reversed = Io.int_tok rd in
+  let slice_skipped = Io.int_tok rd in
+  {
+    Res_core.Search.nodes;
+    candidates;
+    feasible;
+    emitted;
+    pruned;
+    reversed;
+    slice_skipped;
+  }
+
 let suspended_of rd : Res_core.Search.suspended option =
   keyword rd "suspended";
   match Io.int_tok rd with
   | 0 -> None
   | 1 ->
-      let s_nodes = Io.int_tok rd in
-      let s_candidates = Io.int_tok rd in
-      let s_feasible = Io.int_tok rd in
-      let s_emitted = Io.int_tok rd in
-      let s_pruned = Io.int_tok rd in
-      let s_reversed = Io.int_tok rd in
-      let s_slice_skipped = Io.int_tok rd in
+      let s_stats = stats_of rd in
       let s_next_id = Io.int_tok rd in
       keyword rd "out";
       let s_out = seq_of rd suffix_of in
@@ -515,13 +529,7 @@ let suspended_of rd : Res_core.Search.suspended option =
         {
           Res_core.Search.s_frontier;
           s_carry;
-          s_nodes;
-          s_candidates;
-          s_feasible;
-          s_emitted;
-          s_pruned;
-          s_reversed;
-          s_slice_skipped;
+          s_stats;
           s_next_id;
           s_out;
         }
@@ -530,7 +538,7 @@ let suspended_of rd : Res_core.Search.suspended option =
 let parse_payload payload : t =
   let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
   keyword rd "rescheckpoint";
-  keyword rd "v4";
+  keyword rd "v5";
   keyword rd "config";
   let max_segments = Io.int_tok rd in
   let max_suffixes = Io.int_tok rd in
@@ -570,12 +578,7 @@ let parse_payload payload : t =
   let ck_max_nodes = Io.int_tok rd in
   let ck_depth = Io.int_tok rd in
   let ck_truncated = bool_of rd in
-  let ck_nodes = Io.int_tok rd in
-  let ck_cands = Io.int_tok rd in
-  let ck_pruned = Io.int_tok rd in
-  let ck_reversed = Io.int_tok rd in
-  let ck_slice_skipped = Io.int_tok rd in
-  let ck_synth = Io.int_tok rd in
+  let ck_stats = stats_of rd in
   let ck_expr_counter = Io.int_tok rd in
   keyword rd "fuel";
   let ck_fuel = int_opt_of rd in
@@ -599,12 +602,7 @@ let parse_payload payload : t =
         ck_suffixes;
         ck_carry;
         ck_truncated;
-        ck_nodes;
-        ck_cands;
-        ck_pruned;
-        ck_reversed;
-        ck_slice_skipped;
-        ck_synth;
+        ck_stats;
         ck_suspended;
         ck_fuel;
         ck_expr_counter;

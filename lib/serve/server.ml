@@ -62,8 +62,6 @@ type config = {
   breaker_threshold : int;
   breaker_cooldown : float;
   worker_attempts : int;  (** analysis tries per request across worker deaths *)
-  backoff_base : float;
-  backoff_cap : float;
   analyze_config : Res.config;
   fi_kill_workers : int list;
       (** fault injection: SIGKILL the Nth forked worker (1-based, in fork
@@ -94,8 +92,6 @@ let default_config =
     breaker_threshold = 3;
     breaker_cooldown = 5.;
     worker_attempts = 3;
-    backoff_base = Pool.default_backoff_base;
-    backoff_cap = Pool.default_backoff_cap;
     analyze_config = Res.default_config;
     fi_kill_workers = [];
     fi_worker_delay = 0.;
@@ -455,8 +451,8 @@ let on_worker_event t w =
             (Fmt.str "worker died %d times (supervision limit)" job.j_attempts)
       else begin
         let delay =
-          Pool.backoff_delay ~base:t.cfg.backoff_base ~cap:t.cfg.backoff_cap
-            (job.j_attempts - 1)
+          Pool.backoff_delay ~base:Pool.default_backoff_base
+            ~cap:Pool.default_backoff_cap (job.j_attempts - 1)
         in
         job.j_not_before <- Unix.gettimeofday () +. delay;
         Queue.push job t.queue;

@@ -48,25 +48,11 @@ let annotate_signature_prefix ~bucket ~prefix =
         && String.equal (String.sub s 0 (String.length prefix)) prefix);
   }
 
-(** RES key: root-cause signature of the best reproduced suffix (or a
-    matching developer annotation's bucket); falls back to the WER key when
-    synthesis fails (graceful degradation). *)
-let res_key ?(config = Res_core.Res.default_config) ?(annotations = [])
-    (r : report) =
-  let ctx = Res_core.Backstep.make_ctx r.t_prog in
-  let analysis = Res_core.Res.analysis (Res_core.Res.analyze ~config ctx r.t_dump) in
-  match Res_core.Res.best_cause analysis with
-  | Some cause -> (
-      match
-        List.find_opt (fun a -> a.a_matches cause r.t_dump) annotations
-      with
-      | Some a -> a.a_bucket
-      | None -> Res_core.Rootcause.signature cause)
-  | None -> wer_key r.t_dump
-
-(** Analyze one (program, dump) pair for batch triage: like {!res_key} but
-    returning the whole verdict, with the solver queries the analysis
-    issued, instead of just the key — the per-dump unit of work
+(** Analyze one (program, dump) pair for triage: the verdict's bucket is
+    the root-cause signature of the best reproduced suffix (or a matching
+    developer annotation's bucket), falling back to the WER key when
+    synthesis fails (graceful degradation); the verdict also carries the
+    solver queries the analysis issued — the per-dump unit of work
     `res triage --dir` farms to its pool.  Never raises: an analysis that
     dies internally degrades to a [failed] verdict in the
     [analysis-error] bucket. *)
@@ -103,6 +89,10 @@ let triage_one ?(config = Res_core.Res.default_config) ?(annotations = [])
       with
       c_queries = queries ();
     }
+
+(** RES key: the bucket of {!triage_one}'s verdict. *)
+let res_key ?config ?annotations (r : report) =
+  (triage_one ?config ?annotations r.t_prog r.t_dump).c_bucket
 
 (** Group reports by a key function. *)
 let bucket ~key reports =

@@ -79,6 +79,26 @@ rc=0
 
 dune exec bin/res_cli.exe -- selftest --runs 60
 TMPDIR="$gate_tmp" "$RES" selftest --kill-resume
+
+# The same round trip through the CLI and a checkpoint file: a
+# fuel-starved analysis exits 4 having saved a checkpoint, `res resume`
+# finishes it with exit 0, and its report, the `search nodes:` counter
+# line included, is the uninterrupted analysis's, bar the cpu time.
+"$RES" workload long-exec-50 -o "$cache_tmp/long.core" \
+  --program "$cache_tmp/long.res" > /dev/null
+rc=0
+"$RES" analyze "$cache_tmp/long.res" "$cache_tmp/long.core" --depth 20 \
+  --fuel 5 --checkpoint "$cache_tmp/long.ckpt" > "$cache_tmp/killed.txt" || rc=$?
+[ "$rc" -eq 4 ] && grep -q "checkpoint saved" "$cache_tmp/killed.txt" \
+  || { echo "fuel-starved analyze exited $rc without saving a checkpoint"; exit 1; }
+"$RES" resume "$cache_tmp/long.ckpt" > "$cache_tmp/resumed.raw" \
+  || { echo "res resume of the saved checkpoint exited non-zero"; exit 1; }
+"$RES" analyze "$cache_tmp/long.res" "$cache_tmp/long.core" --depth 20 \
+  > "$cache_tmp/whole.raw"
+grep -v 'cpu time:' "$cache_tmp/resumed.raw" > "$cache_tmp/resumed.txt"
+grep -v 'cpu time:' "$cache_tmp/whole.raw" > "$cache_tmp/whole.txt"
+cmp "$cache_tmp/resumed.txt" "$cache_tmp/whole.txt" \
+  || { echo "resumed analysis diverged from the uninterrupted one"; exit 1; }
 dune exec bin/res_cli.exe -- selftest --prune-equivalence
 timeout 120 dune exec bin/res_cli.exe -- selftest --reverse-equivalence
 TMPDIR="$gate_tmp" "$RES" selftest --worker-kill

@@ -195,6 +195,44 @@ let test_break_hits_are_positions () =
         pcs)
     [ "counter-race"; "kvstore-stats-race" ]
 
+(* The count [break] prints is the number of times [continue] stops
+   there: one per {!Debugger.break_all} position, also where a thread's
+   final [ret] executes two pcs (ret, then halt) at one position. *)
+let test_break_prints_hit_count () =
+  let printed s pc =
+    let buf = Buffer.create 64 in
+    let ppf = Format.formatter_of_buffer buf in
+    (match
+       Res_debug.Session.exec_line s ppf (Fmt.str "break %a" Res_ir.Pc.pp pc)
+     with
+    | `Ok -> ()
+    | `Err | `Quit -> Alcotest.failf "break %a failed" Res_ir.Pc.pp pc);
+    Format.pp_print_flush ppf ();
+    Scanf.sscanf (Buffer.contents buf) "breakpoint #%_d at %_s (%d hits"
+      Fun.id
+  in
+  List.iter
+    (fun wname ->
+      let ctx, suffix, dump = suffix_for (workload wname) in
+      let dbg = debugger ctx suffix dump in
+      let s = Res_debug.Session.create dbg in
+      let pcs =
+        List.map (fun (e : Res_vm.Event.t) -> e.Res_vm.Event.pc)
+          (Debugger.trace dbg)
+        |> List.sort_uniq Res_ir.Pc.compare
+      in
+      List.iter
+        (fun pc ->
+          check int_t
+            (Fmt.str "%s: %a hit count" wname Res_ir.Pc.pp pc)
+            (List.length (Debugger.break_all dbg pc))
+            (printed s pc))
+        pcs;
+      if wname = "counter-race" then
+        check int_t "counter-race: each worker's final ret hits once" 2
+          (printed s (Res_ir.Pc.v ~func:"worker" ~block:"upd" ~idx:3)))
+    [ "counter-race"; "kvstore-stats-race" ]
+
 let test_shared_scan () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
   let dbg = debugger ctx suffix dump in
@@ -489,6 +527,8 @@ let () =
           Alcotest.test_case "break_all every hit" `Quick test_break_all;
           Alcotest.test_case "hits are state_at positions" `Quick
             test_break_hits_are_positions;
+          Alcotest.test_case "break prints the hit count" `Quick
+            test_break_prints_hit_count;
           Alcotest.test_case "shared event scan" `Quick test_shared_scan;
         ] );
       ( "watchpoints",

@@ -69,12 +69,7 @@ let test_roundtrip_all_workloads () =
                 ck_suffixes = [];
                 ck_carry = [];
                 ck_truncated = false;
-                ck_nodes = 0;
-                ck_cands = 0;
-                ck_pruned = 0;
-                ck_reversed = 0;
-                ck_slice_skipped = 0;
-                ck_synth = 0;
+                ck_stats = Res_core.Search.new_stats ();
                 ck_suspended = None;
                 ck_fuel = Some 42;
                 ck_expr_counter = 7;
@@ -132,6 +127,17 @@ let test_loader_rejects_damage () =
   check string_t "empty rejected" "empty" (classify "");
   check string_t "garbage header rejected" "bad-header"
     (classify ("notacheckpoint v9\n" ^ text));
+  (* A sealed checkpoint in the v4 layout is refused by its header, not
+     misread field by field. *)
+  let v4 =
+    match Res_core.Sealing.validate ~header:Ckpt.header text with
+    | Ok payload ->
+        let n = String.length Ckpt.header in
+        Res_core.Sealing.seal
+          ("rescheckpoint v4" ^ String.sub payload n (String.length payload - n))
+    | Error _ -> Alcotest.fail "intact text must validate"
+  in
+  check string_t "v4 header rejected" "bad-header" (classify v4);
   check string_t "truncation detected" "truncated"
     (classify (String.sub text 0 (String.length text / 2)));
   (* Flip one bit in the middle of the payload: the FNV-1a footer must
@@ -309,7 +315,7 @@ let deep_states () =
   in
   (w, dump, baseline, [ ("between depths", between); ("mid-depth", mid) ])
 
-let test_v4_roundtrip_with_carry () =
+let test_v5_roundtrip_with_carry () =
   let w, dump, _, states = deep_states () in
   List.iter
     (fun (what, state) ->
@@ -322,8 +328,8 @@ let test_v4_roundtrip_with_carry () =
             state;
           }
       in
-      check bool_t "v4 header" true
-        (String.starts_with ~prefix:Ckpt.header text && Ckpt.header = "rescheckpoint v4");
+      check bool_t "v5 header" true
+        (String.starts_with ~prefix:Ckpt.header text && Ckpt.header = "rescheckpoint v5");
       match Ckpt.of_string text with
       | Error e ->
           Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
@@ -387,8 +393,8 @@ let () =
         [
           Alcotest.test_case "round-trip over all workloads" `Quick
             test_roundtrip_all_workloads;
-          Alcotest.test_case "v4 round-trip with a carry" `Quick
-            test_v4_roundtrip_with_carry;
+          Alcotest.test_case "v5 round-trip with a carry" `Quick
+            test_v5_roundtrip_with_carry;
           Alcotest.test_case "loader rejects damage" `Quick
             test_loader_rejects_damage;
           Alcotest.test_case "journal promotes completed write" `Quick
