@@ -672,6 +672,12 @@ let e14 () =
     "expected shape: long-exec drops >=30%% of backward-step evaluations; \
      every report column reads 'identical'@."
 
+(* A self-test campaign's summary, then one line per failed run. *)
+let pp_campaign (s : Res_faultinject.Differential.summary) =
+  let module D = Res_faultinject.Differential in
+  Fmt.pr "%a@." D.pp_summary s;
+  List.iter (Fmt.pr "FAILURE: %a@." D.pp_run) s.D.failures
+
 (* ------------------------------------------------------------------ *)
 (* E16: the triage service under abuse.  Runs the full soak campaign — *)
 (* flood at 2x capacity, worker SIGKILLs, daemon SIGKILL + restart on  *)
@@ -682,16 +688,13 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 let e16 () =
   section "e16" "triage service — soak: overload, kills, restart, drain";
-  let s = Res_faultinject.Faultinject.serve_soak_campaign () in
-  Fmt.pr "%a@." Res_faultinject.Faultinject.pp_sk_summary s;
-  (match s.Res_faultinject.Faultinject.sk_failures with
-  | [] -> ()
-  | fs -> List.iter (fun m -> Fmt.pr "FAILURE: %s@." m) fs);
+  pp_campaign (Res_faultinject.Faultinject.serve_soak_campaign ());
   Fmt.pr
-    "expected shape: shed > 0 (admission control sheds the overflow), lost \
-     = 0 and mismatches = 0 (the service contract), recovered > 0 (the \
-     SIGKILLed daemon's accepted requests survive on the spool), breaker \
-     tripped and recovered, drain true@."
+    "expected shape: 6/6 runs passed; shed > 0 (admission control sheds \
+     the overflow), lost = 0 and mismatched = 0 (the service contract), \
+     recovered > 0 (the SIGKILLed daemon's accepted requests survive on the \
+     spool), tripped = reclosed = 1 (the breaker trips and its half-open \
+     probe closes it again)@."
 
 (* ------------------------------------------------------------------ *)
 (* E17: the multi-node triage cluster.  Scaling: the same corpus       *)
@@ -746,15 +749,11 @@ let e17 () =
         fleet)
     [ 1; 2; 3 ];
   Fmt.pr "@.fault campaign (kills, resume, partition):@.";
-  let s = Res_faultinject.Faultinject.cluster_soak_campaign () in
-  Fmt.pr "%a@." Res_faultinject.Faultinject.pp_ck_summary s;
-  (match s.Res_faultinject.Faultinject.ck_failures with
-  | [] -> ()
-  | fs -> List.iter (fun m -> Fmt.pr "FAILURE: %s@." m) fs);
+  pp_campaign (Res_faultinject.Faultinject.cluster_soak_campaign ());
   Fmt.pr
     "expected shape: every scaling row reads 'identical' (remote protocol \
-     overhead bounds speedup on this small corpus); every faulted run \
-     byte-identical with lost = 0@."
+     overhead bounds speedup on this small corpus); 2/2 campaign runs \
+     passed, so every faulted run is byte-identical, with lost = 0@."
 
 (* ------------------------------------------------------------------ *)
 (* E19: the concrete reverse-execution fast path (DESIGN.md §14).      *)

@@ -1351,59 +1351,44 @@ let coordinate_cmd =
 (* --- selftest --- *)
 
 (* Every campaign but the default fault-injection one: its flag, its doc,
-   and how to run it into (report text, failure lines). *)
+   and its runner, which takes the progress log. *)
 let selftest_campaigns =
   let open Res_faultinject in
-  let differential f ~verbose =
-    let s = f () in
-    ( Fmt.str "@[<v>%a%a@]"
-        Fmt.(list ~sep:nop (Differential.pp_run ++ cut))
-        (if verbose then s.Differential.runs else [])
-        Differential.pp_summary s,
-      List.map (Fmt.str "%a" Differential.pp_run) s.Differential.failures )
-  in
-  let soak name campaign pp failures ~verbose =
-    let log = if verbose then fun m -> Fmt.epr "%s: %s@." name m else ignore in
-    let s = campaign log in
-    (Fmt.str "%a" pp s, failures s)
-  in
+  let quiet f _log = f () in
   Faultinject.
     [
       ( "kill-resume",
         "Run the kill-and-resume campaign: deterministically kill analyses \
          after k nodes (including mid-checkpoint-write), resume from the \
          checkpoint, and assert bit-identical reports.",
-        differential kill_resume_campaign );
+        quiet kill_resume_campaign );
       ( "prune-equivalence",
         "Run the static-prune equivalence campaign: analyze every workload \
          with pruning on and off and assert byte-identical reports.",
-        differential prune_equivalence_campaign );
+        quiet prune_equivalence_campaign );
       ( "reverse-equivalence",
         "Run the reverse-execution equivalence campaign: analyze every \
          workload with the concrete reverse-execution fast path on and off \
          and assert byte-identical reports.",
-        differential reverse_equivalence_campaign );
+        quiet reverse_equivalence_campaign );
       ( "debug-equivalence",
         "Run the debug-equivalence campaign: drive a scripted time-travel \
          session over every workload at snapshot intervals 1, 7, 64 and with \
          the index disabled, and assert the transcripts are byte-identical.",
-        differential debug_equivalence_campaign );
+        quiet debug_equivalence_campaign );
       ( "worker-kill",
         "Run the worker-kill campaign: batch-triage the corpus on forked \
          workers, SIGKILL one mid-unit at several deterministic points, and \
          assert the coordinator reschedules the unit and the final TSV is \
          identical to an undisturbed run's.",
-        differential worker_kill_campaign );
+        quiet worker_kill_campaign );
       ( "serve-soak",
         "Run the triage-service soak campaign: flood a daemon at 2x \
          capacity, SIGKILL workers and the daemon itself, restart on the \
          same spool, trip and recover a circuit breaker, drain gracefully — \
          and assert zero lost accepted requests and byte-identical completed \
          report bodies.",
-        soak "soak"
-          (fun log -> serve_soak_campaign ~log ())
-          pp_sk_summary
-          (fun s -> s.sk_failures) );
+        fun log -> serve_soak_campaign ~log () );
       ( "cluster-soak",
         "Run the multi-node cluster soak campaign: shard the corpus across \
          three TCP node daemons, SIGKILL the coordinator mid-corpus and \
@@ -1411,10 +1396,7 @@ let selftest_campaigns =
          reschedule, stall a node past the unit deadline — and assert the \
          merged TSV stays byte-identical to single-node triage with zero \
          lost units.",
-        soak "cluster"
-          (fun log -> cluster_soak_campaign ~log ())
-          pp_ck_summary
-          (fun s -> s.ck_failures) );
+        fun log -> cluster_soak_campaign ~log () );
       ( "byzantine",
         "Run the byzantine-node campaign: shard the corpus across three TCP \
          node daemons where one computes honestly but falsifies the rows it \
@@ -1423,40 +1405,35 @@ let selftest_campaigns =
          identity check and by the replay spot-check respectively — the liar \
          is quarantined, its units reschedule, and the merged TSV stays \
          byte-identical to single-node triage with zero lost units.",
-        soak "byzantine"
-          (fun log -> byzantine_campaign ~log ())
-          pp_bz_summary
-          (fun s -> s.bz_failures) );
+        fun log -> byzantine_campaign ~log () );
       ( "cache-chaos",
-        "Run the result-cache chaos campaign: triage the corpus cold then \
-         warm and assert byte-identical TSVs with a full hit rate; kill a \
-         cache write mid-rename and assert recovery; sweep injected disk \
-         faults (ENOSPC, EIO, failed fsync, torn writes) over every cache, \
-         spool, and checkpoint write and assert no lost accepted work and no \
-         wrong verdicts; fill the cache with garbage and assert it behaves \
-         exactly like a cold cache.",
-        soak "cache"
-          (fun log -> cache_chaos_campaign ~log ())
-          pp_cc_summary
-          (fun s -> s.cc_failures) );
+        "Run the result-cache chaos campaign: triage the corpus through a \
+         result cache that is cold, warm, damaged (a planted torn .tmp \
+         journal, a bit-flipped entry, a garbage entry), wholly garbage, \
+         failing every read, failing every store (ENOSPC, EIO, failed \
+         fsync, torn writes) then reopened, in a random fault storm, and \
+         unable to create its directory; the faults are injected only \
+         under the campaign's own cache directories.  Assert every run's \
+         TSV is byte-identical to uncached triage, damaged entries are \
+         quarantined and never served, and a garbage cache behaves exactly \
+         like a cold one.",
+        fun log -> cache_chaos_campaign ~log () );
     ]
 
-(* The default campaign: perturbed analyses, then the deadline check. *)
-let fault_injection ~runs ~seed ~skip_deadline ~verbose =
-  let open Res_faultinject.Faultinject in
-  let s = campaign ~seed ~runs () in
-  let d = if skip_deadline then None else Some (deadline_compliance ()) in
-  ( Fmt.str "@[<v>%a%a%a@]"
-      Fmt.(list ~sep:nop (pp_run ++ cut))
-      (if verbose then s.runs else [])
-      pp_summary s
-      Fmt.(option (cut ++ pp_deadline_check))
-      d,
-    List.map (Fmt.str "escaped: %a" pp_run) s.escaped
-    @
-    match d with
-    | Some d when not d.d_within -> [ Fmt.str "%a" pp_deadline_check d ]
-    | _ -> [] )
+(* Run a campaign; print its runs (with --verbose), its summary, and one
+   FAILURE line per failed run. *)
+let run_campaign ~verbose name f =
+  let module D = Res_faultinject.Differential in
+  let log = if verbose then fun m -> Fmt.epr "%s: %s@." name m else ignore in
+  let s = f log in
+  Fmt.pr "@[<v>%a%a@]@."
+    Fmt.(list ~sep:nop (D.pp_run ++ cut))
+    (if verbose then s.D.runs else [])
+    D.pp_summary s;
+  List.iter
+    (Fmt.epr "%s FAILURE: %a@." (String.uppercase_ascii name) D.pp_run)
+    s.D.failures;
+  if s.D.failures = [] then exit_ok else exit_internal
 
 let selftest_cmd =
   let runs =
@@ -1497,22 +1474,12 @@ let selftest_cmd =
           ( true,
             "--runs, --seed and --no-deadline-check apply only to the default \
              fault-injection campaign" )
-    | _ ->
-        let name, (text, failures) =
-          match campaign with
-          | Some (name, f) -> (name, f ~verbose)
-          | None ->
-              ( "fault-injection",
-                fault_injection
-                  ~runs:(Option.value runs ~default:60)
-                  ~seed:(Option.value seed ~default:1)
-                  ~skip_deadline ~verbose )
-        in
-        Fmt.pr "%s@." text;
-        List.iter
-          (Fmt.epr "%s FAILURE: %s@." (String.uppercase_ascii name))
-          failures;
-        `Ok (if failures = [] then exit_ok else exit_internal)
+    | Some (name, f) -> `Ok (run_campaign ~verbose name f)
+    | None ->
+        `Ok
+          (run_campaign ~verbose "fault-injection" (fun _log ->
+               Res_faultinject.Faultinject.campaign ?runs ?seed ~skip_deadline
+                 ()))
   in
   Cmd.v
     (Cmd.info "selftest"

@@ -140,6 +140,11 @@ let cache_config config =
         (Option.map (fun ms -> float_of_int ms /. 1000.) config.deadline_ms)
       ?budget_fuel:config.fuel Res_core.Res.default_config
 
+(** The node among [n_nodes] a dump is routed to first: its WER key
+    (crash family + stack), FNV-1a-hashed. *)
+let primary_node ~n_nodes dump =
+  Io.fnv1a32 (Res_usecases.Triage.wer_key dump) mod n_nodes
+
 (** The verdict a [Row] reply frame carries. *)
 let verdict_of_frame frame =
   match P.decode_reply frame with
@@ -167,15 +172,6 @@ let run ?(config = default_config) items =
   let n = Array.length items in
   let dump u =
     match items.(u).it_dump with Ok d -> d | Error _ -> assert false
-  in
-  (* the WER key routes a unit: crash family + stack *)
-  let sigs =
-    Array.map
-      (fun (it : Batch.item) ->
-        match it.it_dump with
-        | Ok d -> Res_usecases.Triage.wer_key d
-        | Error _ -> "")
-      items
   in
   let prog_text = Batch.per_prog Res_ir.Prog.to_string in
   let reg =
@@ -245,10 +241,17 @@ let run ?(config = default_config) items =
     items;
   let remaining = ref (Queue.length pending) in
   let now () = Unix.gettimeofday () in
-  let route i = Io.fnv1a32 sigs.(i) mod n_nodes in
+  let primaries =
+    Array.map
+      (fun (it : Batch.item) ->
+        match it.it_dump with
+        | Ok d -> primary_node ~n_nodes d
+        | Error _ -> 0)
+      items
+  in
   (* deterministic failover walk from the signature's primary node *)
   let pick_node u tnow =
-    let p = route u in
+    let p = primaries.(u) in
     let rec go k =
       if k >= n_nodes then None
       else
@@ -370,7 +373,8 @@ let run ?(config = default_config) items =
      their verdict reflects the node's wall clock, not the inputs. *)
   let spot_check_due u =
     config.spot_check > 0
-    && Io.fnv1a32 sigs.(u) mod config.spot_check = 0
+    && Io.fnv1a32 (Res_usecases.Triage.wer_key (dump u)) mod config.spot_check
+       = 0
   in
   let replay_verdict u (v : Cache.row) =
     (* fresh symbol ids, as each node worker starts with *)

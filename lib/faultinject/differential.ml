@@ -1,12 +1,17 @@
-(** The differential harness behind every equivalence self-test.
+(** The differential harness and the result of every self-test campaign.
 
     Each speed-up RES carries (static pruning, concrete reverse execution,
-    the snapshot index, checkpoint/resume, worker retry) must be invisible
-    except in latency.  A campaign states that as subjects × variants ×
-    projection: every subject is projected once under the reference and
-    once under each named variant, and the variant's bytes must equal the
-    reference's.  Counts (nodes, queries, legs, …) ride along for the
-    report; they are never compared. *)
+    the snapshot index, checkpoint/resume, worker retry) and each fault it
+    survives (killed workers, nodes and coordinators, lying nodes, a
+    hostile cache disk) must be invisible except in latency.  A campaign
+    states that as subjects × variants × projection: every subject is
+    projected once under the reference and once under each named variant,
+    and the variant's bytes must equal the reference's.  Counts (nodes,
+    queries, legs, …) ride along for the report; they are never compared.
+
+    A campaign that checks a contract instead (the perturbed analyses,
+    the serve soak) reports {!check} runs: a name, counts, and the
+    problems found. *)
 
 type projection = {
   bytes : string;  (** what must be identical across variants *)
@@ -14,8 +19,10 @@ type projection = {
 }
 
 type run = {
-  name : string;  (** the subject *)
-  equivalent : bool;  (** every variant's bytes equal the reference's *)
+  name : string;  (** the subject, or what a check run checked *)
+  equivalent : bool;
+      (** every variant's bytes equal the reference's (a check run: no
+          problem was found) *)
   counts : (string * int) list;
       (** the reference's counts, then each variant's as [variant.key] *)
   detail : string;  (** which variants diverged or raised, and how *)
@@ -23,12 +30,35 @@ type run = {
 
 type summary = {
   campaign : string;
-  variants : string list;
+  variants : string list;  (** empty for a campaign of check runs *)
   runs : run list;
   total : int;
   ok : int;
-  failures : run list;  (** empty iff every variant was invisible *)
+  failures : run list;  (** empty iff every run passed *)
 }
+
+(** A run checked against a contract rather than a reference: it passes
+    iff no [problems] were found. *)
+let check ~name ?(counts = []) problems =
+  {
+    name;
+    equivalent = problems = [];
+    counts;
+    detail = String.concat "; " problems;
+  }
+
+(** The summary of a campaign's [runs]; [variants] names what its subject
+    runs compared against the reference. *)
+let summarize ~campaign ?(variants = []) runs =
+  let failures = List.filter (fun r -> not r.equivalent) runs in
+  {
+    campaign;
+    variants;
+    runs;
+    total = List.length runs;
+    ok = List.length runs - List.length failures;
+    failures;
+  }
 
 let describe = function
   | Failure m -> m
@@ -48,8 +78,7 @@ let first_difference a b =
 
 let run_subject ~reference ~variants (name, x) =
   match project reference x with
-  | Error e ->
-      { name; equivalent = false; counts = []; detail = "reference: " ^ e }
+  | Error e -> check ~name [ "reference: " ^ e ]
   | Ok (r : projection) ->
       let counts, problems =
         List.fold_left
@@ -68,27 +97,14 @@ let run_subject ~reference ~variants (name, x) =
                     :: problems ))
           (r.counts, []) variants
       in
-      {
-        name;
-        equivalent = problems = [];
-        counts;
-        detail = String.concat "; " (List.rev problems);
-      }
+      check ~name ~counts (List.rev problems)
 
 (** Project every subject under [reference] and each of [variants]
     (named), comparing bytes.  Every exception a projection raises is
     caught and recorded as that subject's failure. *)
 let run ~campaign ~reference ~variants subjects =
-  let runs = List.map (run_subject ~reference ~variants) subjects in
-  let failures = List.filter (fun r -> not r.equivalent) runs in
-  {
-    campaign;
-    variants = List.map fst variants;
-    runs;
-    total = List.length runs;
-    ok = List.length runs - List.length failures;
-    failures;
-  }
+  summarize ~campaign ~variants:(List.map fst variants)
+    (List.map (run_subject ~reference ~variants) subjects)
 
 (** A count of a run, 0 when the projection did not report it. *)
 let count r key = Option.value (List.assoc_opt key r.counts) ~default:0
@@ -97,12 +113,12 @@ let pp_counts = Fmt.(list ~sep:(any " | ") (pair ~sep:(any " ") string int))
 
 let pp_run ppf r =
   Fmt.pf ppf "%-26s %s  %a%s" r.name
-    (if r.equivalent then "identical" else "DIVERGED")
+    (if r.equivalent then "ok" else "FAILED")
     pp_counts r.counts
     (if r.detail = "" then "" else Fmt.str " (%s)" r.detail)
 
-(** The campaign header, then every count summed across runs (in first-seen
-    order). *)
+(** The campaign header, the variants compared against the reference (if
+    any), then every count summed across runs (in first-seen order). *)
 let pp_summary ppf s =
   let sums =
     List.fold_left
@@ -115,11 +131,9 @@ let pp_summary ppf s =
           acc r.counts)
       [] s.runs
   in
-  let n = List.length s.variants in
-  Fmt.pf ppf
-    "@[<v>%s: %d subject(s) x %d variant(s) {%s} = %d variant runs against \
-     the reference@,\
-     identical subjects: %d/%d@,\
-     %a@]"
-    s.campaign s.total n (String.concat ", " s.variants) (s.total * n) s.ok s.total
-    pp_counts sums
+  Fmt.pf ppf "@[<v>%s: %d/%d run(s) passed" s.campaign s.ok s.total;
+  if s.variants <> [] then
+    Fmt.pf ppf "@,%d variant(s) against the reference: %s"
+      (List.length s.variants) (String.concat ", " s.variants);
+  if sums <> [] then Fmt.pf ppf "@,%a" pp_counts sums;
+  Fmt.pf ppf "@]"

@@ -36,43 +36,6 @@ let pp_perturbation ppf = function
   | Fuel_starvation n -> Fmt.pf ppf "budget starved to %d fuel" n
   | Tight_deadline s -> Fmt.pf ppf "%.3fs wall-clock deadline" s
 
-(** What a perturbed analysis terminated with.  [R_dump_error] means the
-    hardened loader classified the damage before analysis (which is the
-    correct typed answer for an unsalvageable dump). *)
-type result_kind =
-  | R_complete
-  | R_partial
-  | R_failed
-  | R_dump_error
-  | R_escaped of string  (** an exception escaped: the invariant violated *)
-
-let result_kind_name = function
-  | R_complete -> "complete"
-  | R_partial -> "partial"
-  | R_failed -> "failed"
-  | R_dump_error -> "dump-error"
-  | R_escaped _ -> "ESCAPED-EXCEPTION"
-
-type run = {
-  r_workload : string;
-  r_perturbation : perturbation;
-  r_kind : result_kind;
-  r_salvaged : bool;  (** the dump was damaged but salvage-loaded *)
-  r_detail : string;
-  r_elapsed : float;  (** wall-clock seconds for the whole perturbed run *)
-}
-
-type summary = {
-  runs : run list;
-  total : int;
-  complete : int;
-  partial : int;
-  failed : int;
-  dump_errors : int;
-  salvaged : int;
-  escaped : run list;  (** empty iff the pipeline held its invariant *)
-}
-
 (* --- deterministic PRNG (the campaign must not depend on global state) --- *)
 
 type rng = { mutable s : int }
@@ -95,9 +58,9 @@ let small_config =
   }
 
 let outcome_kind = function
-  | Res_core.Res.Complete _ -> R_complete
-  | Res_core.Res.Partial _ -> R_partial
-  | Res_core.Res.Failed _ -> R_failed
+  | Res_core.Res.Complete _ -> "complete"
+  | Res_core.Res.Partial _ -> "partial"
+  | Res_core.Res.Failed _ -> "failed"
 
 let perturb_dump_text text = function
   | Truncate_dump pct -> String.sub text 0 (String.length text * pct / 100)
@@ -117,74 +80,71 @@ let is_dump_perturbation = function
   | Truncate_dump _ | Flip_dump_byte _ | Empty_dump | Garbage_header -> true
   | _ -> false
 
-(** Run one perturbed analysis.  Catches {e everything}: an exception that
-    reaches this frame is recorded as [R_escaped], which the self-test
-    asserts never happens. *)
-let run_one (w : Res_workloads.Truth.t) perturbation : run =
-  let t0 = Unix.gettimeofday () in
-  let finish kind ?(salvaged = false) detail =
-    {
-      r_workload = w.Res_workloads.Truth.w_name;
-      r_perturbation = perturbation;
-      r_kind = kind;
-      r_salvaged = salvaged;
-      r_detail = detail;
-      r_elapsed = Unix.gettimeofday () -. t0;
-    }
+(** Run one perturbed analysis into a check run counting its typed
+    outcome ([complete], [partial], [failed] or [dump-error]) and whether
+    the damaged dump was salvage-loaded.  Catches {e everything}: an
+    exception that reaches this frame is the run's problem, which the
+    self-test asserts never happens. *)
+let run_one (w : Res_workloads.Truth.t) perturbation =
+  let finish ?(salvaged = false) kind problems =
+    Differential.check
+      ~name:(Fmt.str "%s: %a" w.Res_workloads.Truth.w_name pp_perturbation
+               perturbation)
+      ~counts:[ (kind, 1); ("salvaged", Bool.to_int salvaged) ]
+      problems
   in
   try
     let dump = Res_workloads.Truth.coredump w in
-    let run_analysis ?budget ctx dump =
-      let outcome = Res_core.Res.analyze ~config:small_config ?budget ctx dump in
-      finish (outcome_kind outcome) (Fmt.str "%a" Res_core.Res.pp_outcome outcome)
+    let run_analysis ?budget ?(config = small_config) ctx dump =
+      outcome_kind (Res_core.Res.analyze ~config ?budget ctx dump)
     in
     if is_dump_perturbation perturbation then
       let text = perturb_dump_text (Res_vm.Coredump_io.to_string dump) perturbation in
       match Res_vm.Coredump_io.of_string_result ~salvage:true text with
-      | Error e ->
-          finish R_dump_error (Res_vm.Coredump_io.dump_error_to_string e)
+      | Error _ -> finish "dump-error" []
       | Ok { dump = loaded; salvaged } ->
           let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-          let r = run_analysis ctx loaded in
-          { r with r_salvaged = salvaged <> None }
+          finish ~salvaged:(salvaged <> None) (run_analysis ctx loaded) []
     else
       let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-      match perturbation with
-      | Search_starvation n ->
-          let config =
-            {
-              small_config with
-              Res_core.Res.search =
-                { small_config.Res_core.Res.search with Res_core.Search.max_nodes = n };
-            }
-          in
-          let outcome = Res_core.Res.analyze ~config ctx dump in
-          finish (outcome_kind outcome) (Fmt.str "%a" Res_core.Res.pp_outcome outcome)
-      | Solver_starvation n ->
-          let ctx =
-            {
-              ctx with
-              Res_core.Backstep.solver_config =
-                { ctx.Res_core.Backstep.solver_config with Res_solver.Solver.max_nodes = n };
-            }
-          in
-          run_analysis ctx dump
-      | Symex_starvation n ->
-          let ctx =
-            {
-              ctx with
-              Res_core.Backstep.sym_config =
-                { ctx.Res_core.Backstep.sym_config with Res_symex.Symexec.max_steps = n };
-            }
-          in
-          run_analysis ctx dump
-      | Fuel_starvation n ->
-          run_analysis ~budget:(Res_core.Budget.create ~fuel:n ()) ctx dump
-      | Tight_deadline s ->
-          run_analysis ~budget:(Res_core.Budget.create ~wall_seconds:s ()) ctx dump
-      | Truncate_dump _ | Flip_dump_byte _ | Empty_dump | Garbage_header ->
-          assert false
-  with exn -> finish (R_escaped (Printexc.to_string exn)) (Printexc.to_string exn)
+      let kind =
+        match perturbation with
+        | Search_starvation n ->
+            let config =
+              {
+                small_config with
+                Res_core.Res.search =
+                  { small_config.Res_core.Res.search with Res_core.Search.max_nodes = n };
+              }
+            in
+            run_analysis ~config ctx dump
+        | Solver_starvation n ->
+            let ctx =
+              {
+                ctx with
+                Res_core.Backstep.solver_config =
+                  { ctx.Res_core.Backstep.solver_config with Res_solver.Solver.max_nodes = n };
+              }
+            in
+            run_analysis ctx dump
+        | Symex_starvation n ->
+            let ctx =
+              {
+                ctx with
+                Res_core.Backstep.sym_config =
+                  { ctx.Res_core.Backstep.sym_config with Res_symex.Symexec.max_steps = n };
+              }
+            in
+            run_analysis ctx dump
+        | Fuel_starvation n ->
+            run_analysis ~budget:(Res_core.Budget.create ~fuel:n ()) ctx dump
+        | Tight_deadline s ->
+            run_analysis ~budget:(Res_core.Budget.create ~wall_seconds:s ()) ctx dump
+        | Truncate_dump _ | Flip_dump_byte _ | Empty_dump | Garbage_header ->
+            assert false
+      in
+      finish kind []
+  with exn -> finish "escaped" [ "escaped exception: " ^ Printexc.to_string exn ]
 
 (* --- the campaign --- *)
 
@@ -209,45 +169,11 @@ let perturbation_of rng i =
   | 7 -> Fuel_starvation (1 + rng_below rng 10)
   | _ -> Tight_deadline (0.001 +. (float_of_int (rng_below rng 50) /. 1000.))
 
-(** Run [runs] perturbed analyses (deterministic in [seed]), cycling
-    workloads and perturbation families. *)
-let campaign ?(seed = 1) ?(runs = 60) () : summary =
-  let rng = { s = (seed * 2) + 1 } in
-  let workloads = default_workloads () in
-  let nw = List.length workloads in
-  let results =
-    List.init runs (fun i ->
-        let w = List.nth workloads (i mod nw) in
-        run_one w (perturbation_of rng i))
-  in
-  let count p = List.length (List.filter p results) in
-  {
-    runs = results;
-    total = List.length results;
-    complete = count (fun r -> r.r_kind = R_complete);
-    partial = count (fun r -> r.r_kind = R_partial);
-    failed = count (fun r -> r.r_kind = R_failed);
-    dump_errors = count (fun r -> r.r_kind = R_dump_error);
-    salvaged = count (fun r -> r.r_salvaged);
-    escaped =
-      List.filter (fun r -> match r.r_kind with R_escaped _ -> true | _ -> false)
-        results;
-  }
-
-(* --- deadline compliance (acceptance: 1s honored within 10%) --- *)
-
-type deadline_check = {
-  d_deadline : float;
-  d_elapsed : float;
-  d_outcome : string;
-  d_hit_deadline : bool;  (** the analysis was actually cut off by the clock *)
-  d_within : bool;  (** elapsed <= deadline * (1 + tolerance) *)
-}
-
-(** Run the [long_exec] workload under a configuration that would search
-    far past [deadline] seconds, and measure how promptly the cooperative
-    deadline cuts the analysis off. *)
-let deadline_compliance ?(deadline = 1.0) ?(tolerance = 0.10) () : deadline_check =
+(** Measure deadline compliance: run the [long_exec] workload under a
+    configuration that would search far past [deadline] seconds.  The
+    check run counts whether the clock cut the analysis off ([cut_off]),
+    and fails if it overran the deadline by more than [tolerance]. *)
+let deadline_compliance ?(deadline = 1.0) ?(tolerance = 0.10) () =
   let w = Res_workloads.Long_exec.workload_n 300 in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
@@ -269,38 +195,39 @@ let deadline_compliance ?(deadline = 1.0) ?(tolerance = 0.10) () : deadline_chec
   let t0 = Unix.gettimeofday () in
   let outcome = Res_core.Res.analyze ~config ~budget ctx dump in
   let elapsed = Unix.gettimeofday () -. t0 in
-  {
-    d_deadline = deadline;
-    d_elapsed = elapsed;
-    d_outcome = Fmt.str "%a" Res_core.Res.pp_outcome outcome;
-    d_hit_deadline =
-      (match outcome with
-      | Res_core.Res.Partial (Res_core.Res.Deadline_exceeded, _) -> true
-      | _ -> false);
-    d_within = elapsed <= deadline *. (1. +. tolerance);
-  }
+  let ms s = int_of_float (s *. 1000.) in
+  Differential.check
+    ~name:(Fmt.str "%.2fs deadline" deadline)
+    ~counts:
+      [
+        ("deadline_ms", ms deadline);
+        ("elapsed_ms", ms elapsed);
+        ( "cut_off",
+          match outcome with
+          | Res_core.Res.Partial (Res_core.Res.Deadline_exceeded, _) -> 1
+          | _ -> 0 );
+      ]
+    (if elapsed <= deadline *. (1. +. tolerance) then []
+     else
+       [
+         Fmt.str "elapsed %.3fs, over %.0f%% past the deadline (%a)" elapsed
+           (tolerance *. 100.) Res_core.Res.pp_outcome outcome;
+       ])
 
-(* --- reporting --- *)
-
-let pp_run ppf r =
-  Fmt.pf ppf "%-18s %-32s -> %-10s%s (%.3fs)" r.r_workload
-    (Fmt.str "%a" pp_perturbation r.r_perturbation)
-    (result_kind_name r.r_kind)
-    (if r.r_salvaged then " [salvaged]" else "")
-    r.r_elapsed
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>fault-injection self-test: %d perturbed analyses@,\
-     complete %d | partial %d | failed %d | dump-error %d (salvaged %d)@,\
-     escaped exceptions: %d@]"
-    s.total s.complete s.partial s.failed s.dump_errors s.salvaged
-    (List.length s.escaped)
-
-let pp_deadline_check ppf d =
-  Fmt.pf ppf
-    "deadline %.2fs: elapsed %.3fs, cut off by clock: %b, within tolerance: %b (%s)"
-    d.d_deadline d.d_elapsed d.d_hit_deadline d.d_within d.d_outcome
+(** Run [runs] perturbed analyses (deterministic in [seed]), cycling
+    workloads and perturbation families, then (unless [skip_deadline])
+    the 1 s deadline compliance check. *)
+let campaign ?(seed = 1) ?(runs = 60) ?(skip_deadline = false) () =
+  let rng = { s = (seed * 2) + 1 } in
+  let workloads = default_workloads () in
+  let nw = List.length workloads in
+  let perturbed =
+    List.init runs (fun i ->
+        let w = List.nth workloads (i mod nw) in
+        run_one w (perturbation_of rng i))
+  in
+  Differential.summarize ~campaign:"fault-injection"
+    (perturbed @ if skip_deadline then [] else [ deadline_compliance () ])
 
 (* --- equivalence campaigns (subjects x variants x projection) --- *)
 
@@ -685,29 +612,12 @@ let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () =
     the service contract: {e every accepted request eventually yields a
     reply} (zero lost), and every request the service reports
     [complete] has a report body byte-identical to what a serial offline
-    [res analyze] of the same dump produces.
+    [res analyze] of the same dump produces.  Each phase is one check
+    run: [flood], [restart], [results], [breaker] and [drain].
 
     Fork-backed by construction (the daemon and its workers are forked
     processes), so like the worker-kill campaign it must run before any
     domains are spawned in this process. *)
-
-type sk_summary = {
-  sk_submitted : int;
-  sk_accepted : int;  (** across both daemon incarnations *)
-  sk_shed : int;  (** typed [Rejected_overload] replies during the flood *)
-  sk_completed : int;  (** accepted requests that reached a [Result] *)
-  sk_lost : int;  (** accepted requests that never got a reply: must be 0 *)
-  sk_mismatched : int;
-      (** completed bodies differing from offline analyze: must be 0 *)
-  sk_recovered : int;  (** requests re-admitted from the spool at restart *)
-  sk_worker_restarts : int;  (** supervised restarts seen by incarnation 2 *)
-  sk_breaker_tripped : bool;
-  sk_breaker_recovered : bool;  (** half-open probe closed it again *)
-  sk_drain_exit_ok : bool;  (** SIGTERM-free drain exited 0 *)
-  sk_p50_ms : int;  (** client-observed submit-to-result latency *)
-  sk_p99_ms : int;
-  sk_failures : string list;  (** empty iff the service kept its contract *)
-}
 
 let percentile_ms p latencies =
   match List.sort compare latencies with
@@ -717,13 +627,16 @@ let percentile_ms p latencies =
       let idx = min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1) in
       List.nth l (max 0 idx)
 
-let serve_soak_campaign ?log () : sk_summary =
+let serve_soak_campaign ?log () =
   let module Server = Res_serve.Server in
   let module Client = Res_serve.Client in
   let module P = Res_serve.Protocol in
   Fleet.with_kit ?log "res-soak" @@ fun k ->
   let socket = Client.Unix_socket (Filename.concat k.Fleet.dir "serve.sock") in
+  (* a phase's problems, the kit's own included, go to the kit's
+     collector; the phase's check run takes them *)
   let fail fmt = Fleet.fail k fmt in
+  let phase name counts = Differential.check ~name ~counts (Fleet.take k) in
   let start ~fi ~delay =
     Fleet.fork_daemon k
       {
@@ -743,7 +656,7 @@ let serve_soak_campaign ?log () : sk_summary =
   (* each report submitted twice makes the flood 2x the daemon's total
      absorption (jobs + capacity) *)
   let items = Fleet.corpus ~n_per_bug:1 in
-  let flood = items @ items in
+  let submissions = items @ items in
   (* --- phase 1: flood a worker-killing daemon at 2x capacity.  Workers
      are slowed by injected delay so the queue pressure is deterministic:
      2 running + 3 queued absorb 5 of the 10 submissions, the rest must
@@ -766,8 +679,16 @@ let serve_soak_campaign ?log () : sk_summary =
           | P.Rejected_overload _ -> incr shed
           | r -> fail "flood submit %s: unexpected %a" name P.pp_reply r)
       | Error e -> fail "flood submit %s: %s" name (Client.error_to_string e))
-    flood;
+    submissions;
   if !shed = 0 then fail "flood at 2x capacity shed nothing";
+  let flood =
+    phase "flood"
+      [
+        ("submitted", !submitted);
+        ("accepted", List.length !accepted);
+        ("shed", !shed);
+      ]
+  in
   (* --- phase 2: SIGKILL the daemon mid-flight, restart on the spool.
      The small worker delay keeps the injected SIGKILL honest: without it
      the scheduler often runs the doomed child to completion before the
@@ -775,6 +696,8 @@ let serve_soak_campaign ?log () : sk_summary =
   Fleet.kill k pid1;
   let pid2 = start ~fi:[ 1 ] ~delay:0.05 in
   if not (ready ()) then fail "daemon 2 never became ready after restart";
+  (* the restart run also checks what daemon 2 recovered, read in phase 5 *)
+  let restart_problems = Fleet.take k in
   (* --- phase 3: every accepted request must yield a reply --- *)
   let latencies = ref [] and completed = ref 0 and lost = ref 0 in
   let mismatched = ref 0 in
@@ -809,6 +732,16 @@ let serve_soak_campaign ?log () : sk_summary =
           incr lost;
           fail "%s (%s): no result: %s" id name (Client.error_to_string e))
     (List.rev !accepted);
+  let results =
+    phase "results"
+      [
+        ("completed", !completed);
+        ("lost", !lost);
+        ("mismatched", !mismatched);
+        ("p50_ms", percentile_ms 0.50 !latencies);
+        ("p99_ms", percentile_ms 0.99 !latencies);
+      ]
+  in
   (* --- phase 4: trip a breaker with budget-exhausting requests, then
      watch the half-open probe close it again.  The tar pit is the
      long-execution workload under fuel 1: its search needs dozens of
@@ -887,6 +820,13 @@ let serve_soak_campaign ?log () : sk_summary =
              false
        end
   in
+  let breaker =
+    phase "breaker"
+      [
+        ("tripped", Bool.to_int tripped);
+        ("reclosed", Bool.to_int breaker_recovered);
+      ]
+  in
   (* --- phase 5: read final counters, then drain gracefully --- *)
   let recovered, restarts =
     match Client.status socket with
@@ -900,35 +840,17 @@ let serve_soak_campaign ?log () : sk_summary =
     fail "restarted daemon recovered nothing from the spool";
   if restarts = 0 then
     fail "injected worker SIGKILL produced no supervised restart";
+  let restart =
+    Differential.check ~name:"restart"
+      ~counts:[ ("recovered", recovered); ("worker_restarts", restarts) ]
+      (restart_problems @ Fleet.take k)
+  in
   ignore (Client.drain ~timeout:5.0 socket);
-  let drain_ok = Fleet.reap k "daemon 2" pid2 in
-  {
-    sk_submitted = !submitted;
-    sk_accepted = List.length !accepted;
-    sk_shed = !shed;
-    sk_completed = !completed;
-    sk_lost = !lost;
-    sk_mismatched = !mismatched;
-    sk_recovered = recovered;
-    sk_worker_restarts = restarts;
-    sk_breaker_tripped = tripped;
-    sk_breaker_recovered = breaker_recovered;
-    sk_drain_exit_ok = drain_ok;
-    sk_p50_ms = percentile_ms 0.50 !latencies;
-    sk_p99_ms = percentile_ms 0.99 !latencies;
-    sk_failures = Fleet.failures k;
-  }
-
-let pp_sk_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>serve soak: %d submitted, %d accepted, %d shed, %d completed@,\
-     lost %d | body mismatches %d | recovered after SIGKILL %d | worker \
-     restarts %d@,\
-     breaker tripped %b, recovered %b | graceful drain %b@,\
-     latency p50 %dms p99 %dms@]"
-    s.sk_submitted s.sk_accepted s.sk_shed s.sk_completed s.sk_lost
-    s.sk_mismatched s.sk_recovered s.sk_worker_restarts s.sk_breaker_tripped
-    s.sk_breaker_recovered s.sk_drain_exit_ok s.sk_p50_ms s.sk_p99_ms
+  ignore (Fleet.reap k "daemon 2" pid2);
+  let drain = phase "drain" [] in
+  Fleet.close k
+    (Differential.summarize ~campaign:"serve-soak"
+       [ flood; restart; results; breaker; drain ])
 
 (* A node daemon of the cluster and byzantine soaks, spooling under the
    kit's scratch directory. *)
@@ -941,6 +863,38 @@ let soak_node (k : Fleet.t) name =
     default_deadline = Some 10.;
   }
 
+(* --- the fleet campaigns' shared projections ------------------------- *)
+
+(* Raise the broken ones of a phase's [(broken, message)] expectations as
+   its failure. *)
+let expect checks =
+  match List.filter_map (fun (broken, m) -> if broken then Some m else None) checks with
+  | [] -> ()
+  | ms -> failwith (String.concat "; " ms)
+
+(* The reference of the fleet campaigns: fork-backed, uncached
+   single-node triage of the corpus (domains must not exist yet). *)
+let single_node items =
+  {
+    Differential.bytes =
+      (Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items)
+        .Res_parallel.Batch.tsv;
+    counts = [];
+  }
+
+(* A coordinator run as a projection of the corpus: its merged TSV, and
+   [counts] plus lost and duplicate units.  A lost unit or a broken
+   expectation in [checks] fails it. *)
+let coordinated (t : Res_cluster.Coordinator.t) counts checks =
+  let module C = Res_cluster.Coordinator in
+  let st = t.C.stats in
+  expect ((st.C.cs_lost > 0, Fmt.str "%d unit(s) lost" st.C.cs_lost) :: checks);
+  {
+    Differential.bytes = t.C.tsv;
+    counts =
+      counts @ [ ("lost", st.C.cs_lost); ("duplicates", st.C.cs_duplicates) ];
+  }
+
 (* --- campaign: multi-node cluster soak ------------------------------- *)
 
 (** Soak-test the cluster coordinator the way a real deployment will
@@ -951,39 +905,17 @@ let soak_node (k : Fleet.t) name =
     cluster contract: {e the merged TSV is byte-identical to a
     single-node [res triage] of the same corpus under every kill
     schedule}, with zero lost units and every retry/reschedule counted.
+    The corpus is the one subject, single-node triage the reference, and
+    the faulted runs the variants: [coordinator-kill], [node-kill] and
+    [partition].
 
     Fork-backed by construction (nodes, the killed coordinator, and the
     killer are forked processes), so it must run before any domains are
     spawned in this process. *)
-
-type ck_summary = {
-  ck_units : int;  (** corpus size fed to every run *)
-  ck_identical : int;  (** of [ck_runs] faulted runs, TSV = single-node *)
-  ck_runs : int;
-  ck_recovered : int;  (** rows replayed from the journal after the
-                           coordinator was SIGKILLed *)
-  ck_retries : int;  (** unit re-dispatches after the node SIGKILL *)
-  ck_reschedules : int;  (** re-dispatches that moved to another node *)
-  ck_nodes_dead : int;  (** nodes declared dead after the SIGKILL *)
-  ck_stall_failures : int;  (** exchanges cut off by the unit deadline
-                                during the partition phase *)
-  ck_lost : int;  (** units degraded to worker-lost, all phases: must be 0 *)
-  ck_duplicates : int;  (** late rows dropped by at-most-once *)
-  ck_drain_ok : bool;  (** surviving nodes drained cleanly on SIGTERM *)
-  ck_failures : string list;  (** empty iff the cluster kept its contract *)
-}
-
-let cluster_soak_campaign ?log () : ck_summary =
+let cluster_soak_campaign ?log () =
   let module Journal = Res_cluster.Journal in
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-cluster" @@ fun k ->
-  let fail fmt = Fleet.fail k fmt in
-  (* --- corpus and the single-node truth ------------------------------ *)
-  let items = Fleet.corpus ~n_per_bug:3 in
-  (* fork-backed single-node baseline: domains must not exist yet *)
-  let baseline =
-    Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
-  in
   let start_node ~name ~delay =
     Fleet.fork_node k { (soak_node k name) with fi_worker_delay = delay }
   in
@@ -991,7 +923,7 @@ let cluster_soak_campaign ?log () : ck_summary =
   let pid2, addr2 = start_node ~name:"node2" ~delay:0.08 in
   let pid3, addr3 = start_node ~name:"node3" ~delay:0.08 in
   List.iter (Fleet.node_ready k) [ addr1; addr2; addr3 ];
-  let config journal_dir =
+  let config name =
     {
       C.default_config with
       C.nodes = [ addr1; addr2; addr3 ];
@@ -999,100 +931,95 @@ let cluster_soak_campaign ?log () : ck_summary =
       (* two consecutive failed exchanges declare a node dead: a small
          corpus must still reach the declaration before it runs out *)
       node_attempts = 2;
-      journal_dir = Some journal_dir;
+      journal_dir = Some (Filename.concat k.Fleet.dir name);
       log = k.Fleet.log;
     }
   in
-  let check_identical = Fleet.check_identical k ~baseline in
   (* how the campaign times its kills to land mid-corpus *)
-  let journaled journal want () = Journal.count journal >= want in
-  (* --- phase 1: SIGKILL the coordinator mid-corpus, resume from its
-     journal.  The first incarnation is a forked child; the parent waits
-     for a few journaled rows, kills it, and re-runs the same corpus on
-     the same journal in-process --- *)
-  let journal1 = Filename.concat k.Fleet.dir "journal1" in
-  let co_pid =
-    Fleet.spawn k (fun () -> ignore (C.run ~config:(config journal1) items))
+  let journaled name want () =
+    Journal.count (Filename.concat k.Fleet.dir name) >= want
   in
-  if not (Fleet.await ~timeout:30. ~every:0.01 (journaled journal1 3)) then
-    fail "journal %s never reached %d rows" journal1 3;
-  Fleet.kill k co_pid;
-  let t1 = C.run ~config:(config journal1) items in
-  let identical1 = check_identical "coordinator-kill" t1 in
-  if t1.C.stats.C.cs_recovered < 3 then
-    fail "coordinator-kill: resumed run recovered only %d journaled row(s)"
-      t1.C.stats.C.cs_recovered;
-  (* --- phase 2: SIGKILL a node mid-corpus.  A forked killer waits for
-     the run to be underway (journaled rows), then SIGKILLs node 2; its
-     units must reschedule onto the survivors --- *)
-  let journal2 = Filename.concat k.Fleet.dir "journal2" in
-  let killer =
-    Fleet.spawn k (fun () ->
-        if Fleet.await ~timeout:30. ~every:0.01 (journaled journal2 1) then
-          try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ())
+  (* SIGKILL the coordinator mid-corpus, resume from its journal.  The
+     first incarnation is a forked child; the parent waits for a few
+     journaled rows, kills it, and re-runs the same corpus on the same
+     journal in-process. *)
+  let coordinator_kill items =
+    let co_pid =
+      Fleet.spawn k (fun () -> ignore (C.run ~config:(config "journal1") items))
+    in
+    let reached = Fleet.await ~timeout:30. ~every:0.01 (journaled "journal1" 3) in
+    Fleet.kill k co_pid;
+    let t = C.run ~config:(config "journal1") items in
+    let recovered = t.C.stats.C.cs_recovered in
+    coordinated t
+      [ ("recovered", recovered) ]
+      [
+        (not reached, "the journal never reached 3 rows");
+        ( recovered < 3,
+          Fmt.str "resumed run recovered only %d journaled row(s)" recovered );
+      ]
   in
-  let t2 = C.run ~config:(config journal2) items in
-  ignore (Fleet.reap k "killer" killer);
-  Fleet.kill k pid2;
-  let identical2 = check_identical "node-kill" t2 in
-  if t2.C.stats.C.cs_retries = 0 then
-    fail "node-kill: no unit was ever retried";
-  if t2.C.stats.C.cs_nodes_dead = 0 then
-    fail "node-kill: the SIGKILLed node was never declared dead";
-  (* --- phase 3: partition a node behind an injected stall.  Node 4's
-     workers sleep far past the unit deadline, so every exchange routed
-     to it times out mid-wait and fails over to the healthy nodes --- *)
-  let pid4, addr4 = start_node ~name:"node4" ~delay:3.0 in
-  Fleet.node_ready k addr4;
-  let journal3 = Filename.concat k.Fleet.dir "journal3" in
-  let t3 =
-    C.run
-      ~config:
-        {
-          (config journal3) with
-          C.nodes = [ addr1; addr4; addr3 ];
-          unit_deadline = 1.0;
-        }
-      items
+  (* SIGKILL a node mid-corpus.  A forked killer waits for the run to be
+     underway (journaled rows), then SIGKILLs node 2; its units must
+     reschedule onto the survivors. *)
+  let node_kill items =
+    let killer =
+      Fleet.spawn k (fun () ->
+          if Fleet.await ~timeout:30. ~every:0.01 (journaled "journal2" 1) then
+            try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ())
+    in
+    let t = C.run ~config:(config "journal2") items in
+    ignore (Fleet.reap k "killer" killer);
+    Fleet.kill k pid2;
+    let st = t.C.stats in
+    coordinated t
+      [
+        ("retries", st.C.cs_retries);
+        ("reschedules", st.C.cs_reschedules);
+        ("nodes_dead", st.C.cs_nodes_dead);
+      ]
+      [
+        (st.C.cs_retries = 0, "no unit was ever retried");
+        (st.C.cs_nodes_dead = 0, "the SIGKILLed node was never declared dead");
+      ]
   in
-  let identical3 = check_identical "partition" t3 in
-  if t3.C.stats.C.cs_node_failures = 0 then
-    fail "partition: no exchange was ever cut off by the unit deadline";
-  (* --- drain: the surviving healthy nodes must exit 0 on SIGTERM; the
-     stalled node still has sleeping workers, so it is killed --- *)
-  let drain1 = Fleet.reap k ~signal:Sys.sigterm "node1" pid1 in
-  let drain3 = Fleet.reap k ~signal:Sys.sigterm "node3" pid3 in
-  Fleet.kill k pid4;
-  {
-    ck_units = List.length items;
-    ck_identical =
-      List.length (List.filter Fun.id [ identical1; identical2; identical3 ]);
-    ck_runs = 3;
-    ck_recovered = t1.C.stats.C.cs_recovered;
-    ck_retries = t2.C.stats.C.cs_retries;
-    ck_reschedules = t2.C.stats.C.cs_reschedules;
-    ck_nodes_dead = t2.C.stats.C.cs_nodes_dead;
-    ck_stall_failures = t3.C.stats.C.cs_node_failures;
-    ck_lost =
-      t1.C.stats.C.cs_lost + t2.C.stats.C.cs_lost + t3.C.stats.C.cs_lost;
-    ck_duplicates =
-      t1.C.stats.C.cs_duplicates + t2.C.stats.C.cs_duplicates
-      + t3.C.stats.C.cs_duplicates;
-    ck_drain_ok = drain1 && drain3;
-    ck_failures = Fleet.failures k;
-  }
-
-let pp_ck_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>cluster soak: %d units, %d/%d faulted runs byte-identical to \
-     single-node triage@,\
-     coordinator kill: %d rows recovered from journal | node kill: %d \
-     retries, %d reschedules, %d dead | partition: %d deadline cutoffs@,\
-     lost %d | duplicates dropped %d | graceful drain %b@]"
-    s.ck_units s.ck_identical s.ck_runs s.ck_recovered s.ck_retries
-    s.ck_reschedules s.ck_nodes_dead s.ck_stall_failures s.ck_lost
-    s.ck_duplicates s.ck_drain_ok
-
+  (* Partition a node behind an injected stall.  Node 4's workers sleep
+     far past the unit deadline, so every exchange routed to it times out
+     mid-wait and fails over to the healthy nodes; with its workers still
+     sleeping, it is killed rather than drained. *)
+  let partition items =
+    let pid4, addr4 = start_node ~name:"node4" ~delay:3.0 in
+    Fleet.node_ready k addr4;
+    let t =
+      C.run
+        ~config:
+          {
+            (config "journal3") with
+            C.nodes = [ addr1; addr4; addr3 ];
+            unit_deadline = 1.0;
+          }
+        items
+    in
+    Fleet.kill k pid4;
+    let cutoffs = t.C.stats.C.cs_node_failures in
+    coordinated t
+      [ ("deadline_cutoffs", cutoffs) ]
+      [ (cutoffs = 0, "no exchange was ever cut off by the unit deadline") ]
+  in
+  let s =
+    Differential.run ~campaign:"cluster-soak" ~reference:single_node
+      ~variants:
+        [
+          ("coordinator-kill", coordinator_kill);
+          ("node-kill", node_kill);
+          ("partition", partition);
+        ]
+      [ ("corpus", Fleet.corpus ~n_per_bug:3) ]
+  in
+  (* the surviving healthy nodes must exit 0 on SIGTERM *)
+  ignore (Fleet.reap k ~signal:Sys.sigterm "node1" pid1);
+  ignore (Fleet.reap k ~signal:Sys.sigterm "node3" pid3);
+  Fleet.close k s
 
 (* --- campaign: byzantine node ---------------------------------------- *)
 
@@ -1100,58 +1027,36 @@ let pp_ck_summary ppf s =
     one.  Three TCP node daemons serve the corpus; one is forked with a
     result-corruption fault injected ([fi_corrupt_rows]) so it computes
     honestly and then falsifies the row it returns.  Two lies are
-    tried, each against the defense built for it:
+    tried, each a variant against fork-backed single-node triage and
+    each against the defense built for it:
 
-    - {b wrong unit name} (caught by the structural identity check that
-      runs on every row): the reply claims to answer a unit that was
-      never asked;
-    - {b fabricated verdict fields} (caught only by the probabilistic
-      replay spot-check, [spot_check = 1] here so every row is
-      re-derived locally): the reply is structurally perfect but its
-      bucket, cause, and node count are invented.
+    - [wrong-name] (caught by the structural identity check that runs on
+      every row): the reply claims to answer a unit that was never
+      asked;
+    - [fabricated-fields] (caught only by the probabilistic replay
+      spot-check, [spot_check = 1] here so every row is re-derived
+      locally): the reply is structurally perfect but its bucket, cause,
+      and node count are invented.
 
-    In both phases the campaign asserts the lie was rejected
-    ([cs_byzantine] > 0), the liar was quarantined via the registry's
-    Dead path, its units rescheduled onto honest nodes, and the merged
-    TSV came out byte-identical to fork-backed single-node triage with
+    In both, the lie must be rejected ([cs_byzantine] > 0), the liar
+    quarantined via the registry's Dead path, its units rescheduled onto
+    honest nodes, and the merged TSV byte-identical to the reference with
     zero lost units — corrupted answers must cost retries, never
     results.
 
     Fork-backed by construction (every node is a forked process), so it
     must run before any domains are spawned in this process. *)
-
-type bz_summary = {
-  bz_units : int;  (** corpus size fed to every run *)
-  bz_identical : int;  (** of [bz_runs], TSV byte-identical to single-node *)
-  bz_runs : int;
-  bz_rejected_name : int;  (** rows rejected by the identity check *)
-  bz_rejected_fields : int;  (** rows rejected by the replay spot-check *)
-  bz_reschedules : int;  (** re-dispatches that moved off the liar *)
-  bz_nodes_dead : int;  (** liars declared dead, both phases *)
-  bz_lost : int;  (** units degraded to worker-lost: must be 0 *)
-  bz_drain_ok : bool;  (** honest nodes drained cleanly on SIGTERM *)
-  bz_failures : string list;  (** empty iff every lie was caught *)
-}
-
-let byzantine_campaign ?log () : bz_summary =
+let byzantine_campaign ?log () =
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-byzantine" @@ fun k ->
-  let fail fmt = Fleet.fail k fmt in
-  (* --- corpus and the single-node truth ------------------------------ *)
   let items = Fleet.corpus ~n_per_bug:3 in
-  (* fork-backed single-node baseline: domains must not exist yet *)
-  let baseline =
-    Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked items
-  in
-  (* The coordinator routes a unit to node [fnv1a32 (wer_key dump) mod 3];
-     put the liar at the index that owns the most units so the lie is
-     guaranteed traffic, deterministically. *)
+  (* put the liar at the node index the coordinator routes the most units
+     to, so the lie is guaranteed traffic, deterministically *)
   let liar_slot =
     let counts = Array.make 3 0 in
     List.iter
       (fun (it : Res_parallel.Batch.item) ->
-        let sig_ = Res_usecases.Triage.wer_key (Result.get_ok it.it_dump) in
-        let i = Res_vm.Coredump_io.fnv1a32 sig_ mod 3 in
+        let i = C.primary_node ~n_nodes:3 (Result.get_ok it.it_dump) in
         counts.(i) <- counts.(i) + 1)
       items;
     let best = ref 0 in
@@ -1171,314 +1076,267 @@ let byzantine_campaign ?log () : bz_summary =
     | 1 -> [ addr_h1; liar_addr; addr_h2 ]
     | _ -> [ addr_h1; addr_h2; liar_addr ]
   in
-  let config ~nodes ~spot_check journal_dir =
-    {
-      C.default_config with
-      C.nodes;
-      window = 2;
-      node_attempts = 2;
-      spot_check;
-      journal_dir = Some journal_dir;
-      log = k.Fleet.log;
-    }
+  (* one lie: fork a liar corrupting [corrupt], triage the corpus with
+     the liar in its slot, then kill it *)
+  let lying ~corrupt ~spot_check items =
+    let pid, addr = start_node ~name:("liar-" ^ corrupt) ~corrupt in
+    Fleet.node_ready k addr;
+    let t =
+      C.run
+        ~config:
+          {
+            C.default_config with
+            C.nodes = fleet addr;
+            window = 2;
+            node_attempts = 2;
+            spot_check;
+            journal_dir = Some (Filename.concat k.Fleet.dir ("journal-" ^ corrupt));
+            log = k.Fleet.log;
+          }
+        items
+    in
+    Fleet.kill k pid;
+    let st = t.C.stats in
+    coordinated t
+      [
+        ("rejected", st.C.cs_byzantine);
+        ("reschedules", st.C.cs_reschedules);
+        ("nodes_dead", st.C.cs_nodes_dead);
+      ]
+      [
+        (st.C.cs_byzantine = 0, "no corrupted row was ever rejected");
+        (st.C.cs_nodes_dead = 0, "the lying node was never quarantined");
+        (st.C.cs_reschedules = 0, "no unit was ever rescheduled off the liar");
+      ]
   in
-  let check_identical = Fleet.check_identical k ~baseline in
-  let check_caught phase (t : C.t) =
-    if t.C.stats.C.cs_byzantine = 0 then
-      fail "%s: no corrupted row was ever rejected" phase;
-    if t.C.stats.C.cs_nodes_dead = 0 then
-      fail "%s: the lying node was never quarantined" phase;
-    if t.C.stats.C.cs_reschedules = 0 then
-      fail "%s: no unit was ever rescheduled off the liar" phase
+  let s =
+    Differential.run ~campaign:"byzantine" ~reference:single_node
+      ~variants:
+        [
+          ("wrong-name", lying ~corrupt:"name" ~spot_check:0);
+          (* the row is structurally perfect, so only re-deriving the
+             verdict locally can expose it: spot_check = 1 replays every
+             row *)
+          ("fabricated-fields", lying ~corrupt:"fields" ~spot_check:1);
+        ]
+      [ ("corpus", items) ]
   in
-  (* --- phase A: wrong-name corruption vs. the identity check --------- *)
-  let pid_la, addr_la = start_node ~name:"liar-name" ~corrupt:"name" in
-  Fleet.node_ready k addr_la;
-  let ta =
-    C.run
-      ~config:
-        (config ~nodes:(fleet addr_la) ~spot_check:0
-           (Filename.concat k.Fleet.dir "journalA"))
-      items
-  in
-  let identical_a = check_identical "wrong-name" ta in
-  check_caught "wrong-name" ta;
-  Fleet.kill k pid_la;
-  (* --- phase B: plausible fabricated fields vs. the replay oracle.
-     The row is structurally perfect, so only re-deriving the verdict
-     locally can expose it; spot_check = 1 replays every row --- *)
-  let pid_lb, addr_lb = start_node ~name:"liar-fields" ~corrupt:"fields" in
-  Fleet.node_ready k addr_lb;
-  let tb =
-    C.run
-      ~config:
-        (config ~nodes:(fleet addr_lb) ~spot_check:1
-           (Filename.concat k.Fleet.dir "journalB"))
-      items
-  in
-  let identical_b = check_identical "fabricated-fields" tb in
-  check_caught "fabricated-fields" tb;
-  Fleet.kill k pid_lb;
-  (* --- drain: the honest nodes must exit 0 on SIGTERM ---------------- *)
-  let drain1 = Fleet.reap k ~signal:Sys.sigterm "honest1" pid_h1 in
-  let drain2 = Fleet.reap k ~signal:Sys.sigterm "honest2" pid_h2 in
-  {
-    bz_units = List.length items;
-    bz_identical =
-      List.length (List.filter Fun.id [ identical_a; identical_b ]);
-    bz_runs = 2;
-    bz_rejected_name = ta.C.stats.C.cs_byzantine;
-    bz_rejected_fields = tb.C.stats.C.cs_byzantine;
-    bz_reschedules = ta.C.stats.C.cs_reschedules + tb.C.stats.C.cs_reschedules;
-    bz_nodes_dead = ta.C.stats.C.cs_nodes_dead + tb.C.stats.C.cs_nodes_dead;
-    bz_lost = ta.C.stats.C.cs_lost + tb.C.stats.C.cs_lost;
-    bz_drain_ok = drain1 && drain2;
-    bz_failures = Fleet.failures k;
-  }
-
-let pp_bz_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>byzantine: %d units, %d/%d lying-node runs byte-identical to \
-     single-node triage@,\
-     wrong-name rows rejected %d | fabricated-field rows rejected %d | %d \
-     reschedules off the liar | %d liar(s) quarantined@,\
-     lost %d | graceful drain %b@]"
-    s.bz_units s.bz_identical s.bz_runs s.bz_rejected_name
-    s.bz_rejected_fields s.bz_reschedules s.bz_nodes_dead s.bz_lost
-    s.bz_drain_ok
+  (* the honest nodes must exit 0 on SIGTERM *)
+  ignore (Fleet.reap k ~signal:Sys.sigterm "honest1" pid_h1);
+  ignore (Fleet.reap k ~signal:Sys.sigterm "honest2" pid_h2);
+  Fleet.close k s
 
 (* --- campaign: result-cache chaos ------------------------------------ *)
 
 (** Chaos-test the content-addressed result cache the way a hostile disk
-    will hurt it: tear its atomic-writer journals, flip bits in sealed
-    entries, replace every entry with garbage, and inject ENOSPC / EIO /
-    failed-fsync / torn-write faults into every cache I/O — then assert
-    the crash-only contract: {e every} run, however damaged or starved
-    the cache, produces a triage TSV byte-identical to the uncached
-    baseline.  A garbage cache must behave exactly like a cold cache
-    (quarantine + recompute + re-store), and a cache that cannot even
-    create its directory must degrade to pure recompute — never to an
-    exception, never to wrong bytes.
+    will hurt it: plant a torn atomic-writer journal, flip a bit in a
+    sealed entry, replace every entry with garbage, and inject ENOSPC /
+    EIO / failed-fsync / torn-write faults into the cache's reads, writes
+    and directory creation — then assert the crash-only contract: {e
+    every} run, however damaged or starved the cache, produces a triage
+    TSV byte-identical to the uncached baseline.  A garbage cache must
+    behave exactly like a cold cache (quarantine + recompute + re-store),
+    and a cache that cannot even create its directory must degrade to
+    pure recompute — never to an exception, never to wrong bytes.  Every
+    cached run is one variant against the uncached reference.
 
     Fork-backed by construction (batch workers are forked processes and
     the injector is process-global), so like the other fork campaigns it
     must run before any domains are spawned in this process. *)
-
-type cc_summary = {
-  cc_units : int;  (** corpus size fed to every run *)
-  cc_runs : int;  (** damaged/faulted/warm runs compared to the baseline *)
-  cc_identical : int;  (** of those, TSV byte-identical: must equal [cc_runs] *)
-  cc_cold_stores : int;  (** entries stored by the pristine cold run *)
-  cc_warm_hits : int;  (** rows served from cache by the pristine warm run *)
-  cc_quarantined : int;  (** damaged entries moved aside across all phases *)
-  cc_store_failures : int;  (** stores dropped on injected disk faults *)
-  cc_injected : int;  (** cache I/O operations made to fail *)
-  cc_failures : string list;  (** empty iff the cache kept its contract *)
-}
-
-let cache_chaos_campaign ?log () : cc_summary =
+let cache_chaos_campaign ?log () =
   let module Cache = Res_cache.Cache in
   let module Batch = Res_parallel.Batch in
   let module Shim = Res_core.Ioshim in
   Fleet.with_kit ?log "res-cache-chaos" @@ fun k ->
   let base = k.Fleet.dir in
-  let log = k.Fleet.log in
-  let fail fmt = Fleet.fail k fmt in
   let under d path =
-    let n = String.length d in
-    String.length path > n && String.equal (String.sub path 0 n) d
+    String.length path > String.length d && String.starts_with ~prefix:d path
   in
   let tmp_left d =
     match Sys.readdir d with
     | exception Sys_error _ -> false
-    | es ->
-        Array.exists
-          (fun e ->
-            Filename.check_suffix e ".tmp"
-            || Filename.extension e = ".tmp")
-          es
+    | es -> Array.exists (fun e -> Filename.check_suffix e ".tmp") es
   in
-  let backend = Res_parallel.Pool.Forked in
+  (* an injector failing every [op] on [d] or a path under it with
+     [fault], counting the faults into [injected] *)
+  let failing op d fault injected op' path =
+    if op' = op && (String.equal path d || under d path) then begin
+      incr injected;
+      Some fault
+    end
+    else None
+  in
   let items = Fleet.corpus ~n_per_bug:2 in
   let n_units = List.length items in
-  (* the truth every run must reproduce: an uncached fork-backed triage *)
-  let baseline = Batch.run ~jobs:1 ~backend items in
-  let runs = ref 0 and identical = ref 0 in
-  let quarantined = ref 0 and store_failures = ref 0 and injected = ref 0 in
-  let drain_stats c =
+  (* One cached triage of the corpus: its TSV, and the run's hits, the
+     cache's counters and the faults injected, where not zero.  A broken
+     expectation in [checks t stats] fails it. *)
+  let cached ?(injected = ref 0) c checks items =
+    let t = Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked ~cache:c items in
     let s = Cache.stats c in
-    quarantined := !quarantined + s.Cache.quarantined;
-    store_failures := !store_failures + s.store_failures
+    expect (checks t s);
+    {
+      Differential.bytes = t.Batch.tsv;
+      counts =
+        List.filter
+          (fun (_, n) -> n <> 0)
+          [
+            ("hits", t.Batch.cache_hits);
+            ("stores", s.Cache.stores);
+            ("quarantined", s.Cache.quarantined);
+            ("store_failures", s.Cache.store_failures);
+            ("injected", !injected);
+          ];
+    }
   in
-  let run_cached phase c =
-    incr runs;
-    log (Fmt.str "run: %s" phase);
-    match Batch.run ~jobs:1 ~backend ~cache:c items with
-    | t ->
-        if String.equal t.Batch.tsv baseline.Batch.tsv then incr identical
-        else fail "%s: TSV diverged from the uncached baseline" phase;
-        drain_stats c;
-        Some t
-    | exception exn ->
-        drain_stats c;
-        fail "%s: escaped exception: %s" phase (Printexc.to_string exn);
-        None
+  let no_hits what (t : Batch.t) =
+    (t.Batch.cache_hits <> 0, Fmt.str "%d hit(s) served %s" t.Batch.cache_hits what)
   in
-  (* --- phase 1: cold fill, then a fully warm replay ------------------ *)
+  let all_hits what (t : Batch.t) =
+    ( t.Batch.cache_hits < n_units,
+      Fmt.str "only %d/%d hits %s" t.Batch.cache_hits n_units what )
+  in
+  (* --- a cold fill, then a fully warm replay ------------------------- *)
   let dir1 = Filename.concat base "steady" in
-  let c_cold = Cache.openr dir1 in
-  let cold_stores =
-    match run_cached "cold" c_cold with
-    | Some t ->
-        if t.Batch.cache_hits <> 0 then
-          fail "cold: %d hit(s) served from an empty cache" t.Batch.cache_hits;
-        (Cache.stats c_cold).stores
-    | None -> 0
+  let cold items =
+    cached (Cache.openr dir1)
+      (fun t _ ->
+        let on_disk = Cache.entry_count dir1 in
+        [
+          no_hits "from an empty cache" t;
+          ( on_disk < n_units,
+            Fmt.str "only %d/%d entries on disk after the fill" on_disk n_units );
+        ])
+      items
   in
-  if Cache.entry_count dir1 < n_units then
-    fail "cold: only %d/%d entries on disk after the fill" (Cache.entry_count dir1)
-      n_units;
-  let warm_hits =
-    match run_cached "warm" (Cache.openr dir1) with
-    | Some t ->
-        if t.Batch.cache_hits < n_units then
-          fail "warm: only %d/%d rows came from the cache" t.Batch.cache_hits
-            n_units;
-        t.Batch.cache_hits
-    | None -> 0
+  let warm items =
+    cached (Cache.openr dir1) (fun t _ -> [ all_hits "from a warm cache" t ]) items
   in
-  (* --- phase 2: torn journal, bit-flipped entry, garbage entry -------- *)
-  (match
-     Sys.readdir dir1 |> Array.to_list
-     |> List.filter (fun e -> Filename.check_suffix e ".entry")
-     |> List.sort compare
-   with
-  | [] -> fail "corrupt: no entries to damage"
-  | e0 :: rest ->
-      let p0 = Filename.concat dir1 e0 in
-      (* a torn atomic-writer journal, as left by a writer killed
-         mid-[write(2)]: reopen must delete it, never promote it *)
-      let torn = Res_vm.Coredump_io.fresh_tmp_path p0 in
-      let oc = open_out_bin torn in
-      output_string oc "rescache v1\nhalf a sealed entry";
-      close_out oc;
-      (* one flipped bit in a sealed entry: the seal must catch it *)
-      (match Res_vm.Coredump_io.read_file p0 with
-      | Ok src when String.length src > 0 ->
-          let b = Bytes.of_string src in
-          let i = Bytes.length b / 2 in
-          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-          let oc = open_out_bin p0 in
-          output_bytes oc b;
+  (* --- a torn journal, a bit-flipped entry and a garbage entry -------- *)
+  let corrupt items =
+    (match
+       Sys.readdir dir1 |> Array.to_list
+       |> List.filter (fun e -> Filename.check_suffix e ".entry")
+       |> List.sort compare
+     with
+    | [] -> failwith "no entries to damage"
+    | e0 :: rest ->
+        let p0 = Filename.concat dir1 e0 in
+        (* a torn atomic-writer journal, as left by a writer killed
+           mid-[write(2)]: reopen must delete it, never promote it *)
+        let oc = open_out_bin (Res_vm.Coredump_io.fresh_tmp_path p0) in
+        output_string oc "rescache v1\nhalf a sealed entry";
+        close_out oc;
+        (* one flipped bit in a sealed entry: the seal must catch it *)
+        (match Res_vm.Coredump_io.read_file p0 with
+        | Ok src when String.length src > 0 ->
+            let b = Bytes.of_string src in
+            let i = Bytes.length b / 2 in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+            let oc = open_out_bin p0 in
+            output_bytes oc b;
+            close_out oc
+        | _ -> Fmt.failwith "could not read %s back" e0);
+        (* and one entry replaced outright *)
+        (match rest with
+        | e1 :: _ ->
+            let oc = open_out_bin (Filename.concat dir1 e1) in
+            output_string oc "not a sealed entry at all\n";
+            close_out oc
+        | [] -> ()));
+    let c = Cache.openr dir1 in
+    let torn_left = tmp_left dir1 in
+    cached c
+      (fun t s ->
+        [
+          (torn_left, "torn .tmp journal survived reopen");
+          (s.Cache.quarantined = 0, "damaged entries were never quarantined");
+          (t.Batch.cache_hits >= n_units, "damaged entries were served as hits");
+        ])
+      items
+  in
+  (* --- every entry replaced by deterministic garbage.  The contract
+     under total corruption: quarantine everything, recompute everything,
+     re-store everything — a garbage cache IS a cold cache ------------- *)
+  let garbage items =
+    let rng = { s = 0xC0FFEE } in
+    Array.iter
+      (fun e ->
+        if Filename.check_suffix e ".entry" then begin
+          let oc = open_out_bin (Filename.concat dir1 e) in
+          for _ = 1 to 64 + rng_below rng 128 do
+            output_char oc (Char.chr (rng_below rng 256))
+          done;
           close_out oc
-      | _ -> fail "corrupt: could not read %s back" e0);
-      (* and one entry replaced outright *)
-      (match rest with
-      | e1 :: _ ->
-          let oc = open_out_bin (Filename.concat dir1 e1) in
-          output_string oc "not a sealed entry at all\n";
-          close_out oc
-      | [] -> ()));
-  let c_dam = Cache.openr dir1 in
-  if tmp_left dir1 then fail "corrupt: torn .tmp journal survived reopen";
-  (match run_cached "corrupt" c_dam with
-  | Some t ->
-      if (Cache.stats c_dam).Cache.quarantined = 0 then
-        fail "corrupt: damaged entries were never quarantined";
-      if t.Batch.cache_hits >= n_units then
-        fail "corrupt: damaged entries were served as hits"
-  | None -> ());
-  (* --- phase 3: every entry replaced by deterministic garbage.  The
-     contract under total corruption: quarantine everything, recompute
-     everything, re-store everything — a garbage cache IS a cold cache *)
-  let rng = { s = 0xC0FFEE } in
-  Array.iter
-    (fun e ->
-      if Filename.check_suffix e ".entry" then begin
-        let oc = open_out_bin (Filename.concat dir1 e) in
-        for _ = 1 to 64 + rng_below rng 128 do
-          output_char oc (Char.chr (rng_below rng 256))
-        done;
-        close_out oc
-      end)
-    (Sys.readdir dir1);
-  let c_garbage = Cache.openr dir1 in
-  (match run_cached "garbage" c_garbage with
-  | Some t ->
-      if t.Batch.cache_hits <> 0 then
-        fail "garbage: %d garbage entr(ies) served as hits" t.Batch.cache_hits;
-      if (Cache.stats c_garbage).Cache.quarantined < n_units then
-        fail "garbage: only %d/%d garbage entries quarantined"
-          (Cache.stats c_garbage).Cache.quarantined n_units
-  | None -> ());
+        end)
+      (Sys.readdir dir1);
+    cached (Cache.openr dir1)
+      (fun t s ->
+        [
+          no_hits "from garbage entries" t;
+          ( s.Cache.quarantined < n_units,
+            Fmt.str "only %d/%d garbage entries quarantined" s.Cache.quarantined
+              n_units );
+        ])
+      items
+  in
   (* the garbage run must have healed the cache: warm again, full hits *)
-  (match run_cached "healed" (Cache.openr dir1) with
-  | Some t ->
-      if t.Batch.cache_hits < n_units then
-        fail "healed: only %d/%d hits after the garbage run re-stored"
-          t.Batch.cache_hits n_units
-  | None -> ());
-  (* --- phase 4: injected read faults on a warm cache.  Every lookup
-     hits EIO; the cache must quarantine, recompute, and re-store ------- *)
-  let c_eio = Cache.openr dir1 in
-  let read_inj op path =
-    match op with
-    | Shim.Read when under dir1 path ->
-        incr injected;
-        Some Shim.Eio
-    | _ -> None
+  let healed items =
+    cached (Cache.openr dir1)
+      (fun t _ -> [ all_hits "after the garbage run re-stored" t ])
+      items
   in
-  (match
-     Shim.with_injector read_inj (fun () -> run_cached "read-fault" c_eio)
-   with
-  | Some t ->
-      if t.Batch.cache_hits <> 0 then
-        fail "read-fault: %d hit(s) served through injected EIO"
-          t.Batch.cache_hits
-  | None -> ());
-  (* --- phase 5: injected store faults, one fault family at a time.
-     Every store fails (leaving realistic torn journals); the run must
-     shrug (store_failures), stay byte-identical, and the next reopen
-     must sweep the wreckage ------------------------------------------- *)
-  List.iter
-    (fun f ->
-      let name = Shim.fault_name f in
-      let cdir = Filename.concat base ("storm-" ^ name) in
+  (* --- injected read faults on a warm cache.  Every lookup hits EIO;
+     the cache must quarantine, recompute, and re-store ----------------- *)
+  let read_fault items =
+    let c = Cache.openr dir1 in
+    let injected = ref 0 in
+    Shim.with_injector (failing Shim.Read dir1 Shim.Eio injected) (fun () ->
+        cached ~injected c (fun t _ -> [ no_hits "through injected EIO" t ]) items)
+  in
+  (* --- injected store faults, one fault family at a time.  Every store
+     fails (leaving realistic torn journals); the run must shrug
+     (store_failures), stay byte-identical, and the next reopen must
+     sweep the wreckage ------------------------------------------------- *)
+  let store_fault f =
+    let name = Shim.fault_name f in
+    let cdir = Filename.concat base ("storm-" ^ name) in
+    let faulted items =
       let c = Cache.openr cdir in
-      let inj op path =
-        match op with
-        | Shim.Write when under cdir path ->
-            incr injected;
-            Some f
-        | _ -> None
-      in
-      (match
-         Shim.with_injector inj (fun () ->
-             run_cached (Fmt.str "store-fault %s" name) c)
-       with
-      | Some _ ->
-          if (Cache.stats c).store_failures = 0 then
-            fail "store-fault %s: no store ever failed under injection" name;
-          if (Cache.stats c).stores <> 0 then
-            fail "store-fault %s: %d store(s) claimed success under injection"
-              name (Cache.stats c).stores
-      | None -> ());
-      (* reopen sweeps torn journals; the cache is simply still cold *)
-      let c2 = Cache.openr cdir in
-      if tmp_left cdir then
-        fail "store-fault %s: torn .tmp journals survived reopen" name;
-      (match run_cached (Fmt.str "recold %s" name) c2 with
-      | Some _ ->
-          if Cache.entry_count cdir < n_units then
-            fail "recold %s: only %d/%d entries stored once the disk healed"
-              name (Cache.entry_count cdir) n_units
-      | None -> ()))
-    [ Shim.Enospc; Shim.Eio; Shim.Fsync_fail; Shim.Torn 11 ];
-  (* --- phase 6: a randomized (but deterministic) storm: roughly one in
-     three cache I/Os fails, fault family drawn per-operation ----------- *)
+      let injected = ref 0 in
+      Shim.with_injector (failing Shim.Write cdir f injected) (fun () ->
+          cached ~injected c
+            (fun _ s ->
+              [
+                (s.Cache.store_failures = 0, "no store ever failed under injection");
+                ( s.Cache.stores <> 0,
+                  Fmt.str "%d store(s) claimed success under injection"
+                    s.Cache.stores );
+              ])
+            items)
+    in
+    (* reopen sweeps torn journals; the cache is simply still cold *)
+    let recold items =
+      let c = Cache.openr cdir in
+      let torn_left = tmp_left cdir in
+      cached c
+        (fun _ _ ->
+          let on_disk = Cache.entry_count cdir in
+          [
+            (torn_left, "torn .tmp journals survived reopen");
+            ( on_disk < n_units,
+              Fmt.str "only %d/%d entries stored once the disk healed" on_disk
+                n_units );
+          ])
+        items
+    in
+    [ ("store-fault-" ^ name, faulted); ("recold-" ^ name, recold) ]
+  in
+  (* --- a randomized (but deterministic) storm: roughly one in three
+     cache I/Os fails, fault family drawn per-operation ----------------- *)
   let dir6 = Filename.concat base "storm-random" in
   let storm_rng = { s = 0xBADD15C } in
-  let storm_inj op path =
+  let storm_inj injected op path =
     if not (under dir6 path) then None
     else
       match op with
@@ -1495,49 +1353,60 @@ let cache_chaos_campaign ?log () : cc_summary =
           end
           else None
   in
-  Shim.with_injector storm_inj (fun () ->
-      ignore (run_cached "random-storm cold" (Cache.openr dir6));
-      ignore (run_cached "random-storm warm" (Cache.openr dir6)));
-  let c6 = Cache.openr dir6 in
-  if tmp_left dir6 then fail "random-storm: torn .tmp journals survived reopen";
-  ignore (run_cached "random-storm healed" c6);
-  (* --- phase 7: the cache directory itself cannot be created.  openr
-     must not raise, and the run must degrade to pure recompute --------- *)
-  let dir7 = Filename.concat base "no-dir" in
-  let mkdir_inj op path =
-    match op with
-    | Shim.Mkdir when String.equal path dir7 || under dir7 path ->
-        incr injected;
-        Some Shim.Eio
-    | _ -> None
+  let storm items =
+    let injected = ref 0 in
+    Shim.with_injector (storm_inj injected) (fun () ->
+        cached ~injected (Cache.openr dir6) (fun _ _ -> []) items)
   in
-  let c7 = Shim.with_injector mkdir_inj (fun () -> Cache.openr dir7) in
-  (match run_cached "no-dir" c7 with
-  | Some t ->
-      if t.Batch.cache_hits <> 0 then
-        fail "no-dir: hits from a cache whose directory does not exist";
-      if (Cache.stats c7).store_failures = 0 then
-        fail "no-dir: stores into a missing directory claimed success"
-  | None -> ());
-  {
-    cc_units = n_units;
-    cc_runs = !runs;
-    cc_identical = !identical;
-    cc_cold_stores = cold_stores;
-    cc_warm_hits = warm_hits;
-    cc_quarantined = !quarantined;
-    cc_store_failures = !store_failures;
-    cc_injected = !injected;
-    cc_failures = Fleet.failures k;
-  }
-
-let pp_cc_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>cache chaos: %d units, %d/%d damaged and faulted runs \
-     byte-identical to the uncached baseline@,\
-     cold stores %d | warm hits %d | quarantined %d | store failures %d | \
-     faults injected %d@,\
-     failures: %d@]"
-    s.cc_units s.cc_identical s.cc_runs s.cc_cold_stores s.cc_warm_hits
-    s.cc_quarantined s.cc_store_failures s.cc_injected
-    (List.length s.cc_failures)
+  let storm_healed items =
+    let c = Cache.openr dir6 in
+    let torn_left = tmp_left dir6 in
+    cached c (fun _ _ -> [ (torn_left, "torn .tmp journals survived reopen") ]) items
+  in
+  (* --- the cache directory itself cannot be created.  openr must not
+     raise, and the run must degrade to pure recompute ------------------ *)
+  let no_dir items =
+    let dir7 = Filename.concat base "no-dir" in
+    let injected = ref 0 in
+    let c =
+      Shim.with_injector (failing Shim.Mkdir dir7 Shim.Eio injected) (fun () ->
+          Cache.openr dir7)
+    in
+    cached ~injected c
+      (fun t s ->
+        [
+          no_hits "from a cache whose directory does not exist" t;
+          ( s.Cache.store_failures = 0,
+            "stores into a missing directory claimed success" );
+        ])
+      items
+  in
+  let variants =
+    [
+      ("cold", cold);
+      ("warm", warm);
+      ("corrupt", corrupt);
+      ("garbage", garbage);
+      ("healed", healed);
+      ("read-fault", read_fault);
+    ]
+    @ List.concat_map store_fault
+        [ Shim.Enospc; Shim.Eio; Shim.Fsync_fail; Shim.Torn 11 ]
+    @ [
+        ("storm-cold", storm);
+        ("storm-warm", storm);
+        ("storm-healed", storm_healed);
+        ("no-dir", no_dir);
+      ]
+  in
+  Fleet.close k
+    (Differential.run ~campaign:"cache-chaos" ~reference:single_node
+       ~variants:
+         (List.map
+            (fun (name, f) ->
+              ( name,
+                fun items ->
+                  k.Fleet.log ("run: " ^ name);
+                  f items ))
+            variants)
+       [ ("corpus", items) ])

@@ -1,6 +1,8 @@
 (** The fleet kit shared by the fork-backed soak campaigns: a scratch
     directory that is always removed, a failure collector, forked daemons
     and nodes, one readiness poll, one reap, and the generated corpus.
+    The kit's own failures (a node never ready, a bad drain) end every
+    campaign's summary as one last run, [fleet].
 
     Every process [spawn] starts is remembered until it is reaped or
     killed here; whatever is still running when [with_kit] returns (or
@@ -21,7 +23,16 @@ let fail k fmt =
       k.failures <- m :: k.failures)
     fmt
 
-let failures k = List.rev k.failures
+(** The failures recorded since the last [take], oldest first. *)
+let take k =
+  let fs = List.rev k.failures in
+  k.failures <- [];
+  fs
+
+(** [s] with the kit's untaken failures appended as one last check run. *)
+let close k (s : Differential.summary) =
+  Differential.summarize ~campaign:s.campaign ~variants:s.variants
+    (s.runs @ [ Differential.check ~name:"fleet" (take k) ])
 
 let rec rm_rf path =
   match (Unix.lstat path).Unix.st_kind with
@@ -145,16 +156,3 @@ let corpus ~n_per_bug =
         it_dump = Ok r.r_dump;
       })
     (Res_workloads.Corpus.generate ~n_per_bug ())
-
-(** A coordinator run must lose no unit and merge the byte-identical TSV
-    single-node triage produced. *)
-let check_identical k ~(baseline : Res_parallel.Batch.t) phase
-    (t : Res_cluster.Coordinator.t) =
-  let module C = Res_cluster.Coordinator in
-  if t.C.stats.C.cs_lost > 0 then
-    fail k "%s: %d unit(s) lost" phase t.C.stats.C.cs_lost;
-  String.equal t.C.tsv baseline.Res_parallel.Batch.tsv
-  || begin
-       fail k "%s: merged TSV differs from single-node triage" phase;
-       false
-     end

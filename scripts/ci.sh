@@ -1,41 +1,8 @@
 #!/bin/sh
-# CI entry point: build (including formatting of dune files), run the
-# full test suite, then fault-inject the pipeline itself: res selftest
-# exits non-zero if any perturbed analysis escapes with an exception or
-# the 1s deadline is not honored within 10%, the kill-resume campaign
-# exits non-zero if any killed-and-resumed analysis fails to reconverge
-# to bit-identical reports or leaves a torn file on disk, and the
-# prune-equivalence campaign exits non-zero if disabling the static
-# pruner changes any workload's reports, and the reverse-equivalence
-# campaign does the same for the concrete reverse-execution fast path
-# (under a hard timeout: equivalence is only meaningful if the fast
-# path is also fast).  The worker-kill gate asserts that SIGKILLing
-# batch-triage workers mid-unit never changes the final TSV.  The serve-soak gate floods the triage daemon past
-# capacity, SIGKILLs a worker and then the daemon itself, and exits
-# non-zero if any accepted request is lost, any served report diverges
-# from offline analyze, the breaker fails to trip and recover, or
-# drain exits non-zero; it runs under a hard timeout so a wedged
-# daemon fails CI instead of hanging it.  The cluster-soak gate shards
-# the corpus across three TCP node daemons, SIGKILLs the coordinator
-# mid-corpus (resuming it from its journal), SIGKILLs a node (its units
-# must reschedule), and stalls a node past the unit deadline — and
-# exits non-zero if any unit is lost or any merged TSV differs from
-# single-node triage by a byte; same hard timeout so a wedged cluster
-# fails CI instead of hanging it; a CLI smoke then runs `res coordinate`
-# against a live and then a dead TCP node, the second run answered from
-# its result cache.  The byzantine gate puts a lying
-# node in the fleet and exits non-zero unless both corruption modes
-# (wrong unit name, fabricated verdict fields) are rejected, the liar
-# quarantined, and the TSV unchanged.  The fuzz gate runs a bounded
-# deterministic structured-fuzzing campaign over every sealed codec
-# and text grammar and exits non-zero on any uncaught exception, hang,
-# or silent acceptance of damaged bytes.  The debug-equivalence gate
-# scripts the time-travel debugger over every workload and fails if
-# the snapshot index is anything but latency-invisible.  Finally `res
-# check` lints the whole
-# workload corpus: the three seeded concurrency bugs must be the only
-# findings (per-program invert-coverage info rows are expected and
-# exempt).
+# CI entry point: build (with the formatting of dune files), run the
+# full test suite, then the self-test gates, each of which exits non-zero
+# when its campaign finds a failure, and the CLI smokes.  Every step is
+# described where it runs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -77,7 +44,11 @@ rc=0
 [ "$rc" -eq 124 ] \
   || { echo "conflicting selftest flags exited $rc, expected 124"; exit 1; }
 
+# Fault-injection gate: no perturbed analysis may escape with an
+# exception, and the 1s deadline must be honored within 10%.
 dune exec bin/res_cli.exe -- selftest --runs 60
+# Kill-resume gate: every killed-and-resumed analysis must reconverge to
+# bit-identical reports and leave no torn file on disk.
 TMPDIR="$gate_tmp" "$RES" selftest --kill-resume
 
 # The same round trip through the CLI and a checkpoint file: a
@@ -99,9 +70,25 @@ grep -v 'cpu time:' "$cache_tmp/resumed.raw" > "$cache_tmp/resumed.txt"
 grep -v 'cpu time:' "$cache_tmp/whole.raw" > "$cache_tmp/whole.txt"
 cmp "$cache_tmp/resumed.txt" "$cache_tmp/whole.txt" \
   || { echo "resumed analysis diverged from the uninterrupted one"; exit 1; }
+
+# Equivalence gates: disabling the static pruner, or the concrete
+# reverse-execution fast path, must not change any workload's reports
+# (the latter under a hard timeout: equivalence is only meaningful if the
+# fast path is also fast).  SIGKILLing batch-triage workers mid-unit
+# must not change the final TSV.
 dune exec bin/res_cli.exe -- selftest --prune-equivalence
 timeout 120 dune exec bin/res_cli.exe -- selftest --reverse-equivalence
 TMPDIR="$gate_tmp" "$RES" selftest --worker-kill
+
+# Serve-soak gate: flood the triage daemon past capacity, SIGKILL a
+# worker and then the daemon itself; fails if any accepted request is
+# lost, any served report diverges from offline analyze, the breaker
+# fails to trip and recover, or drain exits non-zero.  Cluster-soak
+# gate: SIGKILL the coordinator mid-corpus (resuming it from its
+# journal), SIGKILL a node, stall a node past the unit deadline; fails
+# if any unit is lost or any merged TSV differs from single-node triage.
+# Both run under a hard timeout so a wedged daemon or cluster fails CI
+# instead of hanging it.
 TMPDIR="$gate_tmp" timeout 120 "$RES" selftest --serve-soak
 TMPDIR="$gate_tmp" timeout 240 "$RES" selftest --cluster-soak
 

@@ -350,34 +350,30 @@ let test_fault_accessors_sorted () =
 
 (* --- the fault-injection campaign itself --- *)
 
+module D = Res_faultinject.Differential
+
 let test_campaign_no_escapes () =
-  let s = Res_faultinject.Faultinject.campaign ~seed:7 ~runs:54 () in
-  check int_t "54 runs" 54 s.Res_faultinject.Faultinject.total;
-  check int_t "zero escaped exceptions" 0
-    (List.length s.Res_faultinject.Faultinject.escaped);
+  let s =
+    Res_faultinject.Faultinject.campaign ~seed:7 ~runs:54 ~skip_deadline:true ()
+  in
+  check int_t "54 runs" 54 s.D.total;
+  check int_t "zero failures" 0 (List.length s.D.failures);
   (* every run landed in a typed bucket *)
-  check int_t "buckets account for every run"
-    s.Res_faultinject.Faultinject.total
-    (s.Res_faultinject.Faultinject.complete
-    + s.Res_faultinject.Faultinject.partial
-    + s.Res_faultinject.Faultinject.failed
-    + s.Res_faultinject.Faultinject.dump_errors)
+  let sum key = List.fold_left (fun n r -> n + D.count r key) 0 s.D.runs in
+  check int_t "buckets account for every run" s.D.total
+    (sum "complete" + sum "partial" + sum "failed" + sum "dump-error")
 
 let test_deadline_compliance () =
-  let d =
-    Res_faultinject.Faultinject.deadline_compliance ~deadline:1.0
-      ~tolerance:0.10 ()
-  in
-  check bool_t "cut off by the clock" true
-    d.Res_faultinject.Faultinject.d_hit_deadline;
-  check bool_t
-    (Fmt.str "within 10%% of deadline (elapsed %.3fs)"
-       d.Res_faultinject.Faultinject.d_elapsed)
-    true d.Res_faultinject.Faultinject.d_within
+  let s = Res_faultinject.Faultinject.campaign ~runs:0 () in
+  match s.D.runs with
+  | [ d ] ->
+      check int_t "cut off by the clock" 1 (D.count d "cut_off");
+      check bool_t
+        (Fmt.str "within 10%% of deadline (elapsed %dms)" (D.count d "elapsed_ms"))
+        true d.D.equivalent
+  | _ -> Alcotest.fail "expected the deadline run alone"
 
 (* --- the differential harness and the fleet kit --- *)
-
-module D = Res_faultinject.Differential
 
 let projection bytes counts = { D.bytes; counts }
 
@@ -442,6 +438,26 @@ let test_differential_counts_sum () =
     (contains text "nodes 15");
   check bool_t "summary sums the variant counts" true
     (contains text "fast.nodes 13")
+
+let test_check_runs () =
+  let s =
+    D.summarize ~campaign:"t"
+      [
+        D.check ~name:"good" ~counts:[ ("shed", 3) ] [];
+        D.check ~name:"bad" ~counts:[ ("shed", 0) ] [ "shed nothing" ];
+      ]
+  in
+  (match s.D.failures with
+  | [ r ] ->
+      check bool_t "the failed run is the one with problems" true
+        (r.D.name = "bad" && contains r.D.detail "shed nothing")
+  | _ -> Alcotest.fail "expected one failure");
+  let text = Fmt.str "%a" D.pp_summary s in
+  check bool_t "summary counts the passed runs" true
+    (contains text "1/2 run(s) passed");
+  check bool_t "summary sums the check counts" true (contains text "shed 3");
+  check bool_t "no variants line without variants" false
+    (contains text "variant(s)")
 
 let test_kit_removes_scratch () =
   let module Fleet = Res_faultinject.Fleet in
@@ -533,6 +549,8 @@ let () =
             test_differential_raise_is_failure;
           Alcotest.test_case "counts sum across runs" `Quick
             test_differential_counts_sum;
+          Alcotest.test_case "check runs fail on problems and sum counts"
+            `Quick test_check_runs;
           Alcotest.test_case "fleet kit removes its scratch tree" `Quick
             test_kit_removes_scratch;
         ] );
