@@ -413,7 +413,9 @@ let analyze_cmd =
     Arg.(
       value & opt int 25
       & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:"Checkpoint every $(docv) expanded search nodes.")
+          ~doc:
+            "Checkpoint every $(docv) search frontier pops (a visit, an \
+             eval or a seal).")
   in
   let no_static_prune =
     Arg.(
@@ -514,8 +516,8 @@ let resume_cmd =
       value & opt int 25
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
-            "Keep checkpointing to the same file every $(docv) expanded \
-             nodes, so the resumed run is itself resumable.")
+            "Keep checkpointing to the same file every $(docv) search \
+             frontier pops, so the resumed run is itself resumable.")
   in
   let run ckpt_path deadline fuel checkpoint_every =
     let ck =

@@ -135,7 +135,3 @@ let slice prog (pc : Res_ir.Pc.t) : slice =
   in
   { instructions; store_sites = List.rev !store_sites; functions_touched }
 
-let pp ppf s =
-  Fmt.pf ppf "@[<v>slice: %d instructions, %d store sites, %d functions@]"
-    (size s) (List.length s.store_sites)
-    (List.length s.functions_touched)

@@ -109,10 +109,3 @@ let report t =
   |> List.map (fun n ->
          (Res_serve.Client.addr_to_string n.nd_addr, state_name n.nd_state,
           n.nd_completed, n.nd_failures))
-
-let pp_report ppf t =
-  List.iter
-    (fun (addr, state, ok, failed) ->
-      Fmt.pf ppf "node %-21s %-7s completed=%d failures=%d@," addr state ok
-        failed)
-    (report t)

@@ -96,11 +96,6 @@ type kind =
       (** a halted thread's terminal segment: [block] of [func] ending in
           [ret]/[halt] *)
 
-let pp_kind ppf = function
-  | K_partial _ -> Fmt.string ppf "partial"
-  | K_full { block } -> Fmt.pf ppf "full %s" block
-  | K_final { func; block } -> Fmt.pf ppf "final %s:%s" func block
-
 (** A successfully applied backward step. *)
 type applied = {
   ap_snapshot : Snapshot.t;  (** the new, one-segment-earlier snapshot *)

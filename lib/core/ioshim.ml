@@ -32,14 +32,6 @@ type op =
   | Read  (** reading a file back *)
   | Mkdir  (** creating a persistence directory *)
 
-let op_name = function
-  | Write -> "write"
-  | Fsync -> "fsync"
-  | Rename -> "rename"
-  | Fsync_dir -> "fsync-dir"
-  | Read -> "read"
-  | Mkdir -> "mkdir"
-
 (** How an injected operation fails. *)
 type fault =
   | Enospc  (** disk full: half the bytes land, then ENOSPC *)

@@ -124,24 +124,23 @@ type outcome =
     [ck_max_nodes], [ck_depth]), the suffixes behind the reports of every
     {e completed} depth (reports are recomputed on resume — replay is
     deterministic, so recomputation is cheaper than persisting verdicts),
-    the search counters over completed depths, the suspended in-flight
-    search (whose own counters cover the partial depth, so nothing is
-    double-counted) or, between depths, the carry the last depth left for
-    the next ({!Search.search}), the budget's remaining fuel, and the
-    fresh-symbol counter (restored absolutely so a resumed run mints
-    identical symbol ids and produces bit-identical reports). *)
+    the search counters over completed depths, the suspended search of
+    the depth in progress (whose own counters cover the partial depth, so
+    nothing is double-counted; between depths it is the carry the last
+    depth left, suspended before its first pop — {!Search.search}), the
+    budget's remaining fuel, and the fresh-symbol counter (restored
+    absolutely so a resumed run mints identical symbol ids and produces
+    bit-identical reports). *)
 type ckpt_state = {
   ck_attempt : int;  (** 0-based escalation attempt in progress *)
   ck_max_nodes : int;  (** the attempt's (possibly doubled) node budget *)
-  ck_depth : int;  (** suffix depth in progress (or next, if no frontier) *)
+  ck_depth : int;  (** suffix depth in progress *)
   ck_suffixes : Suffix.t list;  (** reproduced suffixes of completed depths *)
-  ck_carry : Search.frontier_item list;
-      (** between depths, the carry depth [ck_depth - 1] left; [[]] at
-          depth 1 and mid-depth, where [ck_suspended] records it *)
   ck_truncated : bool;  (** a depth of this attempt hit the node budget *)
   ck_stats : Search.stats;  (** search counters summed over completed depths *)
   ck_suspended : Search.suspended option;
-      (** the in-flight search frontier; [None] between depths *)
+      (** the search of depth [ck_depth], where it stopped; [None] only at
+          the start of an attempt, at depth 1 *)
   ck_fuel : int option;  (** remaining fuel at checkpoint time *)
   ck_expr_counter : int;  (** {!Expr} fresh-variable counter *)
 }
@@ -152,8 +151,8 @@ type ckpt_state = {
     checkpoint must never kill the analysis it protects). *)
 type checkpointer = {
   ck_every : int;
-      (** auto-checkpoint every this many ticks: frontier pops and depth
-          boundaries *)
+      (** auto-checkpoint every this many ticks; a tick is a frontier pop (a
+          visit, an eval or a seal) *)
   ck_write : ckpt_state -> (string, string) result;
 }
 
@@ -239,7 +238,6 @@ let initial_state config =
     ck_max_nodes = config.search.Search.max_nodes;
     ck_depth = 1;
     ck_suffixes = [];
-    ck_carry = [];
     ck_truncated = false;
     ck_stats = Search.new_stats ();
     ck_suspended = None;
@@ -277,8 +275,6 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
       ck_max_nodes = max_nodes;
       ck_depth = depth;
       ck_suffixes = List.map (fun r -> r.suffix) acc;
-      ck_carry =
-        (if Option.is_none suspended && depth > 1 then Search.carry ctx else []);
       ck_truncated = !truncated;
       ck_stats = Search.copy_stats totals;
       ck_suspended = suspended;
@@ -296,8 +292,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         | Ok path -> last_ckpt := Some path
         | Error _ -> ())
   in
-  (* Checkpoint every [ck_every] ticks; a tick is a frontier pop or a
-     depth boundary. *)
+  (* Checkpoint every [ck_every] ticks; a tick is a frontier pop. *)
   let tick c state =
     incr ckpt_tick;
     if !ckpt_tick >= c.ck_every then begin
@@ -350,13 +345,20 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
     let rec deepen depth acc ~resume =
       if depth > search_config.Search.max_segments then (acc, depth - 1)
       else if not (Budget.ok budget) then begin
-        (* The budget tripped between depths (or before the first): the
-           resume point is a fresh search at this depth — unless a more
-           precise in-search suspension was already captured. *)
+        (* The budget tripped before this depth's search: the resume point
+           is the search it was handed or, with none, the carry the previous
+           depth left — unless a more precise in-search suspension was
+           already captured. *)
         (match !susp_final with
         | None ->
+            let suspended =
+              match resume with
+              | Some _ -> resume
+              | None when depth > 1 -> Search.next_layer ctx
+              | None -> None
+            in
             susp_final :=
-              Some (mk_state ~attempt:i ~max_nodes ~depth ~acc ~suspended:None)
+              Some (mk_state ~attempt:i ~max_nodes ~depth ~acc ~suspended)
         | Some _ -> ());
         (acc, depth - 1)
       end
@@ -385,15 +387,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         in
         let acc = acc @ reports in
         if config.stop_at_first_cause && found_definite_in acc then (acc, depth)
-        else begin
-          (match checkpointer with
-          | Some c when depth < search_config.Search.max_segments ->
-              tick c (fun () ->
-                  mk_state ~attempt:i ~max_nodes ~depth:(depth + 1) ~acc
-                    ~suspended:None)
-          | _ -> ());
-          deepen (depth + 1) acc ~resume:None
-        end
+        else deepen (depth + 1) acc ~resume:None
       end
     in
     let reports, depth = deepen depth0 acc0 ~resume in
@@ -443,11 +437,11 @@ let analyze ?(config = default_config) ?budget ?checkpointer ctx
           run config budget checkpointer ctx dump (initial_state config))
 
 (** Continue an analysis from a reloaded checkpoint.  Restores the
-    fresh-symbol counter and, between depths, the deepening carry first,
-    recomputes the reports of completed depths from the checkpointed
-    suffixes (replay is deterministic), then re-enters the schedule
-    exactly where the checkpoint suspended it — producing, by
-    construction, the same reports an uninterrupted run would.  [budget] defaults to unlimited: the interrupted run's budget
+    fresh-symbol counter first, recomputes the reports of completed depths
+    from the checkpointed suffixes (replay is deterministic), then
+    re-enters the schedule exactly where the checkpoint suspended it —
+    producing, by construction, the same reports an uninterrupted run
+    would.  [budget] defaults to unlimited: the interrupted run's budget
     already tripped, and a resume usually wants to finish the job. *)
 let resume ?(config = default_config) ?budget ?checkpointer ctx
     (dump : Res_vm.Coredump.t) (st : ckpt_state) : outcome =
@@ -457,22 +451,8 @@ let resume ?(config = default_config) ?budget ?checkpointer ctx
   | Ok () ->
       guarded (fun () ->
           Res_solver.Expr.restore_counter st.ck_expr_counter;
-          if Option.is_none st.ck_suspended && st.ck_depth > 1 then
-            Search.restore_carry ctx
-              ~config:
-                {
-                  config.search with
-                  Search.max_nodes = st.ck_max_nodes;
-                  max_segments = st.ck_depth - 1;
-                }
-              dump st.ck_carry;
           run config budget checkpointer ctx dump st)
 
 (** The best root cause of an analysis, if any. *)
 let best_cause analysis =
   List.find_map (fun r -> r.root_cause) analysis.reports
-
-(** Convenience: build a context and analyze in one call. *)
-let analyze_program ?config ?sym_config ?solver_config ?budget prog dump =
-  let ctx = Backstep.make_ctx ?sym_config ?solver_config prog in
-  analyze ?config ?budget ctx dump

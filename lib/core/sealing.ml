@@ -23,9 +23,6 @@
 
 module Io = Res_vm.Coredump_io
 
-(** 32-bit FNV-1a — the envelope checksum. *)
-let fnv1a32 = Io.fnv1a32
-
 (** Append the validating [end <lines> <checksum>] footer to a payload
     (which must end in a newline). *)
 let seal = Io.seal

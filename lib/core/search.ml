@@ -439,34 +439,21 @@ let statically_refuted ctx ~stop_snapshot node tid kind =
   | query, chain -> Res_static.Chain.refute query chain <> None
   | exception Exit -> false
 
-(** The carry a call leaves on its context: its traversal as events,
-    next-to-process first. *)
+(** The carry a call leaves on its context: the next, one-deeper call's
+    search, suspended before its first pop — its frontier is the
+    traversal as events, next-to-process first. *)
 type Backstep.carry +=
   | Carry of {
       c_config : config;  (** the config of the call that left it *)
       c_dump : Res_vm.Coredump.t;
-      c_items : frontier_item list;
+      c_next : suspended;
     }
 
-(** The carry the last call on [ctx] left, next-to-process first ([[]]
-    if none) — what a checkpoint taken between depths records. *)
-let carry ctx =
-  match !(ctx.Backstep.carry) with Carry c -> c.c_items | _ -> []
-
-(** Install [items] as the carry a call with [config] over [dump] left on
-    [ctx] — how a resumed analysis picks up a checkpoint taken between
-    depths. *)
-let restore_carry ctx ~config dump items =
-  ctx.Backstep.carry :=
-    Carry { c_config = config; c_dump = dump; c_items = items }
-
-(* The smallest visit id no carried eval or seal uses. *)
-let next_free_id items =
-  List.fold_left
-    (fun m -> function
-      | F_eval { e_parent = p; _ } | F_seal { s_parent = p; _ } -> max m (p + 1)
-      | F_visit _ | F_emit _ -> m)
-    0 items
+(** The next depth's search the last call on [ctx] left, suspended before
+    its first pop ([None] if none) — what a checkpoint taken between
+    depths records. *)
+let next_layer ctx =
+  match !(ctx.Backstep.carry) with Carry c -> Some c.c_next | _ -> None
 
 (** Synthesize suffixes of up to [max_segments] segments for [dump].
     [snapshot0] overrides the base snapshot — e.g.
@@ -480,41 +467,36 @@ let next_free_id items =
     need — the checkpoint hook.
 
     Deepening costs one expansion per node, not one per node per depth.
-    Every call leaves on [ctx] a {e carry}: its traversal as a list of
-    events — each dead-end or program-start suffix it emitted
-    ([F_emit]), each node it reached at [max_segments] ([F_visit]), then
-    whatever frontier [max_suffixes] or a budget cut off.  A call with
-    [max_segments] one greater, the config otherwise equal, over the
-    physically same [dump], and with neither [snapshot0] nor [resume],
-    drains that carry instead of starting from the coredump: it expands
-    only the new layer, yet emits the same suffixes in the same order as
-    a search from scratch would.  Every other call starts from the
-    coredump and replaces the carry. *)
+    Every call leaves on [ctx] a {e carry}: the next depth's search,
+    suspended before its first pop, whose frontier is this call's
+    traversal as a list of events — each dead-end or program-start suffix
+    it emitted ([F_emit]), each node it reached at [max_segments]
+    ([F_visit]), then whatever frontier [max_suffixes] or a budget cut
+    off.  A call with [max_segments] one greater, the config otherwise
+    equal, over the physically same [dump], and with neither [snapshot0]
+    nor [resume], resumes that carry instead of starting from the
+    coredump: it expands only the new layer, yet emits the same suffixes
+    in the same order as a search from scratch would.  Every other call
+    starts from [resume] or the coredump and replaces the carry. *)
 let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
     (dump : Res_vm.Coredump.t) : result =
   let cell = ctx.Backstep.carry in
   let overridden = Option.is_some snapshot0 in
-  let carried =
+  let resume =
     match (resume, overridden, !cell) with
     | None, false, Carry c
       when c.c_dump == dump
            && c.c_config = { config with max_segments = config.max_segments - 1 }
       ->
-        Some c.c_items
-    | _ -> None
+        Some c.c_next
+    | _ -> resume
   in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let ctx = Backstep.with_interrupt ctx (Budget.interrupt budget) in
   let stats =
     match resume with Some s -> copy_stats s.s_stats | None -> new_stats ()
   in
-  let next_id =
-    ref
-      (match (resume, carried) with
-      | Some s, _ -> s.s_next_id
-      | None, Some items -> next_free_id items
-      | None, None -> 0)
-  in
+  let next_id = ref (match resume with Some s -> s.s_next_id | None -> 0) in
   let out = ref (match resume with Some s -> s.s_out | None -> []) in
   (* The next call's carry: events newest first, then the frontier a cut
      left unprocessed. *)
@@ -746,10 +728,9 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
           end
         end
   in
-  (match (resume, carried) with
-  | Some s, _ -> stack := s.s_frontier
-  | None, Some items -> stack := items
-  | None, None -> (
+  (match resume with
+  | Some s -> stack := s.s_frontier
+  | None -> (
       let crumbs0 =
         if config.use_breadcrumbs then crumbs_of_dump ctx dump else IMap.empty
       in
@@ -832,7 +813,14 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
         {
           c_config = config;
           c_dump = dump;
-          c_items = List.rev_append !recorded !left;
+          c_next =
+            {
+              s_frontier = List.rev_append !recorded !left;
+              s_carry = [];
+              s_stats = new_stats ();
+              s_next_id = !next_id;
+              s_out = [];
+            };
         };
   {
     suffixes = List.rev !out;

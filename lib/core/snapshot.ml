@@ -89,10 +89,6 @@ let with_thread t ts = { t with threads = IMap.add ts.ts_tid ts t.threads }
 
 let add_constraints t cs = { t with constraints = cs @ t.constraints }
 
-(** Live (non-halted) threads. *)
-let live_threads t =
-  List.filter (fun ts -> ts.ts_status <> Res_vm.Thread.Halted) (threads t)
-
 (** Number of symbolic memory cells — a measure of how much state the walk
     has havocked so far. *)
 let symbolic_cells t = IMap.cardinal t.mem_over
@@ -131,14 +127,6 @@ let concrete_frames ts model =
         ret_reg = fr.ret_reg;
       })
     ts.ts_frames
-
-let pp ppf t =
-  let pp_over ppf (a, e) = Fmt.pf ppf "[0x%x]=%a" a Expr.pp e in
-  Fmt.pf ppf "@[<v>snapshot: %d symbolic cells, %d constraints@,%a@]"
-    (symbolic_cells t)
-    (List.length t.constraints)
-    Fmt.(list ~sep:sp pp_over)
-    (IMap.bindings t.mem_over)
 
 (** The minidump ablation (paper §1: "Unlike execution synthesis, RES
     interprets the entire coredump, not just a minidump, which makes RES

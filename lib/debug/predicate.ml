@@ -116,8 +116,6 @@ let rec pp ppf = function
   | Mem a -> Fmt.pf ppf "[%a]" pp a
   | Bin (op, a, b) -> Fmt.pf ppf "(%a %s %a)" pp a (op_str op) pp b
 
-let to_string e = Fmt.str "%a" pp e
-
 (* --- parsing ---------------------------------------------------------- *)
 
 type token =

@@ -293,14 +293,19 @@ let kr_reference w =
     resuming — each leg under the {e same} lethal fuel, so long analyses
     die and resume many times — until it completes.  With [torn], the
     first leg also dies halfway through its exhaustion-time checkpoint
-    write, leaving a torn journal to recover.  A chain that leaves a torn
-    [.tmp] or an invalid checkpoint on disk fails. *)
-let kill_chain ~torn k (w : Res_workloads.Truth.t) =
+    write, leaving a torn journal to recover.  With [expired], the first
+    resumed leg runs under a deadline that has already passed, so it
+    stops before its first search and must rewrite the resume point it
+    was handed.  A chain that leaves a torn [.tmp] or an invalid
+    checkpoint on disk fails. *)
+let kill_chain ?(torn = false) ?(expired = false) k (w : Res_workloads.Truth.t) =
   let every = 4 in
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "kr-%d-%s-%d%s.ckpt" (Unix.getpid ()) w.Res_workloads.Truth.w_name k
-         (if torn then "-torn" else ""))
+      (Fmt.str "kr-%d-%s-%d%s%s.ckpt" (Unix.getpid ()) w.Res_workloads.Truth.w_name
+         k
+         (if torn then "-torn" else "")
+         (if expired then "-expired" else ""))
   in
   let cleanup () =
     List.iter
@@ -361,8 +366,12 @@ let kill_chain ~torn k (w : Res_workloads.Truth.t) =
           checkpointer ~every ~path ~config:ck.config ~prog:ck.prog
             ~dump:ck.dump ()
         in
+        let budget =
+          if expired && legs = 1 then Res_core.Budget.create ~wall_seconds:(-1.) ()
+          else lethal_budget ()
+        in
         chase (legs + 1)
-          (Res_core.Res.resume ~config:ck.config ~budget:(lethal_budget ())
+          (Res_core.Res.resume ~config:ck.config ~budget
              ~checkpointer:cp
              (Res_core.Backstep.make_ctx ck.prog)
              ck.dump ck.state)
@@ -384,14 +393,18 @@ let kill_chain ~torn k (w : Res_workloads.Truth.t) =
   }
 
 (** Kill-and-resume equivalence: every workload's never-killed reports
-    against one chain per kill point in [kills] plus a mid-write kill at
-    [torn_kill]. *)
+    against one chain per kill point in [kills], a mid-write kill at
+    [torn_kill] and a chain killed at 5 whose first resume runs past its
+    deadline. *)
 let kill_resume_campaign ?(kills = [ 1; 5; 17 ]) ?(torn_kill = 13)
     ?(workloads = default_workloads ()) () =
   Differential.run ~campaign:"kill-resume" ~reference:kr_reference
     ~variants:
-      (List.map (fun k -> (Fmt.str "kill@%d" k, kill_chain ~torn:false k)) kills
-      @ [ (Fmt.str "torn@%d" torn_kill, kill_chain ~torn:true torn_kill) ])
+      (List.map (fun k -> (Fmt.str "kill@%d" k, kill_chain k)) kills
+      @ [
+          (Fmt.str "torn@%d" torn_kill, kill_chain ~torn:true torn_kill);
+          ("expired@5", kill_chain ~expired:true 5);
+        ])
     (subjects workloads)
 
 (* --- static pruning and concrete reverse execution --- *)

@@ -271,7 +271,8 @@ let replace_first ~marker ~sub s =
       ^ String.sub s (i + String.length marker) (String.length s - i - String.length marker)
 
 (** A real checkpoint taken between two depths of an exhaustive
-    long-exec-50 analysis, whose carry holds the next depth's frontier.
+    long-exec-50 analysis: the next depth's search, suspended before its
+    first pop, whose frontier is the carry the last depth left.
     Symbol ids are minted from zero, so its bytes do not depend on what
     ran earlier in the process. *)
 let deepening_checkpoint () =
@@ -291,8 +292,12 @@ let deepening_checkpoint () =
       Res_core.Res.ck_every = 1;
       ck_write =
         (fun st ->
-          if !between = None && st.Res_core.Res.ck_carry <> [] then
-            between := Some st;
+          (match (!between, st.Res_core.Res.ck_suspended) with
+          | None, Some s
+            when st.ck_depth > 1 && s.Res_core.Search.s_carry = []
+                 && s.s_stats = Res_core.Search.new_stats () ->
+              between := Some st
+          | _ -> ());
           Ok "captured");
     }
   in
@@ -306,7 +311,7 @@ let deepening_checkpoint () =
   | Some state ->
       Res_persist.Checkpoint.to_string
         { Res_persist.Checkpoint.config; prog; dump; state }
-  | None -> failwith "long-exec-50 left no carry between depths"
+  | None -> failwith "long-exec-50 left no state between depths"
 
 (** Build the format descriptors.  The corpus programs/dumps seed the
     coredump, checkpoint, and protocol formats with realistic bytes —
@@ -348,7 +353,7 @@ let formats () =
           Result.is_ok (Io.of_string_result s));
     }
   in
-  (* -- checkpoint v5 -- *)
+  (* -- checkpoint v6 -- *)
   let ckpt_seed =
     Res_persist.Checkpoint.to_string
       {
@@ -368,7 +373,7 @@ let formats () =
       f_hostile =
         [
           tamper ~header:ckpt_header
-            (fun p -> replace_first ~marker:"carry 1" ~sub:"carry 999999" p)
+            (fun p -> replace_first ~marker:"frontier 1" ~sub:"frontier 999999" p)
             carry_seed;
           tamper ~header:ckpt_header
             (fun p -> replace_first ~marker:"suffixes 0" ~sub:"suffixes 1048577" p)

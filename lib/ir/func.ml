@@ -40,9 +40,6 @@ let all_regs f =
   let of_block b = Block.defined_regs b @ Block.used_regs b in
   List.concat_map of_block f.blocks @ f.params |> List.sort_uniq compare
 
-(** Largest register index used, or -1 for a register-free function. *)
-let max_reg f = List.fold_left max (-1) (all_regs f)
-
 let pp ppf f =
   Fmt.pf ppf "@[<v>func %s(%a) {@;<0 0>%a@;<0 0>}@]" f.name
     Fmt.(list ~sep:(any ", ") Instr.pp_reg)

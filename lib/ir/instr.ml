@@ -222,9 +222,6 @@ let accesses = function
 (** Whether [i] changes the heap structure (allocates or frees a block). *)
 let heap_op = function Alloc _ | Free _ -> true | _ -> false
 
-(** The function a [Call] transfers to, with its argument registers. *)
-let call_target = function Call (_, f, args) -> Some (f, args) | _ -> None
-
 (** The function a [Spawn] starts a thread in, with its arguments. *)
 let spawn_target = function Spawn (_, f, args) -> Some (f, args) | _ -> None
 
@@ -270,5 +267,3 @@ let pp_terminator ppf = function
   | Halt -> Fmt.string ppf "halt"
   | Abort msg -> Fmt.pf ppf "abort %S" msg
 
-let to_string i = Fmt.str "%a" pp i
-let terminator_to_string t = Fmt.str "%a" pp_terminator t

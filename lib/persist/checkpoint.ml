@@ -3,14 +3,14 @@
     A checkpoint is a self-contained image of a running {!Res_core.Res}
     analysis: the program, the coredump, the analysis configuration, and
     the {!Res_core.Res.ckpt_state} (deepening position, suffixes of
-    completed depths, the suspended search frontier, the deepening carry,
+    completed depths, the suspended search of the depth in progress,
     counters, fuel, and the fresh-symbol counter).  "Self-contained" is
     the point: a resumed process needs nothing but the checkpoint file to
     continue the analysis and produce bit-identical reports.
 
     The on-disk format reuses the coredump format's building blocks
     ({!Res_vm.Coredump_io}): a line-oriented text record under a
-    [rescheckpoint v5] header, sealed with the FNV-1a
+    [rescheckpoint v6] header, sealed with the FNV-1a
     [end <lines> <checksum>] footer, written via temp-file + atomic
     rename.  Loading classifies damage into the same {!dump_error}
     taxonomy as coredumps — truncation, bit corruption, and torn writes
@@ -34,7 +34,7 @@ type t = {
   state : Res_core.Res.ckpt_state;
 }
 
-let header = "rescheckpoint v5"
+let header = "rescheckpoint v6"
 
 (* --- writers ------------------------------------------------------- *)
 
@@ -176,7 +176,7 @@ let to_string (c : t) =
   let st = c.state in
   let payload =
     Fmt.str
-      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %a %d@,fuel %a@,suffixes %a@,carry %a@,%a@]@."
+      "@[<v>%s@,config %d %d %d %a %a %a %d %a %d@,prog %S@,dump %S@,state %d %d %d %a %a %d@,fuel %a@,suffixes %a@,%a@]@."
       header sc.Res_core.Search.max_segments sc.max_suffixes sc.max_nodes
       pp_bool sc.use_breadcrumbs pp_bool sc.static_prune pp_bool sc.reverse_exec
       cfg.determinism_runs pp_bool cfg.stop_at_first_cause cfg.max_attempts
@@ -185,7 +185,6 @@ let to_string (c : t) =
       st.ck_depth pp_bool st.ck_truncated pp_stats st.ck_stats
       st.ck_expr_counter
       pp_int_opt st.ck_fuel (pp_seq pp_suffix) st.ck_suffixes
-      (pp_seq pp_item) st.ck_carry
       (fun ppf -> function
         | None -> Fmt.string ppf "suspended 0"
         | Some s -> pp_suspended ppf s)
@@ -538,7 +537,7 @@ let suspended_of rd : Res_core.Search.suspended option =
 let parse_payload payload : t =
   let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
   keyword rd "rescheckpoint";
-  keyword rd "v5";
+  keyword rd "v6";
   keyword rd "config";
   let max_segments = Io.int_tok rd in
   let max_suffixes = Io.int_tok rd in
@@ -584,8 +583,6 @@ let parse_payload payload : t =
   let ck_fuel = int_opt_of rd in
   keyword rd "suffixes";
   let ck_suffixes = seq_of rd suffix_of in
-  keyword rd "carry";
-  let ck_carry = seq_of rd item_of in
   let ck_suspended = suspended_of rd in
   (match Io.peek rd with
   | None -> ()
@@ -600,7 +597,6 @@ let parse_payload payload : t =
         ck_max_nodes;
         ck_depth;
         ck_suffixes;
-        ck_carry;
         ck_truncated;
         ck_stats;
         ck_suspended;

@@ -3,7 +3,7 @@
     A checkpoint is a self-contained image of a running {!Res_core.Res}
     analysis — program, coredump, configuration, and the
     {!Res_core.Res.ckpt_state} (deepening position, suffixes of completed
-    depths, suspended search frontier, deepening carry, counters, fuel,
+    depths, the suspended search of the depth in progress, counters, fuel,
     fresh-symbol counter).  A resumed process needs nothing but the
     checkpoint file to continue the analysis and produce bit-identical
     reports.
@@ -46,8 +46,9 @@ val recover_journal : string -> unit
 val load : string -> (t, Res_vm.Coredump_io.dump_error) result
 
 (** A {!Res_core.Res.checkpointer} persisting to [path] every [every]
-    ticks (frontier pops and depth boundaries; default 25).  Write failures surface as [Error] and
-    leave the previous good checkpoint in place. *)
+    ticks (frontier pops: visits, evals and seals; default 25).  Write
+    failures surface as [Error] and leave the previous good checkpoint in
+    place. *)
 val checkpointer :
   ?every:int ->
   path:string ->

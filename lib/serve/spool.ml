@@ -77,7 +77,6 @@ let read_request t id = Res_core.Ioshim.read_file (req_path t id)
 let read_result t id = Res_core.Ioshim.read_file (res_path t id)
 
 let has_request t id = Sys.file_exists (req_path t id)
-let has_result t id = Sys.file_exists (res_path t id)
 
 (** Accepted-but-unfinished ids ([.req] without [.res]), sorted — the
     work a restarted daemon re-admits. *)

@@ -28,11 +28,6 @@ let equal a b =
 
 let join a b = if equal a b then a else Top
 
-let pp ppf = function
-  | Top -> Fmt.string ppf "?"
-  | Int n -> Fmt.int ppf n
-  | GPtr (g, o) -> Fmt.pf ppf "&%s[%d]" g o
-
 (** An abstract register file.  Registers absent from the map are [Top]. *)
 type env = t IMap.t
 

@@ -56,10 +56,6 @@ module ISet = Set.Make (Int)
 
 type value = Top | Known of int
 
-let pp_value ppf = function
-  | Top -> Fmt.string ppf "?"
-  | Known n -> Fmt.int ppf n
-
 (** How one synthesized segment of the chain ended. *)
 type seg_end =
   | End_branch of string  (** block ran to completion and fell to label *)

@@ -1,34 +1,11 @@
-(** Per-instruction def-use chains within a function.
+(** Def-use facts within a block.
 
-    MiniIR blocks are straight-line, so the reaching definition of a use
-    is either the closest preceding definition in the same block or the
-    block-entry value (the pre-state the backward search reconstructs).
-    This module makes that relation explicit: the backward slicer walks
-    def-use edges, and the invertibility analysis asks deadness questions
+    MiniIR blocks are straight-line, so the uses of a definition are the
+    later instructions (and terminator) of its block that read it before
+    it is redefined.  The invertibility analysis asks deadness questions
     ("is the value this load clobbers ever observed before the next
     definition?") whose answers decide when a reverse step may treat a
     pre-value as unconstrained. *)
-
-module ISet = Set.Make (Int)
-module SMap = Map.Make (String)
-
-(** The reaching definition of a register use. *)
-type def_site =
-  | Local of int  (** instruction index of the defining instruction *)
-  | Entry  (** no in-block definition precedes the use: block-entry value *)
-
-(** [def_of_use b ~idx r] is the definition of [r] visible to a use at
-    instruction [idx] of [b] ([idx = Block.length b] queries a terminator
-    use). *)
-let def_of_use (b : Res_ir.Block.t) ~idx r =
-  let rec scan i =
-    if i < 0 then Entry
-    else
-      match Res_ir.Instr.defs b.instrs.(i) with
-      | Some d when d = r -> Local i
-      | _ -> scan (i - 1)
-  in
-  scan (min idx (Res_ir.Block.length b) - 1)
 
 (** Use sites of the value defined at instruction [idx]: the instruction
     indices that read it before it is redefined, and whether the
@@ -56,30 +33,3 @@ let uses_of_def (b : Res_ir.Block.t) ~idx =
     here is only about this particular definition's value. *)
 let dead_after b ~idx =
   match uses_of_def b ~idx with [], false -> true | _ -> false
-
-(** Per-function index: for each register, the labels of the blocks that
-    mention it (define it, use it, or read it in their terminator). *)
-type t = { du_mention : ISet.t SMap.t }
-
-let of_func (f : Res_ir.Func.t) =
-  let mention =
-    List.fold_left
-      (fun m (b : Res_ir.Block.t) ->
-        let regs =
-          ISet.of_list (Res_ir.Block.defined_regs b @ Res_ir.Block.used_regs b)
-        in
-        SMap.add b.label regs m)
-      SMap.empty f.blocks
-  in
-  { du_mention = mention }
-
-(** Blocks of [f] that mention register [r]. *)
-let blocks_mentioning t r =
-  SMap.fold
-    (fun label regs acc -> if ISet.mem r regs then label :: acc else acc)
-    t.du_mention []
-  |> List.sort compare
-
-(** [r] appears in no block of the function other than [block]. *)
-let local_to t ~block r =
-  List.for_all (String.equal block) (blocks_mentioning t r)

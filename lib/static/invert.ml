@@ -168,30 +168,6 @@ let classify ?summary (b : Res_ir.Block.t) : verdict =
               pl_slice = sl;
             })
 
-let pp_rhs ppf = function
-  | Rhs_const n -> Fmt.pf ppf "const %d" n
-  | Rhs_mov a -> Fmt.pf ppf "mov r%d" a
-  | Rhs_binop (op, a, b) ->
-      Fmt.pf ppf "%s r%d, r%d" (Res_ir.Instr.binop_name op) a b
-  | Rhs_unop (op, a) -> Fmt.pf ppf "%s r%d" (Res_ir.Instr.unop_name op) a
-  | Rhs_global g -> Fmt.pf ppf "global %s" g
-
-let pp_rop ppf = function
-  | R_def { idx; dst; rhs } ->
-      Fmt.pf ppf "@%d undo r%d = %a" idx dst pp_rhs rhs
-  | R_load { idx; dst; addr; off } ->
-      Fmt.pf ppf "@%d undo r%d = load r%d[%d]" idx dst addr off
-  | R_store { idx; addr; off; src } ->
-      Fmt.pf ppf "@%d undo store r%d[%d] = r%d" idx addr off src
-  | R_check { idx; reg } -> Fmt.pf ppf "@%d require r%d <> 0" idx reg
-
-(** Render the synthesized reverse code (reverse program order). *)
-let pp_plan ppf p =
-  Fmt.pf ppf "@[<v>reverse %s (%d instrs, %d sliced):@,%a@]" p.pl_block
-    p.pl_n_instrs p.pl_slice.Slice.sl_skipped
-    Fmt.(list ~sep:cut pp_rop)
-    p.pl_rops
-
 (** Program-wide static coverage, for [res check]: how many instructions
     are individually invertible, out of how many, and how large the
     crash slice is. *)

@@ -42,12 +42,6 @@ let foot_union a b =
 let foot_equal a b =
   CSet.equal a.f_cells b.f_cells && Bool.equal a.f_unknown b.f_unknown
 
-let pp_foot ppf f =
-  Fmt.pf ppf "{%a%s}"
-    Fmt.(list ~sep:(any ", ") Cell.pp)
-    (CSet.elements f.f_cells)
-    (if f.f_unknown then if CSet.is_empty f.f_cells then "?" else ", ?" else "")
-
 (** One function's effect summary. *)
 type fsum = {
   s_mod : foot;  (** cells the function may write *)
@@ -225,12 +219,3 @@ let block_sum t (f : Res_ir.Func.t) (b : Res_ir.Block.t) =
     (fun callee acc -> fsum_union acc (transitive t callee))
     sum.s_calls sum
   |> fun folded -> { folded with s_calls = sum.s_calls }
-
-let pp_fsum ppf s =
-  Fmt.pf ppf "mod %a ref %a locks {%a%s}%s%s%s" pp_foot s.s_mod pp_foot s.s_ref
-    Fmt.(list ~sep:(any ", ") Cell.pp)
-    (CSet.elements s.s_locks)
-    (if s.s_locks_unknown then "?" else "")
-    (if s.s_heap then " heap" else "")
-    (if s.s_inputs then " input" else "")
-    (if s.s_joins then " join" else "")

@@ -44,8 +44,6 @@ let pp_kind ppf = function
 let pp ppf t =
   Fmt.pf ppf "thread %d at %a: %a" t.tid Res_ir.Pc.pp t.pc pp_kind t.kind
 
-let to_string t = Fmt.str "%a" pp t
-
 (** Coarse family of a crash kind — what a naive triager keys on. *)
 let kind_family = function
   | Seg_fault _ -> "segfault"

@@ -58,4 +58,3 @@ let touched_addr e =
   | _ -> None
 
 let is_write e = match e.action with A_write _ -> true | _ -> false
-let is_read e = match e.action with A_read _ -> true | _ -> false

@@ -35,9 +35,6 @@ let write_reg fr r v = { fr with regs = IMap.add r v fr.regs }
 
 let pc fr = Res_ir.Pc.v ~func:fr.func ~block:fr.block ~idx:fr.idx
 
-let with_pc fr (pc : Res_ir.Pc.t) =
-  { fr with func = pc.func; block = pc.block; idx = pc.idx }
-
 (** Jump to the start of [label] in the same function. *)
 let goto fr label = { fr with block = label; idx = 0 }
 

@@ -136,13 +136,3 @@ let generate ?(n_per_bug = 4) () =
   (let w = Div_zero.workload in
    add "scale-div0" w.Truth.w_prog (Truth.coredump w));
   List.rev !reports
-
-(** The WER-style bucket key: a hash of the crash stack positions and the
-    crash-kind family — no execution analysis at all (paper §3.1). *)
-let stack_hash_key (dump : Res_vm.Coredump.t) =
-  let stack = Res_vm.Coredump.crash_stack dump in
-  let family = Res_vm.Crash.kind_family dump.Res_vm.Coredump.crash.Res_vm.Crash.kind in
-  Fmt.str "%s|%a" family
-    Fmt.(
-      list ~sep:(any ";") (fun ppf (f, b, i) -> Fmt.pf ppf "%s:%s:%d" f b i))
-    stack

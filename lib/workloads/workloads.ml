@@ -22,5 +22,3 @@ let find name =
   match List.find_opt (fun w -> String.equal w.Truth.w_name name) all with
   | Some w -> w
   | None -> invalid_arg (Fmt.str "Workloads.find: unknown workload %s" name)
-
-let names = List.map (fun w -> w.Truth.w_name) all

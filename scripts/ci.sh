@@ -52,9 +52,11 @@ dune exec bin/res_cli.exe -- selftest --runs 60
 TMPDIR="$gate_tmp" "$RES" selftest --kill-resume
 
 # The same round trip through the CLI and a checkpoint file: a
-# fuel-starved analysis exits 4 having saved a checkpoint, `res resume`
-# finishes it with exit 0, and its report, the `search nodes:` counter
-# line included, is the uninterrupted analysis's, bar the cpu time.
+# fuel-starved analysis exits 4 having saved a checkpoint, a resume whose
+# deadline passes before its first search exits 4 and rewrites it, a
+# final `res resume` finishes it with exit 0, and its report, the
+# `search nodes:` counter line included, is the uninterrupted analysis's,
+# bar the cpu time.
 "$RES" workload long-exec-50 -o "$cache_tmp/long.core" \
   --program "$cache_tmp/long.res" > /dev/null
 rc=0
@@ -62,6 +64,10 @@ rc=0
   --fuel 5 --checkpoint "$cache_tmp/long.ckpt" > "$cache_tmp/killed.txt" || rc=$?
 [ "$rc" -eq 4 ] && grep -q "checkpoint saved" "$cache_tmp/killed.txt" \
   || { echo "fuel-starved analyze exited $rc without saving a checkpoint"; exit 1; }
+rc=0
+"$RES" resume "$cache_tmp/long.ckpt" --deadline 0.000001 > /dev/null || rc=$?
+[ "$rc" -eq 4 ] \
+  || { echo "res resume past its deadline exited $rc, expected 4"; exit 1; }
 "$RES" resume "$cache_tmp/long.ckpt" > "$cache_tmp/resumed.raw" \
   || { echo "res resume of the saved checkpoint exited non-zero"; exit 1; }
 "$RES" analyze "$cache_tmp/long.res" "$cache_tmp/long.core" --depth 20 \

@@ -138,7 +138,7 @@ let rendered ctx dump (r : Search.result) =
 (* Deepen 1..[depth] on one ctx, which continues each depth's carry, and
    on a fresh ctx per depth, which cannot: every depth must render the
    same suffixes. *)
-let check_carry_invisible ?(max_suffixes = 4) ~depth (w : Res_workloads.Truth.t)
+let assert_carry_invisible ?(max_suffixes = 4) ~depth (w : Res_workloads.Truth.t)
     =
   let dump = Res_workloads.Truth.coredump w in
   let prog = w.Res_workloads.Truth.w_prog in
@@ -158,14 +158,14 @@ let check_carry_invisible ?(max_suffixes = 4) ~depth (w : Res_workloads.Truth.t)
 let test_carry_invisible_all_workloads () =
   List.iter
     (fun w ->
-      check_carry_invisible ~depth:8 w;
-      check_carry_invisible ~max_suffixes:64 ~depth:8 w)
+      assert_carry_invisible ~depth:8 w;
+      assert_carry_invisible ~max_suffixes:64 ~depth:8 w)
     Res_workloads.Workloads.all
 
 let long_exec_50 () = Res_workloads.Workloads.find "long-exec-50"
 
 let test_carry_invisible_long_exec () =
-  check_carry_invisible ~depth:55 (long_exec_50 ())
+  assert_carry_invisible ~depth:55 (long_exec_50 ())
 
 let test_deep_analysis_nodes_linear () =
   let w = long_exec_50 () in

@@ -67,7 +67,6 @@ let test_roundtrip_all_workloads () =
                 ck_max_nodes = 2_000;
                 ck_depth = 1;
                 ck_suffixes = [];
-                ck_carry = [];
                 ck_truncated = false;
                 ck_stats = Res_core.Search.new_stats ();
                 ck_suspended = None;
@@ -127,17 +126,17 @@ let test_loader_rejects_damage () =
   check string_t "empty rejected" "empty" (classify "");
   check string_t "garbage header rejected" "bad-header"
     (classify ("notacheckpoint v9\n" ^ text));
-  (* A sealed checkpoint in the v4 layout is refused by its header, not
+  (* A sealed checkpoint in the v5 layout is refused by its header, not
      misread field by field. *)
-  let v4 =
+  let v5 =
     match Res_core.Sealing.validate ~header:Ckpt.header text with
     | Ok payload ->
         let n = String.length Ckpt.header in
         Res_core.Sealing.seal
-          ("rescheckpoint v4" ^ String.sub payload n (String.length payload - n))
+          ("rescheckpoint v5" ^ String.sub payload n (String.length payload - n))
     | Error _ -> Alcotest.fail "intact text must validate"
   in
-  check string_t "v4 header rejected" "bad-header" (classify v4);
+  check string_t "v5 header rejected" "bad-header" (classify v5);
   check string_t "truncation detected" "truncated"
     (classify (String.sub text 0 (String.length text / 2)));
   (* Flip one bit in the middle of the payload: the FNV-1a footer must
@@ -268,8 +267,8 @@ let test_resume_bit_identical () =
 
 (* long-exec-50 deepened to 55 segments without an early stop: every
    depth continues the previous one's carry, so a kill between depths
-   leaves the carry in [ck_carry] and a kill mid-depth leaves the
-   partial next carry in the suspended search. *)
+   leaves the next depth's search suspended before its first pop and a
+   kill mid-depth leaves the partial next carry in the suspended search. *)
 let deep_config =
   {
     test_config with
@@ -304,8 +303,12 @@ let deep_states () =
   in
   let between =
     pick "between-depths" (fun st ->
-        st.Res_core.Res.ck_suspended = None
-        && st.ck_depth >= 20 && st.ck_carry <> [])
+        match st.Res_core.Res.ck_suspended with
+        | Some s ->
+            st.ck_depth >= 20
+            && s.Res_core.Search.s_carry = []
+            && s.s_stats = Res_core.Search.new_stats ()
+        | None -> false)
   in
   let mid =
     pick "mid-depth" (fun st ->
@@ -315,7 +318,7 @@ let deep_states () =
   in
   (w, dump, baseline, [ ("between depths", between); ("mid-depth", mid) ])
 
-let test_v5_roundtrip_with_carry () =
+let test_v6_roundtrip_deep_states () =
   let w, dump, _, states = deep_states () in
   List.iter
     (fun (what, state) ->
@@ -328,8 +331,8 @@ let test_v5_roundtrip_with_carry () =
             state;
           }
       in
-      check bool_t "v5 header" true
-        (String.starts_with ~prefix:Ckpt.header text && Ckpt.header = "rescheckpoint v5");
+      check bool_t "v6 header" true
+        (String.starts_with ~prefix:Ckpt.header text && Ckpt.header = "rescheckpoint v6");
       match Ckpt.of_string text with
       | Error e ->
           Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
@@ -337,36 +340,69 @@ let test_v5_roundtrip_with_carry () =
           check string_t (what ^ " round-trips") text (Ckpt.to_string c))
     states
 
+(* What a new process does with a state a killed one wrote: serialize,
+   reload, resume from a fresh context. *)
+let resume_in_new_process ?budget ?checkpointer (w : Res_workloads.Truth.t) dump
+    what state =
+  let text =
+    Ckpt.to_string
+      { Ckpt.config = deep_config; prog = w.Res_workloads.Truth.w_prog; dump; state }
+  in
+  match Ckpt.of_string text with
+  | Error e ->
+      Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
+  | Ok ck ->
+      let ctx = Res_core.Backstep.make_ctx ck.Ckpt.prog in
+      ( ctx,
+        Res_core.Res.resume ~config:ck.Ckpt.config ?budget ?checkpointer ctx
+          ck.Ckpt.dump ck.Ckpt.state )
+
 let test_resume_with_carry () =
   let w, dump, baseline, states = deep_states () in
   List.iter
     (fun (what, state) ->
-      (* The killed process wrote [state]; a new one loads it. *)
-      let text =
-        Ckpt.to_string
-          {
-            Ckpt.config = deep_config;
-            prog = w.Res_workloads.Truth.w_prog;
-            dump;
-            state;
-          }
-      in
       Res_solver.Expr.reset_counter_for_tests ();
-      match Ckpt.of_string text with
-      | Error e ->
-          Alcotest.failf "%s: reload failed: %s" what (Io.dump_error_to_string e)
-      | Ok ck ->
-          let ctx = Res_core.Backstep.make_ctx ck.Ckpt.prog in
-          let outcome =
-            Res_core.Res.resume ~config:ck.Ckpt.config ctx ck.Ckpt.dump
-              ck.Ckpt.state
-          in
-          check string_t
-            (what ^ ": resumed reports and counters are bit-identical")
-            baseline
-            (Res_core.Report.reports_to_string ctx
-               (Res_core.Res.analysis outcome)))
+      let ctx, outcome = resume_in_new_process w dump what state in
+      check string_t
+        (what ^ ": resumed reports and counters are bit-identical")
+        baseline
+        (Res_core.Report.reports_to_string ctx (Res_core.Res.analysis outcome)))
     states
+
+(* A resume whose deadline has already passed stops before its first
+   search; the state it writes must still hold the search it was handed,
+   so resuming that state finishes the never-killed run's analysis. *)
+let test_resume_past_deadline () =
+  let w, dump, baseline, states = deep_states () in
+  let mid = List.assoc "mid-depth" states in
+  Res_solver.Expr.reset_counter_for_tests ();
+  let rewritten = ref None in
+  let checkpointer =
+    {
+      Res_core.Res.ck_every = 1;
+      ck_write =
+        (fun st ->
+          rewritten := Some st;
+          Ok "captured");
+    }
+  in
+  let _, expired =
+    resume_in_new_process
+      ~budget:(Res_core.Budget.create ~wall_seconds:(-1.) ())
+      ~checkpointer w dump "expired resume" mid
+  in
+  (match expired with
+  | Res_core.Res.Partial (Res_core.Res.Deadline_exceeded, _) -> ()
+  | o ->
+      Alcotest.failf "expected a deadline partial, got %a"
+        Res_core.Res.pp_outcome o);
+  match !rewritten with
+  | None -> Alcotest.fail "the expired resume wrote no checkpoint"
+  | Some st ->
+      let ctx, outcome = resume_in_new_process w dump "final resume" st in
+      check string_t "resumed past an expired deadline, then to completion"
+        baseline
+        (Res_core.Report.reports_to_string ctx (Res_core.Res.analysis outcome))
 
 (* --- the kill-and-resume campaign (repeated kills + torn write) --- *)
 
@@ -393,8 +429,8 @@ let () =
         [
           Alcotest.test_case "round-trip over all workloads" `Quick
             test_roundtrip_all_workloads;
-          Alcotest.test_case "v5 round-trip with a carry" `Quick
-            test_v5_roundtrip_with_carry;
+          Alcotest.test_case "v6 round-trip between and mid-depth" `Quick
+            test_v6_roundtrip_deep_states;
           Alcotest.test_case "loader rejects damage" `Quick
             test_loader_rejects_damage;
           Alcotest.test_case "journal promotes completed write" `Quick
@@ -410,6 +446,8 @@ let () =
             test_resume_bit_identical;
           Alcotest.test_case "resume with a live carry" `Quick
             test_resume_with_carry;
+          Alcotest.test_case "resume past an expired deadline" `Quick
+            test_resume_past_deadline;
           Alcotest.test_case "kill-and-resume campaign" `Quick
             test_kill_resume_campaign;
         ] );
