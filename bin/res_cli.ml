@@ -903,7 +903,6 @@ let triage_batch_cmd =
     let items = load_corpus (or_die (load_prog prog_path)) dir in
     let cache = open_cache cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
-    let q0 = Res_solver.Solver.queries () in
     let t =
       Res_parallel.Batch.run ?budget_wall:deadline ?budget_fuel:fuel
         ~jobs:(max 1 jobs) ?backend ?cache items
@@ -914,11 +913,10 @@ let triage_batch_cmd =
         ~wall_s:(Unix.gettimeofday () -. t0)
         ~nodes:(Res_parallel.Batch.total_nodes t)
         ~pruned:(Res_parallel.Batch.total_pruned t)
-        ~queries:
-          (Res_solver.Solver.queries () - q0
-          + t.Res_parallel.Batch.worker_queries)
+        ~queries:t.Res_parallel.Batch.worker_queries
         ~workers:t.Res_parallel.Batch.workers
         ~restarts:t.Res_parallel.Batch.respawns ();
+      Fmt.epr "batch duplicates=%d@." t.Res_parallel.Batch.duplicates;
       match cache with
       | Some c ->
           Fmt.epr "cache cache_hits=%d %a@." t.Res_parallel.Batch.cache_hits
@@ -934,7 +932,8 @@ let triage_batch_cmd =
     (Cmd.info "triage"
        ~doc:
          "Batch-triage every coredump in a directory on a worker pool: \
-          analyze each, bucket by root-cause signature, and print a \
+          analyze each distinct dump once (byte-identical copies share its \
+          verdict), bucket by root-cause signature, and print a \
           deterministic TSV (one $(b,dump) row per file, then $(b,cluster) \
           rows).  Unloadable or repeatedly-failing dumps degrade to \
           $(b,failed) rows; the batch always completes.")

@@ -267,6 +267,18 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
      later depths have been added here. *)
   let totals = Search.copy_stats st0.ck_stats in
   let truncated = ref st0.ck_truncated in
+  (* A deeper search re-emits an earlier depth's dead-end and
+     program-start suffixes as the physically same [Suffix.t]: replay and
+     classify each once per run, and report it again as the same value. *)
+  let reported = ref [] in
+  let report_of suffix =
+    match List.assq_opt suffix !reported with
+    | Some r -> r
+    | None ->
+        let r = report_of ctx config dump suffix in
+        reported := (suffix, r) :: !reported;
+        r
+  in
   let last_ckpt = ref None in
   let ckpt_tick = ref 0 in
   let mk_state ~attempt ~max_nodes ~depth ~acc ~suspended =
@@ -382,7 +394,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         Search.add_stats ~into:totals result.Search.stats;
         if not result.Search.complete then truncated := true;
         let reports =
-          List.map (report_of ctx config dump) result.Search.suffixes
+          List.map report_of result.Search.suffixes
           |> List.filter (fun r -> r.verdict.Replay.reproduced)
         in
         let acc = acc @ reports in
@@ -410,7 +422,7 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         end
         else Partial (Search_truncated, finish_analysis reports depth)
   in
-  let acc0 = List.map (report_of ctx config dump) st0.ck_suffixes in
+  let acc0 = List.map report_of st0.ck_suffixes in
   attempt st0.ck_attempt st0.ck_max_nodes ~depth0:st0.ck_depth ~acc0
     ~resume:st0.ck_suspended
 

@@ -1,13 +1,14 @@
 (** Batch coredump triage: analyze a whole directory of dumps on a worker
     pool and cluster them by root-cause signature.
 
-    Work division is per dump — the natural unit, since dumps are
-    independent — and the wire payload is just an index into the corpus
-    both sides share.  Output is a deterministic TSV: rows sorted by dump
-    name (so shuffled input directories produce identical bytes), then
-    cluster lines sorted by bucket.  A dump that cannot be loaded, or
-    whose workers keep dying, degrades to a [failed] row instead of
-    sinking the batch. *)
+    Work division is per distinct dump — the natural unit, since dumps
+    are independent and a byte-identical copy has the same verdict — and
+    the wire payload is just an index into the corpus both sides share.
+    Output is a deterministic TSV: rows sorted by dump name (so shuffled
+    input directories produce identical bytes), then cluster lines
+    sorted by bucket.  A dump that cannot be loaded, or whose workers
+    keep dying, degrades to a [failed] row instead of sinking the
+    batch. *)
 
 open Res_core
 module Cache = Res_cache.Cache
@@ -48,8 +49,10 @@ type t = {
   retries : int;
   lost : int;
   respawns : int;  (** replacement workers forked after a death *)
-  worker_queries : int;
+  worker_queries : int;  (** solver queries of the analyses farmed out *)
   cache_hits : int;  (** rows served from the result cache, not analyzed *)
+  duplicates : int;
+      (** rows served by an identical dump analyzed in the same batch *)
 }
 
 let tsv_field s =
@@ -98,50 +101,61 @@ let per_prog f =
         memo := (p, v) :: !memo;
         v
 
-(** Cache phase: each loadable item's content key under [config] (a
-    {!config_key} string) and the verdict the cache holds for it.  With
-    no cache every key is [""] and nothing is rendered.  Key parts are
-    hashed separately, so each program is rendered and hashed once per
-    batch, each dump once. *)
+(** Key phase: each loadable item's content key under [config] (a
+    {!config_key} string) and, with [?cache], the verdict the cache holds
+    for it.  Keys are derived with or without a cache: they are what
+    {!run} deduplicates on.  Key parts are hashed separately, so each
+    program is rendered and hashed once per batch, each dump once; each
+    distinct key is looked up once. *)
 let lookup ?cache ~config items =
   let n = Array.length items in
   let keys = Array.make n "" in
   let cached = Array.make n None in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      let prog_hash =
-        per_prog (fun p -> Sealing.hash64 (Res_ir.Prog.to_string p))
-      in
-      let config = Sealing.hash64 config in
-      Array.iteri
-        (fun i it ->
-          match it.it_dump with
-          | Error _ -> ()
-          | Ok d ->
-              let k =
-                Cache.key_of_hashes ~prog:(prog_hash it.it_prog)
-                  ~dump:(Sealing.hash64 (Res_vm.Coredump_io.to_string d))
-                  ~config
-              in
-              keys.(i) <- k;
-              cached.(i) <- Option.bind (Cache.find c k) Cache.decode_row)
-        items);
+  let prog_hash =
+    per_prog (fun p -> Sealing.hash64 (Res_ir.Prog.to_string p))
+  in
+  let config = Sealing.hash64 config in
+  let found = Hashtbl.create 64 in
+  Array.iteri
+    (fun i it ->
+      match it.it_dump with
+      | Error _ -> ()
+      | Ok d ->
+          let k =
+            Cache.key_of_hashes ~prog:(prog_hash it.it_prog)
+              ~dump:(Sealing.hash64 (Res_vm.Coredump_io.to_string d))
+              ~config
+          in
+          keys.(i) <- k;
+          Option.iter
+            (fun c ->
+              cached.(i) <-
+                (match Hashtbl.find_opt found k with
+                | Some v -> v
+                | None ->
+                    let v = Option.bind (Cache.find c k) Cache.decode_row in
+                    Hashtbl.add found k v;
+                    v))
+            cache)
+    items;
   (keys, cached)
 
-(** Store phase: write back every verdict the cache did not serve
-    (best-effort; failures leave the entry cold, they never fail the
-    batch).  A timed-out verdict describes what this run managed, not
-    what the inputs mean: never cached. *)
+(** Store phase: write back each key's verdict once, unless the cache
+    served it (best-effort; failures leave the entry cold, they never
+    fail the batch).  A timed-out verdict describes what this run
+    managed, not what the inputs mean: never cached. *)
 let store ?cache keys ~cached verdicts =
   match cache with
   | None -> ()
   | Some c ->
+      let stored = Hashtbl.create 64 in
       Array.iteri
         (fun i v ->
           match (v, cached.(i)) with
-          | Some (v : Cache.row), None when keys.(i) <> "" && not v.c_timeout
-            ->
+          | Some (v : Cache.row), None
+            when keys.(i) <> "" && (not v.c_timeout)
+                 && not (Hashtbl.mem stored keys.(i)) ->
+              Hashtbl.add stored keys.(i) ();
               Cache.store c keys.(i) (Cache.encode_row v)
           | _ -> ())
         verdicts
@@ -174,7 +188,13 @@ let merge items verdicts =
     misses are farmed to the pool; fresh verdicts that finished within
     their budget are stored back best-effort.  Cache hits reproduce the
     exact row an analysis would have produced, so the TSV is
-    byte-identical warm or cold. *)
+    byte-identical warm or cold.
+
+    A verdict is a function of the content key alone, so each distinct
+    key is analyzed once: the first item with that key, in name order,
+    is farmed, and every later one (a byte-identical dump of the same
+    program) gets its verdict, [worker-lost] and timed-out rows
+    included. *)
 let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     ?backend ?kill_unit ?attempts ?cache items =
   let items =
@@ -184,10 +204,20 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
   let keys, cached =
     lookup ?cache ~config:(config_key ?budget_wall ?budget_fuel config) items
   in
+  (* [rep.(i)]: the first item with [i]'s key *)
+  let rep = Array.init n Fun.id in
+  let first = Hashtbl.create 64 in
+  Array.iteri
+    (fun i k ->
+      if k <> "" then
+        match Hashtbl.find_opt first k with
+        | Some j -> rep.(i) <- j
+        | None -> Hashtbl.add first k i)
+    keys;
   let farm =
-    (* only loadable dumps the cache could not answer go to the pool *)
+    (* one loadable dump per key the cache could not answer *)
     List.filter
-      (fun i -> Result.is_ok items.(i).it_dump && cached.(i) = None)
+      (fun i -> keys.(i) <> "" && rep.(i) = i && cached.(i) = None)
       (List.init n Fun.id)
   in
   let worker () =
@@ -219,6 +249,14 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
           worker_queries := !worker_queries + v.Cache.c_queries
       | _ -> ())
     replies;
+  let duplicates = ref 0 in
+  Array.iteri
+    (fun i j ->
+      if j <> i && cached.(i) = None then begin
+        verdicts.(i) <- verdicts.(j);
+        incr duplicates
+      end)
+    rep;
   store ?cache keys ~cached verdicts;
   let rows, clusters, tsv = merge items verdicts in
   {
@@ -232,6 +270,7 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     worker_queries = !worker_queries;
     cache_hits =
       Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached;
+    duplicates = !duplicates;
   }
 
 (** Aggregate node/prune work across rows, for [--stats]. *)

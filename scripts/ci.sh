@@ -119,9 +119,10 @@ timeout 120 dune exec bin/res_cli.exe -- selftest --debug-equivalence
 
 # Result-cache gate: the chaos campaign (torn writes, injected disk
 # faults, garbage and bit-flipped entries) under a hard timeout, then a
-# cold/warm byte-identity smoke of the CLI flags themselves: a second
-# triage of the same dumps must be answered entirely from the cache and
-# emit the byte-identical TSV.
+# cold/warm byte-identity smoke of the CLI flags themselves: the cold
+# triage analyzes the two byte-identical dumps once (one duplicate), and
+# a second triage of the same dumps must be answered entirely from the
+# cache and emit the byte-identical TSV.
 TMPDIR="$gate_tmp" timeout 120 "$RES" selftest --cache-chaos
 [ -z "$(ls -A "$gate_tmp")" ] \
   || { echo "selftest gates left files under TMPDIR:"; ls -A "$gate_tmp"; exit 1; }
@@ -131,7 +132,11 @@ dune exec bin/res_cli.exe -- workload counter-race \
   -o "$cache_tmp/dumps/a.core" --program "$cache_tmp/prog.res"
 cp "$cache_tmp/dumps/a.core" "$cache_tmp/dumps/b.core"
 dune exec bin/res_cli.exe -- triage "$cache_tmp/prog.res" \
-  --dir "$cache_tmp/dumps" --cache-dir "$cache_tmp/cache" > "$cache_tmp/cold.tsv"
+  --dir "$cache_tmp/dumps" --cache-dir "$cache_tmp/cache" --stats \
+  > "$cache_tmp/cold.tsv" 2> "$cache_tmp/cold.stats"
+grep -q "duplicates=1" "$cache_tmp/cold.stats" \
+  || { echo "cold triage did not share the duplicate's verdict:";
+       cat "$cache_tmp/cold.stats"; exit 1; }
 dune exec bin/res_cli.exe -- triage "$cache_tmp/prog.res" \
   --dir "$cache_tmp/dumps" --cache-dir "$cache_tmp/cache" --stats \
   > "$cache_tmp/warm.tsv" 2> "$cache_tmp/warm.stats"
@@ -139,6 +144,20 @@ cmp "$cache_tmp/cold.tsv" "$cache_tmp/warm.tsv" \
   || { echo "warm cached triage TSV diverged from cold"; exit 1; }
 grep -q "cache_hits=2" "$cache_tmp/warm.stats" \
   || { echo "warm triage did not hit the cache:"; cat "$cache_tmp/warm.stats"; exit 1; }
+
+# `res triage --stats` counts each solver query once on either backend:
+# the domains backend runs units on the main domain too, which must not
+# count them a second time.
+mkdir "$cache_tmp/one"
+cp "$cache_tmp/dumps/a.core" "$cache_tmp/one/"
+for backend in fork domains; do
+  "$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/one" -j 2 \
+    --backend "$backend" --stats > /dev/null 2> "$cache_tmp/$backend.stats"
+done
+fork_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/fork.stats")
+domains_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/domains.stats")
+[ -n "$fork_q" ] && [ "$fork_q" = "$domains_q" ] \
+  || { echo "solver_queries: fork $fork_q, domains $domains_q"; exit 1; }
 
 # Scripted debugger session smoke: a passing script must exit 0 and its
 # transcript must be byte-identical at a different snapshot interval and

@@ -408,6 +408,89 @@ let test_batch_reverse_exec_flip_is_a_miss () =
   Alcotest.(check int) "same flag hits everything" (List.length items)
     again.Res_parallel.Batch.cache_hits
 
+(* Every corpus dump again under a second name, content-equal but
+   physically distinct: the dump round-tripped through the dump codec and,
+   for every other one, the program reparsed from its text. *)
+let with_copies items =
+  items
+  @ List.mapi
+      (fun i (it : Res_parallel.Batch.item) ->
+        {
+          Res_parallel.Batch.it_name = "copy-" ^ it.it_name;
+          it_prog =
+            (if i mod 2 = 0 then it.it_prog
+             else
+               Res_ir.Validate.check_exn
+                 (Res_ir.Parser.parse (Res_ir.Prog.to_string it.it_prog)));
+          it_dump = Ok (Io.of_string (Io.to_string (Result.get_ok it.it_dump)));
+        })
+      items
+
+(* A duplicate shares its representative's key: the cold run stores each
+   key once, and the warm run serves every row, copies included, from
+   one lookup per key. *)
+let test_batch_duplicates_stored_once () =
+  let distinct = List.length (batch_items ()) in
+  let items = with_copies (batch_items ()) in
+  let n = List.length items in
+  let backend = Res_parallel.Pool.Forked in
+  let dir = tmp_dir () in
+  let cold_cache = Cache.openr dir in
+  let cold = Res_parallel.Batch.run ~jobs:1 ~backend ~cache:cold_cache items in
+  Alcotest.(check int) "copies are duplicates" (n - distinct)
+    cold.Res_parallel.Batch.duplicates;
+  Alcotest.(check int) "each key stored once" distinct
+    (Cache.stats cold_cache).Cache.stores;
+  Alcotest.(check int) "one entry per key" distinct (Cache.entry_count dir);
+  let warm_cache = Cache.openr dir in
+  let warm = Res_parallel.Batch.run ~jobs:1 ~backend ~cache:warm_cache items in
+  Alcotest.(check int) "every row from the cache" n
+    warm.Res_parallel.Batch.cache_hits;
+  Alcotest.(check int) "a cached row is no duplicate" 0
+    warm.Res_parallel.Batch.duplicates;
+  Alcotest.(check int) "one lookup per key" distinct
+    (Cache.stats warm_cache).Cache.hits;
+  Alcotest.(check string) "warm TSV = cold TSV" cold.Res_parallel.Batch.tsv
+    warm.Res_parallel.Batch.tsv
+
+(* A timed-out representative's verdict is shared with its copies, and
+   neither is stored. *)
+let test_batch_timed_out_duplicates () =
+  let originals = batch_items () in
+  let timed_out =
+    List.length
+      (List.filter
+         (fun (it : Res_parallel.Batch.item) ->
+           (Res_usecases.Triage.triage_one
+              ~budget:(Res_core.Budget.create ~fuel:1 ())
+              it.it_prog (Result.get_ok it.it_dump))
+             .Cache.c_timeout)
+         originals)
+  in
+  Alcotest.(check bool) "fuel 1 times some dumps out" true (timed_out > 0);
+  let dir = tmp_dir () in
+  let c = Cache.openr dir in
+  let t =
+    Res_parallel.Batch.run ~jobs:1 ~backend:Res_parallel.Pool.Forked
+      ~budget_fuel:1 ~cache:c (with_copies originals)
+  in
+  Alcotest.(check int) "only finished verdicts stored, each once"
+    (List.length originals - timed_out)
+    (Cache.stats c).Cache.stores;
+  let row name =
+    let r =
+      List.find (fun r -> r.Res_parallel.Batch.row_name = name) t.rows
+    in
+    { r with row_name = "" }
+  in
+  List.iter
+    (fun (it : Res_parallel.Batch.item) ->
+      Alcotest.(check bool)
+        (it.it_name ^ ": copy row = its representative's")
+        true
+        (row it.it_name = row ("copy-" ^ it.it_name)))
+    originals
+
 (* --- batch keys ---------------------------------------------------------- *)
 
 (* A mixed-program corpus whose names interleave the families once
@@ -559,6 +642,10 @@ let () =
             test_batch_timeout_not_cached;
           Alcotest.test_case "reverse-exec flip is a miss" `Quick
             test_batch_reverse_exec_flip_is_a_miss;
+          Alcotest.test_case "duplicates stored once" `Quick
+            test_batch_duplicates_stored_once;
+          Alcotest.test_case "timed-out duplicates share the row" `Quick
+            test_batch_timed_out_duplicates;
           Alcotest.test_case "stored keys are Cache.key" `Quick
             test_batch_keys_are_cache_keys;
           Alcotest.test_case "no key collisions on the E18 corpus" `Quick

@@ -718,6 +718,40 @@ let test_witness_default_differential () =
   List.iter (same ~depth:8) Res_workloads.Workloads.all;
   List.iter (fun depth -> same ~depth (long_exec_50 ())) [ 10; 20; 40; 55 ]
 
+(* A deeper search re-emits an earlier depth's dead-end suffix as the
+   physically same value; the analysis replays it once, so both reports of
+   it are one report.  Each of these workloads repeats a suffix at depth 8. *)
+let test_repeated_suffix_reported_once () =
+  List.iter
+    (fun name ->
+      let w = Res_workloads.Workloads.find name in
+      let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+      let config =
+        {
+          Res.default_config with
+          search = { Search.default_config with max_segments = 8 };
+        }
+      in
+      let reports =
+        (Res.analysis
+           (Res.analyze ~config ctx (Res_workloads.Truth.coredump w)))
+          .Res.reports
+      in
+      let rec pairs = function
+        | [] -> []
+        | (a : Res.report) :: rest ->
+            List.filter_map
+              (fun (b : Res.report) ->
+                if a.suffix == b.suffix then Some (a, b) else None)
+              rest
+            @ pairs rest
+      in
+      let pairs = pairs reports in
+      check bool_t (name ^ ": a suffix is reported twice") true (pairs <> []);
+      let same = List.for_all (fun (a, b) -> a == b) pairs in
+      check bool_t (name ^ ": one report per suffix") true same)
+    [ "div-by-zero"; "semantic-discount"; "hash-construct" ]
+
 let () =
   Alcotest.run "res_core"
     [
@@ -796,5 +830,7 @@ let () =
           Alcotest.test_case "cpu time" `Quick test_analyze_cpu_time_bounded;
           Alcotest.test_case "witness = 3 replays, every report body" `Quick
             test_witness_default_differential;
+          Alcotest.test_case "repeated suffix reported once" `Quick
+            test_repeated_suffix_reported_once;
         ] );
     ]

@@ -141,6 +141,80 @@ let test_batch_serial_domains () =
     (fun jobs -> check_batch_matches_serial ~jobs ~backend:Pool.Domains)
     [ 1; 4 ]
 
+(** Every other workload's dump twice more, as content-equal but
+    physically distinct items: once with the dump round-tripped through
+    the dump codec, once with the program reparsed from its text.  The
+    batch analyzes each distinct dump once and every copy's row must
+    still carry the fields its own serial triage produces. *)
+let dedup_items =
+  lazy
+    (let originals =
+       List.map
+         (fun (w : Res_workloads.Truth.t) ->
+           {
+             Batch.it_name = w.Res_workloads.Truth.w_name;
+             it_prog = w.w_prog;
+             it_dump = Ok (Res_workloads.Truth.coredump w);
+           })
+         Res_workloads.Workloads.all
+     in
+     let copies =
+       List.concat
+         (List.filteri
+            (fun i _ -> i mod 2 = 0)
+            (List.map
+               (fun (it : Batch.item) ->
+                 let dump = Result.get_ok it.it_dump in
+                 let io = Res_vm.Coredump_io.(of_string (to_string dump)) in
+                 let prog =
+                   Res_ir.Validate.check_exn
+                     (Res_ir.Parser.parse (Res_ir.Prog.to_string it.it_prog))
+                 in
+                 [
+                   { it with it_name = "dump-copy-" ^ it.it_name; it_dump = Ok io };
+                   { it with it_name = it.it_name ^ "-prog-copy"; it_prog = prog };
+                 ])
+               originals))
+     in
+     let serial (it : Batch.item) =
+       Res_usecases.Triage.triage_one it.it_prog (Result.get_ok it.it_dump)
+     in
+     ( List.map (fun it -> (it, serial it)) (originals @ copies),
+       List.fold_left
+         (fun a it -> a + (serial it).Res_cache.Cache.c_queries)
+         0 originals,
+       List.length originals ))
+
+let check_batch_dedup ~backend =
+  let items, distinct_queries, distinct = Lazy.force dedup_items in
+  let n = List.length items in
+  List.iter
+    (fun jobs ->
+      let t = Batch.run ~jobs ~backend (List.map fst items) in
+      let what s = Fmt.str "-j %d: %s" jobs s in
+      Alcotest.(check int) (what "one row per item") n (List.length t.Batch.rows);
+      Alcotest.(check int) (what "duplicates") (n - distinct) t.Batch.duplicates;
+      Alcotest.(check int)
+        (what "queries of the distinct dumps")
+        distinct_queries t.Batch.worker_queries;
+      List.iter
+        (fun ((it : Batch.item), (tr : Res_cache.Cache.row)) ->
+          let row =
+            List.find (fun r -> r.Batch.row_name = it.Batch.it_name) t.Batch.rows
+          in
+          let field f = what (it.Batch.it_name ^ ": " ^ f) in
+          Alcotest.(check string) (field "outcome") tr.c_outcome
+            row.Batch.row_outcome;
+          Alcotest.(check string) (field "bucket") tr.c_bucket row.Batch.row_bucket;
+          Alcotest.(check string) (field "cause") tr.c_cause row.Batch.row_cause;
+          Alcotest.(check int) (field "nodes") tr.c_nodes row.Batch.row_nodes;
+          Alcotest.(check int) (field "pruned") tr.c_pruned row.Batch.row_pruned)
+        items)
+    [ 1; 2 ]
+
+let test_batch_dedup_fork () = check_batch_dedup ~backend:Pool.Forked
+let test_batch_dedup_domains () = check_batch_dedup ~backend:Pool.Domains
+
 (* --- batch: fork phase ---------------------------------------------- *)
 
 let corpus_items () =
@@ -383,6 +457,8 @@ let () =
         [
           Alcotest.test_case "batch rows = serial triage, all workloads" `Slow
             test_batch_serial_fork;
+          Alcotest.test_case "duplicate dumps analyzed once" `Slow
+            test_batch_dedup_fork;
         ] );
       ( "batch-fork",
         [
@@ -419,6 +495,8 @@ let () =
         [
           Alcotest.test_case "batch rows = serial triage, all workloads" `Slow
             test_batch_serial_domains;
+          Alcotest.test_case "duplicate dumps analyzed once" `Slow
+            test_batch_dedup_domains;
         ] );
       ( "batch-domains",
         [
