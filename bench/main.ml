@@ -761,8 +761,9 @@ let e17 () =
 (* skipping symbolic execution and the solver; the claim is arbitrary  *)
 (* wall-clock/query savings on long executions at byte-identical       *)
 (* reports.  Measures the deep backward chain of long-exec-50 with the *)
-(* fast path on vs off, the per-workload equivalence campaign, and the *)
-(* per-step cost of a concrete reverse vs a symbolic step.             *)
+(* fast path on vs off, the per-workload equivalence campaign, the     *)
+(* static invert coverage of every workload, and the per-step cost of  *)
+(* a concrete reverse vs a symbolic step.                              *)
 (* ------------------------------------------------------------------ *)
 let e19 () =
   section "e19" "reverse execution — solver queries saved, reports equal";
@@ -851,6 +852,16 @@ let e19 () =
         (if r.D.equivalent then "identical" else "DIVERGED"))
     s.D.runs;
   Fmt.pr "campaign: %d/%d identical@." s.D.ok s.D.total;
+  (* Static coverage: how much of each program the classifier accepts
+     for concrete reversal, and how large its crash slice is. *)
+  Fmt.pr "@.invert coverage (static, all workloads):@.";
+  List.iter
+    (fun (w : Res_workloads.Truth.t) ->
+      let cov = Res_static.Invert.program_coverage w.Res_workloads.Truth.w_prog in
+      Fmt.pr "%-24s invertible=%d/%d slice=%d@." w.Res_workloads.Truth.w_name
+        cov.Res_static.Invert.cov_invertible cov.Res_static.Invert.cov_total
+        cov.Res_static.Invert.cov_slice)
+    Res_workloads.Workloads.all;
   (* Per-step microbench: the pure engine cost of reversing the loop
      body concretely, vs the in-situ per-node cost of the two legs. *)
   let block = Res_ir.Prog.block prog ~func:"main" ~label:"loop" in

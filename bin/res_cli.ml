@@ -2,7 +2,6 @@
    and drive reverse execution synthesis over them.
 
      res validate prog.res            check a program is well-formed
-     res check prog.res               static lint: races, deadlocks, dead code
      res run prog.res -o core.txt     run; save the coredump on a crash
      res analyze prog.res core.txt    synthesize, replay, classify
      res replay prog.res core.txt     verify deterministic reproduction
@@ -20,8 +19,7 @@
    Exit codes: 0 analysis complete, 1 internal error or invalid usage,
    2 partial analysis (search truncated), 3 bad coredump, 4 budget or
    deadline exhausted, 5 submission rejected by a daemon (overload,
-   breaker, or drain).  `res check` reuses 0/2/3 as clean / warnings /
-   errors, so orchestrators can gate on lint severity. *)
+   breaker, or drain). *)
 
 open Cmdliner
 
@@ -190,67 +188,6 @@ let validate_cmd =
   Cmd.v
     (Cmd.info "validate" ~doc:"Parse and validate a MiniIR program.")
     Term.(const run $ prog_arg)
-
-(* --- check --- *)
-
-let check_cmd =
-  let prog_opt =
-    Arg.(
-      value
-      & pos 0 (some file) None
-      & info [] ~docv:"PROG" ~doc:"MiniIR program file to lint.")
-  in
-  let all_workloads =
-    Arg.(
-      value & flag
-      & info [ "all-workloads" ]
-          ~doc:
-            "Lint every built-in workload program instead of a file; the \
-             exit code reflects the worst finding across all of them.")
-  in
-  (* One TSV line per finding, prefixed with the program name so
-     --all-workloads output stays machine-splittable. *)
-  let check_one name prog =
-    let findings = Res_static.Lint.run prog in
-    List.iter
-      (fun f -> Fmt.pr "%s\t%s@." name (Res_static.Lint.to_line f))
-      findings;
-    (* Informational coverage row: how much of the program the concrete
-       reverse-execution fast path can handle, and how large the crash
-       slice is.  Same column shape as a finding (severity "info"), so
-       the output stays machine-splittable. *)
-    let cov = Res_static.Invert.program_coverage prog in
-    Fmt.pr "%s\tinfo\tinvert-coverage\t-\tinvertible=%d/%d slice=%d@." name
-      cov.Res_static.Invert.cov_invertible cov.Res_static.Invert.cov_total
-      cov.Res_static.Invert.cov_slice;
-    Res_static.Lint.exit_code findings
-  in
-  let run prog_path all_workloads =
-    match (prog_path, all_workloads) with
-    | Some _, true | None, false ->
-        raise
-          (Die (exit_internal, "check needs a PROG file or --all-workloads"))
-    | Some path, false ->
-        (* Lint even programs the validator rejects: the validator's
-           errors ARE findings, so parse-only here. *)
-        let prog = or_die (Res_ir.Parser.parse_result (read_file path)) in
-        check_one path prog
-    | None, true ->
-        List.fold_left
-          (fun worst (w : Res_workloads.Truth.t) ->
-            max worst
-              (check_one w.Res_workloads.Truth.w_name
-                 w.Res_workloads.Truth.w_prog))
-          exit_ok Res_workloads.Workloads.all
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Statically lint a program: validation, unreachable blocks, dead \
-          stores, lock leaks, data races, and lock-order deadlocks.  One \
-          tab-separated finding per line; exit 0 clean, 2 warnings, 3 \
-          errors.")
-    Term.(const run $ prog_opt $ all_workloads)
 
 (* --- analyze --- *)
 
@@ -911,8 +848,8 @@ let triage_batch_cmd =
     if stats then begin
       print_stats
         ~wall_s:(Unix.gettimeofday () -. t0)
-        ~nodes:(Res_parallel.Batch.total_nodes t)
-        ~pruned:(Res_parallel.Batch.total_pruned t)
+        ~nodes:t.Res_parallel.Batch.worker_nodes
+        ~pruned:t.Res_parallel.Batch.worker_pruned
         ~queries:t.Res_parallel.Batch.worker_queries
         ~workers:t.Res_parallel.Batch.workers
         ~restarts:t.Res_parallel.Batch.respawns ();
@@ -1496,7 +1433,6 @@ let main_cmd =
   Cmd.group info
     [
       validate_cmd;
-      check_cmd;
       run_cmd;
       analyze_cmd;
       resume_cmd;

@@ -50,9 +50,6 @@ let live_in_regs b =
 (** Intra-function successor labels. *)
 let successors b = Instr.term_targets b.term
 
-(** Whether the block contains any instruction satisfying [p]. *)
-let exists p b = Array.exists p b.instrs
-
 let pp ppf b =
   let pp_body ppf b =
     Array.iter (fun i -> Fmt.pf ppf "%a@," Instr.pp i) b.instrs;

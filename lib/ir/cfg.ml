@@ -7,7 +7,6 @@
     (to the spawning thread's block). *)
 
 module SMap = Map.Make (String)
-module SSet = Set.Make (String)
 
 (** A call or spawn site: function, block, and instruction index. *)
 type site = { in_func : string; in_block : Instr.label; at_idx : int }
@@ -135,11 +134,3 @@ let reachable_labels t (f : Func.t) =
       (Option.value ~default:[] (SMap.find_opt l cfg.succs))
   done;
   List.rev !order
-
-(** Blocks of [f] never reachable from its entry. *)
-let unreachable_labels t (f : Func.t) =
-  let reach = SSet.of_list (reachable_labels t f) in
-  List.filter_map
-    (fun (b : Block.t) ->
-      if SSet.mem b.label reach then None else Some b.label)
-    f.blocks

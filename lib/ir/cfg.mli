@@ -35,6 +35,3 @@ val spawn_sites_of : t -> string -> site list
 
 (** Labels reachable from the function's entry, in BFS order. *)
 val reachable_labels : t -> Func.t -> Instr.label list
-
-(** Blocks never reachable from the function's entry. *)
-val unreachable_labels : t -> Func.t -> Instr.label list

@@ -206,7 +206,7 @@ let term_targets = function
 type access = { acc_addr : reg; acc_off : int; acc_write : bool }
 
 (** [accesses i] are the memory accesses [i] performs, in operand order.
-    Heap management ([Alloc]/[Free]) is not an access — see {!heap_op}. *)
+    Heap management ([Alloc]/[Free]) is not an access. *)
 let accesses = function
   | Load (_, a, off) -> [ { acc_addr = a; acc_off = off; acc_write = false } ]
   | Store (a, off, _) -> [ { acc_addr = a; acc_off = off; acc_write = true } ]
@@ -218,12 +218,6 @@ let accesses = function
   | Const _ | Mov _ | Binop _ | Unop _ | Global_addr _ | Alloc _ | Free _
   | Input _ | Spawn _ | Join _ | Call _ | Assert _ | Log _ | Nop ->
       []
-
-(** Whether [i] changes the heap structure (allocates or frees a block). *)
-let heap_op = function Alloc _ | Free _ -> true | _ -> false
-
-(** The function a [Spawn] starts a thread in, with its arguments. *)
-let spawn_target = function Spawn (_, f, args) -> Some (f, args) | _ -> None
 
 let equal_instr (a : instr) (b : instr) = a = b
 let equal_terminator (a : terminator) (b : terminator) = a = b

@@ -49,6 +49,8 @@ type t = {
   retries : int;
   lost : int;
   respawns : int;  (** replacement workers forked after a death *)
+  worker_nodes : int;  (** search nodes of the analyses farmed out *)
+  worker_pruned : int;  (** nodes those analyses pruned *)
   worker_queries : int;  (** solver queries of the analyses farmed out *)
   cache_hits : int;  (** rows served from the result cache, not analyzed *)
   duplicates : int;
@@ -240,12 +242,15 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
       (List.map string_of_int farm)
   in
   let verdicts = Array.copy cached in
+  let worker_nodes = ref 0 and worker_pruned = ref 0 in
   let worker_queries = ref 0 in
   List.iter
     (fun reply ->
       match Option.map Wire.decode_verdict reply with
       | Some (Ok (i, v)) when i >= 0 && i < n ->
           verdicts.(i) <- Some v;
+          worker_nodes := !worker_nodes + v.Cache.c_nodes;
+          worker_pruned := !worker_pruned + v.Cache.c_pruned;
           worker_queries := !worker_queries + v.Cache.c_queries
       | _ -> ())
     replies;
@@ -267,15 +272,13 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     retries = pstats.Pool.p_retries;
     lost = pstats.Pool.p_lost;
     respawns = pstats.Pool.p_respawns;
+    worker_nodes = !worker_nodes;
+    worker_pruned = !worker_pruned;
     worker_queries = !worker_queries;
     cache_hits =
       Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached;
     duplicates = !duplicates;
   }
-
-(** Aggregate node/prune work across rows, for [--stats]. *)
-let total_nodes t = List.fold_left (fun a r -> a + r.row_nodes) 0 t.rows
-let total_pruned t = List.fold_left (fun a r -> a + r.row_pruned) 0 t.rows
 
 (** Every dump degraded to a [failed] row — the signal an orchestrator
     gates on (bad program, poisoned dump directory, a worker pool that

@@ -6,7 +6,8 @@
     is exactly enough to resolve the address operands MiniIR programs
     compute (a [global] followed by constant arithmetic) into {e cells} —
     [(global, offset)] pairs — which is what the mod/ref summaries
-    ({!Summary}) and the lockset lint ({!Lockcheck}) need.  There is no
+    ({!Summary}), the def-clear queries ({!Reach}) and the crash slicer
+    ({!Slice}) need.  There is no
     [Bot]: a register never written reads as [Top] here, which only ever
     makes analyses {e less} willing to claim a fact (accesses through
     unresolved addresses are dropped, never misattributed). *)

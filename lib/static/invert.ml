@@ -168,9 +168,9 @@ let classify ?summary (b : Res_ir.Block.t) : verdict =
               pl_slice = sl;
             })
 
-(** Program-wide static coverage, for [res check]: how many instructions
-    are individually invertible, out of how many, and how large the
-    crash slice is. *)
+(** Program-wide static coverage, reported per workload by the E19
+    bench ([bench/main.exe e19]): how many instructions are individually
+    invertible, out of how many, and how large the crash slice is. *)
 type coverage = { cov_invertible : int; cov_total : int; cov_slice : int }
 
 let program_coverage (p : Res_ir.Prog.t) =

@@ -1,143 +1,33 @@
-(** Goal-directed reachability over a function's CFG, parameterized by
-    what each instruction does to one tracked cell.
+(** Def-clear reachability over a function's CFG, parameterized by what
+    each instruction does to one tracked cell.
 
-    This answers questions of the shape "starting just after program point
-    P, can execution reach an event of interest without first passing a
-    write to cell X?" — the def-clear paths query behind dead-store
-    detection and the goal-directed reachability the static layer's tests
-    exercise ("can block B reach the crash block without redefining the
-    goal location?").
+    This answers the question "starting just after program point P, can
+    execution reach block B without first passing a write to cell X?" —
+    the def-clear paths query behind the backward crash slicer
+    ({!Slice}).
 
-    The classification is deliberately asymmetric, matching how each
-    result is used:
-    - an instruction {e reads} the cell if it {e may} read it — an access
-      through an unresolved address, or a call whose transitive ref
-      footprint includes the cell (or is unknown), counts;
-    - an instruction {e writes} the cell only if it {e must} — a store
-      through an address resolved to exactly that cell.  May-writes
-      (unresolved stores, calls) do not kill a path.
-
-    With that polarity, "no path reaches a read or an exit without a
-    write" is a sound argument that a store is dead: whatever path runs,
-    the stored value is definitely overwritten before anything can
-    observe it.  Function exits count as observers — memory is inspected
-    post-mortem by the coredump, and callers may read anything. *)
+    Only a {e must}-write kills a path: a store through an address
+    resolved to exactly the tracked cell, with no access of the same
+    instruction reading the cell or escaping resolution.  May-writes
+    (unresolved stores, calls) and reads never kill a path, so the query
+    over-approximates the def-clear paths and the slice it feeds stays
+    sound. *)
 
 module SMap = Map.Make (String)
 module SSet = Set.Make (String)
 
-type event = May_read | Must_write | Neither
-
-(** How [i] affects the tracked cell under [env]. *)
-let classify summary env (cell : Summary.Cell.t) (i : Res_ir.Instr.instr) :
-    event =
-  let open Res_ir.Instr in
-  let cell_eq c = Summary.Cell.compare c cell = 0 in
-  match i with
-  | Call (_, callee, _) ->
-      let s = Summary.transitive summary callee in
-      if
-        s.Summary.s_ref.Summary.f_unknown
-        || Summary.CSet.mem cell s.Summary.s_ref.Summary.f_cells
-        (* a callee that may write the cell is also treated as an
-           observer: it is not a must-write, and claiming deadness across
-           it would be unsound *)
-        || s.Summary.s_mod.Summary.f_unknown
-        || Summary.CSet.mem cell s.Summary.s_mod.Summary.f_cells
-      then May_read
-      else Neither
-  | _ -> (
-      let accs = accesses i in
-      let reads =
-        List.exists
-          (fun (a : access) ->
-            (not a.acc_write)
-            &&
-            match Absval.cell_of_access env a with
-            | Some c -> cell_eq c
-            | None -> true (* unresolved: may touch anything *))
-          accs
-      in
-      if reads then May_read
-      else
-        let writes_exactly =
-          List.exists
-            (fun (a : access) ->
-              a.acc_write
-              &&
-              match Absval.cell_of_access env a with
-              | Some c -> cell_eq c
-              | None -> false)
-            accs
-        in
-        let may_write_other =
-          List.exists
-            (fun (a : access) ->
-              a.acc_write && Absval.cell_of_access env a = None)
-            accs
-        in
-        if may_write_other then May_read (* unresolved write: observer-safe *)
-        else if writes_exactly then Must_write
-        else Neither)
-
-(** Walk a block from [idx], threading the environment: [`Read] if a
-    may-read is hit first, [`Killed env] if a must-write is hit first,
-    [`Fell env] if the terminator is reached.  Exit terminators count as
-    reads. *)
-let walk_block summary cell (b : Res_ir.Block.t) ~idx env =
-  let n = Res_ir.Block.length b in
-  let rec go i env =
-    if i >= n then
-      if Res_ir.Block.successors b = [] then `Read else `Fell env
-    else
-      match classify summary env cell b.instrs.(i) with
-      | May_read -> `Read
-      | Must_write -> `Killed
-      | Neither -> go (i + 1) (Absval.transfer env b.instrs.(i))
+(** Whether [i] definitely overwrites [cell] under [env]. *)
+let must_write env (cell : Summary.Cell.t) (i : Res_ir.Instr.instr) =
+  let accs =
+    List.map
+      (fun (a : Res_ir.Instr.access) ->
+        (a.acc_write, Absval.cell_of_access env a))
+      (Res_ir.Instr.accesses i)
   in
-  go idx env
-
-(** [observable_after summary f ~block ~idx cell] — can any may-read of
-    [cell] (or a function exit) be reached from just {e after} instruction
-    [idx] of [block] without first passing a must-write to [cell]?
-
-    [false] means the value written at [idx] is definitely dead.  Block
-    entries are explored with the function's block-entry environments
-    (so address resolution stays correct along the path). *)
-let observable_after summary (f : Res_ir.Func.t) ~block ~idx cell =
-  let envs = Summary.envs_of summary f.Res_ir.Func.name in
-  let env_at l = Option.value ~default:Absval.IMap.empty (SMap.find_opt l envs) in
-  (* Environment just after the store: replay the block prefix. *)
-  let b0 = Res_ir.Func.block f block in
-  let env0 =
-    let e = ref (env_at block) in
-    for i = 0 to min idx (Res_ir.Block.length b0 - 1) do
-      e := Absval.transfer !e b0.Res_ir.Block.instrs.(i)
-    done;
-    !e
-  in
-  match walk_block summary cell b0 ~idx:(idx + 1) env0 with
-  | `Read -> true
-  | `Killed -> false
-  | `Fell _ ->
-      (* BFS over whole blocks from the successors. *)
-      let seen = ref SSet.empty in
-      let q = Queue.create () in
-      List.iter (fun s -> Queue.add s q) (Res_ir.Block.successors b0);
-      let found = ref false in
-      while (not !found) && not (Queue.is_empty q) do
-        let l = Queue.pop q in
-        if not (SSet.mem l !seen) then begin
-          seen := SSet.add l !seen;
-          let b = Res_ir.Func.block f l in
-          match walk_block summary cell b ~idx:0 (env_at l) with
-          | `Read -> found := true
-          | `Killed -> ()
-          | `Fell _ ->
-              List.iter (fun s -> Queue.add s q) (Res_ir.Block.successors b)
-        end
-      done;
-      !found
+  List.exists (fun (w, c) -> w && c = Some cell) accs
+  && List.for_all
+       (function _, None -> false | w, Some c -> w || c <> cell)
+       accs
 
 (** [def_clear_between summary f ~from_block ~from_idx ~to_block cell] — is
     there a CFG path from just {e after} instruction [from_idx] of
@@ -162,10 +52,8 @@ let def_clear_between summary (f : Res_ir.Func.t) ~from_block ~from_idx
     let n = Res_ir.Block.length b in
     let rec go i env =
       if i >= n then `Fell
-      else
-        match classify summary env cell b.instrs.(i) with
-        | Must_write -> `Killed
-        | May_read | Neither -> go (i + 1) (Absval.transfer env b.instrs.(i))
+      else if must_write env cell b.instrs.(i) then `Killed
+      else go (i + 1) (Absval.transfer env b.instrs.(i))
     in
     go idx env
   in
@@ -198,47 +86,3 @@ let def_clear_between summary (f : Res_ir.Func.t) ~from_block ~from_idx
         end
       done;
       !found
-
-(** [can_reach_without_write summary f ~from ~target cell] — is there a
-    CFG path from the {e start} of [from] to the start of [target] along
-    which no intervening instruction must-writes [cell]?  ([from] itself
-    is walked; [target] is not.)  The goal-directed backward-search
-    question, asked forward: a predecessor that cannot reach the crash
-    block def-clear cannot explain the coredump's value of [cell]. *)
-let can_reach_without_write summary (f : Res_ir.Func.t) ~from ~target cell =
-  if String.equal from target then true
-  else
-    let envs = Summary.envs_of summary f.Res_ir.Func.name in
-    let env_at l =
-      Option.value ~default:Absval.IMap.empty (SMap.find_opt l envs)
-    in
-    (* A block passes if no instruction in it must-writes the cell; reads
-       are irrelevant to this query. *)
-    let block_clear (b : Res_ir.Block.t) =
-      let env = ref (env_at b.label) in
-      let clear = ref true in
-      Array.iter
-        (fun i ->
-          (match classify summary !env cell i with
-          | Must_write -> clear := false
-          | May_read | Neither -> ());
-          env := Absval.transfer !env i)
-        b.instrs;
-      !clear
-    in
-    let seen = ref SSet.empty in
-    let q = Queue.create () in
-    let found = ref false in
-    Queue.add from q;
-    while (not !found) && not (Queue.is_empty q) do
-      let l = Queue.pop q in
-      if not (SSet.mem l !seen) then begin
-        seen := SSet.add l !seen;
-        let b = Res_ir.Func.block f l in
-        if block_clear b then
-          List.iter
-            (fun s -> if String.equal s target then found := true else Queue.add s q)
-            (Res_ir.Block.successors b)
-      end
-    done;
-    !found

@@ -20,7 +20,7 @@
       def-use chains and — via {!Reach.def_clear_between} — over memory
       cells, so a store enters the slice only if a def-clear path links
       it to an in-slice read of the same cell.  This is the [slice=]
-      metric [res check] reports per workload; it bounds how much of a
+      metric the E19 bench reports per workload; it bounds how much of a
       function the backward search can ever need to treat
       symbolically. *)
 
@@ -164,12 +164,10 @@ let crash_slice summary (f : Res_ir.Func.t) =
            let rec clear i =
              i >= oi
              ||
-             match
-               Reach.classify summary benv.(i) c
-                 (Func.block f from_block).instrs.(i)
-             with
-             | Reach.Must_write -> false
-             | May_read | Neither -> clear (i + 1)
+             (not
+                (Reach.must_write benv.(i) c
+                   (Func.block f from_block).instrs.(i)))
+             && clear (i + 1)
            in
            clear (from_idx + 1)))
       !observers

@@ -1,9 +1,8 @@
 (** Whole-program mod/ref summaries over MiniIR.
 
-    For every function: which global cells it may read and write, which
-    mutex cells it may lock, and whether it touches the heap, spawns,
-    joins, or reads external input — {e transitively} through calls, with
-    a Kleene fixpoint over the call graph so recursion converges.
+    For every function: which global cells it may read and write, and
+    whether it touches the heap — {e transitively} through calls, with a
+    Kleene fixpoint over the call graph so recursion converges.
 
     Cells are [(global, offset)] pairs resolved by {!Absval}; any access
     whose address the abstraction cannot resolve (heap pointers,
@@ -46,12 +45,7 @@ let foot_equal a b =
 type fsum = {
   s_mod : foot;  (** cells the function may write *)
   s_ref : foot;  (** cells the function may read *)
-  s_locks : CSet.t;  (** mutex cells it may lock/unlock *)
-  s_locks_unknown : bool;  (** a lock/unlock through an unresolved address *)
   s_heap : bool;  (** allocates or frees heap blocks *)
-  s_inputs : bool;  (** reads external input *)
-  s_spawns : SSet.t;  (** functions it may spawn threads in *)
-  s_joins : bool;  (** joins on a thread *)
   s_calls : SSet.t;  (** direct callees *)
 }
 
@@ -59,12 +53,7 @@ let fsum_empty =
   {
     s_mod = foot_empty;
     s_ref = foot_empty;
-    s_locks = CSet.empty;
-    s_locks_unknown = false;
     s_heap = false;
-    s_inputs = false;
-    s_spawns = SSet.empty;
-    s_joins = false;
     s_calls = SSet.empty;
   }
 
@@ -72,28 +61,17 @@ let fsum_union a b =
   {
     s_mod = foot_union a.s_mod b.s_mod;
     s_ref = foot_union a.s_ref b.s_ref;
-    s_locks = CSet.union a.s_locks b.s_locks;
-    s_locks_unknown = a.s_locks_unknown || b.s_locks_unknown;
     s_heap = a.s_heap || b.s_heap;
-    s_inputs = a.s_inputs || b.s_inputs;
-    s_spawns = SSet.union a.s_spawns b.s_spawns;
-    s_joins = a.s_joins || b.s_joins;
     s_calls = SSet.union a.s_calls b.s_calls;
   }
 
 let fsum_equal a b =
   foot_equal a.s_mod b.s_mod && foot_equal a.s_ref b.s_ref
-  && CSet.equal a.s_locks b.s_locks
-  && Bool.equal a.s_locks_unknown b.s_locks_unknown
   && Bool.equal a.s_heap b.s_heap
-  && Bool.equal a.s_inputs b.s_inputs
-  && SSet.equal a.s_spawns b.s_spawns
-  && Bool.equal a.s_joins b.s_joins
   && SSet.equal a.s_calls b.s_calls
 
 (** Effects of [b] in isolation ({e not} through calls), threading the
-    abstract environment from [env0]; returns the block summary and the
-    environment at the terminator. *)
+    abstract environment from [env0]. *)
 let block_direct (b : Res_ir.Block.t) (env0 : Absval.env) =
   let open Res_ir.Instr in
   Array.fold_left
@@ -110,23 +88,15 @@ let block_direct (b : Res_ir.Block.t) (env0 : Absval.env) =
       let sum = List.fold_left add_access sum (accesses i) in
       let sum =
         match i with
-        | Lock a | Unlock a -> (
-            match Absval.read env a with
-            | Absval.GPtr (g, o) ->
-                { sum with s_locks = CSet.add (g, o) sum.s_locks }
-            | _ -> { sum with s_locks_unknown = true })
         | Alloc _ | Free _ -> { sum with s_heap = true }
-        | Input _ -> { sum with s_inputs = true }
-        | Spawn (_, f, _) -> { sum with s_spawns = SSet.add f sum.s_spawns }
-        | Join _ -> { sum with s_joins = true }
         | Call (_, f, _) -> { sum with s_calls = SSet.add f sum.s_calls }
         | _ -> sum
       in
       (sum, Absval.transfer env i))
     (fsum_empty, env0) b.Res_ir.Block.instrs
+  |> fst
 
 type t = {
-  direct : fsum SMap.t;  (** per function, calls not folded in *)
   trans : fsum SMap.t;  (** per function, transitively through calls *)
   envs : Absval.env SMap.t SMap.t;
       (** per function, block-entry abstract environments (params [Top]) *)
@@ -140,7 +110,7 @@ let func_direct (f : Res_ir.Func.t) =
       (fun acc (b : Res_ir.Block.t) ->
         match SMap.find_opt b.label envs with
         | None -> acc (* unreachable block: contributes nothing at runtime *)
-        | Some env0 -> fsum_union acc (fst (block_direct b env0)))
+        | Some env0 -> fsum_union acc (block_direct b env0))
       fsum_empty f.Res_ir.Func.blocks
   in
   (sum, envs)
@@ -180,7 +150,7 @@ let of_prog (p : Res_ir.Prog.t) =
         end)
       !trans
   done;
-  { direct; trans = !trans; envs }
+  { trans = !trans; envs }
 
 (** The transitive summary of a function: its own effects plus those of
     everything it can call.  Unknown functions get the all-unknown
@@ -193,29 +163,9 @@ let transitive t fname =
         fsum_empty with
         s_mod = foot_top;
         s_ref = foot_top;
-        s_locks_unknown = true;
         s_heap = true;
-        s_inputs = true;
-        s_joins = true;
       }
-
-(** The direct (call-free) summary of a function. *)
-let direct t fname =
-  Option.value ~default:fsum_empty (SMap.find_opt fname t.direct)
 
 (** Block-entry abstract environments of [fname] (params are [Top]). *)
 let envs_of t fname =
   Option.value ~default:SMap.empty (SMap.find_opt fname t.envs)
-
-(** Summary of one block {e including} its callees' transitive effects:
-    the per-block mod/ref unit the backward search prunes with. *)
-let block_sum t (f : Res_ir.Func.t) (b : Res_ir.Block.t) =
-  let env0 =
-    Option.value ~default:Absval.IMap.empty
-      (SMap.find_opt b.Res_ir.Block.label (envs_of t f.Res_ir.Func.name))
-  in
-  let sum, _ = block_direct b env0 in
-  SSet.fold
-    (fun callee acc -> fsum_union acc (transitive t callee))
-    sum.s_calls sum
-  |> fun folded -> { folded with s_calls = sum.s_calls }

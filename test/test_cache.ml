@@ -448,6 +448,9 @@ let test_batch_duplicates_stored_once () =
     warm.Res_parallel.Batch.cache_hits;
   Alcotest.(check int) "a cached row is no duplicate" 0
     warm.Res_parallel.Batch.duplicates;
+  Alcotest.(check (list int)) "a warm run issues no work" [ 0; 0; 0 ]
+    Res_parallel.Batch.
+      [ warm.worker_nodes; warm.worker_pruned; warm.worker_queries ];
   Alcotest.(check int) "one lookup per key" distinct
     (Cache.stats warm_cache).Cache.hits;
   Alcotest.(check string) "warm TSV = cold TSV" cold.Res_parallel.Batch.tsv

@@ -179,14 +179,18 @@ let dedup_items =
      let serial (it : Batch.item) =
        Res_usecases.Triage.triage_one it.it_prog (Result.get_ok it.it_dump)
      in
-     ( List.map (fun it -> (it, serial it)) (originals @ copies),
-       List.fold_left
-         (fun a it -> a + (serial it).Res_cache.Cache.c_queries)
-         0 originals,
+     let with_serial = List.map (fun it -> (it, serial it)) in
+     let distinct = with_serial originals in
+     let sum field = List.fold_left (fun a (_, v) -> a + field v) 0 distinct in
+     ( distinct @ with_serial copies,
+       sum (fun (v : Res_cache.Cache.row) -> v.c_nodes),
+       sum (fun (v : Res_cache.Cache.row) -> v.c_queries),
        List.length originals ))
 
 let check_batch_dedup ~backend =
-  let items, distinct_queries, distinct = Lazy.force dedup_items in
+  let items, distinct_nodes, distinct_queries, distinct =
+    Lazy.force dedup_items
+  in
   let n = List.length items in
   List.iter
     (fun jobs ->
@@ -194,6 +198,9 @@ let check_batch_dedup ~backend =
       let what s = Fmt.str "-j %d: %s" jobs s in
       Alcotest.(check int) (what "one row per item") n (List.length t.Batch.rows);
       Alcotest.(check int) (what "duplicates") (n - distinct) t.Batch.duplicates;
+      Alcotest.(check int)
+        (what "nodes of the distinct dumps")
+        distinct_nodes t.Batch.worker_nodes;
       Alcotest.(check int)
         (what "queries of the distinct dumps")
         distinct_queries t.Batch.worker_queries;

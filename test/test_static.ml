@@ -1,8 +1,8 @@
 (* Tests for the static-analysis layer (lib/static): mod/ref summaries,
-   dominators, goal-directed reachability, the chain refuter that prunes
-   the backward search, the lint suite, and the property the whole layer
-   stands on — pruning never changes what the search reports, only how
-   much work it does. *)
+   def-clear reachability, the chain refuter that prunes the backward
+   search, the reverse-execution classifier and engine, and the property
+   the whole layer stands on — pruning and reversing never change what
+   the search reports, only how much work it does. *)
 
 open Res_static
 
@@ -19,7 +19,6 @@ let calls_src =
   {|
 global a 1
 global b 1
-global m 1
 
 func main() {
 entry:
@@ -39,9 +38,6 @@ func leaf(r0) {
 entry:
   r1 = global b
   store r1[0] = r0
-  r2 = global m
-  lock r2
-  unlock r2
   ret r0
 }
 |}
@@ -50,33 +46,16 @@ let has_cell foot cell = Summary.CSet.mem cell foot.Summary.f_cells
 
 let test_summary_transitive () =
   let s = Summary.of_prog (parse calls_src) in
-  let direct = Summary.direct s "main" in
-  check bool_t "direct main writes nothing" true
-    (Summary.CSet.is_empty direct.Summary.s_mod.Summary.f_cells);
-  check bool_t "direct main mod is known" false
-    direct.Summary.s_mod.Summary.f_unknown;
   let trans = Summary.transitive s "main" in
   check bool_t "transitive main writes b[0] via leaf" true
     (has_cell trans.Summary.s_mod ("b", 0));
   check bool_t "transitive main reads a[0] via mid" true
     (has_cell trans.Summary.s_ref ("a", 0));
-  check bool_t "transitive main locks m[0] via leaf" true
-    (Summary.CSet.mem ("m", 0) trans.Summary.s_locks);
   check bool_t "transitive main does not write a[0]" false
     (has_cell trans.Summary.s_mod ("a", 0));
   check bool_t "no unknown accesses anywhere" false
     (trans.Summary.s_mod.Summary.f_unknown
-    || trans.Summary.s_ref.Summary.f_unknown
-    || trans.Summary.s_locks_unknown)
-
-let test_summary_block_sum () =
-  let prog = parse calls_src in
-  let s = Summary.of_prog prog in
-  let f = Res_ir.Prog.func prog "main" in
-  let b = Res_ir.Func.block f "entry" in
-  let sum = Summary.block_sum s f b in
-  check bool_t "block with a call absorbs the callee's writes" true
-    (has_cell sum.Summary.s_mod ("b", 0))
+    || trans.Summary.s_ref.Summary.f_unknown)
 
 let test_summary_recursion_converges () =
   let src =
@@ -131,49 +110,9 @@ entry:
   let s = Summary.of_prog (parse src) in
   let t = Summary.transitive s "main" in
   check bool_t "unresolved store sets the unknown flag" true
-    t.Summary.s_mod.Summary.f_unknown;
-  check bool_t "input flag set" true t.Summary.s_inputs
+    t.Summary.s_mod.Summary.f_unknown
 
-(* --- dominators / postdominators --- *)
-
-let diamond_src =
-  {|
-func main(r0) {
-entry:
-  br r0, a, b
-a:
-  jmp exit
-b:
-  jmp exit
-exit:
-  halt
-}
-|}
-
-let test_dominators () =
-  let f = Res_ir.Prog.func (parse diamond_src) "main" in
-  let doms = Dom.dominators f in
-  check bool_t "entry dominates exit" true
-    (Dom.dominates doms ~over:"exit" "entry");
-  check bool_t "a does not dominate exit" false
-    (Dom.dominates doms ~over:"exit" "a");
-  check bool_t "a dominates itself" true (Dom.dominates doms ~over:"a" "a");
-  check (Alcotest.option string_t) "idom of exit is entry" (Some "entry")
-    (Dom.idom doms "exit");
-  check (Alcotest.option string_t) "entry has no idom" None
-    (Dom.idom doms "entry")
-
-let test_postdominators () =
-  let f = Res_ir.Prog.func (parse diamond_src) "main" in
-  let pdoms = Dom.postdominators f in
-  check bool_t "exit postdominates entry" true
-    (Dom.dominates pdoms ~over:"entry" "exit");
-  check bool_t "a does not postdominate entry" false
-    (Dom.dominates pdoms ~over:"entry" "a");
-  check (Alcotest.option string_t) "ipdom of entry is exit" (Some "exit")
-    (Dom.idom pdoms "entry")
-
-(* --- goal-directed reachability --- *)
+(* --- def-clear reachability --- *)
 
 let reach_src =
   {|
@@ -201,34 +140,11 @@ let test_reach_def_clear_paths () =
   let s = Summary.of_prog prog in
   let f = Res_ir.Prog.func prog "f" in
   check bool_t "s-path reaches t def-clear" true
-    (Reach.can_reach_without_write s f ~from:"s" ~target:"t" ("g", 0));
+    (Reach.def_clear_between s f ~from_block:"s" ~from_idx:(-1) ~to_block:"t"
+       ("g", 0));
   check bool_t "w-path must write g[0] first" false
-    (Reach.can_reach_without_write s f ~from:"w" ~target:"t" ("g", 0))
-
-let test_reach_observable () =
-  let src =
-    {|
-global g 1
-
-func main() {
-entry:
-  r0 = global g
-  r1 = const 1
-  store r0[0] = r1
-  r2 = const 2
-  store r0[0] = r2
-  r3 = load r0[0]
-  halt
-}
-|}
-  in
-  let prog = parse src in
-  let s = Summary.of_prog prog in
-  let f = Res_ir.Prog.func prog "main" in
-  check bool_t "first store is overwritten before any read" false
-    (Reach.observable_after s f ~block:"entry" ~idx:2 ("g", 0));
-  check bool_t "second store is read" true
-    (Reach.observable_after s f ~block:"entry" ~idx:4 ("g", 0))
+    (Reach.def_clear_between s f ~from_block:"w" ~from_idx:(-1) ~to_block:"t"
+       ("g", 0))
 
 let test_reach_def_clear_between_edges () =
   (* Block-entry ([from_idx = -1]) and past-the-last-instruction edge
@@ -239,17 +155,11 @@ let test_reach_def_clear_between_edges () =
   check bool_t "entry->t: the s arm avoids the store" true
     (Reach.def_clear_between s f ~from_block:"entry" ~from_idx:(-1)
        ~to_block:"t" ("g", 0));
-  check bool_t "w-entry->t: the store kills the corridor" false
-    (Reach.def_clear_between s f ~from_block:"w" ~from_idx:(-1) ~to_block:"t"
-       ("g", 0));
   check bool_t "after the store, w falls through clear" true
     (Reach.def_clear_between s f ~from_block:"w" ~from_idx:1 ~to_block:"t"
        ("g", 0));
   check bool_t "from_idx past the block end scans nothing" true
     (Reach.def_clear_between s f ~from_block:"w" ~from_idx:99 ~to_block:"t"
-       ("g", 0));
-  check bool_t "empty straight-line block is clear" true
-    (Reach.def_clear_between s f ~from_block:"s" ~from_idx:(-1) ~to_block:"t"
        ("g", 0))
 
 (* --- the chain refuter --- *)
@@ -595,6 +505,25 @@ next:
   check_barrier "halt ends the thread" ~substr:"halt"
     (classify_block ~block:"done" loop_src)
 
+let test_invert_program_coverage () =
+  List.iter
+    (fun (w : Res_workloads.Truth.t) ->
+      let name = w.Res_workloads.Truth.w_name in
+      let cov = Invert.program_coverage w.Res_workloads.Truth.w_prog in
+      if cov.Invert.cov_invertible > cov.Invert.cov_total then
+        Alcotest.failf "%s: invertible %d > total %d" name
+          cov.Invert.cov_invertible cov.Invert.cov_total;
+      if cov.Invert.cov_slice > cov.Invert.cov_total then
+        Alcotest.failf "%s: slice %d > total %d" name cov.Invert.cov_slice
+          cov.Invert.cov_total)
+    Res_workloads.Workloads.all;
+  (* E19 reverses long-exec-50's loop body: the classifier must accept
+     some of it. *)
+  let w = Res_workloads.Workloads.find "long-exec-50" in
+  check bool_t "long-exec-50 has invertible instructions" true
+    ((Invert.program_coverage w.Res_workloads.Truth.w_prog).Invert.cov_invertible
+    > 0)
+
 (* --- the concrete reverse engine --- *)
 
 (* Forward truth for [loop_src]'s loop body: entry r0 = 5, g[0] = 7
@@ -791,152 +720,6 @@ let test_reverse_reduces_long_exec_queries () =
   if not (q_on * 2 <= q_off) then
     Alcotest.failf "expected >=2x fewer solver queries, got %d -> %d" q_off q_on
 
-(* --- the lint suite against the workload corpus's ground truth --- *)
-
-let findings_of w =
-  Lint.run (w : Res_workloads.Truth.t).Res_workloads.Truth.w_prog
-
-let contains_substr ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
-let has_finding fs ~chk ~substr =
-  List.exists
-    (fun f ->
-      String.equal f.Lint.f_check chk
-      && contains_substr ~sub:substr f.Lint.f_msg)
-    fs
-
-let test_lint_flags_seeded_bugs () =
-  let race = findings_of (Res_workloads.Workloads.find "counter-race") in
-  check bool_t "counter-race: race on counter[0] flagged" true
-    (has_finding race ~chk:"race" ~substr:"counter[0]");
-  let kv = findings_of (Res_workloads.Workloads.find "kvstore-stats-race") in
-  check bool_t "kvstore-stats-race: race on size[0] flagged" true
-    (has_finding kv ~chk:"race" ~substr:"size[0]");
-  let dl = findings_of (Res_workloads.Workloads.find "lock-order-deadlock") in
-  check bool_t "lock-order-deadlock: opposite-order cycle flagged" true
-    (has_finding dl ~chk:"deadlock" ~substr:"opposite orders")
-
-let test_lint_zero_false_positives () =
-  let buggy =
-    [ "counter-race"; "kvstore-stats-race"; "lock-order-deadlock" ]
-  in
-  List.iter
-    (fun (w : Res_workloads.Truth.t) ->
-      if not (List.mem w.Res_workloads.Truth.w_name buggy) then
-        match findings_of w with
-        | [] -> ()
-        | fs ->
-            Alcotest.failf "%s: unexpected findings:@.%a"
-              w.Res_workloads.Truth.w_name
-              Fmt.(list ~sep:cut (fun ppf f -> Fmt.string ppf (Lint.to_line f)))
-              fs)
-    Res_workloads.Workloads.all
-
-let test_lint_locked_counter_control () =
-  (* The properly-locked variant of the racy counter: same sharing, but
-     every access holds the mutex — the race check must stay silent. *)
-  let src =
-    {|
-global counter 1
-global m 1
-
-func main() {
-entry:
-  r0 = spawn worker()
-  r1 = spawn worker()
-  join r0
-  join r1
-  halt
-}
-
-func worker() {
-entry:
-  r5 = global m
-  lock r5
-  r0 = global counter
-  r1 = load r0[0]
-  r2 = const 1
-  r3 = add r1, r2
-  store r0[0] = r3
-  unlock r5
-  ret
-}
-|}
-  in
-  check int_t "locked counter lints clean" 0
-    (Lint.exit_code (Lint.run (parse src)))
-
-let test_lint_synthetic_warnings () =
-  let dead =
-    parse
-      {|
-global g 1
-
-func main() {
-entry:
-  r0 = global g
-  r1 = const 1
-  store r0[0] = r1
-  r2 = const 2
-  store r0[0] = r2
-  r3 = load r0[0]
-  halt
-}
-|}
-  in
-  let fs = Lint.run dead in
-  check bool_t "overwritten store flagged dead" true
-    (List.exists (fun f -> f.Lint.f_check = "dead-store") fs);
-  check int_t "warnings exit 2" 2 (Lint.exit_code fs);
-  let unreachable =
-    parse {|
-func main() {
-entry:
-  halt
-orphan:
-  halt
-}
-|}
-  in
-  check bool_t "orphan block flagged unreachable" true
-    (List.exists
-       (fun f -> f.Lint.f_check = "unreachable")
-       (Lint.run unreachable));
-  let leak =
-    parse
-      {|
-global m 1
-
-func main() {
-entry:
-  r0 = global m
-  lock r0
-  halt
-}
-|}
-  in
-  check bool_t "unreleased lock flagged" true
-    (List.exists (fun f -> f.Lint.f_check = "lock-leak") (Lint.run leak))
-
-let test_lint_validator_errors () =
-  (* A malformed program: validator findings are errors (exit 3) and
-     suppress the structural checks. *)
-  let bad = parse {|
-func main(r0) {
-entry:
-  br r0, entry, entry
-}
-|} in
-  let fs = Lint.run bad in
-  check bool_t "validator error surfaces as a finding" true
-    (List.exists
-       (fun f -> f.Lint.f_check = "validate" && f.Lint.f_severity = Lint.Error)
-       fs);
-  check int_t "errors exit 3" 3 (Lint.exit_code fs)
-
 let () =
   Alcotest.run "static"
     [
@@ -944,24 +727,15 @@ let () =
         [
           Alcotest.test_case "transitive mod/ref through calls" `Quick
             test_summary_transitive;
-          Alcotest.test_case "block summary absorbs callees" `Quick
-            test_summary_block_sum;
           Alcotest.test_case "recursion converges" `Quick
             test_summary_recursion_converges;
           Alcotest.test_case "unresolved access flags unknown" `Quick
             test_summary_unresolved_is_unknown;
         ] );
-      ( "dom",
-        [
-          Alcotest.test_case "dominators of a diamond" `Quick test_dominators;
-          Alcotest.test_case "postdominators of a diamond" `Quick
-            test_postdominators;
-        ] );
       ( "reach",
         [
           Alcotest.test_case "def-clear paths" `Quick
             test_reach_def_clear_paths;
-          Alcotest.test_case "observable-after" `Quick test_reach_observable;
           Alcotest.test_case "def-clear block entry/exit edges" `Quick
             test_reach_def_clear_between_edges;
         ] );
@@ -993,6 +767,8 @@ let () =
         [
           Alcotest.test_case "per-instruction-class verdicts" `Quick
             test_invert_classifier_classes;
+          Alcotest.test_case "program coverage on the workloads" `Quick
+            test_invert_program_coverage;
         ] );
       ( "revexec",
         [
@@ -1013,18 +789,5 @@ let () =
             test_reverse_equivalence_all_workloads;
           Alcotest.test_case "long-exec needs >=2x fewer solver queries" `Quick
             test_reverse_reduces_long_exec_queries;
-        ] );
-      ( "lint",
-        [
-          Alcotest.test_case "seeded races and deadlock flagged" `Quick
-            test_lint_flags_seeded_bugs;
-          Alcotest.test_case "zero false positives on the corpus" `Quick
-            test_lint_zero_false_positives;
-          Alcotest.test_case "locked counter control is clean" `Quick
-            test_lint_locked_counter_control;
-          Alcotest.test_case "dead store, unreachable, lock leak" `Quick
-            test_lint_synthetic_warnings;
-          Alcotest.test_case "validator errors surface" `Quick
-            test_lint_validator_errors;
         ] );
     ]
