@@ -132,6 +132,75 @@ let e2 () =
 (* E3 — the title claim: suffix synthesis is independent of execution   *)
 (* length; whole-execution (forward) synthesis is not.                  *)
 (* ------------------------------------------------------------------ *)
+(* Best of [n] wall-clock runs, each from a compacted heap. *)
+let best_of n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    Gc.compact ();
+    let _, dt = time f in
+    best := Float.min !best dt
+  done;
+  !best
+
+(* The same claim along the other axis: the suffix depth d on one long
+   execution.  [analyze] is [Res.analyze]; [search] is the d successive
+   [Search.search] calls it makes, depth 1 to d on one context; [replay]
+   and [classify] re-run [Replay.replay] and [Rootcause.classify] on every
+   reported suffix (on long-exec every synthesized suffix is reported);
+   [render] is [Report.report_list_to_string], whose size is [bytes].
+   Times are ms, best of 7. *)
+let e3_depth_sweep () =
+  let w = Res_workloads.Long_exec.workload_n 60_000 in
+  let dump = Res_workloads.Truth.coredump w in
+  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let open Res_core in
+  Fmt.pr "@.depth sweep on long-exec (60000 iterations), ms, best of 7:@.";
+  Fmt.pr "%-6s %-8s %-8s %-8s %-9s %-8s %-8s@." "d" "analyze" "search" "replay"
+    "classify" "render" "bytes";
+  List.iter
+    (fun d ->
+      let config =
+        {
+          Res.default_config with
+          search = { Res.default_config.search with Search.max_segments = d };
+        }
+      in
+      let a = Res.analysis (Res.analyze ~config ctx dump) in
+      let suffixes = List.map (fun (r : Res.report) -> r.Res.suffix) a.Res.reports in
+      let traces =
+        List.map (fun s -> (Replay.replay ctx s dump).Replay.trace) suffixes
+      in
+      let analyze = best_of 7 (fun () -> Res.analyze ~config ctx dump) in
+      let search =
+        best_of 7 (fun () ->
+            for k = 1 to d do
+              ignore
+                (Search.search
+                   ~config:{ config.Res.search with Search.max_segments = k }
+                   ctx dump)
+            done)
+      in
+      let replay =
+        best_of 7 (fun () -> List.map (fun s -> Replay.replay ctx s dump) suffixes)
+      in
+      let classify =
+        best_of 7 (fun () ->
+            List.map
+              (Rootcause.classify
+                 ~threads:(Res_vm.Coredump.threads dump)
+                 ~crash:dump.Res_vm.Coredump.crash ~heap:dump.Res_vm.Coredump.heap
+                 ~layout:ctx.Backstep.layout)
+              traces)
+      in
+      let text = Report.report_list_to_string ctx a in
+      let render = best_of 7 (fun () -> Report.report_list_to_string ctx a) in
+      let ms s = 1000. *. s in
+      Fmt.pr "%-6d %-8.2f %-8.2f %-8.2f %-9.2f %-8.2f %-8d@." d (ms analyze)
+        (ms search) (ms replay) (ms classify) (ms render) (String.length text))
+    [ 25; 50; 100; 200 ];
+  Fmt.pr "expected shape: nodes linear in d; time above linear while every \
+          depth's suffix is replayed and reported@."
+
 let e3 () =
   section "e3" "cost vs execution length — RES vs forward synthesis";
   Fmt.pr "%-8s %-12s %-12s %-14s %-12s@." "n" "res-nodes" "res-time(s)"
@@ -170,7 +239,8 @@ let e3 () =
         fwd_t
         (if not fwd.Res_baselines.Forward_synth.found then "  (not found!)" else ""))
     [ 10; 100; 1000; 10000 ];
-  Fmt.pr "expected shape: RES flat, forward linear in n@."
+  Fmt.pr "expected shape: RES flat, forward linear in n@.";
+  e3_depth_sweep ()
 
 (* ------------------------------------------------------------------ *)
 (* E4 — §3.1: "WER can incorrectly bucket up to 37%% of the bug         *)

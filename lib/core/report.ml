@@ -49,7 +49,9 @@ let analysis_to_string ctx a = Fmt.str "%a@." (pp_analysis ctx) a
 (** Deterministic display order: definite causes first, then longer
     suffixes, ties broken by the rendered report text — so two analyses
     with the same reports always print identically, whatever order the
-    search emitted them in. *)
+    search emitted them in.  A report's text is rendered only if it ties
+    with another on both keys, so a caller that prints the sorted reports
+    renders each one once. *)
 let display_sort ctx (a : Res.analysis) =
   let score (r : Res.report) =
     match r.Res.root_cause with
@@ -57,22 +59,24 @@ let display_sort ctx (a : Res.analysis) =
     | Some _ -> 1
     | None -> 0
   in
-  let rendered =
-    List.map (fun r -> (r, Fmt.str "%a" (pp_report ctx) r)) a.Res.reports
+  let keyed =
+    List.map
+      (fun (r : Res.report) ->
+        let text = lazy (Fmt.str "%a" (pp_report ctx) r) in
+        (r, score r, Suffix.length r.Res.suffix, text))
+      a.Res.reports
   in
   let reports =
     List.stable_sort
-      (fun ((ra : Res.report), ta) ((rb : Res.report), tb) ->
-        match compare (score rb) (score ra) with
+      (fun (_, sa, la, ta) (_, sb, lb, tb) ->
+        match compare sb sa with
         | 0 -> (
-            match
-              compare (Suffix.length rb.Res.suffix) (Suffix.length ra.Res.suffix)
-            with
-            | 0 -> String.compare ta tb
+            match compare lb la with
+            | 0 -> String.compare (Lazy.force ta) (Lazy.force tb)
             | c -> c)
         | c -> c)
-      rendered
-    |> List.map fst
+      keyed
+    |> List.map (fun (r, _, _, _) -> r)
   in
   { a with Res.reports }
 

@@ -215,24 +215,35 @@ let classify ?(threads : Res_vm.Thread.t list = []) ~(crash : Res_vm.Crash.t)
     (trace : Res_vm.Event.t list) : t =
   let concurrency_cause addr_filter =
     (* Prefer an atomicity violation (more specific), then a data race,
-       restricted to addresses satisfying [addr_filter]. *)
-    match
-      List.find_opt (fun (a, _, _, _, _) -> addr_filter a)
-        (find_atomicity_violations trace)
-    with
-    | Some (addr, read_pc, intervening_pc, write_pc, tids) ->
-        Some (Atomicity_violation { addr; read_pc; intervening_pc; write_pc; tids })
-    | None -> (
-        match List.find_opt (fun (a, _, _) -> addr_filter a) (find_races trace) with
-        | Some (addr, a1, a2) ->
-            Some
-              (Data_race
-                 {
-                   addr;
-                   access1 = (a1.a_pc, a1.a_tid, a1.a_write);
-                   access2 = (a2.a_pc, a2.a_tid, a2.a_write);
-                 })
-        | None -> None)
+       restricted to addresses satisfying [addr_filter].  Both need
+       accesses by two distinct threads, so a one-thread trace has none. *)
+    let one_thread =
+      match trace with
+      | [] -> true
+      | e :: rest ->
+          List.for_all
+            (fun (e' : Res_vm.Event.t) -> e'.tid = e.Res_vm.Event.tid)
+            rest
+    in
+    if one_thread then None
+    else
+      match
+        List.find_opt (fun (a, _, _, _, _) -> addr_filter a)
+          (find_atomicity_violations trace)
+      with
+      | Some (addr, read_pc, intervening_pc, write_pc, tids) ->
+          Some (Atomicity_violation { addr; read_pc; intervening_pc; write_pc; tids })
+      | None -> (
+          match List.find_opt (fun (a, _, _) -> addr_filter a) (find_races trace) with
+          | Some (addr, a1, a2) ->
+              Some
+                (Data_race
+                   {
+                     addr;
+                     access1 = (a1.a_pc, a1.a_tid, a1.a_write);
+                     access2 = (a2.a_pc, a2.a_tid, a2.a_write);
+                   })
+          | None -> None)
   in
   match crash.Res_vm.Crash.kind with
   | Res_vm.Crash.Use_after_free { addr; base } ->

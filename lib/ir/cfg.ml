@@ -114,23 +114,3 @@ let call_sites_of t callee =
 (** Sites that spawn a thread running [f], empty if never spawned. *)
 let spawn_sites_of t f =
   Option.value ~default:[] (SMap.find_opt f t.spawn_sites)
-
-(** Labels reachable from the entry of [f], in BFS order. *)
-let reachable_labels t (f : Func.t) =
-  let cfg = find_func_cfg t f.name in
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let q = Queue.create () in
-  Queue.add f.entry q;
-  Hashtbl.replace seen f.entry ();
-  while not (Queue.is_empty q) do
-    let l = Queue.pop q in
-    order := l :: !order;
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem seen s) then (
-          Hashtbl.replace seen s ();
-          Queue.add s q))
-      (Option.value ~default:[] (SMap.find_opt l cfg.succs))
-  done;
-  List.rev !order

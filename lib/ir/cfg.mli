@@ -32,6 +32,3 @@ val call_sites_of : t -> string -> site list
 (** Sites that spawn a thread running the function, empty if never
     spawned. *)
 val spawn_sites_of : t -> string -> site list
-
-(** Labels reachable from the function's entry, in BFS order. *)
-val reachable_labels : t -> Func.t -> Instr.label list

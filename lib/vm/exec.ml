@@ -40,6 +40,13 @@ type state = {
   mutable trace_rev : Event.t list;
   mutable current : int;  (** tid currently holding the virtual CPU *)
   mutable sched_trace_rev : int list;  (** tids picked at scheduling points *)
+  mutable block_func : string;
+  mutable block_label : Res_ir.Instr.label;
+  mutable block : Res_ir.Block.t;
+      (** the block last stepped in, resolved from the [block_func] and
+          [block_label] strings, which {!current_block} compares
+          physically: a frame keeps the strings it was entered or jumped
+          with, so a thread running one block hits on every step *)
 }
 
 type outcome =
@@ -60,6 +67,7 @@ let init prog =
   let layout = Res_mem.Layout.of_prog prog in
   let main = Res_ir.Prog.main prog in
   let t0 = Thread.start ~tid:0 main ~args:[] in
+  let fr = Thread.top t0 in
   {
     prog;
     layout;
@@ -72,6 +80,9 @@ let init prog =
     trace_rev = [];
     current = 0;
     sched_trace_rev = [];
+    block_func = fr.func;
+    block_label = fr.block;
+    block = Res_ir.Func.block main fr.block;
   }
 
 let set_thread st (th : Thread.t) = st.threads <- IMap.add th.tid th st.threads
@@ -81,9 +92,23 @@ let get_thread st tid =
   | Some th -> th
   | None -> invalid_arg (Fmt.str "Exec: unknown thread %d" tid)
 
-let emit st cfg tid pc action =
+(** Record [action] of the instruction at [fr]'s position; the pc is built
+    only when the trace is on. *)
+let emit st cfg tid fr action =
   if cfg.record_trace then
-    st.trace_rev <- { Event.step = st.steps; tid; pc; action } :: st.trace_rev
+    st.trace_rev <-
+      { Event.step = st.steps; tid; pc = Frame.pc fr; action } :: st.trace_rev
+
+(** The block [fr] is in: the cached one when [fr] names it by the same
+    strings, else looked up (and cached). *)
+let current_block st (fr : Frame.t) =
+  if fr.func == st.block_func && fr.block == st.block_label then st.block
+  else
+    let b = Res_ir.Prog.block st.prog ~func:fr.func ~label:fr.block in
+    st.block_func <- fr.func;
+    st.block_label <- fr.block;
+    st.block <- b;
+    b
 
 (** Validate a data access; returns unit or raises the crash. *)
 let check_data_access st addr =
@@ -136,70 +161,71 @@ let eval_binop_faulted st cfg op a b =
     updated thread (not yet stored).  May raise [Crash_exn]. *)
 let step_instr st cfg (th : Thread.t) (fr : Frame.t) instr =
   let open Res_ir.Instr in
-  let pc = Frame.pc fr in
   let tid = th.tid in
   let rd r = Frame.read_reg fr r in
   let advance fr = Thread.with_top th (Frame.advance fr) in
   match instr with
   | Const (r, n) ->
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance (Frame.write_reg fr r n)
   | Mov (r, a) ->
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance (Frame.write_reg fr r (rd a))
   | Binop (op, r, a, b) ->
       let va = rd a and vb = rd b in
       if (op = Div || op = Rem) && vb = 0 then raise (Crash_exn Crash.Div_by_zero);
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance (Frame.write_reg fr r (eval_binop_faulted st cfg op va vb))
   | Unop (op, r, a) ->
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance (Frame.write_reg fr r (eval_unop op (rd a)))
   | Load (r, a, off) ->
       let addr = rd a + off in
       let v = read_mem st addr in
-      emit st cfg tid pc (Event.A_read { addr; value = v });
+      emit st cfg tid fr (Event.A_read { addr; value = v });
       advance (Frame.write_reg fr r v)
   | Store (a, off, s) ->
       let addr = rd a + off in
       let old = read_mem st addr in
       let v = rd s in
       write_mem st addr v;
-      emit st cfg tid pc (Event.A_write { addr; value = v; old });
+      emit st cfg tid fr (Event.A_write { addr; value = v; old });
       advance fr
   | Global_addr (r, g) -> (
       match Res_mem.Layout.global_base st.layout g with
       | base ->
-          emit st cfg tid pc Event.A_exec;
+          emit st cfg tid fr Event.A_exec;
           advance (Frame.write_reg fr r base)
       | exception Not_found -> raise (Crash_exn (Crash.Seg_fault 0)))
   | Alloc (r, s) ->
       let size = rd s in
       if size <= 0 then raise (Crash_exn (Crash.Alloc_error size));
-      let heap, base = Res_mem.Heap.alloc st.heap ~size ~site:(Some pc) in
+      let heap, base =
+        Res_mem.Heap.alloc st.heap ~size ~site:(Some (Frame.pc fr))
+      in
       st.heap <- heap;
-      emit st cfg tid pc (Event.A_alloc { base; size });
+      emit st cfg tid fr (Event.A_alloc { base; size });
       advance (Frame.write_reg fr r base)
   | Free a -> (
       let addr = rd a in
-      match Res_mem.Heap.free st.heap addr ~site:pc with
+      match Res_mem.Heap.free st.heap addr ~site:(Frame.pc fr) with
       | Res_mem.Heap.Freed_ok (heap, b) ->
           st.heap <- heap;
-          emit st cfg tid pc (Event.A_free { base = b.base });
+          emit st cfg tid fr (Event.A_free { base = b.base });
           advance fr
       | Res_mem.Heap.Double_free b ->
           raise (Crash_exn (Crash.Double_free b.base))
       | Res_mem.Heap.Invalid_free -> raise (Crash_exn (Crash.Invalid_free addr)))
   | Input (r, kind) ->
       let v = cfg.oracle.Oracle.next kind in
-      emit st cfg tid pc (Event.A_input { kind; value = v });
+      emit st cfg tid fr (Event.A_input { kind; value = v });
       advance (Frame.write_reg fr r v)
   | Lock a ->
       let addr = rd a in
       let v = read_mem st addr in
       if v = 0 then (
         write_mem st addr (tid + 1);
-        emit st cfg tid pc (Event.A_lock { addr });
+        emit st cfg tid fr (Event.A_lock { addr });
         advance fr)
       else (* Do not advance: the instruction retries once woken. *)
         { th with status = Thread.Blocked_on_lock addr }
@@ -210,7 +236,7 @@ let step_instr st cfg (th : Thread.t) (fr : Frame.t) instr =
       else (
         write_mem st addr 0;
         wake st (function Thread.Blocked_on_lock a' -> a' = addr | _ -> false);
-        emit st cfg tid pc (Event.A_unlock { addr });
+        emit st cfg tid fr (Event.A_unlock { addr });
         advance fr)
   | Spawn (r, fname, args) ->
       let f = Res_ir.Prog.func st.prog fname in
@@ -218,49 +244,48 @@ let step_instr st cfg (th : Thread.t) (fr : Frame.t) instr =
       st.next_tid <- tid' + 1;
       let th' = Thread.start ~tid:tid' f ~args:(List.map rd args) in
       set_thread st th';
-      emit st cfg tid pc (Event.A_spawn { new_tid = tid' });
+      emit st cfg tid fr (Event.A_spawn { new_tid = tid' });
       advance (Frame.write_reg fr r tid')
   | Join a ->
       let target = rd a in
       if not (IMap.mem target st.threads) then
         raise (Crash_exn (Crash.Abort_called (Fmt.str "join of invalid thread %d" target)))
       else if Thread.is_halted (get_thread st target) then (
-        emit st cfg tid pc (Event.A_join { joined = target });
+        emit st cfg tid fr (Event.A_join { joined = target });
         advance fr)
       else { th with status = Thread.Blocked_on_join target }
   | Call (ret_reg, fname, args) ->
       let f = Res_ir.Prog.func st.prog fname in
-      emit st cfg tid pc (Event.A_call { callee = fname });
+      emit st cfg tid fr (Event.A_call { callee = fname });
       let caller = Frame.advance fr in
       let callee = Frame.enter f ~args:(List.map rd args) ~ret_reg in
       Thread.push_frame (Thread.with_top th caller) callee
   | Assert (r, msg) ->
       if rd r = 0 then raise (Crash_exn (Crash.Assert_fail msg))
       else (
-        emit st cfg tid pc Event.A_exec;
+        emit st cfg tid fr Event.A_exec;
         advance fr)
   | Log (tag, r) ->
       st.tracer <- Tracer.record_log st.tracer ~tid ~tag ~value:(rd r);
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance fr
   | Nop ->
-      emit st cfg tid pc Event.A_exec;
+      emit st cfg tid fr Event.A_exec;
       advance fr
 
 (** Execute the terminator of the current block. *)
 let step_term st cfg (th : Thread.t) (fr : Frame.t) term =
   let open Res_ir.Instr in
-  let pc = Frame.pc fr in
   let tid = th.tid in
   let branch_to label =
     st.tracer <-
       Tracer.record_branch st.tracer ~tid ~func:fr.func ~from_label:fr.block
         ~to_label:label;
-    emit st cfg tid pc (Event.A_branch { from_label = fr.block; to_label = label });
+    emit st cfg tid fr (Event.A_branch { from_label = fr.block; to_label = label });
     Thread.with_top th (Frame.goto fr label)
   in
   let halt_thread () =
-    emit st cfg tid pc Event.A_halt;
+    emit st cfg tid fr Event.A_halt;
     wake st (function Thread.Blocked_on_join t -> t = tid | _ -> false);
     { th with Thread.frames = []; status = Thread.Halted }
   in
@@ -270,7 +295,7 @@ let step_term st cfg (th : Thread.t) (fr : Frame.t) term =
   | Halt -> halt_thread ()
   | Abort msg -> raise (Crash_exn (Crash.Abort_called msg))
   | Ret r_opt -> (
-      emit st cfg tid pc Event.A_ret;
+      emit st cfg tid fr Event.A_ret;
       let ret_val = Option.map (Frame.read_reg fr) r_opt in
       let th = Thread.pop_frame th in
       match th.Thread.frames with
@@ -289,7 +314,7 @@ let step st cfg tid =
   st.mem <- Fault.memory_mutations_at cfg.fault ~step:st.steps st.mem;
   let th = get_thread st tid in
   let fr = Thread.top th in
-  let block = Res_ir.Prog.block st.prog ~func:fr.func ~label:fr.block in
+  let block = current_block st fr in
   let result =
     try
       let th' =

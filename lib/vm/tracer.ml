@@ -28,12 +28,11 @@ let record_branch t ~tid ~func ~from_label ~to_label =
   if t.lbr_depth = 0 then t
   else
     let entry = { br_tid = tid; br_func = func; br_from = from_label; br_to = to_label } in
-    let lbr =
-      if List.length t.lbr >= t.lbr_depth then
-        entry :: List.filteri (fun i _ -> i < t.lbr_depth - 1) t.lbr
-      else entry :: t.lbr
+    let rec newest n = function
+      | b :: rest when n > 0 -> b :: newest (n - 1) rest
+      | _ -> []
     in
-    { t with lbr }
+    { t with lbr = entry :: newest (t.lbr_depth - 1) t.lbr }
 
 let record_log t ~tid ~tag ~value =
   { t with logs = { log_tid = tid; log_tag = tag; log_value = value } :: t.logs }

@@ -37,6 +37,14 @@ gate_tmp=$(mktemp -d)
 cache_tmp=$(mktemp -d)
 trap 'rm -rf "$gate_tmp" "$cache_tmp"' EXIT
 
+# Smoke of the E3 benchmark, whose depth sweep times long-exec analyses
+# at d = 25, 50, 100 and 200: it must run to the end and print the
+# deepest row.
+dune exec bench/main.exe e3 > "$cache_tmp/e3.txt" \
+  || { echo "bench/main.exe e3 exited non-zero"; exit 1; }
+grep -q '^200 ' "$cache_tmp/e3.txt" \
+  || { echo "bench/main.exe e3 printed no d = 200 row"; exit 1; }
+
 # At most one campaign per selftest: a second campaign flag is a usage
 # error (exit 124), not a silently dropped campaign.
 rc=0

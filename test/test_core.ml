@@ -458,7 +458,11 @@ let test_find_races_positive () =
       mk_event 1 2 "w" "b" 0 (Res_vm.Event.A_write { addr = 100; value = 2; old = 1 });
     ]
   in
-  check bool_t "race found" true (Rootcause.find_races trace <> [])
+  check bool_t "race found" true (Rootcause.find_races trace <> []);
+  (* the same writes by one thread do not race: [Rootcause.classify] skips
+     the detectors on a one-thread trace *)
+  let one_thread = List.map (fun (e : Res_vm.Event.t) -> { e with tid = 1 }) trace in
+  check bool_t "no race in one thread" true (Rootcause.find_races one_thread = [])
 
 let test_find_races_lock_ordered () =
   (* same accesses, but ordered by unlock -> lock: no race *)
@@ -502,7 +506,11 @@ let test_find_atomicity_violation () =
       mk_event 2 1 "w" "b" 0 (Res_vm.Event.A_write { addr = 7; value = 1; old = 0 });
     ]
   in
-  check bool_t "no violation" true (Rootcause.find_atomicity_violations clean = [])
+  check bool_t "no violation" true (Rootcause.find_atomicity_violations clean = []);
+  (* nor when the one thread makes the intervening write itself *)
+  let one_thread = List.map (fun (e : Res_vm.Event.t) -> { e with tid = 1 }) trace in
+  check bool_t "no violation in one thread" true
+    (Rootcause.find_atomicity_violations one_thread = [])
 
 let test_signature_stability () =
   (* the same defect reported via race or atomicity keys identically *)
@@ -752,6 +760,25 @@ let test_repeated_suffix_reported_once () =
       check bool_t (name ^ ": one report per suffix") true same)
     [ "div-by-zero"; "semantic-discount"; "hash-construct" ]
 
+(* Two reports that tie on score and suffix length are ordered by their
+   rendered text, whichever order the analysis lists them in.  They differ
+   only in the determinism flag, so only the text tells them apart. *)
+let test_display_sort_ties_by_text () =
+  let w = Res_workloads.Div_zero.workload in
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let a = Res.analysis (Res.analyze ctx (Res_workloads.Truth.coredump w)) in
+  let r = List.hd a.Res.reports in
+  let r' = { r with Res.deterministic = not r.Res.deterministic } in
+  let text x = Fmt.str "%a" (Report.pp_report ctx) x in
+  check bool_t "texts differ" false (String.equal (text r) (text r'));
+  let expected = List.sort String.compare [ text r; text r' ] in
+  List.iter
+    (fun reports ->
+      let sorted = Report.display_sort ctx { a with Res.reports } in
+      check (Alcotest.list Alcotest.string) "ordered by text" expected
+        (List.map text sorted.Res.reports))
+    [ [ r; r' ]; [ r'; r ] ]
+
 let () =
   Alcotest.run "res_core"
     [
@@ -832,5 +859,7 @@ let () =
             test_witness_default_differential;
           Alcotest.test_case "repeated suffix reported once" `Quick
             test_repeated_suffix_reported_once;
+          Alcotest.test_case "display order ties broken by text" `Quick
+            test_display_sort_ties_by_text;
         ] );
     ]

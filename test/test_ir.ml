@@ -124,28 +124,6 @@ let test_cfg_preds () =
   check string_list "no spawn sites" []
     (List.map (fun (s : Cfg.site) -> s.in_func) (Cfg.spawn_sites_of cfg "double"))
 
-let test_cfg_reachability () =
-  let src =
-    {|
-func main() {
-entry:
-  jmp loop
-loop:
-  r0 = const 1
-  br r0, loop, out
-out:
-  halt
-dead:
-  halt
-}
-|}
-  in
-  let p = Parser.parse src in
-  let cfg = Cfg.of_prog p in
-  let f = Prog.func p "main" in
-  check string_list "reachable" [ "entry"; "loop"; "out" ]
-    (Cfg.reachable_labels cfg f)
-
 (* --- builder --- *)
 
 let test_builder_roundtrip () =
@@ -409,7 +387,6 @@ let () =
       ( "cfg",
         [
           Alcotest.test_case "predecessors" `Quick test_cfg_preds;
-          Alcotest.test_case "reachability" `Quick test_cfg_reachability;
         ] );
       ( "builder",
         [

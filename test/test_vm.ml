@@ -722,6 +722,117 @@ e:
   | Exec.Out_of_fuel -> ()
   | _ -> Alcotest.fail "expected fuel exhaustion"
 
+(* [p] with every label one physical string per spelling, so that the
+   two functions' [e] blocks are named by the very same string. *)
+let intern_labels (p : Res_ir.Prog.t) =
+  let seen = Hashtbl.create 8 in
+  let one l =
+    match Hashtbl.find_opt seen l with
+    | Some l -> l
+    | None ->
+        Hashtbl.add seen l l;
+        l
+  in
+  let term = function
+    | Res_ir.Instr.Jmp l -> Res_ir.Instr.Jmp (one l)
+    | Res_ir.Instr.Br (r, l1, l2) -> Res_ir.Instr.Br (r, one l1, one l2)
+    | t -> t
+  in
+  Res_ir.Prog.v ~globals:p.globals
+    (List.map
+       (fun (f : Res_ir.Func.t) ->
+         Res_ir.Func.v ~name:f.name ~params:f.params ~entry:(one f.entry)
+           (List.map
+              (fun (b : Res_ir.Block.t) ->
+                Res_ir.Block.v (one b.label) (Array.to_list b.instrs) (term b.term))
+              f.blocks))
+       p.funcs)
+
+(* A state rebuilt from a decoded coredump holds frames whose function
+   and label strings were parsed from the dump, not shared with the
+   program.  Cut the run at every step, round-trip the state through the
+   dump codec, and the rebuilt state must step exactly as the original
+   run does from there.  Both functions name their entry block [e]; the
+   label-interned copy of the program must run the same events too. *)
+let test_decoded_state_steps_as_original () =
+  let parsed =
+    parse
+      {|
+global out 1
+func main() {
+e:
+  r0 = const 5
+  r1 = call fact(r0)
+  r2 = global out
+  store r2[0] = r1
+  halt
+}
+func fact(r0) {
+e:
+  r1 = const 1
+  r2 = le r0, r1
+  br r2, base, rec
+base:
+  ret r1
+rec:
+  r3 = sub r0, r1
+  r4 = call fact(r3)
+  r5 = mul r0, r4
+  ret r5
+}
+|}
+  in
+  let traced max_steps =
+    { (Exec.default_config ()) with max_steps; record_trace = true }
+  in
+  let events trace = List.map (Fmt.str "%a" Event.pp) trace in
+  let whole = Exec.run ~config:(traced 1_000) parsed in
+  let n = whole.final.Exec.steps in
+  let check_prog name prog =
+    check (Alcotest.list Alcotest.string) (name ^ ": whole run")
+      (events whole.trace)
+      (events (Exec.run ~config:(traced 1_000) prog).trace);
+    for k = 1 to n - 1 do
+      let cut = Exec.run ~config:(traced k) prog in
+      let main = Exec.get_thread cut.final 0 in
+      let d =
+        Coredump_io.of_string
+          (Coredump_io.to_string
+             {
+               Coredump.crash =
+                 { Crash.kind = Crash.Abort_called "cut"; tid = 0; pc = Thread.pc main };
+               mem = cut.final.Exec.mem;
+               heap = cut.final.Exec.heap;
+               threads = cut.final.Exec.threads;
+               tracer = cut.final.Exec.tracer;
+               steps = k;
+             })
+      in
+      let fr = Thread.top (Coredump.thread d 0) in
+      let block = Res_ir.Prog.block prog ~func:fr.Frame.func ~label:fr.Frame.block in
+      check bool_t "decoded label is not the program's string" true
+        (fr.Frame.block != block.Res_ir.Block.label);
+      let st =
+        Exec.make_state prog ~mem:d.Coredump.mem ~heap:d.Coredump.heap
+          ~threads:d.Coredump.threads
+      in
+      st.Exec.steps <- k;
+      let rest = Exec.run_state ~config:(traced 1_000) st in
+      check (Alcotest.list Alcotest.string)
+        (Fmt.str "%s: events after step %d" name k)
+        (events (List.filter (fun (e : Event.t) -> e.step >= k) whole.trace))
+        (events rest.trace);
+      check bool_t "same outcome" true (rest.outcome = whole.outcome);
+      check bool_t "same final memory" true
+        (Res_mem.Memory.diff rest.final.Exec.mem whole.final.Exec.mem = [])
+    done
+  in
+  let interned = intern_labels parsed in
+  check bool_t "one string names both entry blocks" true
+    ((Res_ir.Prog.func interned "main").entry == (Res_ir.Prog.func interned "fact").entry);
+  check_prog "parsed" parsed;
+  check_prog "interned" interned
+
 (* --- frames, schedulers, oracles --- *)
 
 module FIMap = Map.Make (Int)
@@ -936,6 +1047,8 @@ let () =
           Alcotest.test_case "schedule replay" `Quick test_replay_fixed_schedule;
           Alcotest.test_case "contents" `Quick test_coredump_contents;
           Alcotest.test_case "out of fuel" `Quick test_out_of_fuel;
+          Alcotest.test_case "decoded state steps as the original" `Quick
+            test_decoded_state_steps_as_original;
         ] );
       ("properties", qcheck_cases);
     ]
