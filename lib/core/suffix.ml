@@ -71,18 +71,38 @@ let length_steps t = List.fold_left (fun a s -> a + s.seg_steps) 0 t.segments
 (** Number of segments (block-granularity length). *)
 let length t = List.length t.segments
 
-let pp_segment ppf s =
-  let pp_end ppf = function
-    | Seg_branch l -> Fmt.pf ppf "-> %s" l
-    | Seg_ret -> Fmt.string ppf "-> ret"
-    | Seg_halt -> Fmt.string ppf "-> halt"
-    | Seg_crash k -> Fmt.pf ppf "-> CRASH (%a)" Res_vm.Crash.pp_kind k
-    | Seg_blocked -> Fmt.string ppf "-> blocked"
-  in
-  Fmt.pf ppf "t%d %s:%s %a" s.seg_tid s.seg_func s.seg_block pp_end s.seg_end
+(** [add_segment b s] appends the line of one segment to [b], without a
+    newline.  A deadlock's tids are separated by [",\n"]. *)
+let add_segment b s =
+  Buffer.add_char b 't';
+  Buffer.add_string b (string_of_int s.seg_tid);
+  Buffer.add_char b ' ';
+  Buffer.add_string b s.seg_func;
+  Buffer.add_char b ':';
+  Buffer.add_string b s.seg_block;
+  Buffer.add_string b " -> ";
+  match s.seg_end with
+  | Seg_branch l -> Buffer.add_string b l
+  | Seg_ret -> Buffer.add_string b "ret"
+  | Seg_halt -> Buffer.add_string b "halt"
+  | Seg_crash k ->
+      Buffer.add_string b "CRASH (";
+      Res_vm.Crash.add_kind ~sep:",\n" b k;
+      Buffer.add_char b ')'
+  | Seg_blocked -> Buffer.add_string b "blocked"
+
+(** [add b t] appends a header line, then one line per segment, to [b],
+    without a final newline. *)
+let add b t =
+  Printf.bprintf b "suffix (%d segments, %d instrs):\n" (length t)
+    (length_steps t);
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char b '\n';
+      add_segment b s)
+    t.segments
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>suffix (%d segments, %d instrs):@,%a@]" (length t)
-    (length_steps t)
-    Fmt.(list ~sep:cut pp_segment)
-    t.segments
+  let b = Buffer.create 256 in
+  add b t;
+  Fmt.string ppf (Buffer.contents b)

@@ -33,5 +33,5 @@ let instr prog pc =
 let next pc = { pc with idx = pc.idx + 1 }
 let block_start pc = { pc with idx = 0 }
 
-let pp ppf pc = Fmt.pf ppf "%s:%s:%d" pc.func pc.block pc.idx
-let to_string pc = Fmt.str "%a" pp pc
+let to_string pc = pc.func ^ ":" ^ pc.block ^ ":" ^ string_of_int pc.idx
+let pp ppf pc = Fmt.string ppf (to_string pc)

@@ -105,20 +105,28 @@ let clobber_call q facts callee =
         | Some base -> IMap.remove (base + off) facts)
       s.Summary.s_mod.Summary.f_cells facts
 
+(** The interpreter's registers, as arrays indexed by register and sized
+    by the program's {!Summary.t} [regs]. *)
 type state = {
-  mutable env : value IMap.t;  (** register values, absent = fall to seed *)
-  mutable assigned : ISet.t;  (** registers the chain has determined *)
+  vals : value array;  (** register values where [present] *)
+  present : Bytes.t;  (** ['\001'] where set; elsewhere it falls to the seed *)
+  assigned : Bytes.t;  (** ['\001'] where the chain has determined it *)
+  stamp : int array;  (** the number of the segment that last assigned it *)
+  mutable seg : int;  (** the number of the segment being interpreted *)
   mutable facts : int IMap.t;  (** candidate-segment final stores, addr -> value *)
-  mutable seg_assigned : ISet.t;  (** registers assigned in the current segment *)
 }
 
+let set st r v =
+  st.vals.(r) <- v;
+  Bytes.set st.present r '\001'
+
 let read q st r =
-  match IMap.find_opt r st.env with Some v -> v | None -> q.q_seed r
+  if Bytes.get st.present r = '\001' then st.vals.(r) else q.q_seed r
 
 let assign st r v =
-  st.env <- IMap.add r v st.env;
-  st.assigned <- ISet.add r st.assigned;
-  st.seg_assigned <- ISet.add r st.seg_assigned
+  set st r v;
+  Bytes.set st.assigned r '\001';
+  st.stamp.(r) <- st.seg
 
 (** Interpret one instruction.  [track] is true only for the candidate
     segment, whose final stores face the post-snapshot's memory. *)
@@ -195,7 +203,7 @@ let interp_seg q st ~track (s : seg) =
       match Res_ir.Func.block_opt f s.sg_block with
       | None -> raise Exit
       | Some b ->
-          st.seg_assigned <- ISet.empty;
+          st.seg <- st.seg + 1;
           let n = Res_ir.Block.length b in
           let limit =
             match s.sg_end with End_stop idx -> min idx n | _ -> n
@@ -239,8 +247,8 @@ let interp_seg q st ~track (s : seg) =
              about them must be forgotten. *)
           ISet.iter
             (fun r ->
-              if ISet.mem r st.seg_assigned then
-                st.env <- IMap.add r Top st.env)
+              if r >= 0 && r < Array.length st.stamp && st.stamp.(r) = st.seg
+              then set st r Top)
             q.q_relaxed_regs)
 
 (** [refute q chain] — [Some reason] when the candidate chain (candidate
@@ -258,22 +266,26 @@ let refute (q : query) (chain : seg list) : string option =
             match Res_ir.Func.block_opt f cand.sg_block with
             | None -> raise Exit
             | Some b ->
-                (* registers the candidate defines are havocked pre-state
-                   symbols, not seeds *)
-                let env0 =
-                  ISet.fold
-                    (fun r env -> IMap.add r Top env)
-                    (ISet.of_list (Res_ir.Block.defined_regs b))
-                    IMap.empty
+                let n =
+                  match q.q_summary.Summary.regs with
+                  | Some n -> n
+                  | None -> raise Exit
                 in
                 let st =
                   {
-                    env = env0;
-                    assigned = ISet.empty;
+                    vals = Array.make n Top;
+                    present = Bytes.make n '\000';
+                    assigned = Bytes.make n '\000';
+                    stamp = Array.make n 0;
+                    seg = 0;
                     facts = IMap.empty;
-                    seg_assigned = ISet.empty;
                   }
                 in
+                (* registers the candidate defines are havocked pre-state
+                   symbols, not seeds *)
+                List.iter
+                  (fun r -> set st r Top)
+                  (Res_ir.Block.defined_regs b);
                 interp_seg q st ~track:true cand;
                 (* candidate's final stores vs the post-state snapshot *)
                 IMap.iter
@@ -298,23 +310,22 @@ let refute (q : query) (chain : seg list) : string option =
                 in
                 (match q.q_goal with
                 | Some goal when ends_at_stop ->
-                    IMap.iter
-                      (fun r v ->
-                        match v with
-                        | Known n
-                          when ISet.mem r st.assigned
-                               && not (ISet.mem r q.q_relaxed_regs) -> (
-                            match goal r with
-                            | Known d when d <> n ->
-                                raise
-                                  (Refuted
-                                     (Fmt.str
-                                        "chain forces r%d = %d but the \
-                                         coredump frame holds %d"
-                                        r n d))
-                            | _ -> ())
-                        | _ -> ())
-                      st.env
+                    for r = 0 to n - 1 do
+                      match st.vals.(r) with
+                      | Known v
+                        when Bytes.get st.assigned r = '\001'
+                             && not (ISet.mem r q.q_relaxed_regs) -> (
+                          match goal r with
+                          | Known d when d <> v ->
+                              raise
+                                (Refuted
+                                   (Fmt.str
+                                      "chain forces r%d = %d but the \
+                                       coredump frame holds %d"
+                                      r v d))
+                          | _ -> ())
+                      | _ -> ()
+                    done
                 | _ -> ())));
         None
       with

@@ -100,7 +100,31 @@ type t = {
   trans : fsum SMap.t;  (** per function, transitively through calls *)
   envs : Absval.env SMap.t SMap.t;
       (** per function, block-entry abstract environments (params [Top]) *)
+  regs : int option;
+      (** [Some n] when every register the program names lies in
+          [r0..r(n-1)], with [n] at most {!max_regs}: the length of a
+          register-indexed array.  [None] for a negative register or a
+          larger one. *)
 }
+
+let max_regs = 1 lsl 16
+
+let regs_of_prog (p : Res_ir.Prog.t) =
+  let hi = ref (-1) and ok = ref true in
+  let see r = if r < 0 || r >= max_regs then ok := false else hi := max !hi r in
+  List.iter
+    (fun (f : Res_ir.Func.t) ->
+      List.iter
+        (fun (b : Res_ir.Block.t) ->
+          Array.iter
+            (fun i ->
+              Option.iter see (Res_ir.Instr.defs i);
+              List.iter see (Res_ir.Instr.uses i))
+            b.instrs;
+          List.iter see (Res_ir.Instr.term_uses b.term))
+        f.blocks)
+    p.funcs;
+  if !ok then Some (!hi + 1) else None
 
 (** Direct summary of [f], plus its block-entry environments. *)
 let func_direct (f : Res_ir.Func.t) =
@@ -150,7 +174,7 @@ let of_prog (p : Res_ir.Prog.t) =
         end)
       !trans
   done;
-  { trans = !trans; envs }
+  { trans = !trans; envs; regs = regs_of_prog p }
 
 (** The transitive summary of a function: its own effects plus those of
     everything it can call.  Unknown functions get the all-unknown

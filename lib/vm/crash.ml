@@ -23,23 +23,45 @@ type kind =
 (** A crash: what happened, in which thread, at which program counter. *)
 type t = { kind : kind; tid : int; pc : Res_ir.Pc.t }
 
-let pp_kind ppf = function
-  | Seg_fault a -> Fmt.pf ppf "segmentation fault at 0x%x" a
+(** [add_kind ~sep b k] appends the text of [k] to [b]; [sep] separates a
+    deadlock's tids. *)
+let add_kind ~sep b = function
+  | Seg_fault a -> Printf.bprintf b "segmentation fault at 0x%x" a
   | Out_of_bounds { addr; base; size } ->
-      Fmt.pf ppf "heap overflow: 0x%x past block 0x%x(+%d)" addr base size
+      Printf.bprintf b "heap overflow: 0x%x past block 0x%x(+%d)" addr base size
   | Use_after_free { addr; base } ->
-      Fmt.pf ppf "use after free: 0x%x in freed block 0x%x" addr base
-  | Double_free a -> Fmt.pf ppf "double free of 0x%x" a
-  | Invalid_free a -> Fmt.pf ppf "invalid free of 0x%x" a
+      Printf.bprintf b "use after free: 0x%x in freed block 0x%x" addr base
+  | Double_free a -> Printf.bprintf b "double free of 0x%x" a
+  | Invalid_free a -> Printf.bprintf b "invalid free of 0x%x" a
   | Global_overflow { addr; global } ->
-      Fmt.pf ppf "global buffer overflow: 0x%x past %s" addr global
-  | Div_by_zero -> Fmt.string ppf "division by zero"
-  | Assert_fail m -> Fmt.pf ppf "assertion failed: %s" m
-  | Abort_called m -> Fmt.pf ppf "abort: %s" m
-  | Unlock_error a -> Fmt.pf ppf "unlock of unheld mutex 0x%x" a
+      Printf.bprintf b "global buffer overflow: 0x%x past %s" addr global
+  | Div_by_zero -> Buffer.add_string b "division by zero"
+  | Assert_fail m -> Printf.bprintf b "assertion failed: %s" m
+  | Abort_called m -> Printf.bprintf b "abort: %s" m
+  | Unlock_error a -> Printf.bprintf b "unlock of unheld mutex 0x%x" a
   | Deadlock tids ->
+      Buffer.add_string b "deadlock (threads ";
+      List.iteri
+        (fun i tid ->
+          if i > 0 then Buffer.add_string b sep;
+          Buffer.add_string b (string_of_int tid))
+        tids;
+      Buffer.add_char b ')'
+  | Alloc_error n -> Printf.bprintf b "allocation of %d words" n
+
+(** [add ~sep b t] appends "thread T at PC: KIND" to [b]. *)
+let add ~sep b t =
+  Printf.bprintf b "thread %d at %s: " t.tid (Res_ir.Pc.to_string t.pc);
+  add_kind ~sep b t.kind
+
+let pp_kind ppf = function
+  | Deadlock tids ->
+      (* the tid separator is a break hint, so a box decides the line *)
       Fmt.pf ppf "deadlock (threads %a)" Fmt.(list ~sep:comma int) tids
-  | Alloc_error n -> Fmt.pf ppf "allocation of %d words" n
+  | k ->
+      let b = Buffer.create 64 in
+      add_kind ~sep:"" b k;
+      Fmt.string ppf (Buffer.contents b)
 
 let pp ppf t =
   Fmt.pf ppf "thread %d at %a: %a" t.tid Res_ir.Pc.pp t.pc pp_kind t.kind

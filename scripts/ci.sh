@@ -44,6 +44,15 @@ dune exec bench/main.exe e3 > "$cache_tmp/e3.txt" \
   || { echo "bench/main.exe e3 exited non-zero"; exit 1; }
 grep -q '^200 ' "$cache_tmp/e3.txt" \
   || { echo "bench/main.exe e3 printed no d = 200 row"; exit 1; }
+# Its bytes column is the size of the rendered report list at each
+# depth, so a report renderer that drifts by one byte fails here.
+for row in 25:13562 50:41537 100:140613 200:511438; do
+  d=${row%%:*}
+  bytes=$(awk -v d="$d" '/^depth sweep/ { sweep = 1 } sweep && $1 == d { print $7 }' \
+    "$cache_tmp/e3.txt")
+  [ "$bytes" = "${row#*:}" ] \
+    || { echo "e3 rendered $bytes bytes at d = $d, expected ${row#*:}"; exit 1; }
+done
 
 # At most one campaign per selftest: a second campaign flag is a usage
 # error (exit 124), not a silently dropped campaign.

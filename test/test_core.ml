@@ -131,7 +131,7 @@ let test_search_budget () =
 let rendered ctx dump (r : Search.result) =
   List.map
     (fun s ->
-      Fmt.str "%a" (Report.pp_report ctx)
+      Report.report_to_string ctx
         (Res.report_of ctx Res.default_config dump s))
     r.Search.suffixes
 
@@ -769,7 +769,7 @@ let test_display_sort_ties_by_text () =
   let a = Res.analysis (Res.analyze ctx (Res_workloads.Truth.coredump w)) in
   let r = List.hd a.Res.reports in
   let r' = { r with Res.deterministic = not r.Res.deterministic } in
-  let text x = Fmt.str "%a" (Report.pp_report ctx) x in
+  let text x = Report.report_to_string ctx x in
   check bool_t "texts differ" false (String.equal (text r) (text r'));
   let expected = List.sort String.compare [ text r; text r' ] in
   List.iter
@@ -778,6 +778,170 @@ let test_display_sort_ties_by_text () =
       check (Alcotest.list Alcotest.string) "ordered by text" expected
         (List.map text sorted.Res.reports))
     [ [ r; r' ]; [ r'; r ] ]
+
+(* --- report bytes and work counters, pinned --- *)
+
+let analyze_at ?(depth = 6) name =
+  Res_solver.Expr.reset_counter_for_tests ();
+  let w = Res_workloads.Workloads.find name in
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let config =
+    {
+      Res.default_config with
+      search = { Search.default_config with max_segments = depth };
+    }
+  in
+  (ctx, Res.analyze ~config ctx (Res_workloads.Truth.coredump w))
+
+(* Reports that are physically the same value tie without their text
+   being compared, and keep their stable order.  div-by-zero lists one
+   suffix's report eight times at the CLI's default depth. *)
+let test_display_sort_same_value () =
+  let ctx, o = analyze_at ~depth:8 "div-by-zero" in
+  let a = Res.analysis o in
+  let r = List.hd a.Res.reports in
+  check int_t "eight reports" 8 (List.length a.Res.reports);
+  check bool_t "all the same value" true
+    (List.for_all (fun x -> x == r) a.Res.reports);
+  let sorted = Report.display_sort ctx a in
+  check bool_t "order kept" true
+    (List.for_all2 ( == ) a.Res.reports sorted.Res.reports)
+
+(* Every break of the vertical layout is a newline: a two-tid schedule
+   prints one tid a line. *)
+let test_report_text_counter_race () =
+  let ctx, o = analyze_at "counter-race" in
+  check Alcotest.string "report list"
+    "failure: thread 0 at main:check:4: assertion failed: both increments applied\n\
+     suffix (2 segments, 9 instrs):\n\
+     t1 worker:upd -> ret\n\
+     t0 main:check -> CRASH (assertion failed: both increments applied)\n\
+     schedule: 1\n\
+     0\n\
+     write set: counter\n\
+     read set: counter\n\
+     replayed: yes, exact coredump match (deterministic)\n\
+     root cause: concurrency:0x1000:worker:upd:2\n\
+     \n\
+     \n\
+     failure: thread 0 at main:check:4: assertion failed: both increments applied\n\
+     suffix (2 segments, 9 instrs):\n\
+     t2 worker:upd -> ret\n\
+     t0 main:check -> CRASH (assertion failed: both increments applied)\n\
+     schedule: 2\n\
+     0\n\
+     write set: counter\n\
+     read set: counter\n\
+     replayed: yes, exact coredump match (deterministic)\n\
+     root cause: concurrency:0x1000:worker:upd:2\n\
+     \n\
+     \n\
+     failure: thread 0 at main:check:4: assertion failed: both increments applied\n\
+     suffix (1 segments, 5 instrs):\n\
+     t0 main:check -> CRASH (assertion failed: both increments applied)\n\
+     schedule: 0\n\
+     write set: \n\
+     read set: counter\n\
+     replayed: yes, exact coredump match (deterministic)\n\
+     root cause: assert:main:check:4:both increments applied\n\
+     \n\
+     "
+    (Report.report_list_to_string ctx (Res.analysis o))
+
+(* ... and a [,]-separated list puts each item after the first on its own
+   line, in the failure line as in the CRASH segment line. *)
+let test_report_text_deadlock () =
+  let ctx, o = analyze_at "lock-order-deadlock" in
+  check Alcotest.string "report list"
+    "failure: thread 0 at main:entry:2: deadlock (threads 0,\n\
+     1,\n\
+     2)\n\
+     suffix (1 segments, 2 instrs):\n\
+     t1 left:second -> CRASH (deadlock (threads ))\n\
+     schedule: 1\n\
+     write set: \n\
+     read set: m2\n\
+     replayed: yes, exact coredump match (deterministic)\n\
+     root cause: deadlock:0x1002+0x1000\n\
+     \n\
+     \n\
+     failure: thread 0 at main:entry:2: deadlock (threads 0,\n\
+     1,\n\
+     2)\n\
+     suffix (1 segments, 2 instrs):\n\
+     t2 right:second -> CRASH (deadlock (threads ))\n\
+     schedule: 2\n\
+     write set: \n\
+     read set: m1\n\
+     replayed: yes, exact coredump match (deterministic)\n\
+     root cause: deadlock:0x1002+0x1000\n\
+     \n\
+     "
+    (Report.report_list_to_string ctx (Res.analysis o))
+
+(* One digest of the three report renderings over every workload at
+   depths 1, 3, 6, 8 and 12, and long-exec-50 at 55, with each outcome's
+   [cpu time:] line left out. *)
+let test_report_bytes_digest () =
+  let without_cpu_time s =
+    String.split_on_char '\n' s
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"cpu time:" l))
+    |> String.concat "\n"
+  in
+  let b = Buffer.create (1 lsl 19) in
+  List.iter
+    (fun (name, depth) ->
+      let ctx, o = analyze_at ~depth name in
+      let a = Res.analysis o in
+      Buffer.add_string b (Report.report_list_to_string ctx a);
+      Buffer.add_string b (Report.reports_to_string ctx a);
+      Buffer.add_string b
+        (without_cpu_time
+           (Report.outcome_to_string ctx (Report.sorted_outcome ctx o))))
+    (List.concat_map
+       (fun (w : Res_workloads.Truth.t) ->
+         List.map (fun d -> (w.Res_workloads.Truth.w_name, d)) [ 1; 3; 6; 8; 12 ])
+       Res_workloads.Workloads.all
+    @ [ ("long-exec-50", 55) ]);
+  check int_t "bytes" 399187 (Buffer.length b);
+  check Alcotest.string "digest" "a6bfc7287a405be3bed1f2e77e44e807"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The work counters (nodes, candidates, pruned, reversed, suffixes) of
+   every workload at depth 8, and long-exec-50 at 55. *)
+let test_work_counters () =
+  List.iter
+    (fun (name, depth, expected) ->
+      let _, o = analyze_at ~depth name in
+      let a = Res.analysis o in
+      check
+        Alcotest.(list int)
+        (Fmt.str "%s depth %d" name depth)
+        expected
+        [
+          a.Res.nodes_expanded;
+          a.Res.candidates_tried;
+          a.Res.nodes_pruned;
+          a.Res.nodes_reversed;
+          a.Res.suffixes_synthesized;
+        ])
+    [
+      ("fig1-overflow", 8, [ 1; 1; 0; 0; 1 ]);
+      ("counter-race", 8, [ 4; 4; 0; 0; 3 ]);
+      ("lock-order-deadlock", 8, [ 3; 3; 0; 0; 2 ]);
+      ("use-after-free-a", 8, [ 1; 1; 0; 0; 1 ]);
+      ("use-after-free-b", 8, [ 1; 1; 0; 0; 1 ]);
+      ("use-after-free-c", 8, [ 1; 1; 0; 0; 1 ]);
+      ("double-free", 8, [ 1; 1; 0; 0; 1 ]);
+      ("heap-overflow-tainted", 8, [ 1; 1; 0; 0; 1 ]);
+      ("heap-overflow-internal", 8, [ 1; 1; 0; 0; 1 ]);
+      ("div-by-zero", 8, [ 1; 1; 0; 0; 8 ]);
+      ("semantic-discount", 8, [ 2; 2; 0; 1; 8 ]);
+      ("hash-construct", 8, [ 3; 3; 0; 0; 8 ]);
+      ("long-exec-50", 8, [ 8; 14; 6; 7; 8 ]);
+      ("kvstore-stats-race", 8, [ 11; 14; 1; 0; 11 ]);
+      ("long-exec-50", 55, [ 56; 108; 52; 55; 59 ]);
+    ]
 
 let () =
   Alcotest.run "res_core"
@@ -861,5 +1025,14 @@ let () =
             test_repeated_suffix_reported_once;
           Alcotest.test_case "display order ties broken by text" `Quick
             test_display_sort_ties_by_text;
+          Alcotest.test_case "display order of one repeated report" `Quick
+            test_display_sort_same_value;
+          Alcotest.test_case "report text: counter race" `Quick
+            test_report_text_counter_race;
+          Alcotest.test_case "report text: deadlock" `Quick
+            test_report_text_deadlock;
+          Alcotest.test_case "report bytes digest" `Quick
+            test_report_bytes_digest;
+          Alcotest.test_case "work counters" `Quick test_work_counters;
         ] );
     ]

@@ -296,7 +296,7 @@ let prop_random_programs_carry_invisible =
             List.map
               (fun s ->
                 let pp config =
-                  Fmt.str "%a" (Res_core.Report.pp_report ctx)
+                  Res_core.Report.report_to_string ctx
                     (Res_core.Res.report_of ctx config dump s)
                 in
                 let witnessed = pp Res_core.Res.default_config in

@@ -200,7 +200,27 @@ b:
   check refuted "constant 5 cannot take the zero arm" (Some "")
     (Chain.refute q [ seg "main" "entry" (Chain.End_branch "b") ]);
   check refuted "constant 5 takes the nonzero arm" None
-    (Chain.refute q [ seg "main" "entry" (Chain.End_branch "a") ])
+    (Chain.refute q [ seg "main" "entry" (Chain.End_branch "a") ]);
+  (* The refuter's registers are an array as long as the program's
+     largest register number; past 2^16 it allocates none and never
+     refutes. *)
+  let prog =
+    parse
+      {|
+func main() {
+entry:
+  r0 = const 5
+  r65536 = const 1
+  br r0, a, b
+a:
+  halt
+b:
+  halt
+}
+|}
+  in
+  check refuted "a register past 2^16 turns the refuter off" None
+    (Chain.refute (mk_query prog) [ seg "main" "entry" (Chain.End_branch "b") ])
 
 let test_chain_zero_arm_learns () =
   (* Taking the zero arm with an unknown condition records cond = 0; a
@@ -330,7 +350,59 @@ next:
   check refuted "no goal check for a terminal chain" None
     (Chain.refute
        (mk_query ~goal:(goal 3) prog)
-       [ seg "main" "entry" (Chain.End_branch "next") ])
+       [ seg "main" "entry" (Chain.End_branch "next") ]);
+  (* A relaxed register forgets what the segment that assigned it
+     derived, from the next segment on; one no segment assigns keeps its
+     seed. *)
+  let prog =
+    parse
+      {|
+func main() {
+entry:
+  r0 = const 5
+  jmp next
+next:
+  br r0, a, b
+a:
+  halt
+b:
+  halt
+}
+|}
+  in
+  let chain =
+    [
+      seg "main" "entry" (Chain.End_branch "next");
+      seg "main" "next" (Chain.End_branch "b");
+    ]
+  in
+  check refuted "r0=5 cannot take the zero arm in the next segment" (Some "")
+    (Chain.refute (mk_query prog) chain);
+  check refuted "relaxed r0 assigned in segment 1 is unknown in segment 2"
+    None
+    (Chain.refute (mk_query ~relaxed:(Chain.ISet.singleton 0) prog) chain);
+  let prog =
+    parse
+      {|
+func main() {
+entry:
+  r0 = const 5
+  jmp next
+next:
+  br r1, a, b
+a:
+  halt
+b:
+  halt
+}
+|}
+  in
+  check refuted "relaxed r1 no segment assigns keeps its seed" (Some "")
+    (Chain.refute
+       (mk_query
+          ~seed:(fun r -> if r = 1 then Chain.Known 3 else Chain.Top)
+          ~relaxed:(Chain.ISet.singleton 1) prog)
+       chain)
 
 let test_chain_seeds_from_post_frame () =
   (* A register the candidate block does not define reads as its
@@ -356,7 +428,36 @@ b:
   check refuted "seed r0=0 takes the zero arm" None
     (Chain.refute
        (mk_query ~seed:(seed 0) prog)
-       [ seg "main" "entry" (Chain.End_branch "b") ])
+       [ seg "main" "entry" (Chain.End_branch "b") ]);
+  (* A register the candidate leaves untouched still reads its seed in a
+     later segment. *)
+  let prog =
+    parse
+      {|
+func main(r0) {
+entry:
+  r1 = const 1
+  jmp next
+next:
+  br r0, a, b
+a:
+  halt
+b:
+  halt
+}
+|}
+  in
+  let chain arm =
+    [
+      seg "main" "entry" (Chain.End_branch "next");
+      seg "main" "next" (Chain.End_branch arm);
+    ]
+  in
+  check refuted "seed r0=0 cannot take the nonzero arm in segment 2"
+    (Some "")
+    (Chain.refute (mk_query ~seed:(seed 0) prog) (chain "a"));
+  check refuted "seed r0=0 takes the zero arm in segment 2" None
+    (Chain.refute (mk_query ~seed:(seed 0) prog) (chain "b"))
 
 let test_chain_call_clobbers () =
   (* The candidate's store fact must not survive a call that may write
