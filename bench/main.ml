@@ -985,14 +985,68 @@ let e19 () =
     q_off q_on
 
 (* ------------------------------------------------------------------ *)
-(* E20: the time-travel debugger's transition watchpoint.  On the     *)
-(* deepest long-exec-50 suffix, the binary-searched transition probe   *)
-(* touches O(log n) states where a linear scan evaluates all of them.  *)
-(* The per-step wall clock of reverse walks is resbench deep-chain's   *)
-(* debug_step_us_p50.                                                  *)
+(* E20: the time-travel debugger.  On the deepest long-exec-50 suffix, *)
+(* reverse and forward walks over the whole timeline re-execute each   *)
+(* instruction at most once with the snapshot index (a backward seek   *)
+(* keeps the images of the window it replays), and the binary-searched *)
+(* transition probe touches O(log n) states where a linear scan        *)
+(* evaluates all of them.                                              *)
 (* ------------------------------------------------------------------ *)
+
+(* Walks of [state_at] over every position of a fresh session at
+   [interval], descending then ascending: the replay work of the first
+   walk of each (the index build is not counted) and the per-query wall
+   clock of the same walk repeated for at least 0.1 s, as resbench's
+   debug_step_us_p50 repeats reverse walks. *)
+let e20_walks ctx suffix dump n =
+  Fmt.pr "@.walks over positions %d..0 (reverse) and 0..%d (forward):@." n n;
+  Fmt.pr "%-6s %-8s %9s %9s %9s %12s@." "index" "walk" "us/query"
+    "snapshot" "window" "re-executed";
+  let row interval =
+    let dbg =
+      match Res_core.Debugger.start ~snapshot_every:interval ctx suffix dump with
+      | Ok d -> d
+      | Error e -> Fmt.failwith "debugger: %s" e
+    in
+    ignore (Res_core.Debugger.total_steps dbg);
+    let reverse () =
+      for p = n downto 0 do
+        ignore (Res_core.Debugger.state_at dbg p)
+      done
+    and forward () =
+      for p = 0 to n do
+        ignore (Res_core.Debugger.state_at dbg p)
+      done
+    in
+    let work walk =
+      let a = Res_core.Debugger.stats dbg in
+      walk ();
+      let b = Res_core.Debugger.stats dbg in
+      Res_core.Debugger.
+        ( b.snapshot_restores - a.snapshot_restores,
+          b.window_restores - a.window_restores,
+          b.replayed - a.replayed )
+    in
+    let per_query walk =
+      let reps = ref 0 and t0 = Unix.gettimeofday () in
+      while !reps < 3 || Unix.gettimeofday () -. t0 < 0.1 do
+        walk ();
+        incr reps
+      done;
+      1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int (!reps * (n + 1))
+    in
+    let label = if interval = 0 then "off" else string_of_int interval in
+    List.iter
+      (fun (name, walk) ->
+        let snapshot, window, replayed = work walk in
+        Fmt.pr "%-6s %-8s %9.3f %9d %9d %12d@." label name
+          (per_query walk) snapshot window replayed)
+      [ ("reverse", reverse); ("forward", forward) ]
+  in
+  List.iter row [ 16; 64; 0 ]
+
 let e20 () =
-  section "e20" "time-travel debugging — transition watchpoint probes";
+  section "e20" "time-travel debugging — reverse walks and transition probes";
   let w = Res_workloads.Workloads.find "long-exec-50" in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
@@ -1027,6 +1081,7 @@ let e20 () =
   let n = Res_core.Debugger.total_steps dbg in
   Fmt.pr "suffix timeline: %d instruction steps (%d segments)@." n
     (List.length suffix.Res_core.Suffix.segments);
+  e20_walks ctx suffix dump n;
   (* Transition watchpoint: binary-searched probes vs a linear scan. *)
   let layout = ctx.Res_core.Backstep.layout in
   let counter =
@@ -1046,9 +1101,12 @@ let e20 () =
         tr.Res_core.Debugger.tr_pos
   | None -> Fmt.pr "@.transition watchpoint: endpoints agree (no flip)@.");
   Fmt.pr
-    "@.expected shape: the transition search probes O(log n) states where \
-     the scan evaluates all %d@."
-    (n + 1)
+    "@.expected shape: with the index on, each walk re-executes at most the \
+     %d steps of the timeline and a reverse query costs about what a \
+     forward one does; with it off, a walk re-executes O(n^2); the \
+     transition search probes O(log n) states where the scan evaluates all \
+     %d@."
+    n (n + 1)
 
 let e21 () =
   section "e21"

@@ -599,12 +599,12 @@ let debug_cmd =
       | None -> Res_debug.Script.repl session
     in
     if stats then begin
-      let restores, replayed, probes = Res_core.Debugger.stats dbg in
+      let s = Res_core.Debugger.stats dbg in
       Fmt.epr
-        "index: interval %d, %d snapshot restores, %d instructions \
-         re-executed, %d transition probes@."
+        "index: interval %d, %d snapshot restores, %d window restores, %d \
+         instructions re-executed, %d transition probes@."
         (Res_core.Debugger.snapshot_every dbg)
-        restores replayed probes
+        s.snapshot_restores s.window_restores s.replayed s.probes
     end;
     code
   in
@@ -613,8 +613,9 @@ let debug_cmd =
        ~doc:
          "Time-travel debugger over a synthesized suffix: step and \
           reverse-step, continue in both directions, pc breakpoints, value \
-          watchpoints, and binary-searched transition watchpoints — every \
-          state query O(snapshot interval) via the snapshot index.")
+          watchpoints, and binary-searched transition watchpoints — a step \
+          in either direction replays amortized O(1) instructions via the \
+          snapshot index.")
     Term.(
       const run $ prog_arg $ dump_arg 1 $ depth_arg $ snapshot_every
       $ no_index $ script $ stats)

@@ -31,6 +31,13 @@ type scan = {
   sc_thread_steps : int list IMap.t;  (** tid -> its positions, oldest first *)
 }
 
+type stats = {
+  snapshot_restores : int;
+  window_restores : int;
+  replayed : int;
+  probes : int;
+}
+
 type t = {
   ctx : Backstep.ctx;
   suffix : Suffix.t;
@@ -117,19 +124,26 @@ let state_at_linear t steps =
 let total_steps t = Replay.Index.length (snd (index t))
 
 (** Reconstruct the exact machine state after executing the first [steps]
-    instructions of the suffix: restore the nearest snapshot at or below
-    [steps] and re-execute forward — O(snapshot interval), not
-    O(execution length). *)
+    instructions of the suffix via {!Replay.Index.seek}: a step back into
+    the window the last backward seek replayed restores an image, anything
+    else restores the nearest snapshot at or below [steps] and
+    re-executes forward — never O(execution length). *)
 let state_at t steps =
   let sp, ix = index t in
   Replay.Index.seek ix sp steps
 
-(** Replay-work counters: [(restores, replayed_steps, probes)]. *)
+(** Replay-work counters of the session so far. *)
 let stats t =
   match t.index with
   | Some (_, ix) ->
-      (ix.Replay.Index.ix_restores, ix.Replay.Index.ix_replayed, t.probes)
-  | None -> (0, 0, t.probes)
+      {
+        snapshot_restores = ix.Replay.Index.ix_restores;
+        window_restores = ix.Replay.Index.ix_window_restores;
+        replayed = ix.Replay.Index.ix_replayed;
+        probes = t.probes;
+      }
+  | None ->
+      { snapshot_restores = 0; window_restores = 0; replayed = 0; probes = t.probes }
 
 (** Memory word [addr] at position [p]. *)
 let mem_at t p addr =

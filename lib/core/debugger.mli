@@ -55,10 +55,14 @@ val snapshot_every : t -> int
 val total_steps : t -> int
 
 (** Reconstruct the exact machine state at position [p], via the snapshot
-    index: restore the nearest snapshot at or below [p], re-execute
-    forward — O(snapshot interval) per query.  The returned state is the
-    session's shared replay cursor: it is valid until the next state query
-    on [t]; extract what you need before querying again. *)
+    index with interval [k]: a backward query restores the nearest
+    snapshot at or below [p] and re-executes forward, keeping the image of
+    each step it replays in a window of at most [k] images, so later
+    backward queries into that window restore an image and re-execute
+    nothing.  Ascending and descending sweeps cost amortized O(1) per
+    position, a random query O(k).  The returned state is the session's
+    shared replay cursor: it is valid until the next state query on [t];
+    extract what you need before querying again. *)
 val state_at : t -> int -> Res_vm.Exec.state
 
 (** Replay-from-zero state reconstruction — an independent reference
@@ -67,9 +71,17 @@ val state_at : t -> int -> Res_vm.Exec.state
     state. *)
 val state_at_linear : t -> int -> Res_vm.Exec.state
 
-(** Replay work done so far: [(snapshot restores, instructions
-    re-executed, transition probes)]. *)
-val stats : t -> int * int * int
+(** Replay work done so far. *)
+type stats = {
+  snapshot_restores : int;  (** snapshots restored by state queries *)
+  window_restores : int;
+      (** backward-window images restored by state queries; these neither
+          restore a snapshot nor re-execute an instruction *)
+  replayed : int;  (** instructions re-executed by state queries *)
+  probes : int;  (** state evaluations made by transition searches *)
+}
+
+val stats : t -> stats
 
 (** Memory word [addr] at position [p]. *)
 val mem_at : t -> int -> int -> int

@@ -322,22 +322,35 @@ let restore sp im =
 
 (* --- snapshot index --------------------------------------------------- *)
 
-(** Snapshot index over one suffix replay (FReD-style).
+(** Snapshot index over one suffix replay (FReD-style), with a backward
+    window.
 
     Built by a single forward replay that captures an {!image} every
     [interval] steps, the index turns "state after step [n]" from
     O(execution length) — replay from step 0 — into O(interval): restore
-    the nearest snapshot at or below [n] and re-execute forward.  With the
-    index disabled ([interval = 0]) only the step-0 image exists, which
-    {e is} the replay-from-zero baseline; every query is answered through
-    the same code path either way, so enabling the index can change only
-    the amount of re-execution, never a result. *)
+    the nearest snapshot at or below [n] and re-execute forward.  A seek
+    that moves backward keeps the image of every step it re-executes, in
+    one window of at most [interval] images, so the next backward seeks
+    into that window restore an image and re-execute nothing: a reverse
+    walk re-executes each instruction at most once, as a forward walk
+    does.  With the index disabled ([interval = 0]) only the step-0 image
+    exists and there is no window, which {e is} the replay-from-zero
+    baseline; every query is answered through the same code path either
+    way, so enabling the index can change only the amount of
+    re-execution, never a result. *)
 module Index = struct
   type t = {
     ix_interval : int;  (** 0 = disabled (single snapshot at step 0) *)
     ix_images : image array;  (** snapshots at steps 0, k, 2k, ... *)
     ix_length : int;  (** completed steps in the suffix (crash excluded) *)
+    mutable ix_window : image array;
+        (** images of steps [ix_win_lo ..]; empty until the first backward
+            seek, then [min interval (ix_length + 1)] slots, reused *)
+    mutable ix_win_lo : int;
+    mutable ix_win_hi : int;  (** the window holds steps
+                                  [ix_win_lo, ix_win_hi]; empty if hi < lo *)
     mutable ix_restores : int;  (** snapshot restores performed by seeks *)
+    mutable ix_window_restores : int;  (** window images restored by seeks *)
     mutable ix_replayed : int;  (** instructions re-executed by seeks *)
   }
 
@@ -360,35 +373,58 @@ module Index = struct
       ix_interval = interval;
       ix_images = Array.of_list (List.rev !images);
       ix_length = stepper_steps sp;
+      ix_window = [||];
+      ix_win_lo = 0;
+      ix_win_hi = -1;
       ix_restores = 0;
+      ix_window_restores = 0;
       ix_replayed = 0;
     }
 
   let length t = t.ix_length
   let interval t = t.ix_interval
 
-  (** Position [sp] at exactly [n] executed steps.  Continues forward from
-      the stepper's current position when that is cheaper than restoring;
-      otherwise restores the nearest snapshot at or below [n] and replays
-      forward.  The resulting state is bit-for-bit what a fresh replay of
-      [n] steps produces. *)
+  (** Position [sp] at exactly [n] executed steps.  A backward seek into
+      the window restores its image of [n].  Otherwise the seek continues
+      forward from the stepper's current position when that is cheaper
+      than restoring, or restores the nearest snapshot at or below [n] and
+      replays forward; a backward one refills the window with the images
+      of the steps it replays.  The resulting state is bit-for-bit what a
+      fresh replay of [n] steps produces. *)
   let seek t sp n =
     if n < 0 || n > t.ix_length then
       invalid_arg (Fmt.str "Replay.Index.seek: step %d out of [0,%d]" n t.ix_length);
-    let snap = if t.ix_interval = 0 then 0 else n / t.ix_interval in
-    let snap = min snap (Array.length t.ix_images - 1) in
-    let snap_step = t.ix_images.(snap).im_steps in
     let cur = stepper_steps sp in
-    if cur > n || cur < snap_step then begin
-      restore sp t.ix_images.(snap);
-      t.ix_restores <- t.ix_restores + 1
+    if cur > n && t.ix_win_lo <= n && n <= t.ix_win_hi then begin
+      restore sp t.ix_window.(n - t.ix_win_lo);
+      t.ix_window_restores <- t.ix_window_restores + 1
+    end
+    else begin
+      let snap = if t.ix_interval = 0 then 0 else n / t.ix_interval in
+      let snap = min snap (Array.length t.ix_images - 1) in
+      let snap_step = t.ix_images.(snap).im_steps in
+      if cur > n || cur < snap_step then begin
+        restore sp t.ix_images.(snap);
+        t.ix_restores <- t.ix_restores + 1
+      end;
+      let fill = cur > n && t.ix_interval > 0 in
+      if fill then begin
+        if Array.length t.ix_window = 0 then
+          t.ix_window <-
+            Array.make (min t.ix_interval (t.ix_length + 1)) t.ix_images.(0);
+        t.ix_win_lo <- snap_step;
+        t.ix_win_hi <- -1;
+        t.ix_window.(0) <- t.ix_images.(snap)
+      end;
+      while stepper_steps sp < n do
+        (match step_once sp with
+        | Stepped -> ()
+        | Step_crashed _ | Step_exited ->
+            invalid_arg "Replay.Index.seek: suffix ended early");
+        t.ix_replayed <- t.ix_replayed + 1;
+        if fill then t.ix_window.(stepper_steps sp - snap_step) <- capture sp
+      done;
+      if fill then t.ix_win_hi <- n
     end;
-    while stepper_steps sp < n do
-      (match step_once sp with
-      | Stepped -> ()
-      | Step_crashed _ | Step_exited ->
-          invalid_arg "Replay.Index.seek: suffix ended early");
-      t.ix_replayed <- t.ix_replayed + 1
-    done;
     sp.sp_st
 end

@@ -54,6 +54,20 @@ for row in 25:13562 50:41537 100:140613 200:511438; do
     || { echo "e3 rendered $bytes bytes at d = $d, expected ${row#*:}"; exit 1; }
 done
 
+# Smoke of the E20 benchmark, whose walk table steps the debugger over
+# every position of long-exec-50's 55-segment suffix in both directions:
+# it must run to the end, and a reverse walk at interval 16 must
+# re-execute no more instructions than the timeline has steps, because a
+# backward seek keeps the images of the window it replays.
+dune exec bench/main.exe e20 > "$cache_tmp/e20.txt" \
+  || { echo "bench/main.exe e20 exited non-zero"; exit 1; }
+steps=$(awk '/^suffix timeline:/ { print $3 }' "$cache_tmp/e20.txt")
+replayed=$(awk '/^walks over/ { walks = 1 }
+  walks && $1 == "16" && $2 == "reverse" { print $6 }' "$cache_tmp/e20.txt")
+[ -n "$steps" ] && [ -n "$replayed" ] && [ "$replayed" -le "$steps" ] \
+  || { echo "e20 reverse walk at interval 16 re-executed ${replayed:-no} \
+instructions over ${steps:-no} steps"; exit 1; }
+
 # At most one campaign per selftest: a second campaign flag is a usage
 # error (exit 124), not a silently dropped campaign.
 rc=0

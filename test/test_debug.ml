@@ -70,23 +70,59 @@ let snap_state (st : Res_vm.Exec.state) =
 
 (* --- snapshot index vs replay-from-zero baseline --- *)
 
+(* Every position, ascending, then descending (the backward window's
+   sweep), then a fixed-seed mix of backward and forward jumps: single
+   steps (inside a window), jumps of about an interval (leaving it and
+   entering the next) and random positions.  Each indexed state must be
+   the replay-from-zero state, bit for bit. *)
 let test_index_matches_linear () =
   List.iter
     (fun wname ->
       let ctx, suffix, dump = suffix_for (workload wname) in
-      let dbg = debugger ~interval:7 ctx suffix dump in
-      let n = Debugger.total_steps dbg in
+      let lin =
+        let dbg = debugger ~interval:0 ctx suffix dump in
+        Array.init
+          (Debugger.total_steps dbg + 1)
+          (Debugger.state_at_linear dbg)
+      in
+      let n = Array.length lin - 1 in
       check bool_t (wname ^ ": non-empty timeline") true (n > 0);
-      (* every position: indexed seek == linear replay, bit for bit *)
-      for p = 0 to n do
-        let steps, mem, heap, threads = snap_state (Debugger.state_at dbg p) in
-        let lin = Debugger.state_at_linear dbg p in
-        check bool_t
-          (Fmt.str "%s: state_at %d matches linear" wname p)
-          true
-          (states_equal lin
-             { lin with Res_vm.Exec.steps; mem; heap; threads })
-      done)
+      List.iter
+        (fun interval ->
+          let dbg = debugger ~interval ctx suffix dump in
+          let at why p =
+            let steps, mem, heap, threads =
+              snap_state (Debugger.state_at dbg p)
+            in
+            check bool_t
+              (Fmt.str "%s interval %d: %s state_at %d matches linear" wname
+                 interval why p)
+              true
+              (states_equal lin.(p)
+                 { (lin.(p)) with Res_vm.Exec.steps; mem; heap; threads })
+          in
+          for p = 0 to n do
+            at "ascending" p
+          done;
+          for p = n downto 0 do
+            at "descending" p
+          done;
+          let rng = Random.State.make [| 29 |] in
+          let k = if interval = 0 || interval > n then 8 else interval in
+          let pos = ref 0 in
+          for _ = 1 to 400 do
+            let d = 1 + Random.State.int rng 3 in
+            (pos :=
+               match Random.State.int rng 6 with
+               | 0 | 1 -> !pos - d
+               | 2 -> !pos + d
+               | 3 -> !pos - k - d + 2
+               | 4 -> !pos + k + d - 2
+               | _ -> Random.State.int rng (n + 1));
+            pos := max 0 (min n !pos);
+            at "mixed" !pos
+          done)
+        [ 64; 7; 1; 0; max_int ])
     [ "fig1-overflow"; "counter-race"; "double-free"; "long-exec-50" ]
 
 let test_index_interval_sweep () =
@@ -106,6 +142,35 @@ let test_index_interval_sweep () =
         true
         (mems interval = base))
     [ 1; 7; 0; -1 ]
+
+(* A full reverse walk re-executes each instruction at most once, as a
+   forward walk does: every backward miss replays at most the interval and
+   keeps the images of what it replayed. *)
+let test_reverse_walk_work () =
+  let ctx, suffix, dump = suffix_for (workload "long-exec-50") in
+  let dbg = debugger ~interval:16 ctx suffix dump in
+  let n = Debugger.total_steps dbg in
+  check bool_t "timeline spans several intervals" true (n > 3 * 16);
+  for p = n downto 0 do
+    ignore (Debugger.state_at dbg p)
+  done;
+  let s = Debugger.stats dbg in
+  check bool_t
+    (Fmt.str "reverse walk re-executes %d <= %d instructions" s.replayed n)
+    true (s.replayed <= n);
+  check bool_t
+    (Fmt.str "reverse walk restores %d <= %d snapshots" s.snapshot_restores
+       ((n / 16) + 2))
+    true
+    (s.snapshot_restores <= (n / 16) + 2);
+  check int_t "every other step back is a window restore"
+    (n - s.snapshot_restores) s.window_restores;
+  for p = 0 to n do
+    ignore (Debugger.state_at dbg p)
+  done;
+  let s' = Debugger.stats dbg in
+  check bool_t "the forward walk back re-executes at most the timeline" true
+    (s'.replayed - s.replayed <= n)
 
 (* --- step / step-back round trips --- *)
 
@@ -516,6 +581,8 @@ let () =
             test_index_matches_linear;
           Alcotest.test_case "interval sweep identical" `Quick
             test_index_interval_sweep;
+          Alcotest.test_case "reverse walk re-executes each step once" `Quick
+            test_reverse_walk_work;
         ] );
       ( "navigation",
         [
