@@ -1081,6 +1081,19 @@ let e20 () =
   let n = Res_core.Debugger.total_steps dbg in
   Fmt.pr "suffix timeline: %d instruction steps (%d segments)@." n
     (List.length suffix.Res_core.Suffix.segments);
+  (* Opening a session: the verifying replay plus the index the first
+     state query needs, per open, best of 7 batches of 200. *)
+  let opens = 200 in
+  let open_s =
+    best_of 7 (fun () ->
+        for _ = 1 to opens do
+          match Res_core.Debugger.start ctx suffix dump with
+          | Ok d -> ignore (Res_core.Debugger.total_steps d)
+          | Error e -> Fmt.failwith "debugger: %s" e
+        done)
+  in
+  Fmt.pr "session open (Debugger.start + total_steps): %.1f us@."
+    (1e6 *. open_s /. float_of_int opens);
   e20_walks ctx suffix dump n;
   (* Transition watchpoint: binary-searched probes vs a linear scan. *)
   let layout = ctx.Res_core.Backstep.layout in

@@ -38,15 +38,21 @@ let exit_rejected = 5
     OCaml backtrace). *)
 exception Die of int * string
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(** The bytes of an input file; an unreadable one (a directory, say)
+    exits {!exit_internal} with one line naming it. *)
+let read_input path =
+  match Res_vm.Coredump_io.read_file path with
+  | Ok s -> s
+  | Error err ->
+      let why =
+        match err with
+        | Res_vm.Coredump_io.Unreadable msg -> msg
+        | err -> Res_vm.Coredump_io.dump_error_to_string err
+      in
+      raise (Die (exit_internal, Fmt.str "cannot read %s: %s" path why))
 
 let load_prog path =
-  match Res_ir.Parser.parse_result (read_file path) with
+  match Res_ir.Parser.parse_result (read_input path) with
   | Ok prog -> (
       match Res_ir.Validate.check prog with
       | [] -> Ok prog
@@ -593,7 +599,7 @@ let debug_cmd =
     let code =
       match script with
       | Some path ->
-          let r = Res_debug.Script.run_script session (read_file path) in
+          let r = Res_debug.Script.run_script session (read_input path) in
           print_string r.Res_debug.Script.transcript;
           r.Res_debug.Script.exit_code
       | None -> Res_debug.Script.repl session
@@ -1098,8 +1104,8 @@ let client_cmd =
         & info [] ~docv:"COREDUMP" ~doc:"Coredump file to triage.")
     in
     let run socket prog_path dump_path deadline_ms fuel no_wait =
-      let prog = read_file prog_path in
-      let dump = read_file dump_path in
+      let prog = read_input prog_path in
+      let dump = read_input dump_path in
       if no_wait then
         match
           Res_serve.Client.submit socket ~prog ~dump ?deadline_ms ?fuel ()

@@ -43,21 +43,20 @@ type t = {
   suffix : Suffix.t;
   dump : Res_vm.Coredump.t;
   trace : Res_vm.Event.t array;  (** instruction-level suffix trace *)
-  snapshot_every : int;  (** index interval; 0 replays from step 0 *)
-  mutable index : (Replay.stepper * Replay.Index.t) option;
-      (** lazily-built snapshot index: state queries pay the one-time
-          forward replay only if any are ever made *)
+  index : Replay.Index.t;  (** kept from the verifying replay *)
   mutable scan : scan option;  (** lazily-built shared event scan *)
   mutable probes : int;  (** state evaluations made by transition searches *)
 }
 
-(** Open a debugging session for a suffix.  Returns [Error] if the suffix
+(** Open a debugging session for a suffix: the one verifying replay keeps
+    the snapshot index state queries use.  Returns [Error] if the suffix
     does not reproduce the coredump (nothing trustworthy to debug).
-    [snapshot_every] is the snapshot-index interval for state queries
-    (0 disables the index: every query replays from step 0; negative
-    values are treated as 0). *)
+    [snapshot_every] is the snapshot-index interval (0 disables the index:
+    every query replays from step 0; negative values are treated as 0). *)
 let start ?(snapshot_every = 64) ctx suffix dump =
-  let verdict = Replay.replay ctx suffix dump in
+  let verdict, index =
+    Replay.Index.replay ~interval:(max 0 snapshot_every) ctx suffix dump
+  in
   if not verdict.Replay.reproduced then Error "suffix does not reproduce the coredump"
   else
     Ok
@@ -66,8 +65,7 @@ let start ?(snapshot_every = 64) ctx suffix dump =
         suffix;
         dump;
         trace = Array.of_list verdict.Replay.trace;
-        snapshot_every = max 0 snapshot_every;
-        index = None;
+        index;
         scan = None;
         probes = 0;
       }
@@ -91,20 +89,11 @@ let crash t = t.dump.Res_vm.Coredump.crash
 let layout t = t.ctx.Backstep.layout
 
 (** The snapshot-index interval, after clamping (0 = no index). *)
-let snapshot_every t = t.snapshot_every
+let snapshot_every t = Replay.Index.interval t.index
 
-let index t =
-  match t.index with
-  | Some ix -> ix
-  | None ->
-      let sp = Replay.make_stepper t.ctx t.suffix in
-      let ix = Replay.Index.build ~interval:t.snapshot_every sp in
-      t.index <- Some (sp, ix);
-      (sp, ix)
-
-(** Replay-from-zero state reconstruction — the pre-index code path, kept
-    as the baseline the snapshot index is benchmarked (and tested)
-    against.  O(steps) per query. *)
+(** Replay-from-zero state reconstruction, the baseline the snapshot index
+    is benchmarked (and tested) against: [Exec.run_state] from step 0,
+    keeping no images.  O(steps) per query. *)
 let state_at_linear t steps =
   let state = Replay.initial_state t.ctx t.suffix in
   let config =
@@ -121,29 +110,24 @@ let state_at_linear t steps =
 
 (** Total completed instruction steps in the suffix (the crash attempt
     excluded) — positions are [0..total_steps]. *)
-let total_steps t = Replay.Index.length (snd (index t))
+let total_steps t = Replay.Index.length t.index
 
 (** Reconstruct the exact machine state after executing the first [steps]
     instructions of the suffix via {!Replay.Index.seek}: a step back into
     the window the last backward seek replayed restores an image, anything
     else restores the nearest snapshot at or below [steps] and
     re-executes forward — never O(execution length). *)
-let state_at t steps =
-  let sp, ix = index t in
-  Replay.Index.seek ix sp steps
+let state_at t steps = Replay.Index.seek t.index steps
 
 (** Replay-work counters of the session so far. *)
 let stats t =
-  match t.index with
-  | Some (_, ix) ->
-      {
-        snapshot_restores = ix.Replay.Index.ix_restores;
-        window_restores = ix.Replay.Index.ix_window_restores;
-        replayed = ix.Replay.Index.ix_replayed;
-        probes = t.probes;
-      }
-  | None ->
-      { snapshot_restores = 0; window_restores = 0; replayed = 0; probes = t.probes }
+  let ix = t.index in
+  {
+    snapshot_restores = ix.Replay.Index.ix_restores;
+    window_restores = ix.Replay.Index.ix_window_restores;
+    replayed = ix.Replay.Index.ix_replayed;
+    probes = t.probes;
+  }
 
 (** Memory word [addr] at position [p]. *)
 let mem_at t p addr =

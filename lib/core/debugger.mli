@@ -17,11 +17,12 @@
 
 type t
 
-(** Open a debugging session for a suffix.  [Error] if the suffix does not
-    reproduce the coredump (nothing trustworthy to debug).
-    [snapshot_every] (default 64) is the snapshot-index interval used by
-    state queries; 0 disables the index, so every query replays from
-    step 0, and negative values are treated as 0. *)
+(** Open a debugging session for a suffix: one replay verifies it and
+    keeps the snapshot index state queries use.  [Error] if the suffix
+    does not reproduce the coredump (nothing trustworthy to debug).
+    [snapshot_every] (default 64) is the snapshot-index interval; 0
+    disables the index, so every query replays from step 0, and negative
+    values are treated as 0. *)
 val start :
   ?snapshot_every:int ->
   Backstep.ctx ->
@@ -65,10 +66,12 @@ val total_steps : t -> int
     extract what you need before querying again. *)
 val state_at : t -> int -> Res_vm.Exec.state
 
-(** Replay-from-zero state reconstruction — an independent reference
-    (it runs [Exec.run_state], not the stepper) kept for benchmarking and
-    cross-checking the index.  O(steps) per query; returns a fresh
-    state. *)
+(** Replay-from-zero state reconstruction, the reference the index is
+    benchmarked and cross-checked against: [Exec.run_state] from step 0
+    under the suffix's scripts, taking and restoring no image.  It shares
+    only the VM's scheduling step with the index, so a fault in capturing,
+    restoring or seeking shows as a difference.  O(steps) per query;
+    returns a fresh state. *)
 val state_at_linear : t -> int -> Res_vm.Exec.state
 
 (** Replay work done so far. *)

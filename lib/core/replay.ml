@@ -43,44 +43,92 @@ let initial_state ctx (suffix : Suffix.t) =
   Res_vm.Exec.make_state ctx.Backstep.prog ~mem ~heap:snapshot.Snapshot.heap
     ~threads
 
-(** Replay [suffix] and compare the resulting failure state with [dump]. *)
-let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
-    (dump : Res_vm.Coredump.t) : verdict =
-  let state = initial_state ctx suffix in
+(* --- the replay engine ----------------------------------------------- *)
+
+(* One engine replays a suffix, whether to verify it in one run or to
+   stand still in the middle of it for the time-travel debugger.  A
+   {!stepper} is a live VM positioned somewhere inside the replay: a
+   [Sched.Fixed] scheduler over the suffix's scripted tids, a scripted
+   input oracle, and [Exec.advance] — the scheduling step [Exec.run_state]
+   is a loop over — driving it one instruction at a time.  So a stepper
+   paused after [n] steps is the state any replay of the suffix has after
+   [n] steps, because it is the same code.
+
+   Every component of the VM state is persistent (memory, heap, threads,
+   tracer are applicative maps/lists), and the scheduler's and oracle's
+   cursors are a few words, so an {!image} — a point-in-time copy of the
+   whole machine — is O(1) to take and to restore.  That is what makes a
+   snapshot index over a replay essentially free to build: the only real
+   cost of time travel is re-executing instructions, and the index exists
+   to bound how many. *)
+
+type stepper = {
+  sp_st : Res_vm.Exec.state;
+  sp_sched : Res_vm.Sched.t;  (** [Fixed] over the suffix's schedule *)
+  sp_script : Res_vm.Oracle.script;  (** the suffix's input script *)
+  sp_schedule : int list;  (** the scripted tids, for the [pinned] check *)
+  mutable sp_cfg : Res_vm.Exec.config;
+}
+
+(** A stepper at step 0 of [suffix], recording the trace, with the
+    dump's LBR depth and a fuel of [max_steps]. *)
+let make_stepper ~max_steps ctx suffix (dump : Res_vm.Coredump.t) =
+  let st = initial_state ctx suffix in
+  let lbr_depth = dump.Res_vm.Coredump.tracer.Res_vm.Tracer.lbr_depth in
+  st.Res_vm.Exec.tracer <- Res_vm.Tracer.create ~lbr_depth;
   let schedule = Suffix.schedule suffix in
-  let inputs = Suffix.input_script suffix in
-  let script = Res_vm.Oracle.scripted inputs in
-  let reads = ref 0 in
-  let config =
-    {
-      (Res_vm.Exec.default_config ()) with
-      sched = Res_vm.Sched.create (Res_vm.Sched.Fixed schedule);
-      oracle =
-        {
-          Res_vm.Oracle.next =
-            (fun kind ->
-              incr reads;
-              script.Res_vm.Oracle.next kind);
-        };
-      max_steps;
-      record_trace = true;
-      lbr_depth = dump.Res_vm.Coredump.tracer.Res_vm.Tracer.lbr_depth;
-    }
+  let sched = Res_vm.Sched.create (Res_vm.Sched.Fixed schedule) in
+  let script = Res_vm.Oracle.script (Suffix.input_script suffix) in
+  {
+    sp_st = st;
+    sp_sched = sched;
+    sp_script = script;
+    sp_schedule = schedule;
+    sp_cfg =
+      {
+        (Res_vm.Exec.default_config ()) with
+        sched;
+        oracle = Res_vm.Oracle.of_script script;
+        max_steps;
+        lbr_depth;
+        record_trace = true;
+      };
+  }
+
+(** Steps executed so far — the stepper's position on the timeline. *)
+let stepper_steps sp = sp.sp_st.Res_vm.Exec.steps
+
+(** Step [sp] until the replay stops; [each] sees the stepper after every
+    completed step. *)
+let run sp each =
+  let rec go () =
+    match Res_vm.Exec.advance sp.sp_st sp.sp_cfg with
+    | Res_vm.Exec.Ran ->
+        each sp;
+        go ()
+    | Res_vm.Exec.Stopped outcome -> outcome
   in
-  let result = Res_vm.Exec.run_state ~config state in
+  go ()
+
+(** The verdict on a stepper that has run to [outcome], against [dump]. *)
+let verdict sp outcome (dump : Res_vm.Coredump.t) =
+  let st = sp.sp_st in
+  let trace = List.rev st.Res_vm.Exec.trace_rev in
   let pinned =
-    result.Res_vm.Exec.schedule = schedule && !reads = List.length inputs
+    List.rev st.Res_vm.Exec.sched_trace_rev = sp.sp_schedule
+    && sp.sp_script.Res_vm.Oracle.reads
+       = Array.length sp.sp_script.Res_vm.Oracle.values
   in
-  match result.Res_vm.Exec.outcome with
+  match outcome with
   | Res_vm.Exec.Crashed crash ->
       let replay_dump =
         {
           Res_vm.Coredump.crash;
-          mem = result.Res_vm.Exec.final.Res_vm.Exec.mem;
-          heap = result.Res_vm.Exec.final.Res_vm.Exec.heap;
-          threads = result.Res_vm.Exec.final.Res_vm.Exec.threads;
-          tracer = result.Res_vm.Exec.final.Res_vm.Exec.tracer;
-          steps = result.Res_vm.Exec.final.Res_vm.Exec.steps;
+          mem = st.Res_vm.Exec.mem;
+          heap = st.Res_vm.Exec.heap;
+          threads = st.Res_vm.Exec.threads;
+          tracer = st.Res_vm.Exec.tracer;
+          steps = st.Res_vm.Exec.steps;
         }
       in
       let reproduced = Res_vm.Coredump.same_failure_state replay_dump dump in
@@ -104,28 +152,29 @@ let replay ?(max_steps = 100_000) ctx (suffix : Suffix.t)
         reproduced;
         replay_crash = Some crash;
         replay_dump = Some replay_dump;
-        trace = result.Res_vm.Exec.trace;
+        trace;
         divergence;
         pinned;
       }
-  | Res_vm.Exec.Exited ->
+  | Res_vm.Exec.Exited | Res_vm.Exec.Out_of_fuel as outcome ->
       {
         reproduced = false;
         replay_crash = None;
         replay_dump = None;
-        trace = result.Res_vm.Exec.trace;
-        divergence = Some "replay exited without crashing";
+        trace;
+        divergence =
+          Some
+            (if outcome = Res_vm.Exec.Exited then "replay exited without crashing"
+             else "replay ran out of fuel");
         pinned;
       }
-  | Res_vm.Exec.Out_of_fuel ->
-      {
-        reproduced = false;
-        replay_crash = None;
-        replay_dump = None;
-        trace = result.Res_vm.Exec.trace;
-        divergence = Some "replay ran out of fuel";
-        pinned;
-      }
+
+let default_max_steps = 100_000
+
+(** Replay [suffix] and compare the resulting failure state with [dump]. *)
+let replay ?(max_steps = default_max_steps) ctx suffix dump : verdict =
+  let sp = make_stepper ~max_steps ctx suffix dump in
+  verdict sp (run sp ignore) dump
 
 (** Two runs agree: both reproduce under pinned scripts, with the same
     instruction trace and the same failure state. *)
@@ -145,26 +194,11 @@ let replay_deterministically ?(times = 3) ctx suffix dump =
   | [] -> (true, verdicts)
   | first :: _ -> (List.for_all (agree first) verdicts, verdicts)
 
-(* --- resumable stepper ------------------------------------------------ *)
-
-(* The batch replayer above runs a suffix start-to-crash in one call; the
-   time-travel debugger instead needs to stand still in the middle of a
-   replay, run one instruction, and jump around.  A {!stepper} is a live
-   VM positioned somewhere inside the suffix, driven one instruction at a
-   time with exactly the scheduling and input decisions [replay] makes, so
-   a stepper paused after [n] steps is bit-for-bit the state the batch
-   replay has after [n] steps.
-
-   Every component of the VM state is persistent (memory, heap, threads,
-   tracer are applicative maps/lists), so an {!image} — a point-in-time
-   copy of the whole machine — is O(1) to take and to restore.  That is
-   what makes a snapshot index over a replay essentially free to build:
-   the only real cost of time travel is re-executing instructions, and the
-   index exists to bound how many. *)
+(* --- images ----------------------------------------------------------- *)
 
 (** O(1) point-in-time copy of a replaying VM: the persistent state
-    components plus the replay cursors (position in the scripted schedule
-    and input list, and the round-robin fallback cursor). *)
+    components plus the scheduler's and the input script's cursors.  It
+    holds no trace and no pick log. *)
 type image = {
   im_mem : Res_mem.Memory.t;
   im_heap : Res_mem.Heap.t;
@@ -173,122 +207,9 @@ type image = {
   im_tracer : Res_vm.Tracer.t;
   im_steps : int;
   im_current : int;
-  im_sched_pos : int;
-  im_input_pos : int;
-  im_rr_last : int;
+  im_sched : Res_vm.Sched.cursor;
+  im_reads : int;
 }
-
-type stepper = {
-  sp_st : Res_vm.Exec.state;
-  sp_cfg : Res_vm.Exec.config;
-  sp_schedule : int array;  (** the suffix's scripted tids, in full *)
-  mutable sp_sched_pos : int;  (** next schedule entry to consume *)
-  sp_input_pos : int ref;  (** next input value to consume (read by the
-                               oracle closure inside [sp_cfg]) *)
-  mutable sp_rr_last : int;  (** round-robin fallback cursor, as in Sched *)
-}
-
-(** What one forward step did. *)
-type step_outcome =
-  | Stepped  (** one instruction executed; the stepper advanced *)
-  | Step_crashed of Res_vm.Crash.t
-      (** the next instruction crashes (or every live thread is blocked:
-          deadlock); the stepper did not advance *)
-  | Step_exited  (** every thread halted; nothing left to execute *)
-
-(** A live stepper at step 0 of the suffix — the state [initial_state]
-    builds, with the schedule and input script still whole. *)
-let make_stepper ctx (suffix : Suffix.t) =
-  let st = initial_state ctx suffix in
-  st.Res_vm.Exec.tracer <- Res_vm.Tracer.create ~lbr_depth:16;
-  let inputs = Array.of_list (Suffix.input_script suffix) in
-  let input_pos = ref 0 in
-  let oracle =
-    {
-      Res_vm.Oracle.next =
-        (fun _kind ->
-          if !input_pos < Array.length inputs then begin
-            let v = inputs.(!input_pos) in
-            incr input_pos;
-            v
-          end
-          else 0);
-    }
-  in
-  let cfg =
-    {
-      (Res_vm.Exec.default_config ()) with
-      oracle;
-      max_steps = max_int;
-      record_trace = false;
-    }
-  in
-  {
-    sp_st = st;
-    sp_cfg = cfg;
-    sp_schedule = Array.of_list (Suffix.schedule suffix);
-    sp_sched_pos = 0;
-    sp_input_pos = input_pos;
-    sp_rr_last = -1;
-  }
-
-(** Steps executed so far — the stepper's position on the timeline. *)
-let stepper_steps sp = sp.sp_st.Res_vm.Exec.steps
-
-(* Sched.round_robin, replicated over the stepper's own cursor so the
-   whole scheduling state is capturable in an image. *)
-let rr_pick sp runnable =
-  let above = List.filter (fun tid -> tid > sp.sp_rr_last) runnable in
-  let chosen = match above with tid :: _ -> tid | [] -> List.hd runnable in
-  sp.sp_rr_last <- chosen;
-  chosen
-
-(** Execute exactly one instruction, making the same scheduling decision
-    [Exec.run_state] under a [Sched.Fixed] schedule would make.  A
-    crashing step leaves the stepper exactly where it was (the faulting
-    instruction never completes and has no step), so probing the crash is
-    idempotent: the schedule cursor, input cursor, and step count are all
-    rolled back. *)
-let step_once sp =
-  let st = sp.sp_st in
-  let sched_pos0 = sp.sp_sched_pos
-  and input_pos0 = !(sp.sp_input_pos)
-  and rr_last0 = sp.sp_rr_last
-  and current0 = st.Res_vm.Exec.current in
-  let run_tid tid =
-    match Res_vm.Exec.step st sp.sp_cfg tid with
-    | Some crash ->
-        (* No crash path mutates memory/heap/threads before raising, so
-           rolling back the cursors restores the pre-step position. *)
-        st.Res_vm.Exec.steps <- st.Res_vm.Exec.steps - 1;
-        sp.sp_sched_pos <- sched_pos0;
-        sp.sp_input_pos := input_pos0;
-        sp.sp_rr_last <- rr_last0;
-        st.Res_vm.Exec.current <- current0;
-        Step_crashed crash
-    | None -> Stepped
-  in
-  if Res_vm.Exec.must_continue st then run_tid st.Res_vm.Exec.current
-  else
-    match Res_vm.Exec.runnable_tids st with
-    | [] -> (
-        match Res_vm.Exec.blocked_tids st with
-        | [] -> Step_exited
-        | blocked ->
-            let tid = List.hd blocked in
-            let pc = Res_vm.Thread.pc (Res_vm.Exec.get_thread st tid) in
-            Step_crashed { Res_vm.Crash.kind = Res_vm.Crash.Deadlock blocked; tid; pc })
-    | runnable ->
-        let tid =
-          if sp.sp_sched_pos < Array.length sp.sp_schedule then begin
-            let t = sp.sp_schedule.(sp.sp_sched_pos) in
-            sp.sp_sched_pos <- sp.sp_sched_pos + 1;
-            if List.mem t runnable then t else rr_pick sp runnable
-          end
-          else rr_pick sp runnable
-        in
-        st.Res_vm.Exec.current <- tid;
-        run_tid tid
 
 (** Capture the stepper's position as an image (O(1)). *)
 let capture sp =
@@ -301,12 +222,12 @@ let capture sp =
     im_tracer = st.Res_vm.Exec.tracer;
     im_steps = st.Res_vm.Exec.steps;
     im_current = st.Res_vm.Exec.current;
-    im_sched_pos = sp.sp_sched_pos;
-    im_input_pos = !(sp.sp_input_pos);
-    im_rr_last = sp.sp_rr_last;
+    im_sched = Res_vm.Sched.cursor sp.sp_sched;
+    im_reads = sp.sp_script.Res_vm.Oracle.reads;
   }
 
-(** Teleport the stepper back (or forward) to a captured image (O(1)). *)
+(** Teleport the stepper back (or forward) to a captured image (O(1)).
+    The trace and the pick log start empty again. *)
 let restore sp im =
   let st = sp.sp_st in
   st.Res_vm.Exec.mem <- im.im_mem;
@@ -316,16 +237,18 @@ let restore sp im =
   st.Res_vm.Exec.tracer <- im.im_tracer;
   st.Res_vm.Exec.steps <- im.im_steps;
   st.Res_vm.Exec.current <- im.im_current;
-  sp.sp_sched_pos <- im.im_sched_pos;
-  sp.sp_input_pos := im.im_input_pos;
-  sp.sp_rr_last <- im.im_rr_last
+  if st.Res_vm.Exec.trace_rev != [] then st.Res_vm.Exec.trace_rev <- [];
+  if st.Res_vm.Exec.sched_trace_rev != [] then
+    st.Res_vm.Exec.sched_trace_rev <- [];
+  Res_vm.Sched.set_cursor sp.sp_sched im.im_sched;
+  sp.sp_script.Res_vm.Oracle.reads <- im.im_reads
 
 (* --- snapshot index --------------------------------------------------- *)
 
 (** Snapshot index over one suffix replay (FReD-style), with a backward
     window.
 
-    Built by a single forward replay that captures an {!image} every
+    Built on the verifying replay itself, which keeps an {!image} every
     [interval] steps, the index turns "state after step [n]" from
     O(execution length) — replay from step 0 — into O(interval): restore
     the nearest snapshot at or below [n] and re-execute forward.  A seek
@@ -340,6 +263,7 @@ let restore sp im =
     re-execution, never a result. *)
 module Index = struct
   type t = {
+    ix_sp : stepper;  (** the live cursor seeks move *)
     ix_interval : int;  (** 0 = disabled (single snapshot at step 0) *)
     ix_images : image array;  (** snapshots at steps 0, k, 2k, ... *)
     ix_length : int;  (** completed steps in the suffix (crash excluded) *)
@@ -354,46 +278,55 @@ module Index = struct
     mutable ix_replayed : int;  (** instructions re-executed by seeks *)
   }
 
-  (** Build the index by replaying the stepper forward from its current
-      position (normally step 0) to the end of the suffix.  Returns the
-      index; the stepper is left at the end of the timeline. *)
-  let build ?(interval = 64) sp =
-    if interval < 0 then invalid_arg "Replay.Index.build: negative interval";
-    let images = ref [ capture sp ] in
-    let rec go () =
-      match step_once sp with
-      | Stepped ->
-          if interval > 0 && stepper_steps sp mod interval = 0 then
-            images := capture sp :: !images;
-          go ()
-      | Step_crashed _ | Step_exited -> ()
+  (** {!replay}, keeping an image every [interval] steps: the verdict, and
+      the index over the replay's timeline with its cursor at the last
+      completed step.  The run itself stops one attempt past that step (a
+      crash counts its faulting attempt), so the cursor is put back on the
+      image taken after it; seeks then run without a trace. *)
+  let replay ~interval ctx suffix dump =
+    if interval < 0 then invalid_arg "Replay.Index.replay: negative interval";
+    let sp = make_stepper ~max_steps:default_max_steps ctx suffix dump in
+    let last = ref (capture sp) in
+    let images = ref [ !last ] in
+    let outcome =
+      run sp (fun sp ->
+          let im = capture sp in
+          last := im;
+          if interval > 0 && im.im_steps mod interval = 0 then
+            images := im :: !images)
     in
-    go ();
-    {
-      ix_interval = interval;
-      ix_images = Array.of_list (List.rev !images);
-      ix_length = stepper_steps sp;
-      ix_window = [||];
-      ix_win_lo = 0;
-      ix_win_hi = -1;
-      ix_restores = 0;
-      ix_window_restores = 0;
-      ix_replayed = 0;
-    }
+    let v = verdict sp outcome dump in
+    restore sp !last;
+    sp.sp_cfg <- { sp.sp_cfg with record_trace = false };
+    ( v,
+      {
+        ix_sp = sp;
+        ix_interval = interval;
+        ix_images = Array.of_list (List.rev !images);
+        ix_length = !last.im_steps;
+        ix_window = [||];
+        ix_win_lo = 0;
+        ix_win_hi = -1;
+        ix_restores = 0;
+        ix_window_restores = 0;
+        ix_replayed = 0;
+      } )
 
   let length t = t.ix_length
   let interval t = t.ix_interval
 
-  (** Position [sp] at exactly [n] executed steps.  A backward seek into
-      the window restores its image of [n].  Otherwise the seek continues
-      forward from the stepper's current position when that is cheaper
-      than restoring, or restores the nearest snapshot at or below [n] and
-      replays forward; a backward one refills the window with the images
-      of the steps it replays.  The resulting state is bit-for-bit what a
-      fresh replay of [n] steps produces. *)
-  let seek t sp n =
+  (** Position the cursor at exactly [n] executed steps and return its
+      state.  A backward seek into the window restores its image of [n].
+      Otherwise the seek continues forward from the cursor's current
+      position when that is cheaper than restoring, or restores the
+      nearest snapshot at or below [n] and replays forward; a backward one
+      refills the window with the images of the steps it replays.  The
+      resulting state is bit-for-bit what a fresh replay of [n] steps
+      produces. *)
+  let seek t n =
     if n < 0 || n > t.ix_length then
       invalid_arg (Fmt.str "Replay.Index.seek: step %d out of [0,%d]" n t.ix_length);
+    let sp = t.ix_sp in
     let cur = stepper_steps sp in
     if cur > n && t.ix_win_lo <= n && n <= t.ix_win_hi then begin
       restore sp t.ix_window.(n - t.ix_win_lo);
@@ -417,9 +350,9 @@ module Index = struct
         t.ix_window.(0) <- t.ix_images.(snap)
       end;
       while stepper_steps sp < n do
-        (match step_once sp with
-        | Stepped -> ()
-        | Step_crashed _ | Step_exited ->
+        (match Res_vm.Exec.advance sp.sp_st sp.sp_cfg with
+        | Res_vm.Exec.Ran -> ()
+        | Res_vm.Exec.Stopped _ ->
             invalid_arg "Replay.Index.seek: suffix ended early");
         t.ix_replayed <- t.ix_replayed + 1;
         if fill then t.ix_window.(stepper_steps sp - snap_step) <- capture sp

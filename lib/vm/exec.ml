@@ -54,6 +54,9 @@ type outcome =
   | Exited  (** every thread halted *)
   | Out_of_fuel  (** [max_steps] exhausted *)
 
+(** What one {!advance} did. *)
+type progress = Ran  (** one instruction completed *) | Stopped of outcome
+
 type result = {
   outcome : outcome;
   final : state;
@@ -309,7 +312,7 @@ let step_term st cfg (th : Thread.t) (fr : Frame.t) term =
               Thread.with_top th (Frame.write_reg caller dst 0)
           | None, _ -> th))
 
-(** One machine step of thread [tid].  Returns [Some crash] on failure. *)
+(** One machine step of thread [tid]: [Ran], or the crash it stopped at. *)
 let step st cfg tid =
   st.mem <- Fault.memory_mutations_at cfg.fault ~step:st.steps st.mem;
   let th = get_thread st tid in
@@ -323,8 +326,8 @@ let step st cfg tid =
         else step_term st cfg th fr block.term
       in
       set_thread st th';
-      None
-    with Crash_exn kind -> Some { Crash.kind; tid; pc = Frame.pc fr }
+      Ran
+    with Crash_exn kind -> Stopped (Crashed { Crash.kind; tid; pc = Frame.pc fr })
   in
   st.steps <- st.steps + 1;
   result
@@ -359,41 +362,46 @@ let make_state prog ~mem ~heap ~threads =
   st.next_tid <- 1 + IMap.fold (fun tid _ acc -> max tid acc) threads 0;
   st
 
+(** The one scheduling step every run is a loop over: out of fuel at
+    [max_steps]; else the current thread keeps the CPU while it is
+    mid-block; else [cfg.sched] picks among the runnable threads (the pick
+    is logged); with none runnable the run has exited, or deadlocked if a
+    live thread is blocked.  Then the chosen thread executes one
+    instruction, which may crash. *)
+let advance st cfg =
+  if st.steps >= cfg.max_steps then Stopped Out_of_fuel
+  else if must_continue st then step st cfg st.current
+  else
+    match runnable_tids st with
+    | [] -> (
+        match blocked_tids st with
+        | [] -> Stopped Exited
+        | blocked ->
+            (* Every live thread is blocked: deadlock.  Attribute the
+               crash to the lowest blocked tid at its current pc. *)
+            let tid = List.hd blocked in
+            let pc = Thread.pc (get_thread st tid) in
+            Stopped (Crashed { Crash.kind = Crash.Deadlock blocked; tid; pc }))
+    | runnable ->
+        let tid = Sched.pick cfg.sched ~runnable in
+        st.sched_trace_rev <- tid :: st.sched_trace_rev;
+        st.current <- tid;
+        step st cfg tid
+
 (** Run an already-constructed state under [config] until crash, exit, or
     fuel exhaustion. *)
 let run_state ?(config = default_config ()) st =
   st.tracer <- Tracer.create ~lbr_depth:config.lbr_depth;
-  let finish outcome =
-    {
-      outcome;
-      final = st;
-      trace = List.rev st.trace_rev;
-      schedule = List.rev st.sched_trace_rev;
-    }
-  in
   let rec loop () =
-    if st.steps >= config.max_steps then finish Out_of_fuel
-    else if must_continue st then run_one st.current
-    else
-      match runnable_tids st with
-      | [] -> (
-          match blocked_tids st with
-          | [] -> finish Exited
-          | blocked ->
-              (* Every live thread is blocked: deadlock.  Attribute the
-                 crash to the lowest blocked tid at its current pc. *)
-              let tid = List.hd blocked in
-              let pc = Thread.pc (get_thread st tid) in
-              finish (Crashed { Crash.kind = Crash.Deadlock blocked; tid; pc }))
-      | runnable ->
-          let tid = Sched.pick config.sched ~runnable in
-          st.sched_trace_rev <- tid :: st.sched_trace_rev;
-          st.current <- tid;
-          run_one tid
-  and run_one tid =
-    match step st config tid with
-    | Some crash -> finish (Crashed crash)
-    | None -> loop ()
+    match advance st config with
+    | Ran -> loop ()
+    | Stopped outcome ->
+        {
+          outcome;
+          final = st;
+          trace = List.rev st.trace_rev;
+          schedule = List.rev st.sched_trace_rev;
+        }
   in
   loop ()
 

@@ -22,17 +22,23 @@ let seeded ~seed =
   in
   { next }
 
-(** Oracle that replays a fixed list of values and then yields [default]. *)
-let scripted ?(default = 0) values =
-  let remaining = ref values in
+(** A scripted oracle's state: [reads] counts the values handed out,
+    reads past the end of [values] (which yield [default]) included. *)
+type script = { values : int array; default : int; mutable reads : int }
+
+let script ?(default = 0) values =
+  { values = Array.of_list values; default; reads = 0 }
+
+let of_script s =
   let next _kind =
-    match !remaining with
-    | [] -> default
-    | v :: rest ->
-        remaining := rest;
-        v
+    let i = s.reads in
+    s.reads <- i + 1;
+    if i < Array.length s.values then s.values.(i) else s.default
   in
   { next }
+
+(** Oracle that replays a fixed list of values and then yields [default]. *)
+let scripted ?default values = of_script (script ?default values)
 
 (** Oracle returning a constant. *)
 let constant v = { next = (fun _ -> v) }

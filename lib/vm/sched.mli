@@ -22,3 +22,12 @@ val create : policy -> t
     ascending).
     @raise Invalid_argument when [runnable] is empty. *)
 val pick : t -> runnable:int list -> int
+
+(** Everything {!pick} reads and advances (the round-robin cursor, the
+    seeded generator, the rest of a fixed script), as one immutable value:
+    taking and putting it back is a pointer copy, so a replay can rewind
+    its scheduler with the rest of the machine. *)
+type cursor
+
+val cursor : t -> cursor
+val set_cursor : t -> cursor -> unit

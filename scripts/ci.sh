@@ -75,6 +75,14 @@ rc=0
 [ "$rc" -eq 124 ] \
   || { echo "conflicting selftest flags exited $rc, expected 124"; exit 1; }
 
+# An input path that cannot be read (here a directory) is a one-line
+# error with exit 1, never an internal error.
+rc=0
+"$RES" validate "$gate_tmp" 2> "$cache_tmp/validate-dir.err" || rc=$?
+[ "$rc" -eq 1 ] && ! grep -q 'internal error' "$cache_tmp/validate-dir.err" \
+  || { echo "res validate on a directory exited $rc: \
+$(cat "$cache_tmp/validate-dir.err")"; exit 1; }
+
 # Fault-injection gate: no perturbed analysis may escape with an
 # exception, and the 1s deadline must be honored within 10%.
 dune exec bin/res_cli.exe -- selftest --runs 60

@@ -75,55 +75,89 @@ let snap_state (st : Res_vm.Exec.state) =
    steps (inside a window), jumps of about an interval (leaving it and
    entering the next) and random positions.  Each indexed state must be
    the replay-from-zero state, bit for bit. *)
+let check_index_matches_linear name (ctx, suffix, dump) intervals =
+  let lin =
+    let dbg = debugger ~interval:0 ctx suffix dump in
+    Array.init (Debugger.total_steps dbg + 1) (Debugger.state_at_linear dbg)
+  in
+  let n = Array.length lin - 1 in
+  check bool_t (name ^ ": non-empty timeline") true (n > 0);
+  List.iter
+    (fun interval ->
+      let dbg = debugger ~interval ctx suffix dump in
+      let at why p =
+        let steps, mem, heap, threads = snap_state (Debugger.state_at dbg p) in
+        check bool_t
+          (Fmt.str "%s interval %d: %s state_at %d matches linear" name
+             interval why p)
+          true
+          (states_equal lin.(p)
+             { (lin.(p)) with Res_vm.Exec.steps; mem; heap; threads })
+      in
+      for p = 0 to n do
+        at "ascending" p
+      done;
+      for p = n downto 0 do
+        at "descending" p
+      done;
+      let rng = Random.State.make [| 29 |] in
+      let k = if interval = 0 || interval > n then 8 else interval in
+      let pos = ref 0 in
+      for _ = 1 to 400 do
+        let d = 1 + Random.State.int rng 3 in
+        (pos :=
+           match Random.State.int rng 6 with
+           | 0 | 1 -> !pos - d
+           | 2 -> !pos + d
+           | 3 -> !pos - k - d + 2
+           | 4 -> !pos + k + d - 2
+           | _ -> Random.State.int rng (n + 1));
+        pos := max 0 (min n !pos);
+        at "mixed" !pos
+      done)
+    intervals
+
+(* [suffix] with its segments rewritten by [f]; it must still reproduce,
+   but no longer be pinned. *)
+let unpinned wname f =
+  let ctx, suffix, dump = suffix_for (workload wname) in
+  let s = { suffix with Suffix.segments = f suffix.Suffix.segments } in
+  let v = Replay.replay ctx s dump in
+  check bool_t (wname ^ ": rewritten suffix reproduces") true v.Replay.reproduced;
+  check bool_t (wname ^ ": rewritten suffix is not pinned") false v.Replay.pinned;
+  (ctx, s, dump)
+
+(* One reproducing suffix of each of four workloads, plus two whose
+   replay leaves its scripts: a first scripted tid that is not runnable,
+   so the scheduler skips it and falls back to round-robin, and a scripted
+   input nobody reads.  The index must follow the replay there too. *)
 let test_index_matches_linear () =
   List.iter
     (fun wname ->
-      let ctx, suffix, dump = suffix_for (workload wname) in
-      let lin =
-        let dbg = debugger ~interval:0 ctx suffix dump in
-        Array.init
-          (Debugger.total_steps dbg + 1)
-          (Debugger.state_at_linear dbg)
-      in
-      let n = Array.length lin - 1 in
-      check bool_t (wname ^ ": non-empty timeline") true (n > 0);
-      List.iter
-        (fun interval ->
-          let dbg = debugger ~interval ctx suffix dump in
-          let at why p =
-            let steps, mem, heap, threads =
-              snap_state (Debugger.state_at dbg p)
-            in
-            check bool_t
-              (Fmt.str "%s interval %d: %s state_at %d matches linear" wname
-                 interval why p)
-              true
-              (states_equal lin.(p)
-                 { (lin.(p)) with Res_vm.Exec.steps; mem; heap; threads })
-          in
-          for p = 0 to n do
-            at "ascending" p
-          done;
-          for p = n downto 0 do
-            at "descending" p
-          done;
-          let rng = Random.State.make [| 29 |] in
-          let k = if interval = 0 || interval > n then 8 else interval in
-          let pos = ref 0 in
-          for _ = 1 to 400 do
-            let d = 1 + Random.State.int rng 3 in
-            (pos :=
-               match Random.State.int rng 6 with
-               | 0 | 1 -> !pos - d
-               | 2 -> !pos + d
-               | 3 -> !pos - k - d + 2
-               | 4 -> !pos + k + d - 2
-               | _ -> Random.State.int rng (n + 1));
-            pos := max 0 (min n !pos);
-            at "mixed" !pos
-          done)
+      check_index_matches_linear wname
+        (suffix_for (workload wname))
         [ 64; 7; 1; 0; max_int ])
-    [ "fig1-overflow"; "counter-race"; "double-free"; "long-exec-50" ]
+    [ "fig1-overflow"; "counter-race"; "double-free"; "long-exec-50" ];
+  let skipped_tid =
+    unpinned "counter-race" (function
+      | seg :: rest -> { seg with Suffix.seg_tid = seg.Suffix.seg_tid + 1 } :: rest
+      | [] -> Alcotest.fail "empty suffix")
+  and unread_input =
+    unpinned "fig1-overflow" (fun segs ->
+        match List.rev segs with
+        | last :: rest ->
+            let unread =
+              (Res_ir.Instr.Net, Res_solver.Expr.fresh_sym "unread")
+            in
+            List.rev
+              ({ last with Suffix.seg_inputs = last.Suffix.seg_inputs @ [ unread ] }
+              :: rest)
+        | [] -> Alcotest.fail "empty suffix")
+  in
+  check_index_matches_linear "counter-race, skipped tid" skipped_tid
+    [ 64; 7; 1; 0 ];
+  check_index_matches_linear "fig1-overflow, unread input" unread_input
+    [ 64; 7; 1; 0 ]
 
 let test_index_interval_sweep () =
   let ctx, suffix, dump = suffix_for (workload "counter-race") in
