@@ -145,18 +145,20 @@ let best_of n f =
 (* The same claim along the other axis: the suffix depth d on one long
    execution.  [analyze] is [Res.analyze]; [search] is the d successive
    [Search.search] calls it makes, depth 1 to d on one context; [replay]
-   and [classify] re-run [Replay.replay] and [Rootcause.classify] on every
-   reported suffix (on long-exec every synthesized suffix is reported);
-   [render] is [Report.report_list_to_string], whose size is [bytes].
-   Times are ms, best of 7. *)
+   is the replay chain it runs, every reported suffix shortest first
+   through one [Replay.Chain] (on long-exec every synthesized suffix is
+   reported), and [handoffs] the replays that chain handed off to the
+   suffix one segment shorter; [classify] re-runs [Rootcause.classify] on
+   every reported suffix; [render] is [Report.report_list_to_string],
+   whose size is [bytes].  Times are ms, best of 7. *)
 let e3_depth_sweep () =
   let w = Res_workloads.Long_exec.workload_n 60_000 in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
   let open Res_core in
   Fmt.pr "@.depth sweep on long-exec (60000 iterations), ms, best of 7:@.";
-  Fmt.pr "%-6s %-8s %-8s %-8s %-9s %-8s %-8s@." "d" "analyze" "search" "replay"
-    "classify" "render" "bytes";
+  Fmt.pr "%-6s %-8s %-8s %-8s %-9s %-8s %-8s %-8s@." "d" "analyze" "search"
+    "replay" "classify" "render" "bytes" "handoffs";
   List.iter
     (fun d ->
       let config =
@@ -166,7 +168,16 @@ let e3_depth_sweep () =
         }
       in
       let a = Res.analysis (Res.analyze ~config ctx dump) in
-      let suffixes = List.map (fun (r : Res.report) -> r.Res.suffix) a.Res.reports in
+      let suffixes =
+        List.stable_sort
+          (fun x y -> compare (Suffix.length x) (Suffix.length y))
+          (List.map (fun (r : Res.report) -> r.Res.suffix) a.Res.reports)
+      in
+      let chain () =
+        let c = Replay.Chain.create () in
+        List.iter (fun s -> ignore (Replay.Chain.replay c ctx s dump)) suffixes;
+        c
+      in
       let traces =
         List.map (fun s -> (Replay.replay ctx s dump).Replay.trace) suffixes
       in
@@ -180,9 +191,7 @@ let e3_depth_sweep () =
                    ctx dump)
             done)
       in
-      let replay =
-        best_of 7 (fun () -> List.map (fun s -> Replay.replay ctx s dump) suffixes)
-      in
+      let replay = best_of 7 chain in
       let classify =
         best_of 7 (fun () ->
             List.map
@@ -195,11 +204,12 @@ let e3_depth_sweep () =
       let text = Report.report_list_to_string ctx a in
       let render = best_of 7 (fun () -> Report.report_list_to_string ctx a) in
       let ms s = 1000. *. s in
-      Fmt.pr "%-6d %-8.2f %-8.2f %-8.2f %-9.2f %-8.2f %-8d@." d (ms analyze)
-        (ms search) (ms replay) (ms classify) (ms render) (String.length text))
+      Fmt.pr "%-6d %-8.2f %-8.2f %-8.2f %-9.2f %-8.2f %-8d %-8d@." d (ms analyze)
+        (ms search) (ms replay) (ms classify) (ms render) (String.length text)
+        (Replay.Chain.handoffs (chain ())))
     [ 25; 50; 100; 200 ];
-  Fmt.pr "expected shape: nodes linear in d; time above linear while every \
-          depth's suffix is replayed and reported@."
+  Fmt.pr "expected shape: nodes linear in d, d - 1 handoffs; time above \
+          linear while every depth's suffix is reported@."
 
 let e3 () =
   section "e3" "cost vs execution length — RES vs forward synthesis";
@@ -1082,18 +1092,25 @@ let e20 () =
   Fmt.pr "suffix timeline: %d instruction steps (%d segments)@." n
     (List.length suffix.Res_core.Suffix.segments);
   (* Opening a session: the verifying replay plus the index the first
-     state query needs, per open, best of 7 batches of 200. *)
+     state query needs, per open, best of 7 batches of 200; and the words
+     a batch promotes to the major heap, per open. *)
   let opens = 200 in
-  let open_s =
-    best_of 7 (fun () ->
-        for _ = 1 to opens do
-          match Res_core.Debugger.start ctx suffix dump with
-          | Ok d -> ignore (Res_core.Debugger.total_steps d)
-          | Error e -> Fmt.failwith "debugger: %s" e
-        done)
+  let batch () =
+    for _ = 1 to opens do
+      match Res_core.Debugger.start ctx suffix dump with
+      | Ok d -> ignore (Res_core.Debugger.total_steps d)
+      | Error e -> Fmt.failwith "debugger: %s" e
+    done
   in
-  Fmt.pr "session open (Debugger.start + total_steps): %.1f us@."
-    (1e6 *. open_s /. float_of_int opens);
+  let open_s = best_of 7 batch in
+  Gc.compact ();
+  let promoted0 = (Gc.quick_stat ()).Gc.promoted_words in
+  batch ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. promoted0 in
+  Fmt.pr "session open (Debugger.start + total_steps): %.1f us, %.0f words \
+          promoted@."
+    (1e6 *. open_s /. float_of_int opens)
+    (promoted /. float_of_int opens);
   e20_walks ctx suffix dump n;
   (* Transition watchpoint: binary-searched probes vs a linear scan. *)
   let layout = ctx.Res_core.Backstep.layout in

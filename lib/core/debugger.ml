@@ -42,7 +42,9 @@ type t = {
   ctx : Backstep.ctx;
   suffix : Suffix.t;
   dump : Res_vm.Coredump.t;
-  trace : Res_vm.Event.t array;  (** instruction-level suffix trace *)
+  trace : Res_vm.Event.t list;  (** instruction-level suffix trace *)
+  events : Res_vm.Event.t array Lazy.t;
+      (** the trace as an array, copied on the first query that indexes it *)
   index : Replay.Index.t;  (** kept from the verifying replay *)
   mutable scan : scan option;  (** lazily-built shared event scan *)
   mutable probes : int;  (** state evaluations made by transition searches *)
@@ -64,7 +66,8 @@ let start ?(snapshot_every = 64) ctx suffix dump =
         ctx;
         suffix;
         dump;
-        trace = Array.of_list verdict.Replay.trace;
+        trace = verdict.Replay.trace;
+        events = lazy (Array.of_list verdict.Replay.trace);
         index;
         scan = None;
         probes = 0;
@@ -80,7 +83,7 @@ let rec start_first ?snapshot_every ctx suffixes dump =
       | Error _ -> start_first ?snapshot_every ctx rest dump)
 
 (** The suffix's instruction trace, oldest first. *)
-let trace t = Array.to_list t.trace
+let trace t = t.trace
 
 (** The crash the suffix runs into. *)
 let crash t = t.dump.Res_vm.Coredump.crash
@@ -147,14 +150,15 @@ let scan t =
             | Some l -> Some (p :: l))
           m
       in
+      let events = Lazy.force t.events in
       let n =
-        if Array.length t.trace = 0 then 0
-        else t.trace.(Array.length t.trace - 1).Res_vm.Event.step + 1
+        if Array.length events = 0 then 0
+        else events.(Array.length events - 1).Res_vm.Event.step + 1
       in
       let by_step = Array.make n [] in
       let writes = ref IMap.empty and threads = ref IMap.empty in
-      for i = Array.length t.trace - 1 downto 0 do
-        let e = t.trace.(i) in
+      for i = Array.length events - 1 downto 0 do
+        let e = events.(i) in
         let p = e.Res_vm.Event.step in
         by_step.(p) <- e :: by_step.(p);
         threads := push e.Res_vm.Event.tid p !threads;
@@ -211,12 +215,13 @@ let writes_to t addr =
     previous access to M (typically the read of a read-modify-write) and
     T's write to M.  [None] when T never writes M in this suffix. *)
 let preempted_before_update t ~tid ~addr =
-  let n = Array.length t.trace in
+  let events = Lazy.force t.events in
+  let n = Array.length events in
   (* find T's first write to addr *)
   let rec find_write i =
     if i >= n then None
     else
-      let e = t.trace.(i) in
+      let e = events.(i) in
       match e.Res_vm.Event.action with
       | Res_vm.Event.A_write { addr = a; _ }
         when a = addr && e.Res_vm.Event.tid = tid ->
@@ -230,7 +235,7 @@ let preempted_before_update t ~tid ~addr =
       let rec prev_access i =
         if i < 0 then None
         else
-          let e = t.trace.(i) in
+          let e = events.(i) in
           if
             e.Res_vm.Event.tid = tid
             && Res_vm.Event.touched_addr e = Some addr
@@ -243,7 +248,7 @@ let preempted_before_update t ~tid ~addr =
         | Some p ->
             let rec foreign i =
               i < w
-              && (t.trace.(i).Res_vm.Event.tid <> tid || foreign (i + 1))
+              && (events.(i).Res_vm.Event.tid <> tid || foreign (i + 1))
             in
             foreign (p + 1)
       in
@@ -303,5 +308,5 @@ let find_transition t eval =
 let pp ppf t =
   Fmt.pf ppf "@[<v>debugging session: %d steps, crash %a@,%a@]"
     (total_steps t) Res_vm.Crash.pp (crash t)
-    Fmt.(array ~sep:cut Res_vm.Event.pp)
+    Fmt.(list ~sep:cut Res_vm.Event.pp)
     t.trace

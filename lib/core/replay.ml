@@ -110,27 +110,17 @@ let run sp each =
   in
   go ()
 
-(** The verdict on a stepper that has run to [outcome], against [dump]. *)
-let verdict sp outcome (dump : Res_vm.Coredump.t) =
-  let st = sp.sp_st in
-  let trace = List.rev st.Res_vm.Exec.trace_rev in
-  let pinned =
-    List.rev st.Res_vm.Exec.sched_trace_rev = sp.sp_schedule
-    && sp.sp_script.Res_vm.Oracle.reads
-       = Array.length sp.sp_script.Res_vm.Oracle.values
-  in
+(** The run consumed its scripts exactly: [picks] are the scheduler's
+    picks, oldest first, and [reads] the input values read. *)
+let pinned sp picks reads =
+  picks = sp.sp_schedule && reads = Array.length sp.sp_script.Res_vm.Oracle.values
+
+(** The verdict on a run that stopped at [outcome] after recording
+    [trace], against [dump]; [final] builds the machine a crash left. *)
+let judge ~trace ~pinned outcome final (dump : Res_vm.Coredump.t) =
   match outcome with
   | Res_vm.Exec.Crashed crash ->
-      let replay_dump =
-        {
-          Res_vm.Coredump.crash;
-          mem = st.Res_vm.Exec.mem;
-          heap = st.Res_vm.Exec.heap;
-          threads = st.Res_vm.Exec.threads;
-          tracer = st.Res_vm.Exec.tracer;
-          steps = st.Res_vm.Exec.steps;
-        }
-      in
+      let replay_dump = final crash in
       let reproduced = Res_vm.Coredump.same_failure_state replay_dump dump in
       let divergence =
         if reproduced then None
@@ -168,6 +158,27 @@ let verdict sp outcome (dump : Res_vm.Coredump.t) =
              else "replay ran out of fuel");
         pinned;
       }
+
+(** The verdict on a stepper that has run to [outcome], against [dump]. *)
+let verdict sp outcome dump =
+  let st = sp.sp_st in
+  judge
+    ~trace:(List.rev st.Res_vm.Exec.trace_rev)
+    ~pinned:
+      (pinned sp
+         (List.rev st.Res_vm.Exec.sched_trace_rev)
+         sp.sp_script.Res_vm.Oracle.reads)
+    outcome
+    (fun crash ->
+      {
+        Res_vm.Coredump.crash;
+        mem = st.Res_vm.Exec.mem;
+        heap = st.Res_vm.Exec.heap;
+        threads = st.Res_vm.Exec.threads;
+        tracer = st.Res_vm.Exec.tracer;
+        steps = st.Res_vm.Exec.steps;
+      })
+    dump
 
 let default_max_steps = 100_000
 
@@ -242,6 +253,240 @@ let restore sp im =
     st.Res_vm.Exec.sched_trace_rev <- [];
   Res_vm.Sched.set_cursor sp.sp_sched im.im_sched;
   sp.sp_script.Res_vm.Oracle.reads <- im.im_reads
+
+(* --- handing a replay off to the suffix it extends --------------------- *)
+
+(* Iterative deepening replays suffix k+1 after suffix k, and suffix k+1
+   is one new segment in front of suffix k: its [segments] tail is
+   physically k's list.  So its replay is that segment followed by k's
+   replay, provided the machine the segment leaves behind is k's step-0
+   machine on everything the rest of the run can observe (DESIGN.md §3).
+   Then k+1's verdict is built from k's recorded {!run} instead of
+   re-executing k's steps; on a miss the same stepper runs on to the end,
+   so a miss costs only the comparison.  {!replay} stays the reference:
+   every verdict {!extend} returns equals its. *)
+
+(** A replay, as a later, longer suffix's replay needs it. *)
+type run = {
+  r_segments : Suffix.segment list;  (** the suffix's, physically *)
+  r_start : image;  (** the machine at step 0 *)
+  r_values : int array;  (** the input script *)
+  r_default : int;  (** what the script yields past its end *)
+  r_picks : int list;  (** the scheduler's picks, oldest first *)
+  r_reads : int;  (** input values read *)
+  r_outcome : Res_vm.Exec.outcome;
+  r_steps : int;  (** steps when it stopped, a crash's faulting one counted *)
+  r_verdict : verdict;
+  r_handed_off : bool;  (** built from a shorter suffix's run *)
+}
+
+(** The run of a stepper started at [start] that has stopped at [outcome]. *)
+let finish suffix sp start outcome dump =
+  let st = sp.sp_st in
+  {
+    r_segments = suffix.Suffix.segments;
+    r_start = start;
+    r_values = sp.sp_script.Res_vm.Oracle.values;
+    r_default = sp.sp_script.Res_vm.Oracle.default;
+    r_picks = List.rev st.Res_vm.Exec.sched_trace_rev;
+    r_reads = sp.sp_script.Res_vm.Oracle.reads;
+    r_outcome = outcome;
+    r_steps = st.Res_vm.Exec.steps;
+    r_verdict = verdict sp outcome dump;
+    r_handed_off = false;
+  }
+
+(** {!replay}, keeping the run. *)
+let record ctx suffix dump =
+  let sp = make_stepper ~max_steps:default_max_steps ctx suffix dump in
+  let start = capture sp in
+  finish suffix sp start (run sp ignore) dump
+
+(* Whether [prev]'s run provably overwrites register [r] of thread
+   [tid]'s root frame [fr], at index 0 of its block, before anything reads
+   it: [tid]'s next segment in [prev] runs the block to completion; the
+   block writes [r] at some [i] before reading it (so [r] is in
+   [Block.defined_regs], not in [live_in_regs]); no call is at [0..i] (a
+   callee could run the same pcs, or crash before its result lands); and
+   [prev]'s trace shows [tid] executing [i]. *)
+let dead_reg ctx prev tid (fr : Res_vm.Frame.t) r =
+  match List.find_opt (fun s -> s.Suffix.seg_tid = tid) prev.r_segments with
+  | Some
+      {
+        Suffix.seg_func;
+        seg_block;
+        seg_end = Suffix.Seg_branch _ | Suffix.Seg_ret | Suffix.Seg_halt;
+        _;
+      }
+    when String.equal seg_func fr.Res_vm.Frame.func
+         && String.equal seg_block fr.Res_vm.Frame.block -> (
+      let b =
+        Res_ir.Prog.block ctx.Backstep.prog ~func:seg_func ~label:seg_block
+      in
+      let rec first_write i =
+        if i >= Res_ir.Block.length b then None
+        else
+          match Res_ir.Block.instr b i with
+          | Res_ir.Instr.Call _ -> None
+          | ins when List.mem r (Res_ir.Instr.uses ins) -> None
+          | ins when Res_ir.Instr.defs ins = Some r -> Some i
+          | _ -> first_write (i + 1)
+      in
+      match first_write 0 with
+      | None -> false
+      | Some i ->
+          List.exists
+            (fun (e : Res_vm.Event.t) ->
+              e.Res_vm.Event.tid = tid
+              && e.Res_vm.Event.pc.Res_ir.Pc.idx = i
+              && String.equal e.Res_vm.Event.pc.Res_ir.Pc.block seg_block
+              && String.equal e.Res_vm.Event.pc.Res_ir.Pc.func seg_func)
+            prev.r_verdict.trace)
+  | _ -> false
+
+(* [a] (the extending run's) and [b] ([prev]'s) are the same thread, or
+   differ only in registers [prev]'s run provably overwrites unread. *)
+let same_thread ctx prev (a : Res_vm.Thread.t) (b : Res_vm.Thread.t) =
+  Res_vm.Thread.equal a b
+  ||
+  match (a.Res_vm.Thread.frames, b.Res_vm.Thread.frames) with
+  | [ fa ], [ fb ]
+    when a.Res_vm.Thread.tid = b.Res_vm.Thread.tid
+         && a.Res_vm.Thread.status = b.Res_vm.Thread.status
+         && fa.Res_vm.Frame.idx = 0
+         && Res_vm.Frame.equal { fa with Res_vm.Frame.regs = fb.Res_vm.Frame.regs } fb
+    ->
+      let agree other r v =
+        v = Res_vm.Frame.read_reg other r
+        || dead_reg ctx prev b.Res_vm.Thread.tid fb r
+      in
+      Res_vm.Frame.IMap.for_all (agree fb) fa.Res_vm.Frame.regs
+      && Res_vm.Frame.IMap.for_all (agree fa) fb.Res_vm.Frame.regs
+  | _ -> false
+
+(* The remaining input script of [sp] is [prev]'s whole one. *)
+let same_inputs sp prev =
+  let s = sp.sp_script in
+  let off = s.Res_vm.Oracle.reads in
+  let n = Array.length prev.r_values in
+  s.Res_vm.Oracle.default = prev.r_default
+  && Array.length s.Res_vm.Oracle.values - off = n
+  &&
+  let rec go i =
+    i >= n
+    || (s.Res_vm.Oracle.values.(off + i) = prev.r_values.(i) && go (i + 1))
+  in
+  go 0
+
+(** Whether the rest of [sp]'s run is [prev]'s run, [sp]'s steps later:
+    within fuel, and [sp]'s machine equals [prev]'s step-0 one on memory,
+    heap, [next_tid], scheduler cursor, remaining inputs and threads, with
+    [current] compared only where it keeps the CPU and registers allowed to
+    differ only where they are dead ({!dead_reg}).  A replay injects no
+    faults, so the step count itself matters only to fuel and to the
+    events' stamps, which {!join} shifts. *)
+let resumes ctx sp prev =
+  let st = sp.sp_st and y = prev.r_start in
+  (match prev.r_outcome with
+  | Res_vm.Exec.Out_of_fuel -> false
+  | Res_vm.Exec.Crashed _ | Res_vm.Exec.Exited -> true)
+  && st.Res_vm.Exec.steps + prev.r_steps < default_max_steps
+  && st.Res_vm.Exec.next_tid = y.im_next_tid
+  && Res_vm.Sched.cursor sp.sp_sched = y.im_sched
+  && same_inputs sp prev
+  && (st.Res_vm.Exec.current = y.im_current
+     || not
+          (Res_vm.Exec.must_continue st
+          || Res_vm.Exec.holds_cpu y.im_threads y.im_current))
+  && Res_mem.Memory.equal st.Res_vm.Exec.mem y.im_mem
+  && Res_mem.Heap.equal st.Res_vm.Exec.heap y.im_heap
+  && IMap.equal (same_thread ctx prev) st.Res_vm.Exec.threads y.im_threads
+
+(* [sp]'s first segment followed by [prev]'s run: events, picks, reads and
+   steps joined, the final machine [prev]'s with the two tracers joined. *)
+let join suffix sp start prev dump =
+  let st = sp.sp_st in
+  let n0 = st.Res_vm.Exec.steps in
+  let first_tracer = st.Res_vm.Exec.tracer in
+  let trace =
+    List.rev_append st.Res_vm.Exec.trace_rev
+      (List.map
+         (fun (e : Res_vm.Event.t) -> { e with Res_vm.Event.step = e.step + n0 })
+         prev.r_verdict.trace)
+  in
+  let picks = List.rev_append st.Res_vm.Exec.sched_trace_rev prev.r_picks in
+  let reads = sp.sp_script.Res_vm.Oracle.reads + prev.r_reads in
+  let steps = n0 + prev.r_steps in
+  let final crash =
+    match prev.r_verdict.replay_dump with
+    | Some d ->
+        {
+          d with
+          Res_vm.Coredump.crash;
+          tracer = Res_vm.Tracer.append first_tracer d.Res_vm.Coredump.tracer;
+          steps;
+        }
+    | None -> invalid_arg "Replay.join: a crashed run without its machine"
+  in
+  {
+    r_segments = suffix.Suffix.segments;
+    r_start = start;
+    r_values = sp.sp_script.Res_vm.Oracle.values;
+    r_default = sp.sp_script.Res_vm.Oracle.default;
+    r_picks = picks;
+    r_reads = reads;
+    r_outcome = prev.r_outcome;
+    r_steps = steps;
+    r_verdict =
+      judge ~trace ~pinned:(pinned sp picks reads) prev.r_outcome final dump;
+    r_handed_off = true;
+  }
+
+(** The run of [suffix], whose segments after its first are [prev]'s:
+    replay the first segment, up to the next scheduling pick, then hand
+    off to [prev] if it {!resumes} there, else run on to the end.  Its
+    verdict equals [replay ctx suffix dump]'s either way. *)
+let extend ctx suffix dump prev =
+  let sp = make_stepper ~max_steps:default_max_steps ctx suffix dump in
+  let start = capture sp in
+  let rec first () =
+    match Res_vm.Exec.advance sp.sp_st sp.sp_cfg with
+    | Res_vm.Exec.Ran ->
+        if Res_vm.Exec.must_continue sp.sp_st then first () else None
+    | Res_vm.Exec.Stopped outcome -> Some outcome
+  in
+  match first () with
+  | Some outcome -> finish suffix sp start outcome dump
+  | None when resumes ctx sp prev -> join suffix sp start prev dump
+  | None -> finish suffix sp start (run sp ignore) dump
+
+(** The replays of one deepening analysis, each handed off to the run of
+    the shorter suffix it extends when one was replayed before. *)
+module Chain = struct
+  type t = { mutable runs : run list; mutable handoffs : int }
+
+  let create () = { runs = []; handoffs = 0 }
+
+  (** Replays handed off so far. *)
+  let handoffs t = t.handoffs
+
+  (** [suffix]'s verdict, equal to [replay ctx suffix dump]'s. *)
+  let replay t ctx suffix dump =
+    let prev =
+      match suffix.Suffix.segments with
+      | _ :: (_ :: _ as tail) ->
+          List.find_opt (fun r -> r.r_segments == tail) t.runs
+      | _ -> None
+    in
+    let r =
+      match prev with
+      | Some prev -> extend ctx suffix dump prev
+      | None -> record ctx suffix dump
+    in
+    if r.r_handed_off then t.handoffs <- t.handoffs + 1;
+    t.runs <- r :: t.runs;
+    r.r_verdict
+end
 
 (* --- snapshot index --------------------------------------------------- *)
 

@@ -92,8 +92,8 @@ let definite_cause = function
   | Rootcause.Abort_cause _ | Rootcause.Unclassified _ ->
       false
 
-let report_of ctx config (dump : Res_vm.Coredump.t) suffix =
-  let verdict = Replay.replay ctx suffix dump in
+(** The report on [suffix], whose replay gave [verdict]. *)
+let report_with ctx config (dump : Res_vm.Coredump.t) suffix verdict =
   if not verdict.Replay.reproduced then
     { suffix; verdict; root_cause = None; deterministic = false }
   else
@@ -112,6 +112,9 @@ let report_of ctx config (dump : Res_vm.Coredump.t) suffix =
                  ctx suffix dump))
     in
     { suffix; verdict; root_cause; deterministic }
+
+let report_of ctx config dump suffix =
+  report_with ctx config dump suffix (Replay.replay ctx suffix dump)
 
 type outcome =
   | Complete of analysis
@@ -269,13 +272,19 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
   let truncated = ref st0.ck_truncated in
   (* A deeper search re-emits an earlier depth's dead-end and
      program-start suffixes as the physically same [Suffix.t]: replay and
-     classify each once per run, and report it again as the same value. *)
+     classify each once per run, and report it again as the same value.
+     A suffix one segment deeper than one replayed before replays only
+     its new segment (Replay.Chain). *)
   let reported = ref [] in
+  let chain = Replay.Chain.create () in
   let report_of suffix =
     match List.assq_opt suffix !reported with
     | Some r -> r
     | None ->
-        let r = report_of ctx config dump suffix in
+        let r =
+          report_with ctx config dump suffix
+            (Replay.Chain.replay chain ctx suffix dump)
+        in
         reported := (suffix, r) :: !reported;
         r
   in

@@ -41,15 +41,17 @@ let diff (a : t) (b : t) =
   List.sort compare !out
 
 (** [diff a b = []], without building the list: stops at the first
-    disagreeing cell and allocates nothing per cell. *)
+    disagreeing cell and allocates nothing per cell.  Equal bindings, the
+    usual case, are decided without a lookup per cell. *)
 let equal (a : t) (b : t) =
-  IMap.for_all
-    (fun addr va ->
-      match IMap.find addr b with
-      | vb -> va = vb
-      | exception Not_found -> va = 0)
-    a
-  && IMap.for_all (fun addr vb -> vb = 0 || IMap.mem addr a) b
+  IMap.equal Int.equal a b
+  || IMap.for_all
+       (fun addr va ->
+         match IMap.find addr b with
+         | vb -> va = vb
+         | exception Not_found -> va = 0)
+       a
+     && IMap.for_all (fun addr vb -> vb = 0 || IMap.mem addr a) b
 
 (** [flip_bit m a bit] flips one bit of the word at [a] — the hardware
     memory-error injection primitive (paper §3.2). *)

@@ -633,7 +633,12 @@ let read_file path =
           match really_input_string ic (in_channel_length ic) with
           | s -> Ok s
           | exception End_of_file -> Error (Unreadable "file shrank while reading")
-          | exception Sys_error msg -> Error (Unreadable msg))
+          | exception Sys_error msg ->
+              (* Opening a directory succeeds, and reading its length
+                 fails with an unrelated EOVERFLOW: name the directory. *)
+              if try Sys.is_directory path with Sys_error _ -> false then
+                Error (Unreadable (path ^ ": Is a directory"))
+              else Error (Unreadable msg))
 
 (** Load a coredump from [path], classifying damage instead of raising. *)
 let load_result ?salvage path : (loaded, dump_error) result =

@@ -344,8 +344,14 @@ let blocked_tids st =
     st.threads []
   |> List.sort compare
 
-(** Whether the current thread must keep the CPU (it is runnable and
-    mid-block, so no context switch is allowed). *)
+(** Whether thread [current] of [threads] must keep the CPU (it is
+    runnable and mid-block, so no context switch is allowed). *)
+let holds_cpu threads current =
+  match IMap.find_opt current threads with
+  | Some th -> Thread.is_runnable th && not (Thread.at_block_boundary th)
+  | None -> false
+
+(** [holds_cpu st.threads st.current], written out: every step asks it. *)
 let must_continue st =
   match IMap.find_opt st.current st.threads with
   | Some th -> Thread.is_runnable th && not (Thread.at_block_boundary th)

@@ -50,10 +50,12 @@ let pp ppf fr =
     (reg_bindings fr)
 
 (** Register files are equal under read semantics: an absent register reads
-    as 0, so [{r0=1}] and [{r0=1, r3=0}] are the same register file. *)
+    as 0, so [{r0=1}] and [{r0=1, r3=0}] are the same register file.  Equal
+    bindings, the usual case, are decided without a lookup per register. *)
 let regs_equal a b =
-  IMap.for_all (fun r v -> v = read_reg b r) a.regs
-  && IMap.for_all (fun r v -> v = read_reg a r) b.regs
+  IMap.equal Int.equal a.regs b.regs
+  || IMap.for_all (fun r v -> v = read_reg b r) a.regs
+     && IMap.for_all (fun r v -> v = read_reg a r) b.regs
 
 let equal (a : t) (b : t) =
   String.equal a.func b.func

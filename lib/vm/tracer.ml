@@ -24,18 +24,26 @@ type t = {
     for the E6 search-space experiment. *)
 let create ~lbr_depth = { lbr_depth; lbr = []; logs = [] }
 
+(* The first [n] entries of a list, in one bounded walk. *)
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
 let record_branch t ~tid ~func ~from_label ~to_label =
   if t.lbr_depth = 0 then t
   else
     let entry = { br_tid = tid; br_func = func; br_from = from_label; br_to = to_label } in
-    let rec newest n = function
-      | b :: rest when n > 0 -> b :: newest (n - 1) rest
-      | _ -> []
-    in
-    { t with lbr = entry :: newest (t.lbr_depth - 1) t.lbr }
+    { t with lbr = entry :: take (t.lbr_depth - 1) t.lbr }
 
 let record_log t ~tid ~tag ~value =
   { t with logs = { log_tid = tid; log_tag = tag; log_value = value } :: t.logs }
+
+let append earlier later =
+  {
+    later with
+    lbr = take later.lbr_depth (later.lbr @ earlier.lbr);
+    logs = later.logs @ earlier.logs;
+  }
 
 (** Branches, most recent first. *)
 let branches t = t.lbr

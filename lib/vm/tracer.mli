@@ -30,6 +30,12 @@ val record_branch :
 
 val record_log : t -> tid:int -> tag:string -> value:int -> t
 
+(** [append earlier later] is the tracer of one run that recorded
+    [earlier]'s entries and then [later]'s, where [later] started empty at
+    its own depth: the newest [lbr_depth] branches of both and every log
+    entry, most recent first. *)
+val append : t -> t -> t
+
 (** Branches, most recent first. *)
 val branches : t -> branch list
 

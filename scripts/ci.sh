@@ -53,6 +53,15 @@ for row in 25:13562 50:41537 100:140613 200:511438; do
   [ "$bytes" = "${row#*:}" ] \
     || { echo "e3 rendered $bytes bytes at d = $d, expected ${row#*:}"; exit 1; }
 done
+# Its handoffs column counts the replays handed off to the suffix one
+# segment shorter: on long-exec every suffix but the first extends the
+# one before it, so a handoff that stops firing fails here.
+for d in 25 50 100 200; do
+  handoffs=$(awk -v d="$d" '/^depth sweep/ { sweep = 1 } sweep && $1 == d { print $8 }' \
+    "$cache_tmp/e3.txt")
+  [ "$handoffs" = "$((d - 1))" ] \
+    || { echo "e3 handed off $handoffs replays at d = $d, expected $((d - 1))"; exit 1; }
+done
 
 # Smoke of the E20 benchmark, whose walk table steps the debugger over
 # every position of long-exec-50's 55-segment suffix in both directions:
@@ -76,10 +85,11 @@ rc=0
   || { echo "conflicting selftest flags exited $rc, expected 124"; exit 1; }
 
 # An input path that cannot be read (here a directory) is a one-line
-# error with exit 1, never an internal error.
+# error with exit 1 that names the directory, never an internal error.
 rc=0
 "$RES" validate "$gate_tmp" 2> "$cache_tmp/validate-dir.err" || rc=$?
 [ "$rc" -eq 1 ] && ! grep -q 'internal error' "$cache_tmp/validate-dir.err" \
+  && grep -q 'Is a directory' "$cache_tmp/validate-dir.err" \
   || { echo "res validate on a directory exited $rc: \
 $(cat "$cache_tmp/validate-dir.err")"; exit 1; }
 

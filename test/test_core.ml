@@ -423,6 +423,184 @@ let test_replay_detects_tampered_suffix () =
   let v = Replay.replay ctx bad dump in
   check bool_t "tampered replay rejected" false v.Replay.reproduced
 
+(* --- handing a replay off to the suffix it extends --- *)
+
+(* [got] is [want], the reference {!Replay.replay} verdict, field by
+   field. *)
+let same_verdict label (want : Replay.verdict) (got : Replay.verdict) =
+  let field f = label ^ ": " ^ f in
+  check bool_t (field "reproduced") want.Replay.reproduced got.Replay.reproduced;
+  check bool_t (field "replay_crash") true
+    (want.Replay.replay_crash = got.Replay.replay_crash);
+  check
+    Alcotest.(option string)
+    (field "divergence") want.Replay.divergence got.Replay.divergence;
+  check bool_t (field "pinned") want.Replay.pinned got.Replay.pinned;
+  check bool_t (field "trace") true (want.Replay.trace = got.Replay.trace);
+  match (want.Replay.replay_dump, got.Replay.replay_dump) with
+  | Some w, Some g ->
+      check bool_t (field "same_failure_state") true
+        (Res_vm.Coredump.same_failure_state w g);
+      check int_t (field "steps") w.Res_vm.Coredump.steps g.Res_vm.Coredump.steps;
+      check bool_t (field "tracer") true
+        (w.Res_vm.Coredump.tracer = g.Res_vm.Coredump.tracer)
+  | None, None -> ()
+  | _ -> Alcotest.fail (field "replay_dump present on one side only")
+
+(* Every report of [Res.analyze], whose replays are handed off along the
+   deepening, carries the verdict a fresh replay of its suffix gives. *)
+let test_handoff_reports_match_reference () =
+  let reports ~depth (w : Res_workloads.Truth.t) =
+    let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+    let dump = Res_workloads.Truth.coredump w in
+    let config =
+      {
+        Res.default_config with
+        search = { Search.default_config with max_segments = depth };
+      }
+    in
+    List.iteri
+      (fun i (r : Res.report) ->
+        same_verdict
+          (Fmt.str "%s depth %d report %d" w.Res_workloads.Truth.w_name depth i)
+          (Replay.replay ctx r.Res.suffix dump)
+          r.Res.verdict)
+      (Res.analysis (Res.analyze ~config ctx dump)).Res.reports
+  in
+  List.iter
+    (fun w -> List.iter (fun depth -> reports ~depth w) [ 6; 8; 12 ])
+    Res_workloads.Workloads.all;
+  reports ~depth:55 (long_exec_50 ())
+
+(* Deepening [w] to [depth] on one context as [Res.run] does, every
+   suffix each depth emits through one chain: its verdicts, reproduced or
+   not, against fresh replays, and the number of handoffs. *)
+let chain_every_suffix ~depth (w : Res_workloads.Truth.t) =
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let dump = Res_workloads.Truth.coredump w in
+  let chain = Replay.Chain.create () in
+  let seen = ref [] in
+  for d = 1 to depth do
+    let r =
+      Search.search ~config:{ Search.default_config with max_segments = d } ctx dump
+    in
+    List.iter
+      (fun s ->
+        if not (List.memq s !seen) then begin
+          seen := s :: !seen;
+          same_verdict
+            (Fmt.str "%s depth %d, %d segments" w.Res_workloads.Truth.w_name d
+               (Suffix.length s))
+            (Replay.replay ctx s dump)
+            (Replay.Chain.replay chain ctx s dump)
+        end)
+      r.Search.suffixes
+  done;
+  (List.length !seen, Replay.Chain.handoffs chain)
+
+let test_handoff_every_suffix () =
+  List.iter
+    (fun w -> ignore (chain_every_suffix ~depth:12 w))
+    Res_workloads.Workloads.all;
+  (* Every suffix but the first extends one replayed before it. *)
+  let suffixes, handoffs = chain_every_suffix ~depth:55 (long_exec_50 ()) in
+  check int_t "long-exec-50 to depth 55: handoffs" (suffixes - 1) handoffs
+
+(* Suffixes [k] and [k+1] of long-exec-50's deepening, the latter one
+   segment in front of the former, with the context and dump. *)
+let extending_pair () =
+  let w = long_exec_50 () in
+  let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  let dump = Res_workloads.Truth.coredump w in
+  let at d =
+    List.hd
+      (Search.search ~config:{ Search.default_config with max_segments = d } ctx dump)
+        .Search.suffixes
+  in
+  let short = at 5 in
+  let long = at 6 in
+  check bool_t "the deeper suffix extends the shorter" true
+    (List.tl long.Suffix.segments == short.Suffix.segments);
+  (ctx, dump, short, long)
+
+(* [prev]'s step-0 thread 0, its root frame's register [r] set to [v]. *)
+let with_reg (prev : Replay.run) r v =
+  let im = prev.Replay.r_start in
+  let th = Replay.IMap.find 0 im.Replay.im_threads in
+  let th =
+    Res_vm.Thread.with_top th (Res_vm.Frame.write_reg (Res_vm.Thread.top th) r v)
+  in
+  {
+    prev with
+    Replay.r_start =
+      { im with Replay.im_threads = Replay.IMap.add 0 th im.Replay.im_threads };
+  }
+
+(* A record that differs from the shorter suffix's run in anything the
+   rest of the run observes falls back to a full replay, whose verdict is
+   the reference one; one that differs only in a register the run
+   overwrites unread is handed off. *)
+let test_handoff_misses () =
+  let ctx, dump, short, long = extending_pair () in
+  let want = Replay.replay ctx long dump in
+  let prev = Replay.record ctx short dump in
+  let try_with label prev ~handed_off =
+    let r = Replay.extend ctx long dump prev in
+    check bool_t (label ^ ": handed off") handed_off r.Replay.r_handed_off;
+    same_verdict label want r.Replay.r_verdict
+  in
+  try_with "unaltered" prev ~handed_off:true;
+  let im = prev.Replay.r_start in
+  let scratch =
+    Res_mem.Layout.global_base ctx.Backstep.layout "scratch"
+  in
+  try_with "one memory cell"
+    {
+      prev with
+      Replay.r_start =
+        {
+          im with
+          Replay.im_mem =
+            Res_mem.Memory.write im.Replay.im_mem scratch
+              (Res_mem.Memory.read im.Replay.im_mem scratch + 1);
+        };
+    }
+    ~handed_off:false;
+  (* The loop block reads r0 before writing it, and writes r1..r5 first. *)
+  let frame = Res_vm.Thread.top (Replay.IMap.find 0 im.Replay.im_threads) in
+  check Alcotest.string "thread 0 at the loop" "loop" frame.Res_vm.Frame.block;
+  let live = Res_vm.Frame.read_reg frame 0 + 1 in
+  try_with "a live register" (with_reg prev 0 live) ~handed_off:false;
+  (* The cursor of a script one pick shorter than the shorter suffix's. *)
+  let cursor =
+    Res_vm.Sched.cursor
+      (Res_vm.Sched.create (Res_vm.Sched.Fixed (List.tl (Suffix.schedule short))))
+  in
+  try_with "the scheduler cursor"
+    { prev with Replay.r_start = { im with Replay.im_sched = cursor } }
+    ~handed_off:false;
+  try_with "a step count past max_steps"
+    { prev with Replay.r_steps = Replay.default_max_steps }
+    ~handed_off:false;
+  let dead = Res_vm.Frame.read_reg frame 4 + 7 in
+  try_with "a dead register" (with_reg prev 4 dead) ~handed_off:true;
+  (* r4 is dead only while the run is seen writing it (loop:3). *)
+  let unseen = with_reg prev 4 dead in
+  let v = unseen.Replay.r_verdict in
+  let trace =
+    List.filter
+      (fun (e : Res_vm.Event.t) ->
+        not
+          (e.Res_vm.Event.pc.Res_ir.Pc.block = "loop"
+          && e.Res_vm.Event.pc.Res_ir.Pc.idx = 3))
+      v.Replay.trace
+  in
+  check bool_t "loop:3 was in the trace" true
+    (List.length trace < List.length v.Replay.trace);
+  try_with "a dead register whose write is not in the trace"
+    { unseen with Replay.r_verdict = { v with Replay.trace } }
+    ~handed_off:false
+
 (* --- suffix accessors --- *)
 
 let test_suffix_accessors () =
@@ -991,6 +1169,12 @@ let () =
           Alcotest.test_case "rewritten schedule breaks the witness" `Quick
             test_witness_rewritten_schedule;
           Alcotest.test_case "suffix accessors" `Quick test_suffix_accessors;
+          Alcotest.test_case "handoff: reports = reference" `Quick
+            test_handoff_reports_match_reference;
+          Alcotest.test_case "handoff: every suffix = reference" `Quick
+            test_handoff_every_suffix;
+          Alcotest.test_case "handoff: altered records fall back" `Quick
+            test_handoff_misses;
         ] );
       ( "rootcause",
         [

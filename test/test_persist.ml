@@ -212,6 +212,18 @@ let test_coredump_save_atomic () =
       Alcotest.failf "saved dump should load: %s" (Io.dump_error_to_string e));
   Sys.remove path
 
+(* A directory is unreadable, and the error names it as a directory. *)
+let test_read_file_directory () =
+  let dir = Filename.temp_dir "res-read" "" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      match Io.read_file dir with
+      | Error (Io.Unreadable msg) ->
+          check string_t "message" (dir ^ ": Is a directory") msg
+      | Ok _ -> Alcotest.fail "a directory read as a file"
+      | Error e -> Alcotest.failf "not unreadable: %s" (Io.dump_error_to_string e))
+
 (* --- resume equivalence (single kill then unlimited resume) --- *)
 
 let test_resume_bit_identical () =
@@ -437,6 +449,8 @@ let () =
             test_journal_promotes_completed_write;
           Alcotest.test_case "journal discards torn write" `Quick
             test_journal_discards_torn_write;
+          Alcotest.test_case "directory read names it" `Quick
+            test_read_file_directory;
           Alcotest.test_case "coredump save is atomic" `Quick
             test_coredump_save_atomic;
         ] );
