@@ -3,17 +3,18 @@
 
     Health is inferred purely from exchange outcomes — there is no
     heartbeat protocol to get wrong.  Consecutive failures gate a node
-    behind {!Res_parallel.Pool.backoff_delay}-style capped exponential
-    backoff ([Backing_off]); [attempts] consecutive failures declare it
-    [Dead] for the rest of the run (a corpus run is finite — a node that
-    came back would be picked up by the next run).  Any success snaps the
-    node back to [Up] and resets its failure streak.
+    behind capped exponential backoff ([Backing_off]; by default the
+    {!Res_parallel.Supervisor}'s one pair); [attempts] consecutive
+    failures declare it [Dead] for the rest of the run (a corpus run is
+    finite — a node that came back would be picked up by the next run).
+    Any success snaps the node back to [Up] and resets its failure
+    streak.
 
     Mirrors the per-workload circuit breaker on the node side: breakers
     protect a node from poisonous workloads, the registry protects the
     coordinator from poisonous nodes. *)
 
-module Pool = Res_parallel.Pool
+module Supervisor = Res_parallel.Supervisor
 
 type state = Up | Backing_off | Dead
 
@@ -38,8 +39,8 @@ type t = {
   cap : float;
 }
 
-let create ?(attempts = 3) ?(backoff_base = Pool.default_backoff_base)
-    ?(backoff_cap = Pool.default_backoff_cap) addrs =
+let create ?(attempts = 3) ?(backoff_base = Supervisor.backoff_base)
+    ?(backoff_cap = Supervisor.backoff_cap) addrs =
   {
     nodes =
       Array.of_list
@@ -71,7 +72,7 @@ let mark_failure t i ~now =
   else begin
     n.nd_state <- Backing_off;
     n.nd_not_before <-
-      now +. Pool.backoff_delay ~base:t.base ~cap:t.cap (n.nd_streak - 1)
+      now +. Supervisor.backoff_delay ~base:t.base ~cap:t.cap (n.nd_streak - 1)
   end
 
 let mark_success t i =

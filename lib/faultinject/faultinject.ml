@@ -896,8 +896,8 @@ let single_node items =
   }
 
 (* A coordinator run as a projection of the corpus: its merged TSV, and
-   [counts] plus lost and duplicate units.  A lost unit or a broken
-   expectation in [checks] fails it. *)
+   [counts] plus its lost units, late rows and duplicate dumps.  A lost
+   unit or a broken expectation in [checks] fails it. *)
 let coordinated (t : Res_cluster.Coordinator.t) counts checks =
   let module C = Res_cluster.Coordinator in
   let st = t.C.stats in
@@ -905,8 +905,32 @@ let coordinated (t : Res_cluster.Coordinator.t) counts checks =
   {
     Differential.bytes = t.C.tsv;
     counts =
-      counts @ [ ("lost", st.C.cs_lost); ("duplicates", st.C.cs_duplicates) ];
+      counts
+      @ [
+          ("lost", st.C.cs_lost);
+          ("late", st.C.cs_late);
+          ("duplicates", st.C.cs_duplicates);
+        ];
   }
+
+(* The node list [others] with [addr] inserted at the index the
+   coordinator routes the most of [items] to, so a fault injected at
+   [addr] is guaranteed traffic, deterministically. *)
+let at_busiest_node items addr others =
+  let n = List.length others + 1 in
+  let counts = Array.make n 0 in
+  List.iter
+    (fun (it : Res_parallel.Batch.item) ->
+      let i =
+        Res_cluster.Coordinator.primary_node ~n_nodes:n
+          (Result.get_ok it.it_dump)
+      in
+      counts.(i) <- counts.(i) + 1)
+    items;
+  let best = ref 0 in
+  Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
+  List.filteri (fun i _ -> i < !best) others
+  @ (addr :: List.filteri (fun i _ -> i >= !best) others)
 
 (* --- campaign: multi-node cluster soak ------------------------------- *)
 
@@ -929,6 +953,7 @@ let cluster_soak_campaign ?log () =
   let module Journal = Res_cluster.Journal in
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-cluster" @@ fun k ->
+  let items = Fleet.corpus ~n_per_bug:3 in
   let start_node ~name ~delay =
     Fleet.fork_node k { (soak_node k name) with fi_worker_delay = delay }
   in
@@ -936,10 +961,15 @@ let cluster_soak_campaign ?log () =
   let pid2, addr2 = start_node ~name:"node2" ~delay:0.08 in
   let pid3, addr3 = start_node ~name:"node3" ~delay:0.08 in
   List.iter (Fleet.node_ready k) [ addr1; addr2; addr3 ];
+  (* node 2, the one node-kill SIGKILLs and partition replaces, sits
+     where the most units route: one dispatch per content key leaves a
+     quiet node idle after its first exchanges, and a kill there would
+     land after its last *)
+  let fleet addr = at_busiest_node items addr [ addr1; addr3 ] in
   let config name =
     {
       C.default_config with
-      C.nodes = [ addr1; addr2; addr3 ];
+      C.nodes = fleet addr2;
       window = 2;
       (* two consecutive failed exchanges declare a node dead: a small
          corpus must still reach the declaration before it runs out *)
@@ -1008,7 +1038,7 @@ let cluster_soak_campaign ?log () =
         ~config:
           {
             (config "journal3") with
-            C.nodes = [ addr1; addr4; addr3 ];
+            C.nodes = fleet addr4;
             unit_deadline = 1.0;
           }
         items
@@ -1027,7 +1057,7 @@ let cluster_soak_campaign ?log () =
           ("node-kill", node_kill);
           ("partition", partition);
         ]
-      [ ("corpus", Fleet.corpus ~n_per_bug:3) ]
+      [ ("corpus", items) ]
   in
   (* the surviving healthy nodes must exit 0 on SIGTERM *)
   ignore (Fleet.reap k ~signal:Sys.sigterm "node1" pid1);
@@ -1063,32 +1093,15 @@ let byzantine_campaign ?log () =
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-byzantine" @@ fun k ->
   let items = Fleet.corpus ~n_per_bug:3 in
-  (* put the liar at the node index the coordinator routes the most units
-     to, so the lie is guaranteed traffic, deterministically *)
-  let liar_slot =
-    let counts = Array.make 3 0 in
-    List.iter
-      (fun (it : Res_parallel.Batch.item) ->
-        let i = C.primary_node ~n_nodes:3 (Result.get_ok it.it_dump) in
-        counts.(i) <- counts.(i) + 1)
-      items;
-    let best = ref 0 in
-    Array.iteri (fun i c -> if c > counts.(!best) then best := i) counts;
-    !best
-  in
   let start_node ~name ~corrupt =
     Fleet.fork_node k { (soak_node k name) with fi_corrupt_rows = corrupt }
   in
   let pid_h1, addr_h1 = start_node ~name:"honest1" ~corrupt:"" in
   let pid_h2, addr_h2 = start_node ~name:"honest2" ~corrupt:"" in
   List.iter (Fleet.node_ready k) [ addr_h1; addr_h2 ];
-  (* honest nodes fill the non-liar slots in index order *)
-  let fleet liar_addr =
-    match liar_slot with
-    | 0 -> [ liar_addr; addr_h1; addr_h2 ]
-    | 1 -> [ addr_h1; liar_addr; addr_h2 ]
-    | _ -> [ addr_h1; addr_h2; liar_addr ]
-  in
+  (* the liar sits where the most units route, the honest nodes fill
+     the other slots in order *)
+  let fleet liar_addr = at_busiest_node items liar_addr [ addr_h1; addr_h2 ] in
   (* one lie: fork a liar corrupting [corrupt], triage the corpus with
      the liar in its slot, then kill it *)
   let lying ~corrupt ~spot_check items =

@@ -181,31 +181,21 @@ let merge items verdicts =
   in
   (rows, clusters, render rows clusters)
 
-(** [run items] triages every item on [jobs] workers.  [budget_wall] /
-    [budget_fuel] bound each {e dump}'s analysis separately (a budget
-    cannot be shared across processes, and per-dump bounds are what batch
-    triage wants: one pathological dump degrades to [partial] without
-    starving its neighbours).  With [?cache], each loadable dump is
-    looked up in the content-addressed result cache first and only
-    misses are farmed to the pool; fresh verdicts that finished within
-    their budget are stored back best-effort.  Cache hits reproduce the
-    exact row an analysis would have produced, so the TSV is
-    byte-identical warm or cold.
-
-    A verdict is a function of the content key alone, so each distinct
-    key is analyzed once: the first item with that key, in name order,
-    is farmed, and every later one (a byte-identical dump of the same
-    program) gets its verdict, [worker-lost] and timed-out rows
-    included. *)
-let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
-    ?backend ?kill_unit ?attempts ?cache items =
+(** The batch pipeline around any executor: sort [items] by name, key
+    them under [config] (looking each up in [?cache]), and call
+    [analyze items farm verdicts] with one unit per content key the cache
+    could not answer: the first item with that key, in name order.
+    [analyze] fills its units' [verdicts] (one left [None] becomes a
+    [worker-lost] row), and every later item with the key gets its unit's
+    verdict, [worker-lost] and timed-out rows included.  Then the store
+    and merge phases.  Returns [analyze]'s result, the rows, clusters and
+    TSV, and how many rows the cache and the duplicates served. *)
+let pipeline ?cache ~config items analyze =
   let items =
     List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
   in
   let n = Array.length items in
-  let keys, cached =
-    lookup ?cache ~config:(config_key ?budget_wall ?budget_fuel config) items
-  in
+  let keys, cached = lookup ?cache ~config items in
   (* [rep.(i)]: the first item with [i]'s key *)
   let rep = Array.init n Fun.id in
   let first = Hashtbl.create 64 in
@@ -222,38 +212,8 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
       (fun i -> keys.(i) <> "" && rep.(i) = i && cached.(i) = None)
       (List.init n Fun.id)
   in
-  let worker () =
-    fun payload ->
-      let i = int_of_string payload in
-      let it = items.(i) in
-      let dump =
-        match it.it_dump with Ok d -> d | Error _ -> assert false
-      in
-      let budget =
-        match (budget_wall, budget_fuel) with
-        | None, None -> None
-        | w, f -> Some (Budget.create ?wall_seconds:w ?fuel:f ())
-      in
-      Wire.encode_verdict ~index:i
-        (Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump)
-  in
-  let replies, pstats =
-    Pool.run ?backend ?kill_unit ?attempts ~jobs ~worker
-      (List.map string_of_int farm)
-  in
   let verdicts = Array.copy cached in
-  let worker_nodes = ref 0 and worker_pruned = ref 0 in
-  let worker_queries = ref 0 in
-  List.iter
-    (fun reply ->
-      match Option.map Wire.decode_verdict reply with
-      | Some (Ok (i, v)) when i >= 0 && i < n ->
-          verdicts.(i) <- Some v;
-          worker_nodes := !worker_nodes + v.Cache.c_nodes;
-          worker_pruned := !worker_pruned + v.Cache.c_pruned;
-          worker_queries := !worker_queries + v.Cache.c_queries
-      | _ -> ())
-    replies;
+  let a = analyze items farm verdicts in
   let duplicates = ref 0 in
   Array.iteri
     (fun i j ->
@@ -264,6 +224,59 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     rep;
   store ?cache keys ~cached verdicts;
   let rows, clusters, tsv = merge items verdicts in
+  let cache_hits =
+    Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached
+  in
+  (a, rows, clusters, tsv, cache_hits, !duplicates)
+
+(** [run items] triages every item on [jobs] workers.  [budget_wall] /
+    [budget_fuel] bound each {e dump}'s analysis separately (a budget
+    cannot be shared across processes, and per-dump bounds are what batch
+    triage wants: one pathological dump degrades to [partial] without
+    starving its neighbours).  With [?cache], each loadable dump is
+    looked up in the content-addressed result cache first and only
+    misses are farmed to the pool; fresh verdicts that finished within
+    their budget are stored back best-effort.  Cache hits reproduce the
+    exact row an analysis would have produced, so the TSV is
+    byte-identical warm or cold.  Each distinct content key is analyzed
+    once ({!pipeline}). *)
+let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
+    ?backend ?kill_unit ?attempts ?cache items =
+  let (pstats, nodes, pruned, queries), rows, clusters, tsv, cache_hits,
+      duplicates =
+    pipeline ?cache ~config:(config_key ?budget_wall ?budget_fuel config)
+      items (fun items farm verdicts ->
+        let worker () payload =
+          let i = int_of_string payload in
+          let it = items.(i) in
+          let dump =
+            match it.it_dump with Ok d -> d | Error _ -> assert false
+          in
+          let budget =
+            match (budget_wall, budget_fuel) with
+            | None, None -> None
+            | w, f -> Some (Budget.create ?wall_seconds:w ?fuel:f ())
+          in
+          Wire.encode_verdict ~index:i
+            (Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump)
+        in
+        let replies, pstats =
+          Pool.run ?backend ?kill_unit ?attempts ~jobs ~worker
+            (List.map string_of_int farm)
+        in
+        let nodes = ref 0 and pruned = ref 0 and queries = ref 0 in
+        List.iter
+          (fun reply ->
+            match Option.map Wire.decode_verdict reply with
+            | Some (Ok (i, v)) when i >= 0 && i < Array.length items ->
+                verdicts.(i) <- Some v;
+                nodes := !nodes + v.Cache.c_nodes;
+                pruned := !pruned + v.Cache.c_pruned;
+                queries := !queries + v.Cache.c_queries
+            | _ -> ())
+          replies;
+        (pstats, !nodes, !pruned, !queries))
+  in
   {
     rows;
     clusters;
@@ -272,12 +285,11 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     retries = pstats.Pool.p_retries;
     lost = pstats.Pool.p_lost;
     respawns = pstats.Pool.p_respawns;
-    worker_nodes = !worker_nodes;
-    worker_pruned = !worker_pruned;
-    worker_queries = !worker_queries;
-    cache_hits =
-      Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached;
-    duplicates = !duplicates;
+    worker_nodes = nodes;
+    worker_pruned = pruned;
+    worker_queries = queries;
+    cache_hits;
+    duplicates;
   }
 
 (** Every dump degraded to a [failed] row — the signal an orchestrator

@@ -201,7 +201,7 @@ let with_retries ?(retries = 4) ?(retry_base = 0.05) f =
         else begin
           Unix.sleepf
             (jittered
-               (Res_parallel.Pool.backoff_delay ~base:retry_base ~cap:0.5 n));
+               (Res_parallel.Supervisor.backoff_delay ~base:retry_base ~cap:0.5 n));
           go (n + 1)
         end
     | r -> r
@@ -289,7 +289,7 @@ let await_result ?(deadline = 30.0) ?(interval = 0.05) addr id =
       | Error (Unreachable _ | Closed | Timeout _) ->
           Unix.sleepf
             (jittered
-               (Res_parallel.Pool.backoff_delay ~base:interval ~cap:0.5 misses));
+               (Res_parallel.Supervisor.backoff_delay ~base:interval ~cap:0.5 misses));
           go (misses + 1)
       | Error e -> Error e
   in

@@ -14,12 +14,14 @@
     - {b Circuit breakers} ({!Breaker}): a workload signature that keeps
       exhausting its budget is fast-failed with [Rejected_breaker] until
       a cooldown passes and a half-open probe succeeds.
-    - {b Worker supervision}: a worker that dies (bug, OOM-kill, fault
-      injection) is restarted with capped exponential backoff, up to
-      [worker_attempts] tries; a worker that overstays its deadline plus
-      [hard_grace] is SIGKILLed and the request is reported as a budget
-      exhaustion.  Either way the request's client gets {e an answer} —
-      the daemon never goes silent on an accepted request.
+    - {b Worker supervision} ({!Res_parallel.Supervisor}): each request
+      is a one-unit job on a local slot.  A worker that dies (bug,
+      OOM-kill, fault injection) is restarted with capped exponential
+      backoff, up to [worker_attempts] tries; a worker that overstays
+      its deadline plus [hard_grace] is SIGKILLed and the request is
+      reported as a budget exhaustion.  Either way the request's client
+      gets {e an answer} — the daemon never goes silent on an accepted
+      request.
     - {b Crash-only recovery}: a request is journaled to the spool
       {e before} the [Accepted] reply is sent, and its result is
       journaled before it is reported completed.  A daemon that is
@@ -28,16 +30,16 @@
     - {b Graceful drain}: SIGTERM (or a [drain] request) stops admission,
       finishes the queue, and exits 0.
 
-    Single-threaded [select] event loop; the only concurrency is forked
-    workers, each talking back over a pipe with the same length-prefixed
-    frames the client socket uses. *)
+    Single-threaded [select] event loop that embeds the supervisor's; the
+    only concurrency is forked workers, each talking back over a pipe
+    with the same length-prefixed frames the client socket uses. *)
 
 module Io = Res_vm.Coredump_io
 module Res = Res_core.Res
 module Report = Res_core.Report
 module Backstep = Res_core.Backstep
 module Budget = Res_core.Budget
-module Pool = Res_parallel.Pool
+module Supervisor = Res_parallel.Supervisor
 module P = Protocol
 
 type config = {
@@ -113,23 +115,12 @@ type job = {
   j_signature : string;
   j_deadline : float option;
   j_fuel : int option;
-  j_probe : bool;  (** this run is its breaker's half-open probe *)
   j_cache_key : string;
       (** content key the finished reply is stored under ([""] when the
           cache is off) *)
   j_enqueued : float;
-  mutable j_attempts : int;  (** worker deaths so far *)
-  mutable j_not_before : float;  (** backoff gate for the next dispatch *)
   mutable j_waiters : Unix.file_descr list;
       (** client connections awaiting this job's [Result] push *)
-}
-
-type worker = {
-  w_job : job;
-  w_pid : int;
-  w_pipe : Unix.file_descr;  (** read end of the result pipe *)
-  w_kill_at : float option;  (** hard-deadline SIGKILL backstop *)
-  mutable w_hard_killed : bool;
 }
 
 type t = {
@@ -141,39 +132,31 @@ type t = {
   cache : Res_cache.Cache.t option;
   breaker : Breaker.t;
   mutable clients : Unix.file_descr list;
-  queue : job Queue.t;  (** admitted, waiting for a worker slot *)
-  mutable workers : worker list;
+  active : (string, job) Hashtbl.t;  (** admitted and not yet finished *)
+  sup : (job, Supervisor.child, string) Supervisor.t;
+      (** the admitted jobs, queued or running on a one-shot worker *)
   mutable draining : bool;
-  mutable fork_count : int;  (** fault-injection ordinal *)
   (* counters for [status] *)
   mutable n_accepted : int;
   mutable n_completed : int;
   mutable n_shed : int;
   mutable n_breaker_rejected : int;
   mutable n_recovered : int;
-  mutable n_restarts : int;
   mutable n_cache_hits : int;
 }
 
-let queued_count t = Queue.length t.queue
-let running_count t = List.length t.workers
-
-let find_queued t id =
-  Queue.fold (fun acc j -> if String.equal j.j_id id then Some j else acc) None t.queue
-
-let find_running t id =
-  List.find_opt (fun w -> String.equal w.w_job.j_id id) t.workers
+let queued_count t = Supervisor.queued t.sup
+let running_count t = List.length (Supervisor.running t.sup)
 
 (* --- worker child ----------------------------------------------------- *)
 
-(** The forked analysis worker.  A fresh process per request is the
-    isolation boundary: a segfaulting solver, a runaway allocation, or a
-    fault-injected SIGKILL takes down one request's attempt, never the
-    daemon.  The symbol counter is reset so the report bodies are
-    byte-identical to a serial offline [res analyze] of the same dump. *)
-let worker_child cfg job wfd =
-  Sys.set_signal Sys.sigterm Sys.Signal_default;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+(** The analysis of one job, in a forked worker: the reply frame.  A
+    fresh process per request is the isolation boundary: a segfaulting
+    solver, a runaway allocation, or a fault-injected SIGKILL takes down
+    one request's attempt, never the daemon.  The symbol counter is reset
+    so the report bodies are byte-identical to a serial offline
+    [res analyze] of the same dump. *)
+let worker_child cfg job =
   let t0 = Unix.gettimeofday () in
   if cfg.fi_worker_delay > 0. then Unix.sleepf cfg.fi_worker_delay;
   Res_solver.Expr.reset_counter_for_tests ();
@@ -233,10 +216,19 @@ let worker_child cfg job wfd =
           }
     | r, _ -> r
   in
-  (try P.write_frame wfd (P.encode_reply reply)
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close wfd with Unix.Unix_error _ -> ());
-  Unix._exit 0
+  P.encode_reply reply
+
+(** A one-shot slot's worker factory, run in the child right after the
+    fork: the child keeps only its own pipes (holding the listen socket
+    or a client connection open would mask EOFs), then answers the job
+    whose id it is sent. *)
+let worker t () =
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (t.listen_fd :: t.sig_rd :: t.sig_wr :: t.clients);
+  Sys.set_signal Sys.sigterm Sys.Signal_default;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  fun id -> worker_child t.cfg (Hashtbl.find t.active id)
 
 (* --- result cache ----------------------------------------------------- *)
 
@@ -330,152 +322,62 @@ let finish ?(store = true) t job (reply : P.reply) =
       if timeout then Breaker.record_timeout t.breaker job.j_signature
       else Breaker.record_success t.breaker job.j_signature
   | _ -> ());
+  Hashtbl.remove t.active job.j_id;
   List.iter (fun fd -> push t fd frame) job.j_waiters;
   job.j_waiters <- [];
   t.n_completed <- t.n_completed + 1;
   t.cfg.log (Fmt.str "finished %s" job.j_id)
 
-(** Synthesize the terminal [Result] for a job the daemon had to give up
-    on (worker died [worker_attempts] times, or blew through the hard
-    deadline).  [timeout] routes the failure into the breaker as a budget
+(** The terminal reply for a job the daemon had to give up on (worker
+    died [worker_attempts] times, or blew through the hard deadline).
+    [timeout] routes the failure into the breaker as a budget
     exhaustion; otherwise it counts as an ordinary failure. *)
-let finish_synthetic t job ~outcome ~timeout ~why =
-  t.cfg.log (Fmt.str "synthesizing %s result for %s: %s" outcome job.j_id why);
+let synthetic cfg job ~outcome ~timeout ~why =
+  cfg.log (Fmt.str "synthesizing %s result for %s: %s" outcome job.j_id why);
   let elapsed_ms =
     int_of_float ((Unix.gettimeofday () -. job.j_enqueued) *. 1000.)
   in
-  let reply =
-    match job.j_task with
-    | Analyze ->
-        P.Result
-          {
-            rs_id = job.j_id;
-            rs_outcome = outcome;
-            rs_timeout = timeout;
-            rs_elapsed_ms = elapsed_ms;
-            rs_body = "";
-          }
-    | Triage_unit name ->
-        (* the worker-lost bucket tells the coordinator this row is the
-           node giving up, not a triage verdict: it reschedules the unit
-           instead of applying the row *)
-        P.Row
-          {
-            rw_name = name;
-            rw_elapsed_ms = elapsed_ms;
-            rw_verdict =
-              {
-                (Res_cache.Cache.failed_row ~bucket:"worker-lost" ~cause:why)
-                with
-                c_outcome = outcome;
-                c_timeout = timeout;
-              };
-          }
-  in
-  (* a synthetic reply is what the daemon managed, not what the inputs
-     mean — it must never warm the cache *)
-  finish ~store:false t job reply
+  match job.j_task with
+  | Analyze ->
+      P.Result
+        {
+          rs_id = job.j_id;
+          rs_outcome = outcome;
+          rs_timeout = timeout;
+          rs_elapsed_ms = elapsed_ms;
+          rs_body = "";
+        }
+  | Triage_unit name ->
+      (* the worker-lost bucket tells the coordinator this row is the
+         node giving up, not a triage verdict: it reschedules the unit
+         instead of applying the row *)
+      P.Row
+        {
+          rw_name = name;
+          rw_elapsed_ms = elapsed_ms;
+          rw_verdict =
+            {
+              (Res_cache.Cache.failed_row ~bucket:"worker-lost" ~cause:why)
+              with
+              c_outcome = outcome;
+              c_timeout = timeout;
+            };
+        }
 
-(* --- dispatch and supervision ----------------------------------------- *)
-
-let spawn t job =
-  let rfd, wfd = Unix.pipe () in
-  t.fork_count <- t.fork_count + 1;
-  let ordinal = t.fork_count in
-  match Unix.fork () with
-  | 0 ->
-      (* the child keeps only its write pipe: holding the listen socket or
-         another worker's pipe open would mask EOFs in the parent *)
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (rfd :: t.listen_fd :: t.sig_rd :: t.sig_wr :: t.clients
-        @ List.map (fun w -> w.w_pipe) t.workers);
-      worker_child t.cfg job wfd
-  | pid ->
-      Unix.close wfd;
-      if List.mem ordinal t.cfg.fi_kill_workers then begin
-        t.cfg.log (Fmt.str "fault injection: SIGKILL worker %d (pid %d)" ordinal pid);
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-      end;
-      let now = Unix.gettimeofday () in
-      let w_kill_at =
-        Option.map (fun d -> now +. d +. t.cfg.hard_grace) job.j_deadline
-      in
-      t.workers <-
-        { w_job = job; w_pid = pid; w_pipe = rfd; w_kill_at; w_hard_killed = false }
-        :: t.workers;
-      t.cfg.log (Fmt.str "dispatched %s to pid %d" job.j_id pid)
-
-(** Fill free worker slots from the queue, respecting backoff gates.  The
-    queue is FIFO except that a backing-off job at the head must not
-    block runnable jobs behind it, so we rotate past gated jobs. *)
-let dispatch t =
-  let now = Unix.gettimeofday () in
-  let budget = ref (Queue.length t.queue) in
-  while
-    running_count t < t.cfg.jobs && !budget > 0 && not (Queue.is_empty t.queue)
-  do
-    decr budget;
-    let j = Queue.pop t.queue in
-    if j.j_not_before <= now then spawn t j else Queue.push j t.queue
-  done
-
-(** A worker's pipe produced a frame or an EOF.  A frame is the job's
-    result; EOF without a frame means the worker died (crash, OOM kill,
-    fault injection) and supervision decides: retry with backoff, or
-    admit defeat with a synthetic failure — but never silence. *)
-let on_worker_event t w =
-  let frame = try P.read_frame w.w_pipe with _ -> None in
-  (try Unix.close w.w_pipe with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ());
-  t.workers <- List.filter (fun w' -> w'.w_pid <> w.w_pid) t.workers;
-  (match frame with
-  | Some f -> (
-      match P.decode_reply f with
-      | Ok ((P.Result _ | P.Row _) as r) -> finish t w.w_job r
+(** A job's worker answered, or supervision gave up on it.  A synthetic
+    reply is what the daemon managed, not what the inputs mean: it never
+    warms the cache. *)
+let on_done t job = function
+  | Ok frame -> (
+      match P.decode_reply frame with
+      | Ok ((P.Result _ | P.Row _) as r) -> finish t job r
       | Ok _ | Error _ ->
-          finish_synthetic t w.w_job ~outcome:"failed" ~timeout:false
-            ~why:"worker produced a malformed result frame")
-  | None when w.w_hard_killed ->
-      (* it overstayed deadline + grace: report it as the budget
-         exhaustion it is; retrying would just burn another slot *)
-      finish_synthetic t w.w_job ~outcome:"partial" ~timeout:true
-        ~why:"hard deadline exceeded (worker SIGKILLed)"
-  | None ->
-      let job = w.w_job in
-      job.j_attempts <- job.j_attempts + 1;
-      t.n_restarts <- t.n_restarts + 1;
-      if job.j_attempts >= t.cfg.worker_attempts then
-        finish_synthetic t job ~outcome:"failed" ~timeout:false
-          ~why:
-            (Fmt.str "worker died %d times (supervision limit)" job.j_attempts)
-      else begin
-        let delay =
-          Pool.backoff_delay ~base:Pool.default_backoff_base
-            ~cap:Pool.default_backoff_cap (job.j_attempts - 1)
-        in
-        job.j_not_before <- Unix.gettimeofday () +. delay;
-        Queue.push job t.queue;
-        t.cfg.log
-          (Fmt.str "worker for %s died (attempt %d); requeued with %.3fs backoff"
-             job.j_id job.j_attempts delay)
-      end);
-  dispatch t
-
-(** SIGKILL workers that blew past deadline + grace.  The kill is the
-    backstop for analyses wedged beyond their own budget enforcement
-    (e.g. a solver stuck in a single monstrous query). *)
-let enforce_hard_deadlines t =
-  let now = Unix.gettimeofday () in
-  List.iter
-    (fun w ->
-      match w.w_kill_at with
-      | Some kill_at when now >= kill_at && not w.w_hard_killed ->
-          w.w_hard_killed <- true;
-          t.cfg.log (Fmt.str "hard deadline: SIGKILL pid %d (%s)" w.w_pid w.w_job.j_id);
-          (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-      | _ -> ())
-    t.workers
+          finish ~store:false t job
+            (synthetic t.cfg job ~outcome:"failed" ~timeout:false
+               ~why:"worker produced a malformed result frame"))
+  | Error why ->
+      finish ~store:false t job
+        (synthetic t.cfg job ~outcome:"failed" ~timeout:false ~why)
 
 (* --- admission -------------------------------------------------------- *)
 
@@ -489,7 +391,7 @@ let status_reply t =
       st_recovered = t.n_recovered;
       st_queued = queued_count t;
       st_running = running_count t;
-      st_worker_restarts = t.n_restarts;
+      st_worker_restarts = t.sup.retries;
       st_breakers_open = Breaker.open_count t.breaker;
       st_cache_hits = t.n_cache_hits;
       st_draining = t.draining;
@@ -514,6 +416,28 @@ let parse_submission ~prog_text ~dump_text =
           | Error e -> Error (Fmt.str "bad coredump: %s" (Io.dump_error_to_string e))
           | Ok { Io.dump; _ } -> Ok (prog, dump)))
 
+(** Queue a parsed job for a worker. *)
+let enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms ~fuel =
+  let job =
+    {
+      j_id = id;
+      j_task = task;
+      j_prog = prog;
+      j_dump = dump;
+      j_signature = signature;
+      j_deadline =
+        (match deadline_ms with
+        | Some ms -> Some (float_of_int ms /. 1000.)
+        | None -> t.cfg.default_deadline);
+      j_fuel = (match fuel with Some _ -> fuel | None -> t.cfg.default_fuel);
+      j_cache_key = key;
+      j_enqueued = Unix.gettimeofday ();
+      j_waiters = [];
+    }
+  in
+  Hashtbl.replace t.active id job;
+  Supervisor.add t.sup job
+
 (** Admission control for a submission, in strict order: drain gate,
     parse gate, capacity gate, breaker gate, then the durable accept.
     Capacity is checked {e before} the breaker so a shed request can
@@ -536,30 +460,10 @@ let admit t ~task ~key ~frame ~prog_text ~dump_text ~deadline_ms ~fuel =
           | Breaker.Reject { retry_ms } ->
               t.n_breaker_rejected <- t.n_breaker_rejected + 1;
               P.Rejected_breaker { rb_signature = signature; rb_retry_ms = retry_ms }
-          | (Breaker.Pass | Breaker.Probe) as d ->
+          | Breaker.Pass | Breaker.Probe ->
               let id = Spool.accept t.spool ~frame in
-              let now = Unix.gettimeofday () in
-              let job =
-                {
-                  j_id = id;
-                  j_task = task;
-                  j_prog = prog;
-                  j_dump = dump;
-                  j_signature = signature;
-                  j_deadline =
-                    (match deadline_ms with
-                    | Some ms -> Some (float_of_int ms /. 1000.)
-                    | None -> t.cfg.default_deadline);
-                  j_fuel = (match fuel with Some _ -> fuel | None -> t.cfg.default_fuel);
-                  j_probe = d = Breaker.Probe;
-                  j_cache_key = key;
-                  j_enqueued = now;
-                  j_attempts = 0;
-                  j_not_before = now;
-                  j_waiters = [];
-                }
-              in
-              Queue.push job t.queue;
+              enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms
+                ~fuel;
               t.n_accepted <- t.n_accepted + 1;
               t.cfg.log (Fmt.str "accepted %s (sig %s)" id signature);
               P.Accepted { ac_id = id; ac_queued = queued_count t }
@@ -568,15 +472,17 @@ let admit t ~task ~key ~frame ~prog_text ~dump_text ~deadline_ms ~fuel =
 let handle_fetch t id =
   match Spool.read_result t.spool id with
   | Ok frame -> `Raw frame  (* the journaled Result reply, verbatim *)
-  | Error _ ->
-      if find_running t id <> None then
-        `Reply (P.Pending { pd_id = id; pd_state = "running" })
-      else if find_queued t id <> None then
-        `Reply (P.Pending { pd_id = id; pd_state = "queued" })
-      else if Spool.has_request t.spool id then
+  | Error _ -> (
+      match Hashtbl.find_opt t.active id with
+      | Some j ->
+          let running = List.memq j (Supervisor.running t.sup) in
+          `Reply
+            (P.Pending
+               { pd_id = id; pd_state = (if running then "running" else "queued") })
+      | None when Spool.has_request t.spool id ->
         (* accepted by a previous incarnation; recovery will run it *)
         `Reply (P.Pending { pd_id = id; pd_state = "queued" })
-      else `Reply (P.Unknown id)
+      | None -> `Reply (P.Unknown id))
 
 (** One decoded client request → one immediate reply (plus, for an
     accepted submit, a later pushed [Result]). *)
@@ -622,7 +528,7 @@ let handle_request t fd frame = function
           match reply with
           | P.Accepted { ac_id; _ } -> (
               (* register the submitter for the result push *)
-              match find_queued t ac_id with
+              match Hashtbl.find_opt t.active ac_id with
               | Some j -> j.j_waiters <- fd :: j.j_waiters
               | None -> ())
           | _ -> ()))
@@ -651,7 +557,7 @@ let handle_request t fd frame = function
           match reply with
           | P.Accepted { ac_id; _ } -> (
               (* the coordinator holds this connection open for the Row push *)
-              match find_queued t ac_id with
+              match Hashtbl.find_opt t.active ac_id with
               | Some j -> j.j_waiters <- fd :: j.j_waiters
               | None -> ())
           | _ -> ()))
@@ -670,13 +576,9 @@ let handle_request t fd frame = function
 
 let drop_client t fd =
   t.clients <- List.filter (fun fd' -> fd' <> fd) t.clients;
-  Queue.iter
-    (fun j -> j.j_waiters <- List.filter (fun fd' -> fd' <> fd) j.j_waiters)
-    t.queue;
-  List.iter
-    (fun w ->
-      w.w_job.j_waiters <- List.filter (fun fd' -> fd' <> fd) w.w_job.j_waiters)
-    t.workers;
+  Hashtbl.iter
+    (fun _ j -> j.j_waiters <- List.filter (fun fd' -> fd' <> fd) j.j_waiters)
+    t.active;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let on_client_event t fd =
@@ -697,7 +599,6 @@ let on_client_event t fd =
 let recover t =
   List.iter
     (fun id ->
-      let now = Unix.gettimeofday () in
       let fail why =
         (* retire the damaged spool entry durably — it still gets an
            answer, just not an analysis *)
@@ -722,30 +623,12 @@ let recover t =
             match parse_submission ~prog_text ~dump_text with
             | Error why -> fail (Fmt.str "spooled request no longer parses: %s" why)
             | Ok (prog, dump) ->
-                let job =
-                  {
-                    j_id = id;
-                    j_task = task;
-                    j_prog = prog;
-                    j_dump = dump;
-                    j_signature = Res_usecases.Triage.wer_key dump;
-                    j_deadline =
-                      (match deadline_ms with
-                      | Some ms -> Some (float_of_int ms /. 1000.)
-                      | None -> t.cfg.default_deadline);
-                    j_fuel =
-                      (match fuel with Some _ -> fuel | None -> t.cfg.default_fuel);
-                    j_probe = false;
-                    j_cache_key =
-                      cache_key_for t ~task ~prog_text ~dump_text ~deadline_ms
-                        ~fuel;
-                    j_enqueued = now;
-                    j_attempts = 0;
-                    j_not_before = now;
-                    j_waiters = [];
-                  }
-                in
-                Queue.push job t.queue;
+                enqueue t ~id ~task ~prog ~dump
+                  ~signature:(Res_usecases.Triage.wer_key dump)
+                  ~key:
+                    (cache_key_for t ~task ~prog_text ~dump_text ~deadline_ms
+                       ~fuel)
+                  ~deadline_ms ~fuel;
                 t.n_recovered <- t.n_recovered + 1;
                 t.cfg.log (Fmt.str "recovered %s from spool" id)
           in
@@ -781,6 +664,34 @@ let run (cfg : config) =
         Client.listen cfg.listen
   in
   let sig_rd, sig_wr = Unix.pipe () in
+  (* each request is a one-unit job on a one-shot local slot: its child
+     exits after the one unit, so the symbol counter starts fresh *)
+  let self = ref None in
+  let slots, _ =
+    Supervisor.local ~one_shot:true ~jobs:cfg.jobs
+      ~payload:(fun j -> j.j_id)
+      ~worker:(fun () -> worker (Option.get !self) ())
+      ~kill:(fun j ordinal ->
+        List.mem ordinal cfg.fi_kill_workers
+        && begin
+             cfg.log
+               (Fmt.str "fault injection: SIGKILL worker %d (%s)" ordinal j.j_id);
+             true
+           end)
+      ()
+  in
+  let sup =
+    Supervisor.create ~attempts:cfg.worker_attempts
+      ~deadline:(fun j -> Option.map (fun d -> d +. cfg.hard_grace) j.j_deadline)
+      ~on_deadline:(fun j _ ->
+        (* it overstayed deadline + grace: report it as the budget
+           exhaustion it is; retrying would just burn another slot *)
+        Supervisor.Done
+          (P.encode_reply
+             (synthetic cfg j ~outcome:"partial" ~timeout:true
+                ~why:"hard deadline exceeded (worker SIGKILLed)")))
+      slots
+  in
   let t =
     {
       cfg;
@@ -793,19 +704,18 @@ let run (cfg : config) =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown ();
       clients = [];
-      queue = Queue.create ();
-      workers = [];
+      active = Hashtbl.create 16;
+      sup;
       draining = false;
-      fork_count = 0;
       n_accepted = 0;
       n_completed = 0;
       n_shed = 0;
       n_breaker_rejected = 0;
       n_recovered = 0;
-      n_restarts = 0;
       n_cache_hits = 0;
     }
   in
+  self := Some t;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let request_drain _ =
     (* async-signal-safe: one byte down the self-pipe wakes the loop *)
@@ -814,34 +724,19 @@ let run (cfg : config) =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_drain);
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_drain);
   recover t;
-  dispatch t;
+  Supervisor.dispatch t.sup (on_done t);
   cfg.log
     (Fmt.str "listening on %a (jobs=%d capacity=%d, %d recovered)"
        Client.pp_addr (Client.bound_addr listen_fd) cfg.jobs cfg.capacity
        t.n_recovered);
-  let finished () =
-    t.draining && Queue.is_empty t.queue && t.workers = []
-  in
-  while not (finished ()) do
-    let now = Unix.gettimeofday () in
-    (* wake for the earliest timer: a backoff gate or a hard kill *)
-    let timeout =
-      let tick = now +. 0.05 in
-      let earliest =
-        List.fold_left
-          (fun acc w -> match w.w_kill_at with Some k -> min acc k | None -> acc)
-          (Queue.fold (fun acc j -> min acc j.j_not_before) tick t.queue)
-          t.workers
-      in
-      Float.max 0.005 (earliest -. now)
-    in
+  while not (t.draining && Supervisor.idle t.sup) do
     let read_fds =
       (if t.draining then [] else [ t.listen_fd ])
       @ (t.sig_rd :: t.clients)
-      @ List.map (fun w -> w.w_pipe) t.workers
+      @ Supervisor.fds t.sup
     in
     let ready, _, _ =
-      try Unix.select read_fds [] [] timeout
+      try Unix.select read_fds [] [] (Supervisor.timeout t.sup)
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     if List.mem t.sig_rd ready then begin
@@ -858,13 +753,10 @@ let run (cfg : config) =
       | exception Unix.Unix_error _ -> ()
     end;
     List.iter
-      (fun w -> if List.mem w.w_pipe ready then on_worker_event t w)
-      t.workers;
-    List.iter
       (fun fd -> if List.mem fd ready then on_client_event t fd)
       t.clients;
-    enforce_hard_deadlines t;
-    dispatch t
+    (* worker replies, hard deadlines, then the queue into free slots *)
+    Supervisor.handle t.sup ready (on_done t)
   done;
   cfg.log "drained; exiting";
   List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.clients;

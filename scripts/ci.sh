@@ -171,7 +171,7 @@ timeout 120 dune exec bin/res_cli.exe -- selftest --debug-equivalence
 # cold/warm byte-identity smoke of the CLI flags themselves: the cold
 # triage analyzes the two byte-identical dumps once (one duplicate), and
 # a second triage of the same dumps must be answered entirely from the
-# cache and emit the byte-identical TSV.
+# cache, emit the byte-identical TSV, and fork no worker.
 TMPDIR="$gate_tmp" timeout 120 "$RES" selftest --cache-chaos
 [ -z "$(ls -A "$gate_tmp")" ] \
   || { echo "selftest gates left files under TMPDIR:"; ls -A "$gate_tmp"; exit 1; }
@@ -182,13 +182,13 @@ dune exec bin/res_cli.exe -- workload counter-race \
 cp "$cache_tmp/dumps/a.core" "$cache_tmp/dumps/b.core"
 dune exec bin/res_cli.exe -- triage "$cache_tmp/prog.res" \
   --dir "$cache_tmp/dumps" --cache-dir "$cache_tmp/cache" --stats \
-  > "$cache_tmp/cold.tsv" 2> "$cache_tmp/cold.stats"
+  -j 2 --backend fork > "$cache_tmp/cold.tsv" 2> "$cache_tmp/cold.stats"
 grep -q "duplicates=1" "$cache_tmp/cold.stats" \
   || { echo "cold triage did not share the duplicate's verdict:";
        cat "$cache_tmp/cold.stats"; exit 1; }
 dune exec bin/res_cli.exe -- triage "$cache_tmp/prog.res" \
   --dir "$cache_tmp/dumps" --cache-dir "$cache_tmp/cache" --stats \
-  > "$cache_tmp/warm.tsv" 2> "$cache_tmp/warm.stats"
+  -j 2 --backend fork > "$cache_tmp/warm.tsv" 2> "$cache_tmp/warm.stats"
 cmp "$cache_tmp/cold.tsv" "$cache_tmp/warm.tsv" \
   || { echo "warm cached triage TSV diverged from cold"; exit 1; }
 grep -q "cache_hits=2" "$cache_tmp/warm.stats" \
@@ -196,6 +196,9 @@ grep -q "cache_hits=2" "$cache_tmp/warm.stats" \
 # --stats counts only the work this run issued: a fully cached run none.
 grep -q " nodes=0 pruned=0 .*solver_queries=0 " "$cache_tmp/warm.stats" \
   || { echo "warm triage counted work it did not issue:";
+       cat "$cache_tmp/warm.stats"; exit 1; }
+grep -q " workers=0 " "$cache_tmp/warm.stats" \
+  || { echo "fully cached triage forked a worker:";
        cat "$cache_tmp/warm.stats"; exit 1; }
 
 # `res triage --stats` counts each solver query once on either backend:
@@ -313,16 +316,26 @@ done
   || tcp_fail "TCP submit to $tcp_addr failed"
 # `res coordinate` against that node, over a copy of the dumps plus one
 # unloadable file: its TSV must be `res triage`'s over the same copy.
+# a.core and b.core are byte-identical, so it dispatches one unit (the
+# other is a duplicate), and its queries are `res triage`'s.
 mkdir "$cache_tmp/co-dumps"
 cp "$cache_tmp/dumps/a.core" "$cache_tmp/dumps/b.core" "$cache_tmp/co-dumps/"
 echo "not a coredump" > "$cache_tmp/co-dumps/c.core"
-"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" \
-  > "$cache_tmp/co-triage.tsv"
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" --stats \
+  > "$cache_tmp/co-triage.tsv" 2> "$cache_tmp/co-triage.stats"
 "$RES" coordinate "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" \
-  --nodes "$tcp_addr" --cache-dir "$cache_tmp/co-cache" > "$cache_tmp/co1.tsv" \
+  --nodes "$tcp_addr" --cache-dir "$cache_tmp/co-cache" --stats \
+  > "$cache_tmp/co1.tsv" 2> "$cache_tmp/co1.stats" \
   || tcp_fail "res coordinate over $tcp_addr failed"
 cmp "$cache_tmp/co-triage.tsv" "$cache_tmp/co1.tsv" \
   || tcp_fail "res coordinate TSV diverged from res triage"
+grep -q " applied=1 .* duplicates=1 " "$cache_tmp/co1.stats" \
+  || tcp_fail "res coordinate did not dispatch once per content key: \
+$(cat "$cache_tmp/co1.stats")"
+triage_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co-triage.stats")
+co_q=$(sed -n 's/.* queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co1.stats")
+[ -n "$triage_q" ] && [ "$triage_q" = "$co_q" ] \
+  || tcp_fail "res coordinate queries=$co_q, res triage solver_queries=$triage_q"
 "$RES" client drain --socket "$tcp_addr" >/dev/null \
   || tcp_fail "TCP drain of $tcp_addr failed"
 wait "$tcp_pid" || { echo "TCP daemon drain exited non-zero"; exit 1; }

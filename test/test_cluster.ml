@@ -399,7 +399,7 @@ let refusing_addr () =
   Unix.close fd;
   addr
 
-let start_node ?(corrupt = "") ~name () =
+let start_node ?(corrupt = "") ?(delay = 0.) ~name () =
   let fd, addr = Client.listen_ephemeral () in
   let pid =
     match Unix.fork () with
@@ -413,6 +413,7 @@ let start_node ?(corrupt = "") ~name () =
                jobs = 2;
                capacity = 8;
                fi_corrupt_rows = corrupt;
+               fi_worker_delay = delay;
              }
          with _ -> Unix._exit 1);
         Unix._exit 0
@@ -639,6 +640,88 @@ let test_cluster_cache_disjoint_from_batch () =
   Alcotest.(check int) "so every unit is lost to the dead node" n
     from_batch.C.stats.C.cs_lost
 
+(* Every item twice, the copy byte-identical under another name: one
+   unit per content key is dispatched, and every copy gets its row. *)
+let test_cluster_dispatches_once_per_key () =
+  let originals = corpus_items () in
+  let items =
+    originals
+    @ List.map
+        (fun (it : Batch.item) -> { it with it_name = "dup-" ^ it.it_name })
+        originals
+  in
+  let n = List.length originals in
+  let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
+  Alcotest.(check int) "batch: one duplicate per copy" n baseline.Batch.duplicates;
+  let pid, addr = start_node ~name:"dedup-n1" ~delay:0.1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
+      with Unix.Unix_error _ -> ())
+    (fun () ->
+      wait_ready addr;
+      let config journal =
+        { C.default_config with C.nodes = [ addr ]; journal_dir = Some journal }
+      in
+      let t = C.run ~config:(config (fresh_dir "dedup-journal")) items in
+      let st = t.C.stats in
+      Alcotest.(check string) "TSV = Batch.run's" baseline.Batch.tsv t.C.tsv;
+      Alcotest.(check int) "one unit applied per content key" n st.C.cs_applied;
+      Alcotest.(check int) "the copies counted as duplicates" n
+        st.C.cs_duplicates;
+      Alcotest.(check int) "no retry" 0 st.C.cs_retries;
+      Alcotest.(check int) "queries = Batch.run's worker_queries"
+        baseline.Batch.worker_queries st.C.cs_queries;
+      (match Client.status addr with
+      | Ok (P.Status_reply { st_accepted; _ }) ->
+          Alcotest.(check int) "the node was sent one unit per key" n
+            st_accepted
+      | _ -> Alcotest.fail "status request failed");
+      (* SIGKILL a coordinator mid-corpus; its successor resumes from the
+         journal, and the duplicates take the journaled rows *)
+      let journal = fresh_dir "dedup-journal-kill" in
+      let co =
+        match Unix.fork () with
+        | 0 ->
+            (try ignore (C.run ~config:(config journal) items) with _ -> ());
+            Unix._exit 0
+        | co -> co
+      in
+      let deadline = Unix.gettimeofday () +. 30. in
+      while
+        Journal.count journal < 2
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.01
+      done;
+      Unix.kill co Sys.sigkill;
+      ignore (Unix.waitpid [] co);
+      let journaled = Journal.count journal in
+      Alcotest.(check bool) "killed mid-corpus" true
+        (journaled >= 2 && journaled < n);
+      let t2 = C.run ~config:(config journal) items in
+      Alcotest.(check string) "resumed TSV = Batch.run's" baseline.Batch.tsv
+        t2.C.tsv;
+      Alcotest.(check int) "resumed from every journaled row" journaled
+        t2.C.stats.C.cs_recovered;
+      Alcotest.(check int) "and dispatched only the rest" (n - journaled)
+        t2.C.stats.C.cs_applied;
+      List.iter
+        (fun (it : Batch.item) ->
+          let bucket name =
+            (List.find (fun r -> r.Batch.row_name = name) t2.C.rows)
+              .Batch.row_bucket
+          in
+          Alcotest.(check string)
+            (it.it_name ^ ": the duplicate has its original's row")
+            (bucket it.it_name)
+            (bucket ("dup-" ^ it.it_name)))
+        originals;
+      List.iter Res_faultinject.Fleet.rm_rf
+        [ journal; fresh_dir "dedup-journal" ];
+      drain_node pid)
+
 (* --- byzantine nodes: lying answers are rejected, liars quarantined -- *)
 
 (* A node that falsifies the unit name on every row it returns: the
@@ -786,6 +869,8 @@ let () =
             test_cluster_quarantines_byzantine_name;
           Alcotest.test_case "replay spot-check catches fabricated fields"
             `Slow test_cluster_replay_catches_fabricated_fields;
+          Alcotest.test_case "one dispatch per content key, resumable" `Slow
+            test_cluster_dispatches_once_per_key;
           Alcotest.test_case "an unloadable dump is never dispatched" `Quick
             test_cluster_unloadable_never_dispatched;
           Alcotest.test_case "the cache answers a dead fleet" `Slow

@@ -7,6 +7,7 @@
    error; these suites are arranged to respect it). *)
 
 module Pool = Res_parallel.Pool
+module Supervisor = Res_parallel.Supervisor
 module Wire = Res_parallel.Wire
 module Batch = Res_parallel.Batch
 
@@ -351,10 +352,169 @@ let test_batch_all_failed () =
   Alcotest.(check bool) "healthy batch is not wholly failed" false
     (Batch.all_failed healthy.Batch.rows)
 
+(** A batch whose every dump the cache answers forks no worker: the
+    supervisor forks a slot only when a unit needs one. *)
+let test_batch_all_cached_forks_nothing () =
+  let items = corpus_items () in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Fmt.str "res-parallel-cache-%d" (Unix.getpid ()))
+  in
+  let run () =
+    Batch.run ~jobs:2 ~backend:Pool.Forked
+      ~cache:(Res_cache.Cache.openr dir) items
+  in
+  let cold, warm =
+    Fun.protect
+      ~finally:(fun () -> Res_faultinject.Fleet.rm_rf dir)
+      (fun () ->
+        let cold = run () in
+        (cold, run ()))
+  in
+  Alcotest.(check string) "warm TSV = cold TSV" cold.Batch.tsv warm.Batch.tsv;
+  Alcotest.(check int) "every row from the cache" (List.length items)
+    warm.Batch.cache_hits;
+  Alcotest.(check int) "no worker forked" 0 warm.Batch.workers;
+  Alcotest.(check int) "no respawn" 0 warm.Batch.respawns
+
+(* --- the supervisor, on tiny local workers ----------------------------- *)
+
+(* A supervisor over local slots whose children answer [worker s] for
+   unit [s]. *)
+let local_sup ?attempts ?deadline ?on_deadline ~jobs worker =
+  let slots, _ =
+    Supervisor.local ~jobs ~payload:Fun.id ~worker:(fun () -> worker) ()
+  in
+  Supervisor.create ?attempts ?deadline ?on_deadline slots
+
+let run_sup sup units =
+  List.iter (Supervisor.add sup) units;
+  let out = ref [] in
+  Supervisor.run sup (fun u r -> out := (u, r) :: !out);
+  List.sort compare !out
+
+let die s =
+  if s = "die" then Unix.kill (Unix.getpid ()) Sys.sigkill;
+  s
+
+let test_supervisor_lost_after_attempts () =
+  List.iter
+    (fun attempts ->
+      let sup = local_sup ~attempts ~jobs:2 die in
+      let t0 = Unix.gettimeofday () in
+      let out = run_sup sup [ "a"; "die"; "b" ] in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let what s = Fmt.str "attempts %d: %s" attempts s in
+      Alcotest.(check (list (pair string (result string string))))
+        (what "siblings answered, the dying unit lost")
+        [
+          ("a", Ok "a");
+          ("b", Ok "b");
+          ( "die",
+            Error
+              (Fmt.str "%d attempts exhausted (last: worker died)" attempts) );
+        ]
+        out;
+      Alcotest.(check int) (what "one retry per extra try") (attempts - 1)
+        sup.Supervisor.retries;
+      Alcotest.(check int) (what "one lost unit") 1 sup.Supervisor.lost;
+      (* each retry waited out its gate *)
+      let gates =
+        List.fold_left ( +. ) 0.
+          (List.init (attempts - 1) Supervisor.backoff)
+      in
+      Alcotest.(check bool) (what "retries were gated") true (elapsed >= gates))
+    [ 1; 3 ]
+
+let test_supervisor_backoff_one_pair () =
+  let b = Supervisor.backoff in
+  Alcotest.(check (float 1e-9)) "first retry at the base"
+    Supervisor.backoff_base (b 0);
+  Alcotest.(check (float 1e-9)) "doubles" (2. *. Supervisor.backoff_base) (b 1);
+  Alcotest.(check (float 1e-9)) "capped" Supervisor.backoff_cap (b 30);
+  Alcotest.(check (float 1e-9)) "stays capped" Supervisor.backoff_cap (b 1000);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "never above the cap" true
+        (b n <= Supervisor.backoff_cap && b n <= b (n + 1)))
+    (List.init 40 Fun.id);
+  Alcotest.(check bool) "node health backs off on the same pair" true
+    (let r =
+       Res_cluster.Registry.create [ Res_serve.Client.Tcp ("127.0.0.1", 1) ]
+     in
+     Res_cluster.Registry.mark_failure r 0 ~now:0.;
+     Res_cluster.Registry.next_gate r = Some Supervisor.backoff_base)
+
+let hang s =
+  if s = "hang" then Unix.sleepf 30.;
+  if s = "slow" then Unix.sleepf 0.3;
+  s
+
+let test_supervisor_deadline_hook () =
+  let deadline u = if u = "hang" then Some 0.2 else None in
+  let t0 = Unix.gettimeofday () in
+  (* the coordinator's hook: the attempt is retried, then lost *)
+  let retried =
+    local_sup ~attempts:2 ~jobs:2 ~deadline
+      ~on_deadline:(fun _ _ -> Supervisor.Retry ("cut off", 0.))
+      hang
+  in
+  Alcotest.(check (list (pair string (result string string))))
+    "retry hook: the unit is tried again, then lost"
+    [ ("a", Ok "a"); ("hang", Error "2 attempts exhausted (last: cut off)") ]
+    (run_sup retried [ "hang"; "a" ]);
+  Alcotest.(check int) "retry hook: one retry" 1 retried.Supervisor.retries;
+  (* the daemon's hook: the attempt becomes a timeout row, no retry *)
+  let timed_out =
+    local_sup ~attempts:3 ~jobs:1 ~deadline
+      ~on_deadline:(fun u _ -> Supervisor.Done (u ^ " timed out"))
+      hang
+  in
+  Alcotest.(check (list (pair string (result string string))))
+    "timeout hook: a timeout row"
+    [ ("a", Ok "a"); ("hang", Ok "hang timed out") ]
+    (run_sup timed_out [ "hang"; "a" ]);
+  Alcotest.(check int) "timeout hook: no retry" 0 timed_out.Supervisor.retries;
+  Alcotest.(check bool) "the hung children were killed, not waited for" true
+    (Unix.gettimeofday () -. t0 < 10.)
+
+(* One unit cut off at its deadline waits out a 1 s gate; its sibling's
+   reply must be taken during that wait, not after it. *)
+let test_supervisor_gate_keeps_siblings () =
+  let cut = ref [] in
+  let sup =
+    local_sup ~attempts:2 ~jobs:2
+      ~deadline:(fun u -> if u = "hang" then Some 0.1 else None)
+      ~on_deadline:(fun _ _ ->
+        cut := Unix.gettimeofday () :: !cut;
+        if List.length !cut = 1 then Supervisor.Retry ("cut off", 1.0)
+        else Supervisor.Done "timed out")
+      hang
+  in
+  List.iter (Supervisor.add sup) [ "hang"; "slow" ];
+  let taken = ref [] in
+  let on_done u _ = taken := (u, Unix.gettimeofday ()) :: !taken in
+  Fun.protect ~finally:sup.Supervisor.slots.close (fun () ->
+      Supervisor.dispatch sup on_done;
+      while not (Supervisor.idle sup) do
+        let ready, _, _ =
+          try Unix.select (Supervisor.fds sup) [] [] (Supervisor.timeout sup)
+          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+        in
+        Supervisor.handle sup ready on_done
+      done);
+  let first_cut = List.nth !cut (List.length !cut - 1) in
+  Alcotest.(check int) "cut off twice" 2 (List.length !cut);
+  Alcotest.(check bool) "the sibling's reply was taken inside the gate" true
+    (List.assoc "slow" !taken < first_cut +. 1.0);
+  Alcotest.(check bool) "the gated unit waited out its gate" true
+    (List.assoc "hang" !taken >= first_cut +. 1.0)
+
 (* --- supervision backoff (satellite; no pool) ------------------------ *)
 
 let test_backoff_schedule () =
-  let d = Pool.backoff_delay ~base:0.005 ~cap:0.25 in
+  let d = Supervisor.backoff_delay ~base:0.005 ~cap:0.25 in
   Alcotest.(check (float 1e-9)) "first retry at base" 0.005 (d 0);
   Alcotest.(check (float 1e-9)) "doubles" 0.01 (d 1);
   Alcotest.(check (float 1e-9)) "keeps doubling" 0.04 (d 3);
@@ -362,7 +522,7 @@ let test_backoff_schedule () =
   Alcotest.(check (float 1e-9)) "huge death counts stay capped (no overflow)"
     0.25 (d 1000);
   Alcotest.(check (float 1e-9)) "zero base disables backoff" 0.
-    (Pool.backoff_delay ~base:0. ~cap:0.25 5)
+    (Supervisor.backoff_delay ~base:0. ~cap:0.25 5)
 
 (* --- journal naming (satellite 1; no pool) -------------------------- *)
 
@@ -479,6 +639,19 @@ let () =
             test_batch_worker_lost_row;
           Alcotest.test_case "wholly failed batch detected" `Quick
             test_batch_all_failed;
+          Alcotest.test_case "a fully cached batch forks no worker" `Quick
+            test_batch_all_cached_forks_nothing;
+        ] );
+      ( "supervisor",
+        [
+          Alcotest.test_case "a unit dying every attempt is lost" `Quick
+            test_supervisor_lost_after_attempts;
+          Alcotest.test_case "backoff is the one capped pair" `Quick
+            test_supervisor_backoff_one_pair;
+          Alcotest.test_case "deadline kills, the hook decides" `Quick
+            test_supervisor_deadline_hook;
+          Alcotest.test_case "a backoff gate blocks no sibling" `Quick
+            test_supervisor_gate_keeps_siblings;
         ] );
       ( "journal",
         [

@@ -361,18 +361,14 @@ let offline_body prog_text dump_text =
   let outcome = Res_core.Res.analyze ctx dump in
   Res_core.Report.report_list_to_string ctx (Res_core.Res.analysis outcome)
 
-let test_daemon_lifecycle () =
+(* Fork a daemon serving [cfg] on a fresh Unix socket, wait until it
+   answers a ping, and run [f socket pid]; the daemon is SIGKILLed and
+   reaped afterwards unless [f] reaped it, and its directory removed. *)
+let with_daemon cfg f =
   let dir = fresh_dir "res_e2e" in
   let socket = Client.Unix_socket (Filename.concat dir "s.sock") in
-  let spool = Filename.concat dir "spool" in
   let cfg =
-    {
-      Server.default_config with
-      Server.listen = socket;
-      spool_dir = spool;
-      jobs = 1;
-      capacity = 4;
-    }
+    { cfg with Server.listen = socket; spool_dir = Filename.concat dir "spool" }
   in
   let pid =
     match Unix.fork () with
@@ -383,7 +379,8 @@ let test_daemon_lifecycle () =
   in
   let cleanup () =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+    (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+    Res_faultinject.Fleet.rm_rf dir
   in
   Fun.protect ~finally:cleanup (fun () ->
       let deadline = Unix.gettimeofday () +. 10. in
@@ -399,6 +396,11 @@ let test_daemon_lifecycle () =
             end
       in
       wait_ready ();
+      f socket pid)
+
+let test_daemon_lifecycle () =
+  with_daemon { Server.default_config with Server.jobs = 1; capacity = 4 }
+  @@ fun socket pid ->
       let prog, dump = workload_texts () in
       (* malformed submission: typed error, nothing accepted *)
       (match Client.submit_wait socket ~prog:"not a program" ~dump () with
@@ -445,7 +447,37 @@ let test_daemon_lifecycle () =
           | _, Unix.WEXITED 0 -> ()
           | _, _ -> Alcotest.fail "daemon exited abnormally"
       in
-      reap 200)
+      reap 200
+
+(* A worker that overstays its deadline plus the grace is SIGKILLed, and
+   the daemon's deadline hook answers its request as a budget
+   exhaustion at once: no retry, no wait for the worker's own end. *)
+let test_daemon_hard_deadline () =
+  with_daemon
+    {
+      Server.default_config with
+      Server.jobs = 1;
+      default_deadline = Some 0.2;
+      hard_grace = 0.2;
+      fi_worker_delay = 30.;
+    }
+  @@ fun socket _ ->
+  let prog, dump = workload_texts () in
+  let t0 = Unix.gettimeofday () in
+  (match Client.submit_wait ~timeout:20. socket ~prog ~dump () with
+  | Ok (P.Accepted _, Some (P.Result { rs_outcome; rs_timeout; _ })) ->
+      Alcotest.(check string) "a partial result" "partial" rs_outcome;
+      Alcotest.(check bool) "a budget exhaustion" true rs_timeout
+  | Ok (r, _) -> Alcotest.failf "expected accepted+result, got %a" P.pp_reply r
+  | Error e -> Alcotest.fail (Client.error_to_string e));
+  Alcotest.(check bool) "answered at the deadline, not after the sleep" true
+    (Unix.gettimeofday () -. t0 < 10.);
+  match Client.status socket with
+  | Ok (P.Status_reply { st_worker_restarts; st_running; st_completed; _ }) ->
+      Alcotest.(check int) "not retried" 0 st_worker_restarts;
+      Alcotest.(check int) "no worker left running" 0 st_running;
+      Alcotest.(check int) "the request completed" 1 st_completed
+  | _ -> Alcotest.fail "status request failed"
 
 (* --- daemon cache key ---------------------------------------------------- *)
 
@@ -529,5 +561,7 @@ let () =
             test_cache_config_keys_every_knob;
           Alcotest.test_case "submit/result/fetch/drain lifecycle" `Slow
             test_daemon_lifecycle;
+          Alcotest.test_case "hard deadline: killed, answered as timeout"
+            `Quick test_daemon_hard_deadline;
         ] );
     ]
