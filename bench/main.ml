@@ -780,7 +780,7 @@ let e16 () =
 (* E17: the multi-node triage cluster.  Scaling: the same corpus       *)
 (* sharded across 1, 2, and 3 TCP node daemons on localhost, wall      *)
 (* clock vs single-process batch triage, TSV byte-identity throughout. *)
-(* Then the full fault campaign: coordinator SIGKILL + journal resume, *)
+(* Then the full fault campaign: coordinator SIGKILL + cache resume,   *)
 (* node SIGKILL + reschedule, stall partition.  Forks (nodes, killers),*)
 (* so it must run before any domains experiment.                       *)
 (* ------------------------------------------------------------------ *)

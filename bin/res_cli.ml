@@ -39,17 +39,17 @@ let exit_rejected = 5
 exception Die of int * string
 
 (** The bytes of an input file; an unreadable one (a directory, say)
-    exits {!exit_internal} with one line naming it. *)
+    exits {!exit_internal} with one line naming it once. *)
 let read_input path =
   match Res_vm.Coredump_io.read_file path with
   | Ok s -> s
   | Error err ->
       let why =
         match err with
-        | Res_vm.Coredump_io.Unreadable msg -> msg
-        | err -> Res_vm.Coredump_io.dump_error_to_string err
+        | Res_vm.Coredump_io.Unreadable msg -> msg  (* "PATH: reason" *)
+        | err -> Fmt.str "%s: %s" path (Res_vm.Coredump_io.dump_error_to_string err)
       in
-      raise (Die (exit_internal, Fmt.str "cannot read %s: %s" path why))
+      raise (Die (exit_internal, "cannot read " ^ why))
 
 let load_prog path =
   match Res_ir.Parser.parse_result (read_input path) with
@@ -710,7 +710,7 @@ let fuzz_cmd =
       & info [ "format" ] ~docv:"F"
           ~doc:
             "Fuzz only this format: coredump, checkpoint, wire, protocol, \
-             cache, journal, ir, predicate, or command.")
+             cache, ir, predicate, or command.")
   in
   let smoke_arg =
     Arg.(
@@ -954,9 +954,10 @@ let serve_cmd =
       & opt string "res-spool"
       & info [ "spool" ] ~docv:"DIR"
           ~doc:
-            "Durable request spool.  Accepted requests are journaled here \
+            "Durable request spool.  Accepted submits are journaled here \
              before they are acknowledged, so a crashed daemon restarted on \
-             the same spool loses nothing.")
+             the same spool loses nothing.  A coordinator's triage units \
+             are not spooled: the coordinator retries them itself.")
   in
   let capacity =
     Arg.(
@@ -1177,16 +1178,6 @@ let coordinate_cmd =
             "Comma-separated addresses of the node daemons ($(b,res serve \
              --socket) $(i,HOST):$(i,PORT)) to shard across.")
   in
-  let journal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"DIR"
-          ~doc:
-            "Durable result journal.  Applied rows are journaled here \
-             before they count, so a killed coordinator re-run on the same \
-             journal resumes without re-running or double-applying units.")
-  in
   let window =
     Arg.(
       value & opt int 2
@@ -1240,7 +1231,7 @@ let coordinate_cmd =
       & info [ "verbose"; "v" ]
           ~doc:"Log retries, reschedules, and node failures to stderr.")
   in
-  let run prog_path dir nodes journal window attempts unit_deadline
+  let run prog_path dir nodes window attempts unit_deadline
       connect_timeout deadline fuel spot_check no_verify_rows stats verbose
       cache_dir no_cache =
     let module C = Res_cluster.Coordinator in
@@ -1257,7 +1248,6 @@ let coordinate_cmd =
         fuel;
         verify_rows = not no_verify_rows;
         spot_check = max 0 spot_check;
-        journal_dir = journal;
         cache_dir = (if no_cache then None else cache_dir);
         log =
           (if verbose then fun m -> Fmt.epr "res-coordinate: %s@." m
@@ -1283,12 +1273,14 @@ let coordinate_cmd =
          "Shard a batch-triage corpus across $(b,res serve) daemons: route \
           each dump to a node by workload-signature hash, retry and \
           reschedule units off dead or stalled nodes with capped backoff, \
-          journal applied rows for crash-resume, and print the same \
-          deterministic TSV a single-node $(b,res triage) prints.  The \
+          and print the same deterministic TSV a single-node $(b,res \
+          triage) prints.  With $(b,--cache-dir), each unit's verdict is \
+          stored as soon as it settles, so a killed coordinator re-run on \
+          the same cache dispatches only the units it had not settled.  The \
           per-dump budgets are forwarded to the nodes; unloadable files \
           are settled locally.")
     Term.(
-      const run $ prog_arg $ corpus_dir_arg $ nodes_arg $ journal $ window
+      const run $ prog_arg $ corpus_dir_arg $ nodes_arg $ window
       $ attempts $ unit_deadline $ connect_timeout $ per_dump_deadline_arg
       $ per_dump_fuel_arg $ spot_check $ no_verify_rows $ stats_arg $ verbose
       $ cache_dir_arg $ no_cache_arg)
@@ -1337,7 +1329,7 @@ let selftest_campaigns =
       ( "cluster-soak",
         "Run the multi-node cluster soak campaign: shard the corpus across \
          three TCP node daemons, SIGKILL the coordinator mid-corpus and \
-         resume it from its journal, SIGKILL a node and watch its units \
+         resume it from its result cache, SIGKILL a node and watch its units \
          reschedule, stall a node past the unit deadline — and assert the \
          merged TSV stays byte-identical to single-node triage with zero \
          lost units.",

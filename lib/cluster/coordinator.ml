@@ -19,25 +19,26 @@
     unit degrade to the same [worker-lost] row single-node batch triage
     emits for a dump whose workers kept dying.
 
-    {b At-most-once application}: a unit's row is applied once, keyed by
-    unit identity (corpus name).  The row is journaled ({!Journal})
-    {e before} it is applied in memory, so a coordinator SIGKILLed
-    mid-corpus resumes from its journal without re-running or
-    double-applying units; a row for a unit already applied is counted
-    [late] and dropped.
+    {b One durable record per unit}: the result cache.  A unit's
+    verdict is stored under its content key as soon as it settles, so a
+    coordinator SIGKILLed mid-corpus and re-run on the same cache
+    directory serves every settled unit (and its duplicates) from the
+    cache and dispatches only the rest.  A row for a unit already
+    settled is counted [late] and dropped.  Nodes keep no record of a
+    unit: the coordinator owns its retries and its identity.
 
     {b Everything else is shared}: the coordinator is
     {!Res_parallel.Batch.pipeline} over remote slots of the
     {!Res_parallel.Supervisor}.  The input is a list of [Batch.item]s;
     Batch's key phase dedups byte-identical dumps, so one unit is
-    dispatched per content key (its row journaled under its own name,
-    its duplicates taking its verdict at merge), the result cache is
-    Batch's lookup and store phases under a tag of the coordinator's
-    own, and rows, clusters and the TSV come from Batch's merge —
-    byte-identical merged output is a matter of construction, then
-    enforced under kill schedules by the cluster-soak campaign.  The
+    dispatched per content key (its duplicates taking its verdict at
+    merge), the result cache is Batch's lookup and settle-time store
+    under a tag of the coordinator's own, and rows, clusters and the
+    TSV come from Batch's merge — byte-identical merged output is a
+    matter of construction, then enforced under kill schedules by the
+    cluster-soak campaign.  The
     supervisor owns attempts, backoff gates and deadlines; routing,
-    node health, the journal and row verification are the slot set's.
+    node health and row verification are the slot set's.
     Only where a dump is analyzed differs. *)
 
 module Io = Res_vm.Coredump_io
@@ -56,11 +57,11 @@ type config = {
   unit_deadline : float;  (** wall seconds per exchange (accept → row) *)
   deadline_ms : int option;  (** per-unit analysis budget, forwarded *)
   fuel : int option;
-  journal_dir : string option;  (** durable at-most-once journal *)
   cache_dir : string option;
       (** content-addressed result cache: units whose exact
           (program, dump, {!cache_config}) a node triaged in any earlier
-          run are applied from disk and never dispatched *)
+          run, a killed one included, are applied from disk and never
+          dispatched *)
   verify_rows : bool;
       (** structural verification of every node-returned row: the seal
           and schema were already checked by the codec; this adds
@@ -88,7 +89,6 @@ let default_config =
     unit_deadline = 60.0;
     deadline_ms = None;
     fuel = None;
-    journal_dir = None;
     cache_dir = None;
     verify_rows = true;
     spot_check = 0;
@@ -98,7 +98,6 @@ let default_config =
 type stats = {
   cs_units : int;  (** corpus items, unloadable ones included *)
   cs_applied : int;  (** rows applied from live node answers *)
-  cs_recovered : int;  (** rows recovered from the journal at boot *)
   cs_lost : int;  (** units degraded to worker-lost rows *)
   cs_retries : int;  (** re-dispatches after any failed exchange *)
   cs_reschedules : int;  (** re-dispatches that moved to another node *)
@@ -124,10 +123,10 @@ type t = {
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "units=%d applied=%d recovered=%d lost=%d retries=%d reschedules=%d \
+    "units=%d applied=%d lost=%d retries=%d reschedules=%d \
      node_failures=%d nodes_dead=%d late=%d duplicates=%d cache_hits=%d \
      queries=%d byzantine=%d"
-    s.cs_units s.cs_applied s.cs_recovered s.cs_lost s.cs_retries
+    s.cs_units s.cs_applied s.cs_lost s.cs_retries
     s.cs_reschedules s.cs_node_failures s.cs_nodes_dead s.cs_late
     s.cs_duplicates s.cs_cache_hits s.cs_queries s.cs_byzantine
 
@@ -148,12 +147,6 @@ let cache_config config =
 let primary_node ~n_nodes dump =
   Io.fnv1a32 (Res_usecases.Triage.wer_key dump) mod n_nodes
 
-(** The verdict a [Row] reply frame carries. *)
-let verdict_of_frame frame =
-  match P.decode_reply frame with
-  | Ok (P.Row { rw_verdict; _ }) -> Some rw_verdict
-  | _ -> None
-
 (** One open exchange, a remote slot: the connection, which unit it
     carries, and which node answers it. *)
 type exchange = { x_fd : Unix.file_descr; x_unit : int; x_node : int }
@@ -164,41 +157,17 @@ let run ?(config = default_config) items =
   if config.nodes = [] then invalid_arg "Coordinator.run: empty node list";
   let reg = Registry.create ~attempts:config.node_attempts config.nodes in
   let n_nodes = Registry.count reg in
-  let journal = Option.map Journal.openr config.journal_dir in
   let cache = Option.map Cache.openr config.cache_dir in
-  let n_applied = ref 0 and n_recovered = ref 0 and n_reschedules = ref 0 in
+  let n_applied = ref 0 and n_reschedules = ref 0 in
   let n_node_failures = ref 0 and n_late = ref 0 and n_byzantine = ref 0 in
   let n_queries = ref 0 in
   let prog_text = Batch.per_prog Res_ir.Prog.to_string in
   let now () = Unix.gettimeofday () in
-  let analyze (items : Batch.item array) farm verdicts =
+  let analyze (items : Batch.item array) farm settle =
     let dump u =
       match items.(u).it_dump with Ok d -> d | Error _ -> assert false
     in
     let name u = items.(u).it_name in
-    (* boot: replay the journal — rows applied by any prior incarnation
-       are final *)
-    let recovered =
-      match journal with
-      | None -> Hashtbl.create 1
-      | Some j -> Hashtbl.of_seq (List.to_seq (Journal.recovered_rows j))
-    in
-    let farm =
-      List.filter
-        (fun u ->
-          match
-            Option.bind (Hashtbl.find_opt recovered (name u)) verdict_of_frame
-          with
-          | Some v ->
-              verdicts.(u) <- Some v;
-              incr n_recovered;
-              false
-          | None -> true)
-        farm
-    in
-    if !n_recovered > 0 then
-      config.log
-        (Fmt.str "recovered %d applied row(s) from journal" !n_recovered);
     let window_used = Array.make n_nodes 0 in
     let last_node = Array.make (Array.length items) (-1) in
     (* deterministic failover walk from the signature's primary node *)
@@ -328,7 +297,7 @@ let run ?(config = default_config) items =
                     (Fmt.str "byzantine row rejected: %s" why)
               | Ok () ->
                   Registry.mark_success reg x.x_node;
-                  Supervisor.Done (frame, rw_verdict))
+                  Supervisor.Done rw_verdict)
           | Ok (P.Rejected_overload _) ->
               (* backpressure, not failure: back off without charging the
                  node *)
@@ -367,12 +336,8 @@ let run ?(config = default_config) items =
     List.iter (Supervisor.add sup) farm;
     Supervisor.run sup (fun u -> function
       | Error why -> config.log (Fmt.str "unit %s lost: %s" (name u) why)
-      | Ok _ when verdicts.(u) <> None -> incr n_late
-      | Ok (frame, v) ->
-          (* journal before applying: a kill between the two re-reads the
-             row instead of re-running the unit *)
-          Option.iter (fun j -> Journal.append j ~index:u ~frame) journal;
-          verdicts.(u) <- Some v;
+      | Ok v when not (settle u v) -> incr n_late
+      | Ok v ->
           incr n_applied;
           n_queries := !n_queries + v.c_queries);
     (sup.retries, sup.lost)
@@ -390,7 +355,6 @@ let run ?(config = default_config) items =
       {
         cs_units = List.length items;
         cs_applied = !n_applied;
-        cs_recovered = !n_recovered;
         cs_lost = lost;
         cs_retries = retries;
         cs_reschedules = !n_reschedules;

@@ -122,7 +122,8 @@ let read_file path =
   match check Read path with
   | Some f ->
       Error
-        (Io.Unreadable (Printf.sprintf "injected %s fault" (fault_name f)))
+        (Io.Unreadable
+           (Printf.sprintf "%s: injected %s fault" path (fault_name f)))
   | None -> Io.read_file path
 
 (** Journal recovery for the atomic writer's intermediate states, the

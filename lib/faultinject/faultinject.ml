@@ -936,7 +936,7 @@ let at_busiest_node items addr others =
 
 (** Soak-test the cluster coordinator the way a real deployment will
     hurt it: SIGKILL the coordinator mid-corpus and resume it from its
-    journal, SIGKILL a node mid-corpus and watch its units reschedule,
+    result cache, SIGKILL a node mid-corpus and watch its units reschedule,
     and partition a node behind an injected worker stall so exchanges
     time out instead of failing fast.  The acceptance bar is the
     cluster contract: {e the merged TSV is byte-identical to a
@@ -950,7 +950,6 @@ let at_busiest_node items addr others =
     killer are forked processes), so it must run before any domains are
     spawned in this process. *)
 let cluster_soak_campaign ?log () =
-  let module Journal = Res_cluster.Journal in
   let module C = Res_cluster.Coordinator in
   Fleet.with_kit ?log "res-cluster" @@ fun k ->
   let items = Fleet.corpus ~n_per_bug:3 in
@@ -974,44 +973,44 @@ let cluster_soak_campaign ?log () =
       (* two consecutive failed exchanges declare a node dead: a small
          corpus must still reach the declaration before it runs out *)
       node_attempts = 2;
-      journal_dir = Some (Filename.concat k.Fleet.dir name);
+      cache_dir = Some (Filename.concat k.Fleet.dir name);
       log = k.Fleet.log;
     }
   in
-  (* how the campaign times its kills to land mid-corpus *)
-  let journaled name want () =
-    Journal.count (Filename.concat k.Fleet.dir name) >= want
+  (* how the campaign times its kills to land mid-corpus: each variant
+     has a cache of its own, which holds one entry per settled unit *)
+  let settled name want () =
+    Res_cache.Cache.entry_count (Filename.concat k.Fleet.dir name) >= want
   in
-  (* SIGKILL the coordinator mid-corpus, resume from its journal.  The
+  (* SIGKILL the coordinator mid-corpus, resume from its cache.  The
      first incarnation is a forked child; the parent waits for a few
-     journaled rows, kills it, and re-runs the same corpus on the same
-     journal in-process. *)
+     settled units, kills it, and re-runs the same corpus on the same
+     cache in-process. *)
   let coordinator_kill items =
     let co_pid =
-      Fleet.spawn k (fun () -> ignore (C.run ~config:(config "journal1") items))
+      Fleet.spawn k (fun () -> ignore (C.run ~config:(config "cache1") items))
     in
-    let reached = Fleet.await ~timeout:30. ~every:0.01 (journaled "journal1" 3) in
+    let reached = Fleet.await ~timeout:30. ~every:0.01 (settled "cache1" 3) in
     Fleet.kill k co_pid;
-    let t = C.run ~config:(config "journal1") items in
-    let recovered = t.C.stats.C.cs_recovered in
+    let t = C.run ~config:(config "cache1") items in
+    let hits = t.C.stats.C.cs_cache_hits in
     coordinated t
-      [ ("recovered", recovered) ]
+      [ ("cache_hits", hits) ]
       [
-        (not reached, "the journal never reached 3 rows");
-        ( recovered < 3,
-          Fmt.str "resumed run recovered only %d journaled row(s)" recovered );
+        (not reached, "the cache never reached 3 entries");
+        (hits < 3, Fmt.str "resumed run served only %d unit(s) from the cache" hits);
       ]
   in
   (* SIGKILL a node mid-corpus.  A forked killer waits for the run to be
-     underway (journaled rows), then SIGKILLs node 2; its units must
+     underway (a settled unit), then SIGKILLs node 2; its units must
      reschedule onto the survivors. *)
   let node_kill items =
     let killer =
       Fleet.spawn k (fun () ->
-          if Fleet.await ~timeout:30. ~every:0.01 (journaled "journal2" 1) then
+          if Fleet.await ~timeout:30. ~every:0.01 (settled "cache2" 1) then
             try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ())
     in
-    let t = C.run ~config:(config "journal2") items in
+    let t = C.run ~config:(config "cache2") items in
     ignore (Fleet.reap k "killer" killer);
     Fleet.kill k pid2;
     let st = t.C.stats in
@@ -1037,7 +1036,7 @@ let cluster_soak_campaign ?log () =
       C.run
         ~config:
           {
-            (config "journal3") with
+            (config "cache3") with
             C.nodes = fleet addr4;
             unit_deadline = 1.0;
           }
@@ -1116,7 +1115,6 @@ let byzantine_campaign ?log () =
             window = 2;
             node_attempts = 2;
             spot_check;
-            journal_dir = Some (Filename.concat k.Fleet.dir ("journal-" ^ corrupt));
             log = k.Fleet.log;
           }
         items

@@ -1,9 +1,9 @@
 (** Deterministic structured fuzzing for every untrusted byte boundary.
 
     The system decodes eight kinds of foreign bytes: coredumps,
-    checkpoints, batch-triage wire rows, daemon protocol frames,
-    cache entries, cluster journal rows, IR program text, and the
-    debugger's predicate/command grammars.  All of them are hostile
+    checkpoints, batch-triage wire rows, daemon protocol frames, cache
+    entries, IR program text, and the debugger's predicate and command
+    grammars.  All of them are hostile
     input by definition — crash reports come from the wild, frames come
     from the network, files come from disks that lie.  Every decoder
     owes the same contract:
@@ -546,23 +546,6 @@ let formats () =
               Option.is_some (Res_cache.Cache.decode_row body));
     }
   in
-  (* -- cluster journal rows (verbatim reply frames, Row-only) -- *)
-  let journal_seed =
-    P.encode_reply
-      (P.Row
-         { rw_name = "counter-race-00"; rw_elapsed_ms = 12; rw_verdict = verdict })
-  in
-  let journal =
-    {
-      f_name = "journal";
-      f_sealed = true;
-      f_seeds = [ journal_seed ];
-      f_hostile = [ garbage_bytes ];
-      f_decode =
-        (fun s ->
-          match P.decode_reply s with Ok (P.Row _) -> true | _ -> false);
-    }
-  in
   (* -- textual IR programs -- *)
   let ir =
     {
@@ -638,10 +621,10 @@ let formats () =
       f_decode = (fun s -> Result.is_ok (Res_debug.Command.parse s));
     }
   in
-  [ coredump; checkpoint; wire; protocol; cache; journal; ir; predicate; command ]
+  [ coredump; checkpoint; wire; protocol; cache; ir; predicate; command ]
 
 let format_names =
-  [ "coredump"; "checkpoint"; "wire"; "protocol"; "cache"; "journal"; "ir"; "predicate"; "command" ]
+  [ "coredump"; "checkpoint"; "wire"; "protocol"; "cache"; "ir"; "predicate"; "command" ]
 
 (* --- the campaign ----------------------------------------------------- *)
 

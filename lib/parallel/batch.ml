@@ -142,26 +142,6 @@ let lookup ?cache ~config items =
     items;
   (keys, cached)
 
-(** Store phase: write back each key's verdict once, unless the cache
-    served it (best-effort; failures leave the entry cold, they never
-    fail the batch).  A timed-out verdict describes what this run
-    managed, not what the inputs mean: never cached. *)
-let store ?cache keys ~cached verdicts =
-  match cache with
-  | None -> ()
-  | Some c ->
-      let stored = Hashtbl.create 64 in
-      Array.iteri
-        (fun i v ->
-          match (v, cached.(i)) with
-          | Some (v : Cache.row), None
-            when keys.(i) <> "" && (not v.c_timeout)
-                 && not (Hashtbl.mem stored keys.(i)) ->
-              Hashtbl.add stored keys.(i) ();
-              Cache.store c keys.(i) (Cache.encode_row v)
-          | _ -> ())
-        verdicts
-
 (** Merge phase: each item's verdict ([None]: no analysis answered, so
     [worker-lost]; an unloadable item is [dump-error] whatever it holds)
     into rows in item order, their clusters, and the TSV. *)
@@ -183,13 +163,19 @@ let merge items verdicts =
 
 (** The batch pipeline around any executor: sort [items] by name, key
     them under [config] (looking each up in [?cache]), and call
-    [analyze items farm verdicts] with one unit per content key the cache
+    [analyze items farm settle] with one unit per content key the cache
     could not answer: the first item with that key, in name order.
-    [analyze] fills its units' [verdicts] (one left [None] becomes a
-    [worker-lost] row), and every later item with the key gets its unit's
-    verdict, [worker-lost] and timed-out rows included.  Then the store
-    and merge phases.  Returns [analyze]'s result, the rows, clusters and
-    TSV, and how many rows the cache and the duplicates served. *)
+    [analyze] hands each answered unit's verdict to [settle], which
+    records it and, with [?cache], stores it under the unit's key at once
+    (best-effort; a timed-out verdict describes what this run managed,
+    not what the inputs mean, and is never stored), so a run killed
+    midway leaves every settled key for the next run to hit.  [settle]
+    returns [false], and drops the verdict, for a unit already settled.
+    A unit never settled becomes a [worker-lost] row, and every later
+    item with its key gets its unit's verdict, [worker-lost] and
+    timed-out rows included.  Then the merge phase.  Returns [analyze]'s
+    result, the rows, clusters and TSV, and how many rows the cache and
+    the duplicates served. *)
 let pipeline ?cache ~config items analyze =
   let items =
     List.sort (fun a b -> compare a.it_name b.it_name) items |> Array.of_list
@@ -213,7 +199,18 @@ let pipeline ?cache ~config items analyze =
       (List.init n Fun.id)
   in
   let verdicts = Array.copy cached in
-  let a = analyze items farm verdicts in
+  let settle i (v : Cache.row) =
+    verdicts.(i) = None
+    && begin
+         verdicts.(i) <- Some v;
+         (match cache with
+         | Some c when not v.c_timeout ->
+             Cache.store c keys.(i) (Cache.encode_row v)
+         | _ -> ());
+         true
+       end
+  in
+  let a = analyze items farm settle in
   let duplicates = ref 0 in
   Array.iteri
     (fun i j ->
@@ -222,7 +219,6 @@ let pipeline ?cache ~config items analyze =
         incr duplicates
       end)
     rep;
-  store ?cache keys ~cached verdicts;
   let rows, clusters, tsv = merge items verdicts in
   let cache_hits =
     Array.fold_left (fun a c -> if c <> None then a + 1 else a) 0 cached
@@ -245,7 +241,7 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
   let (pstats, nodes, pruned, queries), rows, clusters, tsv, cache_hits,
       duplicates =
     pipeline ?cache ~config:(config_key ?budget_wall ?budget_fuel config)
-      items (fun items farm verdicts ->
+      items (fun items farm settle ->
         let worker () payload =
           let i = int_of_string payload in
           let it = items.(i) in
@@ -268,8 +264,8 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
         List.iter
           (fun reply ->
             match Option.map Wire.decode_verdict reply with
-            | Some (Ok (i, v)) when i >= 0 && i < Array.length items ->
-                verdicts.(i) <- Some v;
+            | Some (Ok (i, v))
+              when i >= 0 && i < Array.length items && settle i v ->
                 nodes := !nodes + v.Cache.c_nodes;
                 pruned := !pruned + v.Cache.c_pruned;
                 queries := !queries + v.Cache.c_queries

@@ -22,11 +22,14 @@
       reported as a budget exhaustion.  Either way the request's client
       gets {e an answer} — the daemon never goes silent on an accepted
       request.
-    - {b Crash-only recovery}: a request is journaled to the spool
+    - {b Crash-only recovery}: a submit is journaled to the spool
       {e before} the [Accepted] reply is sent, and its result is
       journaled before it is reported completed.  A daemon that is
       SIGKILLed mid-flight re-admits every accepted-but-unfinished
-      request on the next boot; completed results survive for [fetch].
+      submit on the next boot; completed results survive for [fetch].
+      A coordinator's triage unit is not spooled: the coordinator owns
+      its retries and its identity, and no client would wait for a
+      re-run one.
     - {b Graceful drain}: SIGTERM (or a [drain] request) stops admission,
       finishes the queue, and exits 0.
 
@@ -307,14 +310,14 @@ let push t fd frame =
   with Unix.Unix_error _ | Sys_error _ ->
     t.cfg.log (Fmt.str "push to departed client dropped")
 
-(** A job reached its terminal [Result]: journal it durably, feed the
-    breaker, and push it to every waiting client.  This is the {e only}
+(** A job reached its terminal reply: journal a submit's durably, feed
+    the breaker, and push it to every waiting client.  This is the {e only}
     way an accepted request leaves the daemon — every code path that
     retires a job funnels through here, which is what makes "accepted
     implies answered" an invariant rather than a hope. *)
 let finish ?(store = true) t job (reply : P.reply) =
   let frame = P.encode_reply reply in
-  Spool.complete t.spool ~id:job.j_id ~frame;
+  if job.j_task = Analyze then Spool.complete t.spool ~id:job.j_id ~frame;
   if store then cache_store t job reply;
   (match reply with
   | P.Result { rs_timeout = timeout; _ }
@@ -439,7 +442,8 @@ let enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms ~fuel =
   Supervisor.add t.sup job
 
 (** Admission control for a submission, in strict order: drain gate,
-    parse gate, capacity gate, breaker gate, then the durable accept.
+    parse gate, capacity gate, breaker gate, then the accept: durable
+    (spooled) for a submit, in memory only for a triage unit.
     Capacity is checked {e before} the breaker so a shed request can
     never leave a breaker stuck half-open waiting for a probe that was
     never admitted. *)
@@ -461,7 +465,14 @@ let admit t ~task ~key ~frame ~prog_text ~dump_text ~deadline_ms ~fuel =
               t.n_breaker_rejected <- t.n_breaker_rejected + 1;
               P.Rejected_breaker { rb_signature = signature; rb_retry_ms = retry_ms }
           | Breaker.Pass | Breaker.Probe ->
-              let id = Spool.accept t.spool ~frame in
+              let id =
+                match task with
+                | Analyze -> Spool.accept t.spool ~frame
+                | Triage_unit _ ->
+                    (* names the job in memory only: the id is never
+                       fetched, and the coordinator retries the unit *)
+                    Fmt.str "u%06d" t.n_accepted
+              in
               enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms
                 ~fuel;
               t.n_accepted <- t.n_accepted + 1;
@@ -591,11 +602,12 @@ let on_client_event t fd =
 
 (* --- boot: crash-only recovery ---------------------------------------- *)
 
-(** Re-admit every accepted-but-unfinished request from the spool.  The
+(** Re-admit every accepted-but-unfinished submit from the spool.  The
     journaled submit frame is re-decoded and re-parsed exactly as a fresh
     submission would be; a journaled request that no longer parses (it
     was validated at accept time, so this means on-disk damage beyond the
-    seal) is retired with a synthetic failure rather than dropped. *)
+    seal), or is not a submit (a triage unit spooled by an older build),
+    is retired with a synthetic failure rather than dropped. *)
 let recover t =
   List.iter
     (fun id ->
@@ -619,26 +631,21 @@ let recover t =
       match Spool.read_request t.spool id with
       | Error e -> fail (Fmt.str "spooled request unreadable: %s" (Io.dump_error_to_string e))
       | Ok frame -> (
-          let readmit ~task ~prog_text ~dump_text ~deadline_ms ~fuel =
-            match parse_submission ~prog_text ~dump_text with
-            | Error why -> fail (Fmt.str "spooled request no longer parses: %s" why)
-            | Ok (prog, dump) ->
-                enqueue t ~id ~task ~prog ~dump
-                  ~signature:(Res_usecases.Triage.wer_key dump)
-                  ~key:
-                    (cache_key_for t ~task ~prog_text ~dump_text ~deadline_ms
-                       ~fuel)
-                  ~deadline_ms ~fuel;
-                t.n_recovered <- t.n_recovered + 1;
-                t.cfg.log (Fmt.str "recovered %s from spool" id)
-          in
           match P.decode_request frame with
-          | Ok (P.Submit { sb_prog; sb_dump; sb_deadline_ms; sb_fuel }) ->
-              readmit ~task:Analyze ~prog_text:sb_prog ~dump_text:sb_dump
-                ~deadline_ms:sb_deadline_ms ~fuel:sb_fuel
-          | Ok (P.Triage { tg_name; tg_prog; tg_dump; tg_deadline_ms; tg_fuel }) ->
-              readmit ~task:(Triage_unit tg_name) ~prog_text:tg_prog
-                ~dump_text:tg_dump ~deadline_ms:tg_deadline_ms ~fuel:tg_fuel
+          | Ok (P.Submit { sb_prog; sb_dump; sb_deadline_ms; sb_fuel }) -> (
+              match parse_submission ~prog_text:sb_prog ~dump_text:sb_dump with
+              | Error why ->
+                  fail (Fmt.str "spooled request no longer parses: %s" why)
+              | Ok (prog, dump) ->
+                  enqueue t ~id ~task:Analyze ~prog ~dump
+                    ~signature:(Res_usecases.Triage.wer_key dump)
+                    ~key:
+                      (cache_key_for t ~task:Analyze ~prog_text:sb_prog
+                         ~dump_text:sb_dump ~deadline_ms:sb_deadline_ms
+                         ~fuel:sb_fuel)
+                    ~deadline_ms:sb_deadline_ms ~fuel:sb_fuel;
+                  t.n_recovered <- t.n_recovered + 1;
+                  t.cfg.log (Fmt.str "recovered %s from spool" id))
           | Ok _ -> fail "spooled request is not a submit"
           | Error why -> fail (Fmt.str "spooled request undecodable: %s" why)))
     (Spool.pending t.spool)

@@ -190,7 +190,8 @@ type dump_error =
   | Truncated of string  (** records or envelope footer missing *)
   | Corrupted of { expected : int; actual : int }  (** checksum mismatch *)
   | Malformed of string  (** a record failed to parse *)
-  | Unreadable of string  (** the file could not be read at all *)
+  | Unreadable of string
+      (** the file could not be read at all: ["PATH: reason"] *)
 
 let pp_dump_error ppf = function
   | Empty_dump -> Fmt.string ppf "empty coredump"
@@ -632,13 +633,17 @@ let read_file path =
       Fun.protect ~finally (fun () ->
           match really_input_string ic (in_channel_length ic) with
           | s -> Ok s
-          | exception End_of_file -> Error (Unreadable "file shrank while reading")
+          | exception End_of_file ->
+              Error (Unreadable (path ^ ": file shrank while reading"))
           | exception Sys_error msg ->
               (* Opening a directory succeeds, and reading its length
-                 fails with an unrelated EOVERFLOW: name the directory. *)
-              if try Sys.is_directory path with Sys_error _ -> false then
-                Error (Unreadable (path ^ ": Is a directory"))
-              else Error (Unreadable msg))
+                 fails with an unrelated EOVERFLOW: name the cause. *)
+              let why =
+                if try Sys.is_directory path with Sys_error _ -> false then
+                  "Is a directory"
+                else msg
+              in
+              Error (Unreadable (path ^ ": " ^ why)))
 
 (** Load a coredump from [path], classifying damage instead of raising. *)
 let load_result ?salvage path : (loaded, dump_error) result =

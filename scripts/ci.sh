@@ -85,11 +85,13 @@ rc=0
   || { echo "conflicting selftest flags exited $rc, expected 124"; exit 1; }
 
 # An input path that cannot be read (here a directory) is a one-line
-# error with exit 1 that names the directory, never an internal error.
+# error with exit 1 that names the directory once, never an internal
+# error.
 rc=0
 "$RES" validate "$gate_tmp" 2> "$cache_tmp/validate-dir.err" || rc=$?
-[ "$rc" -eq 1 ] && ! grep -q 'internal error' "$cache_tmp/validate-dir.err" \
-  && grep -q 'Is a directory' "$cache_tmp/validate-dir.err" \
+[ "$rc" -eq 1 ] \
+  && [ "$(cat "$cache_tmp/validate-dir.err")" \
+       = "res: error: cannot read $gate_tmp: Is a directory" ] \
   || { echo "res validate on a directory exited $rc: \
 $(cat "$cache_tmp/validate-dir.err")"; exit 1; }
 
@@ -140,7 +142,7 @@ TMPDIR="$gate_tmp" "$RES" selftest --worker-kill
 # lost, any served report diverges from offline analyze, the breaker
 # fails to trip and recover, or drain exits non-zero.  Cluster-soak
 # gate: SIGKILL the coordinator mid-corpus (resuming it from its
-# journal), SIGKILL a node, stall a node past the unit deadline; fails
+# result cache), SIGKILL a node, stall a node past the unit deadline; fails
 # if any unit is lost or any merged TSV differs from single-node triage.
 # Both run under a hard timeout so a wedged daemon or cluster fails CI
 # instead of hanging it.
@@ -332,6 +334,12 @@ cmp "$cache_tmp/co-triage.tsv" "$cache_tmp/co1.tsv" \
 grep -q " applied=1 .* duplicates=1 " "$cache_tmp/co1.stats" \
   || tcp_fail "res coordinate did not dispatch once per content key: \
 $(cat "$cache_tmp/co1.stats")"
+# The node keeps no record of the coordinator's units, which the
+# coordinator retries itself: its spool holds only the one submit's
+# request and result.
+spooled=$(ls -A "$cache_tmp/tcp-spool" | tr '\n' ' ')
+[ "$spooled" = "r000000.req r000000.res " ] \
+  || tcp_fail "the node spooled more than the one submit: $spooled"
 triage_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co-triage.stats")
 co_q=$(sed -n 's/.* queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co1.stats")
 [ -n "$triage_q" ] && [ "$triage_q" = "$co_q" ] \

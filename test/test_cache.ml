@@ -11,16 +11,28 @@ module Sealing = Res_core.Sealing
 module Shim = Res_core.Ioshim
 module Io = Res_vm.Coredump_io
 
+(* Each test's directory is a fresh one under one scratch root per run,
+   which the test process (not a forked worker) removes at exit. *)
 let tmp_dir =
+  let root =
+    lazy
+      (let root =
+         Filename.concat
+           (Filename.get_temp_dir_name ())
+           (Fmt.str "res-cache-test-%d" (Unix.getpid ()))
+       in
+       let owner = Unix.getpid () in
+       Res_faultinject.Fleet.rm_rf root;
+       Unix.mkdir root 0o755;
+       at_exit (fun () ->
+           if Unix.getpid () = owner then Res_faultinject.Fleet.rm_rf root);
+       root)
+  in
   let count = ref 0 in
   fun () ->
     incr count;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Fmt.str "res-cache-test-%d-%d" (Unix.getpid ()) !count)
-    in
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let d = Filename.concat (Lazy.force root) (string_of_int !count) in
+    Unix.mkdir d 0o755;
     d
 
 (* --- content keys ----------------------------------------------------- *)

@@ -2,11 +2,13 @@
    wire-frame damage over a real socketpair (torn headers, torn payloads,
    torn seals, oversized announcements, stalls — every one a classified
    error, never a hang), connect and receive deadlines under a watchdog,
-   node-health registry transitions, the coordinator's at-most-once
-   result journal, and a forked two-node end-to-end run whose merged TSV
-   must be byte-identical to single-node batch triage — with and without
-   a dead node in the fleet — plus the parts the coordinator shares with
-   batch triage: dump-error rows and the result cache.
+   node-health registry transitions, and a forked two-node end-to-end
+   run whose merged TSV must be byte-identical to single-node batch
+   triage — with and without a dead node in the fleet, and with the
+   coordinator killed mid-corpus and resumed from its result cache —
+   plus the parts the coordinator shares with batch triage: dump-error
+   rows and the result cache.  Nodes, their spools and every cache live
+   in a fleet kit's scratch directory, removed when each test ends.
 
    The end-to-end tests fork node daemons; like test_parallel and
    test_serve, no domains are spawned in this binary, so fork is always
@@ -20,8 +22,10 @@ module Server = Res_serve.Server
 module Io = Res_vm.Coredump_io
 module Client = Res_serve.Client
 module Registry = Res_cluster.Registry
-module Journal = Res_cluster.Journal
 module C = Res_cluster.Coordinator
+module Cache = Res_cache.Cache
+module Spool = Res_serve.Spool
+module Fleet = Res_faultinject.Fleet
 
 (* --- addresses ------------------------------------------------------- *)
 
@@ -308,82 +312,47 @@ let test_registry_next_gate_all_dead () =
   Alcotest.(check bool) "no gate over a dead fleet" true
     (Registry.next_gate r = None)
 
-(* --- journal --------------------------------------------------------- *)
+(* --- fleet kit --------------------------------------------------------- *)
 
-let fresh_dir name =
-  let d =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "res-test-%s-%d" name (Unix.getpid ()))
+(* Fail the test on a failure the kit recorded (a node never ready, a
+   drain that did not exit 0). *)
+let check_kit k =
+  match Fleet.take k with [] -> () | fs -> Alcotest.fail (String.concat "; " fs)
+
+(* Run [f] with a fleet kit: its scratch directory is removed, and the
+   nodes it forked are killed and reaped, however [f] ends. *)
+let with_kit name f =
+  Fleet.with_kit ("res-test-" ^ name) (fun k ->
+      f k;
+      check_kit k)
+
+let spool_of k name = Filename.concat k.Fleet.dir (name ^ "-spool")
+
+(* A node daemon spooling under the kit's directory, ready to serve. *)
+let node ?(corrupt = "") ?(delay = 0.) k name =
+  let pid, addr =
+    Fleet.fork_node k
+      {
+        Server.default_config with
+        Server.spool_dir = spool_of k name;
+        jobs = 2;
+        capacity = 8;
+        fi_corrupt_rows = corrupt;
+        fi_worker_delay = delay;
+      }
   in
-  (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  d
+  Fleet.node_ready k addr;
+  check_kit k;
+  (pid, addr)
 
-let row_frame name =
-  P.encode_reply
-    (P.Row
-       {
-         rw_name = name;
-         rw_elapsed_ms = 12;
-         rw_verdict =
-           {
-             c_outcome = "complete";
-             c_timeout = false;
-             c_bucket = "uaf|f:a:0";
-             c_cause = "free before use";
-             c_nodes = 9;
-             c_pruned = 2;
-             c_queries = 4;
-           };
-       })
-
-let test_journal_roundtrip () =
-  let dir = fresh_dir "journal" in
-  let j = Journal.openr dir in
-  Alcotest.(check int) "fresh journal is empty" 0 (Journal.count dir);
-  Journal.append j ~index:3 ~frame:(row_frame "bug-c");
-  Journal.append j ~index:1 ~frame:(row_frame "bug-a");
-  Alcotest.(check int) "two rows journaled" 2 (Journal.count dir);
-  let rows = Journal.recovered_rows (Journal.openr dir) in
-  Alcotest.(check (list string)) "rows recovered in index order"
-    [ "bug-a"; "bug-c" ] (List.map fst rows);
-  List.iter
-    (fun (_, frame) ->
-      match P.decode_reply frame with
-      | Ok (P.Row _) -> ()
-      | _ -> Alcotest.fail "journaled frame must decode to a Row")
-    rows
-
-let test_journal_recovers_torn_tmp () =
-  let dir = fresh_dir "journal-torn" in
-  let j = Journal.openr dir in
-  Journal.append j ~index:0 ~frame:(row_frame "bug-a");
-  (* a killed writer leaves a torn temp beside a missing destination: it
-     must be discarded, not promoted *)
-  let oc = open_out (Filename.concat dir "u0007.row.1234.1.tmp") in
-  output_string oc "ressrvrep v1\nrow compl";
-  close_out oc;
-  (* and an intact temp must be promoted *)
-  let oc = open_out (Filename.concat dir "u0008.row.1234.2.tmp") in
-  output_string oc (row_frame "bug-b");
-  close_out oc;
-  let rows = Journal.recovered_rows (Journal.openr dir) in
-  Alcotest.(check (list string))
-    "intact temp promoted, torn temp discarded" [ "bug-a"; "bug-b" ]
-    (List.map fst rows);
-  Alcotest.(check bool) "torn temp gone" false
-    (Sys.file_exists (Filename.concat dir "u0007.row"))
+(* SIGTERM a node; it must drain and exit 0. *)
+let drain k pid =
+  ignore (Fleet.reap k ~signal:Sys.sigterm "node" pid);
+  check_kit k
 
 (* --- end-to-end: forked nodes, byte-identical merged TSV ------------- *)
 
-let corpus_items () =
-  List.map
-    (fun (r : Res_workloads.Corpus.report) ->
-      {
-        Batch.it_name = Fmt.str "%s-%02d" r.r_bug r.r_id;
-        it_prog = r.r_prog;
-        it_dump = Ok r.r_dump;
-      })
-    (Res_workloads.Corpus.generate ~n_per_bug:1 ())
+let corpus_items () = Fleet.corpus ~n_per_bug:1
 
 (* An item whose file did not load: settled locally, never dispatched. *)
 let unloadable items =
@@ -399,148 +368,125 @@ let refusing_addr () =
   Unix.close fd;
   addr
 
-let start_node ?(corrupt = "") ?(delay = 0.) ~name () =
-  let fd, addr = Client.listen_ephemeral () in
-  let pid =
-    match Unix.fork () with
-    | 0 ->
-        (try
-           Server.run
-             {
-               Server.default_config with
-               Server.prebound = Some fd;
-               spool_dir = Filename.concat (fresh_dir "nodes") name;
-               jobs = 2;
-               capacity = 8;
-               fi_corrupt_rows = corrupt;
-               fi_worker_delay = delay;
-             }
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-    | pid -> pid
+(* SIGKILL a coordinator run of [items] under [config] (which names a
+   cache) once two keys have settled; the settled keys are then what a
+   successor finds, counted after opening the cache as it opens it (a
+   sealed temp the kill left behind is promoted). *)
+let kill_after_two_keys k (config : C.config) items =
+  let cache_dir = Option.get config.C.cache_dir in
+  let co = Fleet.spawn k (fun () -> ignore (C.run ~config items)) in
+  let reached =
+    Fleet.await ~timeout:30. ~every:0.01 (fun () ->
+        Cache.entry_count cache_dir >= 2)
   in
-  (* close the parent's copy so a dead node's port refuses connections
-     instead of queueing them on an orphaned listen socket *)
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  (pid, addr)
+  Fleet.kill k co;
+  Alcotest.(check bool) "two keys settled before the kill" true reached;
+  ignore (Cache.openr cache_dir);
+  Cache.entry_count cache_dir
 
-let wait_ready addr =
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec go () =
-    Client.alive addr
-    || (Unix.gettimeofday () < deadline
-       && begin
-            Unix.sleepf 0.02;
-            go ()
-          end)
-  in
+(* Kill a coordinator after k settled keys, 2 <= k < [keys], and resume
+   it on the same cache: the successor serves the k keys and their
+   [copies - 1] duplicates from the cache, applies only the rest, and
+   its TSV is [Batch.run]'s. *)
+let check_kill_resume k ~baseline ~keys ~copies config items =
+  let settled = kill_after_two_keys k config items in
   Alcotest.(check bool)
-    (Fmt.str "node %s ready" (Client.addr_to_string addr))
-    true (go ())
-
-let drain_node pid =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  let rec reap tries =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if tries = 0 then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid);
-          Alcotest.fail "node did not drain"
-        end
-        else begin
-          Unix.sleepf 0.05;
-          reap (tries - 1)
-        end
-    | _, Unix.WEXITED 0 -> ()
-    | _, _ -> Alcotest.fail "node drain did not exit 0"
-  in
-  reap 600
-
-(* Run [f addr] against one live node, which is drained afterwards. *)
-let with_node name f =
-  let pid, addr = start_node ~name () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-      with Unix.Unix_error _ -> ())
-    (fun () ->
-      wait_ready addr;
-      f addr;
-      drain_node pid)
+    (Fmt.str "killed mid-corpus (%d of %d keys settled)" settled keys)
+    true
+    (settled >= 2 && settled < keys);
+  let t = C.run ~config items in
+  Alcotest.(check string) "resumed TSV = Batch.run's" baseline.Batch.tsv
+    t.C.tsv;
+  Alcotest.(check int) "settled keys and their copies from the cache"
+    (settled * copies) t.C.stats.C.cs_cache_hits;
+  Alcotest.(check int) "and only the rest applied" (keys - settled)
+    t.C.stats.C.cs_applied;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
+  t
 
 let test_cluster_matches_single_node () =
+  with_kit "e2e" @@ fun k ->
   let items = corpus_items () in
+  let n = List.length items in
   (* fork-backed baseline: no domains may exist in this binary *)
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
-  let pid1, addr1 = start_node ~name:"e2e-n1" () in
-  let pid2, addr2 = start_node ~name:"e2e-n2" () in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-          with Unix.Unix_error _ -> ())
-        [ pid1; pid2 ])
-    (fun () ->
-      wait_ready addr1;
-      wait_ready addr2;
-      let journal = fresh_dir "e2e-journal" in
-      let config =
-        {
-          C.default_config with
-          C.nodes = [ addr1; addr2 ];
-          journal_dir = Some journal;
-        }
-      in
-      let t = C.run ~config items in
-      Alcotest.(check string) "merged TSV = single-node triage"
-        baseline.Batch.tsv t.C.tsv;
-      Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
-      Alcotest.(check int) "every unit applied"
-        (List.length items) t.C.stats.C.cs_applied;
-      (* a re-run on the same journal is pure recovery: at-most-once
-         application means no unit is re-dispatched, so even a fleet of
-         unreachable nodes completes it *)
-      let dead = Client.Tcp ("127.0.0.1", 1) in
-      let t2 =
-        C.run
-          ~config:{ config with C.nodes = [ dead ] }
-          items
-      in
-      Alcotest.(check string) "journal replay reproduces the TSV"
-        baseline.Batch.tsv t2.C.tsv;
-      Alcotest.(check int) "all rows recovered, none re-run"
-        (List.length items) t2.C.stats.C.cs_recovered;
-      Alcotest.(check int) "recovery applied nothing new" 0
-        t2.C.stats.C.cs_applied;
-      drain_node pid1;
-      drain_node pid2)
+  let pid1, addr1 = node k "e2e-n1" ~delay:0.1 in
+  let pid2, addr2 = node k "e2e-n2" ~delay:0.1 in
+  let config = { C.default_config with C.nodes = [ addr1; addr2 ] } in
+  let t = C.run ~config items in
+  Alcotest.(check string) "merged TSV = single-node triage"
+    baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
+  Alcotest.(check int) "every unit applied" n t.C.stats.C.cs_applied;
+  (* a coordinator killed mid-corpus resumes from its cache *)
+  ignore
+    (check_kill_resume k ~baseline ~keys:n ~copies:1
+       { config with C.cache_dir = Some (Filename.concat k.Fleet.dir "cache") }
+       items);
+  (* the coordinator owns its units: no node spooled one *)
+  List.iter
+    (fun name ->
+      Alcotest.(check (list string)) (name ^ " spooled no unit") []
+        (Array.to_list (Sys.readdir (spool_of k name))))
+    [ "e2e-n1"; "e2e-n2" ];
+  drain k pid1;
+  drain k pid2
 
 let test_cluster_survives_dead_node_in_fleet () =
+  with_kit "e2e-dead" @@ fun k ->
   let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   let dead = refusing_addr () in
-  with_node "e2e-dead-n1" (fun addr1 ->
-      let config =
-        {
-          C.default_config with
-          C.nodes = [ dead; addr1 ];
-          node_attempts = 2;
-        }
-      in
-      let t = C.run ~config items in
-      Alcotest.(check string) "TSV identical despite a dead node"
-        baseline.Batch.tsv t.C.tsv;
-      Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
-      Alcotest.(check bool) "units routed at the dead node were retried"
-        true (t.C.stats.C.cs_retries >= 1);
-      Alcotest.(check bool) "refused connections were charged" true
-        (t.C.stats.C.cs_node_failures >= 1);
-      Alcotest.(check int) "the dead node was declared dead" 1
-        t.C.stats.C.cs_nodes_dead)
+  let pid, addr1 = node k "e2e-dead-n1" in
+  let config =
+    { C.default_config with C.nodes = [ dead; addr1 ]; node_attempts = 2 }
+  in
+  let t = C.run ~config items in
+  Alcotest.(check string) "TSV identical despite a dead node"
+    baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
+  Alcotest.(check bool) "units routed at the dead node were retried" true
+    (t.C.stats.C.cs_retries >= 1);
+  Alcotest.(check bool) "refused connections were charged" true
+    (t.C.stats.C.cs_node_failures >= 1);
+  Alcotest.(check int) "the dead node was declared dead" 1
+    t.C.stats.C.cs_nodes_dead;
+  drain k pid
+
+(* A spool written by an older build can hold a coordinator's triage
+   unit.  The unit's coordinator is gone, so a node booted on that spool
+   retires it as a failed request and runs no worker for it. *)
+let test_node_retires_spooled_triage () =
+  with_kit "old-spool" @@ fun k ->
+  let it = List.hd (corpus_items ()) in
+  let spool = Spool.openr (spool_of k "old") in
+  let id =
+    Spool.accept spool
+      ~frame:
+        (P.encode_request
+           (P.Triage
+              {
+                tg_name = it.it_name;
+                tg_prog = Res_ir.Prog.to_string it.it_prog;
+                tg_dump = Io.to_string (Result.get_ok it.it_dump);
+                tg_deadline_ms = None;
+                tg_fuel = None;
+              }))
+  in
+  let pid, addr = node k "old" in
+  (match Client.status addr with
+  | Ok (P.Status_reply s) ->
+      Alcotest.(check int) "nothing recovered" 0 s.st_recovered;
+      Alcotest.(check int) "no worker queued or running" 0
+        (s.st_queued + s.st_running);
+      Alcotest.(check int) "the unit was retired" 1 s.st_completed
+  | _ -> Alcotest.fail "status request failed");
+  Alcotest.(check (list string)) "nothing pending in the spool" []
+    (Spool.pending spool);
+  (match Result.map P.decode_reply (Spool.read_result spool id) with
+  | Ok (Ok (P.Result { rs_outcome = "failed"; _ })) -> ()
+  | _ -> Alcotest.fail "the retired unit must read back as a failed result");
+  drain k pid
 
 (* --- the coordinator is a Batch pipeline: failed rows and cache ------- *)
 
@@ -563,64 +509,63 @@ let test_cluster_unloadable_never_dispatched () =
 (* A first run against a live node fills the cache; a second run whose
    only node refuses connections answers every unit from it. *)
 let test_cluster_cache_answers_dead_fleet () =
+  with_kit "coord-cache" @@ fun k ->
   let ok = corpus_items () in
   let items = unloadable ok :: ok in
   let n = List.length ok in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
-  let cache_dir = fresh_dir "coord-cache" in
-  with_node "cache-n1" (fun addr ->
-      let config =
-        { C.default_config with C.nodes = [ addr ]; cache_dir = Some cache_dir }
-      in
-      let cold = C.run ~config items in
-      Alcotest.(check string) "cold TSV = batch triage's" baseline.Batch.tsv
-        cold.C.tsv;
-      Alcotest.(check int) "cold: every loadable unit from the node" n
-        cold.C.stats.C.cs_applied;
-      Alcotest.(check int) "cold: one entry per loadable unit" n
-        (Res_cache.Cache.entry_count cache_dir);
-      let warm =
-        C.run ~config:{ config with C.nodes = [ refusing_addr () ] } items
-      in
-      Alcotest.(check string) "warm TSV byte-identical" cold.C.tsv warm.C.tsv;
-      Alcotest.(check int) "every unit a cache hit" n
-        warm.C.stats.C.cs_cache_hits;
-      Alcotest.(check int) "nothing lost" 0 warm.C.stats.C.cs_lost;
-      Alcotest.(check int) "no node contacted" 0
-        warm.C.stats.C.cs_node_failures)
+  let cache_dir = Filename.concat k.Fleet.dir "cache" in
+  let pid, addr = node k "cache-n1" in
+  let config =
+    { C.default_config with C.nodes = [ addr ]; cache_dir = Some cache_dir }
+  in
+  let cold = C.run ~config items in
+  Alcotest.(check string) "cold TSV = batch triage's" baseline.Batch.tsv
+    cold.C.tsv;
+  Alcotest.(check int) "cold: every loadable unit from the node" n
+    cold.C.stats.C.cs_applied;
+  Alcotest.(check int) "cold: one entry per loadable unit" n
+    (Cache.entry_count cache_dir);
+  let warm =
+    C.run ~config:{ config with C.nodes = [ refusing_addr () ] } items
+  in
+  Alcotest.(check string) "warm TSV byte-identical" cold.C.tsv warm.C.tsv;
+  Alcotest.(check int) "every unit a cache hit" n warm.C.stats.C.cs_cache_hits;
+  Alcotest.(check int) "nothing lost" 0 warm.C.stats.C.cs_lost;
+  Alcotest.(check int) "no node contacted" 0 warm.C.stats.C.cs_node_failures;
+  drain k pid
 
 (* Nodes are not trusted by a local [res triage], and the coordinator
    does not assume a local run's config: the two write disjoint keys and
    neither is served the other's entries. *)
 let test_cluster_cache_disjoint_from_batch () =
+  with_kit "cache-disjoint" @@ fun k ->
   let items = corpus_items () in
   let n = List.length items in
-  let batch_dir = fresh_dir "batch-cache" in
-  let coord_dir = fresh_dir "coord-cache-2" in
+  let batch_dir = Filename.concat k.Fleet.dir "batch-cache" in
+  let coord_dir = Filename.concat k.Fleet.dir "coord-cache" in
   let batch_entries () = Array.to_list (Sys.readdir batch_dir) in
   let filled =
-    Batch.run ~jobs:1 ~backend:Pool.Forked
-      ~cache:(Res_cache.Cache.openr batch_dir) items
+    Batch.run ~jobs:1 ~backend:Pool.Forked ~cache:(Cache.openr batch_dir) items
   in
-  Alcotest.(check int) "batch filled its cache" n
-    (Res_cache.Cache.entry_count batch_dir);
-  with_node "cache-n2" (fun addr ->
-      let t =
-        C.run
-          ~config:
-            { C.default_config with C.nodes = [ addr ]; cache_dir = Some coord_dir }
-          items
-      in
-      Alcotest.(check string) "coordinator TSV" filled.Batch.tsv t.C.tsv);
+  Alcotest.(check int) "batch filled its cache" n (Cache.entry_count batch_dir);
+  let pid, addr = node k "cache-n2" in
+  let t =
+    C.run
+      ~config:
+        { C.default_config with C.nodes = [ addr ]; cache_dir = Some coord_dir }
+      items
+  in
+  Alcotest.(check string) "coordinator TSV" filled.Batch.tsv t.C.tsv;
+  drain k pid;
   Alcotest.(check int) "coordinator filled its cache" n
-    (Res_cache.Cache.entry_count coord_dir);
+    (Cache.entry_count coord_dir);
   Alcotest.(check (list string)) "no key in both" []
     (List.filter
        (fun e -> Sys.file_exists (Filename.concat coord_dir e))
        (batch_entries ()));
   let from_coord =
-    Batch.run ~jobs:1 ~backend:Pool.Forked
-      ~cache:(Res_cache.Cache.openr coord_dir) items
+    Batch.run ~jobs:1 ~backend:Pool.Forked ~cache:(Cache.openr coord_dir) items
   in
   Alcotest.(check int) "batch misses coordinator entries" 0
     from_coord.Batch.cache_hits;
@@ -643,6 +588,7 @@ let test_cluster_cache_disjoint_from_batch () =
 (* Every item twice, the copy byte-identical under another name: one
    unit per content key is dispatched, and every copy gets its row. *)
 let test_cluster_dispatches_once_per_key () =
+  with_kit "dedup" @@ fun k ->
   let originals = corpus_items () in
   let items =
     originals
@@ -653,74 +599,38 @@ let test_cluster_dispatches_once_per_key () =
   let n = List.length originals in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   Alcotest.(check int) "batch: one duplicate per copy" n baseline.Batch.duplicates;
-  let pid, addr = start_node ~name:"dedup-n1" ~delay:0.1 () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-      with Unix.Unix_error _ -> ())
-    (fun () ->
-      wait_ready addr;
-      let config journal =
-        { C.default_config with C.nodes = [ addr ]; journal_dir = Some journal }
+  let pid, addr = node k "dedup-n1" ~delay:0.1 in
+  let config = { C.default_config with C.nodes = [ addr ] } in
+  let t = C.run ~config items in
+  let st = t.C.stats in
+  Alcotest.(check string) "TSV = Batch.run's" baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check int) "one unit applied per content key" n st.C.cs_applied;
+  Alcotest.(check int) "the copies counted as duplicates" n st.C.cs_duplicates;
+  Alcotest.(check int) "no retry" 0 st.C.cs_retries;
+  Alcotest.(check int) "queries = Batch.run's worker_queries"
+    baseline.Batch.worker_queries st.C.cs_queries;
+  (match Client.status addr with
+  | Ok (P.Status_reply { st_accepted; _ }) ->
+      Alcotest.(check int) "the node was sent one unit per key" n st_accepted
+  | _ -> Alcotest.fail "status request failed");
+  (* SIGKILL a coordinator mid-corpus; its successor serves the settled
+     keys and their duplicates from the cache *)
+  let t2 =
+    check_kill_resume k ~baseline ~keys:n ~copies:2
+      { config with C.cache_dir = Some (Filename.concat k.Fleet.dir "cache") }
+      items
+  in
+  List.iter
+    (fun (it : Batch.item) ->
+      let bucket name =
+        (List.find (fun r -> r.Batch.row_name = name) t2.C.rows).Batch.row_bucket
       in
-      let t = C.run ~config:(config (fresh_dir "dedup-journal")) items in
-      let st = t.C.stats in
-      Alcotest.(check string) "TSV = Batch.run's" baseline.Batch.tsv t.C.tsv;
-      Alcotest.(check int) "one unit applied per content key" n st.C.cs_applied;
-      Alcotest.(check int) "the copies counted as duplicates" n
-        st.C.cs_duplicates;
-      Alcotest.(check int) "no retry" 0 st.C.cs_retries;
-      Alcotest.(check int) "queries = Batch.run's worker_queries"
-        baseline.Batch.worker_queries st.C.cs_queries;
-      (match Client.status addr with
-      | Ok (P.Status_reply { st_accepted; _ }) ->
-          Alcotest.(check int) "the node was sent one unit per key" n
-            st_accepted
-      | _ -> Alcotest.fail "status request failed");
-      (* SIGKILL a coordinator mid-corpus; its successor resumes from the
-         journal, and the duplicates take the journaled rows *)
-      let journal = fresh_dir "dedup-journal-kill" in
-      let co =
-        match Unix.fork () with
-        | 0 ->
-            (try ignore (C.run ~config:(config journal) items) with _ -> ());
-            Unix._exit 0
-        | co -> co
-      in
-      let deadline = Unix.gettimeofday () +. 30. in
-      while
-        Journal.count journal < 2
-        && Unix.gettimeofday () < deadline
-      do
-        Unix.sleepf 0.01
-      done;
-      Unix.kill co Sys.sigkill;
-      ignore (Unix.waitpid [] co);
-      let journaled = Journal.count journal in
-      Alcotest.(check bool) "killed mid-corpus" true
-        (journaled >= 2 && journaled < n);
-      let t2 = C.run ~config:(config journal) items in
-      Alcotest.(check string) "resumed TSV = Batch.run's" baseline.Batch.tsv
-        t2.C.tsv;
-      Alcotest.(check int) "resumed from every journaled row" journaled
-        t2.C.stats.C.cs_recovered;
-      Alcotest.(check int) "and dispatched only the rest" (n - journaled)
-        t2.C.stats.C.cs_applied;
-      List.iter
-        (fun (it : Batch.item) ->
-          let bucket name =
-            (List.find (fun r -> r.Batch.row_name = name) t2.C.rows)
-              .Batch.row_bucket
-          in
-          Alcotest.(check string)
-            (it.it_name ^ ": the duplicate has its original's row")
-            (bucket it.it_name)
-            (bucket ("dup-" ^ it.it_name)))
-        originals;
-      List.iter Res_faultinject.Fleet.rm_rf
-        [ journal; fresh_dir "dedup-journal" ];
-      drain_node pid)
+      Alcotest.(check string)
+        (it.it_name ^ ": the duplicate has its original's row")
+        (bucket it.it_name)
+        (bucket ("dup-" ^ it.it_name)))
+    originals;
+  drain k pid
 
 (* --- byzantine nodes: lying answers are rejected, liars quarantined -- *)
 
@@ -729,89 +639,69 @@ let test_cluster_dispatches_once_per_key () =
    walk the liar down its Dead path, and the rescheduled units must
    still produce a TSV byte-identical to single-node triage. *)
 let test_cluster_quarantines_byzantine_name () =
+  with_kit "bz" @@ fun k ->
   let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
-  let pid_h, addr_h = start_node ~name:"bz-honest" () in
-  let pid_l, addr_l = start_node ~name:"bz-liar" ~corrupt:"name" () in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-          with Unix.Unix_error _ -> ())
-        [ pid_h; pid_l ])
-    (fun () ->
-      wait_ready addr_h;
-      wait_ready addr_l;
-      let config =
-        {
-          C.default_config with
-          C.nodes = [ addr_h; addr_l ];
-          node_attempts = 2;
-        }
-      in
-      let t = C.run ~config items in
-      Alcotest.(check string)
-        "TSV identical despite a lying node" baseline.Batch.tsv t.C.tsv;
-      Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
-      Alcotest.(check bool)
-        "corrupted rows were rejected" true
-        (t.C.stats.C.cs_byzantine >= 1);
-      Alcotest.(check int) "the liar was quarantined as dead" 1
-        t.C.stats.C.cs_nodes_dead;
-      Alcotest.(check bool)
-        "the liar's units were rescheduled" true
-        (t.C.stats.C.cs_reschedules >= 1);
-      drain_node pid_h)
+  let pid_h, addr_h = node k "bz-honest" in
+  let _, addr_l = node k "bz-liar" ~corrupt:"name" in
+  let config =
+    {
+      C.default_config with
+      C.nodes = [ addr_h; addr_l ];
+      node_attempts = 2;
+    }
+  in
+  let t = C.run ~config items in
+  Alcotest.(check string)
+    "TSV identical despite a lying node" baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
+  Alcotest.(check bool)
+    "corrupted rows were rejected" true
+    (t.C.stats.C.cs_byzantine >= 1);
+  Alcotest.(check int) "the liar was quarantined as dead" 1
+    t.C.stats.C.cs_nodes_dead;
+  Alcotest.(check bool)
+    "the liar's units were rescheduled" true
+    (t.C.stats.C.cs_reschedules >= 1);
+  drain k pid_h
 
 (* A subtler liar: the row is structurally perfect but its verdict
    fields are fabricated.  Only the replay spot-check can expose it;
    with [verify_rows] off the same lie must poison the TSV, proving the
    defense (not luck) is what kept the first run clean. *)
 let test_cluster_replay_catches_fabricated_fields () =
+  with_kit "bzf" @@ fun k ->
   let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
-  let pid_h, addr_h = start_node ~name:"bzf-honest" () in
-  let pid_l, addr_l = start_node ~name:"bzf-liar" ~corrupt:"fields" () in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun pid ->
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          try ignore (Unix.waitpid [ Unix.WNOHANG ] pid)
-          with Unix.Unix_error _ -> ())
-        [ pid_h; pid_l ])
-    (fun () ->
-      wait_ready addr_h;
-      wait_ready addr_l;
-      let config spot_check verify_rows =
-        {
-          C.default_config with
-          C.nodes = [ addr_h; addr_l ];
-          node_attempts = 2;
-          spot_check;
-          verify_rows;
-        }
-      in
-      let t = C.run ~config:(config 1 true) items in
-      Alcotest.(check string)
-        "TSV identical: every fabricated row re-derived and rejected"
-        baseline.Batch.tsv t.C.tsv;
-      Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
-      Alcotest.(check bool)
-        "fabricated rows failed the replay" true
-        (t.C.stats.C.cs_byzantine >= 1);
-      Alcotest.(check int) "the liar was quarantined as dead" 1
-        t.C.stats.C.cs_nodes_dead;
-      (* negative control: with verification off the lie goes through *)
-      let t2 = C.run ~config:(config 0 false) items in
-      Alcotest.(check bool)
-        "with verify_rows off, fabricated rows poison the TSV" false
-        (String.equal baseline.Batch.tsv t2.C.tsv);
-      Alcotest.(check int) "and none are counted byzantine" 0
-        t2.C.stats.C.cs_byzantine;
-      drain_node pid_h)
+  let pid_h, addr_h = node k "bzf-honest" in
+  let _, addr_l = node k "bzf-liar" ~corrupt:"fields" in
+  let config spot_check verify_rows =
+    {
+      C.default_config with
+      C.nodes = [ addr_h; addr_l ];
+      node_attempts = 2;
+      spot_check;
+      verify_rows;
+    }
+  in
+  let t = C.run ~config:(config 1 true) items in
+  Alcotest.(check string)
+    "TSV identical: every fabricated row re-derived and rejected"
+    baseline.Batch.tsv t.C.tsv;
+  Alcotest.(check int) "nothing lost" 0 t.C.stats.C.cs_lost;
+  Alcotest.(check bool)
+    "fabricated rows failed the replay" true
+    (t.C.stats.C.cs_byzantine >= 1);
+  Alcotest.(check int) "the liar was quarantined as dead" 1
+    t.C.stats.C.cs_nodes_dead;
+  (* negative control: with verification off the lie goes through *)
+  let t2 = C.run ~config:(config 0 false) items in
+  Alcotest.(check bool)
+    "with verify_rows off, fabricated rows poison the TSV" false
+    (String.equal baseline.Batch.tsv t2.C.tsv);
+  Alcotest.(check int) "and none are counted byzantine" 0
+    t2.C.stats.C.cs_byzantine;
+  drain k pid_h
 
 let () =
   Alcotest.run "cluster"
@@ -852,17 +742,12 @@ let () =
           Alcotest.test_case "no gate over a dead fleet" `Quick
             test_registry_next_gate_all_dead;
         ] );
-      ( "journal",
-        [
-          Alcotest.test_case "append and recover rows" `Quick
-            test_journal_roundtrip;
-          Alcotest.test_case "torn temps discarded, intact promoted" `Quick
-            test_journal_recovers_torn_tmp;
-        ] );
       ( "coordinator",
         [
           Alcotest.test_case "two nodes match single-node triage" `Slow
             test_cluster_matches_single_node;
+          Alcotest.test_case "a spooled triage unit is retired, not run"
+            `Slow test_node_retires_spooled_triage;
           Alcotest.test_case "a dead node reroutes, TSV unchanged" `Slow
             test_cluster_survives_dead_node_in_fleet;
           Alcotest.test_case "a name-lying node is quarantined" `Slow

@@ -219,9 +219,9 @@ let test_protocol_reply_roundtrip () =
         (roundtrip_reply r = r))
     (Verdicts.generate 300)
 
-(* Spool journals, coordinator journals and daemon cache entries store
-   [Row] frames verbatim: the encoding of a fixed row is pinned byte for
-   byte, so files written by earlier builds keep decoding. *)
+(* Daemon cache entries store [Row] frames verbatim: the encoding of a
+   fixed row is pinned byte for byte, so entries written by earlier
+   builds keep decoding. *)
 let test_protocol_row_golden () =
   let row =
     P.Row
