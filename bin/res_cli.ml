@@ -1215,15 +1215,7 @@ let coordinate_cmd =
              reject (and quarantine the node for) any that disagree — an \
              independent replay oracle against byzantine nodes.  0 \
              disables replay; the structural per-row identity check always \
-             runs unless $(b,--no-verify-rows).")
-  in
-  let no_verify_rows =
-    Arg.(
-      value & flag
-      & info [ "no-verify-rows" ]
-          ~doc:
-            "Trust node-returned rows blindly: skip the per-row identity \
-             and schema checks (and any $(b,--spot-check) replay).")
+             runs.")
   in
   let verbose =
     Arg.(
@@ -1232,7 +1224,7 @@ let coordinate_cmd =
           ~doc:"Log retries, reschedules, and node failures to stderr.")
   in
   let run prog_path dir nodes window attempts unit_deadline
-      connect_timeout deadline fuel spot_check no_verify_rows stats verbose
+      connect_timeout deadline fuel spot_check stats verbose
       cache_dir no_cache =
     let module C = Res_cluster.Coordinator in
     let items = load_corpus (or_die (load_prog prog_path)) dir in
@@ -1246,7 +1238,6 @@ let coordinate_cmd =
         connect_timeout;
         deadline_ms = Option.map (fun s -> int_of_float (s *. 1000.)) deadline;
         fuel;
-        verify_rows = not no_verify_rows;
         spot_check = max 0 spot_check;
         cache_dir = (if no_cache then None else cache_dir);
         log =
@@ -1282,7 +1273,7 @@ let coordinate_cmd =
     Term.(
       const run $ prog_arg $ corpus_dir_arg $ nodes_arg $ window
       $ attempts $ unit_deadline $ connect_timeout $ per_dump_deadline_arg
-      $ per_dump_fuel_arg $ spot_check $ no_verify_rows $ stats_arg $ verbose
+      $ per_dump_fuel_arg $ spot_check $ stats_arg $ verbose
       $ cache_dir_arg $ no_cache_arg)
 
 (* --- selftest --- *)

@@ -23,8 +23,7 @@
     verdict is stored under its content key as soon as it settles, so a
     coordinator SIGKILLed mid-corpus and re-run on the same cache
     directory serves every settled unit (and its duplicates) from the
-    cache and dispatches only the rest.  A row for a unit already
-    settled is counted [late] and dropped.  Nodes keep no record of a
+    cache and dispatches only the rest.  Nodes keep no record of a
     unit: the coordinator owns its retries and its identity.
 
     {b Everything else is shared}: the coordinator is
@@ -62,13 +61,6 @@ type config = {
           (program, dump, {!cache_config}) a node triaged in any earlier
           run, a killed one included, are applied from disk and never
           dispatched *)
-  verify_rows : bool;
-      (** structural verification of every node-returned row: the seal
-          and schema were already checked by the codec; this adds
-          identity (row names the unit we sent) and sanity (non-empty
-          verdict, non-negative work counters).  A failing row is
-          byzantine: the node is charged as failed and the unit
-          rescheduled. *)
   spot_check : int;
       (** 0 disables; [k > 0] re-analyzes roughly 1/k of the returned
           rows locally (deterministic selection by workload signature)
@@ -90,7 +82,6 @@ let default_config =
     deadline_ms = None;
     fuel = None;
     cache_dir = None;
-    verify_rows = true;
     spot_check = 0;
     log = ignore;
   }
@@ -103,7 +94,6 @@ type stats = {
   cs_reschedules : int;  (** re-dispatches that moved to another node *)
   cs_node_failures : int;  (** failed exchanges charged to nodes *)
   cs_nodes_dead : int;
-  cs_late : int;  (** late rows dropped by at-most-once *)
   cs_duplicates : int;
       (** rows served by an identical dump dispatched in the same run *)
   cs_cache_hits : int;  (** units applied from the result cache *)
@@ -124,11 +114,11 @@ type t = {
 let pp_stats ppf s =
   Fmt.pf ppf
     "units=%d applied=%d lost=%d retries=%d reschedules=%d \
-     node_failures=%d nodes_dead=%d late=%d duplicates=%d cache_hits=%d \
-     queries=%d byzantine=%d"
-    s.cs_units s.cs_applied s.cs_lost s.cs_retries
-    s.cs_reschedules s.cs_node_failures s.cs_nodes_dead s.cs_late
-    s.cs_duplicates s.cs_cache_hits s.cs_queries s.cs_byzantine
+     node_failures=%d nodes_dead=%d duplicates=%d cache_hits=%d queries=%d \
+     byzantine=%d"
+    s.cs_units s.cs_applied s.cs_lost s.cs_retries s.cs_reschedules
+    s.cs_node_failures s.cs_nodes_dead s.cs_duplicates s.cs_cache_hits
+    s.cs_queries s.cs_byzantine
 
 (** The config part of the coordinator's cache keys: {!Batch.config_key}
     of the default analysis config, which is what [res serve] nodes run,
@@ -159,7 +149,7 @@ let run ?(config = default_config) items =
   let n_nodes = Registry.count reg in
   let cache = Option.map Cache.openr config.cache_dir in
   let n_applied = ref 0 and n_reschedules = ref 0 in
-  let n_node_failures = ref 0 and n_late = ref 0 and n_byzantine = ref 0 in
+  let n_node_failures = ref 0 and n_byzantine = ref 0 in
   let n_queries = ref 0 in
   let prog_text = Batch.per_prog Res_ir.Prog.to_string in
   let now () = Unix.gettimeofday () in
@@ -230,7 +220,9 @@ let run ?(config = default_config) items =
     (* --- byzantine verification --------------------------------------- *)
     (* The codec already enforced seal and schema; what is left is whether
        this row is the answer to the unit we actually sent.  [row_verdict]
-       checks identity and sanity on every row; the replay spot check is
+       checks identity (the row names the unit we sent) and sanity (a
+       non-empty verdict, non-negative work counters) on every row; a
+       failing row is byzantine.  The replay spot check is
        the oracle for rows that are well-formed but {e wrong} — re-run the
        unit locally (same fuel, the same default analyze config the nodes
        run) and compare the verdict fields.  Timed-out rows are exempt:
@@ -260,8 +252,7 @@ let run ?(config = default_config) items =
              (Cache.encode_row v) (Cache.encode_row local))
     in
     let row_verdict u ~rw_name ~rw_elapsed_ms (v : Cache.row) =
-      if not config.verify_rows then Ok ()
-      else if not (String.equal rw_name (name u)) then
+      if not (String.equal rw_name (name u)) then
         Error (Fmt.str "row names unit %S, we sent %S" rw_name (name u))
       else if String.equal v.c_outcome "" || String.equal v.c_bucket "" then
         Error "empty outcome or bucket"
@@ -329,15 +320,15 @@ let run ?(config = default_config) items =
           read;
           release = (fun x _ -> close x);
           kill = close;
-          gate = (fun () -> Registry.next_gate reg);
+          tick = (fun () -> Registry.next_gate reg);
           close = ignore;
         }
     in
     List.iter (Supervisor.add sup) farm;
     Supervisor.run sup (fun u -> function
       | Error why -> config.log (Fmt.str "unit %s lost: %s" (name u) why)
-      | Ok v when not (settle u v) -> incr n_late
       | Ok v ->
+          settle u v;
           incr n_applied;
           n_queries := !n_queries + v.c_queries);
     (sup.retries, sup.lost)
@@ -360,7 +351,6 @@ let run ?(config = default_config) items =
         cs_reschedules = !n_reschedules;
         cs_node_failures = !n_node_failures;
         cs_nodes_dead = Registry.dead_count reg;
-        cs_late = !n_late;
         cs_duplicates = duplicates;
         cs_cache_hits = cache_hits;
         cs_queries = !n_queries;

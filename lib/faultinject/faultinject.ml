@@ -896,7 +896,7 @@ let single_node items =
   }
 
 (* A coordinator run as a projection of the corpus: its merged TSV, and
-   [counts] plus its lost units, late rows and duplicate dumps.  A lost
+   [counts] plus its lost units and duplicate dumps.  A lost
    unit or a broken expectation in [checks] fails it. *)
 let coordinated (t : Res_cluster.Coordinator.t) counts checks =
   let module C = Res_cluster.Coordinator in
@@ -908,7 +908,6 @@ let coordinated (t : Res_cluster.Coordinator.t) counts checks =
       counts
       @ [
           ("lost", st.C.cs_lost);
-          ("late", st.C.cs_late);
           ("duplicates", st.C.cs_duplicates);
         ];
   }

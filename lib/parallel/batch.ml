@@ -169,9 +169,8 @@ let merge items verdicts =
     records it and, with [?cache], stores it under the unit's key at once
     (best-effort; a timed-out verdict describes what this run managed,
     not what the inputs mean, and is never stored), so a run killed
-    midway leaves every settled key for the next run to hit.  [settle]
-    returns [false], and drops the verdict, for a unit already settled.
-    A unit never settled becomes a [worker-lost] row, and every later
+    midway leaves every settled key for the next run to hit.  A unit
+    never settled becomes a [worker-lost] row, and every later
     item with its key gets its unit's verdict, [worker-lost] and
     timed-out rows included.  Then the merge phase.  Returns [analyze]'s
     result, the rows, clusters and TSV, and how many rows the cache and
@@ -200,15 +199,10 @@ let pipeline ?cache ~config items analyze =
   in
   let verdicts = Array.copy cached in
   let settle i (v : Cache.row) =
-    verdicts.(i) = None
-    && begin
-         verdicts.(i) <- Some v;
-         (match cache with
-         | Some c when not v.c_timeout ->
-             Cache.store c keys.(i) (Cache.encode_row v)
-         | _ -> ());
-         true
-       end
+    verdicts.(i) <- Some v;
+    match cache with
+    | Some c when not v.c_timeout -> Cache.store c keys.(i) (Cache.encode_row v)
+    | _ -> ()
   in
   let a = analyze items farm settle in
   let duplicates = ref 0 in
@@ -264,8 +258,8 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
         List.iter
           (fun reply ->
             match Option.map Wire.decode_verdict reply with
-            | Some (Ok (i, v))
-              when i >= 0 && i < Array.length items && settle i v ->
+            | Some (Ok (i, v)) when i >= 0 && i < Array.length items ->
+                settle i v;
                 nodes := !nodes + v.Cache.c_nodes;
                 pruned := !pruned + v.Cache.c_pruned;
                 queries := !queries + v.Cache.c_queries

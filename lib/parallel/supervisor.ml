@@ -52,15 +52,17 @@ type 'r event =
     [`Now] an attempt that ended before it had a descriptor.  After a
     [Done] or [Failed] the slot is [release]d (with [true] when no unit
     is queued, so a reusable slot may retire); after a [Retry] or a
-    deadline it is [kill]ed.  [gate] is a slot-side timer the loop must
-    wake for, and [close] retires idle slots at the end of a run. *)
+    deadline it is [kill]ed.  [tick] is called once per pass of the
+    loop, for the slot set's housekeeping, and returns a slot-side timer
+    the loop must wake for; [close] retires idle slots at the end of a
+    run. *)
 type ('u, 'h, 'r) slots = {
   start : 'u -> [ `Started of 'h | `Busy | `Full | `Now of 'r event ];
   fd : 'h -> Unix.file_descr;
   read : 'h -> 'r event;
   release : 'h -> bool -> unit;
   kill : 'h -> unit;
-  gate : unit -> float option;
+  tick : unit -> float option;
   close : unit -> unit;
 }
 
@@ -188,7 +190,8 @@ let handle t ready on_done =
   dispatch t on_done
 
 (** Seconds until the earliest timer: an attempt's deadline, a unit's
-    gate, a slot-side gate, or a short tick. *)
+    gate, a slot-side timer, or a short tick.  A loop calls this once per
+    pass, which is when the slot set's [tick] runs. *)
 let timeout t =
   let now = Unix.gettimeofday () in
   let e = List.fold_left (fun e l -> min e l.kill_at) (now +. 0.05) t.live in
@@ -197,7 +200,7 @@ let timeout t =
       (fun e p -> if p.not_before > now then min e p.not_before else e)
       e t.queue
   in
-  let e = match t.slots.gate () with Some g -> min e g | None -> e in
+  let e = match t.slots.tick () with Some g -> min e g | None -> e in
   Float.max 0.005 (e -. now)
 
 (** Run every added unit to its end, calling [on_done] once per unit as
@@ -227,19 +230,10 @@ type child = {
   ordinal : int;  (** 1-based, in fork order *)
   req_w : Unix.file_descr;
   res_r : Unix.file_descr;
-  mutable req_open : bool;
-      (** [req_w] not yet closed: a closed descriptor's number may
-          already belong to a newer pipe, which a second close would cut *)
   mutable busy : bool;
 }
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let close_req c =
-  if c.req_open then begin
-    c.req_open <- false;
-    close_quiet c.req_w
-  end
 
 (* A child serves frames until its request pipe hits EOF.  A worker
    factory or per-unit exception becomes an "ex"-prefixed reply: a
@@ -267,13 +261,14 @@ let child_serve req_r res_w worker =
 (** Slots that are forked children, at most [jobs] at once, forked when
     a unit needs one.  A child gets [payload u] over its request pipe
     and answers with [worker ()]'s reply ([worker] runs in the child,
-    once, right after the fork); a child that dies before answering is
-    a [Retry].  A [one_shot] child exits after its one unit; otherwise
-    it takes the next unit.  [kill u ordinal] is fault injection: true
-    SIGKILLs the child (the [ordinal]th forked) right after [u] is sent
-    to it.  Also returns the fork count so far. *)
-let local ?(one_shot = false) ?(kill = fun _ _ -> false) ~jobs ~payload
-    ~worker () =
+    once, right after the fork), then takes the next unit; a child that
+    dies before answering is a [Retry].  A child released while no unit
+    is queued retires: its pipes close at once, and a later pass reaps it
+    without blocking ([tick]), so a long-lived loop keeps neither zombies
+    nor descriptors.  [kill u ordinal] is fault injection: true SIGKILLs
+    the child (the [ordinal]th forked) right after [u] is sent to it.
+    Also returns the fork count so far. *)
+let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
   let children = ref [] and retired = ref [] and forks = ref 0 in
   let spawn () =
     (* flush first so buffered output is not emitted twice; the child
@@ -289,30 +284,34 @@ let local ?(one_shot = false) ?(kill = fun _ _ -> false) ~jobs ~payload
         close_quiet res_r;
         List.iter
           (fun c ->
-            close_req c;
+            close_quiet c.req_w;
             close_quiet c.res_r)
-          (!children @ !retired);
+          !children;
         (try child_serve req_r res_w worker with _ -> ());
         Unix._exit 0
     | pid ->
         close_quiet req_r;
         close_quiet res_w;
-        let c =
-          { pid; ordinal = !forks; req_w; res_r; req_open = true; busy = false }
-        in
+        let c = { pid; ordinal = !forks; req_w; res_r; busy = false } in
         children := c :: !children;
         c
   in
-  let reap c =
+  (* take [c] out of the pool, closing its pipes in the parent: once,
+     since a closed descriptor's number may already belong to a newer
+     pipe *)
+  let detach c =
     children := List.filter (fun c' -> c' != c) !children;
-    close_req c;
-    close_quiet c.res_r;
-    try ignore (Unix.waitpid [] c.pid) with Unix.Unix_error _ -> ()
+    close_quiet c.req_w;
+    close_quiet c.res_r
+  in
+  let wait pid =
+    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
   in
   let sigkill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> () in
   let kill_child c =
     sigkill c;
-    reap c
+    detach c;
+    wait c.pid
   in
   let start u =
     match List.find_opt (fun c -> not c.busy) !children with
@@ -322,7 +321,6 @@ let local ?(one_shot = false) ?(kill = fun _ _ -> false) ~jobs ~payload
         c.busy <- true;
         match Wire.write_frame c.req_w (payload u) with
         | () ->
-            if one_shot then close_req c;
             if kill u c.ordinal then sigkill c;
             `Started c
         | exception Unix.Unix_error _ ->
@@ -336,20 +334,29 @@ let local ?(one_shot = false) ?(kill = fun _ _ -> false) ~jobs ~payload
         let body = String.sub r 2 (String.length r - 2) in
         if String.starts_with ~prefix:"ok" r then Done body else Failed body
   in
-  let release c idle =
-    if one_shot then reap c
-    else if idle then begin
-      (* nothing queued: retire it now, so it exits while its siblings
-         finish, not after them *)
-      children := List.filter (fun c' -> c' != c) !children;
-      close_req c;
-      retired := c :: !retired
-    end
-    else c.busy <- false
+  let retire c =
+    detach c;
+    retired := c.pid :: !retired
+  in
+  (* nothing queued: retire it now, so it exits while its siblings
+     finish, not after them *)
+  let release c idle = if idle then retire c else c.busy <- false in
+  (* reap the retired children that have exited *)
+  let tick () =
+    retired :=
+      List.filter
+        (fun pid ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> true
+          | _ -> false
+          | exception Unix.Unix_error _ -> false)
+        !retired;
+    None
   in
   let close () =
-    List.iter close_req !children;
-    List.iter reap (!children @ !retired);
+    (* every pipe first, so the children exit side by side *)
+    List.iter retire !children;
+    List.iter wait !retired;
     retired := []
   in
   ( {
@@ -358,7 +365,7 @@ let local ?(one_shot = false) ?(kill = fun _ _ -> false) ~jobs ~payload
       read;
       release;
       kill = kill_child;
-      gate = (fun () -> None);
+      tick;
       close;
     },
     fun () -> !forks )

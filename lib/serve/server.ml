@@ -15,7 +15,9 @@
       exhausting its budget is fast-failed with [Rejected_breaker] until
       a cooldown passes and a half-open probe succeeds.
     - {b Worker supervision} ({!Res_parallel.Supervisor}): each request
-      is a one-unit job on a local slot.  A worker that dies (bug,
+      is a unit on the batch's reusable local slots, its payload the
+      admitted request frame; a worker serves requests while the queue
+      holds work and retires when it empties.  A worker that dies (bug,
       OOM-kill, fault injection) is restarted with capped exponential
       backoff, up to [worker_attempts] tries; a worker that overstays
       its deadline plus [hard_grace] is SIGKILLed and the request is
@@ -110,20 +112,56 @@ let default_config =
     a cluster coordinator's triage row keyed by the unit's corpus name. *)
 type task = Analyze | Triage_unit of string
 
+(** What admission and a worker read of a [Submit] or [Triage] request. *)
+type submission = {
+  s_task : task;
+  s_prog : string;  (** program text *)
+  s_dump : string;  (** coredump text *)
+  s_deadline_ms : int option;
+  s_fuel : int option;
+}
+
+let submission = function
+  | P.Submit { sb_prog; sb_dump; sb_deadline_ms; sb_fuel } ->
+      Some
+        {
+          s_task = Analyze;
+          s_prog = sb_prog;
+          s_dump = sb_dump;
+          s_deadline_ms = sb_deadline_ms;
+          s_fuel = sb_fuel;
+        }
+  | P.Triage { tg_name; tg_prog; tg_dump; tg_deadline_ms; tg_fuel } ->
+      Some
+        {
+          s_task = Triage_unit tg_name;
+          s_prog = tg_prog;
+          s_dump = tg_dump;
+          s_deadline_ms = tg_deadline_ms;
+          s_fuel = tg_fuel;
+        }
+  | _ -> None
+
+(** A request's effective budgets: the daemon defaults where it sets
+    none. *)
+let effective cfg ~deadline_ms ~fuel =
+  ( (match deadline_ms with
+    | Some ms -> Some (float_of_int ms /. 1000.)
+    | None -> cfg.default_deadline),
+    match fuel with Some _ -> fuel | None -> cfg.default_fuel )
+
 type job = {
   j_id : string;
   j_task : task;
-  j_prog : Res_ir.Prog.t;
-  j_dump : Res_vm.Coredump.t;
+  j_frame : string;  (** the admitted request frame: the worker's payload *)
   j_signature : string;
-  j_deadline : float option;
-  j_fuel : int option;
+  j_deadline : float option;  (** the effective wall budget *)
   j_cache_key : string;
       (** content key the finished reply is stored under ([""] when the
           cache is off) *)
   j_enqueued : float;
   mutable j_waiters : Unix.file_descr list;
-      (** client connections awaiting this job's [Result] push *)
+      (** client connections awaiting this job's terminal reply *)
 }
 
 type t = {
@@ -137,7 +175,7 @@ type t = {
   mutable clients : Unix.file_descr list;
   active : (string, job) Hashtbl.t;  (** admitted and not yet finished *)
   sup : (job, Supervisor.child, string) Supervisor.t;
-      (** the admitted jobs, queued or running on a one-shot worker *)
+      (** the admitted jobs, queued or running on a worker *)
   mutable draining : bool;
   (* counters for [status] *)
   mutable n_accepted : int;
@@ -151,34 +189,65 @@ type t = {
 let queued_count t = Supervisor.queued t.sup
 let running_count t = List.length (Supervisor.running t.sup)
 
+(** Parse and validate a submission's payloads (cheap, bounded work):
+    malformed inputs earn a typed [Err] at admission without ever
+    consuming a worker slot or a spool entry. *)
+let parse_submission s =
+  match Res_ir.Parser.parse_result s.s_prog with
+  | Error msg -> Error (Fmt.str "bad program: %s" msg)
+  | Ok prog -> (
+      match Res_ir.Validate.check prog with
+      | _ :: _ as errs ->
+          Error
+            (Fmt.str "invalid program: %a"
+               Fmt.(list ~sep:(any "; ") Res_ir.Validate.pp_error)
+               errs)
+      | [] -> (
+          match Io.of_string_result s.s_dump with
+          | Error e -> Error (Fmt.str "bad coredump: %s" (Io.dump_error_to_string e))
+          | Ok { Io.dump; _ } -> Ok (prog, dump)))
+
+(** An admitted request frame, decoded and parsed again: a worker's
+    input, and what recovery re-admits from the spool. *)
+let parse_frame frame =
+  match P.decode_request frame with
+  | Error msg -> Error (Fmt.str "undecodable: %s" msg)
+  | Ok req -> (
+      match submission req with
+      | None -> Error "not a submission"
+      | Some s ->
+          Result.map (fun (prog, dump) -> (s, prog, dump)) (parse_submission s))
+
 (* --- worker child ----------------------------------------------------- *)
 
-(** The analysis of one job, in a forked worker: the reply frame.  A
-    fresh process per request is the isolation boundary: a segfaulting
-    solver, a runaway allocation, or a fault-injected SIGKILL takes down
-    one request's attempt, never the daemon.  The symbol counter is reset
-    so the report bodies are byte-identical to a serial offline
-    [res analyze] of the same dump. *)
-let worker_child cfg job =
+(** The analysis of one admitted request, in a worker: the reply frame.
+    A worker process is the isolation boundary: a segfaulting solver, a
+    runaway allocation, or a fault-injected SIGKILL takes down one
+    attempt and its process, never the daemon.  A worker serves request
+    after request while the queue holds work, and resets the symbol
+    counter for each, so the report bodies are byte-identical to a
+    serial offline [res analyze] of the same dump.  A [Result] leaves
+    with the placeholder id ["-"]; the daemon stamps the request's. *)
+let worker_child cfg s prog dump =
   let t0 = Unix.gettimeofday () in
   if cfg.fi_worker_delay > 0. then Unix.sleepf cfg.fi_worker_delay;
   Res_solver.Expr.reset_counter_for_tests ();
   let budget =
-    match (job.j_deadline, job.j_fuel) with
+    match effective cfg ~deadline_ms:s.s_deadline_ms ~fuel:s.s_fuel with
     | None, None -> None
     | d, f -> Some (Budget.create ?wall_seconds:d ?fuel:f ())
   in
   let reply =
-    match job.j_task with
+    match s.s_task with
     | Analyze ->
-        let ctx = Backstep.make_ctx job.j_prog in
+        let ctx = Backstep.make_ctx prog in
         let outcome =
-          try Res.analyze ~config:cfg.analyze_config ?budget ctx job.j_dump
+          try Res.analyze ~config:cfg.analyze_config ?budget ctx dump
           with exn -> Res.Failed (Res.Internal (Printexc.to_string exn))
         in
         P.Result
           {
-            rs_id = job.j_id;
+            rs_id = "-";
             rs_outcome = Res.outcome_name outcome;
             rs_timeout = Res.is_budget_partial outcome;
             rs_elapsed_ms =
@@ -188,7 +257,7 @@ let worker_child cfg job =
     | Triage_unit name ->
         let rw_verdict =
           Res_usecases.Triage.triage_one ~config:cfg.analyze_config ?budget
-            job.j_prog job.j_dump
+            prog dump
         in
         P.Row
           {
@@ -221,83 +290,81 @@ let worker_child cfg job =
   in
   P.encode_reply reply
 
-(** A one-shot slot's worker factory, run in the child right after the
-    fork: the child keeps only its own pipes (holding the listen socket
-    or a client connection open would mask EOFs), then answers the job
-    whose id it is sent. *)
+(** A worker's factory, run in the child right after the fork: the child
+    keeps only its own pipes (holding the listen socket or a client
+    connection open would mask EOFs), then answers each request frame it
+    is sent. *)
 let worker t () =
   List.iter
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     (t.listen_fd :: t.sig_rd :: t.sig_wr :: t.clients);
   Sys.set_signal Sys.sigterm Sys.Signal_default;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  fun id -> worker_child t.cfg (Hashtbl.find t.active id)
+  fun frame ->
+    match parse_frame frame with
+    | Ok (s, prog, dump) -> worker_child t.cfg s prog dump
+    | Error why -> failwith why
 
 (* --- result cache ----------------------------------------------------- *)
 
 (** The config part of a cache key: the batch key
     ({!Res_parallel.Batch.config_key}: every analysis knob and the
     {e effective} budgets, daemon defaults applied, so a request that
-    says nothing and one that spells out the default share an entry),
-    tagged with the task kind and the reply codec version (so a protocol
-    bump turns old entries into honest misses). *)
+    says nothing and one that spells out the default share an entry).
+    A triage unit's verdict is stored as batch triage stores it, under
+    that key itself, so a local [res triage] over this cache is served
+    the node's verdicts; a submit's [Result] is tagged with the reply
+    codec version (so a protocol bump turns old entries into honest
+    misses). *)
 let cache_config cfg ~task ~deadline_ms ~fuel =
-  let wall =
-    match deadline_ms with
-    | Some ms -> Some (float_of_int ms /. 1000.)
-    | None -> cfg.default_deadline
+  let wall, fuel = effective cfg ~deadline_ms ~fuel in
+  let key =
+    Res_parallel.Batch.config_key ?budget_wall:wall ?budget_fuel:fuel
+      cfg.analyze_config
   in
-  let fuel = match fuel with Some _ -> fuel | None -> cfg.default_fuel in
-  Fmt.str "%s %s %s" P.rep_header
-    (match task with Analyze -> "serve" | Triage_unit _ -> "servetriage")
-    (Res_parallel.Batch.config_key ?budget_wall:wall ?budget_fuel:fuel
-       cfg.analyze_config)
+  match task with
+  | Triage_unit _ -> key
+  | Analyze -> Fmt.str "%s serve %s" P.rep_header key
 
-let cache_key_for t ~task ~prog_text ~dump_text ~deadline_ms ~fuel =
+let cache_key_for t s =
   match t.cache with
   | None -> ""
   | Some _ ->
-      Res_cache.Cache.key ~prog:prog_text ~dump:dump_text
-        ~config:(cache_config t.cfg ~task ~deadline_ms ~fuel)
+      Res_cache.Cache.key ~prog:s.s_prog ~dump:s.s_dump
+        ~config:
+          (cache_config t.cfg ~task:s.s_task ~deadline_ms:s.s_deadline_ms
+             ~fuel:s.s_fuel)
 
-(** Serve a submission from the cache if its content key has a stored
-    reply.  Runs on the {e raw request bytes}, before parsing and before
-    every admission gate — identical bytes imply an identical answer, so
-    a hit costs one [read] and never touches the queue, the breaker, or
-    a worker slot.  The stored frame is identity-normalized; a [Result]
-    hit is re-journaled under a fresh spool id (so [fetch] replays it
-    like any computed answer), and a [Row] hit is re-labeled with this
-    request's unit name so a coordinator can apply it. *)
-let cache_lookup t ~task ~key =
-  if String.equal key "" then None
-  else
-    match t.cache with
-    | None -> None
-    | Some c -> (
-        match Res_cache.Cache.find c key with
-        | None -> None
-        | Some body -> (
-            match (task, P.decode_reply body) with
-            | Analyze, Ok (P.Result _ as r) -> Some r
-            | Triage_unit name, Ok (P.Row r) ->
-                Some (P.Row { r with rw_name = name })
-            | _, (Ok _ | Error _) -> None))
+(** The reply stored under [key], if any: a submit's [Result], or a
+    triage unit's verdict as a row named after this request's unit. *)
+let cache_lookup t task key =
+  match t.cache with
+  | None -> None
+  | Some c -> (
+      let body = Res_cache.Cache.find c key in
+      match task with
+      | Analyze -> (
+          match Option.map P.decode_reply body with
+          | Some (Ok (P.Result _ as r)) -> Some r
+          | _ -> None)
+      | Triage_unit name ->
+          Option.bind body Res_cache.Cache.decode_row
+          |> Option.map (fun rw_verdict ->
+                 P.Row { rw_name = name; rw_elapsed_ms = 0; rw_verdict }))
 
-(** Store a worker-produced terminal reply, identity-normalized (id and
-    elapsed time are per-request noise, not part of the answer).
-    Timed-out and synthetic replies are never cached: both describe what
-    {e this} run managed, not what the inputs mean. *)
+(** Store a worker-produced terminal reply: a [Result] identity-normalized
+    (id and elapsed time are per-request noise, not part of the answer),
+    a row as its verdict.  Timed-out and synthetic replies are never
+    cached: both describe what {e this} run managed, not what the inputs
+    mean. *)
 let cache_store t job (reply : P.reply) =
   match (t.cache, reply) with
-  | Some c, P.Result r
-    when (not (String.equal job.j_cache_key "")) && not r.rs_timeout ->
+  | Some c, P.Result r when not r.rs_timeout ->
       Res_cache.Cache.store c job.j_cache_key
         (P.encode_reply (P.Result { r with rs_id = "cached"; rs_elapsed_ms = 0 }))
-  | Some c, P.Row r
-    when (not (String.equal job.j_cache_key "")) && not r.rw_verdict.c_timeout
-    ->
+  | Some c, P.Row r when not r.rw_verdict.c_timeout ->
       Res_cache.Cache.store c job.j_cache_key
-        (P.encode_reply (P.Row { r with rw_name = "cached"; rw_elapsed_ms = 0 }))
+        (Res_cache.Cache.encode_row r.rw_verdict)
   | _ -> ()
 
 (* --- result plumbing -------------------------------------------------- *)
@@ -309,6 +376,9 @@ let push t fd frame =
   try P.write_frame fd frame
   with Unix.Unix_error _ | Sys_error _ ->
     t.cfg.log (Fmt.str "push to departed client dropped")
+
+(** A reply names its request only as a [Result]'s id. *)
+let stamp id = function P.Result r -> P.Result { r with rs_id = id } | r -> r
 
 (** A job reached its terminal reply: journal a submit's durably, feed
     the breaker, and push it to every waiting client.  This is the {e only}
@@ -373,7 +443,7 @@ let synthetic cfg job ~outcome ~timeout ~why =
 let on_done t job = function
   | Ok frame -> (
       match P.decode_reply frame with
-      | Ok ((P.Result _ | P.Row _) as r) -> finish t job r
+      | Ok ((P.Result _ | P.Row _) as r) -> finish t job (stamp job.j_id r)
       | Ok _ | Error _ ->
           finish ~store:false t job
             (synthetic t.cfg job ~outcome:"failed" ~timeout:false
@@ -401,84 +471,90 @@ let status_reply t =
       st_breakers = Breaker.entries t.breaker;
     }
 
-(** Parse and validate a submission's payloads in the daemon (cheap,
-    bounded work): malformed inputs earn a typed [Err] without ever
-    consuming a worker slot or a spool entry. *)
-let parse_submission ~prog_text ~dump_text =
-  match Res_ir.Parser.parse_result prog_text with
-  | Error msg -> Error (Fmt.str "bad program: %s" msg)
-  | Ok prog -> (
-      match Res_ir.Validate.check prog with
-      | _ :: _ as errs ->
-          Error
-            (Fmt.str "invalid program: %a"
-               Fmt.(list ~sep:(any "; ") Res_ir.Validate.pp_error)
-               errs)
-      | [] -> (
-          match Io.of_string_result dump_text with
-          | Error e -> Error (Fmt.str "bad coredump: %s" (Io.dump_error_to_string e))
-          | Ok { Io.dump; _ } -> Ok (prog, dump)))
-
-(** Queue a parsed job for a worker. *)
-let enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms ~fuel =
+(** Queue an admitted request frame for a worker. *)
+let enqueue ?(waiters = []) t ~id ~frame ~signature ~key s =
   let job =
     {
       j_id = id;
-      j_task = task;
-      j_prog = prog;
-      j_dump = dump;
+      j_task = s.s_task;
+      j_frame = frame;
       j_signature = signature;
       j_deadline =
-        (match deadline_ms with
-        | Some ms -> Some (float_of_int ms /. 1000.)
-        | None -> t.cfg.default_deadline);
-      j_fuel = (match fuel with Some _ -> fuel | None -> t.cfg.default_fuel);
+        fst (effective t.cfg ~deadline_ms:s.s_deadline_ms ~fuel:s.s_fuel);
       j_cache_key = key;
       j_enqueued = Unix.gettimeofday ();
-      j_waiters = [];
+      j_waiters = waiters;
     }
   in
   Hashtbl.replace t.active id job;
   Supervisor.add t.sup job
 
-(** Admission control for a submission, in strict order: drain gate,
-    parse gate, capacity gate, breaker gate, then the accept: durable
-    (spooled) for a submit, in memory only for a triage unit.
-    Capacity is checked {e before} the breaker so a shed request can
-    never leave a breaker stuck half-open waiting for a probe that was
-    never admitted. *)
-let admit t ~task ~key ~frame ~prog_text ~dump_text ~deadline_ms ~fuel =
-  if t.draining then P.Rejected_draining
+(** Admission of a submit or a triage unit, in strict order: drain gate;
+    the cache, on the {e raw request bytes} (identical bytes imply an
+    identical answer, so a hit never touches the queue, the breaker, or
+    a worker); parse gate, capacity gate, breaker gate; then the accept,
+    durable (spooled) for a submit and in memory only for a triage unit,
+    with the client [fd] waiting for the terminal reply.  Capacity is
+    checked {e before} the breaker so a shed request can never leave a
+    breaker stuck half-open waiting for a probe that was never
+    admitted. *)
+let admit t fd frame s =
+  let reply r = push t fd (P.encode_reply r) in
+  let accepted id =
+    reply (P.Accepted { ac_id = id; ac_queued = queued_count t })
+  in
+  if t.draining then reply P.Rejected_draining
   else
-    match parse_submission ~prog_text ~dump_text with
-    | Error msg -> P.Err msg
-    | Ok (prog, dump) ->
-        if queued_count t >= t.cfg.capacity then begin
-          t.n_shed <- t.n_shed + 1;
-          P.Rejected_overload
-            { ro_queued = queued_count t; ro_capacity = t.cfg.capacity }
-        end
-        else begin
-          let signature = Res_usecases.Triage.wer_key dump in
-          match Breaker.check t.breaker signature with
-          | Breaker.Reject { retry_ms } ->
-              t.n_breaker_rejected <- t.n_breaker_rejected + 1;
-              P.Rejected_breaker { rb_signature = signature; rb_retry_ms = retry_ms }
-          | Breaker.Pass | Breaker.Probe ->
-              let id =
-                match task with
-                | Analyze -> Spool.accept t.spool ~frame
-                | Triage_unit _ ->
-                    (* names the job in memory only: the id is never
-                       fetched, and the coordinator retries the unit *)
-                    Fmt.str "u%06d" t.n_accepted
-              in
-              enqueue t ~id ~task ~prog ~dump ~signature ~key ~deadline_ms
-                ~fuel;
+    let key = cache_key_for t s in
+    match cache_lookup t s.s_task key with
+    | Some hit ->
+        t.n_cache_hits <- t.n_cache_hits + 1;
+        let id, hit =
+          match s.s_task with
+          | Analyze ->
+              (* the conversation stays real: the hit is journaled under
+                 a fresh spool id, so a later [fetch] — this incarnation
+                 or the next — replays it like a computed answer *)
+              let id = Spool.accept t.spool ~frame in
+              let hit = stamp id hit in
+              Spool.complete t.spool ~id ~frame:(P.encode_reply hit);
               t.n_accepted <- t.n_accepted + 1;
-              t.cfg.log (Fmt.str "accepted %s (sig %s)" id signature);
-              P.Accepted { ac_id = id; ac_queued = queued_count t }
-        end
+              t.n_completed <- t.n_completed + 1;
+              (id, hit)
+          | Triage_unit _ -> ("cached", hit)
+        in
+        t.cfg.log (Fmt.str "cache hit %s -> %s" key id);
+        accepted id;
+        reply hit
+    | None -> (
+        match parse_submission s with
+        | Error msg -> reply (P.Err msg)
+        | Ok _ when queued_count t >= t.cfg.capacity ->
+            t.n_shed <- t.n_shed + 1;
+            reply
+              (P.Rejected_overload
+                 { ro_queued = queued_count t; ro_capacity = t.cfg.capacity })
+        | Ok (_, dump) -> (
+            let signature = Res_usecases.Triage.wer_key dump in
+            match Breaker.check t.breaker signature with
+            | Breaker.Reject { retry_ms } ->
+                t.n_breaker_rejected <- t.n_breaker_rejected + 1;
+                reply
+                  (P.Rejected_breaker
+                     { rb_signature = signature; rb_retry_ms = retry_ms })
+            | Breaker.Pass | Breaker.Probe ->
+                let id =
+                  match s.s_task with
+                  | Analyze -> Spool.accept t.spool ~frame
+                  | Triage_unit _ ->
+                      (* names the job in memory only: the id is never
+                         fetched, and the coordinator retries the unit *)
+                      Fmt.str "u%06d" t.n_accepted
+                in
+                enqueue t ~id ~frame ~signature ~key ~waiters:[ fd ] s;
+                t.n_accepted <- t.n_accepted + 1;
+                t.cfg.log (Fmt.str "accepted %s (sig %s)" id signature);
+                accepted id))
 
 let handle_fetch t id =
   match Spool.read_result t.spool id with
@@ -496,82 +572,10 @@ let handle_fetch t id =
       | None -> `Reply (P.Unknown id))
 
 (** One decoded client request → one immediate reply (plus, for an
-    accepted submit, a later pushed [Result]). *)
-let handle_request t fd frame = function
-  | P.Submit { sb_prog; sb_dump; sb_deadline_ms; sb_fuel } -> (
-      let task = Analyze in
-      let key =
-        if t.draining then ""
-        else
-          cache_key_for t ~task ~prog_text:sb_prog ~dump_text:sb_dump
-            ~deadline_ms:sb_deadline_ms ~fuel:sb_fuel
-      in
-      match cache_lookup t ~task ~key with
-      | Some reply ->
-          (* answered before admission, but the conversation stays real:
-             the hit mints a spool id and journals the cached result
-             under it, so a later [fetch] — this incarnation or the
-             next — replays the answer exactly like a computed one *)
-          t.n_cache_hits <- t.n_cache_hits + 1;
-          let id = Spool.accept t.spool ~frame in
-          let reply =
-            match reply with
-            | P.Result { rs_id = _; rs_outcome; rs_timeout; rs_elapsed_ms; rs_body }
-              ->
-                P.Result { rs_id = id; rs_outcome; rs_timeout; rs_elapsed_ms; rs_body }
-            | r -> r
-          in
-          let result_frame = P.encode_reply reply in
-          Spool.complete t.spool ~id ~frame:result_frame;
-          t.n_accepted <- t.n_accepted + 1;
-          t.n_completed <- t.n_completed + 1;
-          t.cfg.log (Fmt.str "cache hit %s -> %s" key id);
-          push t fd
-            (P.encode_reply
-               (P.Accepted { ac_id = id; ac_queued = queued_count t }));
-          push t fd result_frame
-      | None -> (
-          let reply =
-            admit t ~task ~key ~frame ~prog_text:sb_prog ~dump_text:sb_dump
-              ~deadline_ms:sb_deadline_ms ~fuel:sb_fuel
-          in
-          push t fd (P.encode_reply reply);
-          match reply with
-          | P.Accepted { ac_id; _ } -> (
-              (* register the submitter for the result push *)
-              match Hashtbl.find_opt t.active ac_id with
-              | Some j -> j.j_waiters <- fd :: j.j_waiters
-              | None -> ())
-          | _ -> ()))
-  | P.Triage { tg_name; tg_prog; tg_dump; tg_deadline_ms; tg_fuel } -> (
-      let task = Triage_unit tg_name in
-      let key =
-        if t.draining then ""
-        else
-          cache_key_for t ~task ~prog_text:tg_prog ~dump_text:tg_dump
-            ~deadline_ms:tg_deadline_ms ~fuel:tg_fuel
-      in
-      match cache_lookup t ~task ~key with
-      | Some reply ->
-          t.n_cache_hits <- t.n_cache_hits + 1;
-          t.cfg.log (Fmt.str "cache hit %s (%s)" key tg_name);
-          push t fd
-            (P.encode_reply
-               (P.Accepted { ac_id = "cached"; ac_queued = queued_count t }));
-          push t fd (P.encode_reply reply)
-      | None -> (
-          let reply =
-            admit t ~task ~key ~frame ~prog_text:tg_prog ~dump_text:tg_dump
-              ~deadline_ms:tg_deadline_ms ~fuel:tg_fuel
-          in
-          push t fd (P.encode_reply reply);
-          match reply with
-          | P.Accepted { ac_id; _ } -> (
-              (* the coordinator holds this connection open for the Row push *)
-              match Hashtbl.find_opt t.active ac_id with
-              | Some j -> j.j_waiters <- fd :: j.j_waiters
-              | None -> ())
-          | _ -> ()))
+    accepted submit or triage unit, a later pushed terminal reply). *)
+let handle_request t fd frame req =
+  match req with
+  | P.Submit _ | P.Triage _ -> Option.iter (admit t fd frame) (submission req)
   | P.Fetch id -> (
       match handle_fetch t id with
       | `Raw frame -> push t fd frame
@@ -603,9 +607,9 @@ let on_client_event t fd =
 (* --- boot: crash-only recovery ---------------------------------------- *)
 
 (** Re-admit every accepted-but-unfinished submit from the spool.  The
-    journaled submit frame is re-decoded and re-parsed exactly as a fresh
-    submission would be; a journaled request that no longer parses (it
-    was validated at accept time, so this means on-disk damage beyond the
+    journaled submit frame is re-decoded and re-parsed exactly as a
+    worker parses it; a journaled request that no longer parses (it was
+    validated at accept time, so this means on-disk damage beyond the
     seal), or is not a submit (a triage unit spooled by an older build),
     is retired with a synthetic failure rather than dropped. *)
 let recover t =
@@ -631,23 +635,17 @@ let recover t =
       match Spool.read_request t.spool id with
       | Error e -> fail (Fmt.str "spooled request unreadable: %s" (Io.dump_error_to_string e))
       | Ok frame -> (
-          match P.decode_request frame with
-          | Ok (P.Submit { sb_prog; sb_dump; sb_deadline_ms; sb_fuel }) -> (
-              match parse_submission ~prog_text:sb_prog ~dump_text:sb_dump with
-              | Error why ->
-                  fail (Fmt.str "spooled request no longer parses: %s" why)
-              | Ok (prog, dump) ->
-                  enqueue t ~id ~task:Analyze ~prog ~dump
-                    ~signature:(Res_usecases.Triage.wer_key dump)
-                    ~key:
-                      (cache_key_for t ~task:Analyze ~prog_text:sb_prog
-                         ~dump_text:sb_dump ~deadline_ms:sb_deadline_ms
-                         ~fuel:sb_fuel)
-                    ~deadline_ms:sb_deadline_ms ~fuel:sb_fuel;
-                  t.n_recovered <- t.n_recovered + 1;
-                  t.cfg.log (Fmt.str "recovered %s from spool" id))
-          | Ok _ -> fail "spooled request is not a submit"
-          | Error why -> fail (Fmt.str "spooled request undecodable: %s" why)))
+          match parse_frame frame with
+          | Error why ->
+              fail (Fmt.str "spooled request no longer parses: %s" why)
+          | Ok ({ s_task = Triage_unit _; _ }, _, _) ->
+              fail "spooled request is not a submit"
+          | Ok (s, _, dump) ->
+              enqueue t ~id ~frame
+                ~signature:(Res_usecases.Triage.wer_key dump)
+                ~key:(cache_key_for t s) s;
+              t.n_recovered <- t.n_recovered + 1;
+              t.cfg.log (Fmt.str "recovered %s from spool" id)))
     (Spool.pending t.spool)
 
 (* --- event loop ------------------------------------------------------- *)
@@ -671,12 +669,12 @@ let run (cfg : config) =
         Client.listen cfg.listen
   in
   let sig_rd, sig_wr = Unix.pipe () in
-  (* each request is a one-unit job on a one-shot local slot: its child
-     exits after the one unit, so the symbol counter starts fresh *)
+  (* each request is a unit on the batch's reusable local slots, whose
+     payload is the admitted request frame *)
   let self = ref None in
   let slots, _ =
-    Supervisor.local ~one_shot:true ~jobs:cfg.jobs
-      ~payload:(fun j -> j.j_id)
+    Supervisor.local ~jobs:cfg.jobs
+      ~payload:(fun j -> j.j_frame)
       ~worker:(fun () -> worker (Option.get !self) ())
       ~kill:(fun j ordinal ->
         List.mem ordinal cfg.fi_kill_workers

@@ -289,6 +289,15 @@ sid=$("$RES" client submit "$cache_tmp/prog.res" "$cache_tmp/dumps/a.core" \
 "$RES" client fetch "$sid" --socket "$cache_tmp/s.sock" \
   > "$cache_tmp/s2.txt" \
   || { echo "cached submit id '$sid' is not fetchable"; exit 1; }
+# A worker retired with the queue empty is reaped by the daemon's next
+# passes (within its 50 ms tick): none may stay a zombie.
+i=0
+while ps -o stat= --ppid "$serve_pid" | grep -q Z; do
+  i=$((i + 1))
+  [ "$i" -le 20 ] || { echo "the daemon left a zombie worker:";
+                      ps -o pid=,stat= --ppid "$serve_pid"; exit 1; }
+  sleep 0.05
+done
 "$RES" client drain --socket "$cache_tmp/s.sock" >/dev/null
 wait "$serve_pid"
 # normalize the header line: id and elapsed are per-request noise
@@ -302,7 +311,7 @@ cmp "$cache_tmp/s1.norm" "$cache_tmp/s2.norm" \
 # and a drain that exits 0.  Port 0 binds an ephemeral port, so
 # concurrent runs cannot collide; --verbose logs the bound address.
 "$RES" serve --socket 127.0.0.1:0 --spool "$cache_tmp/tcp-spool" \
-  --verbose 2> "$cache_tmp/tcp.log" &
+  --cache-dir "$cache_tmp/node-cache" --verbose 2> "$cache_tmp/tcp.log" &
 tcp_pid=$!
 tcp_fail() { kill "$tcp_pid" 2>/dev/null; echo "$1"; cat "$cache_tmp/tcp.log"; exit 1; }
 i=0
@@ -344,6 +353,17 @@ triage_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co-triage
 co_q=$(sed -n 's/.* queries=\([0-9]*\) .*/\1/p' "$cache_tmp/co1.stats")
 [ -n "$triage_q" ] && [ "$triage_q" = "$co_q" ] \
   || tcp_fail "res coordinate queries=$co_q, res triage solver_queries=$triage_q"
+# The node cached its verdict as batch triage does, under the batch key
+# with its default 30 s deadline: `res triage` with that deadline over
+# the node's cache serves both loadable dumps from it, same TSV.
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/co-dumps" --deadline 30 \
+  --cache-dir "$cache_tmp/node-cache" --stats \
+  > "$cache_tmp/nc.tsv" 2> "$cache_tmp/nc.stats"
+cmp "$cache_tmp/co1.tsv" "$cache_tmp/nc.tsv" \
+  || tcp_fail "res triage over the node's cache diverged"
+grep -q "cache_hits=2 " "$cache_tmp/nc.stats" \
+  || tcp_fail "res triage was not served from the node's cache: \
+$(cat "$cache_tmp/nc.stats")"
 "$RES" client drain --socket "$tcp_addr" >/dev/null \
   || tcp_fail "TCP drain of $tcp_addr failed"
 wait "$tcp_pid" || { echo "TCP daemon drain exited non-zero"; exit 1; }

@@ -329,12 +329,13 @@ let with_kit name f =
 let spool_of k name = Filename.concat k.Fleet.dir (name ^ "-spool")
 
 (* A node daemon spooling under the kit's directory, ready to serve. *)
-let node ?(corrupt = "") ?(delay = 0.) k name =
+let node ?(corrupt = "") ?(delay = 0.) ?cache_dir k name =
   let pid, addr =
     Fleet.fork_node k
       {
         Server.default_config with
         Server.spool_dir = spool_of k name;
+        cache_dir;
         jobs = 2;
         capacity = 8;
         fi_corrupt_rows = corrupt;
@@ -585,6 +586,30 @@ let test_cluster_cache_disjoint_from_batch () =
   Alcotest.(check int) "so every unit is lost to the dead node" n
     from_batch.C.stats.C.cs_lost
 
+(* A node caches each verdict as batch triage does, under the batch key
+   with its effective budgets: a local [Batch.run] with the node's default
+   deadline over the node's cache is served every unit and forks no
+   worker. *)
+let test_node_cache_serves_batch () =
+  with_kit "node-cache" @@ fun k ->
+  let items = corpus_items () in
+  let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
+  let node_cache = Filename.concat k.Fleet.dir "node-cache" in
+  let pid, addr = node k "nc-n1" ~cache_dir:node_cache in
+  let t = C.run ~config:{ C.default_config with C.nodes = [ addr ] } items in
+  Alcotest.(check string) "coordinator TSV" baseline.Batch.tsv t.C.tsv;
+  drain k pid;
+  let local =
+    Batch.run ~jobs:2 ~backend:Pool.Forked
+      ?budget_wall:Server.default_config.Server.default_deadline
+      ~cache:(Cache.openr node_cache) items
+  in
+  Alcotest.(check string) "TSV from the node's cache = Batch.run's"
+    baseline.Batch.tsv local.Batch.tsv;
+  Alcotest.(check int) "every unit served from the node's cache"
+    (List.length items) local.Batch.cache_hits;
+  Alcotest.(check int) "no worker forked" 0 local.Batch.workers
+
 (* Every item twice, the copy byte-identical under another name: one
    unit per content key is dispatched, and every copy gets its row. *)
 let test_cluster_dispatches_once_per_key () =
@@ -666,25 +691,25 @@ let test_cluster_quarantines_byzantine_name () =
   drain k pid_h
 
 (* A subtler liar: the row is structurally perfect but its verdict
-   fields are fabricated.  Only the replay spot-check can expose it;
-   with [verify_rows] off the same lie must poison the TSV, proving the
-   defense (not luck) is what kept the first run clean. *)
+   fields are fabricated.  Only the replay spot-check can expose it:
+   with the structural checks alone ([spot_check = 0]) the same lie must
+   poison the TSV, proving the replay (not luck) is what kept the first
+   run clean. *)
 let test_cluster_replay_catches_fabricated_fields () =
   with_kit "bzf" @@ fun k ->
   let items = corpus_items () in
   let baseline = Batch.run ~jobs:1 ~backend:Pool.Forked items in
   let pid_h, addr_h = node k "bzf-honest" in
   let _, addr_l = node k "bzf-liar" ~corrupt:"fields" in
-  let config spot_check verify_rows =
+  let config spot_check =
     {
       C.default_config with
       C.nodes = [ addr_h; addr_l ];
       node_attempts = 2;
       spot_check;
-      verify_rows;
     }
   in
-  let t = C.run ~config:(config 1 true) items in
+  let t = C.run ~config:(config 1) items in
   Alcotest.(check string)
     "TSV identical: every fabricated row re-derived and rejected"
     baseline.Batch.tsv t.C.tsv;
@@ -694,10 +719,10 @@ let test_cluster_replay_catches_fabricated_fields () =
     (t.C.stats.C.cs_byzantine >= 1);
   Alcotest.(check int) "the liar was quarantined as dead" 1
     t.C.stats.C.cs_nodes_dead;
-  (* negative control: with verification off the lie goes through *)
-  let t2 = C.run ~config:(config 0 false) items in
+  (* negative control: without the replay the lie goes through *)
+  let t2 = C.run ~config:(config 0) items in
   Alcotest.(check bool)
-    "with verify_rows off, fabricated rows poison the TSV" false
+    "without the spot check, fabricated rows poison the TSV" false
     (String.equal baseline.Batch.tsv t2.C.tsv);
   Alcotest.(check int) "and none are counted byzantine" 0
     t2.C.stats.C.cs_byzantine;
@@ -762,5 +787,7 @@ let () =
             test_cluster_cache_answers_dead_fleet;
           Alcotest.test_case "batch and coordinator entries are disjoint"
             `Slow test_cluster_cache_disjoint_from_batch;
+          Alcotest.test_case "a node's cache serves batch triage" `Slow
+            test_node_cache_serves_batch;
         ] );
     ]

@@ -511,6 +511,80 @@ let test_supervisor_gate_keeps_siblings () =
   Alcotest.(check bool) "the gated unit waited out its gate" true
     (List.assoc "hang" !taken >= first_cut +. 1.0)
 
+(* A [jobs:1] supervisor driven the way the daemon drives it: one pass
+   per [select], with units added between passes. *)
+let pid_sup () =
+  let slots, _ =
+    Supervisor.local ~jobs:1 ~payload:Fun.id
+      ~worker:(fun () s ->
+        if s = "slow" then Unix.sleepf 0.2;
+        string_of_int (Unix.getpid ()))
+      ()
+  in
+  let sup = Supervisor.create slots in
+  let pids = Hashtbl.create 8 in
+  let on_done u r = Hashtbl.replace pids u (int_of_string (Result.get_ok r)) in
+  let pass () =
+    let ready, _, _ =
+      try Unix.select (Supervisor.fds sup) [] [] (Supervisor.timeout sup)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    Supervisor.handle sup ready on_done
+  in
+  let drive () =
+    Supervisor.dispatch sup on_done;
+    while not (Supervisor.idle sup) do
+      pass ()
+    done
+  in
+  (sup, Hashtbl.find pids, pass, drive)
+
+(* A child answers the units added while it works; once the queue
+   empties it retires, and the next unit gets a new child. *)
+let test_local_slot_outlives_its_unit () =
+  let sup, pid, _, drive = pid_sup () in
+  Fun.protect ~finally:sup.Supervisor.slots.close @@ fun () ->
+  Supervisor.add sup "slow";
+  Supervisor.dispatch sup (fun _ _ -> ());
+  Alcotest.(check int) "the child was forked for the first unit" 1
+    (List.length (Supervisor.running sup));
+  List.iter (Supervisor.add sup) [ "a"; "b" ];
+  drive ();
+  Alcotest.(check (list int)) "one child answered every unit"
+    [ pid "slow"; pid "slow" ]
+    [ pid "a"; pid "b" ];
+  Supervisor.add sup "c";
+  drive ();
+  Alcotest.(check bool) "a unit after the retirement gets a new child" true
+    (pid "c" <> pid "slow")
+
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A child retired with the queue empty closes its pipes at once and is
+   reaped by a later pass: sequential units leave no zombie and no
+   descriptor behind. *)
+let test_retired_children_reaped () =
+  let sup, pid, pass, drive = pid_sup () in
+  Fun.protect ~finally:sup.Supervisor.slots.close @@ fun () ->
+  let units = List.init 20 string_of_int in
+  let after_first = ref 0 in
+  List.iteri
+    (fun i u ->
+      Supervisor.add sup u;
+      drive ();
+      if i = 0 then after_first := fd_count ())
+    units;
+  let pids = List.sort_uniq compare (List.map pid units) in
+  Alcotest.(check int) "a child per sequential unit" 20 (List.length pids);
+  let gone p = not (Sys.file_exists (Fmt.str "/proc/%d" p)) in
+  let reaped () =
+    pass ();
+    List.for_all gone pids
+  in
+  Alcotest.(check bool) "every retired child reaped by a later pass" true
+    (Res_faultinject.Fleet.await ~timeout:5. ~every:0. reaped);
+  Alcotest.(check int) "no descriptor left behind" !after_first (fd_count ())
+
 (* --- supervision backoff (satellite; no pool) ------------------------ *)
 
 let test_backoff_schedule () =
@@ -652,6 +726,10 @@ let () =
             test_supervisor_deadline_hook;
           Alcotest.test_case "a backoff gate blocks no sibling" `Quick
             test_supervisor_gate_keeps_siblings;
+          Alcotest.test_case "a local slot outlives its unit" `Quick
+            test_local_slot_outlives_its_unit;
+          Alcotest.test_case "retired children reaped, no fd left" `Quick
+            test_retired_children_reaped;
         ] );
       ( "journal",
         [

@@ -344,8 +344,8 @@ let test_spool_recovers_torn_journals () =
 
 (* --- end-to-end daemon lifecycle ------------------------------------- *)
 
-let workload_texts () =
-  let w = Res_workloads.Workloads.find "fig1-overflow" in
+let workload_texts ?(name = "fig1-overflow") () =
+  let w = Res_workloads.Workloads.find name in
   ( Res_ir.Prog.to_string w.Res_workloads.Truth.w_prog,
     Res_vm.Coredump_io.to_string (Res_workloads.Truth.coredump w) )
 
@@ -479,6 +479,93 @@ let test_daemon_hard_deadline () =
       Alcotest.(check int) "the request completed" 1 st_completed
   | _ -> Alcotest.fail "status request failed"
 
+(* The live and unreaped children of process [pid]. *)
+let children pid =
+  match open_in (Fmt.str "/proc/%d/task/%d/children" pid pid) with
+  | exception Sys_error _ -> []
+  | ic ->
+      let line = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      String.split_on_char ' ' line
+      |> List.filter (( <> ) "")
+      |> List.map int_of_string
+
+let fd_count pid = Array.length (Sys.readdir (Fmt.str "/proc/%d/fd" pid))
+
+(* Under a backlog one worker answers request after request, and every
+   body is still byte-identical to an offline analysis. *)
+let test_daemon_worker_serves_backlog () =
+  with_daemon
+    { Server.default_config with Server.jobs = 1; fi_worker_delay = 0.3 }
+  @@ fun socket pid ->
+  let texts =
+    List.map
+      (fun name -> workload_texts ~name ())
+      [ "fig1-overflow"; "div-by-zero"; "double-free" ]
+  in
+  let ids =
+    List.map
+      (fun (prog, dump) ->
+        match Client.submit socket ~prog ~dump () with
+        | Ok (conn, P.Accepted { ac_id; _ }) ->
+            Client.close conn;
+            (ac_id, offline_body prog dump)
+        | Ok (_, r) -> Alcotest.failf "expected accepted, got %a" P.pp_reply r
+        | Error e -> Alcotest.fail (Client.error_to_string e))
+      texts
+  in
+  let workers = Hashtbl.create 4 and results = Hashtbl.create 4 in
+  let all_answered () =
+    List.iter (fun c -> Hashtbl.replace workers c ()) (children pid);
+    List.iter
+      (fun (id, _) ->
+        if not (Hashtbl.mem results id) then
+          match Client.fetch socket id with
+          | Ok (P.Result { rs_id; rs_outcome; rs_body; _ }) ->
+              Hashtbl.replace results id (rs_id, rs_outcome, rs_body)
+          | _ -> ())
+      ids;
+    Hashtbl.length results = List.length ids
+  in
+  Alcotest.(check bool) "every request answered" true
+    (Res_faultinject.Fleet.await ~timeout:30. all_answered);
+  Alcotest.(check int) "one worker served the backlog" 1
+    (Hashtbl.length workers);
+  List.iter
+    (fun (id, expected) ->
+      let rs_id, rs_outcome, rs_body = Hashtbl.find results id in
+      Alcotest.(check string) (id ^ ": complete") "complete" rs_outcome;
+      Alcotest.(check string) (id ^ ": its own id") id rs_id;
+      Alcotest.(check string)
+        (id ^ ": body identical to offline analyze")
+        expected rs_body)
+    ids
+
+(* Sequential requests each retire their worker: a daemon that answered
+   twenty keeps no zombie and no descriptor of theirs. *)
+let test_daemon_sequential_leaves_nothing () =
+  with_daemon { Server.default_config with Server.jobs = 1 }
+  @@ fun socket pid ->
+  let prog, dump = workload_texts () in
+  let idle () = children pid = [] in
+  let after_first = ref 0 in
+  for i = 1 to 20 do
+    (match Client.submit_wait socket ~prog ~dump () with
+    | Ok (P.Accepted _, Some (P.Result { rs_outcome = "complete"; _ })) -> ()
+    | Ok (r, _) -> Alcotest.failf "submit %d: got %a" i P.pp_reply r
+    | Error e -> Alcotest.fail (Client.error_to_string e));
+    if i = 1 then begin
+      Alcotest.(check bool) "the first worker reaped" true
+        (Res_faultinject.Fleet.await idle);
+      (* let the daemon drop the finished client connection *)
+      Unix.sleepf 0.2;
+      after_first := fd_count pid
+    end
+  done;
+  Alcotest.(check bool) "no zombie and no descriptor left after 20" true
+    (Res_faultinject.Fleet.await (fun () ->
+         idle () && fd_count pid = !after_first))
+
 (* --- daemon cache key ---------------------------------------------------- *)
 
 let test_cache_config_keys_every_knob () =
@@ -563,5 +650,9 @@ let () =
             test_daemon_lifecycle;
           Alcotest.test_case "hard deadline: killed, answered as timeout"
             `Quick test_daemon_hard_deadline;
+          Alcotest.test_case "one worker serves a backlog, bytes identical"
+            `Quick test_daemon_worker_serves_backlog;
+          Alcotest.test_case "sequential requests leave no zombie or fd"
+            `Quick test_daemon_sequential_leaves_nothing;
         ] );
     ]
