@@ -501,6 +501,13 @@ let bechamel () =
     in
     List.find (fun s -> s.Res_core.Suffix.complete) r.Res_core.Search.suffixes
   in
+  (* The coredump codec on a triage-corpus dump: the per-dump fixed cost
+     of loading and re-keying a fleet's crash reports. *)
+  let corpus_dump =
+    (List.hd (Res_workloads.Corpus.generate ~n_per_bug:1 ()))
+      .Res_workloads.Corpus.r_dump
+  in
+  let corpus_text = Res_vm.Coredump_io.to_string corpus_dump in
   let tests =
     Test.make_grouped ~name:"res"
       [
@@ -524,6 +531,15 @@ let bechamel () =
         Test.make ~name:"replay(fig1 suffix)"
           (Staged.stage (fun () ->
                ignore (Res_core.Replay.replay fig1_ctx fig1_suffix fig1_dump)));
+        Test.make ~name:"coredump decode"
+          (Staged.stage (fun () ->
+               ignore (Res_vm.Coredump_io.of_string_result corpus_text)));
+        Test.make ~name:"coredump encode"
+          (Staged.stage (fun () ->
+               ignore (Res_vm.Coredump_io.to_string corpus_dump)));
+        Test.make ~name:"envelope validate"
+          (Staged.stage (fun () ->
+               ignore (Res_core.Sealing.validate ~header:"coredump v2" corpus_text)));
         Test.make ~name:"vm-run(fig1 to crash)"
           (Staged.stage (fun () ->
                ignore

@@ -30,7 +30,7 @@ let seal = Io.seal
 (** Validate a sealed envelope whose first line must equal [header];
     returns the full payload (header line included) on success. *)
 let validate ~header src =
-  Io.validate_sealed ~header:(String.equal header) src
+  Io.validate_sealed ~header src
 
 (** [valid ~header src] — does the envelope validate?  The boolean
     form every journal-recovery path wants. *)

@@ -22,6 +22,7 @@ type token =
   | COMMA
   | EQUALS
   | COLON
+  | EOF
 
 let pp_token ppf = function
   | IDENT s -> Fmt.pf ppf "identifier %s" s
@@ -36,109 +37,189 @@ let pp_token ppf = function
   | COMMA -> Fmt.string ppf "','"
   | EQUALS -> Fmt.string ppf "'='"
   | COLON -> Fmt.string ppf "':'"
+  | EOF -> Fmt.string ppf "end of input"
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+let is_ident_start = function 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false
 
-let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '.'
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' | '.' -> true
+  | _ -> false
 
-let is_digit c = c >= '0' && c <= '9'
+let is_digit = function '0' .. '9' -> true | _ -> false
 
-(** Tokenize [src] into [(token, line)] pairs. *)
-let tokenize src =
-  let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
-  let i = ref 0 in
-  let emit t = toks := (t, !line) :: !toks in
-  while !i < n do
-    let c = src.[!i] in
-    if c = '\n' then (
-      incr line;
-      incr i)
-    else if c = ' ' || c = '\t' || c = '\r' then incr i
-    else if c = '#' then
-      while !i < n && src.[!i] <> '\n' do
+(** A lexer: a cursor over [src.[pos .. lim - 1]] that lexes one token
+    per {!lex_one}.  Every reader of the MiniIR token language — the IR
+    parser, the coredump reader, the checkpoint reader — lexes through
+    it, so they share one set of lexical rules. *)
+type lexer = { src : string; lim : int; mutable pos : int; mutable line : int }
+
+let lexer ?(pos = 0) ?lim src =
+  let lim = Option.value lim ~default:(String.length src) in
+  if pos < 0 || pos > lim || lim > String.length src then
+    invalid_arg "Parser.lexer: range outside the string";
+  { src; lim; pos; line = 1 }
+
+let line lx = lx.line
+
+(* Blanks, newlines and [#] comments before the next token. *)
+let skip_blanks lx =
+  let src = lx.src and lim = lx.lim in
+  let i = ref lx.pos and blank = ref true in
+  while !blank && !i < lim do
+    match String.unsafe_get src !i with
+    | '\n' ->
+        lx.line <- lx.line + 1;
         incr i
-      done
-    else if c = '{' then (emit LBRACE; incr i)
-    else if c = '}' then (emit RBRACE; incr i)
-    else if c = '[' then (emit LBRACK; incr i)
-    else if c = ']' then (emit RBRACK; incr i)
-    else if c = '(' then (emit LPAREN; incr i)
-    else if c = ')' then (emit RPAREN; incr i)
-    else if c = ',' then (emit COMMA; incr i)
-    else if c = '=' then (emit EQUALS; incr i)
-    else if c = ':' then (emit COLON; incr i)
-    else if c = '"' then (
-      let buf = Buffer.create 16 in
-      incr i;
-      let closed = ref false in
-      while (not !closed) && !i < n do
-        let c = src.[!i] in
-        if c = '"' then (
-          closed := true;
-          incr i)
-        else if c = '\\' && !i + 1 < n then (
-          (* decode every escape [String.escaped] (so [%S]) writes:
-             n t r b, three decimal digits for any other byte, and the
-             escaped character itself for a backslash or a quote *)
-          match src.[!i + 1] with
-          | '0' .. '9' ->
-              let digits = if !i + 3 < n then String.sub src (!i + 1) 3 else "" in
-              let code =
-                if String.length digits = 3 && String.for_all is_digit digits
-                then int_of_string digits
-                else 256
-              in
-              if code > 255 then fail !line "bad decimal escape in string literal";
-              Buffer.add_char buf (Char.chr code);
-              i := !i + 4
-          | e ->
-              Buffer.add_char buf
-                (match e with
-                | 'n' -> '\n'
-                | 't' -> '\t'
-                | 'r' -> '\r'
-                | 'b' -> '\b'
-                | e -> e);
-              i := !i + 2)
-        else (
-          Buffer.add_char buf c;
-          incr i)
-      done;
-      if not !closed then fail !line "unterminated string literal";
-      emit (STRING (Buffer.contents buf)))
-    else if is_digit c || (c = '-' && !i + 1 < n && is_digit src.[!i + 1]) then (
-      let start = !i in
-      incr i;
-      while !i < n && is_digit src.[!i] do
-        incr i
-      done;
-      match int_of_string_opt (String.sub src start (!i - start)) with
-      | Some v -> emit (INT v)
-      | None -> fail !line "integer literal out of range")
-    else if is_ident_start c then (
-      let start = !i in
-      while !i < n && is_ident_char src.[!i] do
-        incr i
-      done;
-      emit (IDENT (String.sub src start (!i - start))))
-    else fail !line "unexpected character %C" c
+    | ' ' | '\t' | '\r' -> incr i
+    | '#' ->
+        while !i < lim && String.unsafe_get src !i <> '\n' do
+          incr i
+        done
+    | _ -> blank := false
   done;
-  List.rev !toks
+  lx.pos <- !i
 
-(** Mutable token cursor. *)
-type cursor = { mutable toks : (token * int) list; mutable last_line : int }
+(* A decimal literal, [-]digits, read as [int_of_string] reads it: any
+   number of leading zeros, and out of range outside
+   [min_int .. max_int].  The value is accumulated negated, so [min_int]
+   is representable. *)
+let min_tenth = min_int / 10
+let min_last = -(min_int mod 10)
 
-let peek c = match c.toks with [] -> None | (t, _) :: _ -> Some t
+let lex_int lx =
+  let src = lx.src and lim = lx.lim in
+  let neg = String.unsafe_get src lx.pos = '-' in
+  let i = ref (if neg then lx.pos + 1 else lx.pos) in
+  let acc = ref 0 and in_range = ref true in
+  while !i < lim && is_digit (String.unsafe_get src !i) do
+    let d = Char.code (String.unsafe_get src !i) - 48 in
+    if !acc < min_tenth || (!acc = min_tenth && d > min_last) then
+      in_range := false
+    else acc := (!acc * 10) - d;
+    incr i
+  done;
+  lx.pos <- !i;
+  if (not !in_range) || ((not neg) && !acc = min_int) then
+    fail lx.line "integer literal out of range";
+  INT (if neg then !acc else - !acc)
+
+(* A string literal, the opening quote at [lx.pos]: decode every escape
+   [String.escaped] (so [%S]) writes: n t r b, three decimal digits for
+   any other byte, and the escaped character itself for a backslash or a
+   quote.  A literal without escapes is one [String.sub]. *)
+let lex_string lx =
+  let src = lx.src and n = lx.lim in
+  let start = lx.pos + 1 in
+  let j = ref start in
+  while !j < n && (let c = String.unsafe_get src !j in c <> '"' && c <> '\\') do
+    incr j
+  done;
+  if !j < n && String.unsafe_get src !j = '"' then (
+    lx.pos <- !j + 1;
+    STRING (String.sub src start (!j - start)))
+  else
+    let buf = Buffer.create 16 in
+    Buffer.add_substring buf src start (!j - start);
+    let i = ref !j in
+    let closed = ref false in
+    while (not !closed) && !i < n do
+      let c = src.[!i] in
+      if c = '"' then (
+        closed := true;
+        incr i)
+      else if c = '\\' && !i + 1 < n then (
+        match src.[!i + 1] with
+        | '0' .. '9' ->
+            let digits = if !i + 3 < n then String.sub src (!i + 1) 3 else "" in
+            let code =
+              if String.length digits = 3 && String.for_all is_digit digits
+              then int_of_string digits
+              else 256
+            in
+            if code > 255 then fail lx.line "bad decimal escape in string literal";
+            Buffer.add_char buf (Char.chr code);
+            i := !i + 4
+        | e ->
+            Buffer.add_char buf
+              (match e with
+              | 'n' -> '\n'
+              | 't' -> '\t'
+              | 'r' -> '\r'
+              | 'b' -> '\b'
+              | e -> e);
+            i := !i + 2)
+      else (
+        Buffer.add_char buf c;
+        incr i)
+    done;
+    lx.pos <- !i;
+    if not !closed then fail lx.line "unterminated string literal";
+    STRING (Buffer.contents buf)
+
+(** The next token, [EOF] past the last one; the lexer's {!line} is
+    then the token's line.
+    @raise Parse_error on a lexical error. *)
+let punct lx t =
+  lx.pos <- lx.pos + 1;
+  t
+
+let lex_one lx =
+  skip_blanks lx;
+  if lx.pos >= lx.lim then EOF
+  else
+    match String.unsafe_get lx.src lx.pos with
+    | '{' -> punct lx LBRACE
+    | '}' -> punct lx RBRACE
+    | '[' -> punct lx LBRACK
+    | ']' -> punct lx RBRACK
+    | '(' -> punct lx LPAREN
+    | ')' -> punct lx RPAREN
+    | ',' -> punct lx COMMA
+    | '=' -> punct lx EQUALS
+    | ':' -> punct lx COLON
+    | '"' -> lex_string lx
+    | '0' .. '9' -> lex_int lx
+    | '-'
+      when lx.pos + 1 < lx.lim && is_digit (String.unsafe_get lx.src (lx.pos + 1))
+      ->
+        lex_int lx
+    | c when is_ident_start c ->
+        let start = lx.pos in
+        let stop = ref (start + 1) in
+        while !stop < lx.lim && is_ident_char (String.unsafe_get lx.src !stop) do
+          incr stop
+        done;
+        lx.pos <- !stop;
+        IDENT (String.sub lx.src start (!stop - start))
+    | c -> fail lx.line "unexpected character %C" c
+
+(** Token cursor with one token of lookahead. *)
+type cursor = {
+  lx : lexer;
+  mutable look : token;  (** the next token, when [ahead] *)
+  mutable ahead : bool;
+  mutable last_line : int;  (** line of the last token consumed *)
+}
+
+let cursor ?pos ?lim src =
+  { lx = lexer ?pos ?lim src; look = EOF; ahead = false; last_line = 1 }
+
+let peek c =
+  if not c.ahead then (
+    c.look <- lex_one c.lx;
+    c.ahead <- true);
+  c.look
+
+let junk c =
+  c.ahead <- false;
+  c.last_line <- line c.lx
 
 let next c =
-  match c.toks with
-  | [] -> fail c.last_line "unexpected end of input"
-  | (t, l) :: rest ->
-      c.toks <- rest;
-      c.last_line <- l;
-      (t, l)
+  match peek c with
+  | EOF -> fail c.last_line "unexpected end of input"
+  | t ->
+      junk c;
+      (t, c.last_line)
 
 let expect c tok =
   let t, l = next c in
@@ -179,11 +260,11 @@ let is_reg_ident s =
 
 (** [r1, r2, ...] possibly empty, already inside parens. *)
 let reg_list c =
-  if peek c = Some RPAREN then []
+  if peek c = RPAREN then []
   else
     let rec loop acc =
       let r = reg c in
-      if peek c = Some COMMA then (
+      if peek c = COMMA then (
         expect c COMMA;
         loop (r :: acc))
       else List.rev (r :: acc)
@@ -249,7 +330,7 @@ type stmt = I of Instr.instr | T of Instr.terminator
 let parse_stmt c =
   let t, l = next c in
   match t with
-  | IDENT s when is_reg_ident s && peek c = Some EQUALS ->
+  | IDENT s when is_reg_ident s && peek c = EQUALS ->
       let dst = reg_of_ident l s in
       expect c EQUALS;
       I (parse_rhs c dst)
@@ -284,7 +365,7 @@ let parse_stmt c =
       T (Instr.Br (r, l1, l2))
   | IDENT "ret" -> (
       match peek c with
-      | Some (IDENT s) when is_reg_ident s -> T (Instr.Ret (Some (reg c)))
+      | IDENT s when is_reg_ident s -> T (Instr.Ret (Some (reg c)))
       | _ -> T (Instr.Ret None))
   | IDENT "halt" -> T Instr.Halt
   | IDENT "abort" -> T (Instr.Abort (string_lit c))
@@ -310,7 +391,7 @@ let parse_func c =
   expect c LBRACE;
   let rec blocks acc =
     match peek c with
-    | Some RBRACE ->
+    | RBRACE ->
         expect c RBRACE;
         List.rev acc
     | _ -> blocks (parse_block c :: acc)
@@ -326,17 +407,17 @@ let parse_func c =
     @raise Parse_error with a line number on malformed input.
     @raise Invalid_argument on structural duplicates (via {!Prog.v}). *)
 let parse src =
-  let c = { toks = tokenize src; last_line = 1 } in
+  let c = cursor src in
   let rec loop globals funcs =
     match peek c with
-    | None -> Prog.v ~globals:(List.rev globals) (List.rev funcs)
-    | Some (IDENT "global") ->
+    | EOF -> Prog.v ~globals:(List.rev globals) (List.rev funcs)
+    | IDENT "global" ->
         expect c (IDENT "global");
         let gname = ident c in
         let gsize = int_lit c in
         loop ({ Prog.gname; gsize } :: globals) funcs
-    | Some (IDENT "func") -> loop globals (parse_func c :: funcs)
-    | Some t -> fail c.last_line "expected 'global' or 'func', found %a" pp_token t
+    | IDENT "func" -> loop globals (parse_func c :: funcs)
+    | t -> fail c.last_line "expected 'global' or 'func', found %a" pp_token t
   in
   loop [] []
 

@@ -23,8 +23,8 @@
 
 exception Parse_error of { line : int; msg : string }
 
-(** Lexer tokens — exposed so other textual formats (e.g. coredumps) can
-    reuse the tokenizer. *)
+(** Lexer tokens — exposed so other textual formats (coredumps,
+    checkpoints) read the same token language. *)
 type token =
   | IDENT of string
   | INT of int
@@ -38,12 +38,38 @@ type token =
   | COMMA
   | EQUALS
   | COLON
+  | EOF  (** past the last token *)
 
 val pp_token : Format.formatter -> token -> unit
 
-(** Tokenize source text into [(token, line)] pairs.
-    @raise Parse_error on lexical errors. *)
-val tokenize : string -> (token * int) list
+(** A cursor over a range of a string that lexes one token at a time. *)
+type lexer
+
+(** [lexer ?pos ?lim src] lexes [src.[pos .. lim - 1]] (default: all of
+    it), starting at line 1.
+    @raise Invalid_argument if the range is not inside [src]. *)
+val lexer : ?pos:int -> ?lim:int -> string -> lexer
+
+(** The next token, or [EOF] once the range is used up; no token is
+    lexed before it is asked for.
+    @raise Parse_error on a lexical error. *)
+val lex_one : lexer -> token
+
+(** The line of the token {!lex_one} returned last. *)
+val line : lexer -> int
+
+(** A {!lexer} with one token of lookahead. *)
+type cursor
+
+val cursor : ?pos:int -> ?lim:int -> string -> cursor
+
+(** The next token, without consuming it; [EOF] once the range is used
+    up.
+    @raise Parse_error on a lexical error. *)
+val peek : cursor -> token
+
+(** Consume the token {!peek} returned. *)
+val junk : cursor -> unit
 
 (** Parse a whole program.
     @raise Parse_error with a line number on malformed input.

@@ -57,24 +57,41 @@ type t = {
       (** rows served by an identical dump analyzed in the same batch *)
 }
 
-let tsv_field s =
-  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
+(* A TSV field: tabs and line breaks become spaces. *)
+let add_field b s =
+  String.iter
+    (fun c ->
+      Buffer.add_char b (match c with '\t' | '\n' | '\r' -> ' ' | c -> c))
+    s
 
 let render rows clusters =
   let b = Buffer.create 1024 in
+  let tab () = Buffer.add_char b '\t' in
   List.iter
     (fun r ->
-      Buffer.add_string b
-        (Fmt.str "dump\t%s\t%s\t%s\t%s\n" (tsv_field r.row_name)
-           (tsv_field r.row_outcome) (tsv_field r.row_bucket)
-           (tsv_field r.row_cause)))
+      Buffer.add_string b "dump\t";
+      add_field b r.row_name;
+      tab ();
+      add_field b r.row_outcome;
+      tab ();
+      add_field b r.row_bucket;
+      tab ();
+      add_field b r.row_cause;
+      Buffer.add_char b '\n')
     rows;
   List.iter
     (fun (bucket, names) ->
-      Buffer.add_string b
-        (Fmt.str "cluster\t%s\t%d\t%s\n" (tsv_field bucket)
-           (List.length names)
-           (tsv_field (String.concat "," names))))
+      Buffer.add_string b "cluster\t";
+      add_field b bucket;
+      tab ();
+      Buffer.add_string b (string_of_int (List.length names));
+      tab ();
+      List.iteri
+        (fun i name ->
+          if i > 0 then Buffer.add_char b ',';
+          add_field b name)
+        names;
+      Buffer.add_char b '\n')
     clusters;
   Buffer.contents b
 

@@ -21,9 +21,19 @@ let rec write_all fd b off len =
     in
     write_all fd b (off + n) (len - n)
 
+(* The header's digits and the payload in one buffer, with one copy of
+   the payload. *)
 let write_frame fd s =
-  let b = Bytes.of_string (Printf.sprintf "%010d%s" (String.length s) s) in
-  write_all fd b 0 (Bytes.length b)
+  let n = String.length s in
+  let b = Bytes.create (10 + n) in
+  let rec header i v =
+    if i >= 0 then (
+      Bytes.unsafe_set b i (Char.unsafe_chr (48 + (v mod 10)));
+      header (i - 1) (v / 10))
+  in
+  header 9 n;
+  Bytes.blit_string s 0 b 10 n;
+  write_all fd b 0 (10 + n)
 
 (** Why a frame could not be read.  [Frame_eof] is the clean case (the
     peer closed between frames); everything else is damage worth

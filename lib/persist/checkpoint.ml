@@ -207,7 +207,7 @@ let bool_of rd =
 
 let int_opt_of rd =
   match Io.peek rd with
-  | Some (Res_ir.Parser.IDENT "none") ->
+  | Res_ir.Parser.IDENT "none" ->
       ignore (Io.next rd);
       None
   | _ -> Some (Io.int_tok rd)
@@ -535,7 +535,7 @@ let suspended_of rd : Res_core.Search.suspended option =
   | n -> Io.fail "expected suspended 0/1, got %d" n
 
 let parse_payload payload : t =
-  let rd = { Io.toks = Res_ir.Parser.tokenize payload } in
+  let rd = Io.reader payload in
   keyword rd "rescheckpoint";
   keyword rd "v6";
   keyword rd "config";
@@ -585,8 +585,8 @@ let parse_payload payload : t =
   let ck_suffixes = seq_of rd suffix_of in
   let ck_suspended = suspended_of rd in
   (match Io.peek rd with
-  | None -> ()
-  | Some _ -> Io.fail "trailing tokens after checkpoint record");
+  | Res_ir.Parser.EOF -> ()
+  | _ -> Io.fail "trailing tokens after checkpoint record");
   {
     config;
     prog;

@@ -13,62 +13,118 @@
     footer (FNV-1a over the payload).  {!of_string_result} classifies bad
     inputs into a structured {!dump_error} instead of throwing, and its
     salvage mode recovers the intact prefix of a damaged dump so triage can
-    still run on partial evidence.  v1 dumps (no footer) remain readable. *)
+    still run on partial evidence.  v1 dumps (no footer) remain readable.
+
+    The codec makes one pass over a dump's bytes in each direction: the
+    envelope is checked in place (checksum and line count in one loop, the
+    footer parsed by hand), the records are read from a cursor that lexes
+    one token on demand, and the writer renders integers and the footer
+    into one buffer. *)
 
 module IMap = Map.Make (Int)
 
-(* Record writers append straight to a [Buffer]: one space before each
+(* --- the writer: a growable byte buffer --- *)
+
+(* Not a [Buffer]: the footer's checksum reads the written bytes in
+   place, and the result is their one copy. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let writer n = { buf = Bytes.create n; len = 0 }
+
+let grow w n =
+  let buf = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+  Bytes.blit w.buf 0 buf 0 w.len;
+  w.buf <- buf
+
+let[@inline] reserve w n = if w.len + n > Bytes.length w.buf then grow w n
+
+let add_char w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
+
+let add_string w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.unsafe_blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+(* [i] in decimal, as [string_of_int] writes it, without the string:
+   the digits are written last to first, from the value negated, so
+   [min_int] needs no special case. *)
+let add_decimal w i =
+  let neg = if i < 0 then i else -i in
+  let digits = ref 1 and n = ref neg in
+  while !n <= -10 do
+    incr digits;
+    n := !n / 10
+  done;
+  let len = if i < 0 then !digits + 1 else !digits in
+  reserve w len;
+  if i < 0 then Bytes.unsafe_set w.buf w.len '-';
+  let n = ref neg in
+  for k = w.len + len - 1 downto w.len + len - !digits do
+    Bytes.unsafe_set w.buf k (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  w.len <- w.len + len
+
+let contents w = Bytes.sub_string w.buf 0 w.len
+
+(* Record writers append straight to the writer: one space before each
    word, never a line break inside a record, no [Format] engine.  The
    [pp_*] printers other formats embed (checkpoints) are the same
    writers, so a value renders identically everywhere. *)
 
-let add_word b s =
-  Buffer.add_char b ' ';
-  Buffer.add_string b s
+let add_word w s =
+  add_char w ' ';
+  add_string w s
 
-let add_int b i = add_word b (string_of_int i)
+let add_int w i =
+  add_char w ' ';
+  add_decimal w i
 
-let add_quoted b s =
-  Buffer.add_string b " \"";
-  Buffer.add_string b (String.escaped s);
-  Buffer.add_char b '"'
+let add_quoted w s =
+  add_string w " \"";
+  add_string w (String.escaped s);
+  add_char w '"'
 
-let add_pc b (pc : Res_ir.Pc.t) =
-  add_word b pc.func;
-  add_word b pc.block;
-  add_int b pc.idx
+let add_pc w (pc : Res_ir.Pc.t) =
+  add_word w pc.func;
+  add_word w pc.block;
+  add_int w pc.idx
 
-let add_kind b (k : Crash.kind) =
+let add_kind w (k : Crash.kind) =
   match k with
-  | Crash.Seg_fault a -> add_word b "seg_fault"; add_int b a
+  | Crash.Seg_fault a -> add_word w "seg_fault"; add_int w a
   | Crash.Out_of_bounds { addr; base; size } ->
-      add_word b "out_of_bounds"; add_int b addr; add_int b base; add_int b size
+      add_word w "out_of_bounds"; add_int w addr; add_int w base; add_int w size
   | Crash.Use_after_free { addr; base } ->
-      add_word b "use_after_free"; add_int b addr; add_int b base
-  | Crash.Double_free a -> add_word b "double_free"; add_int b a
-  | Crash.Invalid_free a -> add_word b "invalid_free"; add_int b a
+      add_word w "use_after_free"; add_int w addr; add_int w base
+  | Crash.Double_free a -> add_word w "double_free"; add_int w a
+  | Crash.Invalid_free a -> add_word w "invalid_free"; add_int w a
   | Crash.Global_overflow { addr; global } ->
-      add_word b "global_overflow"; add_int b addr; add_word b global
-  | Crash.Div_by_zero -> add_word b "div_by_zero"
-  | Crash.Assert_fail m -> add_word b "assert_fail"; add_quoted b m
-  | Crash.Abort_called m -> add_word b "abort_called"; add_quoted b m
-  | Crash.Unlock_error a -> add_word b "unlock_error"; add_int b a
-  | Crash.Deadlock tids -> add_word b "deadlock"; List.iter (add_int b) tids
-  | Crash.Alloc_error n -> add_word b "alloc_error"; add_int b n
+      add_word w "global_overflow"; add_int w addr; add_word w global
+  | Crash.Div_by_zero -> add_word w "div_by_zero"
+  | Crash.Assert_fail m -> add_word w "assert_fail"; add_quoted w m
+  | Crash.Abort_called m -> add_word w "abort_called"; add_quoted w m
+  | Crash.Unlock_error a -> add_word w "unlock_error"; add_int w a
+  | Crash.Deadlock tids -> add_word w "deadlock"; List.iter (add_int w) tids
+  | Crash.Alloc_error n -> add_word w "alloc_error"; add_int w n
 
-let add_status b = function
-  | Thread.Runnable -> add_word b "runnable"
-  | Thread.Blocked_on_lock a -> add_word b "blocked_on_lock"; add_int b a
-  | Thread.Blocked_on_join t -> add_word b "blocked_on_join"; add_int b t
-  | Thread.Halted -> add_word b "halted"
+let add_status w = function
+  | Thread.Runnable -> add_word w "runnable"
+  | Thread.Blocked_on_lock a -> add_word w "blocked_on_lock"; add_int w a
+  | Thread.Blocked_on_join t -> add_word w "blocked_on_join"; add_int w t
+  | Thread.Halted -> add_word w "halted"
 
-let add_site b = function None -> add_word b "none" | Some pc -> add_pc b pc
+let add_site w = function None -> add_word w "none" | Some pc -> add_pc w pc
 
 (* A writer as a printer: the words without their leading space. *)
 let pp_of add ppf x =
-  let b = Buffer.create 64 in
-  add b x;
-  Fmt.string ppf (Buffer.sub b 1 (Buffer.length b - 1))
+  let w = writer 64 in
+  add w x;
+  Fmt.string ppf (Bytes.sub_string w.buf 1 (w.len - 1))
 
 let pp_pc = pp_of add_pc
 let pp_kind = pp_of add_kind
@@ -77,109 +133,131 @@ let pp_site = pp_of add_site
 
 (* --- envelope: header, line count, checksum --- *)
 
+(* 32-bit FNV-1a and the newline count of [s.[0 .. len - 1]], in one
+   loop.  The low 32 bits of a product depend only on the low 32 bits of
+   its factors, so the hash is masked once, at the end. *)
+let fnv_and_lines s len =
+  let h = ref 0x811c9dc5 and lines = ref 0 in
+  for i = 0 to len - 1 do
+    let c = Bytes.unsafe_get s i in
+    h := (!h lxor Char.code c) * 0x01000193;
+    lines := !lines + Bool.to_int (c = '\n')
+  done;
+  (!h land 0xFFFFFFFF, !lines)
+
 (** 32-bit FNV-1a over a string — cheap, deterministic, and plenty to catch
     the single-bit and truncation corruption we defend against.  Shared by
     every checksummed on-disk format (coredumps, search checkpoints). *)
-let fnv1a32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
+let fnv1a32 s = fst (fnv_and_lines (Bytes.unsafe_of_string s) (String.length s))
 
 let count_lines s =
-  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
+  snd (fnv_and_lines (Bytes.unsafe_of_string s) (String.length s))
+
+(* The footer [end <lines> <checksum>\n] for the payload [w] holds,
+   appended to it. *)
+let add_footer w =
+  let h, lines = fnv_and_lines w.buf w.len in
+  add_string w "end ";
+  add_decimal w lines;
+  add_char w ' ';
+  add_decimal w h;
+  add_char w '\n'
 
 (** Append the validating [end <lines> <checksum>] footer to a payload
     (which must end in a newline). *)
 let seal payload =
-  payload ^ Printf.sprintf "end %d %d\n" (count_lines payload) (fnv1a32 payload)
+  let w = writer (String.length payload + 32) in
+  add_string w payload;
+  add_footer w;
+  contents w
 
 (** Serialize a coredump to its textual format (v2: checksummed), one
     record per line.  The buffer starts small enough for the minor heap
     (a 4 KiB one would be allocated in the major heap on every call) and
     grows for big dumps. *)
 let to_string (d : Coredump.t) =
-  let b = Buffer.create 512 in
-  let record kw = Buffer.add_string b kw in
-  let eol () = Buffer.add_char b '\n' in
+  let w = writer 512 in
+  let record kw = add_string w kw in
+  let eol () = add_char w '\n' in
   record "coredump v2";
   eol ();
   record "steps";
-  add_int b d.Coredump.steps;
+  add_int w d.Coredump.steps;
   eol ();
   let c = d.Coredump.crash in
   record "crash";
-  add_int b c.Crash.tid;
-  add_pc b c.Crash.pc;
-  add_kind b c.Crash.kind;
+  add_int w c.Crash.tid;
+  add_pc w c.Crash.pc;
+  add_kind w c.Crash.kind;
   eol ();
-  List.iter
-    (fun (a, v) ->
+  Res_mem.Memory.fold
+    (fun a v () ->
       record "mem";
-      add_int b a;
-      add_int b v;
+      add_int w a;
+      add_int w v;
       eol ())
-    (Res_mem.Memory.bindings d.Coredump.mem);
+    d.Coredump.mem ();
   record "heap_next";
-  add_int b (Res_mem.Heap.next_addr d.Coredump.heap);
+  add_int w (Res_mem.Heap.next_addr d.Coredump.heap);
   eol ();
   List.iter
     (fun (blk : Res_mem.Heap.block) ->
       record "heap_block";
-      add_int b blk.base;
-      add_int b blk.size;
-      add_word b
+      add_int w blk.base;
+      add_int w blk.size;
+      add_word w
         (match blk.state with Res_mem.Heap.Live -> "live" | Res_mem.Heap.Freed -> "freed");
-      add_site b blk.alloc_site;
-      add_site b blk.free_site;
+      add_site w blk.alloc_site;
+      add_site w blk.free_site;
       eol ())
     (Res_mem.Heap.blocks d.Coredump.heap);
-  List.iter
-    (fun (th : Thread.t) ->
+  IMap.iter
+    (fun _ (th : Thread.t) ->
       record "thread";
-      add_int b th.tid;
-      add_status b th.status;
+      add_int w th.tid;
+      add_status w th.status;
       eol ();
       List.iter
         (fun (fr : Frame.t) ->
           record "frame";
-          add_word b fr.func;
-          add_word b fr.block;
-          add_int b fr.idx;
-          add_word b
-            (match fr.ret_reg with Some r -> string_of_int r | None -> "none");
+          add_word w fr.func;
+          add_word w fr.block;
+          add_int w fr.idx;
+          (match fr.ret_reg with
+          | Some r -> add_int w r
+          | None -> add_word w "none");
           eol ();
-          List.iter
-            (fun (r, v) ->
+          IMap.iter
+            (fun r v ->
               record "reg";
-              add_int b r;
-              add_int b v;
+              add_int w r;
+              add_int w v;
               eol ())
-            (Frame.reg_bindings fr))
+            fr.regs)
         th.frames)
-    (Coredump.threads d);
+    d.Coredump.threads;
   record "lbr_depth";
-  add_int b d.Coredump.tracer.Tracer.lbr_depth;
+  add_int w d.Coredump.tracer.Tracer.lbr_depth;
   eol ();
   List.iter
     (fun (br : Tracer.branch) ->
       record "branch";
-      add_int b br.br_tid;
-      add_word b br.br_func;
-      add_word b br.br_from;
-      add_word b br.br_to;
+      add_int w br.br_tid;
+      add_word w br.br_func;
+      add_word w br.br_from;
+      add_word w br.br_to;
       eol ())
     (Tracer.branches d.Coredump.tracer);
   List.iter
     (fun (e : Tracer.log_entry) ->
       record "log";
-      add_int b e.log_tid;
-      add_quoted b e.log_tag;
-      add_int b e.log_value;
+      add_int w e.log_tid;
+      add_quoted w e.log_tag;
+      add_int w e.log_value;
       eol ())
     (Tracer.logs d.Coredump.tracer);
-  seal (Buffer.contents b)
+  add_footer w;
+  contents w
 
 exception Bad_format of string
 
@@ -206,18 +284,21 @@ let dump_error_to_string e = Fmt.str "%a" pp_dump_error e
 
 let fail fmt = Fmt.kstr (fun m -> raise (Bad_format m)) fmt
 
-(* Token-level reader built on the MiniIR tokenizer (it already handles
-   ints, identifiers, and quoted strings). *)
-type reader = { mutable toks : (Res_ir.Parser.token * int) list }
+(* --- the reader: a token cursor over a payload --- *)
+
+(* Tokens come from the MiniIR lexer (ints, identifiers, quoted strings),
+   one at a time. *)
+type reader = Res_ir.Parser.cursor
+
+let reader src = Res_ir.Parser.cursor src
+let peek = Res_ir.Parser.peek
 
 let next rd =
-  match rd.toks with
-  | [] -> fail "unexpected end of coredump"
-  | (t, _) :: rest ->
-      rd.toks <- rest;
+  match peek rd with
+  | Res_ir.Parser.EOF -> fail "unexpected end of coredump"
+  | t ->
+      Res_ir.Parser.junk rd;
       t
-
-let peek rd = match rd.toks with [] -> None | (t, _) :: _ -> Some t
 
 let int_tok rd =
   match next rd with
@@ -242,7 +323,7 @@ let pc_of rd =
 
 let site_of rd =
   match peek rd with
-  | Some (Res_ir.Parser.IDENT "none") ->
+  | Res_ir.Parser.IDENT "none" ->
       ignore (next rd);
       None
   | _ -> Some (pc_of rd)
@@ -272,7 +353,7 @@ let kind_of rd : Crash.kind =
   | "deadlock" ->
       let rec ints acc =
         match peek rd with
-        | Some (Res_ir.Parser.INT _) -> ints (int_tok rd :: acc)
+        | Res_ir.Parser.INT _ -> ints (int_tok rd :: acc)
         | _ -> List.rev acc
       in
       Crash.Deadlock (ints [])
@@ -289,16 +370,19 @@ let status_of rd =
 
 (* --- record-level parser state (shared by strict and salvage paths) --- *)
 
+(* The open frame: everything but its registers, which accumulate in
+   [p_cur_regs] until the frame closes. *)
 type pstate = {
   mutable p_steps : int;
   mutable p_crash : Crash.t option;
   mutable p_mem : Res_mem.Memory.t;
   mutable p_heap_next : int;
   mutable p_heap_blocks : Res_mem.Heap.block list;
-  mutable p_threads : Thread.t list;
+  mutable p_threads : Thread.t IMap.t;
   mutable p_cur_thread : (int * Thread.status) option;
   mutable p_cur_frames : Frame.t list;
   mutable p_cur_frame : Frame.t option;
+  mutable p_cur_regs : int IMap.t;
   mutable p_lbr_depth : int;
   mutable p_branches : Tracer.branch list;
   mutable p_logs : Tracer.log_entry list;
@@ -311,10 +395,11 @@ let new_pstate () =
     p_mem = Res_mem.Memory.empty;
     p_heap_next = Res_mem.Layout.heap_base;
     p_heap_blocks = [];
-    p_threads = [];
+    p_threads = IMap.empty;
     p_cur_thread = None;
     p_cur_frames = [];
     p_cur_frame = None;
+    p_cur_regs = IMap.empty;
     p_lbr_depth = 16;
     p_branches = [];
     p_logs = [];
@@ -323,16 +408,21 @@ let new_pstate () =
 let close_frame st =
   match st.p_cur_frame with
   | Some fr ->
-      st.p_cur_frames <- (fr : Frame.t) :: st.p_cur_frames;
-      st.p_cur_frame <- None
+      st.p_cur_frames <- { fr with Frame.regs = st.p_cur_regs } :: st.p_cur_frames;
+      st.p_cur_frame <- None;
+      st.p_cur_regs <- IMap.empty
   | None -> ()
 
 let close_thread st =
   close_frame st;
   match st.p_cur_thread with
   | Some (tid, status) ->
-      st.p_threads <-
-        { Thread.tid; frames = List.rev st.p_cur_frames; status } :: st.p_threads;
+      (* a tid seen twice keeps its first thread *)
+      if not (IMap.mem tid st.p_threads) then
+        st.p_threads <-
+          IMap.add tid
+            { Thread.tid; frames = List.rev st.p_cur_frames; status }
+            st.p_threads;
       st.p_cur_thread <- None;
       st.p_cur_frames <- []
   | None -> ()
@@ -387,7 +477,7 @@ let parse_record st rd =
       let r = int_tok rd in
       let v = int_tok rd in
       match st.p_cur_frame with
-      | Some fr -> st.p_cur_frame <- Some (Frame.write_reg fr r v)
+      | Some _ -> st.p_cur_regs <- IMap.add r v st.p_cur_regs
       | None -> fail "reg outside a frame")
   | "lbr_depth" -> st.p_lbr_depth <- int_tok rd
   | "branch" ->
@@ -428,10 +518,7 @@ let finalize st : Coredump.t =
     Coredump.crash;
     mem = st.p_mem;
     heap;
-    threads =
-      List.fold_left
-        (fun m (th : Thread.t) -> IMap.add th.Thread.tid th m)
-        IMap.empty st.p_threads;
+    threads = st.p_threads;
     tracer;
     steps = st.p_steps;
   }
@@ -443,61 +530,110 @@ let first_line src =
   | Some i -> String.sub src 0 i
   | None -> src
 
-(** Split off the final [end ...] footer line, returning (payload, footer). *)
-let split_footer src =
+(* Does [src] hold [s] at [pos]? *)
+let has_at src pos s =
+  let n = String.length s in
+  pos + n <= String.length src
+  &&
+  let rec from k =
+    k = n || (String.unsafe_get src (pos + k) = String.unsafe_get s k && from (k + 1))
+  in
+  from 0
+
+(* Is [src]'s first line exactly [header]? *)
+let header_is header src =
+  let n = String.length header in
+  has_at src 0 header && (String.length src = n || String.unsafe_get src n = '\n')
+
+(* Is [src.[pos .. lim - 1]] all bytes [String.trim] strips? *)
+let is_blank ?(pos = 0) ?lim src =
+  let lim = Option.value lim ~default:(String.length src) in
+  let rec from i =
+    i >= lim
+    || (match String.unsafe_get src i with
+       | ' ' | '\012' | '\n' | '\r' | '\t' -> from (i + 1)
+       | _ -> false)
+  in
+  from pos
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* The int [string_of_int] writes at [src.[pos]] — an optional '-', then
+   digits with no leading zero, no "-0", and in range — as
+   [(value, end)]; [None] for any other bytes. *)
+let canonical_int src pos lim =
+  let neg = pos < lim && String.unsafe_get src pos = '-' in
+  let start = if neg then pos + 1 else pos in
+  let i = ref start and acc = ref 0 and ok = ref true in
+  while !ok && !i < lim && is_digit (String.unsafe_get src !i) do
+    let d = Char.code (String.unsafe_get src !i) - 48 in
+    if !acc < min_int / 10 || (!acc = min_int / 10 && d > -(min_int mod 10))
+    then ok := false
+    else acc := (!acc * 10) - d;
+    incr i
+  done;
+  let digits = !i - start in
+  if (not !ok) || digits = 0
+     || (String.unsafe_get src start = '0' && (digits > 1 || neg))
+     || ((not neg) && !acc = min_int)
+  then None
+  else Some ((if neg then !acc else - !acc), !i)
+
+(* Check a sealed envelope whose first line is [header] (already
+   checked): the [end <lines> <checksum>] footer, exactly as {!seal}
+   writes it, and the payload before it.  The payload's length on
+   success; nothing is copied. *)
+let check_footer src : (int, dump_error) result =
   let len = String.length src in
   (* [seal] always terminates the footer line: a file without the final
      newline is one deleted byte away from what was written, and must be
      detected as truncation, not tolerated *)
-  if len = 0 || src.[len - 1] <> '\n' then None
-  else
-    let end_ = len - 1 in
-    if end_ <= 0 then None
-    else
-      match String.rindex_from_opt src (end_ - 1) '\n' with
-      | None -> None
-      | Some i ->
-          Some (String.sub src 0 (i + 1), String.sub src (i + 1) (end_ - i - 1))
+  let footer_at =
+    if len < 2 || src.[len - 1] <> '\n' then None
+    else String.rindex_from_opt src (len - 2) '\n'
+  in
+  match footer_at with
+  | Some nl when nl + 5 <= len - 1 && has_at src (nl + 1) "end " -> (
+      let plen = nl + 1 and stop = len - 1 in
+      let fields =
+        match canonical_int src (plen + 4) stop with
+        | Some (lines, i) when i < stop && src.[i] = ' ' -> (
+            match canonical_int src (i + 1) stop with
+            | Some (checksum, j) when j = stop -> Ok (lines, checksum)
+            | Some _ -> Error "trailing bytes in end-of-record footer"
+            | None -> Error "unparsable end-of-record footer")
+        | _ -> Error "unparsable end-of-record footer"
+      in
+      match fields with
+      | Error why -> Error (Truncated why)
+      | Ok (lines, checksum) ->
+          let actual, actual_lines =
+            fnv_and_lines (Bytes.unsafe_of_string src) plen
+          in
+          if actual_lines <> lines then
+            Error
+              (Truncated
+                 (Fmt.str "%d of %d record lines present" actual_lines lines))
+          else if actual <> checksum then
+            Error (Corrupted { expected = checksum; actual })
+          else Ok plen)
+  | _ -> Error (Truncated "missing end-of-record footer")
 
-(** Validate a sealed envelope whose first line must satisfy [header]:
-    check the [end <lines> <checksum>] footer and return the record payload
-    to parse.  Shared by every sealed format ({!seal} is the writer). *)
+(** Validate a sealed envelope whose first line must be [header]: check
+    the [end <lines> <checksum>] footer and return the record payload to
+    parse.  Shared by every sealed format ({!seal} is the writer). *)
 let validate_sealed ~header src : (string, dump_error) result =
-  if String.trim src = "" then Error Empty_dump
-  else if not (header (first_line src)) then Error (Bad_header (first_line src))
-  else
-    match split_footer src with
-    | Some (payload, footer) when String.length footer >= 4
-                                  && String.sub footer 0 4 = "end " -> (
-        match Scanf.sscanf_opt footer "end %d %d" (fun a b -> (a, b)) with
-        | None -> Error (Truncated "unparsable end-of-record footer")
-        | Some (lines, checksum)
-          when not (String.equal footer (Printf.sprintf "end %d %d" lines checksum))
-          ->
-            (* sscanf ignores trailing bytes, so "end 5 123junk" would
-               otherwise validate: require the footer to round-trip *)
-            Error (Truncated "trailing bytes in end-of-record footer")
-        | Some (lines, checksum) ->
-            let actual_lines = count_lines payload in
-            if actual_lines <> lines then
-              Error
-                (Truncated
-                   (Fmt.str "%d of %d record lines present" actual_lines lines))
-            else
-              let actual = fnv1a32 payload in
-              if actual <> checksum then
-                Error (Corrupted { expected = checksum; actual })
-              else Ok payload)
-    | _ -> Error (Truncated "missing end-of-record footer")
+  if is_blank src then Error Empty_dump
+  else if not (header_is header src) then Error (Bad_header (first_line src))
+  else Result.map (fun plen -> String.sub src 0 plen) (check_footer src)
 
-(** Check header/footer/checksum; returns the record payload to parse. *)
-let validate_envelope src : (string, dump_error) result =
-  if String.trim src = "" then Error Empty_dump
-  else
-    match first_line src with
-    | "coredump v1" -> Ok src (* legacy: no envelope to check *)
-    | "coredump v2" -> validate_sealed ~header:(String.equal "coredump v2") src
-    | l -> Error (Bad_header l)
+(* Check a dump's header and envelope; the length of the record payload
+   to parse (all of a v1 dump, which has no envelope). *)
+let validate_envelope src : (int, dump_error) result =
+  if is_blank src then Error Empty_dump
+  else if header_is "coredump v2" src then check_footer src
+  else if header_is "coredump v1" src then Ok (String.length src)
+  else Error (Bad_header (first_line src))
 
 let classify_exn = function
   | Bad_format m -> Malformed m
@@ -505,51 +641,64 @@ let classify_exn = function
       Malformed (Fmt.str "lexical error at line %d: %s" line msg)
   | exn -> Malformed (Printexc.to_string exn)
 
-(** Strict parse of a validated payload. *)
-let parse_strict payload : (Coredump.t, dump_error) result =
+(* Strict parse of the validated payload [src.[0 .. plen - 1]]. *)
+let parse_strict src plen : (Coredump.t, dump_error) result =
   match
-    let rd = { toks = Res_ir.Parser.tokenize payload } in
-    (match (ident rd, ident rd) with
+    let rd = Res_ir.Parser.cursor ~lim:plen src in
+    let format = ident rd in
+    let version = ident rd in
+    (match (format, version) with
     | "coredump", ("v1" | "v2") -> ()
     | _ -> fail "missing coredump header");
     let st = new_pstate () in
-    let rec loop () =
+    let rec records () =
       match peek rd with
-      | None -> ()
-      | Some _ ->
+      | Res_ir.Parser.EOF -> ()
+      | _ ->
           parse_record st rd;
-          loop ()
+          records ()
     in
-    loop ();
+    records ();
     finalize st
   with
   | dump -> Ok dump
   | exception exn -> Error (classify_exn exn)
 
+(* Does [src.[pos .. lim - 1]] lex without error? *)
+let lexes src ~pos ~lim =
+  let lx = Res_ir.Parser.lexer ~pos ~lim src in
+  let rec drain () =
+    match Res_ir.Parser.lex_one lx with Res_ir.Parser.EOF -> () | _ -> drain ()
+  in
+  match drain () with
+  | () -> true
+  | exception Res_ir.Parser.Parse_error _ -> false
+
 (** Best-effort parse: go line by line, keep everything up to the first
     damaged record, and require only that a crash record survived.  This is
     the salvage path for truncated or bit-corrupted dumps — triage can
-    still run on the intact prefix. *)
+    still run on the intact prefix.  A blank line is skipped; any other
+    line is a record only if all of it lexes, and tokens after its record
+    are ignored. *)
 let parse_salvage src : Coredump.t option =
-  match first_line src with
-  | "coredump v1" | "coredump v2" -> (
-      let st = new_pstate () in
-      let lines = String.split_on_char '\n' src in
-      let lines = match lines with _header :: rest -> rest | [] -> [] in
-      (try
-         List.iter
-           (fun line ->
-             if String.trim line <> "" then
-               let rd = { toks = Res_ir.Parser.tokenize line } in
-               match peek rd with
-               | None -> ()
-               | Some _ -> parse_record st rd)
-           lines
-       with _ -> () (* damaged record: keep the prefix parsed so far *));
-      match finalize st with
-      | dump -> Some dump
-      | exception _ -> None)
-  | _ -> None
+  if header_is "coredump v1" src || header_is "coredump v2" src then (
+    let st = new_pstate () in
+    let len = String.length src in
+    let rec lines pos =
+      if pos < len then (
+        let lim = Option.value (String.index_from_opt src pos '\n') ~default:len in
+        if not (is_blank src ~pos ~lim) then (
+          if not (lexes src ~pos ~lim) then raise Exit;
+          let rd = Res_ir.Parser.cursor ~pos ~lim src in
+          match peek rd with
+          | Res_ir.Parser.EOF -> ()
+          | _ -> parse_record st rd);
+        lines (lim + 1))
+    in
+    (try lines (String.index src '\n' + 1)
+     with _ -> () (* damaged record: keep the prefix parsed so far *));
+    match finalize st with dump -> Some dump | exception _ -> None)
+  else None
 
 (** What a successful load carries: the dump, plus the damage that was
     worked around when the dump had to be salvaged. *)
@@ -568,8 +717,8 @@ let of_string_result ?(salvage = false) src : (loaded, dump_error) result =
   in
   match validate_envelope src with
   | Error err -> salvage_or err
-  | Ok payload -> (
-      match parse_strict payload with
+  | Ok plen -> (
+      match parse_strict src plen with
       | Ok dump -> Ok { dump; salvaged = None }
       | Error err -> salvage_or err)
 
@@ -625,25 +774,32 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
+(* Through a file descriptor, not a channel: a channel's 64 KiB buffer
+   is charged to the major heap on every open. *)
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error (Unreadable msg)
-  | ic ->
-      let finally () = close_in_noerr ic in
+  let unreadable why = Error (Unreadable (path ^ ": " ^ why)) in
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (e, _, _) -> unreadable (Unix.error_message e)
+  | fd ->
+      let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
       Fun.protect ~finally (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | s -> Ok s
-          | exception End_of_file ->
-              Error (Unreadable (path ^ ": file shrank while reading"))
-          | exception Sys_error msg ->
-              (* Opening a directory succeeds, and reading its length
-                 fails with an unrelated EOVERFLOW: name the cause. *)
-              let why =
-                if try Sys.is_directory path with Sys_error _ -> false then
-                  "Is a directory"
-                else msg
+          match Unix.fstat fd with
+          | exception Unix.Unix_error (e, _, _) ->
+              unreadable (Unix.error_message e)
+          | { Unix.st_kind = Unix.S_DIR; _ } -> unreadable "Is a directory"
+          | { Unix.st_size = size; _ } ->
+              let b = Bytes.create size in
+              let rec fill off =
+                if off = size then Ok (Bytes.unsafe_to_string b)
+                else
+                  match Unix.read fd b off (size - off) with
+                  | 0 -> unreadable "file shrank while reading"
+                  | n -> fill (off + n)
+                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+                  | exception Unix.Unix_error (e, _, _) ->
+                      unreadable (Unix.error_message e)
               in
-              Error (Unreadable (path ^ ": " ^ why)))
+              fill 0)
 
 (** Load a coredump from [path], classifying damage instead of raising. *)
 let load_result ?salvage path : (loaded, dump_error) result =

@@ -62,9 +62,11 @@ val count_lines : string -> int
     (which must end in a newline). *)
 val seal : string -> string
 
-(** Validate a sealed envelope whose first line must satisfy [header];
-    returns the record payload (footer stripped). *)
-val validate_sealed : header:(string -> bool) -> string -> (string, dump_error) result
+(** Validate a sealed envelope whose first line must be [header];
+    returns the record payload (footer stripped).  The footer must be
+    exactly what {!seal} writes: [end], the line count and the checksum
+    in canonical decimal, one space apart, and a final newline. *)
+val validate_sealed : header:string -> string -> (string, dump_error) result
 
 (** Best-effort fsync of a directory (publishes renames/creates within it
     across power loss); silently a no-op where directory fsync is
@@ -84,13 +86,18 @@ val journal_siblings : string -> string list
 (** Read a whole file, classifying failures as {!Unreadable}. *)
 val read_file : string -> (string, dump_error) result
 
-(** Token-level reader over {!Res_ir.Parser.tokenize} output. *)
-type reader = { mutable toks : (Res_ir.Parser.token * int) list }
+(** Token cursor over a string: a {!Res_ir.Parser.cursor}, which lexes
+    one token at a time with {!Res_ir.Parser.lex_one}. *)
+type reader
 
-(** @raise Bad_format at end of input. *)
+val reader : string -> reader
+
+(** @raise Bad_format at end of input.
+    @raise Res_ir.Parser.Parse_error on a lexical error. *)
 val next : reader -> Res_ir.Parser.token
 
-val peek : reader -> Res_ir.Parser.token option
+(** The next token without consuming it; [EOF] at end of input. *)
+val peek : reader -> Res_ir.Parser.token
 
 (** Typed token readers. @raise Bad_format on the wrong token kind. *)
 val int_tok : reader -> int

@@ -95,6 +95,19 @@ rc=0
   || { echo "res validate on a directory exited $rc: \
 $(cat "$cache_tmp/validate-dir.err")"; exit 1; }
 
+# The coredump encoder's bytes are pinned: every result-cache key, on
+# disk and in a coordinator's cache, hashes them, so an encoder that
+# changes one byte silently invalidates every stored verdict.
+for pin in counter-race:9864c04f3e9d0436d8f590a964ba5e46 \
+    fig1-overflow:8a387e444df16df1e9ac4706c422abae \
+    long-exec-50:2e588c66ca5ff255836b4f9b68a60d40; do
+  w=${pin%%:*}
+  "$RES" workload "$w" -o "$cache_tmp/pin.core" > /dev/null
+  sum=$(md5sum < "$cache_tmp/pin.core" | cut -d' ' -f1)
+  [ "$sum" = "${pin#*:}" ] \
+    || { echo "res workload $w wrote a dump with MD5 $sum, pinned ${pin#*:}"; exit 1; }
+done
+
 # Fault-injection gate: no perturbed analysis may escape with an
 # exception, and the 1s deadline must be honored within 10%.
 dune exec bin/res_cli.exe -- selftest --runs 60

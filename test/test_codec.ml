@@ -1,0 +1,400 @@
+(* Codec differential tests: the one-pass coredump codec
+   (Res_vm.Coredump_io, lexing through Res_ir.Parser.lex_one) against the
+   token-list reference in Codec_ref.  Every input must get the same [Ok]
+   dump from both (compared as the reference encoder's bytes) or the same
+   dump_error constructor, in strict and in salvage mode; every payload
+   must lex to the same tokens or fail at the same line with the same
+   message; and the two encoders must write the same bytes for every
+   dump, because cache keys hash those bytes.
+
+   Inputs: every workload's dump, the triage corpus's dumps, the dumps
+   inside both checkpoint shapes the persistence tests build (between
+   depths and mid-depth), seeded byte mutations of all of those payloads
+   re-sealed with a valid footer so they reach the parser, and hostile
+   footers and headers. *)
+
+module Io = Res_vm.Coredump_io
+module Ckpt = Res_persist.Checkpoint
+module P = Res_ir.Parser
+
+let check = Alcotest.check
+let bool_t = Alcotest.bool
+let string_t = Alcotest.string
+
+let class_of = function
+  | Io.Empty_dump -> "empty"
+  | Io.Bad_header _ -> "bad-header"
+  | Io.Truncated _ -> "truncated"
+  | Io.Corrupted _ -> "corrupted"
+  | Io.Malformed _ -> "malformed"
+  | Io.Unreadable _ -> "unreadable"
+
+(* A load as comparable text: the dump in the reference encoder's bytes
+   and the class of the damage a salvage worked around, or the class of
+   the error. *)
+let verdict_new ~salvage text =
+  match Io.of_string_result ~salvage text with
+  | Ok { Io.dump; salvaged } ->
+      Ok (Codec_ref.to_string dump, Option.map class_of salvaged)
+  | Error e -> Error (class_of e)
+
+let verdict_ref ~salvage text =
+  match Codec_ref.of_string_result ~salvage text with
+  | Ok (dump, salvaged) -> Ok (Codec_ref.to_string dump, Option.map class_of salvaged)
+  | Error e -> Error (class_of e)
+
+let pp_verdict ppf = function
+  | Ok (bytes, salvaged) ->
+      Fmt.pf ppf "Ok (%d bytes%a)" (String.length bytes)
+        Fmt.(option (any ", salvaged " ++ string))
+        salvaged
+  | Error c -> Fmt.pf ppf "Error %s" c
+
+(* Every token of [text] through the one-token lexer, with its line. *)
+let tokens_new text =
+  let lx = P.lexer text in
+  let rec go acc =
+    match P.lex_one lx with
+    | P.EOF -> List.rev acc
+    | t -> go ((t, P.line lx) :: acc)
+  in
+  match go [] with
+  | toks -> Ok toks
+  | exception P.Parse_error { line; msg } -> Error (line, msg)
+
+let tokens_ref text =
+  match Codec_ref.tokenize text with
+  | toks -> Ok toks
+  | exception P.Parse_error { line; msg } -> Error (line, msg)
+
+let same_tokens text =
+  match (tokens_new text, tokens_ref text) with
+  | Ok a, Ok b -> a = b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* The payload of a sealed text (footer line dropped), or the text. *)
+let payload_of text =
+  match Codec_ref.validate_sealed ~header:(fun _ -> true) text with
+  | Ok payload -> payload
+  | Error _ -> text
+
+(* Compare both codecs on one input; a description of the first
+   disagreement, if any. *)
+let disagreement text =
+  let strict_new = verdict_new ~salvage:false text
+  and strict_ref = verdict_ref ~salvage:false text in
+  let salvage_new = verdict_new ~salvage:true text
+  and salvage_ref = verdict_ref ~salvage:true text in
+  if strict_new <> strict_ref then
+    Some (Fmt.str "strict: %a, reference %a" pp_verdict strict_new pp_verdict strict_ref)
+  else if salvage_new <> salvage_ref then
+    Some
+      (Fmt.str "salvage: %a, reference %a" pp_verdict salvage_new pp_verdict
+         salvage_ref)
+  else if not (same_tokens (payload_of text)) then Some "token streams differ"
+  else
+    match Io.of_string_result ~salvage:true text with
+    | Ok { Io.dump; _ } when Io.to_string dump <> Codec_ref.to_string dump ->
+        Some "encoders differ on the decoded dump"
+    | _ -> None
+
+let expect_agree what text =
+  match disagreement text with
+  | None -> ()
+  | Some why -> Alcotest.failf "%s: %s\ninput %S" what why text
+
+(* --- the inputs --- *)
+
+let workload_dumps () =
+  List.map
+    (fun (w : Res_workloads.Truth.t) ->
+      (w.Res_workloads.Truth.w_name, Res_workloads.Truth.coredump w))
+    Res_workloads.Workloads.all
+
+let corpus_dumps () =
+  List.map
+    (fun (r : Res_workloads.Corpus.report) ->
+      (Fmt.str "corpus report %d" r.Res_workloads.Corpus.r_id, r.r_dump))
+    (Res_workloads.Corpus.generate ())
+
+(* The checkpoint shapes of the persistence tests: long-exec-50 deepened
+   to 55 segments, one state between depths and one mid-depth. *)
+let checkpoint_texts =
+  lazy
+  (let config =
+    {
+      Res_core.Res.search =
+        {
+          Res_core.Search.default_config with
+          max_segments = 55;
+          max_nodes = 10_000;
+          max_suffixes = 8;
+        };
+      determinism_runs = 1;
+      stop_at_first_cause = false;
+      max_attempts = 2;
+    }
+  in
+  let w = Res_workloads.Workloads.find "long-exec-50" in
+  let states = ref [] in
+  let checkpointer =
+    {
+      Res_core.Res.ck_every = 1;
+      ck_write =
+        (fun st ->
+          states := st :: !states;
+          Ok "captured");
+    }
+  in
+  Res_solver.Expr.reset_counter_for_tests ();
+  let dump = Res_workloads.Truth.coredump w in
+  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+  ignore (Res_core.Res.analyze ~config ~checkpointer ctx dump);
+  let pick what p =
+    match List.find_opt p (List.rev !states) with
+    | Some state ->
+        (what, Ckpt.to_string { Ckpt.config; prog = w.Res_workloads.Truth.w_prog; dump; state })
+    | None -> Alcotest.failf "no %s state captured" what
+  in
+  [
+    pick "between depths" (fun st ->
+        match st.Res_core.Res.ck_suspended with
+        | Some s ->
+            st.ck_depth >= 20
+            && s.Res_core.Search.s_carry = []
+            && s.s_stats = Res_core.Search.new_stats ()
+        | None -> false);
+    pick "mid-depth" (fun st ->
+        match st.Res_core.Res.ck_suspended with
+        | Some s -> st.ck_depth >= 20 && s.Res_core.Search.s_carry <> []
+        | None -> false);
+  ])
+
+(* The dump a checkpoint embeds, as its coredump text. *)
+let embedded_dump text =
+  match Ckpt.of_string text with
+  | Ok c -> Io.to_string c.Ckpt.dump
+  | Error e -> Alcotest.failf "checkpoint reload: %s" (Io.dump_error_to_string e)
+
+(* Integers at the edges of the range, negative values, and strings that
+   need every escape, planted into a real dump. *)
+let extreme_dump () =
+  let d = Res_workloads.Truth.coredump (Res_workloads.Workloads.find "counter-race") in
+  let mem =
+    List.fold_left
+      (fun m (a, v) -> Res_mem.Memory.write m a v)
+      d.Res_vm.Coredump.mem
+      [ (min_int, max_int); (max_int, min_int); (-1, -10); (0, 0); (9, -9) ]
+  in
+  let tracer =
+    {
+      d.Res_vm.Coredump.tracer with
+      Res_vm.Tracer.logs =
+        [
+          { Res_vm.Tracer.log_tid = -3; log_tag = "q\"b\\s\nt\tr\r\b\000\255 #"; log_value = min_int };
+          { Res_vm.Tracer.log_tid = 0; log_tag = ""; log_value = max_int };
+        ];
+    }
+  in
+  {
+    d with
+    Res_vm.Coredump.mem;
+    tracer;
+    steps = max_int;
+    crash = { d.crash with Res_vm.Crash.kind = Res_vm.Crash.Deadlock [ 0; -1; max_int ] };
+  }
+
+let all_dumps =
+  lazy
+    (workload_dumps () @ corpus_dumps ()
+    @ List.map
+        (fun (what, text) -> (what, Io.of_string (embedded_dump text)))
+        (Lazy.force checkpoint_texts)
+    @ [ ("extreme values", extreme_dump ()) ])
+
+(* --- tests --- *)
+
+let test_encoders_agree () =
+  List.iter
+    (fun (what, d) ->
+      check string_t (what ^ ": encoder bytes") (Codec_ref.to_string d) (Io.to_string d))
+    (Lazy.force all_dumps);
+  List.iter
+    (fun payload ->
+      check string_t "seal" (Codec_ref.seal payload) (Io.seal payload))
+    [ ""; "\n"; "coredump v2\n"; "x\ny\n"; String.make 1000 '\n' ]
+
+let test_pristine_agree () =
+  List.iter
+    (fun (what, d) ->
+      let text = Io.to_string d in
+      expect_agree what text;
+      match Io.of_string_result text with
+      | Ok { Io.dump; salvaged = None } ->
+          check string_t (what ^ ": round trip") text (Io.to_string dump)
+      | _ -> Alcotest.failf "%s: its own encoding does not load" what)
+    (Lazy.force all_dumps)
+
+(* Seeded damage, re-sealed so it reaches the parser: a byte replaced,
+   bytes deleted, a token-sized snippet inserted, or a whole line copied
+   to another line start (a thread, frame or cell given twice).  The
+   header line is left alone, so every case gets past it. *)
+let snippets =
+  [| " 7"; " -0"; " x"; " 99999999999999999999"; " -4611686018427387904";
+     " 4611686018427387904"; " 4611686018427387903"; " 007"; " \"s\\n\"";
+     " \"\\300\""; " \"open"; " #c"; "\n"; " none"; " -"; " 1.5"; "\t"; "\r" |]
+
+let alphabet = "0123456789- \n\"\\#\tabz_.{}=:,\000\255"
+
+let mutate rng payload =
+  let header_end =
+    match String.index_opt payload '\n' with Some i -> i + 1 | None -> 0
+  in
+  let text = ref payload in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    let s = !text in
+    let n = String.length s in
+    let pos = if n > header_end then header_end + Random.State.int rng (n - header_end) else n in
+    text :=
+      match Random.State.int rng 5 with
+      | 0 when pos < n ->
+          let c =
+            if Random.State.bool rng then alphabet.[Random.State.int rng (String.length alphabet)]
+            else Char.chr (Random.State.int rng 256)
+          in
+          String.mapi (fun i x -> if i = pos then c else x) s
+      | 1 when pos < n ->
+          let len = min (n - pos) (1 + Random.State.int rng 8) in
+          String.sub s 0 pos ^ String.sub s (pos + len) (n - pos - len)
+      | 2 -> (
+          let line_at p =
+            let start =
+              match String.rindex_from_opt s (p - 1) '\n' with
+              | Some i -> i + 1
+              | None -> 0
+            in
+            let stop =
+              match String.index_from_opt s p '\n' with Some i -> i + 1 | None -> n
+            in
+            (start, stop)
+          in
+          match (line_at pos, line_at (header_end + Random.State.int rng (n - header_end + 1))) with
+          | (a, b), (at, _) when at >= header_end ->
+              String.sub s 0 at ^ String.sub s a (b - a) ^ String.sub s at (n - at)
+          | _ -> s)
+      | _ ->
+          let ins = snippets.(Random.State.int rng (Array.length snippets)) in
+          String.sub s 0 pos ^ ins ^ String.sub s pos (n - pos)
+  done;
+  let s = !text in
+  (* a sealed payload ends in a newline *)
+  if s <> "" && s.[String.length s - 1] = '\n' then s else s ^ "\n"
+
+let test_mutations_agree () =
+  let rng = Random.State.make [| 0x5eed |] in
+  let dumps = List.map (fun (_, d) -> Io.to_string d) (Lazy.force all_dumps) in
+  let dump_payloads = Array.of_list (List.map payload_of dumps) in
+  let ckpt_payloads = Array.of_list (List.map (fun (_, t) -> payload_of t) (Lazy.force checkpoint_texts)) in
+  let counts = Hashtbl.create 8 in
+  let count k = Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0) in
+  for case = 1 to 1500 do
+    let base = dump_payloads.(Random.State.int rng (Array.length dump_payloads)) in
+    let text = Codec_ref.seal (mutate rng base) in
+    expect_agree (Fmt.str "dump mutation %d" case) text;
+    count
+      (match verdict_new ~salvage:false text with Ok _ -> "accepted" | Error c -> c)
+  done;
+  (* Checkpoint payloads: the checkpoint reader lexes through the same
+     cursor, so their token streams must agree too, and the loader must
+     classify every case. *)
+  for case = 1 to 300 do
+    let base = ckpt_payloads.(Random.State.int rng (Array.length ckpt_payloads)) in
+    let payload = mutate rng base in
+    if not (same_tokens payload) then
+      Alcotest.failf "checkpoint mutation %d: token streams differ" case;
+    match Ckpt.of_string (Codec_ref.seal payload) with
+    | Ok _ -> count "checkpoint accepted"
+    | Error _ -> count "checkpoint rejected"
+    | exception exn ->
+        Alcotest.failf "checkpoint mutation %d raised %s" case (Printexc.to_string exn)
+  done;
+  (* not vacuous: damage is both tolerated and refused, and the parser
+     itself refuses some of it *)
+  List.iter
+    (fun k ->
+      check bool_t (k ^ " cases present") true (Hashtbl.mem counts k))
+    [ "accepted"; "malformed"; "checkpoint rejected" ]
+
+let test_hostile_envelopes_agree () =
+  let d = Res_workloads.Truth.coredump (Res_workloads.Workloads.find "div-by-zero") in
+  let text = Io.to_string d in
+  let payload = payload_of text in
+  let lines = Io.count_lines payload and sum = Io.fnv1a32 payload in
+  let footers =
+    [
+      Fmt.str "end %d %d\n" lines sum;
+      Fmt.str "end 0%d %d\n" lines sum;
+      Fmt.str "end +%d %d\n" lines sum;
+      Fmt.str "end %d +%d\n" lines sum;
+      Fmt.str "end %d 0%d\n" lines sum;
+      Fmt.str "end %d %d junk\n" lines sum;
+      Fmt.str "end %d %djunk\n" lines sum;
+      Fmt.str "end %d %d \n" lines sum;
+      Fmt.str "end  %d %d\n" lines sum;
+      Fmt.str "end %d  %d\n" lines sum;
+      Fmt.str "end %d\t%d\n" lines sum;
+      Fmt.str "end %d %d" lines sum;
+      Fmt.str "end %d %d\n\n" lines sum;
+      Fmt.str "end %d_0 %d\n" lines sum;
+      Fmt.str "end %d\n" lines;
+      Fmt.str "end -0 %d\n" sum;
+      Fmt.str "end %d -0\n" lines;
+      Fmt.str "end %d -%d\n" lines sum;
+      Fmt.str "end 4611686018427387904 %d\n" sum;
+      Fmt.str "end %d 4611686018427387904\n" lines;
+      Fmt.str "end %d 4611686018427387903\n" lines;
+      Fmt.str "end -4611686018427387904 %d\n" sum;
+      Fmt.str "end %d -4611686018427387904\n" lines;
+      Fmt.str "end %d %d\n" (lines + 1) sum;
+      Fmt.str "end %d %d\n" lines (sum lxor 1);
+      "end 05 1\n";
+      "end +5 1\n";
+      "end 0x5 1\n";
+      "end\n";
+      "end \n";
+      "end 5 1";
+      "END 5 1\n";
+    ]
+  in
+  List.iter (fun f -> expect_agree (Fmt.str "footer %S" f) (payload ^ f)) footers;
+  let v1 = "coredump v1" ^ String.sub payload 11 (String.length payload - 11) in
+  List.iter
+    (fun (what, t) -> expect_agree what t)
+    [
+      ("empty", "");
+      ("blanks", " \n\t\r\012");
+      ("header only", "coredump v2");
+      ("header line only", "coredump v2\n");
+      ("unknown version", "coredump v3\n" ^ String.sub text 12 (String.length text - 12));
+      ("header with a trailing space", "coredump v2 \n" ^ String.sub text 12 (String.length text - 12));
+      ("v1 without a footer", v1);
+      ("v1 with a footer", v1 ^ Fmt.str "end %d %d\n" lines sum);
+      ("footer alone", Fmt.str "end %d %d\n" lines sum);
+      ("missing final newline", String.sub text 0 (String.length text - 1));
+      ("truncated", String.sub text 0 (String.length text / 2));
+    ]
+
+let () =
+  Alcotest.run "codec"
+    [
+      ( "differential",
+        [
+          Alcotest.test_case "encoders write the same bytes" `Quick test_encoders_agree;
+          Alcotest.test_case "pristine dumps decode alike" `Quick test_pristine_agree;
+          Alcotest.test_case "re-sealed mutations decode alike" `Quick
+            test_mutations_agree;
+          Alcotest.test_case "hostile envelopes classify alike" `Quick
+            test_hostile_envelopes_agree;
+        ] );
+    ]

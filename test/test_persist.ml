@@ -224,6 +224,50 @@ let test_read_file_directory () =
       | Ok _ -> Alcotest.fail "a directory read as a file"
       | Error e -> Alcotest.failf "not unreadable: %s" (Io.dump_error_to_string e))
 
+(* A missing file is unreadable, and the error names the path and the
+   cause. *)
+let test_read_file_missing () =
+  let dir = Filename.temp_dir "res-read" "" in
+  let path = Filename.concat dir "no-such.core" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      match Io.read_file path with
+      | Error (Io.Unreadable msg) ->
+          check string_t "message" (path ^ ": No such file or directory") msg
+      | Ok _ -> Alcotest.fail "a missing file read"
+      | Error e -> Alcotest.failf "not unreadable: %s" (Io.dump_error_to_string e))
+
+(* An empty file reads as no bytes and loads as [Empty_dump]; a v1 dump,
+   which has no footer, still loads, to the dump its v2 text holds. *)
+let test_load_empty_and_v1 () =
+  let dir = Filename.temp_dir "res-read" "" in
+  let empty = Filename.concat dir "empty.core" and v1 = Filename.concat dir "v1.core" in
+  let write p s = Out_channel.with_open_bin p (fun oc -> output_string oc s) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove [ empty; v1 ];
+      Sys.rmdir dir)
+    (fun () ->
+      write empty "";
+      check bool_t "empty file reads as no bytes" true (Io.read_file empty = Ok "");
+      (match Io.load_result empty with
+      | Error Io.Empty_dump -> ()
+      | Ok _ -> Alcotest.fail "an empty file loaded"
+      | Error e -> Alcotest.failf "empty file: %s" (Io.dump_error_to_string e));
+      let dump =
+        Res_workloads.Truth.coredump (Res_workloads.Workloads.find "counter-race")
+      in
+      let v2 = Io.to_string dump in
+      (* the v1 text: the v2 records under a v1 header, no footer *)
+      let records = String.sub v2 0 (String.rindex_from v2 (String.length v2 - 2) '\n' + 1) in
+      write v1 ("coredump v1" ^ String.sub records 11 (String.length records - 11));
+      match Io.load_result v1 with
+      | Ok { Io.dump = loaded; salvaged = None } ->
+          check string_t "v1 dump loads" v2 (Io.to_string loaded)
+      | Ok _ -> Alcotest.fail "a v1 dump needed salvage"
+      | Error e -> Alcotest.failf "v1 dump: %s" (Io.dump_error_to_string e))
+
 (* --- resume equivalence (single kill then unlimited resume) --- *)
 
 let test_resume_bit_identical () =
@@ -451,6 +495,10 @@ let () =
             test_journal_discards_torn_write;
           Alcotest.test_case "directory read names it" `Quick
             test_read_file_directory;
+          Alcotest.test_case "missing file read names it" `Quick
+            test_read_file_missing;
+          Alcotest.test_case "empty file and v1 dump load" `Quick
+            test_load_empty_and_v1;
           Alcotest.test_case "coredump save is atomic" `Quick
             test_coredump_save_atomic;
         ] );
