@@ -662,73 +662,6 @@ let a1 () =
           workers' segments@."
 
 (* ------------------------------------------------------------------ *)
-(* E13 — crash-safe checkpoint/resume.  The paper's setting is          *)
-(* arbitrarily long executions, so the analyses themselves can run      *)
-(* arbitrarily long: kill the analysis after k expanded nodes (also     *)
-(* mid-checkpoint-write), resume from the persisted frontier, and       *)
-(* compare reports and cost against a never-killed baseline.            *)
-(* ------------------------------------------------------------------ *)
-let e13 () =
-  section "e13" "crash-safe checkpoint/resume — equivalence and overhead";
-  let open Res_faultinject in
-  let tmp = Filename.get_temp_dir_name () in
-  (* equal: the chain reconverged to the reference's bytes and left no torn
-     file on disk *)
-  Fmt.pr "%-22s %-18s %-6s %-6s %-10s %-10s@." "workload" "kill point"
-    "legs" "equal" "base (s)" "chain (s)";
-  let timed elapsed f x =
-    let p, t = time (fun () -> f x) in
-    elapsed := t;
-    p
-  in
-  List.iter
-    (fun name ->
-      let w = Res_workloads.Workloads.find name in
-      List.iter
-        (fun (kill, torn, k) ->
-          let tb = ref 0. and tc = ref 0. in
-          let s =
-            Differential.run ~campaign:"e13"
-              ~reference:(timed tb Faultinject.kr_reference)
-              ~variants:[ (kill, timed tc (Faultinject.kill_chain ~torn k)) ]
-              [ (name, w) ]
-          in
-          List.iter
-            (fun r ->
-              Fmt.pr "%-22s %-18s %-6d %-6b %-10.4f %-10.4f@." name kill
-                (Differential.count r (kill ^ ".legs"))
-                r.Differential.equivalent !tb !tc)
-            s.Differential.runs)
-        [ ("kill@5", false, 5); ("torn@13", true, 13) ])
-    [ "fig1-overflow"; "counter-race"; "lock-order-deadlock";
-      "use-after-free-a"; "kvstore-stats-race" ];
-  (* Checkpoint footprint: persist a mid-flight state and measure it. *)
-  let w = Res_workloads.Workloads.find "counter-race" in
-  Res_solver.Expr.reset_counter_for_tests ();
-  let dump = Res_workloads.Truth.coredump w in
-  let prog = w.Res_workloads.Truth.w_prog in
-  let ctx = Res_core.Backstep.make_ctx prog in
-  let config = Faultinject.kr_config in
-  let path = Filename.concat tmp "e13-size.ckpt" in
-  let cp = Res_persist.Checkpoint.checkpointer ~every:4 ~path ~config ~prog ~dump () in
-  ignore
-    (Res_core.Res.analyze ~config
-       ~budget:(Res_core.Budget.create ~fuel:9 ())
-       ~checkpointer:cp ctx dump);
-  let size =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    close_in ic;
-    n
-  in
-  Sys.remove path;
-  Fmt.pr "checkpoint footprint (counter-race, mid-flight frontier): %d bytes@."
-    size;
-  Fmt.pr
-    "expected shape: every chain reconverges to bit-identical reports, \
-     including the mid-write kill (journal recovery), leaving no torn files@."
-
-(* ------------------------------------------------------------------ *)
 (* E14 — goal-directed static pruning.  The chain refuter discards      *)
 (* candidate backward steps whose constraint system is statically       *)
 (* unsatisfiable, before any symbolic execution or solving — and, being *)
@@ -1202,7 +1135,6 @@ let experiments =
     ("e9", e9);
     ("e10", e10);
     ("e11", e11);
-    ("e13", e13);
     ("e14", e14);
     ("e16", e16);
     ("e17", e17);

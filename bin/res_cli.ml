@@ -12,7 +12,6 @@
      res triage prog.res --dir D -j4  batch-triage a directory of coredumps
      res triage-demo                  run the triaging comparison corpus
      res selftest                     fault-injection self-test of the pipeline
-     res resume ckpt.res              continue an interrupted analysis
      res serve --socket S --spool D   long-running triage daemon
      res client submit prog core      submit to a running daemon
 
@@ -220,18 +219,13 @@ let outcome_code = function
     order. *)
 let sorted_outcome = Res_core.Report.sorted_outcome
 
-(** Print an outcome (sorted) plus, on a partial result, the checkpoint
-    a successor can resume from. *)
+(** Print an outcome (sorted) and return its exit code. *)
 let report_outcome ctx outcome =
   let outcome = sorted_outcome ctx outcome in
   Fmt.pr "%s@." (Res_core.Report.outcome_to_string ctx outcome);
-  (match outcome with
-  | Res_core.Res.Partial (_, { Res_core.Res.checkpoint = Some path; _ }) ->
-      Fmt.pr "checkpoint saved: %s (continue with: res resume %s)@." path path
-  | _ -> ());
   outcome_code outcome
 
-(** Budget flags shared by [analyze] and [resume]. *)
+(** The budget the [--deadline] and [--fuel] flags ask for. *)
 let mk_budget deadline fuel =
   match (deadline, fuel) with
   | None, None -> None
@@ -342,24 +336,6 @@ let analyze_cmd =
             "Retry-with-escalation attempts: each retry doubles the search \
              node budget before settling for a partial result.")
   in
-  let checkpoint =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Periodically checkpoint the search to $(docv) (atomic, \
-             checksummed); an interrupted analysis continues with $(b,res \
-             resume).")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 25
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Checkpoint every $(docv) search frontier pops (a visit, an \
-             eval or a seal).")
-  in
   let no_static_prune =
     Arg.(
       value & flag
@@ -378,7 +354,7 @@ let analyze_cmd =
              amount of symbolic execution and solver work).")
   in
   let run prog_path dump_path depth breadcrumbs deadline fuel attempts salvage
-      checkpoint checkpoint_every no_static_prune no_reverse_exec stats =
+      no_static_prune no_reverse_exec stats =
     let prog = or_die (load_prog prog_path) in
     let dump = load_dump ~salvage dump_path in
     let ctx = Res_core.Backstep.make_ctx prog in
@@ -400,14 +376,7 @@ let analyze_cmd =
     let budget = mk_budget deadline fuel in
     let t0 = Unix.gettimeofday () in
     let q0 = Res_solver.Solver.queries () in
-    let checkpointer =
-      Option.map
-        (fun path ->
-          Res_persist.Checkpoint.checkpointer ~every:(max 1 checkpoint_every)
-            ~path ~config ~prog ~dump ())
-        checkpoint
-    in
-    let outcome = Res_core.Res.analyze ~config ?budget ?checkpointer ctx dump in
+    let outcome = Res_core.Res.analyze ~config ?budget ctx dump in
     if stats then begin
       let a = Res_core.Res.analysis outcome in
       print_stats
@@ -427,73 +396,8 @@ let analyze_cmd =
           classify the root cause.")
     Term.(
       const run $ prog_arg $ dump_arg 1 $ depth_arg $ breadcrumbs_arg
-      $ deadline $ fuel $ attempts $ salvage_arg $ checkpoint
-      $ checkpoint_every $ no_static_prune $ no_reverse_exec $ stats_arg)
-
-(* --- resume --- *)
-
-let resume_cmd =
-  let ckpt_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"CHECKPOINT"
-          ~doc:"Checkpoint file written by $(b,res analyze --checkpoint).")
-  in
-  let deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECONDS"
-          ~doc:"Wall-clock deadline for the resumed analysis.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N"
-          ~doc:"Search-node budget for the resumed analysis.")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 25
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "Keep checkpointing to the same file every $(docv) search \
-             frontier pops, so the resumed run is itself resumable.")
-  in
-  let run ckpt_path deadline fuel checkpoint_every =
-    let ck =
-      match Res_persist.Checkpoint.load ckpt_path with
-      | Ok ck -> ck
-      | Error err ->
-          raise
-            (Die
-               ( exit_bad_dump,
-                 Fmt.str "checkpoint %s: %s" ckpt_path
-                   (Res_vm.Coredump_io.dump_error_to_string err) ))
-    in
-    let ctx = Res_core.Backstep.make_ctx ck.Res_persist.Checkpoint.prog in
-    let budget = mk_budget deadline fuel in
-    let checkpointer =
-      Res_persist.Checkpoint.checkpointer ~every:(max 1 checkpoint_every)
-        ~path:ckpt_path ~config:ck.Res_persist.Checkpoint.config
-        ~prog:ck.Res_persist.Checkpoint.prog
-        ~dump:ck.Res_persist.Checkpoint.dump ()
-    in
-    let outcome =
-      Res_core.Res.resume ~config:ck.Res_persist.Checkpoint.config ?budget
-        ~checkpointer ctx ck.Res_persist.Checkpoint.dump
-        ck.Res_persist.Checkpoint.state
-    in
-    report_outcome ctx outcome
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Reload a checkpointed analysis (journal-recovering a torn write) \
-          and continue it to the same reports an uninterrupted run produces.")
-    Term.(const run $ ckpt_arg $ deadline $ fuel $ checkpoint_every)
+      $ deadline $ fuel $ attempts $ salvage_arg $ no_static_prune
+      $ no_reverse_exec $ stats_arg)
 
 (* --- replay --- *)
 
@@ -709,8 +613,8 @@ let fuzz_cmd =
       value & opt (some string) None
       & info [ "format" ] ~docv:"F"
           ~doc:
-            "Fuzz only this format: coredump, checkpoint, wire, protocol, \
-             cache, ir, predicate, or command.")
+            "Fuzz only this format: coredump, wire, protocol, cache, ir, \
+             predicate, or command.")
   in
   let smoke_arg =
     Arg.(
@@ -736,9 +640,22 @@ let fuzz_cmd =
 
 let workload_cmd =
   let wname =
+    (* Exact names only: [Arg.enum] also takes a prefix, so [fig1] would
+       pick fig1-overflow. *)
+    let all = Res_workloads.Workloads.all in
+    let name_of w = w.Res_workloads.Truth.w_name in
+    let parse s =
+      match List.find_opt (fun w -> String.equal (name_of w) s) all with
+      | Some w -> Ok w
+      | None ->
+          Error
+            (Fmt.str "invalid value '%s', expected %s" s
+               (Arg.doc_alts ~quoted:true (List.map name_of all)))
+    in
+    let workload = Arg.conv' ~docv:"NAME" (parse, Fmt.using name_of Fmt.string) in
     Arg.(
       value
-      & pos 0 (some string) None
+      & pos 0 (some workload) None
       & info [] ~docv:"NAME" ~doc:"Workload name; omit to list available ones.")
   in
   let out =
@@ -763,8 +680,7 @@ let workload_cmd =
               w.Res_workloads.Truth.w_description)
           Res_workloads.Workloads.all;
         exit_ok
-    | Some name ->
-        let w = Res_workloads.Workloads.find name in
+    | Some w ->
         let dump = Res_workloads.Truth.coredump w in
         Fmt.pr "%a@." Res_vm.Crash.pp dump.Res_vm.Coredump.crash;
         (match prog_out with
@@ -1285,11 +1201,6 @@ let selftest_campaigns =
   let quiet f _log = f () in
   Faultinject.
     [
-      ( "kill-resume",
-        "Run the kill-and-resume campaign: deterministically kill analyses \
-         after k nodes (including mid-checkpoint-write), resume from the \
-         checkpoint, and assert bit-identical reports.",
-        quiet kill_resume_campaign );
       ( "prune-equivalence",
         "Run the static-prune equivalence campaign: analyze every workload \
          with pruning on and off and assert byte-identical reports.",
@@ -1425,7 +1336,6 @@ let main_cmd =
       validate_cmd;
       run_cmd;
       analyze_cmd;
-      resume_cmd;
       replay_cmd;
       debug_cmd;
       hwdiag_cmd;

@@ -65,8 +65,6 @@ let tick ?(cost = 1) t =
         t.tripped <- Some Fuel;
         false
 
-let remaining_fuel t = t.fuel
-
 (** A cooperative-interrupt closure for the solver and symbolic executor:
     returns [true] when work must stop.  Checks the deadline but does not
     spend fuel (fuel meters search nodes, not solver nodes). *)

@@ -31,9 +31,6 @@ val ok : t -> bool
     exhausted. *)
 val tick : ?cost:int -> t -> bool
 
-(** Remaining fuel ([None] = unlimited). *)
-val remaining_fuel : t -> int option
-
 (** Cooperative-interrupt closure for {!Res_solver.Solver} and
     {!Res_symex.Symexec}: [true] means stop now.  Checks the deadline only;
     fuel meters search nodes. *)

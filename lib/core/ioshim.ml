@@ -1,7 +1,7 @@
 (** The injectable I/O fault plane.
 
-    Every persistence module (checkpoint, spool, cluster journal, result
-    cache) routes its disk traffic through this thin shim instead of
+    Every persistence module (the daemon's spool, the result cache)
+    routes its disk traffic through this thin shim instead of
     calling {!Res_vm.Coredump_io} directly.  In production the shim is
     transparent: {!write_file_atomic} is the journal-then-rename writer
     (and {!recover_dir} the recovery of its journals), {!read_file} is
@@ -145,8 +145,8 @@ let recover_journal_with ~valid path =
 (** Directory-wide journal recovery: map every [.tmp] entry back to its
     destination by stripping the [.<pid>.<n>] journal suffix (or the
     legacy bare [.tmp]), then promote-or-delete each with the
-    destination's own validator [valid_for dest].  The request spool,
-    the cluster result journal and the result cache boot through this. *)
+    destination's own validator [valid_for dest].  The request spool and
+    the result cache boot through this. *)
 let recover_dir ~valid_for dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> ()
@@ -177,9 +177,8 @@ let recover_dir ~valid_for dir =
         dests
 
 (** Create [dir] if needed and — unlike a bare [Unix.mkdir] — fsync its
-    parent, so the directory itself survives a power loss.  The spool
-    and journal used to skip the parent fsync; every persistence
-    directory is created through here now. *)
+    parent, so the directory itself survives a power loss.  Every
+    persistence directory is created through here. *)
 let mkdir_durable dir =
   (match check Mkdir dir with
   | Some Enospc -> raise (Unix.Unix_error (Unix.ENOSPC, "mkdir", dir))

@@ -131,8 +131,7 @@ let display_sort ctx (a : Res.analysis) =
   { a with Res.reports }
 
 (** The bit-stable projection of an analysis: counters and sorted reports,
-    no timing.  Two runs that did the same work render identically here —
-    this is what kill-and-resume equivalence compares. *)
+    no timing.  Two runs that did the same work render identically here. *)
 let reports_to_string ctx (a : Res.analysis) =
   let a = display_sort ctx a in
   render (fun b ->

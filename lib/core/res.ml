@@ -33,8 +33,6 @@ type analysis = {
       (** instructions reverse steps skipped as outside the slice *)
   suffixes_synthesized : int;
   cpu_seconds : float;
-  checkpoint : string option;
-      (** path of the last checkpoint written during this analysis *)
 }
 
 type config = {
@@ -121,44 +119,6 @@ type outcome =
   | Partial of partial_reason * analysis
   | Failed of error
 
-(** Point-in-time image of a whole analysis, sufficient to continue it in
-    another process after this one dies.  It records where in the
-    escalation/deepening schedule the analysis was ([ck_attempt],
-    [ck_max_nodes], [ck_depth]), the suffixes behind the reports of every
-    {e completed} depth (reports are recomputed on resume — replay is
-    deterministic, so recomputation is cheaper than persisting verdicts),
-    the search counters over completed depths, the suspended search of
-    the depth in progress (whose own counters cover the partial depth, so
-    nothing is double-counted; between depths it is the carry the last
-    depth left, suspended before its first pop — {!Search.search}), the
-    budget's remaining fuel, and the fresh-symbol counter (restored
-    absolutely so a resumed run mints identical symbol ids and produces
-    bit-identical reports). *)
-type ckpt_state = {
-  ck_attempt : int;  (** 0-based escalation attempt in progress *)
-  ck_max_nodes : int;  (** the attempt's (possibly doubled) node budget *)
-  ck_depth : int;  (** suffix depth in progress *)
-  ck_suffixes : Suffix.t list;  (** reproduced suffixes of completed depths *)
-  ck_truncated : bool;  (** a depth of this attempt hit the node budget *)
-  ck_stats : Search.stats;  (** search counters summed over completed depths *)
-  ck_suspended : Search.suspended option;
-      (** the search of depth [ck_depth], where it stopped; [None] only at
-          the start of an attempt, at depth 1 *)
-  ck_fuel : int option;  (** remaining fuel at checkpoint time *)
-  ck_expr_counter : int;  (** {!Expr} fresh-variable counter *)
-}
-
-(** How an analysis persists itself.  [ck_write] serializes a state to
-    stable storage and returns where it landed; the analysis records the
-    path in {!analysis.checkpoint} and ignores write errors (a failed
-    checkpoint must never kill the analysis it protects). *)
-type checkpointer = {
-  ck_every : int;
-      (** auto-checkpoint every this many ticks; a tick is a frontier pop (a
-          visit, an eval or a seal) *)
-  ck_write : ckpt_state -> (string, string) result;
-}
-
 let empty_analysis =
   {
     reports = [];
@@ -170,7 +130,6 @@ let empty_analysis =
     slice_skipped = 0;
     suffixes_synthesized = 0;
     cpu_seconds = 0.;
-    checkpoint = None;
   }
 
 (** The analysis carried by an outcome ([Failed] carries an empty one). *)
@@ -233,21 +192,6 @@ let check_dump ctx (dump : Res_vm.Coredump.t) =
   in
   if dump.Res_vm.Coredump.steps < 0 then Error "negative step count" else Ok ()
 
-(** The fresh state an [analyze] starts from: attempt 0, depth 1, nothing
-    accumulated. *)
-let initial_state config =
-  {
-    ck_attempt = 0;
-    ck_max_nodes = config.search.Search.max_nodes;
-    ck_depth = 1;
-    ck_suffixes = [];
-    ck_truncated = false;
-    ck_stats = Search.new_stats ();
-    ck_suspended = None;
-    ck_fuel = None;
-    ck_expr_counter = Res_solver.Expr.counter_value ();
-  }
-
 let found_definite_in reports =
   List.exists
     (fun r ->
@@ -256,20 +200,12 @@ let found_definite_in reports =
       | None -> false)
     reports
 
-(** The engine shared by {!analyze} and {!resume}: run the
-    retry-with-escalation / iterative-deepening schedule starting from
-    [st0] (fresh for [analyze], a reloaded checkpoint for [resume]),
-    writing checkpoints through [checkpointer] every [ck_every] ticks and
-    at the moment a budget trips. *)
-let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
-    (st0 : ckpt_state) : outcome =
+(** The retry-with-escalation / iterative-deepening schedule: every
+    attempt deepens from depth 1 with no reports. *)
+let run config budget ctx (dump : Res_vm.Coredump.t) : outcome =
   let t0 = Sys.time () in
-  (* Counters over completed depths; the in-flight depth's share lives in
-     the suspended search state, so a resumed run re-reports it.  Every
-     state built from them takes a copy: [susp_final] is written after
-     later depths have been added here. *)
-  let totals = Search.copy_stats st0.ck_stats in
-  let truncated = ref st0.ck_truncated in
+  let totals = Search.new_stats () in
+  let truncated = ref false in
   (* A deeper search re-emits an earlier depth's dead-end and
      program-start suffixes as the physically same [Suffix.t]: replay and
      classify each once per run, and report it again as the same value.
@@ -288,50 +224,6 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         reported := (suffix, r) :: !reported;
         r
   in
-  let last_ckpt = ref None in
-  let ckpt_tick = ref 0 in
-  let mk_state ~attempt ~max_nodes ~depth ~acc ~suspended =
-    {
-      ck_attempt = attempt;
-      ck_max_nodes = max_nodes;
-      ck_depth = depth;
-      ck_suffixes = List.map (fun r -> r.suffix) acc;
-      ck_truncated = !truncated;
-      ck_stats = Search.copy_stats totals;
-      ck_suspended = suspended;
-      ck_fuel = Budget.remaining_fuel budget;
-      ck_expr_counter = Res_solver.Expr.counter_value ();
-    }
-  in
-  let write_state st =
-    match checkpointer with
-    | None -> ()
-    | Some c -> (
-        (* A failed checkpoint write must never kill the analysis it
-           protects: keep the previous good checkpoint and move on. *)
-        match c.ck_write st with
-        | Ok path -> last_ckpt := Some path
-        | Error _ -> ())
-  in
-  (* Checkpoint every [ck_every] ticks; a tick is a frontier pop. *)
-  let tick c state =
-    incr ckpt_tick;
-    if !ckpt_tick >= c.ck_every then begin
-      ckpt_tick := 0;
-      write_state (state ())
-    end
-  in
-  let hook ~attempt ~max_nodes ~depth ~acc =
-    Option.map
-      (fun c (susp : Search.suspended) ->
-        tick c (fun () ->
-            mk_state ~attempt ~max_nodes ~depth ~acc ~suspended:(Some susp)))
-      checkpointer
-  in
-  (* The state a resume from the exhaustion instant needs — captured as
-     close to the trip as possible (in-search, with the live frontier)
-     and written out just before returning [Partial]. *)
-  let susp_final = ref None in
   let finish_analysis reports depth =
     (* Definite causes first, then longer suffixes first. *)
     let score r =
@@ -358,48 +250,19 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
       slice_skipped = totals.slice_skipped;
       suffixes_synthesized = totals.emitted;
       cpu_seconds = Sys.time () -. t0;
-      checkpoint = !last_ckpt;
     }
   in
-  let rec attempt i max_nodes ~depth0 ~acc0 ~resume =
+  let rec attempt i max_nodes =
     let search_config = { config.search with Search.max_nodes } in
-    let rec deepen depth acc ~resume =
-      if depth > search_config.Search.max_segments then (acc, depth - 1)
-      else if not (Budget.ok budget) then begin
-        (* The budget tripped before this depth's search: the resume point
-           is the search it was handed or, with none, the carry the previous
-           depth left — unless a more precise in-search suspension was
-           already captured. *)
-        (match !susp_final with
-        | None ->
-            let suspended =
-              match resume with
-              | Some _ -> resume
-              | None when depth > 1 -> Search.next_layer ctx
-              | None -> None
-            in
-            susp_final :=
-              Some (mk_state ~attempt:i ~max_nodes ~depth ~acc ~suspended)
-        | Some _ -> ());
-        (acc, depth - 1)
-      end
+    let rec deepen depth acc =
+      if depth > search_config.Search.max_segments || not (Budget.ok budget)
+      then (acc, depth - 1)
       else begin
         let result =
           Search.search
             ~config:{ search_config with Search.max_segments = depth }
-            ~budget ?resume
-            ?on_node:(hook ~attempt:i ~max_nodes ~depth ~acc)
-            ctx dump
+            ~budget ctx dump
         in
-        (* Capture the suspension point before folding this depth's stats
-           into the totals: a resumed search re-reports them. *)
-        (match result.Search.suspended with
-        | Some s when Budget.exhausted budget <> None ->
-            susp_final :=
-              Some
-                (mk_state ~attempt:i ~max_nodes ~depth ~acc
-                   ~suspended:(Some s))
-        | _ -> ());
         Search.add_stats ~into:totals result.Search.stats;
         if not result.Search.complete then truncated := true;
         let reports =
@@ -408,32 +271,26 @@ let run config budget checkpointer ctx (dump : Res_vm.Coredump.t)
         in
         let acc = acc @ reports in
         if config.stop_at_first_cause && found_definite_in acc then (acc, depth)
-        else deepen (depth + 1) acc ~resume:None
+        else deepen (depth + 1) acc
       end
     in
-    let reports, depth = deepen depth0 acc0 ~resume in
-    let found_definite = found_definite_in reports in
+    let reports, depth = deepen 1 [] in
     match Budget.exhausted budget with
     | Some Budget.Deadline ->
-        (match !susp_final with Some st -> write_state st | None -> ());
         Partial (Deadline_exceeded, finish_analysis reports depth)
-    | Some Budget.Fuel ->
-        (match !susp_final with Some st -> write_state st | None -> ());
-        Partial (Fuel_exhausted, finish_analysis reports depth)
+    | Some Budget.Fuel -> Partial (Fuel_exhausted, finish_analysis reports depth)
     | None ->
-        if found_definite || not !truncated then
+        if found_definite_in reports || not !truncated then
           Complete (finish_analysis reports depth)
         else if i + 1 < config.max_attempts then begin
           (* Escalate: double the search budget and go again, from
              scratch — the escalated attempt re-derives its own reports. *)
           truncated := false;
-          attempt (i + 1) (max_nodes * 2) ~depth0:1 ~acc0:[] ~resume:None
+          attempt (i + 1) (max_nodes * 2)
         end
         else Partial (Search_truncated, finish_analysis reports depth)
   in
-  let acc0 = List.map report_of st0.ck_suffixes in
-  attempt st0.ck_attempt st0.ck_max_nodes ~depth0:st0.ck_depth ~acc0
-    ~resume:st0.ck_suspended
+  attempt 0 config.search.Search.max_nodes
 
 let guarded f =
   try f () with
@@ -446,33 +303,13 @@ let guarded f =
     come back as [Partial].  A search that merely exhausts its node budget
     without a definite cause is retried with doubled budgets, up to
     [config.max_attempts] attempts (graceful degradation instead of silent
-    truncation).  [checkpointer] persists the analysis periodically and at
-    the instant a budget trips, so a later {!resume} can continue it. *)
-let analyze ?(config = default_config) ?budget ?checkpointer ctx
-    (dump : Res_vm.Coredump.t) : outcome =
+    truncation). *)
+let analyze ?(config = default_config) ?budget ctx (dump : Res_vm.Coredump.t) :
+    outcome =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   match check_dump ctx dump with
   | Error msg -> Failed (Bad_dump msg)
-  | Ok () ->
-      guarded (fun () ->
-          run config budget checkpointer ctx dump (initial_state config))
-
-(** Continue an analysis from a reloaded checkpoint.  Restores the
-    fresh-symbol counter first, recomputes the reports of completed depths
-    from the checkpointed suffixes (replay is deterministic), then
-    re-enters the schedule exactly where the checkpoint suspended it —
-    producing, by construction, the same reports an uninterrupted run
-    would.  [budget] defaults to unlimited: the interrupted run's budget
-    already tripped, and a resume usually wants to finish the job. *)
-let resume ?(config = default_config) ?budget ?checkpointer ctx
-    (dump : Res_vm.Coredump.t) (st : ckpt_state) : outcome =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match check_dump ctx dump with
-  | Error msg -> Failed (Bad_dump msg)
-  | Ok () ->
-      guarded (fun () ->
-          Res_solver.Expr.restore_counter st.ck_expr_counter;
-          run config budget checkpointer ctx dump st)
+  | Ok () -> guarded (fun () -> run config budget ctx dump)
 
 (** The best root cause of an analysis, if any. *)
 let best_cause analysis =

@@ -1,15 +1,13 @@
 (** One home for the sealed-envelope helpers.
 
-    Every durable artifact in the system — coredumps, search checkpoints,
-    spool journals, cluster result journals, parallel work-unit frames,
-    cache entries — shares one on-disk discipline: a header line naming
-    the format, a line-oriented payload, and an [end <lines> <checksum>]
-    footer (32-bit FNV-1a over the payload) so torn or bit-flipped files
-    are {e detected} rather than parsed.  The writer ({!seal}) and
-    validator ({!validate}) grew up in {!Res_vm.Coredump_io} and were then
-    re-wrapped slightly differently by the checkpoint, spool, cluster
-    journal, and wire modules; this module is the single copy they all
-    call now.
+    Every durable artifact in the system — coredumps, spool journals,
+    parallel work-unit frames, daemon protocol frames, cache entries —
+    shares one on-disk discipline: a header line naming the format, a
+    line-oriented payload, and an [end <lines> <checksum>] footer (32-bit
+    FNV-1a over the payload) so torn or bit-flipped files are
+    {e detected} rather than parsed.  The writer ({!seal}) and validator
+    ({!validate}) live in {!Res_vm.Coredump_io}; this module is the one
+    copy the spool, wire, protocol and cache modules call.
 
     Also here: the one 64-bit hash ({!hash64}, {!combine64},
     {!content_key}), used for content-addressed cache keys — where the
@@ -50,22 +48,14 @@ let valid ~header src = Result.is_ok (validate ~header src)
 let max_count = 1 lsl 20
 
 (** [count_error ~what n] — [Some reason] if [n] is not a trustworthy
-    element count ([0 <= n <= max_count]), [None] if it is.  Callers
-    with their own error channel ([Protocol.Bad], [result] types) use
-    this form. *)
+    element count ([0 <= n <= max_count]), [None] if it is; callers
+    report the reason through their own error channel ([Protocol.Bad],
+    [result] types). *)
 let count_error ~what n =
   if n < 0 then Some (Printf.sprintf "negative %s count %d" what n)
   else if n > max_count then
     Some (Printf.sprintf "%s count %d exceeds limit %d" what n max_count)
   else None
-
-(** [check_count ~what n] — [n] back if trustworthy, else
-    [Io.Bad_format]; the form for token-reader decoders (wire frames,
-    checkpoints) whose error channel is already [Bad_format]. *)
-let check_count ~what n =
-  match count_error ~what n with
-  | None -> n
-  | Some reason -> raise (Io.Bad_format reason)
 
 (* --- the 64-bit content hash --- *)
 

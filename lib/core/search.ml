@@ -69,10 +69,6 @@ let new_stats () =
     slice_skipped = 0;
   }
 
-(** A fresh record with [s]'s counts, which later work on [s] leaves
-    unchanged. *)
-let copy_stats (s : stats) = { s with nodes = s.nodes }
-
 (** Add [s]'s counts to [into]. *)
 let add_stats ~into s =
   into.nodes <- into.nodes + s.nodes;
@@ -265,11 +261,10 @@ type move = {
     without pruning, because a refuted eval is exactly one that would have
     produced no children.
 
-    The frontier (work stack, next-to-visit first) remains the {e entire}
+    The frontier (work stack, next-to-visit first) is the {e entire}
     mutable state of the search besides its counters, its emitted
-    suffixes and the carry it is recording — which is what makes the
-    search suspendable: persist the frontier and the search can continue
-    in another process.
+    suffixes and the carry it is recording — which is what lets the next
+    depth continue the traversal from a carry.
 
     [F_emit] only ever comes from a carry (see {!search}): a suffix an
     earlier depth emitted at a dead end or at the program start, which
@@ -285,31 +280,12 @@ type frontier_item =
   | F_seal of { s_parent : int; s_node : node }
   | F_emit of Suffix.t  (** re-emit a built suffix, no solver call *)
 
-(** A suspended search: everything needed to continue it exactly where it
-    stopped (and nothing else).  [s_frontier] is the work stack,
-    next-to-visit first; [s_out] the suffixes emitted so far, newest first;
-    [s_carry] the next depth's carry recorded so far, newest first;
-    [s_stats] a copy of the call's {!stats} at suspension time, which the
-    resumed call continues from a copy of; [s_next_id] the visit-id
-    counter.  Resuming with this value yields the same remaining visits,
-    in the same order, as the uninterrupted search. *)
-type suspended = {
-  s_frontier : frontier_item list;
-  s_carry : frontier_item list;
-  s_stats : stats;
-  s_next_id : int;
-  s_out : Suffix.t list;
-}
-
 type result = {
   suffixes : Suffix.t list;
   stats : stats;
   complete : bool;  (** false when a node budget or deadline was exhausted *)
   exhausted : Budget.exhaustion option;
       (** why the shared {!Budget} stopped the search, when it did *)
-  suspended : suspended option;
-      (** the remaining frontier, when a budget stopped the search before
-          it drained — the seed for a later resumed run *)
 }
 
 (* --- static pruning glue ------------------------------------------- *)
@@ -441,30 +417,22 @@ let statically_refuted ctx ~stop_snapshot node tid kind =
 
 (** The carry a call leaves on its context: the next, one-deeper call's
     search, suspended before its first pop — its frontier is the
-    traversal as events, next-to-process first. *)
+    traversal as events, next-to-process first, and it continues this
+    call's visit-id counter. *)
 type Backstep.carry +=
   | Carry of {
       c_config : config;  (** the config of the call that left it *)
       c_dump : Res_vm.Coredump.t;
-      c_next : suspended;
+      c_frontier : frontier_item list;
+      c_next_id : int;
     }
-
-(** The next depth's search the last call on [ctx] left, suspended before
-    its first pop ([None] if none) — what a checkpoint taken between
-    depths records. *)
-let next_layer ctx =
-  match !(ctx.Backstep.carry) with Carry c -> Some c.c_next | _ -> None
 
 (** Synthesize suffixes of up to [max_segments] segments for [dump].
     [snapshot0] overrides the base snapshot — e.g.
     {!Snapshot.of_minidump} for the minidump ablation; the default is the
     full coredump.  [budget] bounds the whole search cooperatively
     (wall-clock deadline and node fuel); when it trips, the suffixes found
-    so far are returned with [complete = false] and the remaining frontier
-    in [suspended].  [resume] continues a previously suspended search
-    instead of starting from the coredump.  [on_node] is called at every
-    frontier-pop boundary with the state a resume from that instant would
-    need — the checkpoint hook.
+    so far are returned with [complete = false].
 
     Deepening costs one expansion per node, not one per node per depth.
     Every call leaves on [ctx] a {e carry}: the next depth's search,
@@ -473,34 +441,32 @@ let next_layer ctx =
     it emitted ([F_emit]), each node it reached at [max_segments]
     ([F_visit]), then whatever frontier [max_suffixes] or a budget cut
     off.  A call with [max_segments] one greater, the config otherwise
-    equal, over the physically same [dump], and with neither [snapshot0]
-    nor [resume], resumes that carry instead of starting from the
-    coredump: it expands only the new layer, yet emits the same suffixes
-    in the same order as a search from scratch would.  Every other call
-    starts from [resume] or the coredump and replaces the carry. *)
-let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
+    equal, over the physically same [dump], and without [snapshot0],
+    continues that carry instead of starting from the coredump: it
+    expands only the new layer, yet emits the same suffixes in the same
+    order as a search from scratch would.  Every other call starts from
+    the coredump and replaces the carry. *)
+let search ?(config = default_config) ?snapshot0 ?budget ctx
     (dump : Res_vm.Coredump.t) : result =
   let cell = ctx.Backstep.carry in
   let overridden = Option.is_some snapshot0 in
-  let resume =
-    match (resume, overridden, !cell) with
-    | None, false, Carry c
-      when c.c_dump == dump
-           && c.c_config = { config with max_segments = config.max_segments - 1 }
+  let carry =
+    match !cell with
+    | Carry { c_config; c_dump; c_frontier; c_next_id }
+      when (not overridden) && c_dump == dump
+           && c_config = { config with max_segments = config.max_segments - 1 }
       ->
-        Some c.c_next
-    | _ -> resume
+        Some (c_frontier, c_next_id)
+    | _ -> None
   in
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let ctx = Backstep.with_interrupt ctx (Budget.interrupt budget) in
-  let stats =
-    match resume with Some s -> copy_stats s.s_stats | None -> new_stats ()
-  in
-  let next_id = ref (match resume with Some s -> s.s_next_id | None -> 0) in
-  let out = ref (match resume with Some s -> s.s_out | None -> []) in
+  let stats = new_stats () in
+  let next_id = ref (match carry with Some (_, id) -> id | None -> 0) in
+  let out = ref [] in
   (* The next call's carry: events newest first, then the frontier a cut
      left unprocessed. *)
-  let recorded = ref (match resume with Some s -> s.s_carry | None -> []) in
+  let recorded = ref [] in
   let left = ref [] in
   let budget_hit = ref false in
   let budget_ok () =
@@ -510,9 +476,7 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
       false
     end
   in
-  (* The coredump-time stop state, for the static refuter's goal values.
-     [Snapshot.of_coredump] mints no fresh symbols, so recomputing it on a
-     resumed run preserves bit-identical symbol allocation. *)
+  (* The coredump-time stop state, for the static refuter's goal values. *)
   let snapshot0 =
     match snapshot0 with Some s -> s | None -> Snapshot.of_coredump dump
   in
@@ -570,16 +534,6 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
      pushed in candidate order, so the first candidate is evaluated (and
      its whole subtree drained) before the second. *)
   let stack = ref [] in
-  let stopped = ref None in
-  let snap_state frontier =
-    {
-      s_frontier = frontier;
-      s_carry = !recorded;
-      s_stats = copy_stats stats;
-      s_next_id = !next_id;
-      s_out = !out;
-    }
-  in
   (* Visit a node: emit if terminal, otherwise generate (and statically
      prune) its candidate moves and schedule one eval per survivor, sealed
      below by the dead-end detector. *)
@@ -701,14 +655,8 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
           stack := []
         end
         else begin
-          (* A resume from this instant must re-process [item]: report the
-             pre-pop state (frontier including it, counters unbumped). *)
-          (match on_node with
-          | Some hook -> hook (snap_state frontier)
-          | None -> ());
           if stats.nodes >= config.max_nodes || not (budget_ok ()) then begin
             budget_hit := true;
-            stopped := Some (snap_state frontier);
             left := frontier
           end
           else begin
@@ -728,8 +676,8 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
           end
         end
   in
-  (match resume with
-  | Some s -> stack := s.s_frontier
+  (match carry with
+  | Some (frontier, _) -> stack := frontier
   | None -> (
       let crumbs0 =
         if config.use_breadcrumbs then crumbs_of_dump ctx dump else IMap.empty
@@ -813,19 +761,12 @@ let search ?(config = default_config) ?snapshot0 ?budget ?resume ?on_node ctx
         {
           c_config = config;
           c_dump = dump;
-          c_next =
-            {
-              s_frontier = List.rev_append !recorded !left;
-              s_carry = [];
-              s_stats = new_stats ();
-              s_next_id = !next_id;
-              s_out = [];
-            };
+          c_frontier = List.rev_append !recorded !left;
+          c_next_id = !next_id;
         };
   {
     suffixes = List.rev !out;
     stats;
     complete = not !budget_hit;
     exhausted = Budget.exhausted budget;
-    suspended = !stopped;
   }

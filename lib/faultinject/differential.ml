@@ -1,9 +1,9 @@
 (** The differential harness and the result of every self-test campaign.
 
     Each speed-up RES carries (static pruning, concrete reverse execution,
-    the snapshot index, checkpoint/resume, worker retry) and each fault it
-    survives (killed workers, nodes and coordinators, lying nodes, a
-    hostile cache disk) must be invisible except in latency.  A campaign
+    the snapshot index, worker retry) and each fault it survives (killed
+    workers, nodes and coordinators, lying nodes, a hostile cache disk)
+    must be invisible except in latency.  A campaign
     states that as subjects × variants × projection: every subject is
     projected once under the reference and once under each named variant,
     and the variant's bytes must equal the reference's.  Counts (nodes,

@@ -232,22 +232,17 @@ let campaign ?(seed = 1) ?(runs = 60) ?(skip_deadline = false) () =
 (* --- equivalence campaigns (subjects x variants x projection) --- *)
 
 (** Analyze a crash with a fresh symbol counter and render the
-    display-sorted report bodies — or, with [counters], the reports under
-    their work-counter header.  This is the bit-stable projection every
-    equivalence check compares and the triage daemon's workers emit. *)
-let rendered_analysis ?(config = Res_core.Res.default_config)
-    ?(counters = false) prog dump =
+    display-sorted report bodies.  This is the bit-stable projection
+    every equivalence check compares and the triage daemon's workers
+    emit. *)
+let rendered_analysis ?(config = Res_core.Res.default_config) prog dump =
   Res_solver.Expr.reset_counter_for_tests ();
   let ctx = Res_core.Backstep.make_ctx prog in
   let a = Res_core.Res.analysis (Res_core.Res.analyze ~config ctx dump) in
-  let render =
-    if counters then Res_core.Report.reports_to_string
-    else Res_core.Report.report_list_to_string
-  in
-  (render ctx a, a)
+  (Res_core.Report.report_list_to_string ctx a, a)
 
-let workload_analysis ?config ?counters (w : Res_workloads.Truth.t) =
-  rendered_analysis ?config ?counters w.Res_workloads.Truth.w_prog
+let workload_analysis ?config (w : Res_workloads.Truth.t) =
+  rendered_analysis ?config w.Res_workloads.Truth.w_prog
     (Res_workloads.Truth.coredump w)
 
 let subjects workloads =
@@ -260,152 +255,6 @@ let subjects workloads =
    first cause. *)
 let exhaustive search =
   { Res_core.Res.default_config with search; stop_at_first_cause = false }
-
-(* --- kill-and-resume (crash-safe checkpointing) --- *)
-
-(* Exhaustive deepening so every workload's search is deep enough for
-   kill points to land mid-analysis. *)
-let kr_config =
-  {
-    Res_core.Res.default_config with
-    search =
-      {
-        Res_core.Search.default_config with
-        max_segments = 6;
-        max_nodes = 2_000;
-        max_suffixes = 8;
-      };
-    stop_at_first_cause = false;
-    max_attempts = 2;
-  }
-
-(** The never-killed reference run.  Rendered with its work counters: a
-    resumed analysis must neither redo nor skip work. *)
-let kr_reference w =
-  {
-    Differential.bytes =
-      fst (workload_analysis ~config:kr_config ~counters:true w);
-    counts = [];
-  }
-
-(** One kill-and-resume chain: run the analysis under a fuel budget that
-    dies after [k] expanded nodes, then keep reloading the checkpoint and
-    resuming — each leg under the {e same} lethal fuel, so long analyses
-    die and resume many times — until it completes.  With [torn], the
-    first leg also dies halfway through its exhaustion-time checkpoint
-    write, leaving a torn journal to recover.  With [expired], the first
-    resumed leg runs under a deadline that has already passed, so it
-    stops before its first search and must rewrite the resume point it
-    was handed.  A chain that leaves a torn [.tmp] or an invalid
-    checkpoint on disk fails. *)
-let kill_chain ?(torn = false) ?(expired = false) k (w : Res_workloads.Truth.t) =
-  let every = 4 in
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Fmt.str "kr-%d-%s-%d%s%s.ckpt" (Unix.getpid ()) w.Res_workloads.Truth.w_name
-         k
-         (if torn then "-torn" else "")
-         (if expired then "-expired" else ""))
-  in
-  let cleanup () =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      (path :: Res_vm.Coredump_io.journal_siblings path)
-  in
-  cleanup ();
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let dump = Res_workloads.Truth.coredump w in
-  let prog = w.Res_workloads.Truth.w_prog in
-  let ctx = Res_core.Backstep.make_ctx prog in
-  let lethal_budget () = Res_core.Budget.create ~fuel:k () in
-  let budget0 = lethal_budget () in
-  let base =
-    Res_persist.Checkpoint.checkpointer ~every ~path ~config:kr_config ~prog ~dump ()
-  in
-  let first_ckpt =
-    if not torn then base
-    else
-      {
-        base with
-        Res_core.Res.ck_write =
-          (fun st ->
-            if Res_core.Budget.exhausted budget0 = None then
-              base.Res_core.Res.ck_write st
-            else begin
-              (* The atomic writer's intermediate state is a
-                 [path.<pid>.<n>.tmp] journal, so a mid-write death is a
-                 torn journal — and no update of [path]. *)
-              let full =
-                Res_persist.Checkpoint.to_string
-                  { Res_persist.Checkpoint.config = kr_config; prog; dump; state = st }
-              in
-              let oc = open_out_bin (Res_vm.Coredump_io.fresh_tmp_path path) in
-              output_string oc (String.sub full 0 (String.length full / 2));
-              close_out oc;
-              Error "simulated death mid-checkpoint-write"
-            end);
-      }
-  in
-  let rec chase legs = function
-    | Res_core.Res.Partial
-        ((Res_core.Res.Fuel_exhausted | Res_core.Res.Deadline_exceeded), _)
-      when legs < 500 ->
-        (* The process died.  A new one reloads the checkpoint (running
-           journal recovery) and resumes — under the same lethal fuel.
-           Only the first leg dies mid-write: later legs check that
-           recovery converges, not that it loops forever. *)
-        let ck =
-          match Res_persist.Checkpoint.load path with
-          | Ok ck -> ck
-          | Error e ->
-              Fmt.failwith "checkpoint load failed after %d legs: %s" legs
-                (Res_vm.Coredump_io.dump_error_to_string e)
-        in
-        let open Res_persist.Checkpoint in
-        let cp =
-          checkpointer ~every ~path ~config:ck.config ~prog:ck.prog
-            ~dump:ck.dump ()
-        in
-        let budget =
-          if expired && legs = 1 then Res_core.Budget.create ~wall_seconds:(-1.) ()
-          else lethal_budget ()
-        in
-        chase (legs + 1)
-          (Res_core.Res.resume ~config:ck.config ~budget
-             ~checkpointer:cp
-             (Res_core.Backstep.make_ctx ck.prog)
-             ck.dump ck.state)
-    | o -> (legs, o)
-  in
-  let legs, outcome =
-    chase 1
-      (Res_core.Res.analyze ~config:kr_config ~budget:budget0 ~checkpointer:first_ckpt
-         ctx dump)
-  in
-  if Res_vm.Coredump_io.journal_siblings path <> [] then
-    failwith "torn .tmp journal left on disk";
-  if Sys.file_exists path && Result.is_error (Res_persist.Checkpoint.load path) then
-    failwith "final checkpoint does not validate";
-  {
-    Differential.bytes =
-      Res_core.Report.reports_to_string ctx (Res_core.Res.analysis outcome);
-    counts = [ ("legs", legs) ];
-  }
-
-(** Kill-and-resume equivalence: every workload's never-killed reports
-    against one chain per kill point in [kills], a mid-write kill at
-    [torn_kill] and a chain killed at 5 whose first resume runs past its
-    deadline. *)
-let kill_resume_campaign ?(kills = [ 1; 5; 17 ]) ?(torn_kill = 13)
-    ?(workloads = default_workloads ()) () =
-  Differential.run ~campaign:"kill-resume" ~reference:kr_reference
-    ~variants:
-      (List.map (fun k -> (Fmt.str "kill@%d" k, kill_chain k)) kills
-      @ [
-          (Fmt.str "torn@%d" torn_kill, kill_chain ~torn:true torn_kill);
-          ("expired@5", kill_chain ~expired:true 5);
-        ])
-    (subjects workloads)
 
 (* --- static pruning and concrete reverse execution --- *)
 

@@ -1,10 +1,9 @@
 (** Deterministic structured fuzzing for every untrusted byte boundary.
 
-    The system decodes eight kinds of foreign bytes: coredumps,
-    checkpoints, batch-triage wire rows, daemon protocol frames, cache
-    entries, IR program text, and the debugger's predicate and command
-    grammars.  All of them are hostile
-    input by definition — crash reports come from the wild, frames come
+    The system decodes seven kinds of foreign bytes: coredumps,
+    batch-triage wire rows, daemon protocol frames, cache entries, IR
+    program text, and the debugger's predicate and command grammars.  All
+    of them are hostile input by definition — crash reports come from the wild, frames come
     from the network, files come from disks that lie.  Every decoder
     owes the same contract:
 
@@ -270,51 +269,8 @@ let replace_first ~marker ~sub s =
       String.sub s 0 i ^ sub
       ^ String.sub s (i + String.length marker) (String.length s - i - String.length marker)
 
-(** A real checkpoint taken between two depths of an exhaustive
-    long-exec-50 analysis: the next depth's search, suspended before its
-    first pop, whose frontier is the carry the last depth left.
-    Symbol ids are minted from zero, so its bytes do not depend on what
-    ran earlier in the process. *)
-let deepening_checkpoint () =
-  let w = Res_workloads.Workloads.find "long-exec-50" in
-  let prog = w.Res_workloads.Truth.w_prog in
-  let dump = Res_workloads.Truth.coredump w in
-  let config =
-    {
-      Res_core.Res.default_config with
-      search = { Res_core.Res.default_config.search with max_segments = 4 };
-      stop_at_first_cause = false;
-    }
-  in
-  let between = ref None in
-  let checkpointer =
-    {
-      Res_core.Res.ck_every = 1;
-      ck_write =
-        (fun st ->
-          (match (!between, st.Res_core.Res.ck_suspended) with
-          | None, Some s
-            when st.ck_depth > 1 && s.Res_core.Search.s_carry = []
-                 && s.s_stats = Res_core.Search.new_stats () ->
-              between := Some st
-          | _ -> ());
-          Ok "captured");
-    }
-  in
-  let saved = Res_solver.Expr.counter_value () in
-  Res_solver.Expr.restore_counter 0;
-  ignore
-    (Res_core.Res.analyze ~config ~checkpointer
-       (Res_core.Backstep.make_ctx prog) dump);
-  Res_solver.Expr.restore_counter saved;
-  match !between with
-  | Some state ->
-      Res_persist.Checkpoint.to_string
-        { Res_persist.Checkpoint.config; prog; dump; state }
-  | None -> failwith "long-exec-50 left no state between depths"
-
 (** Build the format descriptors.  The corpus programs/dumps seed the
-    coredump, checkpoint, and protocol formats with realistic bytes —
+    coredump and protocol formats with realistic bytes —
     the same artifacts the system really ships. *)
 let formats () =
   let module P = Res_serve.Protocol in
@@ -351,44 +307,6 @@ let formats () =
              crash/hang only; acceptance is the strict parse *)
           ignore (Io.of_string_result ~salvage:true s);
           Result.is_ok (Io.of_string_result s));
-    }
-  in
-  (* -- checkpoint v6 -- *)
-  let ckpt_seed =
-    Res_persist.Checkpoint.to_string
-      {
-        Res_persist.Checkpoint.config = Res_core.Res.default_config;
-        prog = List.hd progs;
-        dump = List.hd dumps;
-        state = Res_core.Res.initial_state Res_core.Res.default_config;
-      }
-  in
-  let carry_seed = deepening_checkpoint () in
-  let ckpt_header = Res_persist.Checkpoint.header in
-  let checkpoint =
-    {
-      f_name = "checkpoint";
-      f_sealed = true;
-      f_seeds = [ ckpt_seed; carry_seed ];
-      f_hostile =
-        [
-          tamper ~header:ckpt_header
-            (fun p -> replace_first ~marker:"frontier 1" ~sub:"frontier 999999" p)
-            carry_seed;
-          tamper ~header:ckpt_header
-            (fun p -> replace_first ~marker:"suffixes 0" ~sub:"suffixes 1048577" p)
-            ckpt_seed;
-          tamper ~header:ckpt_header
-            (fun p -> replace_first ~marker:"suffixes 0" ~sub:"suffixes 999999" p)
-            ckpt_seed;
-          tamper ~header:ckpt_header
-            (fun p -> replace_first ~marker:"state 0" ~sub:"state 99999999999999999999" p)
-            ckpt_seed;
-          garbage_bytes;
-        ];
-      f_decode =
-        (fun s ->
-          Result.is_ok (Res_persist.Checkpoint.of_string s));
     }
   in
   (* one triage verdict, given as its cache body, seeds every surface
@@ -621,10 +539,9 @@ let formats () =
       f_decode = (fun s -> Result.is_ok (Res_debug.Command.parse s));
     }
   in
-  [ coredump; checkpoint; wire; protocol; cache; ir; predicate; command ]
+  [ coredump; wire; protocol; cache; ir; predicate; command ]
 
-let format_names =
-  [ "coredump"; "checkpoint"; "wire"; "protocol"; "cache"; "ir"; "predicate"; "command" ]
+let format_names = [ "coredump"; "wire"; "protocol"; "cache"; "ir"; "predicate"; "command" ]
 
 (* --- the campaign ----------------------------------------------------- *)
 

@@ -49,8 +49,8 @@ let is_digit = function '0' .. '9' -> true | _ -> false
 
 (** A lexer: a cursor over [src.[pos .. lim - 1]] that lexes one token
     per {!lex_one}.  Every reader of the MiniIR token language — the IR
-    parser, the coredump reader, the checkpoint reader — lexes through
-    it, so they share one set of lexical rules. *)
+    parser and the coredump reader — lexes through it, so they share one
+    set of lexical rules. *)
 type lexer = { src : string; lim : int; mutable pos : int; mutable line : int }
 
 let lexer ?(pos = 0) ?lim src =

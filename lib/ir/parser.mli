@@ -23,8 +23,8 @@
 
 exception Parse_error of { line : int; msg : string }
 
-(** Lexer tokens — exposed so other textual formats (coredumps,
-    checkpoints) read the same token language. *)
+(** Lexer tokens — exposed so other textual formats (coredumps) read
+    the same token language. *)
 type token =
   | IDENT of string
   | INT of int

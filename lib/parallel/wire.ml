@@ -1,7 +1,7 @@
 (** Wire formats for the worker pool.
 
     Batch-triage verdicts cross the worker boundary in the same hardened
-    textual envelope as coredumps and checkpoints: versioned header plus
+    textual envelope as coredumps: versioned header plus
     FNV-1a footer via {!Res_core.Sealing.seal}. *)
 
 module Io = Res_vm.Coredump_io

@@ -29,15 +29,6 @@ let fresh_sym name = { id = 1 + Atomic.fetch_and_add counter 1; name }
 (** Reset the id counter — test isolation only. *)
 let reset_counter_for_tests () = Atomic.set counter 0
 
-(** Current value of the fresh-variable counter.  Checkpoints persist it so
-    a resumed process re-mints exactly the ids the uninterrupted run would
-    have (bit-identical continuation). *)
-let counter_value () = Atomic.get counter
-
-(** Restore the fresh-variable counter from a checkpoint.  The ids below
-    [n] are considered taken; only the resumed analysis may reuse them. *)
-let restore_counter n = Atomic.set counter n
-
 let fresh name = Sym (fresh_sym name)
 let const n = Const n
 let zero = Const 0

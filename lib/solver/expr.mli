@@ -26,13 +26,6 @@ val fresh : string -> t
 (** Reset the id counter — test isolation only. *)
 val reset_counter_for_tests : unit -> unit
 
-(** Current value of the fresh-variable counter (persisted in search
-    checkpoints so a resumed run re-mints identical ids). *)
-val counter_value : unit -> int
-
-(** Restore the fresh-variable counter from a checkpoint. *)
-val restore_counter : int -> unit
-
 val const : int -> t
 val zero : t
 val one : t

@@ -72,9 +72,7 @@ let add_decimal w i =
 let contents w = Bytes.sub_string w.buf 0 w.len
 
 (* Record writers append straight to the writer: one space before each
-   word, never a line break inside a record, no [Format] engine.  The
-   [pp_*] printers other formats embed (checkpoints) are the same
-   writers, so a value renders identically everywhere. *)
+   word, never a line break inside a record, no [Format] engine. *)
 
 let add_word w s =
   add_char w ' ';
@@ -120,17 +118,6 @@ let add_status w = function
 
 let add_site w = function None -> add_word w "none" | Some pc -> add_pc w pc
 
-(* A writer as a printer: the words without their leading space. *)
-let pp_of add ppf x =
-  let w = writer 64 in
-  add w x;
-  Fmt.string ppf (Bytes.sub_string w.buf 1 (w.len - 1))
-
-let pp_pc = pp_of add_pc
-let pp_kind = pp_of add_kind
-let pp_status = pp_of add_status
-let pp_site = pp_of add_site
-
 (* --- envelope: header, line count, checksum --- *)
 
 (* 32-bit FNV-1a and the newline count of [s.[0 .. len - 1]], in one
@@ -147,7 +134,7 @@ let fnv_and_lines s len =
 
 (** 32-bit FNV-1a over a string — cheap, deterministic, and plenty to catch
     the single-bit and truncation corruption we defend against.  Shared by
-    every checksummed on-disk format (coredumps, search checkpoints). *)
+    every sealed format ({!seal}). *)
 let fnv1a32 s = fst (fnv_and_lines (Bytes.unsafe_of_string s) (String.length s))
 
 let count_lines s =
@@ -287,10 +274,7 @@ let fail fmt = Fmt.kstr (fun m -> raise (Bad_format m)) fmt
 (* --- the reader: a token cursor over a payload --- *)
 
 (* Tokens come from the MiniIR lexer (ints, identifiers, quoted strings),
-   one at a time. *)
-type reader = Res_ir.Parser.cursor
-
-let reader src = Res_ir.Parser.cursor src
+   one at a time, through a {!Res_ir.Parser.cursor}. *)
 let peek = Res_ir.Parser.peek
 
 let next rd =

@@ -46,11 +46,10 @@ val of_string : string -> Coredump.t
 
 (** {2 Shared on-disk-format helpers}
 
-    Other sealed textual formats (the search checkpoints of
-    {!Res_persist.Checkpoint}) reuse the coredump format's building blocks:
-    the FNV-1a envelope, the journal names of the atomic writer
-    ({!Res_core.Ioshim.write_file_atomic}), and the token-level record
-    readers/printers. *)
+    The other sealed formats ({!Res_core.Sealing}: spool entries, wire
+    frames, protocol frames, cache entries) reuse the coredump format's
+    FNV-1a envelope and the journal names of the atomic writer
+    ({!Res_core.Ioshim.write_file_atomic}). *)
 
 (** 32-bit FNV-1a checksum of a string. *)
 val fnv1a32 : string -> int
@@ -85,39 +84,6 @@ val journal_siblings : string -> string list
 
 (** Read a whole file, classifying failures as {!Unreadable}. *)
 val read_file : string -> (string, dump_error) result
-
-(** Token cursor over a string: a {!Res_ir.Parser.cursor}, which lexes
-    one token at a time with {!Res_ir.Parser.lex_one}. *)
-type reader
-
-val reader : string -> reader
-
-(** @raise Bad_format at end of input.
-    @raise Res_ir.Parser.Parse_error on a lexical error. *)
-val next : reader -> Res_ir.Parser.token
-
-(** The next token without consuming it; [EOF] at end of input. *)
-val peek : reader -> Res_ir.Parser.token
-
-(** Typed token readers. @raise Bad_format on the wrong token kind. *)
-val int_tok : reader -> int
-
-val ident : reader -> string
-val string_tok : reader -> string
-
-(** Record-field (de)serializers shared with the checkpoint format. *)
-val pc_of : reader -> Res_ir.Pc.t
-
-val site_of : reader -> Res_ir.Pc.t option
-val kind_of : reader -> Crash.kind
-val status_of : reader -> Thread.status
-val pp_pc : Format.formatter -> Res_ir.Pc.t -> unit
-val pp_kind : Format.formatter -> Crash.kind -> unit
-val pp_status : Format.formatter -> Thread.status -> unit
-val pp_site : Format.formatter -> Res_ir.Pc.t option -> unit
-
-(** Raise {!Bad_format} with a formatted message. *)
-val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Load a coredump from a file, classifying damage instead of raising. *)
 val load_result : ?salvage:bool -> string -> (loaded, dump_error) result

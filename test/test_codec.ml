@@ -7,14 +7,12 @@
    message; and the two encoders must write the same bytes for every
    dump, because cache keys hash those bytes.
 
-   Inputs: every workload's dump, the triage corpus's dumps, the dumps
-   inside both checkpoint shapes the persistence tests build (between
-   depths and mid-depth), seeded byte mutations of all of those payloads
+   Inputs: every workload's dump, the triage corpus's dumps, an
+   extreme-value dump, seeded byte mutations of all of those payloads
    re-sealed with a valid footer so they reach the parser, and hostile
    footers and headers. *)
 
 module Io = Res_vm.Coredump_io
-module Ckpt = Res_persist.Checkpoint
 module P = Res_ir.Parser
 
 let check = Alcotest.check
@@ -118,65 +116,6 @@ let corpus_dumps () =
       (Fmt.str "corpus report %d" r.Res_workloads.Corpus.r_id, r.r_dump))
     (Res_workloads.Corpus.generate ())
 
-(* The checkpoint shapes of the persistence tests: long-exec-50 deepened
-   to 55 segments, one state between depths and one mid-depth. *)
-let checkpoint_texts =
-  lazy
-  (let config =
-    {
-      Res_core.Res.search =
-        {
-          Res_core.Search.default_config with
-          max_segments = 55;
-          max_nodes = 10_000;
-          max_suffixes = 8;
-        };
-      determinism_runs = 1;
-      stop_at_first_cause = false;
-      max_attempts = 2;
-    }
-  in
-  let w = Res_workloads.Workloads.find "long-exec-50" in
-  let states = ref [] in
-  let checkpointer =
-    {
-      Res_core.Res.ck_every = 1;
-      ck_write =
-        (fun st ->
-          states := st :: !states;
-          Ok "captured");
-    }
-  in
-  Res_solver.Expr.reset_counter_for_tests ();
-  let dump = Res_workloads.Truth.coredump w in
-  let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
-  ignore (Res_core.Res.analyze ~config ~checkpointer ctx dump);
-  let pick what p =
-    match List.find_opt p (List.rev !states) with
-    | Some state ->
-        (what, Ckpt.to_string { Ckpt.config; prog = w.Res_workloads.Truth.w_prog; dump; state })
-    | None -> Alcotest.failf "no %s state captured" what
-  in
-  [
-    pick "between depths" (fun st ->
-        match st.Res_core.Res.ck_suspended with
-        | Some s ->
-            st.ck_depth >= 20
-            && s.Res_core.Search.s_carry = []
-            && s.s_stats = Res_core.Search.new_stats ()
-        | None -> false);
-    pick "mid-depth" (fun st ->
-        match st.Res_core.Res.ck_suspended with
-        | Some s -> st.ck_depth >= 20 && s.Res_core.Search.s_carry <> []
-        | None -> false);
-  ])
-
-(* The dump a checkpoint embeds, as its coredump text. *)
-let embedded_dump text =
-  match Ckpt.of_string text with
-  | Ok c -> Io.to_string c.Ckpt.dump
-  | Error e -> Alcotest.failf "checkpoint reload: %s" (Io.dump_error_to_string e)
-
 (* Integers at the edges of the range, negative values, and strings that
    need every escape, planted into a real dump. *)
 let extreme_dump () =
@@ -207,11 +146,7 @@ let extreme_dump () =
 
 let all_dumps =
   lazy
-    (workload_dumps () @ corpus_dumps ()
-    @ List.map
-        (fun (what, text) -> (what, Io.of_string (embedded_dump text)))
-        (Lazy.force checkpoint_texts)
-    @ [ ("extreme values", extreme_dump ()) ])
+    (workload_dumps () @ corpus_dumps () @ [ ("extreme values", extreme_dump ()) ])
 
 (* --- tests --- *)
 
@@ -295,7 +230,6 @@ let test_mutations_agree () =
   let rng = Random.State.make [| 0x5eed |] in
   let dumps = List.map (fun (_, d) -> Io.to_string d) (Lazy.force all_dumps) in
   let dump_payloads = Array.of_list (List.map payload_of dumps) in
-  let ckpt_payloads = Array.of_list (List.map (fun (_, t) -> payload_of t) (Lazy.force checkpoint_texts)) in
   let counts = Hashtbl.create 8 in
   let count k = Hashtbl.replace counts k (1 + Option.value (Hashtbl.find_opt counts k) ~default:0) in
   for case = 1 to 1500 do
@@ -305,26 +239,12 @@ let test_mutations_agree () =
     count
       (match verdict_new ~salvage:false text with Ok _ -> "accepted" | Error c -> c)
   done;
-  (* Checkpoint payloads: the checkpoint reader lexes through the same
-     cursor, so their token streams must agree too, and the loader must
-     classify every case. *)
-  for case = 1 to 300 do
-    let base = ckpt_payloads.(Random.State.int rng (Array.length ckpt_payloads)) in
-    let payload = mutate rng base in
-    if not (same_tokens payload) then
-      Alcotest.failf "checkpoint mutation %d: token streams differ" case;
-    match Ckpt.of_string (Codec_ref.seal payload) with
-    | Ok _ -> count "checkpoint accepted"
-    | Error _ -> count "checkpoint rejected"
-    | exception exn ->
-        Alcotest.failf "checkpoint mutation %d raised %s" case (Printexc.to_string exn)
-  done;
   (* not vacuous: damage is both tolerated and refused, and the parser
      itself refuses some of it *)
   List.iter
     (fun k ->
       check bool_t (k ^ " cases present") true (Hashtbl.mem counts k))
-    [ "accepted"; "malformed"; "checkpoint rejected" ]
+    [ "accepted"; "malformed" ]
 
 let test_hostile_envelopes_agree () =
   let d = Res_workloads.Truth.coredump (Res_workloads.Workloads.find "div-by-zero") in

@@ -90,41 +90,53 @@ let test_bounded_counts () =
   Alcotest.(check bool) "negative count refused" true
     (Sealing.count_error ~what:"row" (-1) <> None);
   Alcotest.(check bool) "inflated count refused" true
-    (Sealing.count_error ~what:"row" (Sealing.max_count + 1) <> None);
-  Alcotest.check_raises "check_count raises the codec's typed error"
-    (Res_vm.Coredump_io.Bad_format "negative row count -3") (fun () ->
-      ignore (Sealing.check_count ~what:"row" (-3)))
+    (Sealing.count_error ~what:"row" (Sealing.max_count + 1) <> None)
 
 (* A sealed artifact whose payload announces more items than the bytes
    carry — resealed so the envelope is valid and the decoder proper has
-   to defend itself.  This is the checkpoint hostile the fuzzer throws;
-   assert the exact typed outcome here so a regression names itself. *)
+   to defend itself.  The daemon's status reply counts its breaker rows:
+   this is the protocol hostile the fuzzer throws; assert the typed
+   outcome here so a regression names itself. *)
 let test_inflated_count_is_typed_error () =
-  let r = List.hd (Res_workloads.Corpus.generate ~n_per_bug:1 ()) in
+  let module P = Res_serve.Protocol in
   let pristine =
-    Res_persist.Checkpoint.to_string
-      {
-        Res_persist.Checkpoint.config = Res_core.Res.default_config;
-        prog = r.Res_workloads.Corpus.r_prog;
-        dump = r.Res_workloads.Corpus.r_dump;
-        state = Res_core.Res.initial_state Res_core.Res.default_config;
-      }
+    P.encode_reply
+      (P.Status_reply
+         {
+           st_accepted = 1;
+           st_completed = 1;
+           st_shed = 0;
+           st_breaker_rejected = 0;
+           st_recovered = 0;
+           st_queued = 0;
+           st_running = 0;
+           st_worker_restarts = 0;
+           st_breakers_open = 0;
+           st_cache_hits = 0;
+           st_draining = false;
+           st_breakers = [];
+         })
   in
-  Alcotest.(check bool) "pristine checkpoint round-trips" true
-    (match Res_persist.Checkpoint.of_string pristine with
-    | Ok _ -> true
-    | Error _ -> false);
-  let inflated =
-    Fuzz.tamper ~header:Res_persist.Checkpoint.header
+  Alcotest.(check bool) "pristine status reply round-trips" true
+    (Result.is_ok (P.decode_reply pristine));
+  let inflated n =
+    Fuzz.tamper ~header:P.rep_header
       (fun payload ->
-        Fuzz.replace_first ~marker:"suffixes 0" ~sub:"suffixes 999999" payload)
+        Fuzz.replace_first ~marker:"breakers 0"
+          ~sub:(Fmt.str "breakers %d" n) payload)
       pristine
   in
   Alcotest.(check bool) "tamper produced a distinct artifact" false
-    (String.equal inflated pristine);
-  match Res_persist.Checkpoint.of_string inflated with
-  | Ok _ -> Alcotest.fail "inflated suffix count must not decode"
-  | Error _ -> ()
+    (String.equal (inflated 999999) pristine);
+  (match P.decode_reply (inflated 999999) with
+  | Ok _ -> Alcotest.fail "inflated breaker count must not decode"
+  | Error _ -> ());
+  (* past the bound the count itself is refused, before any row is read *)
+  let n = Sealing.max_count + 1 in
+  Alcotest.(check (result reject string))
+    "over-limit count is the bounded-count gate's error"
+    (Error (Option.get (Sealing.count_error ~what:"breaker" n)))
+    (P.decode_reply (inflated n))
 
 let () =
   Alcotest.run "fuzz"
