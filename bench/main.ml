@@ -501,12 +501,12 @@ let bechamel () =
     in
     List.find (fun s -> s.Res_core.Suffix.complete) r.Res_core.Search.suffixes
   in
-  (* The coredump codec on a triage-corpus dump: the per-dump fixed cost
-     of loading and re-keying a fleet's crash reports. *)
-  let corpus_dump =
-    (List.hd (Res_workloads.Corpus.generate ~n_per_bug:1 ()))
-      .Res_workloads.Corpus.r_dump
-  in
+  (* The coredump codec on a triage-corpus dump, and the program printer
+     on its program: the per-dump fixed costs of loading and re-keying a
+     fleet's crash reports (a batch renders each distinct program once). *)
+  let corpus_report = List.hd (Res_workloads.Corpus.generate ~n_per_bug:1 ()) in
+  let corpus_dump = corpus_report.Res_workloads.Corpus.r_dump in
+  let corpus_prog = corpus_report.Res_workloads.Corpus.r_prog in
   let corpus_text = Res_vm.Coredump_io.to_string corpus_dump in
   let tests =
     Test.make_grouped ~name:"res"
@@ -537,6 +537,8 @@ let bechamel () =
         Test.make ~name:"coredump encode"
           (Staged.stage (fun () ->
                ignore (Res_vm.Coredump_io.to_string corpus_dump)));
+        Test.make ~name:"program render"
+          (Staged.stage (fun () -> ignore (Res_ir.Prog.to_string corpus_prog)));
         Test.make ~name:"envelope validate"
           (Staged.stage (fun () ->
                ignore (Res_core.Sealing.validate ~header:"coredump v2" corpus_text)));

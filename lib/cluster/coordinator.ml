@@ -151,7 +151,7 @@ let run ?(config = default_config) items =
   let n_applied = ref 0 and n_reschedules = ref 0 in
   let n_node_failures = ref 0 and n_byzantine = ref 0 in
   let n_queries = ref 0 in
-  let prog_text = Batch.per_prog Res_ir.Prog.to_string in
+  let prog_text = Batch.per_class Res_ir.Prog.to_string in
   let now () = Unix.gettimeofday () in
   let analyze (items : Batch.item array) farm settle =
     let dump u =

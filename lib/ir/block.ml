@@ -50,12 +50,21 @@ let live_in_regs b =
 (** Intra-function successor labels. *)
 let successors b = Instr.term_targets b.term
 
-let pp ppf b =
-  let pp_body ppf b =
-    Array.iter (fun i -> Fmt.pf ppf "%a@," Instr.pp i) b.instrs;
-    Instr.pp_terminator ppf b.term
-  in
-  Fmt.pf ppf "@[<v>%s:@;<0 2>@[<v>%a@]@]" b.label pp_body b
+(** [add buf b] appends the block's text: its label line, then each
+    instruction and the terminator on a line of its own, indented by two
+    spaces.  No trailing newline. *)
+let add buf b =
+  Buffer.add_string buf b.label;
+  Buffer.add_char buf ':';
+  Array.iter
+    (fun i ->
+      Buffer.add_string buf "\n  ";
+      Instr.add_instr buf i)
+    b.instrs;
+  Buffer.add_string buf "\n  ";
+  Instr.add_terminator buf b.term
+
+let pp = Instr.pp_of add
 
 let equal a b =
   String.equal a.label b.label

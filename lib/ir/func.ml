@@ -40,12 +40,22 @@ let all_regs f =
   let of_block b = Block.defined_regs b @ Block.used_regs b in
   List.concat_map of_block f.blocks @ f.params |> List.sort_uniq compare
 
-let pp ppf f =
-  Fmt.pf ppf "@[<v>func %s(%a) {@;<0 0>%a@;<0 0>}@]" f.name
-    Fmt.(list ~sep:(any ", ") Instr.pp_reg)
-    f.params
-    Fmt.(list ~sep:cut Block.pp)
-    f.blocks
+(** [add buf f] appends the function's text: the [func] header line, its
+    blocks in source order, and the closing brace.  No trailing newline. *)
+let add buf f =
+  Buffer.add_string buf "func ";
+  Buffer.add_string buf f.name;
+  Buffer.add_char buf '(';
+  Instr.add_regs buf f.params;
+  Buffer.add_string buf ") {";
+  List.iter
+    (fun b ->
+      Buffer.add_char buf '\n';
+      Block.add buf b)
+    f.blocks;
+  Buffer.add_string buf "\n}"
+
+let pp = Instr.pp_of add
 
 let equal a b =
   String.equal a.name b.name

@@ -222,42 +222,93 @@ let accesses = function
 let equal_instr (a : instr) (b : instr) = a = b
 let equal_terminator (a : terminator) (b : terminator) = a = b
 
-let pp_reg ppf r = Fmt.pf ppf "r%d" r
+(* The text writer: every instruction appends its one line to a [Buffer]
+   (no line break, no indentation; {!Block} adds those), so a program
+   renders in one pass with no [Format] engine.  String operands are
+   written as OCaml string literals ([String.escaped], as [%S] does),
+   which is what {!Parser} reads back. *)
 
-let pp ppf = function
-  | Const (r, n) -> Fmt.pf ppf "%a = const %d" pp_reg r n
-  | Mov (r, a) -> Fmt.pf ppf "%a = mov %a" pp_reg r pp_reg a
-  | Binop (op, r, a, b) ->
-      Fmt.pf ppf "%a = %s %a, %a" pp_reg r (binop_name op) pp_reg a pp_reg b
-  | Unop (op, r, a) -> Fmt.pf ppf "%a = %s %a" pp_reg r (unop_name op) pp_reg a
-  | Load (r, a, off) -> Fmt.pf ppf "%a = load %a[%d]" pp_reg r pp_reg a off
-  | Store (a, off, s) -> Fmt.pf ppf "store %a[%d] = %a" pp_reg a off pp_reg s
-  | Global_addr (r, g) -> Fmt.pf ppf "%a = global %s" pp_reg r g
-  | Alloc (r, s) -> Fmt.pf ppf "%a = alloc %a" pp_reg r pp_reg s
-  | Free a -> Fmt.pf ppf "free %a" pp_reg a
-  | Input (r, k) -> Fmt.pf ppf "%a = input %s" pp_reg r (input_kind_name k)
-  | Lock a -> Fmt.pf ppf "lock %a" pp_reg a
-  | Unlock a -> Fmt.pf ppf "unlock %a" pp_reg a
-  | Spawn (r, f, args) ->
-      Fmt.pf ppf "%a = spawn %s(%a)" pp_reg r f
-        Fmt.(list ~sep:(any ", ") pp_reg)
-        args
-  | Join a -> Fmt.pf ppf "join %a" pp_reg a
-  | Call (Some r, f, args) ->
-      Fmt.pf ppf "%a = call %s(%a)" pp_reg r f
-        Fmt.(list ~sep:(any ", ") pp_reg)
-        args
-  | Call (None, f, args) ->
-      Fmt.pf ppf "call %s(%a)" f Fmt.(list ~sep:(any ", ") pp_reg) args
-  | Assert (r, msg) -> Fmt.pf ppf "assert %a, %S" pp_reg r msg
-  | Log (tag, r) -> Fmt.pf ppf "log %S, %a" tag pp_reg r
-  | Nop -> Fmt.string ppf "nop"
+let add_int b n = Buffer.add_string b (string_of_int n)
 
-let pp_terminator ppf = function
-  | Jmp l -> Fmt.pf ppf "jmp %s" l
-  | Br (r, l1, l2) -> Fmt.pf ppf "br %a, %s, %s" pp_reg r l1 l2
-  | Ret (Some r) -> Fmt.pf ppf "ret %a" pp_reg r
-  | Ret None -> Fmt.string ppf "ret"
-  | Halt -> Fmt.string ppf "halt"
-  | Abort msg -> Fmt.pf ppf "abort %S" msg
+let add_reg b r =
+  Buffer.add_char b 'r';
+  add_int b r
 
+let add_regs b rs =
+  List.iteri (fun i r -> if i > 0 then Buffer.add_string b ", "; add_reg b r) rs
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+(* [r = kw ] *)
+let add_def b r kw =
+  add_reg b r;
+  Buffer.add_string b " = ";
+  Buffer.add_string b kw
+
+(* [f(args)] *)
+let add_call b f args =
+  Buffer.add_string b f;
+  Buffer.add_char b '(';
+  add_regs b args;
+  Buffer.add_char b ')'
+
+(* [addr[off]] *)
+let add_cell b a off =
+  add_reg b a;
+  Buffer.add_char b '[';
+  add_int b off;
+  Buffer.add_char b ']'
+
+let add_instr b = function
+  | Const (r, n) -> add_def b r "const "; add_int b n
+  | Mov (r, a) -> add_def b r "mov "; add_reg b a
+  | Binop (op, r, x, y) ->
+      add_def b r (binop_name op); Buffer.add_char b ' '; add_reg b x;
+      Buffer.add_string b ", "; add_reg b y
+  | Unop (op, r, a) ->
+      add_def b r (unop_name op); Buffer.add_char b ' '; add_reg b a
+  | Load (r, a, off) -> add_def b r "load "; add_cell b a off
+  | Store (a, off, s) ->
+      Buffer.add_string b "store "; add_cell b a off;
+      Buffer.add_string b " = "; add_reg b s
+  | Global_addr (r, g) -> add_def b r "global "; Buffer.add_string b g
+  | Alloc (r, s) -> add_def b r "alloc "; add_reg b s
+  | Free a -> Buffer.add_string b "free "; add_reg b a
+  | Input (r, k) -> add_def b r "input "; Buffer.add_string b (input_kind_name k)
+  | Lock a -> Buffer.add_string b "lock "; add_reg b a
+  | Unlock a -> Buffer.add_string b "unlock "; add_reg b a
+  | Spawn (r, f, args) -> add_def b r "spawn "; add_call b f args
+  | Join a -> Buffer.add_string b "join "; add_reg b a
+  | Call (Some r, f, args) -> add_def b r "call "; add_call b f args
+  | Call (None, f, args) -> Buffer.add_string b "call "; add_call b f args
+  | Assert (r, msg) ->
+      Buffer.add_string b "assert "; add_reg b r; Buffer.add_string b ", ";
+      add_quoted b msg
+  | Log (tag, r) ->
+      Buffer.add_string b "log "; add_quoted b tag; Buffer.add_string b ", ";
+      add_reg b r
+  | Nop -> Buffer.add_string b "nop"
+
+let add_terminator b = function
+  | Jmp l -> Buffer.add_string b "jmp "; Buffer.add_string b l
+  | Br (r, l1, l2) ->
+      Buffer.add_string b "br "; add_reg b r; Buffer.add_string b ", ";
+      Buffer.add_string b l1; Buffer.add_string b ", "; Buffer.add_string b l2
+  | Ret (Some r) -> Buffer.add_string b "ret "; add_reg b r
+  | Ret None -> Buffer.add_string b "ret"
+  | Halt -> Buffer.add_string b "halt"
+  | Abort msg -> Buffer.add_string b "abort "; add_quoted b msg
+
+(** [pp_of add] prints through the text writer [add]: [Format] printing
+    of instructions, blocks, functions and programs is a thin wrapper
+    over their writers, so each has one printer. *)
+let pp_of add ppf x =
+  let b = Buffer.create 256 in
+  add b x;
+  Fmt.string ppf (Buffer.contents b)
+
+let pp = pp_of add_instr
+let pp_terminator = pp_of add_terminator

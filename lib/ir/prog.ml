@@ -63,17 +63,35 @@ let size p =
       List.fold_left (fun acc b -> acc + Block.length b + 1) acc f.blocks)
     0 p.funcs
 
-let pp ppf p =
-  let pp_global ppf g = Fmt.pf ppf "global %s %d" g.gname g.gsize in
-  Fmt.pf ppf "@[<v>%a%a%a@]"
-    Fmt.(list ~sep:cut pp_global)
-    p.globals
-    Fmt.(if p.globals = [] then nop else cut)
-    ()
-    Fmt.(list ~sep:(cut ++ cut) Func.pp)
+(** [add buf p] appends the program's text, which {!Parser} reads back:
+    one [global] line per global, then the functions, a blank line
+    apart.  No trailing newline. *)
+let add buf p =
+  List.iteri
+    (fun i g ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Buffer.add_string buf "global ";
+      Buffer.add_string buf g.gname;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int g.gsize))
+    p.globals;
+  if p.globals <> [] then Buffer.add_char buf '\n';
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_string buf "\n\n";
+      Func.add buf f)
     p.funcs
 
-let to_string p = Fmt.str "%a@." pp p
+(** The program's text and a final newline.  Cache keys hash these
+    bytes, so they must not change.  The buffer starts small enough for
+    the minor heap and grows for big programs. *)
+let to_string p =
+  let buf = Buffer.create 1024 in
+  add buf p;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
+let pp = Instr.pp_of add
 
 let equal a b =
   a.globals = b.globals

@@ -107,31 +107,53 @@ let config_key ?budget_wall ?budget_fuel (config : Res.config) =
          s.reverse_exec config.determinism_runs config.stop_at_first_cause
          config.max_attempts)
 
-(** [per_prog f] memoizes [f] on physically distinct programs: a corpus
-    shares a handful of programs across many dumps, and its items are
-    sorted by name, which interleaves them. *)
-let per_prog f =
-  let memo = ref [] in
-  fun p ->
-    match List.assq_opt p !memo with
-    | Some v -> v
+(** [per_class f] memoizes [f] on structurally equal values: a corpus
+    holds many decoded copies of few distinct dumps, and shares a handful
+    of programs (often as many physically distinct copies) across them.
+    A value's bounded structural hash ({!Hashtbl.hash}) picks its bucket,
+    and [compare] with each class's first member there picks its class
+    ([compare] answers a physically equal value at once).  Only a
+    class's first member is passed to [f]; the others reuse its answer.
+    [f] must give structurally equal values equal answers, and the
+    values must hold no closures or floats, so that [compare] = 0 means
+    structurally identical.  Equal content that compares unequal (a
+    balanced map built in another order) only costs an extra call.
+
+    The hash reads only the first few fields it meets (resbench's
+    corpus-triage corpus puts ten long-exec loop counts in one bucket),
+    so a bucket keeps up to 16 classes.  A value that matches none of
+    them gets [f] to itself: distinct values that share a hash cost a
+    bounded number of comparisons each. *)
+let per_class f =
+  let buckets = Hashtbl.create 64 in
+  fun x ->
+    let h = Hashtbl.hash x in
+    let classes = Option.value (Hashtbl.find_opt buckets h) ~default:[] in
+    match List.find_opt (fun (rep, _) -> compare rep x = 0) classes with
+    | Some (_, v) -> v
     | None ->
-        let v = f p in
-        memo := (p, v) :: !memo;
+        let v = f x in
+        if List.compare_length_with classes 16 < 0 then
+          Hashtbl.replace buckets h ((x, v) :: classes);
         v
 
 (** Key phase: each loadable item's content key under [config] (a
     {!config_key} string) and, with [?cache], the verdict the cache holds
     for it.  Keys are derived with or without a cache: they are what
-    {!run} deduplicates on.  Key parts are hashed separately, so each
-    program is rendered and hashed once per batch, each dump once; each
+    {!run} deduplicates on.  Key parts are hashed separately, and each
+    structural class of programs and of dumps is rendered and hashed
+    once per batch ({!per_class}: equal values render to equal bytes, so
+    every key is what hashing each item's own bytes gives); each
     distinct key is looked up once. *)
 let lookup ?cache ~config items =
   let n = Array.length items in
   let keys = Array.make n "" in
   let cached = Array.make n None in
   let prog_hash =
-    per_prog (fun p -> Sealing.hash64 (Res_ir.Prog.to_string p))
+    per_class (fun p -> Sealing.hash64 (Res_ir.Prog.to_string p))
+  in
+  let dump_hash =
+    per_class (fun d -> Sealing.hash64 (Res_vm.Coredump_io.to_string d))
   in
   let config = Sealing.hash64 config in
   let found = Hashtbl.create 64 in
@@ -142,8 +164,7 @@ let lookup ?cache ~config items =
       | Ok d ->
           let k =
             Cache.key_of_hashes ~prog:(prog_hash it.it_prog)
-              ~dump:(Sealing.hash64 (Res_vm.Coredump_io.to_string d))
-              ~config
+              ~dump:(dump_hash d) ~config
           in
           keys.(i) <- k;
           Option.iter

@@ -66,7 +66,7 @@ let complete_reconstruction config ctx (dump : Res_vm.Coredump.t) =
               Res_core.Res.suffix = s;
               verdict = v;
               root_cause = None;
-              deterministic = true;
+              deterministic = v.Res_core.Replay.pinned;
             }
         else None)
     result.Res_core.Search.suffixes

@@ -105,15 +105,21 @@ $(cat "$cache_tmp/validate-dir.err")"; exit 1; }
 
 # The coredump encoder's bytes are pinned: every result-cache key, on
 # disk and in a coordinator's cache, hashes them, so an encoder that
-# changes one byte silently invalidates every stored verdict.
-for pin in counter-race:9864c04f3e9d0436d8f590a964ba5e46 \
-    fig1-overflow:8a387e444df16df1e9ac4706c422abae \
-    long-exec-50:2e588c66ca5ff255836b4f9b68a60d40; do
+# changes one byte silently invalidates every stored verdict.  The
+# program printer's bytes are pinned for the same reason: every key
+# hashes the program text too.  Each pin is workload:dump MD5:program MD5.
+for pin in counter-race:9864c04f3e9d0436d8f590a964ba5e46:8964a799ccbcce887f9c2cfc47f3403e \
+    fig1-overflow:8a387e444df16df1e9ac4706c422abae:636a3c5f51affd418ec373be17a2601c \
+    long-exec-50:2e588c66ca5ff255836b4f9b68a60d40:4c72a56dd804db517462b8c46e36fccc; do
   w=${pin%%:*}
-  "$RES" workload "$w" -o "$cache_tmp/pin.core" > /dev/null
+  sums=${pin#*:}
+  "$RES" workload "$w" -o "$cache_tmp/pin.core" --program "$cache_tmp/pin.res" > /dev/null
   sum=$(md5sum < "$cache_tmp/pin.core" | cut -d' ' -f1)
-  [ "$sum" = "${pin#*:}" ] \
-    || { echo "res workload $w wrote a dump with MD5 $sum, pinned ${pin#*:}"; exit 1; }
+  [ "$sum" = "${sums%%:*}" ] \
+    || { echo "res workload $w wrote a dump with MD5 $sum, pinned ${sums%%:*}"; exit 1; }
+  sum=$(md5sum < "$cache_tmp/pin.res" | cut -d' ' -f1)
+  [ "$sum" = "${sums#*:}" ] \
+    || { echo "res workload $w wrote a program with MD5 $sum, pinned ${sums#*:}"; exit 1; }
 done
 
 # Fault-injection gate: no perturbed analysis may escape with an

@@ -85,7 +85,15 @@ let test_content_key_known_answers () =
   Alcotest.(check string) "key_of_hashes is Cache.key"
     (Cache.key ~prog:"prog" ~dump:"dump" ~config:"config")
     (Cache.key_of_hashes ~prog:(Sealing.hash64 "prog")
-       ~dump:(Sealing.hash64 "dump") ~config:(Sealing.hash64 "config"))
+       ~dump:(Sealing.hash64 "dump") ~config:(Sealing.hash64 "config"));
+  (* the hand-written hex digits are what [%016Lx] writes *)
+  let rng = Random.State.make [| 16 |] in
+  List.iter
+    (fun hs ->
+      Alcotest.(check string) "key digits" (Printf.sprintf "%016Lx" (Sealing.combine64 hs))
+        (Sealing.key_of_hashes hs))
+    ([ []; [ 0L ]; [ -1L ]; [ Int64.min_int; Int64.max_int ] ]
+    @ List.init 200 (fun i -> List.init (i mod 4) (fun _ -> Random.State.bits64 rng)))
 
 (* --- store / find round trip ------------------------------------------ *)
 

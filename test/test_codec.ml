@@ -305,6 +305,225 @@ let test_hostile_envelopes_agree () =
       ("truncated", String.sub text 0 (String.length text / 2));
     ]
 
+(* --- program text: the one-buffer printer against the Format one --- *)
+
+module Ir = Res_ir
+
+let expect_same_text what p =
+  check string_t (what ^ ": program text") (Prog_ref.to_string p)
+    (Ir.Prog.to_string p)
+
+let test_programs_agree () =
+  let progs =
+    List.map
+      (fun (w : Res_workloads.Truth.t) -> (w.w_name, w.w_prog))
+      (Res_workloads.Workloads.all
+      @ List.map Res_workloads.Long_exec.workload_n [ 0; 1; 9; 100; 123456789 ]
+      @ List.init 3 Res_workloads.Uaf.workload_variant)
+    @ [
+        ("same-stack race", Res_workloads.Corpus.same_stack_race);
+        ("same-stack sign", Res_workloads.Corpus.same_stack_sign);
+      ]
+    @ List.map
+        (fun (r : Res_workloads.Corpus.report) ->
+          (Fmt.str "corpus report %d" r.r_id, r.r_prog))
+        (Res_workloads.Corpus.generate ~n_per_bug:1 ())
+  in
+  List.iter
+    (fun (what, (p : Ir.Prog.t)) ->
+      expect_same_text what p;
+      (* the Format wrappers print what the reference printers did *)
+      check string_t (what ^ ": Prog.pp") (Fmt.str "%a" Prog_ref.pp p)
+        (Fmt.str "%a" Ir.Prog.pp p);
+      List.iter
+        (fun (f : Ir.Func.t) ->
+          check string_t (what ^ ": Func.pp") (Fmt.str "%a" Prog_ref.pp_func f)
+            (Fmt.str "%a" Ir.Func.pp f);
+          List.iter
+            (fun (b : Ir.Block.t) ->
+              check string_t (what ^ ": Block.pp")
+                (Fmt.str "%a" Prog_ref.pp_block b)
+                (Fmt.str "%a" Ir.Block.pp b);
+              Array.iter
+                (fun i ->
+                  check string_t (what ^ ": Instr.pp")
+                    (Fmt.str "%a" Prog_ref.pp_instr i)
+                    (Fmt.str "%a" Ir.Instr.pp i))
+                b.instrs)
+            f.blocks)
+        p.funcs)
+    progs
+
+(* Every instruction and terminator form, once. *)
+let every_instr =
+  Ir.Instr.
+    [
+      Const (0, min_int);
+      Const (1, max_int);
+      Mov (2, 3);
+      Binop (Add, 4, 5, 6);
+      Binop (Ge, 7, 8, 9);
+      Unop (Neg, 10, 11);
+      Unop (Not, 10, 11);
+      Load (12, 13, -7);
+      Store (14, 0, 15);
+      Global_addr (16, "g");
+      Alloc (17, 18);
+      Free (19);
+      Input (20, Net);
+      Input (21, Rand);
+      Lock 22;
+      Unlock 23;
+      Spawn (24, "worker", []);
+      Spawn (25, "worker", [ 1; 2; 3 ]);
+      Join 26;
+      Call (Some 27, "f", [ 28 ]);
+      Call (None, "g", []);
+      Call (None, "h", [ 1; 2 ]);
+      Assert (29, "");
+      Log ("tag", 30);
+      Nop;
+    ]
+
+let every_byte = String.init 256 Char.chr
+
+let func ?(params = []) name blocks =
+  Ir.Func.v ~name ~params ~entry:(List.hd blocks).Ir.Block.label blocks
+
+let test_edge_programs_agree () =
+  let long = String.make 100 'x' in
+  let main = func "main" [ Ir.Block.v "entry" every_instr Ir.Instr.Halt ] in
+  let terms =
+    Ir.Instr.
+      [
+        Ir.Block.v "a" [] (Jmp "b");
+        Ir.Block.v "b" [] (Br (1, "a", "c"));
+        Ir.Block.v "c" [] (Ret (Some 2));
+        Ir.Block.v "d" [] (Ret None);
+        Ir.Block.v "e" [ Nop ] Halt;
+        Ir.Block.v "f" [] (Abort "boom");
+      ]
+  in
+  let cases =
+    [
+      ("empty program", Ir.Prog.v ~globals:[] []);
+      ("no globals", Ir.Prog.v ~globals:[] [ main ]);
+      ( "globals, no functions",
+        Ir.Prog.v ~globals:[ { gname = "a"; gsize = 1 }; { gname = "b"; gsize = 9 } ] [] );
+      ( "globals and functions",
+        Ir.Prog.v ~globals:[ { gname = "a"; gsize = 1 } ] [ main; func "t" terms ] );
+      ( "several functions, params",
+        Ir.Prog.v ~globals:[]
+          [
+            main;
+            func ~params:[ 0 ] "one" terms;
+            func ~params:[ 0; 1; 2; 3 ] "four" terms;
+            func ~params:[ 0 ] "last" [ Ir.Block.v "x" [] Ir.Instr.Halt ];
+          ] );
+      ( "lines over the 78-column margin",
+        Ir.Prog.v
+          ~globals:[ { gname = long; gsize = max_int } ]
+          [
+            func ~params:(List.init 40 Fun.id) long
+              [
+                Ir.Block.v long
+                  Ir.Instr.
+                    [
+                      Call (Some 1, long, List.init 40 Fun.id);
+                      Spawn (2, long, List.init 40 (fun i -> i * 1000));
+                      Assert (3, long ^ long);
+                      Global_addr (4, long);
+                    ]
+                  (Ir.Instr.Br (5, long, long));
+              ];
+          ] );
+      ( "every string escape",
+        Ir.Prog.v ~globals:[]
+          [
+            func "main"
+              [
+                Ir.Block.v "entry"
+                  Ir.Instr.
+                    [
+                      Assert (0, every_byte);
+                      Assert (1, "q\"b\\s\nt\tr\r\b\000\255 # {}");
+                      Log (every_byte, 2);
+                      Log ("", 3);
+                    ]
+                  (Ir.Instr.Abort every_byte);
+              ];
+          ] );
+    ]
+  in
+  List.iter (fun (what, p) -> expect_same_text what p) cases
+
+(* Random programs over every form: arbitrary names and strings (any
+   byte), registers and integers of any size, up to several functions. *)
+let gen_prog =
+  let open QCheck2.Gen in
+  let name = string_size ~gen:(oneofl [ 'a'; 'z'; '_'; '.'; '0' ]) (int_range 1 90) in
+  let text = string_size ~gen:char (int_range 0 40) in
+  let reg = oneof [ nat; int ] in
+  let regs = list_size (int_range 0 45) reg in
+  let instr =
+    let open Ir.Instr in
+    oneof
+      [
+        map2 (fun r n -> Const (r, n)) reg int;
+        map2 (fun r a -> Mov (r, a)) reg reg;
+        (let* op = oneofl [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr; Eq; Ne; Lt; Le; Gt; Ge ] in
+         map3 (fun r a b -> Binop (op, r, a, b)) reg reg reg);
+        map3 (fun op r a -> Unop (op, r, a)) (oneofl [ Not; Neg ]) reg reg;
+        map3 (fun r a off -> Load (r, a, off)) reg reg int;
+        map3 (fun a off s -> Store (a, off, s)) reg int reg;
+        map2 (fun r g -> Global_addr (r, g)) reg name;
+        map2 (fun r s -> Alloc (r, s)) reg reg;
+        map (fun a -> Free a) reg;
+        map2 (fun r k -> Input (r, k)) reg (oneofl [ Net; File; Time; Rand ]);
+        map (fun a -> Lock a) reg;
+        map (fun a -> Unlock a) reg;
+        map3 (fun r f args -> Spawn (r, f, args)) reg name regs;
+        map (fun a -> Join a) reg;
+        map3 (fun r f args -> Call (r, f, args)) (option reg) name regs;
+        map2 (fun r m -> Assert (r, m)) reg text;
+        map2 (fun t r -> Log (t, r)) text reg;
+        return Nop;
+      ]
+  in
+  let term =
+    let open Ir.Instr in
+    oneof
+      [
+        map (fun l -> Jmp l) name;
+        map3 (fun r a b -> Br (r, a, b)) reg name name;
+        map (fun r -> Ret r) (option reg);
+        return Halt;
+        map (fun m -> Abort m) text;
+      ]
+  in
+  (* the index keeps labels, functions and globals distinct *)
+  let block i =
+    map3
+      (fun l is t -> Ir.Block.v (Fmt.str "%s%d" l i) is t)
+      name (list_size (int_range 0 8) instr) term
+  in
+  let fn i =
+    let* blocks = int_range 1 4 >>= fun n -> flatten_l (List.init n block) in
+    map2 (fun f params -> func ~params (Fmt.str "%s%d" f i) blocks) name regs
+  in
+  let global i =
+    map2
+      (fun g size -> { Ir.Prog.gname = Fmt.str "%s%d" g i; gsize = size })
+      name (int_range 1 max_int)
+  in
+  let* globals = int_range 0 3 >>= fun n -> flatten_l (List.init n global) in
+  let* funcs = int_range 0 4 >>= fun n -> flatten_l (List.init n fn) in
+  return (Ir.Prog.v ~globals funcs)
+
+let prop_random_programs_agree =
+  QCheck2.Test.make ~name:"random programs print alike" ~count:500 gen_prog
+    (fun p -> String.equal (Prog_ref.to_string p) (Ir.Prog.to_string p))
+
 let () =
   Alcotest.run "codec"
     [
@@ -316,5 +535,13 @@ let () =
             test_mutations_agree;
           Alcotest.test_case "hostile envelopes classify alike" `Quick
             test_hostile_envelopes_agree;
+        ] );
+      ( "program text",
+        [
+          Alcotest.test_case "workload and corpus programs print alike" `Quick
+            test_programs_agree;
+          Alcotest.test_case "edge-case programs print alike" `Quick
+            test_edge_programs_agree;
+          QCheck_alcotest.to_alcotest prop_random_programs_agree;
         ] );
     ]

@@ -378,6 +378,101 @@ let test_batch_all_cached_forks_nothing () =
   Alcotest.(check int) "no worker forked" 0 warm.Batch.workers;
   Alcotest.(check int) "no respawn" 0 warm.Batch.respawns
 
+(** The key phase encodes one dump per structural class and reuses its
+    hash for the class's other members; every key must still be the one
+    hashing each item's own program and dump text gives.  Per workload:
+    the original, two separately decoded copies of its dump, a reparsed
+    copy of its program, a dump with equal memory in a differently shaped
+    map (equal bytes, so the same key), and a dump one memory cell apart
+    (a different key).  The TSV is the same at [-j 1] and [-j 2]. *)
+let test_batch_keys_per_class () =
+  let module Io = Res_vm.Coredump_io in
+  let module Memory = Res_mem.Memory in
+  let config = "key-class test" in
+  let reshaped = ref 0 in
+  let groups =
+    List.map
+      (fun (w : Res_workloads.Truth.t) ->
+        let d = Res_workloads.Truth.coredump w in
+        let item suffix prog dump =
+          { Batch.it_name = w.w_name ^ suffix; it_prog = prog; it_dump = Ok dump }
+        in
+        let cells = Memory.bindings d.mem in
+        let rebuild order =
+          List.fold_left (fun m (a, v) -> Memory.write m a v) Memory.empty order
+        in
+        let evens, odds = List.partition (fun (a, _) -> a mod 2 = 0) cells in
+        let same =
+          [
+            item "" w.w_prog d;
+            item "-io1" w.w_prog (Io.of_string (Io.to_string d));
+            item "-io2" w.w_prog (Io.of_string (Io.to_string d));
+            item "-prog" (Res_ir.Parser.parse (Res_ir.Prog.to_string w.w_prog)) d;
+          ]
+          @
+          match
+            List.find_opt
+              (fun m -> compare m d.mem <> 0)
+              [ rebuild (List.rev cells); rebuild (odds @ evens) ]
+          with
+          | Some mem ->
+              incr reshaped;
+              [ item "-shape" w.w_prog { d with mem } ]
+          | None -> []
+        in
+        let apart =
+          match cells with
+          | (a, v) :: _ -> [ item "-apart" w.w_prog { d with mem = Memory.write d.mem a (v + 1) } ]
+          | [] -> []
+        in
+        (same, apart))
+      Res_workloads.Workloads.all
+  in
+  Alcotest.(check bool) "some memory reshaped" true (!reshaped > 0);
+  let items = Array.of_list (List.concat_map (fun (s, a) -> s @ a) groups) in
+  let keys, _ = Batch.lookup ~config items in
+  let key_of = Hashtbl.create 64 in
+  Array.iteri
+    (fun i (it : Batch.item) ->
+      let d = Result.get_ok it.it_dump in
+      Alcotest.(check string) (it.it_name ^ ": key of its own bytes")
+        (Res_cache.Cache.key ~prog:(Res_ir.Prog.to_string it.it_prog)
+           ~dump:(Io.to_string d) ~config)
+        keys.(i);
+      Hashtbl.replace key_of it.it_name keys.(i))
+    items;
+  List.iter
+    (fun (same, apart) ->
+      let key (it : Batch.item) = Hashtbl.find key_of it.it_name in
+      let k = key (List.hd same) in
+      List.iter
+        (fun it -> Alcotest.(check string) (it.Batch.it_name ^ ": class key") k (key it))
+        same;
+      List.iter
+        (fun it ->
+          Alcotest.(check bool) (it.Batch.it_name ^ ": a cell apart, another key") false
+            (String.equal k (key it)))
+        apart)
+    groups;
+  (* one encode per class: separately decoded copies share one call *)
+  let calls = ref 0 in
+  let hash = Batch.per_class (fun d -> incr calls; Io.to_string d) in
+  let texts =
+    List.map
+      (fun (w : Res_workloads.Truth.t) -> Io.to_string (Res_workloads.Truth.coredump w))
+      Res_workloads.Workloads.all
+  in
+  List.iter (fun t -> for _ = 1 to 3 do ignore (hash (Io.of_string t)) done) texts;
+  Alcotest.(check int) "one call per distinct dump"
+    (List.length (List.sort_uniq compare texts)) !calls;
+  let items = Array.to_list items in
+  let t1 = Batch.run ~jobs:1 ~backend:Pool.Forked items in
+  let t2 = Batch.run ~jobs:2 ~backend:Pool.Forked (shuffle 5 items) in
+  Alcotest.(check string) "tsv identical at -j 1/2" t1.Batch.tsv t2.Batch.tsv;
+  Alcotest.(check int) "copies served as duplicates"
+    (List.length items - List.length (List.sort_uniq compare (Array.to_list keys)))
+    t1.Batch.duplicates
+
 (* --- the supervisor, on tiny local workers ----------------------------- *)
 
 (* A supervisor over local slots whose children answer [worker s] for
@@ -715,6 +810,8 @@ let () =
             test_batch_all_failed;
           Alcotest.test_case "a fully cached batch forks no worker" `Quick
             test_batch_all_cached_forks_nothing;
+          Alcotest.test_case "one key encode per class, keys unchanged" `Slow
+            test_batch_keys_per_class;
         ] );
       ( "supervisor",
         [

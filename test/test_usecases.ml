@@ -184,6 +184,25 @@ let test_hwdiag_cpu_register () =
       check int_t "miscomputed register identified" 2 reg
   | v -> Alcotest.failf "expected CPU error, got %a" Res_usecases.Hwdiag.pp_verdict v
 
+(* A software verdict's report claims determinism only for a replay that
+   consumed its scripts exactly, as [Res.analyze]'s reports do. *)
+let test_hwdiag_determinism_is_pinned () =
+  let software =
+    List.fold_left
+      (fun n (w : Res_workloads.Truth.t) ->
+        match
+          Res_usecases.Hwdiag.diagnose w.w_prog (Res_workloads.Truth.coredump w)
+        with
+        | Res_usecases.Hwdiag.Software r ->
+            check bool_t
+              (w.w_name ^ ": deterministic = pinned")
+              r.Res_core.Res.verdict.Res_core.Replay.pinned r.deterministic;
+            n + 1
+        | _ -> n)
+      0 Res_workloads.Workloads.all
+  in
+  check bool_t "some workloads are software bugs" true (software > 0)
+
 let () =
   Alcotest.run "res_usecases"
     [
@@ -209,5 +228,7 @@ let () =
           Alcotest.test_case "all six cases" `Quick test_hwdiag_all_cases;
           Alcotest.test_case "memory location" `Quick test_hwdiag_identifies_location;
           Alcotest.test_case "cpu register" `Quick test_hwdiag_cpu_register;
+          Alcotest.test_case "software reports: deterministic = pinned" `Quick
+            test_hwdiag_determinism_is_pinned;
         ] );
     ]
