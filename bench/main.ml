@@ -508,6 +508,27 @@ let bechamel () =
   let corpus_dump = corpus_report.Res_workloads.Corpus.r_dump in
   let corpus_prog = corpus_report.Res_workloads.Corpus.r_prog in
   let corpus_text = Res_vm.Coredump_io.to_string corpus_dump in
+  (* File loads of that dump: a copy of a content loaded before, and a
+     content never seen (a cycle through distinct dumps whose text
+     outgrows the load memo, so every load decodes; each result is kept,
+     as a corpus keeps its items) -- what the memo saves on a corpus of
+     copies, and what it costs one of distinct dumps. *)
+  let load_dir = Filename.temp_dir "res-bench-load" "" in
+  let save name text =
+    let path = Filename.concat load_dir name in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  let copy_path = save "copy.core" corpus_text in
+  let distinct_paths =
+    Array.init
+      ((2 * Res_vm.Coredump_io.memo_bound / String.length corpus_text) + 1)
+      (fun i ->
+        save (Fmt.str "new-%d.core" i)
+          (Res_vm.Coredump_io.to_string { corpus_dump with Res_vm.Coredump.steps = i }))
+  in
+  let next_distinct = ref 0 in
+  let held = Array.make (Array.length distinct_paths) None in
   let tests =
     Test.make_grouped ~name:"res"
       [
@@ -534,6 +555,13 @@ let bechamel () =
         Test.make ~name:"coredump decode"
           (Staged.stage (fun () ->
                ignore (Res_vm.Coredump_io.of_string_result corpus_text)));
+        Test.make ~name:"coredump load (copy)"
+          (Staged.stage (fun () -> ignore (Res_vm.Coredump_io.load_result copy_path)));
+        Test.make ~name:"coredump load (new content)"
+          (Staged.stage (fun () ->
+               let i = !next_distinct in
+               next_distinct := (i + 1) mod Array.length distinct_paths;
+               held.(i) <- Some (Res_vm.Coredump_io.load_result distinct_paths.(i))));
         Test.make ~name:"coredump encode"
           (Staged.stage (fun () ->
                ignore (Res_vm.Coredump_io.to_string corpus_dump)));
@@ -555,7 +583,13 @@ let bechamel () =
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
+  let raw =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun e -> Sys.remove (Filename.concat load_dir e)) (Sys.readdir load_dir);
+        Sys.rmdir load_dir)
+      (fun () -> Benchmark.all cfg instances tests)
+  in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances
   in

@@ -741,6 +741,13 @@ let load_corpus prog dir =
     raise (Die (exit_internal, Fmt.str "no coredump files under %s" dir));
   items
 
+(** The [--stats] line of a corpus load: dump files read, and how many
+    of them were decoded (each distinct content once). *)
+let print_load_counts () =
+  let c = Res_vm.Coredump_io.load_counts () in
+  Fmt.epr "load files=%d decoded=%d@." c.Res_vm.Coredump_io.files
+    c.Res_vm.Coredump_io.decoded
+
 (* Per-dump budgets of [res triage] and [res coordinate] (which forwards
    them to the nodes). *)
 let per_dump_deadline_arg =
@@ -777,6 +784,7 @@ let triage_batch_cmd =
         ~workers:t.Res_parallel.Batch.workers
         ~restarts:t.Res_parallel.Batch.respawns ();
       Fmt.epr "batch duplicates=%d@." t.Res_parallel.Batch.duplicates;
+      print_load_counts ();
       match cache with
       | Some c ->
           Fmt.epr "cache cache_hits=%d %a@." t.Res_parallel.Batch.cache_hits
@@ -1166,6 +1174,7 @@ let coordinate_cmd =
     print_string t.C.tsv;
     if stats then begin
       Fmt.epr "%a@." C.pp_stats t.C.stats;
+      print_load_counts ();
       List.iter
         (fun (addr, state, ok, failed) ->
           Fmt.epr "node %s %s completed=%d failures=%d@." addr state ok failed)

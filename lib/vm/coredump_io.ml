@@ -759,37 +759,127 @@ let fsync_dir dir =
       (try Unix.close fd with Unix.Unix_error _ -> ())
 
 (* Through a file descriptor, not a channel: a channel's 64 KiB buffer
-   is charged to the major heap on every open. *)
+   is charged to the major heap on every open.  A regular file is read
+   into a buffer of its [fstat] size; anything else (a pipe, [/dev/stdin],
+   a socket) reports no size to trust and is read until end of file. *)
 let read_file path =
   let unreadable why = Error (Unreadable (path ^ ": " ^ why)) in
   match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error (e, _, _) -> unreadable (Unix.error_message e)
   | fd ->
       let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
+      let rec read b off len =
+        try Unix.read fd b off len
+        with Unix.Unix_error (Unix.EINTR, _, _) -> read b off len
+      in
+      let sized size =
+        let b = Bytes.create size in
+        let rec fill off =
+          if off = size then Ok (Bytes.unsafe_to_string b)
+          else
+            match read b off (size - off) with
+            | 0 -> unreadable "file shrank while reading"
+            | n -> fill (off + n)
+        in
+        fill 0
+      in
+      let to_eof () =
+        let out = Buffer.create 4096 and b = Bytes.create 65536 in
+        let rec drain () =
+          match read b 0 (Bytes.length b) with
+          | 0 -> Ok (Buffer.contents out)
+          | n ->
+              Buffer.add_subbytes out b 0 n;
+              drain ()
+        in
+        drain ()
+      in
       Fun.protect ~finally (fun () ->
-          match Unix.fstat fd with
-          | exception Unix.Unix_error (e, _, _) ->
-              unreadable (Unix.error_message e)
-          | { Unix.st_kind = Unix.S_DIR; _ } -> unreadable "Is a directory"
-          | { Unix.st_size = size; _ } ->
-              let b = Bytes.create size in
-              let rec fill off =
-                if off = size then Ok (Bytes.unsafe_to_string b)
-                else
-                  match Unix.read fd b off (size - off) with
-                  | 0 -> unreadable "file shrank while reading"
-                  | n -> fill (off + n)
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
-                  | exception Unix.Unix_error (e, _, _) ->
-                      unreadable (Unix.error_message e)
-              in
-              fill 0)
+          try
+            match Unix.fstat fd with
+            | { Unix.st_kind = Unix.S_DIR; _ } -> unreadable "Is a directory"
+            | { Unix.st_kind = Unix.S_REG; st_size; _ } -> sized st_size
+            | _ -> to_eof ()
+          with Unix.Unix_error (e, _, _) -> unreadable (Unix.error_message e))
 
-(** Load a coredump from [path], classifying damage instead of raising. *)
-let load_result ?salvage path : (loaded, dump_error) result =
+(* --- loading files: one decode per distinct content --- *)
+
+(* A fleet's corpus holds many byte-identical copies of few dumps (many
+   reports, few root causes), so a file load decodes each distinct
+   content once and hands every copy the same decoded dump.  A
+   [Coredump.t] holds only immutable maps, lists and records, so sharing
+   it is safe.
+
+   The memo is keyed on the salvage mode and the file's whole text,
+   compared as strings, never on its path: a file rewritten in place
+   loads its new bytes.  Only successful loads are kept: a damaged file
+   is decoded on every load.  It holds at most
+   [memo_bound] bytes of key text and starts over when the next text
+   would not fit; a decoded dump takes about four times its text, so
+   memo and dumps stay near 5 MiB.  A text larger than the bound is not
+   kept.  Each domain has its own memo and counters, like the solver's
+   query counter, so the domains backend never shares one.
+   {!of_string_result} stays unmemoized: it is the decoder itself. *)
+
+let memo_bound = 1 lsl 20
+
+(* The text's hash is taken once, when the file is read: the table
+   rehashes its keys as it grows, and a text is hundreds of bytes. *)
+type text_key = { salvage : bool; text : string; hash : int }
+
+module Texts = Hashtbl.Make (struct
+  type t = text_key
+
+  let equal a b =
+    a.hash = b.hash && Bool.equal a.salvage b.salvage && String.equal a.text b.text
+
+  let hash k = k.hash
+end)
+
+type load_counts = { files : int; decoded : int; memo_bytes : int }
+
+type memo = {
+  texts : loaded Texts.t;
+  mutable held : int;  (** bytes of text in [texts] *)
+  mutable loads : int;
+  mutable decodes : int;
+}
+
+let memo_key =
+  Domain.DLS.new_key (fun () ->
+      { texts = Texts.create 64; held = 0; loads = 0; decodes = 0 })
+
+let load_counts () =
+  let m = Domain.DLS.get memo_key in
+  { files = m.loads; decoded = m.decodes; memo_bytes = m.held }
+
+let remember m key (l : loaded) =
+  let len = String.length key.text in
+  if len <= memo_bound then begin
+    if m.held + len > memo_bound then begin
+      Texts.clear m.texts;
+      m.held <- 0
+    end;
+    Texts.add m.texts key l;
+    m.held <- m.held + len
+  end
+
+(** Load a coredump from [path], classifying damage instead of raising;
+    a content loaded before (in this domain) is not decoded again. *)
+let load_result ?(salvage = false) path : (loaded, dump_error) result =
+  let m = Domain.DLS.get memo_key in
+  m.loads <- m.loads + 1;
   match read_file path with
   | Error err -> Error err
-  | Ok s -> of_string_result ?salvage s
+  | Ok text -> (
+      let key = { salvage; text; hash = Hashtbl.hash text } in
+      match Texts.find_opt m.texts key with
+      | Some l -> Ok l
+      | None ->
+          m.decodes <- m.decodes + 1;
+          let r = of_string_result ~salvage text in
+          Result.iter (remember m key) r;
+          r)
 
 (** Load a coredump from [path].
     @raise Bad_format on any failure (including unreadable files). *)

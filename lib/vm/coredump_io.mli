@@ -82,11 +82,29 @@ val fresh_tmp_path : string -> string
     recovery scans. *)
 val journal_siblings : string -> string list
 
-(** Read a whole file, classifying failures as {!Unreadable}. *)
+(** Read a whole file, classifying failures as {!Unreadable}.  A file
+    that is not a regular one (a pipe, [/dev/stdin]) is read until end of
+    file. *)
 val read_file : string -> (string, dump_error) result
 
-(** Load a coredump from a file, classifying damage instead of raising. *)
+(** Load a coredump from a file, classifying damage instead of raising.
+    Loads are memoized per domain on [(salvage, file text)], compared as
+    whole strings, never by path: a text loaded before with the same
+    [salvage] returns the same [loaded] record (its dump physically
+    equal) without decoding again.  Only [Ok] results are kept, and the
+    memo holds at most {!memo_bound} bytes of text: it starts over when
+    the next text would not fit, and never keeps a larger one. *)
 val load_result : ?salvage:bool -> string -> (loaded, dump_error) result
+
+(** The most text, in bytes, that {!load_result}'s memo holds. *)
+val memo_bound : int
+
+(** This domain's file loads so far: [files] calls of {!load_result},
+    [decoded] of them that ran the decoder, and the [memo_bytes] of text
+    its memo holds now. *)
+type load_counts = { files : int; decoded : int; memo_bytes : int }
+
+val load_counts : unit -> load_counts
 
 (** Load a coredump from a file.
     @raise Bad_format on any failure (including unreadable files). *)

@@ -224,6 +224,31 @@ domains_q=$(sed -n 's/.* solver_queries=\([0-9]*\) .*/\1/p' "$cache_tmp/domains.
 [ -n "$fork_q" ] && [ "$fork_q" = "$domains_q" ] \
   || { echo "solver_queries: fork $fork_q, domains $domains_q"; exit 1; }
 
+# A corpus load decodes each distinct content once: over byte-identical
+# copies of one dump plus one other run's dump, `res triage --stats` and
+# `res coordinate --stats` (whose load is the same) read every file and
+# decode only the distinct contents.
+mkdir "$cache_tmp/copies"
+for i in 1 2 3 4 5; do cp "$cache_tmp/dumps/a.core" "$cache_tmp/copies/c$i.core"; done
+"$RES" run "$cache_tmp/prog.res" --seed 1 -o "$cache_tmp/copies/other.core" > /dev/null
+distinct=$(for f in "$cache_tmp"/copies/*; do md5sum < "$f"; done | sort -u | wc -l)
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/copies" --stats \
+  > /dev/null 2> "$cache_tmp/copies.stats"
+grep -q "^load files=6 decoded=$distinct\$" "$cache_tmp/copies.stats" \
+  && [ "$distinct" -eq 2 ] \
+  || { echo "triage of 6 files with $distinct distinct contents loaded:";
+       cat "$cache_tmp/copies.stats"; exit 1; }
+
+# A coredump or program read from a pipe (here process substitution) is
+# read to its end: `res analyze` prints the same report as for the files,
+# but for the cpu time.
+"$RES" analyze "$cache_tmp/prog.res" "$cache_tmp/dumps/a.core" \
+  | grep -v '^cpu time:' > "$cache_tmp/file.report"
+bash -c '"$0" analyze <(cat "$1") <(cat "$2")' "$RES" "$cache_tmp/prog.res" \
+  "$cache_tmp/dumps/a.core" | grep -v '^cpu time:' > "$cache_tmp/pipe.report"
+[ -s "$cache_tmp/file.report" ] && cmp "$cache_tmp/file.report" "$cache_tmp/pipe.report" \
+  || { echo "res analyze read through pipes printed another report"; exit 1; }
+
 # Scripted debugger session smoke: a passing script must exit 0 and its
 # transcript must be byte-identical at a different snapshot interval and
 # with the index off; a failing assert must exit 2, not 0 or 1.  The
@@ -349,6 +374,11 @@ cmp "$cache_tmp/co-triage.tsv" "$cache_tmp/co1.tsv" \
   || tcp_fail "res coordinate TSV diverged from res triage"
 grep -q " applied=1 .* duplicates=1 " "$cache_tmp/co1.stats" \
   || tcp_fail "res coordinate did not dispatch once per content key: \
+$(cat "$cache_tmp/co1.stats")"
+# Its load decoded the two byte-identical dumps once, and the
+# unloadable file (no decode is kept for an error).
+grep -q "^load files=3 decoded=2$" "$cache_tmp/co1.stats" \
+  || tcp_fail "res coordinate did not decode each distinct content once: \
 $(cat "$cache_tmp/co1.stats")"
 # The node keeps no record of the coordinator's units, which the
 # coordinator retries itself: its spool holds only the one submit's

@@ -524,6 +524,157 @@ let prop_random_programs_agree =
   QCheck2.Test.make ~name:"random programs print alike" ~count:500 gen_prog
     (fun p -> String.equal (Prog_ref.to_string p) (Ir.Prog.to_string p))
 
+(* --- the load memo: one decode per distinct file content --- *)
+
+(* The memo and its counts are domain-local, so each of these tests
+   runs in a domain of its own and starts from an empty memo. *)
+let in_fresh_domain f () = Domain.join (Domain.spawn f)
+
+let with_dir f =
+  let dir = Filename.temp_dir "res-codec" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+let decoded () = (Io.load_counts ()).Io.decoded
+
+let load_ok ?salvage what path =
+  match Io.load_result ?salvage path with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "%s: %s" what (Io.dump_error_to_string e)
+
+(* Every workload and corpus dump saved under three names: each load is
+   what decoding its bytes gives, the copies share one decoded dump, and
+   only the first copy of each distinct content is decoded. *)
+let test_load_copies_shared () =
+  with_dir @@ fun dir ->
+  let texts = List.map (fun (what, d) -> (what, Io.to_string d)) (Lazy.force all_dumps) in
+  List.iteri
+    (fun i (what, text) ->
+      let loads =
+        List.init 3 (fun k ->
+            let path = Filename.concat dir (Fmt.str "%02d-%d.core" i k) in
+            write path text;
+            load_ok what path)
+      in
+      let first = List.hd loads in
+      check bool_t (what ^ ": load = decode of its bytes") true
+        (Ok first = Io.of_string_result text);
+      List.iter
+        (fun (l : Io.loaded) ->
+          check bool_t (what ^ ": copies share one dump") true (l.dump == first.dump))
+        loads)
+    texts;
+  let c = Io.load_counts () in
+  check Alcotest.int "every file loaded" (3 * List.length texts) c.Io.files;
+  check Alcotest.int "one decode per distinct content"
+    (List.length (List.sort_uniq compare (List.map snd texts)))
+    c.Io.decoded
+
+(* The same damaged bytes (a dump without its footer) under both modes:
+   a strict load refuses them every time, also after a salvage load
+   kept them, and a salvage load recovers them every time. *)
+let test_load_salvage_apart () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "cut.core" in
+  List.iter
+    (fun (what, d) ->
+      let text = Io.to_string d in
+      let cut = String.sub text 0 (String.rindex_from text (String.length text - 2) '\n' + 1) in
+      write path cut;
+      let salvage () =
+        match Io.load_result ~salvage:true path with
+        | Ok ({ Io.salvaged = Some (Io.Truncated _); _ } as l) ->
+            check bool_t (what ^ ": salvage load = salvage decode") true
+              (Ok l = Io.of_string_result ~salvage:true cut)
+        | Ok _ -> Alcotest.failf "%s: salvaged with no damage reported" what
+        | Error e -> Alcotest.failf "%s: not salvaged: %s" what (Io.dump_error_to_string e)
+      in
+      let strict () =
+        match Io.load_result path with
+        | Error (Io.Truncated _) -> ()
+        | Ok _ -> Alcotest.failf "%s: a strict load accepted a dump without footer" what
+        | Error e -> Alcotest.failf "%s: %s" what (Io.dump_error_to_string e)
+      in
+      salvage ();
+      strict ();
+      salvage ();
+      strict ())
+    (Lazy.force all_dumps)
+
+(* One path rewritten with each workload's bytes in turn, twice over:
+   every load gives the bytes on disk now, whatever the path held. *)
+let test_load_rewritten_path () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "dump.core" in
+  let texts = List.map (fun (_, d) -> Io.to_string d) (workload_dumps ()) in
+  List.iter
+    (fun text ->
+      write path text;
+      check string_t "a rewritten path loads its new bytes" text
+        (Io.to_string (load_ok "rewritten" path).Io.dump))
+    (texts @ texts)
+
+(* More than the bound of distinct text after the first dump: the memo
+   never holds more than its bound, and the first dump is decoded again.
+   A text larger than the bound is decoded on every load. *)
+let test_load_memo_bounded () =
+  with_dir @@ fun dir ->
+  let d = Res_workloads.Truth.coredump (Res_workloads.Workloads.find "counter-race") in
+  let text_of steps = Io.to_string { d with Res_vm.Coredump.steps } in
+  let first = Filename.concat dir "first.core" and other = Filename.concat dir "other.core" in
+  write first (text_of 0);
+  ignore (load_ok "first" first);
+  ignore (load_ok "first again" first);
+  check Alcotest.int "a copy is not decoded again" 1 (decoded ());
+  let seen = ref 0 and n = ref 0 in
+  while !seen <= Io.memo_bound do
+    incr n;
+    let text = text_of !n in
+    write other text;
+    ignore (load_ok "distinct" other);
+    seen := !seen + String.length text;
+    check bool_t "memo within its bound" true
+      ((Io.load_counts ()).Io.memo_bytes <= Io.memo_bound)
+  done;
+  check Alcotest.int "each distinct text decoded" (1 + !n) (decoded ());
+  ignore (load_ok "first after the bound" first);
+  check Alcotest.int "the first text was dropped" (2 + !n) (decoded ());
+  let mem =
+    List.fold_left
+      (fun m a -> Res_mem.Memory.write m (1_000_000 + a) a)
+      d.Res_vm.Coredump.mem
+      (List.init 100_000 Fun.id)
+  in
+  let big = Io.to_string { d with mem } in
+  check bool_t "the big text is over the bound" true (String.length big > Io.memo_bound);
+  write other big;
+  let held = (Io.load_counts ()).Io.memo_bytes in
+  ignore (load_ok "big" other);
+  ignore (load_ok "big again" other);
+  check Alcotest.int "a text over the bound is never kept" (4 + !n) (decoded ());
+  check Alcotest.int "nor counted" held (Io.load_counts ()).Io.memo_bytes
+
+(* A load in one domain is not seen by another. *)
+let test_load_memo_per_domain () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "dump.core" in
+  write path (Io.to_string (snd (List.hd (workload_dumps ()))));
+  ignore (load_ok "here" path);
+  let before = Io.load_counts () in
+  let there =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (load_ok "there" path);
+           Io.load_counts ()))
+  in
+  check Alcotest.int "another domain decodes it itself" 1 there.Io.decoded;
+  check Alcotest.int "another domain counts its own loads" 1 there.Io.files;
+  check bool_t "this domain's counts unchanged" true (before = Io.load_counts ())
+
 let () =
   Alcotest.run "codec"
     [
@@ -535,6 +686,19 @@ let () =
             test_mutations_agree;
           Alcotest.test_case "hostile envelopes classify alike" `Quick
             test_hostile_envelopes_agree;
+        ] );
+      ( "load memo",
+        [
+          Alcotest.test_case "copies decoded once and shared" `Quick
+            (in_fresh_domain test_load_copies_shared);
+          Alcotest.test_case "strict and salvage loads kept apart" `Quick
+            (in_fresh_domain test_load_salvage_apart);
+          Alcotest.test_case "a rewritten path loads its new bytes" `Quick
+            (in_fresh_domain test_load_rewritten_path);
+          Alcotest.test_case "memo holds at most its bound" `Quick
+            (in_fresh_domain test_load_memo_bounded);
+          Alcotest.test_case "each domain has its own memo" `Quick
+            (in_fresh_domain test_load_memo_per_domain);
         ] );
       ( "program text",
         [

@@ -271,6 +271,84 @@ let test_batch_degrades () =
         (List.for_all (fun r -> r.Batch.row_outcome <> "failed") rest)
   | [] -> Alcotest.fail "no rows"
 
+(** A corpus directory as [res triage] loads it: every corpus dump under
+    three names, plus a truncated, a bit-flipped, an empty, a garbage and
+    a v1 file.  Loaded through {!Res_vm.Coredump_io.load_result}, files
+    of equal bytes share one decoded dump, and the TSV at [-j 1] and
+    [-j 2] is the one from decoding every file on its own. *)
+let test_batch_loaded_copies () =
+  let module Io = Res_vm.Coredump_io in
+  let dir = Filename.temp_dir "res-corpus" "" in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let files = ref [] in
+  let add name prog text =
+    Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc text);
+    files := (name, prog, text) :: !files
+  in
+  let reports = Res_workloads.Corpus.generate ~n_per_bug:2 () in
+  List.iter
+    (fun (r : Res_workloads.Corpus.report) ->
+      for k = 1 to 3 do
+        add (Fmt.str "%s-%02d-%d" r.r_bug r.r_id k) r.r_prog (Io.to_string r.r_dump)
+      done)
+    reports;
+  let r0 = List.hd reports in
+  let text = Io.to_string r0.r_dump in
+  let flipped = Bytes.of_string text in
+  Bytes.set flipped (String.length text / 2)
+    (Char.chr (Char.code text.[String.length text / 2] lxor 1));
+  let records = String.sub text 0 (String.rindex_from text (String.length text - 2) '\n' + 1) in
+  List.iter
+    (fun (name, text) -> add name r0.r_prog text)
+    [
+      ("damaged-truncated", String.sub text 0 (String.length text / 2));
+      ("damaged-flipped", Bytes.to_string flipped);
+      ("damaged-empty", "");
+      ("damaged-garbage", "not a coredump\n");
+      ("v1", "coredump v1" ^ String.sub records 11 (String.length records - 11));
+    ];
+  let items load =
+    List.rev_map
+      (fun (name, prog, _) ->
+        {
+          Batch.it_name = name;
+          it_prog = prog;
+          it_dump =
+            Result.map_error Io.dump_error_to_string (load (Filename.concat dir name));
+        })
+      !files
+  in
+  let decode path =
+    Result.bind (Io.read_file path) (fun s -> Io.of_string_result s)
+    |> Result.map (fun (l : Io.loaded) -> l.dump)
+  in
+  let loaded = items (fun path -> Result.map (fun (l : Io.loaded) -> l.dump) (Io.load_result path)) in
+  let shared = Hashtbl.create 16 in
+  List.iter2
+    (fun (name, _, text) (it : Batch.item) ->
+      match (it.it_dump, Hashtbl.find_opt shared text) with
+      | Ok d, Some first ->
+          Alcotest.(check bool) (name ^ ": equal bytes share one dump") true (d == first)
+      | Ok d, None -> Hashtbl.add shared text d
+      | Error _, _ -> ())
+    (List.rev !files) loaded;
+  let loadable = List.filter (fun (it : Batch.item) -> Result.is_ok it.it_dump) loaded in
+  Alcotest.(check bool) "copies present" true
+    (Hashtbl.length shared < List.length loadable);
+  Alcotest.(check int) "the damaged files do not load" 4
+    (List.length loaded - List.length loadable);
+  let reference = Batch.run ~jobs:1 ~backend:Pool.Forked (items decode) in
+  List.iter
+    (fun jobs ->
+      let t = Batch.run ~jobs ~backend:Pool.Forked loaded in
+      Alcotest.(check string)
+        (Fmt.str "-j %d: tsv of decoding each file" jobs)
+        reference.Batch.tsv t.Batch.tsv)
+    [ 1; 2 ]
+
 (** The degraded row must be identical at every worker count: a damaged
     dump costs one row, and which row it is cannot depend on [-j]. *)
 let test_batch_degrades_every_jobs () =
@@ -802,6 +880,8 @@ let () =
             test_batch_deterministic_fork;
           Alcotest.test_case "unloadable dump degrades" `Quick
             test_batch_degrades;
+          Alcotest.test_case "loaded copies share a dump, same tsv" `Slow
+            test_batch_loaded_copies;
           Alcotest.test_case "degraded rows identical at -j 1/4" `Slow
             test_batch_degrades_every_jobs;
           Alcotest.test_case "worker lost past retry limit degrades" `Quick

@@ -110,6 +110,47 @@ let test_read_file_missing () =
       | Ok _ -> Alcotest.fail "a missing file read"
       | Error e -> Alcotest.failf "not unreadable: %s" (Io.dump_error_to_string e))
 
+(* A pipe read through its [/dev/fd/N] name (what a shell's process
+   substitution passes) is read to its end, though [fstat] gives it no
+   size: a sealed dump loads from it, a payload of several pipe buffers
+   written while it is read arrives whole, and a closed empty pipe reads
+   as no bytes. *)
+let test_read_file_pipe () =
+  (* [feed] writes into the pipe and closes it, or has a domain do it *)
+  let through_pipe feed =
+    let r, w = Unix.pipe ~cloexec:true () in
+    Fun.protect
+      ~finally:(fun () -> Unix.close r)
+      (fun () ->
+        let writer = feed w in
+        (* a file descriptor is its number on Unix *)
+        let got = Io.read_file (Printf.sprintf "/dev/fd/%d" (Obj.magic r : int)) in
+        Option.iter Domain.join writer;
+        got)
+  in
+  let write_all text w =
+    let b = Bytes.unsafe_of_string text in
+    let rec go off =
+      if off < Bytes.length b then go (off + Unix.write w b off (Bytes.length b - off))
+    in
+    go 0;
+    Unix.close w
+  in
+  let text = sealed_dump () in
+  (match through_pipe (fun w -> write_all text w; None) with
+  | Ok got -> (
+      check string_t "a dump read from a pipe" text got;
+      match Io.of_string_result got with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "piped dump: %s" (Io.dump_error_to_string e))
+  | Error e -> Alcotest.failf "pipe: %s" (Io.dump_error_to_string e));
+  let big = String.init 300_000 (fun i -> Char.chr (i mod 251)) in
+  (match through_pipe (fun w -> Some (Domain.spawn (fun () -> write_all big w))) with
+  | Ok got -> check bool_t "several pipe buffers read whole" true (String.equal big got)
+  | Error e -> Alcotest.failf "pipe: %s" (Io.dump_error_to_string e));
+  check bool_t "an empty pipe reads as no bytes" true
+    (through_pipe (fun w -> Unix.close w; None) = Ok "")
+
 (* An empty file reads as no bytes and loads as [Empty_dump]; a v1 dump,
    which has no footer, still loads, to the dump its v2 text holds. *)
 let test_load_empty_and_v1 () =
@@ -153,6 +194,7 @@ let () =
             test_read_file_directory;
           Alcotest.test_case "missing file read names it" `Quick
             test_read_file_missing;
+          Alcotest.test_case "pipe read to its end" `Quick test_read_file_pipe;
           Alcotest.test_case "empty file and v1 dump load" `Quick
             test_load_empty_and_v1;
           Alcotest.test_case "coredump save is atomic" `Quick
