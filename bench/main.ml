@@ -529,6 +529,16 @@ let bechamel () =
   in
   let next_distinct = ref 0 in
   let held = Array.make (Array.length distinct_paths) None in
+  (* Analysis contexts: for a program whose summaries the memo holds
+     (warm), and for one it does not (cold: a cycle through more
+     structurally distinct long-exec programs than the memo keeps, so
+     every call builds them). *)
+  let cold_progs =
+    Array.init (Res_core.Backstep.statics_bound + 1) (fun i ->
+        (Res_workloads.Long_exec.workload_n (1000 + i)).Res_workloads.Truth.w_prog)
+  in
+  let next_cold = ref 0 in
+  let main_func = Res_ir.Prog.main corpus_prog in
   let tests =
     Test.make_grouped ~name:"res"
       [
@@ -562,6 +572,15 @@ let bechamel () =
                let i = !next_distinct in
                next_distinct := (i + 1) mod Array.length distinct_paths;
                held.(i) <- Some (Res_vm.Coredump_io.load_result distinct_paths.(i))));
+        Test.make ~name:"make_ctx (cold)"
+          (Staged.stage (fun () ->
+               let i = !next_cold in
+               next_cold := (i + 1) mod Array.length cold_progs;
+               ignore (Res_core.Backstep.make_ctx cold_progs.(i))));
+        Test.make ~name:"make_ctx (warm)"
+          (Staged.stage (fun () -> ignore (Res_core.Backstep.make_ctx corpus_prog)));
+        Test.make ~name:"Func.all_regs"
+          (Staged.stage (fun () -> ignore (Res_ir.Func.all_regs main_func)));
         Test.make ~name:"coredump encode"
           (Staged.stage (fun () ->
                ignore (Res_vm.Coredump_io.to_string corpus_dump)));

@@ -748,6 +748,15 @@ let print_load_counts () =
   Fmt.epr "load files=%d decoded=%d@." c.Res_vm.Coredump_io.files
     c.Res_vm.Coredump_io.decoded
 
+(** The [--stats] line of per-program statics ({!Res_core.Backstep.statics_of}):
+    how many this process's analyses built, and how many they reused.
+    Forked workers build and count theirs in their own processes, so
+    only analyses run in this process show here. *)
+let print_statics_counts () =
+  let c = Res_core.Backstep.statics_counts () in
+  Fmt.epr "statics built=%d reused=%d@." c.Res_core.Backstep.built
+    c.Res_core.Backstep.reused
+
 (* Per-dump budgets of [res triage] and [res coordinate] (which forwards
    them to the nodes). *)
 let per_dump_deadline_arg =
@@ -785,6 +794,7 @@ let triage_batch_cmd =
         ~restarts:t.Res_parallel.Batch.respawns ();
       Fmt.epr "batch duplicates=%d@." t.Res_parallel.Batch.duplicates;
       print_load_counts ();
+      print_statics_counts ();
       match cache with
       | Some c ->
           Fmt.epr "cache cache_hits=%d %a@." t.Res_parallel.Batch.cache_hits

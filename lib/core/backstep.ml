@@ -25,6 +25,56 @@ type carry = ..
 
 type carry += No_carry
 
+(* The statics memo: a program's whole-program mod/ref summaries
+   ([Summary.of_prog], a fixpoint over every function), which depend only
+   on its code, never on a dump, and mint no symbols, so one value serves
+   every analysis of the program.  Keyed by structural class of program
+   (a physically equal program matches at once, a re-parsed copy by
+   [Prog.equal]), at most [statics_bound] programs, cleared when full.
+   Each domain keeps its own, so no summary is shared between domains; a
+   forked worker inherits its parent's. *)
+module Prog_class = Hashtbl.Make (struct
+  type t = Res_ir.Prog.t
+
+  let equal a b = a == b || Res_ir.Prog.equal a b
+  let hash = Hashtbl.hash
+end)
+
+let statics_bound = 64
+
+type statics_memo = {
+  progs : Res_static.Summary.t Prog_class.t;
+  mutable built : int;
+  mutable reused : int;
+}
+
+let statics_key =
+  Domain.DLS.new_key (fun () ->
+      { progs = Prog_class.create statics_bound; built = 0; reused = 0 })
+
+type statics_counts = { built : int; reused : int }
+
+(** This domain's statics built and reused since it started. *)
+let statics_counts () =
+  let m = Domain.DLS.get statics_key in
+  { built = m.built; reused = m.reused }
+
+(** The summaries of [prog], built at most once per structural class of
+    program while the memo holds it. *)
+let statics_of prog =
+  let m = Domain.DLS.get statics_key in
+  match Prog_class.find_opt m.progs prog with
+  | Some st ->
+      m.reused <- m.reused + 1;
+      st
+  | None ->
+      let st = Res_static.Summary.of_prog prog in
+      if Prog_class.length m.progs >= statics_bound then
+        Prog_class.reset m.progs;
+      Prog_class.add m.progs prog st;
+      m.built <- m.built + 1;
+      st
+
 type ctx = {
   prog : Res_ir.Prog.t;
   layout : Res_mem.Layout.t;
@@ -40,17 +90,21 @@ type ctx = {
   use_addr_pool : bool;
       (** resolve unconstrained havocked pointers against plausible mapped
           addresses (suffix-touched first); disabling it is the A1 ablation *)
-  statics : Res_static.Summary.t Lazy.t;
-      (** whole-program mod/ref summaries, forced on first static prune *)
+  statics : Res_static.Summary.t;
+      (** whole-program mod/ref summaries, shared with every analysis of
+          the program ({!statics_of}) *)
   invert_memo : (string * string, Res_static.Invert.verdict) Hashtbl.t;
       (** memoized invertibility verdicts per (func, block) — the
           classifier is purely static, so one verdict serves every
           segment over the same block *)
   carry : carry ref;
       (** the last search's deepening carry — a cell, so the copies
-          {!with_interrupt} makes share it *)
+          {!with_interrupt} makes share it; never in the statics memo *)
 }
 
+(** An analysis context for [prog]: the program's shared summaries and
+    this analysis's own layout, CFG, verdict memo, configs, relaxations
+    and carry. *)
 let make_ctx ?(sym_config = Res_symex.Symexec.default_config)
     ?(solver_config = Solver.default_config) ?(relaxed_mem = ISet.empty)
     ?(relaxed_regs = []) ?(use_addr_pool = true) prog =
@@ -63,7 +117,7 @@ let make_ctx ?(sym_config = Res_symex.Symexec.default_config)
     relaxed_mem;
     relaxed_regs;
     use_addr_pool;
-    statics = lazy (Res_static.Summary.of_prog prog);
+    statics = statics_of prog;
     invert_memo = Hashtbl.create 64;
     carry = ref No_carry;
   }
@@ -415,7 +469,10 @@ let run_with_havoc ctx rq =
 
 (** Fresh symbol for the unknown pre value of a defined register never read
     before being written. *)
-let fresh_pre_reg r = Expr.fresh (Fmt.str "pre:r%d!" r)
+let fresh_pre_reg r = Expr.fresh ("pre:r" ^ string_of_int r ^ "!")
+
+(** Fresh symbol for the unknown pre value of a written memory word. *)
+let fresh_pre_mem a = Expr.fresh (Res_symex.Symmem.pre_mem_name a ^ "!")
 
 (** Construct the pre-snapshot register file for the stepped thread. *)
 let pre_regs_of ctx ~func ~block_label ~post_root
@@ -460,7 +517,7 @@ let pre_mem_over snapshot (out : Res_symex.Symexec.outcome) =
       let v =
         match List.assoc_opt a pre with
         | Some s -> Expr.Sym s
-        | None -> Expr.fresh (Fmt.str "pre:mem[0x%x]!" a)
+        | None -> fresh_pre_mem a
       in
       Snapshot.write_mem_over snap a v)
     snapshot
@@ -519,7 +576,7 @@ let invert_verdict ctx ~func ~block_label =
         match Res_ir.Prog.block ctx.prog ~func ~label:block_label with
         | exception Not_found ->
             Res_static.Invert.Not_invertible "unknown block"
-        | b -> Res_static.Invert.classify ~summary:(Lazy.force ctx.statics) b
+        | b -> Res_static.Invert.classify ~summary:ctx.statics b
       in
       Hashtbl.add ctx.invert_memo key v;
       v
@@ -661,8 +718,7 @@ let fast_reverse ctx (snapshot : Snapshot.t) ~tid ~func ~block_label
               let snap =
                 List.fold_left
                   (fun s a ->
-                    Snapshot.write_mem_over s a
-                      (Expr.fresh (Fmt.str "pre:mem[0x%x]!" a)))
+                    Snapshot.write_mem_over s a (fresh_pre_mem a))
                   snap rs.Res_static.Revexec.rs_fresh_mem
               in
               let snap =

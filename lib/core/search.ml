@@ -391,7 +391,7 @@ let prune_query ctx ~stop_snapshot (node : node) tid kind =
   let query =
     {
       q_prog = ctx.Backstep.prog;
-      q_summary = Lazy.force ctx.Backstep.statics;
+      q_summary = ctx.Backstep.statics;
       q_tid = tid;
       q_seed = seed;
       q_post_mem = post_mem;

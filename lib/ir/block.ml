@@ -4,9 +4,30 @@ type t = {
   label : Instr.label;
   instrs : Instr.instr array;
   term : Instr.terminator;
+  defined : Instr.reg list;
+      (** registers written by some instruction, ascending, once each *)
+  used : Instr.reg list;
+      (** registers read by some instruction or the terminator, ascending,
+          once each *)
 }
 
-let v label instrs term = { label; instrs = Array.of_list instrs; term }
+(** [v label instrs term] builds a block and its register sets, which
+    depend only on the code: every backward step reads them. *)
+let v label instrs term =
+  let instrs = Array.of_list instrs in
+  let defined =
+    Array.fold_left
+      (fun acc i -> match Instr.defs i with Some r -> r :: acc | None -> acc)
+      [] instrs
+    |> List.sort_uniq Int.compare
+  in
+  let used =
+    Array.fold_left
+      (fun acc i -> List.rev_append (Instr.uses i) acc)
+      (Instr.term_uses term) instrs
+    |> List.sort_uniq Int.compare
+  in
+  { label; instrs; term; defined; used }
 
 (** Number of straight-line instructions (terminator excluded). *)
 let length b = Array.length b.instrs
@@ -19,16 +40,13 @@ let instr b i =
       (Fmt.str "Block.instr: index %d out of range for block %s" i b.label)
   else b.instrs.(i)
 
-(** Registers written anywhere in the block (terminators never write). *)
-let defined_regs b =
-  Array.to_list b.instrs
-  |> List.filter_map Instr.defs
-  |> List.sort_uniq compare
+(** Registers written anywhere in the block (terminators never write),
+    ascending. *)
+let defined_regs b = b.defined
 
-(** Registers read anywhere in the block, including by the terminator. *)
-let used_regs b =
-  let from_instrs = Array.to_list b.instrs |> List.concat_map Instr.uses in
-  List.sort_uniq compare (from_instrs @ Instr.term_uses b.term)
+(** Registers read anywhere in the block, including by the terminator,
+    ascending. *)
+let used_regs b = b.used
 
 (** Registers whose value at block entry is observable: read at some point
     before being (re)defined within the block.  These are the registers the

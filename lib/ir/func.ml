@@ -8,6 +8,8 @@ type t = {
   entry : Instr.label;
   blocks : Block.t list;  (** in source order, entry first by convention *)
   by_label : Block.t SMap.t;
+  regs : Instr.reg list;
+      (** every register the parameters or any block name, ascending *)
 }
 
 (** [v ~name ~params ~entry blocks] builds a function.
@@ -23,7 +25,14 @@ let v ~name ~params ~entry blocks =
   in
   if not (SMap.mem entry by_label) then
     invalid_arg (Fmt.str "Func.v: entry %s missing in %s" entry name);
-  { name; params; entry; blocks; by_label }
+  let regs =
+    List.fold_left
+      (fun acc (b : Block.t) ->
+        List.rev_append b.defined (List.rev_append b.used acc))
+      params blocks
+    |> List.sort_uniq Int.compare
+  in
+  { name; params; entry; blocks; by_label; regs }
 
 (** [block f l] is the block labelled [l].  @raise Not_found if absent. *)
 let block f l =
@@ -35,10 +44,8 @@ let block_opt f l = SMap.find_opt l f.by_label
 let mem_block f l = SMap.mem l f.by_label
 let entry_block f = block f f.entry
 
-(** All registers mentioned anywhere in the function. *)
-let all_regs f =
-  let of_block b = Block.defined_regs b @ Block.used_regs b in
-  List.concat_map of_block f.blocks @ f.params |> List.sort_uniq compare
+(** All registers mentioned anywhere in the function, ascending. *)
+let all_regs f = f.regs
 
 (** [add buf f] appends the function's text: the [func] header line, its
     blocks in source order, and the closing brace.  No trailing newline. *)

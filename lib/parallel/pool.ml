@@ -14,10 +14,9 @@
 
     The pool itself knows nothing about RES: callers hand it a worker
     {e factory} [unit -> string -> string] (invoked once per worker, so
-    each worker builds private mutable state — notably its own
-    [Backstep.ctx], whose lazy static summaries must not be forced from
-    two domains at once) and a list of request payloads; it returns one
-    reply slot per request, [None] where every attempt failed. *)
+    each worker builds private mutable state) and a list of request
+    payloads; it returns one reply slot per request, [None] where every
+    attempt failed. *)
 
 type backend = Domains | Forked
 

@@ -189,7 +189,7 @@ let read_reg st r =
   | Some e -> (e, st)
   | None ->
       if fr.Symframe.lazy_pre then (
-        let s = Expr.fresh_sym (Fmt.str "pre:r%d" r) in
+        let s = Expr.fresh_sym ("pre:r" ^ string_of_int r) in
         let st = with_top st (Symframe.write fr r (Expr.Sym s)) in
         (Expr.Sym s, { st with pre_regs = (r, s) :: st.pre_regs }))
       else (Expr.zero, st)
@@ -532,7 +532,7 @@ let exec (cfg : config) (rq : request) : outcome list * string list =
         | [] -> raise (Reject "free of non-live block on non-crashing path")
         | _ -> candidates)
     | Input (r, kind) ->
-        let s = Expr.fresh_sym (Fmt.str "input:%s" (input_kind_name kind)) in
+        let s = Expr.fresh_sym ("input:" ^ input_kind_name kind) in
         let st = { st with inputs_rev = (kind, s) :: st.inputs_rev } in
         [ P_state (advance (write_reg st r (Expr.Sym s))) ]
     | Lock a ->

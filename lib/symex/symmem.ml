@@ -16,6 +16,24 @@ type t = {
 
 let empty = { over = IMap.empty; pre = IMap.empty; writes = [] }
 
+let hex_digit = "0123456789abcdef"
+
+(** [a] in lower-case hex, as [Printf.sprintf "%x" a]. *)
+let hex a =
+  if a < 0 then Printf.sprintf "%x" a
+  else
+    let rec width n w = if n < 16 then w else width (n lsr 4) (w + 1) in
+    let w = width a 1 in
+    let b = Bytes.create w in
+    let rec fill n i =
+      Bytes.unsafe_set b i hex_digit.[n land 15];
+      if i > 0 then fill (n lsr 4) (i - 1)
+    in
+    fill a (w - 1);
+    Bytes.unsafe_to_string b
+
+let pre_mem_name a = "pre:mem[0x" ^ hex a ^ "]"
+
 (** [read m a] — the current value at [a], minting a pre symbol on a first
     read-before-write.  Returns the value and the updated memory. *)
 let read m a =
@@ -25,7 +43,7 @@ let read m a =
       match IMap.find_opt a m.pre with
       | Some s -> (Res_solver.Expr.Sym s, m)
       | None ->
-          let s = Res_solver.Expr.fresh_sym (Fmt.str "pre:mem[0x%x]" a) in
+          let s = Res_solver.Expr.fresh_sym (pre_mem_name a) in
           (Res_solver.Expr.Sym s, { m with pre = IMap.add a s m.pre }))
 
 let write m a e = { m with over = IMap.add a e m.over; writes = a :: m.writes }

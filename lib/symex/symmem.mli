@@ -10,6 +10,10 @@ type t
 
 val empty : t
 
+(** ["pre:mem[0x<a>]"], the name of the pre symbol {!read} mints for
+    address [a], in lower-case hex as [Printf.sprintf "%x"] writes it. *)
+val pre_mem_name : int -> string
+
 (** [read m a] — the current value at [a], minting a pre symbol on a first
     read-before-write.  Returns the value and the updated memory. *)
 val read : t -> int -> Res_solver.Expr.t * t

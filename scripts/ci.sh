@@ -239,6 +239,24 @@ grep -q "^load files=6 decoded=$distinct\$" "$cache_tmp/copies.stats" \
   || { echo "triage of 6 files with $distinct distinct contents loaded:";
        cat "$cache_tmp/copies.stats"; exit 1; }
 
+# A program's whole-program summaries are built once per program and
+# shared by every analysis in the process: over three distinct dumps of
+# one program, an in-process `res triage -j 1` builds them once and
+# reuses them twice.
+mkdir "$cache_tmp/distinct"
+cp "$cache_tmp/dumps/a.core" "$cache_tmp/distinct/"
+for seed in 1 2; do
+  "$RES" run "$cache_tmp/prog.res" --seed "$seed" \
+    -o "$cache_tmp/distinct/s$seed.core" > /dev/null
+done
+distinct=$(for f in "$cache_tmp"/distinct/*; do md5sum < "$f"; done | sort -u | wc -l)
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/distinct" -j 1 \
+  --backend domains --stats > /dev/null 2> "$cache_tmp/distinct.stats"
+[ "$distinct" -eq 3 ] \
+  && grep -q "^statics built=1 reused=2\$" "$cache_tmp/distinct.stats" \
+  || { echo "triage of $distinct distinct dumps of one program:";
+       cat "$cache_tmp/distinct.stats"; exit 1; }
+
 # A coredump or program read from a pipe (here process substitution) is
 # read to its end: `res analyze` prints the same report as for the files,
 # but for the cpu time.

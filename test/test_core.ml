@@ -1085,6 +1085,199 @@ let test_report_bytes_digest () =
   check Alcotest.string "digest" "a6bfc7287a405be3bed1f2e77e44e807"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* --- the per-program statics memo --- *)
+
+(* Every analysis of one program shares one summary per domain
+   (Backstep.statics_of).  Sharing must be invisible: each rendering
+   below equals the one an analysis gets in a domain of its own, whose
+   memo starts empty. *)
+
+let statics_depths = [ 6; 8; 12 ]
+
+let render_at prog dump depth =
+  Res_solver.Expr.reset_counter_for_tests ();
+  let ctx = Backstep.make_ctx prog in
+  let config =
+    {
+      Res.default_config with
+      search = { Search.default_config with max_segments = depth };
+    }
+  in
+  Report.reports_to_string ctx (Res.analysis (Res.analyze ~config ctx dump))
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+type statics_case = {
+  sc_name : string;
+  sc_prog : Res_ir.Prog.t;
+  sc_dump : Res_vm.Coredump.t;
+  sc_cold : (int * string) list;  (** depth, rendering in a fresh domain *)
+}
+
+let statics_case name prog dump =
+  {
+    sc_name = name;
+    sc_prog = prog;
+    sc_dump = dump;
+    sc_cold =
+      List.map
+        (fun d -> (d, in_fresh_domain (fun () -> render_at prog dump d)))
+        statics_depths;
+  }
+
+let workload_cases () =
+  List.map
+    (fun (w : Res_workloads.Truth.t) ->
+      statics_case w.Res_workloads.Truth.w_name w.Res_workloads.Truth.w_prog
+        (Res_workloads.Truth.coredump w))
+    Res_workloads.Workloads.all
+
+let check_case state ?(prog = fun c -> c.sc_prog) c d =
+  check Alcotest.string
+    (Fmt.str "%s, %s, depth %d" state c.sc_name d)
+    (List.assoc d c.sc_cold)
+    (render_at (prog c) c.sc_dump d)
+
+(* Programs up to structural equality: the memo's classes. *)
+let classes cases =
+  List.fold_left
+    (fun acc c ->
+      if List.exists (Res_ir.Prog.equal c.sc_prog) acc then acc
+      else c.sc_prog :: acc)
+    [] cases
+  |> List.length
+
+let built () = (Backstep.statics_counts ()).Backstep.built
+let reused () = (Backstep.statics_counts ()).Backstep.reused
+
+(* [n] structurally distinct programs, none of them a workload's. *)
+let filler_progs n =
+  List.init n (fun i ->
+      Res_ir.Parser.parse
+        (Fmt.str "func main() {\nentry:\n  r0 = const %d\n  halt\n}\n" i))
+
+let test_statics_memo_states () =
+  let cases = workload_cases () in
+  in_fresh_domain (fun () ->
+      (* interleaved: every other program runs between two analyses of
+         one program; the first depth also builds each record cold *)
+      List.iter
+        (fun d -> List.iter (fun c -> check_case "interleaved" c d) cases)
+        statics_depths;
+      check int_t "one build per program" (classes cases) (built ());
+      (* warm: the program's record is in the memo *)
+      List.iter
+        (fun c ->
+          List.iter
+            (fun d ->
+              let b = built () and r = reused () in
+              check_case "warm" c d;
+              check int_t "warm: nothing built" b (built ());
+              check int_t "warm: one reuse" (r + 1) (reused ()))
+            statics_depths)
+        cases;
+      (* a structurally equal re-parsed copy finds the original's record *)
+      let reparse c =
+        Res_ir.Parser.parse (Res_ir.Prog.to_string c.sc_prog)
+      in
+      List.iter
+        (fun c ->
+          let copy = reparse c in
+          check bool_t "a distinct copy" true
+            (copy != c.sc_prog && Res_ir.Prog.equal copy c.sc_prog);
+          List.iter
+            (fun d ->
+              let b = built () in
+              check_case "re-parsed copy" ~prog:(fun _ -> copy) c d;
+              check int_t "re-parsed copy: nothing built" b (built ()))
+            statics_depths)
+        cases;
+      (* right after the memo clears: bound programs fill it, and the
+         next program's build starts it over *)
+      List.iter
+        (fun c ->
+          List.iter
+            (fun d ->
+              List.iter
+                (fun p -> ignore (Backstep.make_ctx p))
+                (filler_progs Backstep.statics_bound);
+              let b = built () in
+              check_case "after a clear" c d;
+              check int_t "after a clear: rebuilt" (b + 1) (built ()))
+            statics_depths)
+        cases);
+  (* a second domain keeps its own memo: the first one's counts do not
+     move while it analyzes *)
+  List.iter (fun c -> ignore (Backstep.make_ctx c.sc_prog)) cases;
+  let before = Backstep.statics_counts () in
+  in_fresh_domain (fun () ->
+      List.iter
+        (fun d -> List.iter (fun c -> check_case "second domain" c d) cases)
+        statics_depths;
+      check int_t "second domain builds its own" (classes cases) (built ()));
+  check bool_t "this domain's counts unchanged" true
+    (before = Backstep.statics_counts ())
+
+(* Structurally different programs that share a bounded structural hash
+   (long executions differing only in their loop count, and two crafted
+   programs whose blocks differ past the hash's reach) each keep their
+   own statics. *)
+let test_statics_hash_collisions () =
+  let long n =
+    let w = Res_workloads.Long_exec.workload_n n in
+    statics_case (Fmt.str "long-exec %d" n) w.Res_workloads.Truth.w_prog
+      (Res_workloads.Truth.coredump w)
+  in
+  let crashing name ~via ~n =
+    let prog =
+      Res_ir.Parser.parse
+        (Fmt.str
+           {|global g 2
+
+func main() {
+entry:
+  r0 = const 0
+  jmp %s
+%s:
+  r1 = const %d
+  r2 = global g
+  store r2[1] = r1
+  r3 = div r1, r0
+  halt
+}
+|}
+           via via n)
+    in
+    match Res_vm.Exec.run_to_coredump prog with
+    | Some dump, _ -> statics_case name prog dump
+    | None, _ -> Alcotest.fail (name ^ " did not crash")
+  in
+  let cases =
+    [
+      long 50;
+      long 53;
+      long 57;
+      crashing "via mid" ~via:"mid" ~n:5;
+      crashing "via boom" ~via:"boom" ~n:7;
+    ]
+  in
+  let same_hash a b =
+    Hashtbl.hash a.sc_prog = Hashtbl.hash b.sc_prog
+    && not (Res_ir.Prog.equal a.sc_prog b.sc_prog)
+  in
+  (match cases with
+  | [ a; b; _; c; d ] ->
+      check bool_t "same hash, different programs" true
+        (same_hash a b && same_hash c d)
+  | _ -> ());
+  in_fresh_domain (fun () ->
+      for _ = 1 to 2 do
+        List.iter
+          (fun d -> List.iter (fun c -> check_case "same hash" c d) cases)
+          statics_depths
+      done;
+      check int_t "one build per program" (classes cases) (built ()))
+
 (* The work counters (nodes, candidates, pruned, reversed, suffixes) of
    every workload at depth 8, and long-exec-50 at 55. *)
 let test_work_counters () =
@@ -1218,5 +1411,12 @@ let () =
           Alcotest.test_case "report bytes digest" `Quick
             test_report_bytes_digest;
           Alcotest.test_case "work counters" `Quick test_work_counters;
+        ] );
+      ( "statics",
+        [
+          Alcotest.test_case "reports equal under every memo state" `Quick
+            test_statics_memo_states;
+          Alcotest.test_case "programs sharing a hash keep their own" `Quick
+            test_statics_hash_collisions;
         ] );
     ]

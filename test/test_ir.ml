@@ -104,6 +104,78 @@ let test_block_live_in_term () =
   let b = Block.v "b" [] (Instr.Br (9, "x", "y")) in
   check (Alcotest.list int_t) "live_in via term" [ 9 ] (Block.live_in_regs b)
 
+(* --- stored register sets --- *)
+
+(* Every block's defined and used sets and every function's register
+   list equal what the old per-call code (Regs_ref) computes. *)
+let regs_match (p : Prog.t) =
+  List.for_all
+    (fun (f : Func.t) ->
+      Func.all_regs f = Regs_ref.all_regs f
+      && List.for_all
+           (fun (b : Block.t) ->
+             Block.defined_regs b = Regs_ref.defined_regs b
+             && Block.used_regs b = Regs_ref.used_regs b)
+           f.blocks)
+    p.Prog.funcs
+
+let check_regs what p =
+  List.iter
+    (fun (f : Func.t) ->
+      check (Alcotest.list int_t)
+        (Printf.sprintf "%s %s all_regs" what f.name)
+        (Regs_ref.all_regs f) (Func.all_regs f);
+      List.iter
+        (fun (b : Block.t) ->
+          let where = Printf.sprintf "%s %s:%s" what f.name b.label in
+          check (Alcotest.list int_t) (where ^ " defined")
+            (Regs_ref.defined_regs b) (Block.defined_regs b);
+          check (Alcotest.list int_t) (where ^ " used")
+            (Regs_ref.used_regs b) (Block.used_regs b))
+        f.blocks)
+    p.Prog.funcs
+
+let test_regs_workloads () =
+  List.iter
+    (fun (w : Res_workloads.Truth.t) ->
+      check_regs w.Res_workloads.Truth.w_name w.Res_workloads.Truth.w_prog)
+    Res_workloads.Workloads.all;
+  (* the corpus families: the bug-report corpus, the same-stack pair and
+     long executions of several lengths *)
+  List.iter
+    (fun (r : Res_workloads.Corpus.report) ->
+      check_regs "corpus" r.Res_workloads.Corpus.r_prog)
+    (Res_workloads.Corpus.generate ());
+  check_regs "same-stack race" Res_workloads.Corpus.same_stack_race;
+  check_regs "same-stack sign" Res_workloads.Corpus.same_stack_sign;
+  List.iter
+    (fun n ->
+      check_regs (Printf.sprintf "long-exec %d" n)
+        (Res_workloads.Long_exec.workload_n n).Res_workloads.Truth.w_prog)
+    [ 50; 55; 59 ]
+
+let test_regs_edges () =
+  (* a parameter no block names, a register only the terminator reads,
+     an empty block, a negative register, repeats *)
+  let f =
+    Func.v ~name:"f" ~params:[ 7; 3 ] ~entry:"a"
+      [
+        Block.v "a"
+          [ Instr.Const (1, 2); Instr.Const (1, 3) ]
+          (Instr.Br (9, "b", "c"));
+        Block.v "b" [] (Instr.Ret (Some 4));
+        Block.v "c" [ Instr.Binop (Instr.Add, -2, 5, 5) ] (Instr.Jmp "a");
+      ]
+  in
+  let p = Prog.v ~globals:[] [ f ] in
+  check_regs "edges" p;
+  check (Alcotest.list int_t) "all_regs" [ -2; 1; 3; 4; 5; 7; 9 ]
+    (Func.all_regs f);
+  check (Alcotest.list int_t) "terminator use" [ 9 ]
+    (Block.used_regs (Func.block f "a"));
+  check (Alcotest.list int_t) "defined once" [ 1 ]
+    (Block.defined_regs (Func.block f "a"))
+
 (* --- CFG --- *)
 
 let test_cfg_preds () =
@@ -366,9 +438,37 @@ let prop_cfg_pred_succ_dual =
             f.blocks)
         p.Prog.funcs)
 
+(* Random programs with parameters and a branching terminator: the
+   stored register sets equal the reference. *)
+let prop_regs_random =
+  let gen =
+    let open QCheck2.Gen in
+    let* p = gen_arith_prog in
+    let* params = list_size (int_range 0 4) (int_range 0 20) in
+    let* cond = int_range 0 20 in
+    let main = Prog.main p in
+    let entry = Func.entry_block main in
+    let f =
+      Func.v ~name:"main" ~params:(List.sort_uniq compare params) ~entry:"entry"
+        [
+          Block.v "entry" (Array.to_list entry.Block.instrs)
+            (Instr.Br (cond, "entry", "out"));
+          Block.v "out" [] Instr.Halt;
+        ]
+    in
+    return (Prog.v ~globals:[] [ f ])
+  in
+  QCheck2.Test.make ~name:"stored register sets = reference (random)"
+    ~count:200 gen regs_match
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_validate_random; prop_cfg_pred_succ_dual ]
+    [
+      prop_roundtrip;
+      prop_validate_random;
+      prop_cfg_pred_succ_dual;
+      prop_regs_random;
+    ]
 
 let () =
   Alcotest.run "res_ir"
@@ -383,6 +483,10 @@ let () =
           Alcotest.test_case "live_in" `Quick test_block_live_in;
           Alcotest.test_case "live_in via terminator" `Quick
             test_block_live_in_term;
+          Alcotest.test_case "register sets = reference (programs)" `Quick
+            test_regs_workloads;
+          Alcotest.test_case "register sets = reference (edges)" `Quick
+            test_regs_edges;
         ] );
       ( "cfg",
         [

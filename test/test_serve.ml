@@ -494,15 +494,11 @@ let fd_count pid = Array.length (Sys.readdir (Fmt.str "/proc/%d/fd" pid))
 
 (* Under a backlog one worker answers request after request, and every
    body is still byte-identical to an offline analysis. *)
-let test_daemon_worker_serves_backlog () =
+let serve_backlog names =
   with_daemon
     { Server.default_config with Server.jobs = 1; fi_worker_delay = 0.3 }
   @@ fun socket pid ->
-  let texts =
-    List.map
-      (fun name -> workload_texts ~name ())
-      [ "fig1-overflow"; "div-by-zero"; "double-free" ]
-  in
+  let texts = List.map (fun name -> workload_texts ~name ()) names in
   let ids =
     List.map
       (fun (prog, dump) ->
@@ -540,6 +536,17 @@ let test_daemon_worker_serves_backlog () =
         (id ^ ": body identical to offline analyze")
         expected rs_body)
     ids
+
+let test_daemon_worker_serves_backlog () =
+  serve_backlog [ "fig1-overflow"; "div-by-zero"; "double-free" ]
+
+(* A reused worker keeps the per-program summaries of the programs it
+   served: program A (the use-after-free program, re-parsed from each
+   request), then B, then A again with another dump and with the first
+   one.  Every body still equals an offline analysis. *)
+let test_daemon_worker_reuses_statics () =
+  serve_backlog
+    [ "use-after-free-a"; "div-by-zero"; "use-after-free-b"; "use-after-free-a" ]
 
 (* Sequential requests each retire their worker: a daemon that answered
    twenty keeps no zombie and no descriptor of theirs. *)
@@ -652,6 +659,8 @@ let () =
             `Quick test_daemon_hard_deadline;
           Alcotest.test_case "one worker serves a backlog, bytes identical"
             `Quick test_daemon_worker_serves_backlog;
+          Alcotest.test_case "a reused worker serves A, B, A: bytes identical"
+            `Quick test_daemon_worker_reuses_statics;
           Alcotest.test_case "sequential requests leave no zombie or fd"
             `Quick test_daemon_sequential_leaves_nothing;
         ] );

@@ -443,7 +443,25 @@ b:
   let rq = { rq with Symexec.havoc_reads = ISet.singleton g } in
   let outs, _ = run rq in
   let o = List.hd outs in
-  check int_t "one pre mem symbol" 1 (List.length (Symmem.pre_syms o.Symexec.mem))
+  check int_t "one pre mem symbol" 1 (List.length (Symmem.pre_syms o.Symexec.mem));
+  match Symmem.pre_syms o.Symexec.mem with
+  | [ (a, s) ] ->
+      check Alcotest.string "its name" (Printf.sprintf "pre:mem[0x%x]" a)
+        s.Res_solver.Expr.name
+  | _ -> Alcotest.fail "expected one pre mem symbol"
+
+(* Pre-memory symbol names are written without [Printf]; they must be
+   the bytes [Printf.sprintf "pre:mem[0x%x]"] writes, negative addresses
+   included. *)
+let test_pre_mem_name () =
+  List.iter
+    (fun a ->
+      check Alcotest.string (string_of_int a)
+        (Printf.sprintf "pre:mem[0x%x]" a)
+        (Symmem.pre_mem_name a))
+    ([ 0; 1; 9; 10; 15; 16; 255; 256; 0x1000; 0x100_0000; 0xdead_beef;
+       max_int; min_int; -1; -16 ]
+    @ List.init 200 (fun i -> (i * 7919) lxor (i lsl 40)))
 
 (* differential property: on concrete inputs, the symbolic executor and
    the VM are the same interpreter — same final registers, same memory
@@ -571,6 +589,7 @@ let () =
           Alcotest.test_case "lock constraints" `Quick test_lock_constraints;
           Alcotest.test_case "read-before-write" `Quick
             test_read_before_write_tracking;
+          Alcotest.test_case "pre-memory symbol names" `Quick test_pre_mem_name;
         ] );
       ("properties", qcheck_cases);
     ]
