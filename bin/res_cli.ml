@@ -296,19 +296,23 @@ let stats_arg =
     how many times the pool's supervisor respawned a dead worker — a
     healthy run prints 0, so a nonzero value is a cheap flake signal.
     [reverse] is the (reversed, slice_skipped) pair of reverse-execution
-    counts, printed only by the callers that measure them. *)
-let print_stats ?reverse ~wall_s ~nodes ~pruned ~queries ~workers ~restarts
-    () =
+    counts, and [forked] the workers a batch forked, each printed only by
+    the callers that measure them. *)
+let print_stats ?reverse ?forked ~wall_s ~nodes ~pruned ~queries ~workers
+    ~restarts () =
   let reverse =
     match reverse with
     | Some (reversed, slice_skipped) ->
         Fmt.str " reversed=%d slice_skipped=%d" reversed slice_skipped
     | None -> ""
   in
+  let forked =
+    match forked with Some n -> Fmt.str " forked=%d" n | None -> ""
+  in
   Fmt.epr
     "wall_s=%.3f nodes=%d pruned=%d%s solver_queries=%d workers=%d \
-     restarts=%d@."
-    wall_s nodes pruned reverse queries workers restarts
+     restarts=%d%s@."
+    wall_s nodes pruned reverse queries workers restarts forked
 
 let analyze_cmd =
   let deadline =
@@ -780,8 +784,9 @@ let triage_batch_cmd =
     let cache = open_cache cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
     let t =
+      (* one batch per process: forked workers retire with it *)
       Res_parallel.Batch.run ?budget_wall:deadline ?budget_fuel:fuel
-        ~jobs:(max 1 jobs) ?backend ?cache items
+        ~jobs:(max 1 jobs) ?backend ~keep:false ?cache items
     in
     print_string t.Res_parallel.Batch.tsv;
     if stats then begin
@@ -791,7 +796,8 @@ let triage_batch_cmd =
         ~pruned:t.Res_parallel.Batch.worker_pruned
         ~queries:t.Res_parallel.Batch.worker_queries
         ~workers:t.Res_parallel.Batch.workers
-        ~restarts:t.Res_parallel.Batch.respawns ();
+        ~restarts:t.Res_parallel.Batch.respawns
+        ~forked:t.Res_parallel.Batch.forked ();
       Fmt.epr "batch duplicates=%d@." t.Res_parallel.Batch.duplicates;
       print_load_counts ();
       print_statics_counts ();

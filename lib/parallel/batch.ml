@@ -3,7 +3,9 @@
 
     Work division is per distinct dump — the natural unit, since dumps
     are independent and a byte-identical copy has the same verdict — and
-    the wire payload is just an index into the corpus both sides share.
+    a unit carries its item's index, program and dump, and the batch's
+    worker the config and budgets: what a worker forked for an earlier
+    batch is sent to serve this one ({!Pool.run}).
     Output is a deterministic TSV: rows sorted by dump name (so shuffled
     input directories produce identical bytes), then cluster lines
     sorted by bucket.  A dump that cannot be loaded, or whose workers
@@ -46,6 +48,7 @@ type t = {
   clusters : (string * string list) list;  (** bucket -> member names, sorted *)
   tsv : string;
   workers : int;
+  forked : int;  (** workers this run forked; 0 once they are warm *)
   retries : int;
   lost : int;
   respawns : int;  (** replacement workers forked after a death *)
@@ -267,30 +270,31 @@ let pipeline ?cache ~config items analyze =
     their budget are stored back best-effort.  Cache hits reproduce the
     exact row an analysis would have produced, so the TSV is
     byte-identical warm or cold.  Each distinct content key is analyzed
-    once ({!pipeline}). *)
+    once ({!pipeline}).  Forked workers stay for the process's next
+    batch unless [~keep:false] ({!Pool.run}). *)
 let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
-    ?backend ?kill_unit ?attempts ?cache items =
+    ?backend ?kill_unit ?attempts ?keep ?cache items =
   let (pstats, nodes, pruned, queries), rows, clusters, tsv, cache_hits,
       duplicates =
     pipeline ?cache ~config:(config_key ?budget_wall ?budget_fuel config)
       items (fun items farm settle ->
-        let worker () payload =
-          let i = int_of_string payload in
-          let it = items.(i) in
-          let dump =
-            match it.it_dump with Ok d -> d | Error _ -> assert false
-          in
+        let worker () (i, prog, dump) =
           let budget =
             match (budget_wall, budget_fuel) with
             | None, None -> None
             | w, f -> Some (Budget.create ?wall_seconds:w ?fuel:f ())
           in
           Wire.encode_verdict ~index:i
-            (Res_usecases.Triage.triage_one ~config ?budget it.it_prog dump)
+            (Res_usecases.Triage.triage_one ~config ?budget prog dump)
+        in
+        let unit i =
+          match items.(i).it_dump with
+          | Ok d -> (i, items.(i).it_prog, d)
+          | Error _ -> assert false
         in
         let replies, pstats =
-          Pool.run ?backend ?kill_unit ?attempts ~jobs ~worker
-            (List.map string_of_int farm)
+          Pool.run ?backend ?kill_unit ?attempts ?keep ~jobs ~worker
+            (List.map unit farm)
         in
         let nodes = ref 0 and pruned = ref 0 and queries = ref 0 in
         List.iter
@@ -310,6 +314,7 @@ let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
     clusters;
     tsv;
     workers = pstats.Pool.p_workers;
+    forked = pstats.Pool.p_forked;
     retries = pstats.Pool.p_retries;
     lost = pstats.Pool.p_lost;
     respawns = pstats.Pool.p_respawns;

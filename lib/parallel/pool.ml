@@ -1,22 +1,25 @@
-(** Generic worker pool over string request/reply pairs.
+(** Generic worker pool: one string reply per unit.
 
     Two interchangeable backends:
 
     - [Domains]: OCaml 5 domains sharing the coordinator's heap.  Work
       units are pulled off an atomic index; results land in a shared
       array.  Cheapest, but a worker crash takes the process with it.
-    - [Forked]: one [Unix.fork]'d child per worker slot, length-prefixed
-      frames over pipes.  Slower (payloads are serialized), but a worker
-      that dies — OOM-killed, segfaulted, or SIGKILLed by the fault
-      injector — is detected by pipe EOF, and the {!Supervisor}
-      reschedules its in-flight unit on a fresh child after a capped
-      backoff.
+    - [Forked]: the process's kept children ({!Supervisor.kept}), forked
+      on first need and reused by every later run, length-prefixed frames
+      over pipes.  Slower (a child forked by an earlier run is sent this
+      run's worker and units, marshalled, and replies are serialized),
+      but a worker that dies — OOM-killed, segfaulted, or SIGKILLed by
+      the fault injector — is detected by pipe EOF, and the
+      {!Supervisor} reschedules its in-flight unit on a fresh child after
+      a capped backoff.
 
     The pool itself knows nothing about RES: callers hand it a worker
-    {e factory} [unit -> string -> string] (invoked once per worker, so
-    each worker builds private mutable state) and a list of request
-    payloads; it returns one reply slot per request, [None] where every
-    attempt failed. *)
+    {e factory} [unit -> 'u -> string] (invoked once per worker and run,
+    so each worker builds private mutable state) and a list of units; it
+    returns one reply slot per unit, [None] where every attempt failed.
+    On the fork backend a unit's payload is its index: a worker carries
+    the run's units with it. *)
 
 type backend = Domains | Forked
 
@@ -35,7 +38,10 @@ type stats = {
   p_workers : int;  (** worker slots actually used *)
   p_retries : int;  (** units rescheduled after a worker death (fork only) *)
   p_lost : int;  (** units with no reply after all attempts *)
-  p_respawns : int;  (** replacement workers forked after a death (fork only) *)
+  p_respawns : int;  (** forks that replaced a dead worker (fork only) *)
+  p_forked : int;
+      (** workers this run forked (fork only): 0 once the process's
+          kept workers are warm *)
 }
 
 (* The OCaml 5 runtime forbids [Unix.fork] once any domain has ever been
@@ -90,21 +96,24 @@ let run_domains ~jobs ~worker units =
       p_retries = 0;
       p_lost = Atomic.get lost;
       p_respawns = 0;
+      p_forked = 0;
     } )
 
 (* --- entry point ---------------------------------------------------- *)
 
-(** [run ?backend ?kill_unit ~jobs ~worker units] processes every
-    payload in [units] on [jobs] workers and returns the replies in
-    request order plus run {!stats}.
+(** [run ?backend ?kill_unit ~jobs ~worker units] processes every unit
+    in [units] on [jobs] workers and returns the replies in request order
+    plus run {!stats}.
 
-    The fork backend is the {!Supervisor} over {!Supervisor.local}
-    slots, forked as units need them.  [kill_unit] (fork backend only)
-    SIGKILLs the worker right after unit [i] is first dispatched to it —
-    the fault-injection hook behind the worker-kill campaign.
-    [attempts] bounds tries per unit before it is written off as lost
-    (default 3). *)
-let run ?backend ?kill_unit ?attempts ~jobs ~worker units =
+    The fork backend is the {!Supervisor} over {!Supervisor.kept} slots:
+    the process's kept workers, forked only when a unit finds none idle.
+    [kill_unit] (fork backend only) SIGKILLs the worker right after unit
+    [i] is first dispatched to it — the fault-injection hook behind the
+    worker-kill campaign.  [attempts] bounds tries per unit before it is
+    written off as lost (default 3).  [~keep:false] (fork backend only)
+    retires the workers as the run ends, for a caller that runs no later
+    forked batch ({!Supervisor.kept}). *)
+let run ?backend ?kill_unit ?attempts ?keep ~jobs ~worker units =
   let backend =
     match backend with Some b -> b | None -> default_backend ()
   in
@@ -119,8 +128,13 @@ let run ?backend ?kill_unit ?attempts ~jobs ~worker units =
       let units = Array.of_list units in
       let armed = ref kill_unit in
       let kill i _ = !armed = Some i && (armed := None; true) in
+      (* the worker carries the units, so a unit is just its index *)
+      let worker () =
+        let f = worker () in
+        fun i -> f units.(int_of_string i)
+      in
       let slots, forks =
-        Supervisor.local ~kill ~jobs ~payload:(Array.get units) ~worker ()
+        Supervisor.kept ~kill ?keep ~jobs ~payload:string_of_int ~worker ()
       in
       let sup = Supervisor.create ?attempts slots in
       Array.iteri (fun i _ -> Supervisor.add sup i) units;
@@ -132,5 +146,6 @@ let run ?backend ?kill_unit ?attempts ~jobs ~worker units =
           p_workers = workers;
           p_retries = sup.retries;
           p_lost = sup.lost;
-          p_respawns = forks () - workers;
+          p_respawns = forks.respawned;
+          p_forked = forks.forked;
         } )

@@ -1,11 +1,12 @@
 (** One worker supervisor for batch triage, the triage daemon and the
     cluster coordinator.
 
-    A unit of work runs on a {e slot}: a forked child on a pipe
-    ({!local}), or a connection to a [res serve] node (the coordinator's
-    slot set).  The slot set says how to start a unit, which descriptor
-    to watch, and what a readable descriptor means; the supervisor owns
-    everything else, once:
+    A unit of work runs on a {e slot}: a forked child on a pipe, retired
+    when the queue empties ({!local}, the daemon's) or kept for the life
+    of the process ({!kept}, batch triage's), or a connection to a
+    [res serve] node (the coordinator's slot set).  The slot set says
+    how to start a unit, which descriptor to watch, and what a readable
+    descriptor means; the supervisor owns everything else, once:
 
     - a FIFO of pending units, each with its attempt count and a
       capped-backoff gate ({!backoff}) that delays its next start
@@ -227,22 +228,56 @@ let run t on_done =
 
 type child = {
   pid : int;
-  ordinal : int;  (** 1-based, in fork order *)
+  ordinal : int;  (** 1-based, in its set's fork order *)
   req_w : Unix.file_descr;
   res_r : Unix.file_descr;
   mutable busy : bool;
+  mutable serves : int;  (** the slot set whose worker it runs *)
 }
 
+(** What a slot set forked: [forked] children in all, [respawned] of
+    them in place of a child of the set that died. *)
+type forks = { mutable forked : int; mutable respawned : int }
+
+(* The children a slot set runs units on: its own ({!local}), or the
+   process's kept set ({!kept}), which outlives every slot set over it.
+   [owner] is the process that forked them: only it may use or reap
+   them.  [dead] counts the children that died and were not replaced
+   yet. *)
+type set = {
+  owner : int;
+  mutable children : child list;
+  mutable ordinals : int;
+  mutable dead : int;
+}
+
+let new_set () =
+  { owner = Unix.getpid (); children = []; ordinals = 0; dead = 0 }
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* A child serves frames until its request pipe hits EOF.  A worker
-   factory or per-unit exception becomes an "ex"-prefixed reply: a
-   deterministic failure, not retried; only a silent death (EOF without
-   a reply) is. *)
+(* Take [c] out of [set], closing its pipes in the parent: once, since a
+   closed descriptor's number may already belong to a newer pipe. *)
+let detach set c =
+  set.children <- List.filter (fun c' -> c' != c) set.children;
+  close_quiet c.req_w;
+  close_quiet c.res_r
+
+let wait pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+let sigkill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
+
+(* A child serves frames until its request pipe hits EOF: a unit ("u"
+   and its payload) gets its worker's reply, and a worker ("w" and a
+   factory marshalled with its closures, {!kept}) replaces the one it
+   runs.  A worker factory or per-unit exception becomes an
+   "ex"-prefixed reply: a deterministic failure, not retried; only a
+   silent death (EOF without a reply) is. *)
 let child_serve req_r res_w worker =
-  let f = try Ok (worker ()) with exn -> Error (Printexc.to_string exn) in
+  let start worker =
+    try Ok (worker ()) with exn -> Error (Printexc.to_string exn)
+  in
+  let f = ref (start worker) in
   let reply payload =
-    match f with
+    match !f with
     | Error e -> "ex" ^ e
     | Ok f -> (
         match f payload with
@@ -252,32 +287,47 @@ let child_serve req_r res_w worker =
   let rec loop () =
     match Wire.read_frame req_r with
     | None -> ()
-    | Some payload ->
-        Wire.write_frame res_w (reply payload);
+    | Some frame ->
+        if frame.[0] = 'w' then
+          f := start (fun () -> (Marshal.from_string frame 1 : unit -> _) ())
+        else
+          Wire.write_frame res_w
+            (reply (String.sub frame 1 (String.length frame - 1)));
         loop ()
   in
   loop ()
 
-(** Slots that are forked children, at most [jobs] at once, forked when
-    a unit needs one.  A child gets [payload u] over its request pipe
-    and answers with [worker ()]'s reply ([worker] runs in the child,
-    once, right after the fork), then takes the next unit; a child that
-    dies before answering is a [Retry].  A child released while no unit
-    is queued retires: its pipes close at once, and a later pass reaps it
-    without blocking ([tick]), so a long-lived loop keeps neither zombies
-    nor descriptors.  [kill u ordinal] is fault injection: true SIGKILLs
-    the child (the [ordinal]th forked) right after [u] is sent to it.
-    Also returns the fork count so far. *)
-let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
-  let children = ref [] and retired = ref [] and forks = ref 0 in
+(* Each slot set's number, which its children record in [serves]. *)
+let slot_sets = ref 0
+
+(* Slots over the children of [set], at most [jobs] units at once; a
+   child is forked when a unit finds none idle.  With [retiring], a child
+   released while no unit is queued retires: its pipes close at once,
+   and a later pass reaps it without blocking ([tick]), and [close]
+   retires the rest.  Without it, a released child stays in [set], idle,
+   for the next unit or the next slot set over [set], which first sends
+   it its own [worker], marshalled with its closures (a child forked
+   from this process runs this executable); a [worker] that cannot be
+   marshalled gets a fresh fork instead.  A fork while a child of [set]
+   lies dead replaces it. *)
+let slots_of ?(kill = fun _ _ -> false) ~retiring ~jobs ~payload ~worker set =
+  incr slot_sets;
+  let id = !slot_sets in
+  let retired = ref [] and in_use = ref 0 in
+  let forks = { forked = 0; respawned = 0 } in
   let spawn () =
     (* flush first so buffered output is not emitted twice; the child
        closes its siblings' pipes, which would otherwise mask their EOFs *)
     flush stdout;
     flush stderr;
-    let req_r, req_w = Unix.pipe () in
-    let res_r, res_w = Unix.pipe () in
-    incr forks;
+    let req_r, req_w = Unix.pipe ~cloexec:true () in
+    let res_r, res_w = Unix.pipe ~cloexec:true () in
+    set.ordinals <- set.ordinals + 1;
+    forks.forked <- forks.forked + 1;
+    if set.dead > 0 then begin
+      set.dead <- set.dead - 1;
+      forks.respawned <- forks.respawned + 1
+    end;
     match Unix.fork () with
     | 0 ->
         close_quiet req_w;
@@ -286,46 +336,78 @@ let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
           (fun c ->
             close_quiet c.req_w;
             close_quiet c.res_r)
-          !children;
+          set.children;
         (try child_serve req_r res_w worker with _ -> ());
         Unix._exit 0
     | pid ->
         close_quiet req_r;
         close_quiet res_w;
-        let c = { pid; ordinal = !forks; req_w; res_r; busy = false } in
-        children := c :: !children;
+        let c =
+          {
+            pid;
+            ordinal = set.ordinals;
+            req_w;
+            res_r;
+            busy = false;
+            serves = id;
+          }
+        in
+        set.children <- c :: set.children;
         c
   in
-  (* take [c] out of the pool, closing its pipes in the parent: once,
-     since a closed descriptor's number may already belong to a newer
-     pipe *)
-  let detach c =
-    children := List.filter (fun c' -> c' != c) !children;
-    close_quiet c.req_w;
-    close_quiet c.res_r
+  let shipped =
+    lazy
+      (match Marshal.to_string worker [ Marshal.Closures ] with
+      | s -> Some ("w" ^ s)
+      | exception _ -> None)
   in
-  let wait pid =
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+  (* an idle child, preferring one that runs [worker] already *)
+  let take () =
+    let idle = List.filter (fun c -> not c.busy) set.children in
+    match List.find_opt (fun c -> c.serves = id) idle with
+    | Some c -> c
+    | None -> (
+        match idle with
+        | [] -> spawn ()
+        | c :: _ when Option.is_some (Lazy.force shipped) -> c
+        | c :: _ ->
+            sigkill c;
+            detach set c;
+            wait c.pid;
+            spawn ())
   in
-  let sigkill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> () in
+  (* a unit's child stops being this slot set's *)
+  let free c =
+    c.busy <- false;
+    decr in_use
+  in
   let kill_child c =
+    free c;
     sigkill c;
-    detach c;
-    wait c.pid
+    detach set c;
+    wait c.pid;
+    set.dead <- set.dead + 1
   in
   let start u =
-    match List.find_opt (fun c -> not c.busy) !children with
-    | None when List.length !children >= max 1 jobs -> `Full
-    | found -> (
-        let c = match found with Some c -> c | None -> spawn () in
-        c.busy <- true;
-        match Wire.write_frame c.req_w (payload u) with
-        | () ->
-            if kill u c.ordinal then sigkill c;
-            `Started c
-        | exception Unix.Unix_error _ ->
-            kill_child c;
-            `Now (Retry ("worker died", 0.)))
+    if !in_use >= max 1 jobs then `Full
+    else
+      let p = "u" ^ payload u in
+      let c = take () in
+      c.busy <- true;
+      incr in_use;
+      match
+        if c.serves <> id then begin
+          Wire.write_frame c.req_w (Option.get (Lazy.force shipped));
+          c.serves <- id
+        end;
+        Wire.write_frame c.req_w p
+      with
+      | () ->
+          if kill u c.ordinal then sigkill c;
+          `Started c
+      | exception Unix.Unix_error _ ->
+          kill_child c;
+          `Now (Retry ("worker died", 0.))
   in
   let read c =
     match Wire.read_frame c.res_r with
@@ -335,12 +417,15 @@ let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
         if String.starts_with ~prefix:"ok" r then Done body else Failed body
   in
   let retire c =
-    detach c;
+    detach set c;
     retired := c.pid :: !retired
   in
   (* nothing queued: retire it now, so it exits while its siblings
      finish, not after them *)
-  let release c idle = if idle then retire c else c.busy <- false in
+  let release c idle =
+    free c;
+    if retiring && idle then retire c
+  in
   (* reap the retired children that have exited *)
   let tick () =
     retired :=
@@ -354,10 +439,13 @@ let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
     None
   in
   let close () =
-    (* every pipe first, so the children exit side by side *)
-    List.iter retire !children;
-    List.iter wait !retired;
-    retired := []
+    if retiring then begin
+      (* every pipe first, so the children exit side by side *)
+      List.iter retire set.children;
+      List.iter wait !retired;
+      retired := [];
+      set.dead <- 0
+    end
   in
   ( {
       start;
@@ -368,4 +456,84 @@ let local ?(kill = fun _ _ -> false) ~jobs ~payload ~worker () =
       tick;
       close;
     },
-    fun () -> !forks )
+    forks )
+
+(** Slots that are forked children, at most [jobs] at once, forked when
+    a unit needs one: the triage daemon's.  A child gets [payload u] over
+    its request pipe and answers with [worker ()]'s reply ([worker] runs
+    in the child, once, right after the fork), then takes the next unit;
+    a child that dies before answering is a [Retry].  A child released
+    while no unit is queued retires: its pipes close at once, and a later
+    pass reaps it without blocking ([tick]), so a long-lived loop keeps
+    neither zombies nor descriptors.  [kill u ordinal] is fault
+    injection: true SIGKILLs the child (the [ordinal]th forked) right
+    after [u] is sent to it.  Also returns what the slots forked. *)
+let local ?kill ~jobs ~payload ~worker () =
+  slots_of ?kill ~retiring:true ~jobs ~payload ~worker (new_set ())
+
+(* --- kept slots: forked children that outlive their batch ------------- *)
+
+(* The process's kept children, forked by [owner]; in a process forked
+   from the owner, the inherited value is the parent's and is ignored. *)
+let kept_set = ref { owner = -1; children = []; ordinals = 0; dead = 0 }
+
+(** Kill and reap every kept child of this process.  Runs at exit in
+    the process that forked them, and only there: a later fork inherits
+    the hook, and the children's request pipes too, so the children
+    would never read EOF; they are killed, not closed.  Every kill goes
+    out before the first reap, so the children end side by side. *)
+let stop_kept () =
+  let set = !kept_set in
+  if set.owner = Unix.getpid () then begin
+    List.iter sigkill set.children;
+    List.iter
+      (fun c ->
+        detach set c;
+        wait c.pid)
+      set.children;
+    set.dead <- 0
+  end
+
+(* This process's kept set, after reaping the children that died since
+   it was last used. *)
+let own_kept () =
+  if !kept_set.owner <> Unix.getpid () then begin
+    kept_set := new_set ();
+    at_exit stop_kept
+  end;
+  let set = !kept_set in
+  let exited c =
+    match Unix.waitpid [ Unix.WNOHANG ] c.pid with
+    | 0, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error _ -> true
+  in
+  let died = List.filter exited set.children in
+  List.iter (detach set) died;
+  set.dead <- set.dead + List.length died;
+  set
+
+(** The pids of this process's kept children. *)
+let kept_pids () =
+  if !kept_set.owner = Unix.getpid () then
+    List.map (fun c -> c.pid) !kept_set.children
+  else []
+
+(** Slots on the process's kept children: batch triage's.  A kept child
+    is forked when a unit finds none idle, and then serves the units of
+    every later slot set too, idle in between: a child this slot set
+    forked inherits [worker] (as for {!local}), and one an earlier slot
+    set forked is sent it once, marshalled with its closures, before its
+    first unit.  So [worker] must carry what its units need beyond
+    [payload u], and stay small enough to ship.  At most [jobs] of them
+    run this slot set's units at once.  A kept child ends only by dying
+    (a crash, a deadline or fault injection); {!stop_kept} kills the
+    rest when the process exits.  With [~keep:false] they retire
+    instead, as {!local}'s do, and [close] reaps them: for a caller that
+    runs no later batch (a one-shot CLI), since while a child lives, each
+    page its parent writes to is copied first.  [kill] is as for
+    {!local}, with ordinals in the kept children's fork order.  Also
+    returns what the slots forked; [respawned] counts forks in place of a
+    kept child that died, in this slot set or an earlier one. *)
+let kept ?kill ?(keep = true) ~jobs ~payload ~worker () =
+  slots_of ?kill ~retiring:(not keep) ~jobs ~payload ~worker (own_kept ())

@@ -134,9 +134,10 @@ let read_frame fd =
 
 (** A batch worker's answer: the corpus index it triaged and its verdict,
     in the result cache's body codec.  The request direction needs no
-    format of its own: batch payloads are indices into the corpus both
-    sides share (forked children inherit it copy-on-write; domains read
-    it in place). *)
+    format of its own: a batch unit's payload is its index among the
+    run's units, which a forked worker carries (inherited at the fork,
+    or sent with the run's worker, {!Supervisor.kept}), and a domain
+    reads them in place. *)
 let verdict_header = "resbatchres v2"
 
 let encode_verdict ~index v =

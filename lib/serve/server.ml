@@ -15,7 +15,7 @@
       exhausting its budget is fast-failed with [Rejected_breaker] until
       a cooldown passes and a half-open probe succeeds.
     - {b Worker supervision} ({!Res_parallel.Supervisor}): each request
-      is a unit on the batch's reusable local slots, its payload the
+      is a unit on the supervisor's local slots, its payload the
       admitted request frame; a worker serves requests while the queue
       holds work and retires when it empties.  A worker that dies (bug,
       OOM-kill, fault injection) is restarted with capped exponential
@@ -669,8 +669,9 @@ let run (cfg : config) =
         Client.listen cfg.listen
   in
   let sig_rd, sig_wr = Unix.pipe () in
-  (* each request is a unit on the batch's reusable local slots, whose
-     payload is the admitted request frame *)
+  (* each request is a unit on local slots, whose payload is the admitted
+     request frame; unlike the batch's kept slots, a child retires when
+     the queue empties *)
   let self = ref None in
   let slots, _ =
     Supervisor.local ~jobs:cfg.jobs

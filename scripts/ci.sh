@@ -257,6 +257,24 @@ distinct=$(for f in "$cache_tmp"/distinct/*; do md5sum < "$f"; done | sort -u | 
   || { echo "triage of $distinct distinct dumps of one program:";
        cat "$cache_tmp/distinct.stats"; exit 1; }
 
+# Forked triage workers live no longer than the process that forked
+# them: once a one-shot `res triage -j 2 --backend fork` (whose workers
+# retire with its one batch) and a resbench corpus-triage run (whose
+# passes reuse the first pass's workers until an exit hook kills them)
+# have exited, no process with their command line is left.
+"$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/distinct" -j 2 \
+  --backend fork --stats > /dev/null 2> "$cache_tmp/forked.stats"
+grep -q " workers=2 restarts=0 forked=2\$" "$cache_tmp/forked.stats" \
+  || { echo "triage of 3 distinct dumps on 2 forked workers:";
+       cat "$cache_tmp/forked.stats"; exit 1; }
+bash resbench/run.sh --workload corpus-triage --seed 1 --seconds 1 --trace 0 \
+  > /dev/null
+for cmd in "res_cli.exe triage $cache_tmp/prog.res --dir $cache_tmp/distinct" \
+    "resbench/main.exe --workload corpus-triage --seed 1 --seconds 1"; do
+  ! pgrep -f "$cmd" > /dev/null \
+    || { echo "processes left running after exit:"; pgrep -af "$cmd"; exit 1; }
+done
+
 # A coredump or program read from a pipe (here process substitution) is
 # read to its end: `res analyze` prints the same report as for the files,
 # but for the cpu time.

@@ -55,24 +55,141 @@ let test_pool_kill_reschedules () =
   Alcotest.(check bool) "unit was rescheduled" true (stats.Pool.p_retries >= 1);
   Alcotest.(check int) "nothing lost" 0 stats.Pool.p_lost
 
-(* A kill late in the queue, when some workers have already retired and
-   closed their request pipes, respawns a worker whose new pipes reuse
-   those descriptor numbers: the retired workers' ends must never be
-   closed a second time, or the new worker's pipe goes with them. *)
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Descriptors besides the kept workers' two pipe ends each. *)
+let fds_beside_kept () =
+  fd_count () - (2 * List.length (Supervisor.kept_pids ()))
+
+(* A kill late in the queue takes a worker out of the pool, and the
+   fork that replaces it, in that run or the next, makes pipes that
+   reuse the dead worker's descriptor numbers: the dead worker's ends
+   must never be closed a second time, or the new worker's pipe goes
+   with them.  The replacement is kept, so later runs go through those
+   reused numbers: each of 20 runs must answer every unit and leave no
+   descriptor behind. *)
 let test_pool_kill_after_retirement () =
   let worker () s =
     Unix.sleepf 0.003;
     s
   in
   let units = List.init 14 string_of_int in
+  ignore (Pool.run ~backend:Pool.Forked ~jobs:3 ~worker units);
+  let fds = fds_beside_kept () in
+  let respawns = ref 0 in
   for _ = 1 to 20 do
     let replies, stats =
       Pool.run ~backend:Pool.Forked ~jobs:3 ~kill_unit:12 ~worker units
     in
     Alcotest.(check (list (option string)))
       "all units answered" (List.map Option.some units) replies;
-    Alcotest.(check int) "nothing lost" 0 stats.Pool.p_lost
+    Alcotest.(check int) "nothing lost" 0 stats.Pool.p_lost;
+    Alcotest.(check int) "no descriptor left behind" fds (fds_beside_kept ());
+    respawns := !respawns + stats.Pool.p_respawns
+  done;
+  Alcotest.(check bool) "killed workers were replaced" true (!respawns > 0)
+
+(* The same kill late in the queue on local slots, which retire as the
+   queue empties: the respawned child's pipes reuse the descriptor
+   numbers of siblings that retired before it. *)
+let test_local_kill_after_retirement () =
+  let units = List.init 14 string_of_int in
+  let fds = fd_count () in
+  for _ = 1 to 20 do
+    let armed = ref true in
+    let slots, _ =
+      Supervisor.local
+        ~kill:(fun u _ -> u = "12" && !armed && (armed := false; true))
+        ~jobs:3 ~payload:Fun.id
+        ~worker:(fun () s ->
+          Unix.sleepf 0.003;
+          s)
+        ()
+    in
+    let sup = Supervisor.create slots in
+    List.iter (Supervisor.add sup) units;
+    let replies = Hashtbl.create 16 in
+    Supervisor.run sup (fun u r -> Hashtbl.replace replies u r);
+    Alcotest.(check (list (result string string)))
+      "all units answered"
+      (List.map Result.ok units)
+      (List.map (Hashtbl.find replies) units);
+    Alcotest.(check int) "no descriptor left behind" fds (fd_count ())
   done
+
+(* A caller that runs no later batch retires the workers with its run:
+   it reuses the kept ones, and leaves no child behind. *)
+let test_pool_keep_false_retires () =
+  let worker () s = "r:" ^ s in
+  let units = [ "a"; "b"; "c" ] in
+  ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units);
+  let replies, stats =
+    Pool.run ~backend:Pool.Forked ~keep:false ~jobs:2 ~worker units
+  in
+  Alcotest.(check (list (option string)))
+    "replies" (List.map (fun u -> Some ("r:" ^ u)) units) replies;
+  Alcotest.(check int) "run on the kept workers" 0 stats.Pool.p_forked;
+  Alcotest.(check (list int)) "none kept" [] (Supervisor.kept_pids ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "waitpid found a child (%d)" pid
+
+(* A worker that cannot be marshalled (it holds a mutex) cannot be sent
+   to a kept worker: the run forks its own, which inherit it, in place
+   of the idle ones, and counts no respawn. *)
+let test_pool_unshippable_worker () =
+  Supervisor.stop_kept ();
+  ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker:(fun () s -> s) [ "a" ]);
+  let before = Supervisor.kept_pids () in
+  let m = Mutex.create () in
+  let worker () s = Mutex.protect m (fun () -> "m:" ^ s) in
+  let units = [ "a"; "b"; "c" ] in
+  let replies, stats = Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units in
+  Alcotest.(check (list (option string)))
+    "replies" (List.map (fun u -> Some ("m:" ^ u)) units) replies;
+  Alcotest.(check int) "no respawn" 0 stats.Pool.p_respawns;
+  Alcotest.(check bool) "the idle workers were replaced" true
+    (List.for_all (fun p -> not (List.mem p (Supervisor.kept_pids ()))) before)
+
+(* The exit hook runs in every process that exits through [exit],
+   forked children included; a child forked after the workers exist
+   must leave its parent's workers alone. *)
+let test_exit_hook_spares_parent_workers () =
+  let worker () s = "r:" ^ s in
+  let units = [ "a"; "b"; "c" ] in
+  Supervisor.stop_kept ();
+  ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units);
+  let pids = Supervisor.kept_pids () in
+  Alcotest.(check int) "two workers kept" 2 (List.length pids);
+  flush_all ();
+  (match Unix.fork () with
+  | 0 ->
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      Unix.dup2 null Unix.stdout;
+      Unix.dup2 null Unix.stderr;
+      exit 0
+  | pid -> ignore (Unix.waitpid [] pid));
+  let replies, stats = Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units in
+  Alcotest.(check (list (option string)))
+    "the next run is answered"
+    (List.map (fun u -> Some ("r:" ^ u)) units)
+    replies;
+  Alcotest.(check int) "by the same workers, none forked" 0 stats.Pool.p_forked;
+  Alcotest.(check (list int)) "the same pids" pids (Supervisor.kept_pids ())
+
+(* After the exit hook, the process has no child left, zombie or alive. *)
+let test_exit_hook_reaps_workers () =
+  ignore
+    (Pool.run ~backend:Pool.Forked ~jobs:2
+       ~worker:(fun () s -> s)
+       [ "a"; "b" ]);
+  let pids = Supervisor.kept_pids () in
+  Alcotest.(check bool) "workers kept" true (pids <> []);
+  Supervisor.stop_kept ();
+  Alcotest.(check (list int)) "none kept" [] (Supervisor.kept_pids ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "waitpid found a child (%d)" pid
 
 (* --- wire (no pool) ------------------------------------------------- *)
 
@@ -103,18 +220,18 @@ let test_wire_rejects_corrupt () =
 (** Per-dump parallelism changes no verdict: every workload's batch row,
     analysed in a worker and shipped back over the wire, carries exactly
     the fields an in-process serial triage of the same dump produces. *)
+let workload_items () =
+  List.map
+    (fun (w : Res_workloads.Truth.t) ->
+      {
+        Batch.it_name = w.Res_workloads.Truth.w_name;
+        it_prog = w.w_prog;
+        it_dump = Ok (Res_workloads.Truth.coredump w);
+      })
+    Res_workloads.Workloads.all
+
 let check_batch_matches_serial ~jobs ~backend =
-  let ws = Res_workloads.Workloads.all in
-  let items =
-    List.map
-      (fun (w : Res_workloads.Truth.t) ->
-        {
-          Batch.it_name = w.Res_workloads.Truth.w_name;
-          it_prog = w.w_prog;
-          it_dump = Ok (Res_workloads.Truth.coredump w);
-        })
-      ws
-  in
+  let items = workload_items () in
   let t = Batch.run ~jobs ~backend items in
   Alcotest.(check int) "one row per workload" (List.length items)
     (List.length t.Batch.rows);
@@ -149,16 +266,7 @@ let test_batch_serial_domains () =
     still carry the fields its own serial triage produces. *)
 let dedup_items =
   lazy
-    (let originals =
-       List.map
-         (fun (w : Res_workloads.Truth.t) ->
-           {
-             Batch.it_name = w.Res_workloads.Truth.w_name;
-             it_prog = w.w_prog;
-             it_dump = Ok (Res_workloads.Truth.coredump w);
-           })
-         Res_workloads.Workloads.all
-     in
+    (let originals = workload_items () in
      let copies =
        List.concat
          (List.filteri
@@ -384,9 +492,12 @@ let test_batch_degrades_every_jobs () =
 
 (** A worker SIGKILLed mid-unit with retries exhausted degrades that one
     unit to a worker-lost row; the pool still respawns a worker so the
-    rest of the batch completes. *)
+    rest of the batch completes.  It starts from no kept worker: an idle
+    one left by an earlier [-j 4] batch would take the dead one's place
+    without a fork. *)
 let test_batch_worker_lost_row () =
   let items = corpus_items () in
+  Supervisor.stop_kept ();
   let t =
     Batch.run ~jobs:2 ~backend:Pool.Forked ~kill_unit:1 ~attempts:1 items
   in
@@ -454,7 +565,64 @@ let test_batch_all_cached_forks_nothing () =
   Alcotest.(check int) "every row from the cache" (List.length items)
     warm.Batch.cache_hits;
   Alcotest.(check int) "no worker forked" 0 warm.Batch.workers;
+  Alcotest.(check int) "forked none" 0 warm.Batch.forked;
   Alcotest.(check int) "no respawn" 0 warm.Batch.respawns
+
+(** Workers outlive their batch: two [-j 2] batches fork two workers in
+    all, and the second forks none. *)
+let test_batch_workers_reused () =
+  let items = corpus_items () in
+  Supervisor.stop_kept ();
+  let t1 = Batch.run ~jobs:2 ~backend:Pool.Forked items in
+  let t2 = Batch.run ~jobs:2 ~backend:Pool.Forked (shuffle 3 items) in
+  Alcotest.(check int) "two workers forked in all" 2
+    (t1.Batch.forked + t2.Batch.forked);
+  Alcotest.(check int) "the second batch forked none" 0 t2.Batch.forked;
+  Alcotest.(check int) "no respawn" 0 (t1.Batch.respawns + t2.Batch.respawns);
+  Alcotest.(check string) "same tsv" t1.Batch.tsv t2.Batch.tsv
+
+(** Warm workers serve corpus A, then corpus B under another search
+    depth and a per-dump fuel budget, then A again, then A with one of
+    them SIGKILLed: each TSV is the in-process [-j 1] TSV of the same
+    inputs, and the kill lands on a worker kept from the earlier
+    batches. *)
+let test_warm_workers_a_b_a () =
+  let a = corpus_items () and b = workload_items () in
+  let default = Res_core.Res.default_config in
+  let config_b =
+    { default with search = { default.search with max_segments = 2 } }
+  in
+  let in_process ?config ?budget_fuel items =
+    (Batch.run ?config ?budget_fuel ~jobs:1 ~backend:Pool.Domains items)
+      .Batch.tsv
+  in
+  let tsv_a = in_process a in
+  let tsv_b = in_process ~config:config_b ~budget_fuel:1 b in
+  Alcotest.(check bool) "B's settings change its rows" false
+    (String.equal tsv_b (in_process b));
+  Supervisor.stop_kept ();
+  let forked = ref 0 in
+  let run ?config ?budget_fuel ?kill_unit what expected items =
+    let t =
+      Batch.run ?config ?budget_fuel ?kill_unit ~jobs:2 ~backend:Pool.Forked
+        items
+    in
+    Alcotest.(check string)
+      (what ^ ": tsv = in-process -j 1")
+      expected t.Batch.tsv;
+    forked := !forked + t.Batch.forked;
+    t
+  in
+  ignore (run "A" tsv_a a);
+  ignore (run ~config:config_b ~budget_fuel:1 "B" tsv_b b);
+  ignore (run "A again" tsv_a a);
+  Alcotest.(check int) "A, B, A forked two workers in all" 2 !forked;
+  let warm = Supervisor.kept_pids () in
+  let t = run ~kill_unit:0 "A, a worker killed" tsv_a a in
+  Alcotest.(check bool) "the killed unit was retried" true
+    (t.Batch.retries >= 1);
+  Alcotest.(check bool) "the kill hit a kept worker" true
+    (List.exists (fun p -> not (List.mem p (Supervisor.kept_pids ()))) warm)
 
 (** The key phase encodes one dump per structural class and reuses its
     hash for the class's other members; every key must still be the one
@@ -731,8 +899,6 @@ let test_local_slot_outlives_its_unit () =
   Alcotest.(check bool) "a unit after the retirement gets a new child" true
     (pid "c" <> pid "slow")
 
-let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
-
 (* A child retired with the queue empty closes its pipes at once and is
    reaped by a later pass: sequential units leave no zombie and no
    descriptor behind. *)
@@ -860,6 +1026,16 @@ let () =
             test_pool_kill_reschedules;
           Alcotest.test_case "SIGKILL after retirements" `Quick
             test_pool_kill_after_retirement;
+          Alcotest.test_case "SIGKILL after local retirements" `Quick
+            test_local_kill_after_retirement;
+          Alcotest.test_case "keep:false retires the workers" `Quick
+            test_pool_keep_false_retires;
+          Alcotest.test_case "a worker that cannot ship gets a fork" `Quick
+            test_pool_unshippable_worker;
+          Alcotest.test_case "a forked child's exit spares the workers" `Quick
+            test_exit_hook_spares_parent_workers;
+          Alcotest.test_case "the exit hook reaps every worker" `Quick
+            test_exit_hook_reaps_workers;
         ] );
       ( "wire",
         [
@@ -890,6 +1066,10 @@ let () =
             test_batch_all_failed;
           Alcotest.test_case "a fully cached batch forks no worker" `Quick
             test_batch_all_cached_forks_nothing;
+          Alcotest.test_case "workers outlive their batch" `Quick
+            test_batch_workers_reused;
+          Alcotest.test_case "warm workers serve A, B, A" `Slow
+            test_warm_workers_a_b_a;
           Alcotest.test_case "one key encode per class, keys unchanged" `Slow
             test_batch_keys_per_class;
         ] );
