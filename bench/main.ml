@@ -937,21 +937,19 @@ let e19 () =
     s.D.runs;
   Fmt.pr "campaign: %d/%d identical@." s.D.ok s.D.total;
   (* Static coverage: how much of each program the classifier accepts
-     for concrete reversal, and how large its crash slice is. *)
+     for concrete reversal. *)
   Fmt.pr "@.invert coverage (static, all workloads):@.";
   List.iter
     (fun (w : Res_workloads.Truth.t) ->
       let cov = Res_static.Invert.program_coverage w.Res_workloads.Truth.w_prog in
-      Fmt.pr "%-24s invertible=%d/%d slice=%d@." w.Res_workloads.Truth.w_name
-        cov.Res_static.Invert.cov_invertible cov.Res_static.Invert.cov_total
-        cov.Res_static.Invert.cov_slice)
+      Fmt.pr "%-24s invertible=%d/%d@." w.Res_workloads.Truth.w_name
+        cov.Res_static.Invert.cov_invertible cov.Res_static.Invert.cov_total)
     Res_workloads.Workloads.all;
   (* Per-step microbench: the pure engine cost of reversing the loop
      body concretely, vs the in-situ per-node cost of the two legs. *)
   let block = Res_ir.Prog.block prog ~func:"main" ~label:"loop" in
-  let summary = Res_static.Summary.of_prog prog in
   let plan =
-    match Res_static.Invert.classify ~summary block with
+    match Res_static.Invert.classify block with
     | Res_static.Invert.Invertible p -> p
     | Res_static.Invert.Not_invertible e ->
         Fmt.failwith "long-exec loop body not invertible: %s" e

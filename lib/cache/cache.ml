@@ -27,7 +27,8 @@
       or bit-flipped entry is {e detected}, never parsed.  v1 entries
       sit under keys of an older hash, so they are honest misses; the
       [rowv2] tag in {!row_config} marks the body codec that reads back
-      every byte it escapes.
+      every byte it escapes, and {!analysis_version} the analysis that
+      computed the row.
     - {b Damage degrades to recompute.}  A entry that fails its seal is
       quarantined (moved aside to [quarantine/], or deleted if even
       that fails) and reported as a miss; the caller recomputes and
@@ -190,15 +191,23 @@ let failed_row ~bucket ~cause =
     c_queries = 0;
   }
 
-(* Bump the trailing tag if this codec ever changes shape: it is folded
-   into every key, so old entries become honest misses, not parse
-   errors. *)
+(** The version of the analysis whose verdicts the cache holds.  Bump it
+    with any change that can alter a verdict, bucket, cause or report
+    body for the same program, dump and config: entries computed by the
+    old analysis then become honest misses instead of stale answers.
+    Every triage key (batch, daemon, coordinator) goes through
+    {!row_config}, so this one constant covers them all. *)
+let analysis_version = "analysis1"
+
+(* Bump [rowv2] if the row codec ever changes shape.  Both tags are
+   folded into every key, so old entries become honest misses, not parse
+   errors or stale rows. *)
 let row_config ~wall ~fuel ~engine =
-  Fmt.str "%s wall=%a fuel=%a rowv2" engine
+  Fmt.str "%s wall=%a fuel=%a rowv2 %s" engine
     Fmt.(option ~none:(any "none") float)
     wall
     Fmt.(option ~none:(any "none") int)
-    fuel
+    fuel analysis_version
 
 let encode_row r =
   Fmt.str "verdict %S %d %S %S %d %d %d" r.c_outcome

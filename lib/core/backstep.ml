@@ -167,8 +167,8 @@ type step_result = {
           move (recovered a pre-state or proved it infeasible) without
           symbolic execution or a solver query *)
   slice_skipped : int;
-      (** pure definitions outside the block's backward slice the fast
-          path never touched *)
+      (** dead pure definitions the fast path never touched
+          ([Invert.plan]'s [pl_skipped]) *)
 }
 
 let no_result msg =
@@ -576,7 +576,7 @@ let invert_verdict ctx ~func ~block_label =
         match Res_ir.Prog.block ctx.prog ~func ~label:block_label with
         | exception Not_found ->
             Res_static.Invert.Not_invertible "unknown block"
-        | b -> Res_static.Invert.classify ~summary:ctx.statics b
+        | b -> Res_static.Invert.classify b
       in
       Hashtbl.add ctx.invert_memo key v;
       v
@@ -675,7 +675,7 @@ let fast_reverse ctx (snapshot : Snapshot.t) ~tid ~func ~block_label
                   applied = [];
                   rejects = [ Fmt.str "reverse-exec: %s" msg ];
                   reversed = 1;
-                  slice_skipped = plan.Res_static.Invert.pl_slice.Res_static.Slice.sl_skipped;
+                  slice_skipped = plan.Res_static.Invert.pl_skipped;
                 }
           | Res_static.Revexec.Reversed rs ->
               (* Mirror [apply_outcome]'s construction exactly: recovered
@@ -752,8 +752,7 @@ let fast_reverse ctx (snapshot : Snapshot.t) ~tid ~func ~block_label
                     [ { ap_snapshot = snap; ap_segment = segment; ap_logs = [] } ];
                   rejects = [];
                   reversed = 1;
-                  slice_skipped =
-                    plan.Res_static.Invert.pl_slice.Res_static.Slice.sl_skipped;
+                  slice_skipped = plan.Res_static.Invert.pl_skipped;
                 }))
 
 (** Apply one candidate backward move for thread [tid].  Returns every

@@ -442,9 +442,14 @@ let debug_equivalence_campaign ?(workloads = Res_workloads.Workloads.all) () =
 (** The corpus batch-triaged on one worker (reference), then on [jobs]
     forked workers with a SIGKILL landing mid-unit at each of [kills]: the
     coordinator must reschedule the murdered unit and the TSV must not
-    change.  Forked backend by construction (domains cannot be killed
-    without killing the process), so it must run before any domains run in
-    this process. *)
+    change.  The batch is the fleet corpus plus one dump of every
+    workload, 22 dumps and 17 distinct units, so at least [jobs] units
+    are still queued after the largest kill index: a worker that
+    answered its unit before the SIGKILL landed is handed a later one
+    and found dead, and every variant exercises a reschedule.  Forked
+    backend by construction (domains cannot be killed without killing
+    the process), so it must run before any domains run in this
+    process. *)
 let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () =
   let backend = Res_parallel.Pool.Forked in
   let triage ?kill_unit jobs items =
@@ -462,7 +467,18 @@ let worker_kill_campaign ?(jobs = 3) ?(kills = [ 0; 3; 7 ]) () =
     ~reference:(fun items -> { (triage 1 items) with counts = [] })
     ~variants:
       (List.map (fun k -> (Fmt.str "kill@%d" k, triage ~kill_unit:k jobs)) kills)
-    [ ("corpus", Fleet.corpus ~n_per_bug:2) ]
+    [
+      ( "corpus",
+        Fleet.corpus ~n_per_bug:2
+        @ List.map
+            (fun (w : Res_workloads.Truth.t) ->
+              {
+                Res_parallel.Batch.it_name = w.w_name;
+                it_prog = w.w_prog;
+                it_dump = Ok (Res_workloads.Truth.coredump w);
+              })
+            Res_workloads.Workloads.all );
+    ]
 
 
 (* --- campaign: triage service soak ----------------------------------- *)

@@ -309,6 +309,31 @@ let normalize_constraints bindings constraints =
   in
   List.rev (List.fold_left push [] constraints)
 
+(* [pin e c]: the [sym = const] fact [e = c] implies when [e] applies
+   only bijections — xor, add or subtract a constant, negate — to one
+   variable.  The reverse-execution fast path inverts exactly these, so
+   the solver must not answer [Unknown] where that path recovers a
+   value (interval refinement cannot see through xor). *)
+let rec pin (e : Expr.t) c =
+  let open Res_ir.Instr in
+  match e with
+  | Expr.Sym s -> Some (s, c)
+  | Expr.Binop (Xor, x, Expr.Const k) | Expr.Binop (Xor, Expr.Const k, x) ->
+      pin x (c lxor k)
+  | Expr.Binop (Add, x, Expr.Const k) | Expr.Binop (Add, Expr.Const k, x) ->
+      pin x (c - k)
+  | Expr.Binop (Sub, x, Expr.Const k) -> pin x (c + k)
+  | Expr.Binop (Sub, Expr.Const k, x) -> pin x (k - c)
+  | Expr.Unop (Neg, x) -> pin x (-c)
+  | _ -> None
+
+let sym_fact (e : Expr.t) =
+  match e with
+  | Expr.Binop (Res_ir.Instr.Eq, x, Expr.Const c)
+  | Expr.Binop (Res_ir.Instr.Eq, Expr.Const c, x) ->
+      pin x c
+  | _ -> None
+
 (** Extract [sym = const] facts, returning extended bindings and the
     remaining constraints.  Loops until no further facts emerge. *)
 let rec propagate_equalities bindings constraints =
@@ -318,9 +343,8 @@ let rec propagate_equalities bindings constraints =
   let rest =
     List.filter
       (fun e ->
-        match e with
-        | Expr.Binop (Res_ir.Instr.Eq, Expr.Sym s, Expr.Const c)
-        | Expr.Binop (Res_ir.Instr.Eq, Expr.Const c, Expr.Sym s) ->
+        match sym_fact e with
+        | Some (s, c) ->
             (match IMap.find_opt s.Expr.id !bindings with
             | Some c' when c' <> c -> raise Contradiction
             | Some _ -> ()
@@ -328,7 +352,7 @@ let rec propagate_equalities bindings constraints =
                 bindings := IMap.add s.Expr.id c !bindings;
                 found := true);
             false
-        | _ -> true)
+        | None -> true)
       constraints
   in
   if !found then propagate_equalities !bindings rest else (!bindings, rest)

@@ -4,20 +4,27 @@
     A block is invertible when every effect it has on the post-state can
     be recomputed, or un-computed, from the post-state alone: pure
     arithmetic inverts algebraically ([add r, c] un-does as a subtract),
-    a store un-does by recovering the overwritten cell's pre-value (or
-    proving it dead per the slice), and a load constrains its source
-    cell.  Instructions that interact with anything outside the
-    register file and resolvable memory — calls, inputs, heap
-    management, locks, thread operations, log breadcrumbs — are
-    barriers: their effects involve state the concrete reverse engine
+    a store un-does by recovering the overwritten cell's pre-value, and
+    a load constrains its source cell.  Instructions that interact with
+    anything outside the register file and resolvable memory — calls,
+    inputs, heap management, locks, thread operations, log breadcrumbs —
+    are barriers: their effects involve state the concrete reverse engine
     does not model, so the classifier rejects the block and the search
     falls back to the symbolic step.
 
-    The classifier is purely syntactic over one block plus the
-    {!Summary} lattice (used to explain call barriers); the per-segment
+    The classifier is purely syntactic over one block; the per-segment
     dynamic conditions — concrete post-state, no relaxed constraints —
     are checked by [Backstep] at step time.  {!Revexec} consumes the
-    {!plan} this module synthesizes. *)
+    {!plan} this module synthesizes.
+
+    Before planning, the classifier drops {e dead definitions}: the
+    backward search observes a segment's whole post-state — every
+    register's block-exit value is matched against the post snapshot —
+    so the only instructions that need no reverse treatment at all are
+    pure definitions whose value is overwritten before anything (a later
+    instruction, the terminator, or the post-state itself) can read it.
+    The plan omits them and the search reports their count as
+    [slice_skipped]. *)
 
 module ISet = Set.Make (Int)
 
@@ -43,28 +50,60 @@ type term_plan =
   | T_br of { reg : int; if_nonzero : string; if_zero : string }
 
 (** A synthesized reverse program for one block.  [pl_rops] is in
-    {e reverse} program order (last instruction first) with sliced-out
-    pure definitions omitted; [pl_n_instrs] counts the full block so the
-    fast path reports the same step count as the symbolic executor. *)
+    {e reverse} program order (last instruction first) with dead pure
+    definitions omitted; [pl_n_instrs] counts the full block so the fast
+    path reports the same step count as the symbolic executor. *)
 type plan = {
   pl_block : string;
   pl_rops : rop list;
   pl_term : term_plan;
-  pl_live_in : ISet.t;  (** upward-exposed registers of the sliced block *)
+  pl_live_in : ISet.t;  (** upward-exposed registers of the kept instructions *)
   pl_defined : ISet.t;  (** all registers the full block defines *)
   pl_n_instrs : int;
-  pl_slice : Slice.t;
+  pl_skipped : int;  (** dead pure definitions the plan omits *)
 }
 
 type verdict = Invertible of plan | Not_invertible of string
 
-(* Classify one instruction.  [Ok None]: no effect to reverse.  The
-   optional summary refines the reason for call barriers: a call is
-   never invertible here (a full-block segment never spans a callee —
-   calls are inlined into multi-frame segments the fast path does not
-   handle), but an unresolved mod/ref summary is worth naming since no
-   amount of inlining will make it concrete. *)
-let instr_plan ?summary ~idx (i : Res_ir.Instr.instr) =
+(* A definition with no side effect and no way to crash: droppable when
+   its value is provably unobserved.  [Div]/[Rem] can crash, so they are
+   never pure. *)
+let pure_def (i : Res_ir.Instr.instr) =
+  match i with
+  | Res_ir.Instr.Const _ | Mov _ | Global_addr _ | Unop _ -> true
+  | Binop (op, _, _, _) -> (
+      match op with Res_ir.Instr.Div | Rem -> false | _ -> true)
+  | _ -> false
+
+(* [keep.(i)] is false only for a dead pure definition of [b]; the int
+   counts those.  Every defined register's exit value is observed by the
+   post-state, so the backward scan seeds with all of them: only a
+   definition overwritten later (with no intervening use) can be dead. *)
+let live_instrs (b : Res_ir.Block.t) =
+  let open Res_ir in
+  let n = Block.length b in
+  let keep = Array.make n true in
+  let needed =
+    ref (ISet.of_list (Block.defined_regs b @ Instr.term_uses b.term))
+  in
+  let skipped = ref 0 in
+  for i = n - 1 downto 0 do
+    let ins = b.instrs.(i) in
+    match Instr.defs ins with
+    | Some d when pure_def ins && not (ISet.mem d !needed) ->
+        keep.(i) <- false;
+        incr skipped
+    | d ->
+        Option.iter (fun d -> needed := ISet.remove d !needed) d;
+        List.iter (fun r -> needed := ISet.add r !needed) (Instr.uses ins)
+  done;
+  (keep, !skipped)
+
+(* Classify one instruction.  [Ok None]: no effect to reverse.  A call
+   is never invertible here: a full-block segment never spans a callee
+   (calls are inlined into multi-frame segments the fast path does not
+   handle). *)
+let instr_plan ~idx (i : Res_ir.Instr.instr) =
   match i with
   | Res_ir.Instr.Const (d, n) -> Ok (Some (R_def { idx; dst = d; rhs = Rhs_const n }))
   | Mov (d, a) -> Ok (Some (R_def { idx; dst = d; rhs = Rhs_mov a }))
@@ -78,18 +117,7 @@ let instr_plan ?summary ~idx (i : Res_ir.Instr.instr) =
   | Nop -> Ok None
   | Log (tag, _) -> Error (Fmt.str "log %S emits a breadcrumb" tag)
   | Call (_, callee, _) ->
-      let unresolved =
-        match summary with
-        | None -> false
-        | Some s ->
-            let t = Summary.transitive s callee in
-            t.Summary.s_mod.Summary.f_unknown
-            || t.Summary.s_ref.Summary.f_unknown
-      in
-      Error
-        (if unresolved then
-           Fmt.str "call %s: unresolved mod/ref summary" callee
-         else Fmt.str "call %s: segment spans the callee" callee)
+      Error (Fmt.str "call %s: segment spans the callee" callee)
   | Input (_, k) ->
       Error (Fmt.str "input %s is non-deterministic" (Res_ir.Instr.input_kind_name k))
   | Alloc _ -> Error "alloc mutates the heap"
@@ -100,7 +128,7 @@ let instr_plan ?summary ~idx (i : Res_ir.Instr.instr) =
   | Join _ -> Error "join is a synchronization point"
 
 (** Classify [b] and synthesize its reverse plan. *)
-let classify ?summary (b : Res_ir.Block.t) : verdict =
+let classify (b : Res_ir.Block.t) : verdict =
   let open Res_ir in
   match
     match b.term with
@@ -112,13 +140,13 @@ let classify ?summary (b : Res_ir.Block.t) : verdict =
   with
   | Error e -> Not_invertible e
   | Ok pl_term -> (
-      let sl = Slice.of_block b in
+      let keep, skipped = live_instrs b in
       let n = Block.length b in
       let rec build i acc =
         if i >= n then Ok acc
-        else if not sl.Slice.sl_keep.(i) then build (i + 1) acc
+        else if not keep.(i) then build (i + 1) acc
         else
-          match instr_plan ?summary ~idx:i b.instrs.(i) with
+          match instr_plan ~idx:i b.instrs.(i) with
           | Error e -> Error (Fmt.str "instr %d: %s" i e)
           | Ok None -> build (i + 1) acc
           | Ok (Some r) -> build (i + 1) (r :: acc)
@@ -126,7 +154,7 @@ let classify ?summary (b : Res_ir.Block.t) : verdict =
       match build 0 [] with
       | Error e -> Not_invertible e
       | Ok rops ->
-          (* Upward-exposed registers of the sliced block: used by a
+          (* Upward-exposed registers of the kept instructions: used by a
              kept instruction (or the terminator) before any kept
              definition. *)
           let live_in =
@@ -165,30 +193,27 @@ let classify ?summary (b : Res_ir.Block.t) : verdict =
               pl_live_in = live_in;
               pl_defined = ISet.of_list (Block.defined_regs b);
               pl_n_instrs = n;
-              pl_slice = sl;
+              pl_skipped = skipped;
             })
 
 (** Program-wide static coverage, reported per workload by the E19
     bench ([bench/main.exe e19]): how many instructions are individually
-    invertible, out of how many, and how large the crash slice is. *)
-type coverage = { cov_invertible : int; cov_total : int; cov_slice : int }
+    invertible, out of how many. *)
+type coverage = { cov_invertible : int; cov_total : int }
 
 let program_coverage (p : Res_ir.Prog.t) =
-  let summary = Summary.of_prog p in
-  let inv = ref 0 and tot = ref 0 and slice = ref 0 in
+  let inv = ref 0 and tot = ref 0 in
   List.iter
     (fun (f : Res_ir.Func.t) ->
-      let fs = Slice.crash_slice summary f in
-      slice := !slice + fs.Slice.fs_size;
       List.iter
         (fun (b : Res_ir.Block.t) ->
           Array.iteri
             (fun i ins ->
               incr tot;
-              match instr_plan ~summary ~idx:i ins with
+              match instr_plan ~idx:i ins with
               | Ok _ -> incr inv
               | Error _ -> ())
             b.instrs)
         f.blocks)
     p.Res_ir.Prog.funcs;
-  { cov_invertible = !inv; cov_total = !tot; cov_slice = !slice }
+  { cov_invertible = !inv; cov_total = !tot }

@@ -41,14 +41,15 @@
       ([add]/[sub]/[xor]/[mov]/[neg], plus the forced boolean cases of
       [not]/[eq]/[ne]).
 
-    - a {e forward validation} that concretely executes the sliced block
-      from the recovered entry state and requires it to reproduce the
-      post-state exactly — every defined register with a concrete post
-      value, every written cell, and the branch target.  The walk only
-      ever proposes; validation decides.  Because every recovered value
-      is forced (each is derived from concrete post values through
-      injective steps or the rigid pass), a validation mismatch proves
-      the segment infeasible rather than merely mis-recovered.
+    - a {e forward validation} that concretely executes the plan's kept
+      instructions from the recovered entry state and requires them to
+      reproduce the post-state exactly — every defined register with a
+      concrete post value, every written cell, and the branch target.
+      The walk only ever proposes; validation decides.  Because every
+      recovered value is forced (each is derived from concrete post
+      values through injective steps or the rigid pass), a validation
+      mismatch proves the segment infeasible rather than merely
+      mis-recovered.
 
     Three-valued result: [Reversed] (unique pre-state recovered and
     validated — skip symbolic execution {e and} the solver), [Infeasible]
@@ -77,8 +78,8 @@ type oracle = {
   regs : int list;  (** register universe of the function *)
 }
 
-(** A recovered pre-state.  [rs_entry_regs] covers the sliced block's
-    live-in registers; written cells are split into recovered pre-values
+(** A recovered pre-state.  [rs_entry_regs] covers the plan's live-in
+    registers; written cells are split into recovered pre-values
     ([rs_pre_mem]) and cells whose pre-value is provably unobserved
     ([rs_fresh_mem] — the caller mints fresh symbols for those, exactly
     as the symbolic path does).  [rs_writes]/[rs_reads] are sorted
@@ -107,7 +108,7 @@ type view = Known of int | Sym | Pre
     text alone: constants, global addresses, and pure arithmetic over
     already-rigid operands.  [rigid.(i)] holds the values {e before}
     instruction [i]; index [n] is the point before the terminator.  The
-    scan covers the full instruction array (sliced-out definitions still
+    scan covers the full instruction array (definitions the plan omits still
     kill staleness), and any definition it cannot compute — a load, a
     division that traps — simply drops the register. *)
 let rigid (b : Res_ir.Block.t) (o : oracle) =
@@ -385,7 +386,7 @@ let run (b : Res_ir.Block.t) (plan : Invert.plan) (o : oracle) : result =
           | None -> m)
         plan.Invert.pl_live_in IMap.empty
     in
-    (* Forward validation: concretely execute the sliced block from the
+    (* Forward validation: concretely execute the kept instructions from the
        recovered entry state and demand the exact post-state back.
 
        Validation also tracks a {e taint} bit per register and written
@@ -519,6 +520,6 @@ let run (b : Res_ir.Block.t) (plan : Invert.plan) (o : oracle) : result =
         rs_reads = ISet.elements !reads;
         rs_target = target;
         rs_steps = plan.Invert.pl_n_instrs + 1;
-        rs_slice_skipped = plan.Invert.pl_slice.Slice.sl_skipped;
+        rs_slice_skipped = plan.Invert.pl_skipped;
       }
   with Stop r -> r

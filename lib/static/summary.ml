@@ -98,8 +98,6 @@ let block_direct (b : Res_ir.Block.t) (env0 : Absval.env) =
 
 type t = {
   trans : fsum SMap.t;  (** per function, transitively through calls *)
-  envs : Absval.env SMap.t SMap.t;
-      (** per function, block-entry abstract environments (params [Top]) *)
   regs : int option;
       (** [Some n] when every register the program names lies in
           [r0..r(n-1)], with [n] at most {!max_regs}: the length of a
@@ -126,26 +124,22 @@ let regs_of_prog (p : Res_ir.Prog.t) =
     p.funcs;
   if !ok then Some (!hi + 1) else None
 
-(** Direct summary of [f], plus its block-entry environments. *)
+(** Direct summary of [f], from its block-entry environments (params
+    [Top]). *)
 let func_direct (f : Res_ir.Func.t) =
   let envs = Absval.block_envs f ~init:Absval.IMap.empty in
-  let sum =
-    List.fold_left
-      (fun acc (b : Res_ir.Block.t) ->
-        match SMap.find_opt b.label envs with
-        | None -> acc (* unreachable block: contributes nothing at runtime *)
-        | Some env0 -> fsum_union acc (block_direct b env0))
-      fsum_empty f.Res_ir.Func.blocks
-  in
-  (sum, envs)
+  List.fold_left
+    (fun acc (b : Res_ir.Block.t) ->
+      match SMap.find_opt b.label envs with
+      | None -> acc (* unreachable block: contributes nothing at runtime *)
+      | Some env0 -> fsum_union acc (block_direct b env0))
+    fsum_empty f.Res_ir.Func.blocks
 
 let of_prog (p : Res_ir.Prog.t) =
-  let direct, envs =
+  let direct =
     List.fold_left
-      (fun (dm, em) (f : Res_ir.Func.t) ->
-        let sum, envs = func_direct f in
-        (SMap.add f.name sum dm, SMap.add f.name envs em))
-      (SMap.empty, SMap.empty) p.Res_ir.Prog.funcs
+      (fun dm (f : Res_ir.Func.t) -> SMap.add f.name (func_direct f) dm)
+      SMap.empty p.Res_ir.Prog.funcs
   in
   (* Kleene fixpoint: fold callees' transitive summaries into each
      function until nothing changes.  The lattice is finite (cells are
@@ -174,7 +168,7 @@ let of_prog (p : Res_ir.Prog.t) =
         end)
       !trans
   done;
-  { trans = !trans; envs; regs = regs_of_prog p }
+  { trans = !trans; regs = regs_of_prog p }
 
 (** The transitive summary of a function: its own effects plus those of
     everything it can call.  Unknown functions get the all-unknown
@@ -189,7 +183,3 @@ let transitive t fname =
         s_ref = foot_top;
         s_heap = true;
       }
-
-(** Block-entry abstract environments of [fname] (params are [Top]). *)
-let envs_of t fname =
-  Option.value ~default:SMap.empty (SMap.find_opt fname t.envs)

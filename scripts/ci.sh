@@ -77,6 +77,28 @@ replayed=$(awk '/^walks over/ { walks = 1 }
   || { echo "e20 reverse walk at interval 16 re-executed ${replayed:-no} \
 instructions over ${steps:-no} steps"; exit 1; }
 
+# Smoke of the E19 benchmark, the only caller of the static coverage
+# table (Invert.program_coverage): it must run to the end, print one
+# invertible=X/Y row per workload and no crash-slice column, and every
+# report it compares with the fast path on and off must be identical.
+dune exec bench/main.exe e19 > "$cache_tmp/e19.txt" \
+  || { echo "bench/main.exe e19 exited non-zero"; exit 1; }
+n_workloads=$("$RES" workload | tail -n +2 | grep -c .)
+n_coverage=$(grep -c ' invertible=[0-9]*/[0-9]*$' "$cache_tmp/e19.txt" || true)
+[ "$n_coverage" = "$n_workloads" ] \
+  || { echo "e19 printed $n_coverage coverage rows for $n_workloads workloads"; exit 1; }
+if grep -q 'slice=' "$cache_tmp/e19.txt"; then
+  echo "e19 still prints a slice= column"; exit 1
+fi
+reports=$(awk '/^equivalence campaign/ { rows = 1; next }
+  /^campaign:/ { rows = 0 }
+  rows && $1 != "workload" { print $NF }' "$cache_tmp/e19.txt")
+n_identical=$(echo "$reports" | grep -cx identical || true)
+[ "$n_identical" = "$n_workloads" ] && [ "$(echo "$reports" | grep -c .)" = "$n_workloads" ] \
+  || { echo "e19 report rows not all identical: $(echo $reports)"; exit 1; }
+awk '$1 == "on" { print $NF }' "$cache_tmp/e19.txt" | grep -qx identical \
+  || { echo "e19 deep-chain reports differ with the fast path on"; exit 1; }
+
 # At most one campaign per selftest: a second campaign flag is a usage
 # error (exit 124), not a silently dropped campaign.
 rc=0

@@ -312,6 +312,25 @@ let test_row_config_covers_budgets () =
   Alcotest.(check bool) "engine in key" false
     (String.equal base (Cache.row_config ~wall:(Some 5.) ~fuel:(Some 100) ~engine:"f"))
 
+(* A row stored under the key shape before [Cache.analysis_version]
+   existed is a miss: a cache filled by an older analysis never answers
+   for the current one. *)
+let test_previous_analysis_tag_misses () =
+  let dir = tmp_dir () in
+  let c = Cache.openr dir in
+  let engine = "batch 8 8 1000 true true true 1 true 3" in
+  let key config = Cache.key ~prog:"p" ~dump:"d" ~config in
+  let previous = key (Fmt.str "%s wall=none fuel=none rowv2" engine) in
+  Cache.store c previous
+    (Cache.encode_row (Cache.failed_row ~bucket:"stale" ~cause:"old analysis"));
+  Alcotest.(check bool) "the previous tag's entry is stored" true
+    (Cache.find c previous <> None);
+  let current = key (Cache.row_config ~wall:None ~fuel:None ~engine) in
+  Alcotest.(check bool) "the current key differs" false
+    (String.equal previous current);
+  Alcotest.(check bool) "the current key misses" true
+    (Cache.find c current = None)
+
 (* --- cached batch triage ---------------------------------------------- *)
 
 let batch_items () =
@@ -620,6 +639,8 @@ let () =
             test_content_key_part_boundaries;
           Alcotest.test_case "content key known answers" `Quick
             test_content_key_known_answers;
+          Alcotest.test_case "previous analysis tag is a miss" `Quick
+            test_previous_analysis_tag_misses;
           Alcotest.test_case "row_config covers budgets" `Quick
             test_row_config_covers_budgets;
         ] );

@@ -320,9 +320,93 @@ let prop_random_programs_carry_invisible =
               = render fresh (Res_core.Search.search ~config fresh dump))
             [ 1; 2; 3; 4; 5; 6 ])
 
+(* [gen_random_crash_prog], optionally with a second block repeating the
+   entry's arithmetic between it and [mid].  The fast path decides a
+   repeated block's step from the concrete state the first one recovers,
+   so these programs reach the dead-definition skip. *)
+let gen_random_crash_prog_repeated =
+  let open QCheck2.Gen in
+  let* repeat = bool in
+  let+ prog, input_value = gen_random_crash_prog in
+  if not repeat then (prog, input_value)
+  else
+    let open Res_ir in
+    let f = Prog.func prog "main" in
+    let entry = Func.block f "entry" in
+    let body = Array.to_list entry.Block.instrs in
+    let blocks =
+      Block.v "entry" body (Instr.Jmp "again")
+      :: Block.v "again" body (Instr.Jmp "mid")
+      :: List.tl f.Func.blocks
+    in
+    ( Prog.v ~globals:prog.Prog.globals
+        [ Func.v ~name:"main" ~params:[] ~entry:"entry" blocks ],
+      input_value )
+
+(* property: the concrete reverse-execution fast path, dead-definition
+   skipping included, changes no report: the search renders the same
+   reports with [reverse_exec] on and off.  Each case is a batch of
+   programs, at least one of which must skip a dead definition, so the
+   skip path runs under the property rather than beside it.  A batch is
+   not shrunk: shrinking could trade a divergence for a batch that
+   merely skips nothing, and the divergence report names its program. *)
+let prop_random_programs_reverse_exec_invisible =
+  QCheck2.Test.make ~name:"reverse exec is invisible on random programs"
+    ~count:2
+    QCheck2.Gen.(no_shrink (list_repeat 100 gen_random_crash_prog_repeated))
+    (fun progs ->
+      let skipped =
+        List.fold_left
+          (fun skipped (prog, input_value) ->
+            let config =
+              {
+                (Res_vm.Exec.default_config ()) with
+                oracle = Res_vm.Oracle.scripted [ input_value ];
+              }
+            in
+            match Res_vm.Exec.run_to_coredump ~config prog with
+            | None, _ -> QCheck2.Test.fail_report "program did not crash"
+            | Some dump, _ ->
+                let run reverse_exec =
+                  let ctx = Res_core.Backstep.make_ctx prog in
+                  let r =
+                    Res_core.Search.search
+                      ~config:
+                        {
+                          Res_core.Search.default_config with
+                          max_segments = 6;
+                          reverse_exec;
+                        }
+                      ctx dump
+                  in
+                  ( List.map
+                      (fun s ->
+                        Res_core.Report.report_to_string ctx
+                          (Res_core.Res.report_of ctx
+                             Res_core.Res.default_config dump s))
+                      r.Res_core.Search.suffixes,
+                    r.Res_core.Search.stats.Res_core.Search.slice_skipped )
+                in
+                let on, n = run true and off, _ = run false in
+                if on <> off then
+                  QCheck2.Test.fail_reportf
+                    "reports differ with reverse exec on and off, input \
+                     %d:@.%s@.on:@.%s@.off:@.%s"
+                    input_value (Res_ir.Prog.to_string prog)
+                    (String.concat "\n" on) (String.concat "\n" off);
+                skipped + n)
+          0 progs
+      in
+      skipped > 0
+      || QCheck2.Test.fail_report "no program skipped a dead definition")
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_random_programs_reconstruct; prop_random_programs_carry_invisible ]
+    [
+      prop_random_programs_reconstruct;
+      prop_random_programs_carry_invisible;
+      prop_random_programs_reverse_exec_invisible;
+    ]
 
 let () =
   Alcotest.run "integration"

@@ -279,6 +279,35 @@ let test_solve_nonlinear_small () =
     ]
     [ ("x is 7", fun m -> Model.value m x = 7) ]
 
+(* Xor by a constant is a bijection: an equality through it (and through
+   constant adds and negation) pins the variable, as the reverse
+   executor's inversion does. *)
+let test_solve_xor_pins () =
+  let x = sym "x" and y = sym "y" in
+  let xor a b = Expr.Binop (Res_ir.Instr.Xor, a, b) in
+  expect_sat "x = -20, x xor y = -10"
+    [
+      Expr.eq (Expr.Sym x) (Expr.const (-20));
+      Expr.eq (xor (Expr.Sym x) (Expr.Sym y)) (Expr.const (-10));
+    ]
+    [ ("y is 26", fun m -> Model.value m y = 26) ];
+  expect_sat "((y + 36) xor 5) xor 9 = 1000"
+    [
+      Expr.eq
+        (xor (xor (Expr.add (Expr.Sym y) (Expr.const 36)) (Expr.const 5))
+           (Expr.const 9))
+        (Expr.const 1000);
+    ]
+    [
+      ( "y is (1000 xor 9 xor 5) - 36",
+        fun m -> Model.value m y = (1000 lxor 9 lxor 5) - 36 );
+    ];
+  expect_unsat "x xor 3 = 7 and x = 5"
+    [
+      Expr.eq (xor (Expr.Sym x) (Expr.const 3)) (Expr.const 7);
+      Expr.eq (Expr.Sym x) (Expr.const 5);
+    ]
+
 let test_concretize () =
   let x = sym "x" in
   let constraints =
@@ -454,6 +483,7 @@ let () =
           Alcotest.test_case "boolean structure" `Quick test_solve_boolean_structure;
           Alcotest.test_case "division guard" `Quick test_solve_division_guard;
           Alcotest.test_case "nonlinear small" `Quick test_solve_nonlinear_small;
+          Alcotest.test_case "xor pins a variable" `Quick test_solve_xor_pins;
           Alcotest.test_case "concretize" `Quick test_concretize;
           Alcotest.test_case "ambiguous unique_value" `Quick
             test_unique_value_ambiguous;

@@ -1,8 +1,8 @@
 (* Tests for the static-analysis layer (lib/static): mod/ref summaries,
-   def-clear reachability, the chain refuter that prunes the backward
-   search, the reverse-execution classifier and engine, and the property
-   the whole layer stands on — pruning and reversing never change what
-   the search reports, only how much work it does. *)
+   the chain refuter that prunes the backward search, the
+   reverse-execution classifier and engine, and the property the whole
+   layer stands on — pruning and reversing never change what the search
+   reports, only how much work it does. *)
 
 open Res_static
 
@@ -111,56 +111,6 @@ entry:
   let t = Summary.transitive s "main" in
   check bool_t "unresolved store sets the unknown flag" true
     t.Summary.s_mod.Summary.f_unknown
-
-(* --- def-clear reachability --- *)
-
-let reach_src =
-  {|
-global g 1
-
-func f(r1) {
-entry:
-  r0 = global g
-  br r1, w, s
-w:
-  r2 = const 3
-  store r0[0] = r2
-  jmp t
-s:
-  jmp t
-t:
-  r3 = global g
-  r4 = load r3[0]
-  halt
-}
-|}
-
-let test_reach_def_clear_paths () =
-  let prog = parse reach_src in
-  let s = Summary.of_prog prog in
-  let f = Res_ir.Prog.func prog "f" in
-  check bool_t "s-path reaches t def-clear" true
-    (Reach.def_clear_between s f ~from_block:"s" ~from_idx:(-1) ~to_block:"t"
-       ("g", 0));
-  check bool_t "w-path must write g[0] first" false
-    (Reach.def_clear_between s f ~from_block:"w" ~from_idx:(-1) ~to_block:"t"
-       ("g", 0))
-
-let test_reach_def_clear_between_edges () =
-  (* Block-entry ([from_idx = -1]) and past-the-last-instruction edge
-     cases of the def-clear corridor query. *)
-  let prog = parse reach_src in
-  let s = Summary.of_prog prog in
-  let f = Res_ir.Prog.func prog "f" in
-  check bool_t "entry->t: the s arm avoids the store" true
-    (Reach.def_clear_between s f ~from_block:"entry" ~from_idx:(-1)
-       ~to_block:"t" ("g", 0));
-  check bool_t "after the store, w falls through clear" true
-    (Reach.def_clear_between s f ~from_block:"w" ~from_idx:1 ~to_block:"t"
-       ("g", 0));
-  check bool_t "from_idx past the block end scans nothing" true
-    (Reach.def_clear_between s f ~from_block:"w" ~from_idx:99 ~to_block:"t"
-       ("g", 0))
 
 (* --- the chain refuter --- *)
 
@@ -548,8 +498,7 @@ done:
 
 let classify_block ?(func = "main") ~block src =
   let prog = parse src in
-  let summary = Summary.of_prog prog in
-  Invert.classify ~summary (Res_ir.Prog.block prog ~func ~label:block)
+  Invert.classify (Res_ir.Prog.block prog ~func ~label:block)
 
 let check_invertible name v =
   match v with
@@ -593,7 +542,7 @@ next:
   in
   check_barrier "input is non-deterministic" ~substr:"input"
     (classify_block ~block:"entry" (wrap "r1 = input net" "jmp next"));
-  check_barrier "unresolved call target" ~substr:"unresolved"
+  check_barrier "a call spans the callee" ~substr:"call callee"
     (classify_block ~block:"entry" (wrap "r1 = global g\ncall callee(r1)" "jmp next"));
   check_barrier "spawn creates a thread" ~substr:"spawn"
     (classify_block ~block:"entry" (wrap "r1 = spawn callee(r0)" "jmp next"));
@@ -613,10 +562,7 @@ let test_invert_program_coverage () =
       let cov = Invert.program_coverage w.Res_workloads.Truth.w_prog in
       if cov.Invert.cov_invertible > cov.Invert.cov_total then
         Alcotest.failf "%s: invertible %d > total %d" name
-          cov.Invert.cov_invertible cov.Invert.cov_total;
-      if cov.Invert.cov_slice > cov.Invert.cov_total then
-        Alcotest.failf "%s: slice %d > total %d" name cov.Invert.cov_slice
-          cov.Invert.cov_total)
+          cov.Invert.cov_invertible cov.Invert.cov_total)
     Res_workloads.Workloads.all;
   (* E19 reverses long-exec-50's loop body: the classifier must accept
      some of it. *)
@@ -624,6 +570,35 @@ let test_invert_program_coverage () =
   check bool_t "long-exec-50 has invertible instructions" true
     ((Invert.program_coverage w.Res_workloads.Truth.w_prog).Invert.cov_invertible
     > 0)
+
+(* The plan omits a pure definition overwritten before anything reads
+   it, and only that. *)
+let test_invert_skips_dead_defs () =
+  let plan_of body =
+    match
+      classify_block ~block:"entry"
+        (Fmt.str "func main() {\nentry:\n%s\n  jmp t\nt:\n  halt\n}\n" body)
+    with
+    | Invert.Invertible p -> p
+    | Invert.Not_invertible e -> Alcotest.failf "unexpectedly rejected: %s" e
+  in
+  let def_idxs p =
+    List.filter_map
+      (function Invert.R_def { idx; _ } -> Some idx | _ -> None)
+      p.Invert.pl_rops
+    |> List.sort compare
+  in
+  let dead = plan_of "  r1 = const 5\n  r1 = const 7" in
+  check int_t "one dead definition skipped" 1 dead.Invert.pl_skipped;
+  check (Alcotest.list int_t) "instruction 0 left out of the plan" [ 1 ]
+    (def_idxs dead);
+  check int_t "the step still counts the whole block" 2
+    dead.Invert.pl_n_instrs;
+  let used = plan_of "  r1 = const 5\n  r2 = mov r1\n  r1 = const 7" in
+  check int_t "a use in between keeps the definition" 0
+    used.Invert.pl_skipped;
+  check (Alcotest.list int_t) "every definition planned" [ 0; 1; 2 ]
+    (def_idxs used)
 
 (* --- the concrete reverse engine --- *)
 
@@ -833,13 +808,6 @@ let () =
           Alcotest.test_case "unresolved access flags unknown" `Quick
             test_summary_unresolved_is_unknown;
         ] );
-      ( "reach",
-        [
-          Alcotest.test_case "def-clear paths" `Quick
-            test_reach_def_clear_paths;
-          Alcotest.test_case "def-clear block entry/exit edges" `Quick
-            test_reach_def_clear_between_edges;
-        ] );
       ( "chain",
         [
           Alcotest.test_case "branch contradiction" `Quick
@@ -870,6 +838,8 @@ let () =
             test_invert_classifier_classes;
           Alcotest.test_case "program coverage on the workloads" `Quick
             test_invert_program_coverage;
+          Alcotest.test_case "dead definitions left out of the plan" `Quick
+            test_invert_skips_dead_defs;
         ] );
       ( "revexec",
         [
