@@ -150,15 +150,17 @@ let best_of n f =
    reported), and [handoffs] the replays that chain handed off to the
    suffix one segment shorter; [classify] re-runs [Rootcause.classify] on
    every reported suffix; [render] is [Report.report_list_to_string],
-   whose size is [bytes].  Times are ms, best of 7. *)
+   whose size is [bytes] and whose MD5 is [digest] (a renderer that
+   changes bytes but not their count shows there).  Times are ms, best
+   of 7. *)
 let e3_depth_sweep () =
   let w = Res_workloads.Long_exec.workload_n 60_000 in
   let dump = Res_workloads.Truth.coredump w in
   let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
   let open Res_core in
   Fmt.pr "@.depth sweep on long-exec (60000 iterations), ms, best of 7:@.";
-  Fmt.pr "%-6s %-8s %-8s %-8s %-9s %-8s %-8s %-8s@." "d" "analyze" "search"
-    "replay" "classify" "render" "bytes" "handoffs";
+  Fmt.pr "%-6s %-8s %-8s %-8s %-9s %-8s %-8s %-8s %s@." "d" "analyze" "search"
+    "replay" "classify" "render" "bytes" "handoffs" "digest";
   List.iter
     (fun d ->
       let config =
@@ -204,10 +206,11 @@ let e3_depth_sweep () =
       let text = Report.report_list_to_string ctx a in
       let render = best_of 7 (fun () -> Report.report_list_to_string ctx a) in
       let ms s = 1000. *. s in
-      Fmt.pr "%-6d %-8.2f %-8.2f %-8.2f %-9.2f %-8.2f %-8d %-8d@." d (ms analyze)
+      Fmt.pr "%-6d %-8.2f %-8.2f %-8.2f %-9.2f %-8.2f %-8d %-8d %s@." d (ms analyze)
         (ms search) (ms replay) (ms classify) (ms render) (String.length text)
-        (Replay.Chain.handoffs (chain ())))
-    [ 25; 50; 100; 200 ];
+        (Replay.Chain.handoffs (chain ()))
+        (Digest.to_hex (Digest.string text)))
+    [ 25; 50; 100; 200; 400 ];
   Fmt.pr "expected shape: nodes linear in d, d - 1 handoffs; time above \
           linear while every depth's suffix is reported@."
 
@@ -539,6 +542,21 @@ let bechamel () =
   in
   let next_cold = ref 0 in
   let main_func = Res_ir.Prog.main corpus_prog in
+  (* The report list of a depth-60 long-exec analysis: 60 reports, suffix
+     k + 1 extending suffix k, as the deep-chain regime renders them. *)
+  let render_ctx, render_analysis =
+    let w = Res_workloads.Long_exec.workload_n 60_000 in
+    let ctx = Res_core.Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+    let config =
+      {
+        Res_core.Res.default_config with
+        search = { Res_core.Search.default_config with max_segments = 60 };
+      }
+    in
+    ( ctx,
+      Res_core.Res.analysis
+        (Res_core.Res.analyze ~config ctx (Res_workloads.Truth.coredump w)) )
+  in
   let tests =
     Test.make_grouped ~name:"res"
       [
@@ -584,6 +602,9 @@ let bechamel () =
         Test.make ~name:"coredump encode"
           (Staged.stage (fun () ->
                ignore (Res_vm.Coredump_io.to_string corpus_dump)));
+        Test.make ~name:"report render (long-exec d=60)"
+          (Staged.stage (fun () ->
+               ignore (Res_core.Report.report_list_to_string render_ctx render_analysis)));
         Test.make ~name:"program render"
           (Staged.stage (fun () -> ignore (Res_ir.Prog.to_string corpus_prog)));
         Test.make ~name:"envelope validate"

@@ -91,16 +91,151 @@ let add_segment b s =
       Buffer.add_char b ')'
   | Seg_blocked -> Buffer.add_string b "blocked"
 
+(** [add_header b ~count ~steps] appends the header line of a suffix of
+    [count] segments executing [steps] instructions. *)
+let add_header b ~count ~steps =
+  Printf.bprintf b "suffix (%d segments, %d instrs):\n" count steps
+
 (** [add b t] appends a header line, then one line per segment, to [b],
     without a final newline. *)
 let add b t =
-  Printf.bprintf b "suffix (%d segments, %d instrs):\n" (length t)
-    (length_steps t);
+  add_header b ~count:(length t) ~steps:(length_steps t);
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char b '\n';
       add_segment b s)
     t.segments
+
+module ISet = Set.Make (Int)
+
+(** A segment list as a report prints it, built from its tail's.  Suffix
+    k + 1's [segments] is a new segment consed onto suffix k's list, so a
+    table of tails (one per render call) formats each distinct segment,
+    address set and address once, however many suffixes share them. *)
+type tail = {
+  count : int;  (** segments in the list *)
+  steps : int;  (** instructions the list executes *)
+  inputs : Expr.sym list;  (** input symbols consumed, in order *)
+  writes : set;  (** the list's write set *)
+  reads : set;  (** the list's read set *)
+  lines : joined;  (** one line per segment, from {!add_segment} *)
+  tids : joined;  (** the schedule: one thread id per segment *)
+  rest : tail;
+      (** the list without its oldest segment; the empty list's is itself *)
+}
+
+(** An address set, and its text: the addresses described and
+    [",\n"]-joined. *)
+and set = { addrs : ISet.t; text : string Lazy.t }
+
+(** A text along a segment list: [piece] for the oldest segment, then its
+    tail's text.  Once written, it is the part of [whole] from [from] on,
+    which it shares with every longer list written before it. *)
+and joined = { piece : string; mutable whole : string; mutable from : int }
+
+type tails = {
+  describe : int -> string;  (** an address's text *)
+  nil : tail;  (** the empty list *)
+  table : (int, (segment list * tail) list) Hashtbl.t;
+      (** tails met so far, by length; a list is found by physical
+          equality *)
+}
+
+(** [tails ~describe] is an empty table whose set texts describe each
+    address with [describe], at most once per address. *)
+let tails ~describe =
+  let texts = Hashtbl.create 64 in
+  let describe a =
+    match Hashtbl.find_opt texts a with
+    | Some s -> s
+    | None ->
+        let s = describe a in
+        Hashtbl.add texts a s;
+        s
+  in
+  let empty = { addrs = ISet.empty; text = lazy "" } in
+  let rec nil =
+    {
+      count = 0;
+      steps = 0;
+      inputs = [];
+      writes = empty;
+      reads = empty;
+      lines = { piece = ""; whole = ""; from = 0 };
+      tids = { piece = ""; whole = ""; from = 0 };
+      rest = nil;
+    }
+  in
+  { describe; nil; table = Hashtbl.create 64 }
+
+let extend tails s rest =
+  let union base new_addrs =
+    let addrs = List.fold_left (fun set a -> ISet.add a set) base.addrs new_addrs in
+    (* [ISet.add] returns its argument when nothing is new *)
+    if addrs == base.addrs then base
+    else
+      let text =
+        lazy (ISet.elements addrs |> List.map tails.describe |> String.concat ",\n")
+      in
+      { addrs; text }
+  in
+  let joined piece = { piece; whole = ""; from = -1 } in
+  let line = Buffer.create 32 in
+  add_segment line s;
+  {
+    count = rest.count + 1;
+    steps = rest.steps + s.seg_steps;
+    inputs = List.map snd s.seg_inputs @ rest.inputs;
+    writes = union rest.writes s.seg_writes;
+    reads = union rest.reads s.seg_reads;
+    lines = joined (Buffer.contents line);
+    tids = joined (string_of_int s.seg_tid);
+    rest;
+  }
+
+(** [tail tails t] is [t]'s segment list as a {!tail}.  Only the segments
+    in front of the longest tail met before are formatted. *)
+let tail tails t =
+  let rec find n = function
+    | [] -> tails.nil
+    | s :: rest as l -> (
+        let bucket = Option.value (Hashtbl.find_opt tails.table n) ~default:[] in
+        match List.assq_opt l bucket with
+        | Some e -> e
+        | None ->
+            let e = extend tails s (find (n - 1) rest) in
+            Hashtbl.replace tails.table n ((l, e) :: bucket);
+            e)
+  in
+  find (length t) t.segments
+
+(** [add_joined b ~sep text e] appends the [text] of [e], its pieces
+    separated by [sep].  The pieces in front of the longest tail whose
+    text was written before are appended one by one, and that tail's text
+    in one copy; what was appended then holds the text of [e] and of each
+    tail appended piece by piece. *)
+let add_joined b ~sep text e =
+  let start = Buffer.length b in
+  let rec go fresh e =
+    let j = text e in
+    if j.from >= 0 then (
+      Buffer.add_substring b j.whole j.from (String.length j.whole - j.from);
+      fresh)
+    else
+      let from = Buffer.length b - start in
+      Buffer.add_string b j.piece;
+      if e.rest.count > 0 then Buffer.add_string b sep;
+      go ((j, from) :: fresh) e.rest
+  in
+  match go [] e with
+  | [] -> ()
+  | fresh ->
+      let whole = Buffer.sub b start (Buffer.length b - start) in
+      List.iter
+        (fun (j, from) ->
+          j.whole <- whole;
+          j.from <- from)
+        fresh
 
 let pp ppf t =
   let b = Buffer.create 256 in

@@ -219,11 +219,6 @@ let is_mapped (rq : request) st addr =
     | _ -> false
   else Res_mem.Layout.find_global rq.layout addr <> None
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 (** Resolve an address expression to concrete, {e mapped} candidates.
     A concrete expression resolves immediately.  A meaningfully-constrained
     one is enumerated via the solver.  An unconstrained one (the solver's
@@ -239,16 +234,21 @@ let concretize_addr cfg (rq : request) st e =
   | None -> (
       let constraints = st.path @ rq.ambient in
       let with_binding v = (v, { st with path = Expr.eq e (Expr.const v) :: st.path }) in
+      (* the first [max_addr_candidates] feasible pool addresses: the
+         filter stops at the last one it keeps *)
       let from_pool () =
-        let feasible =
-          List.filter
-            (fun a ->
-              is_mapped rq st a
-              && Solver.is_sat ~config:cfg.solver
-                   (Expr.eq e (Expr.const a) :: constraints))
-            rq.addr_pool
+        let rec first n = function
+          | [] -> []
+          | _ when n <= 0 -> []
+          | a :: rest ->
+              if
+                is_mapped rq st a
+                && Solver.is_sat ~config:cfg.solver
+                     (Expr.eq e (Expr.const a) :: constraints)
+              then with_binding a :: first (n - 1) rest
+              else first n rest
         in
-        List.map with_binding (take cfg.max_addr_candidates feasible)
+        first cfg.max_addr_candidates rq.addr_pool
       in
       let result =
         match

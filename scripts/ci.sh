@@ -38,25 +38,31 @@ cache_tmp=$(mktemp -d)
 trap 'rm -rf "$gate_tmp" "$cache_tmp"' EXIT
 
 # Smoke of the E3 benchmark, whose depth sweep times long-exec analyses
-# at d = 25, 50, 100 and 200: it must run to the end and print the
+# at d = 25, 50, 100, 200 and 400: it must run to the end and print the
 # deepest row.
 dune exec bench/main.exe e3 > "$cache_tmp/e3.txt" \
   || { echo "bench/main.exe e3 exited non-zero"; exit 1; }
-grep -q '^200 ' "$cache_tmp/e3.txt" \
-  || { echo "bench/main.exe e3 printed no d = 200 row"; exit 1; }
-# Its bytes column is the size of the rendered report list at each
-# depth, so a report renderer that drifts by one byte fails here.
-for row in 25:13562 50:41537 100:140613 200:511438; do
+grep -q '^400 ' "$cache_tmp/e3.txt" \
+  || { echo "bench/main.exe e3 printed no d = 400 row"; exit 1; }
+# Its bytes and digest columns are the size and MD5 of the rendered
+# report list at each depth, so a report renderer that drifts by one
+# byte, or changes bytes but not their count, fails here.
+for row in 25:13562:6f96ce9c3cab1a3544ac62bb594d2fdc \
+    50:41537:ea46fb0d9648b858c76124e4ee25caae \
+    100:140613:5081690a6e8ecb743040ea4fe9e2f6c0 \
+    200:511438:e1976ff1e9ff00be4802ffc75cade795 \
+    400:1943138:4af345836bf0a9fb28f1297ae17f67d6; do
   d=${row%%:*}
-  bytes=$(awk -v d="$d" '/^depth sweep/ { sweep = 1 } sweep && $1 == d { print $7 }' \
+  expected=${row#*:}
+  got=$(awk -v d="$d" '/^depth sweep/ { sweep = 1 } sweep && $1 == d { print $7 ":" $9 }' \
     "$cache_tmp/e3.txt")
-  [ "$bytes" = "${row#*:}" ] \
-    || { echo "e3 rendered $bytes bytes at d = $d, expected ${row#*:}"; exit 1; }
+  [ "$got" = "$expected" ] \
+    || { echo "e3 rendered bytes:digest $got at d = $d, expected $expected"; exit 1; }
 done
 # Its handoffs column counts the replays handed off to the suffix one
 # segment shorter: on long-exec every suffix but the first extends the
 # one before it, so a handoff that stops firing fails here.
-for d in 25 50 100 200; do
+for d in 25 50 100 200 400; do
   handoffs=$(awk -v d="$d" '/^depth sweep/ { sweep = 1 } sweep && $1 == d { print $8 }' \
     "$cache_tmp/e3.txt")
   [ "$handoffs" = "$((d - 1))" ] \

@@ -1085,6 +1085,56 @@ let test_report_bytes_digest () =
   check Alcotest.string "digest" "a6bfc7287a405be3bed1f2e77e44e807"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* All five printers write the bytes of the reference renderer, which
+   formats every report afresh: with repeated reports and ties (every
+   workload at depths 1-12, with and without stopping at the first
+   cause), and with deep chains of shared tails (long-exec-50 at 55, and
+   a 60000-iteration long-exec at 200). *)
+let test_report_matches_reference () =
+  let same what ctx o =
+    let a = Res.analysis o in
+    let eq name f g =
+      check Alcotest.string (what ^ ": " ^ name) (g ctx a) (f ctx a)
+    in
+    eq "report_list_to_string" Report.report_list_to_string
+      Report_ref.report_list_to_string;
+    eq "reports_to_string" Report.reports_to_string Report_ref.reports_to_string;
+    eq "analysis_to_string" Report.analysis_to_string Report_ref.analysis_to_string;
+    List.iter
+      (fun r ->
+        check Alcotest.string (what ^ ": report_to_string")
+          (Report_ref.report_to_string ctx r) (Report.report_to_string ctx r))
+      a.Res.reports;
+    check Alcotest.string (what ^ ": outcome_to_string")
+      (Report_ref.outcome_to_string ctx (Report_ref.sorted_outcome ctx o))
+      (Report.outcome_to_string ctx (Report.sorted_outcome ctx o))
+  in
+  let analyze ~depth ~stop (w : Res_workloads.Truth.t) =
+    let ctx = Backstep.make_ctx w.Res_workloads.Truth.w_prog in
+    let config =
+      {
+        Res.default_config with
+        search = { Search.default_config with max_segments = depth };
+        stop_at_first_cause = stop;
+      }
+    in
+    (ctx, Res.analyze ~config ctx (Res_workloads.Truth.coredump w))
+  in
+  let case ~depth ~stop (w : Res_workloads.Truth.t) =
+    let ctx, o = analyze ~depth ~stop w in
+    same
+      (Fmt.str "%s depth %d stop %b" w.Res_workloads.Truth.w_name depth stop)
+      ctx o
+  in
+  List.iter
+    (fun w ->
+      for depth = 1 to 12 do
+        List.iter (fun stop -> case ~depth ~stop w) [ true; false ]
+      done)
+    Res_workloads.Workloads.all;
+  case ~depth:55 ~stop:true (long_exec_50 ());
+  case ~depth:200 ~stop:true (Res_workloads.Long_exec.workload_n 60_000)
+
 (* --- the per-program statics memo --- *)
 
 (* Every analysis of one program shares one summary per domain
@@ -1410,6 +1460,8 @@ let () =
             test_report_text_deadlock;
           Alcotest.test_case "report bytes digest" `Quick
             test_report_bytes_digest;
+          Alcotest.test_case "report bytes = reference renderer" `Quick
+            test_report_matches_reference;
           Alcotest.test_case "work counters" `Quick test_work_counters;
         ] );
       ( "statics",

@@ -546,6 +546,69 @@ let prop_symexec_matches_vm =
                Fmt.(list ~sep:comma string)
                rejects))
 
+(* A load through a free symbolic address falls back to the address pool.
+   The pool filter keeps the first [max_addr_candidates] mapped, feasible
+   addresses, and stops there: a pool that runs on past the last one kept
+   yields the same outcomes and costs no extra solver query.  Unmapped
+   addresses are skipped without a query. *)
+let pool_prog =
+  parse
+    {|
+global g 8
+global h 8
+func main() {
+a:
+  r1 = load r0[0]
+  jmp b
+b:
+  halt
+}
+|}
+
+let test_pool_filter_stops_at_cap () =
+  let cap = Symexec.default_config.Symexec.max_addr_candidates in
+  let g = Res_mem.Layout.globals_base in
+  let h = g + 9 in
+  let s = Res_solver.Expr.fresh_sym "addr" in
+  (* g + 1 is mapped but infeasible; g + 8 is the guard word, 5 unmapped *)
+  let pool =
+    [ g + 8; g; g + 1; 5; g + 2; g + 3; g + 4; g + 5 ] @ List.init 8 (( + ) h)
+  in
+  let layout = Res_mem.Layout.of_prog pool_prog in
+  let feasible a = a <> g + 1 && Res_mem.Layout.find_global layout a <> None in
+  let expected = List.filteri (fun i _ -> i < cap) (List.filter feasible pool) in
+  let loaded addr_pool =
+    let open Res_solver in
+    let q0 = Solver.queries () in
+    let outs, _ =
+      run
+        (request pool_prog ~func:"main" ~block:"a"
+           ~seed:[ (0, Expr.Sym s) ]
+           ~ambient:[ Expr.ne (Expr.Sym s) (Expr.const (g + 1)) ]
+           ~addr_pool ~mode:(Symexec.Full { require_target = Some "b" }))
+    in
+    ( List.concat_map (fun o -> ISet.elements o.Symexec.read_before_write) outs,
+      Solver.queries () - q0 )
+  in
+  let addrs, queries = loaded pool in
+  check (Alcotest.list int_t) "the full filter's first feasible addresses"
+    expected addrs;
+  (* the pool up to the last address kept: one query per mapped address *)
+  let upto_last =
+    let last = List.nth expected (cap - 1) in
+    let rec keep = function
+      | [] -> []
+      | a :: rest -> if a = last then [ a ] else a :: keep rest
+    in
+    keep pool
+  in
+  let addrs', queries' = loaded upto_last in
+  check (Alcotest.list int_t) "same outcomes from the cut pool" addrs addrs';
+  check int_t "no query past the last address kept" queries' queries;
+  let _, base = loaded [] in
+  check bool_t "at most cap + infeasible pool queries" true
+    (queries - base <= cap + 1)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_symexec_matches_vm ]
 
@@ -590,6 +653,11 @@ let () =
           Alcotest.test_case "read-before-write" `Quick
             test_read_before_write_tracking;
           Alcotest.test_case "pre-memory symbol names" `Quick test_pre_mem_name;
+        ] );
+      ( "addresses",
+        [
+          Alcotest.test_case "pool filter stops at the cap" `Quick
+            test_pool_filter_stops_at_cap;
         ] );
       ("properties", qcheck_cases);
     ]
