@@ -274,7 +274,10 @@ let e4 () =
   let eval name key =
     let buckets = Res_usecases.Triage.bucket ~key rs in
     let q = Res_usecases.Triage.quality ~truth ~buckets rs in
-    Fmt.pr "%-4s %a@." name Res_usecases.Triage.pp_quality q
+    Fmt.pr "%-4s %a@." name Res_usecases.Triage.pp_quality q;
+    List.iter
+      (fun (k, l) -> Fmt.pr "  %-50s %d report(s)@." k (List.length l))
+      buckets
   in
   eval "WER" (fun (r : Res_usecases.Triage.report) ->
       Res_usecases.Triage.wer_key r.t_dump);

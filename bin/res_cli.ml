@@ -10,7 +10,6 @@
      res exploit prog.res core.txt    exploitability rating
      res workload NAME -o core.txt    generate a built-in buggy workload
      res triage prog.res --dir D -j4  batch-triage a directory of coredumps
-     res triage-demo                  run the triaging comparison corpus
      res selftest                     fault-injection self-test of the pipeline
      res serve --socket S --spool D   long-running triage daemon
      res client submit prog core      submit to a running daemon
@@ -252,8 +251,7 @@ let backend_arg =
         ~doc:
           "Worker backend: $(b,domains) (shared-memory OCaml domains), \
            $(b,fork) (isolated processes; survives worker death), or \
-           $(b,auto) (domains on multicore, fork otherwise; the \
-           RES_PARALLEL_BACKEND environment variable overrides).")
+           $(b,auto) (domains on multicore, fork otherwise).")
 
 (* --- result-cache flags (shared by triage, serve, coordinate) --- *)
 
@@ -451,16 +449,9 @@ let debug_cmd =
       & info [ "snapshot-every" ] ~docv:"N"
           ~doc:
             "Snapshot-index interval in instructions; 0 or less disables \
-             the index, like $(b,--no-snapshot-index).")
-  in
-  let no_index =
-    Arg.(
-      value & flag
-      & info [ "no-snapshot-index" ]
-          ~doc:
-            "Disable the snapshot index: every state query replays from \
-             step 0.  Same code path and same transcripts, strictly more \
-             re-execution — the baseline bench E20 measures against.")
+             the index: every state query replays from step 0.  Same code \
+             path and same transcripts, strictly more re-execution — the \
+             baseline bench E20 measures against.")
   in
   let script =
     Arg.(
@@ -481,7 +472,7 @@ let debug_cmd =
              ends (kept off stdout so transcripts stay comparable across \
              intervals).")
   in
-  let run prog_path dump_path depth snapshot_every no_index script stats =
+  let run prog_path dump_path depth snapshot_every script stats =
     let prog = or_die (load_prog prog_path) in
     let dump = load_dump dump_path in
     let ctx = Res_core.Backstep.make_ctx prog in
@@ -490,7 +481,6 @@ let debug_cmd =
         ~config:{ Res_core.Search.default_config with max_segments = depth }
         ctx dump
     in
-    let snapshot_every = if no_index then 0 else snapshot_every in
     let dbg =
       match
         Res_core.Debugger.start_first ~snapshot_every ctx
@@ -531,8 +521,8 @@ let debug_cmd =
           in either direction replays amortized O(1) instructions via the \
           snapshot index.")
     Term.(
-      const run $ prog_arg $ dump_arg 1 $ depth_arg $ snapshot_every
-      $ no_index $ script $ stats)
+      const run $ prog_arg $ dump_arg 1 $ depth_arg $ snapshot_every $ script
+      $ stats)
 
 (* --- hwdiag --- *)
 
@@ -825,48 +815,6 @@ let triage_batch_cmd =
       const run $ prog_arg $ corpus_dir_arg $ jobs_arg $ backend_arg
       $ per_dump_deadline_arg $ per_dump_fuel_arg $ stats_arg $ cache_dir_arg
       $ no_cache_arg)
-
-(* --- triage demo --- *)
-
-let triage_cmd =
-  let per_bug =
-    Arg.(
-      value & opt int 4
-      & info [ "per-bug" ] ~docv:"N" ~doc:"Reports generated per root cause.")
-  in
-  let run per_bug =
-    let reports = Res_workloads.Corpus.generate ~n_per_bug:per_bug () in
-    let as_triage =
-      List.map
-        (fun (r : Res_workloads.Corpus.report) ->
-          ( {
-              Res_usecases.Triage.t_id = r.r_id;
-              t_prog = r.r_prog;
-              t_dump = r.r_dump;
-            },
-            r.r_bug ))
-        reports
-    in
-    let rs = List.map fst as_triage in
-    let truth r = List.assq r as_triage in
-    let show name key =
-      let buckets = Res_usecases.Triage.bucket ~key rs in
-      let q = Res_usecases.Triage.quality ~truth ~buckets rs in
-      Fmt.pr "%-4s %a@." name Res_usecases.Triage.pp_quality q;
-      List.iter
-        (fun (k, l) -> Fmt.pr "  %-50s %d report(s)@." k (List.length l))
-        buckets
-    in
-    show "WER" (fun (r : Res_usecases.Triage.report) ->
-        Res_usecases.Triage.wer_key r.t_dump);
-    show "RES" Res_usecases.Triage.res_key;
-    exit_ok
-  in
-  Cmd.v
-    (Cmd.info "triage-demo"
-       ~doc:"Compare stack-hash (WER) and root-cause (RES) bucketing on the \
-             built-in bug-report corpus.")
-    Term.(const run $ per_bug)
 
 (* --- serve / client --- *)
 
@@ -1367,7 +1315,6 @@ let main_cmd =
       exploit_cmd;
       workload_cmd;
       triage_batch_cmd;
-      triage_cmd;
       fuzz_cmd;
       selftest_cmd;
       serve_cmd;

@@ -313,6 +313,13 @@ let seed_frame ctx ~post_root ~func ~block_label =
   in
   Res_symex.Symframe.pre_frame ~func ~block:block_label ~seed
 
+(** The compatibility constraint [a = b], normalized: [None] when it holds
+    outright, [false] when it normalizes to any other constant. *)
+let equal_or_constraint a b =
+  match Simplify.norm (Expr.eq a b) with
+  | Expr.Const _ as c -> if Expr.equal c Expr.one then None else Some Expr.zero
+  | e -> Some e
+
 (** Equality constraints between the execution's final bottom-frame
     registers and the snapshot's root frame. *)
 let reg_constraints ctx ~tid ~func (out_bottom : Res_symex.Symframe.t) ~post_root =
@@ -326,11 +333,7 @@ let reg_constraints ctx ~tid ~func (out_bottom : Res_symex.Symframe.t) ~post_roo
           else
             match Res_symex.Symframe.read_opt out_bottom r with
             | None -> None (* untouched: pre = post, carried in Spre *)
-            | Some out_v -> (
-                match Simplify.norm (Expr.eq out_v (frame_reg post r)) with
-                | Expr.Const _ as c ->
-                    if Expr.equal c Expr.one then None else Some Expr.zero
-                | e -> Some e))
+            | Some out_v -> equal_or_constraint out_v (frame_reg post r))
         (Res_ir.Func.all_regs f)
 
 (** For partial (in-progress) segments: the inlined callee frames at the
@@ -352,11 +355,7 @@ let callee_frame_constraints (out_frames : Res_symex.Symframe.t list)
         in
         Some
           (List.filter_map
-             (fun r ->
-               match Simplify.norm (Expr.eq (frame_reg o r) (frame_reg p r)) with
-               | Expr.Const _ as c ->
-                   if Expr.equal c Expr.one then None else Some Expr.zero
-               | e -> Some e)
+             (fun r -> equal_or_constraint (frame_reg o r) (frame_reg p r))
              regs)
     in
     let rec zip acc = function
@@ -378,10 +377,7 @@ let mem_constraints ctx snapshot (out : Res_symex.Symexec.outcome) =
     List.filter_map
       (fun (a, e) ->
         if ISet.mem a ctx.relaxed_mem then None
-        else
-          match Simplify.norm (Expr.eq e (Snapshot.read_mem snapshot a)) with
-          | Expr.Const _ as c -> if Expr.equal c Expr.one then None else Some Expr.zero
-          | c -> Some c)
+        else equal_or_constraint e (Snapshot.read_mem snapshot a))
       written
   in
   let pre_cs =
@@ -391,12 +387,7 @@ let mem_constraints ctx snapshot (out : Res_symex.Symexec.outcome) =
           Res_symex.Symmem.was_written out.Res_symex.Symexec.mem a
           || ISet.mem a ctx.relaxed_mem
         then None
-        else
-          match
-            Simplify.norm (Expr.eq (Expr.Sym s) (Snapshot.read_mem snapshot a))
-          with
-          | Expr.Const _ as c -> if Expr.equal c Expr.one then None else Some Expr.zero
-          | c -> Some c)
+        else equal_or_constraint (Expr.Sym s) (Snapshot.read_mem snapshot a))
       (Res_symex.Symmem.pre_syms out.Res_symex.Symexec.mem)
   in
   write_cs @ pre_cs
@@ -424,11 +415,7 @@ let spawn_constraints ctx snapshot (out : Res_symex.Symexec.outcome) =
             else
               Ok
                 ( List.filter_map
-                    (fun (p, arg) ->
-                      match Simplify.norm (Expr.eq arg (frame_reg fr p)) with
-                      | Expr.Const _ as c ->
-                          if Expr.equal c Expr.one then None else Some Expr.zero
-                      | e -> Some e)
+                    (fun (p, arg) -> equal_or_constraint arg (frame_reg fr p))
                     (List.combine params args),
                   tid )
         | _ -> Error (Fmt.str "thread %d is not at its entry point" tid))

@@ -84,7 +84,7 @@ let add_stats ~into s =
     chronological order. *)
 type crumbs = Res_vm.Tracer.branch list IMap.t
 
-let crumbs_of_dump ctx (dump : Res_vm.Coredump.t) : crumbs =
+let crumbs_of_dump (dump : Res_vm.Coredump.t) : crumbs =
   let root_func_of tid =
     match IMap.find_opt tid dump.Res_vm.Coredump.threads with
     | Some (th : Res_vm.Thread.t) -> (
@@ -93,7 +93,6 @@ let crumbs_of_dump ctx (dump : Res_vm.Coredump.t) : crumbs =
         | [] -> None)
     | None -> None
   in
-  ignore ctx;
   List.fold_left
     (fun m (b : Res_vm.Tracer.branch) ->
       match root_func_of b.br_tid with
@@ -284,8 +283,6 @@ type result = {
   suffixes : Suffix.t list;
   stats : stats;
   complete : bool;  (** false when a node budget or deadline was exhausted *)
-  exhausted : Budget.exhaustion option;
-      (** why the shared {!Budget} stopped the search, when it did *)
 }
 
 (* --- static pruning glue ------------------------------------------- *)
@@ -434,6 +431,12 @@ type Backstep.carry +=
     (wall-clock deadline and node fuel); when it trips, the suffixes found
     so far are returned with [complete = false].
 
+    The first backward step, the crashing thread's in-progress segment, is
+    evaluated like every other candidate move (error-log match and
+    feasibility check included), once and before the first pop, so it
+    takes no budget tick; its children are the initial frontier.  A
+    deadlock has no such step: the coredump node is visited as the root.
+
     Deepening costs one expansion per node, not one per node per depth.
     Every call leaves on [ctx] a {e carry}: the next depth's search,
     suspended before its first pop, whose frontier is this call's
@@ -469,13 +472,6 @@ let search ?(config = default_config) ?snapshot0 ?budget ctx
   let recorded = ref [] in
   let left = ref [] in
   let budget_hit = ref false in
-  let budget_ok () =
-    if Budget.tick budget then true
-    else begin
-      budget_hit := true;
-      false
-    end
-  in
   (* The coredump-time stop state, for the static refuter's goal values. *)
   let snapshot0 =
     match snapshot0 with Some s -> s | None -> Snapshot.of_coredump dump
@@ -655,7 +651,8 @@ let search ?(config = default_config) ?snapshot0 ?budget ctx
           stack := []
         end
         else begin
-          if stats.nodes >= config.max_nodes || not (budget_ok ()) then begin
+          if stats.nodes >= config.max_nodes || not (Budget.tick budget)
+          then begin
             budget_hit := true;
             left := frontier
           end
@@ -679,13 +676,22 @@ let search ?(config = default_config) ?snapshot0 ?budget ctx
   (match carry with
   | Some (frontier, _) -> stack := frontier
   | None -> (
-      let crumbs0 =
-        if config.use_breadcrumbs then crumbs_of_dump ctx dump else IMap.empty
+      let tid = crash.Res_vm.Crash.tid in
+      let crumbs =
+        if config.use_breadcrumbs then crumbs_of_dump dump else IMap.empty
       in
-      let logs0 =
-        if config.use_breadcrumbs then
-          Res_vm.Tracer.logs dump.Res_vm.Coredump.tracer
-        else []
+      let root =
+        {
+          n_snapshot = snapshot0;
+          n_segments = [];
+          n_crumbs = crumbs;
+          n_logs =
+            (if config.use_breadcrumbs then
+               Res_vm.Tracer.logs dump.Res_vm.Coredump.tracer
+             else []);
+          n_last_tid = tid;
+          n_touched = [];
+        }
       in
       match crash.Res_vm.Crash.kind with
       | Res_vm.Crash.Deadlock _ ->
@@ -693,66 +699,19 @@ let search ?(config = default_config) ?snapshot0 ?budget ctx
              blocked threads' in-progress segments are ordinary moves (the
              crashing tid's segment is typically the oldest, not the
              newest). *)
-          stack :=
-            [
-              F_visit
-                {
-                  f_depth = 0;
-                  f_node =
-                    {
-                      n_snapshot = snapshot0;
-                      n_segments = [];
-                      n_crumbs = crumbs0;
-                      n_logs = logs0;
-                      n_last_tid = crash.Res_vm.Crash.tid;
-                      n_touched = [];
-                    };
-                };
-            ]
-      | _ ->
+          stack := [ F_visit { f_depth = 0; f_node = root } ]
+      | kind ->
           (* Otherwise the first backward step is always the crashing
-             thread's in-progress segment — evaluated eagerly (it is the
-             root of every branch of the search). *)
+             thread's in-progress segment, the root of every branch of the
+             search: evaluated at once, outside the budget, and its
+             children are the frontier. *)
           stats.candidates <- stats.candidates + 1;
-          stats.nodes <- stats.nodes + 1;
-          let { Backstep.applied; rejects = _; reversed = _; slice_skipped = _ }
-              =
-            Backstep.step_back ~reverse_exec:config.reverse_exec ctx snapshot0
-              ~tid:crash.Res_vm.Crash.tid
-              ~kind:(Backstep.K_partial (Some crash.Res_vm.Crash.kind))
-          in
-          stack :=
-            List.filter_map
-              (fun (ap : Backstep.applied) ->
-                let log_match =
-                  if not config.use_breadcrumbs then Some ([], logs0)
-                  else
-                    consume_logs ~tid:crash.Res_vm.Crash.tid
-                      ap.Backstep.ap_logs logs0
-                in
-                match log_match with
-                | None -> None
-                | Some (log_cs, n_logs) ->
-                    stats.feasible <- stats.feasible + 1;
-                    let seg = ap.Backstep.ap_segment in
-                    Some
-                      (F_visit
-                         {
-                           f_depth = 1;
-                           f_node =
-                             {
-                               n_snapshot =
-                                 Snapshot.add_constraints
-                                   ap.Backstep.ap_snapshot log_cs;
-                               n_segments = [ seg ];
-                               n_crumbs = crumbs0;
-                               n_logs;
-                               n_last_tid = crash.Res_vm.Crash.tid;
-                               n_touched =
-                                 seg.Suffix.seg_writes @ seg.Suffix.seg_reads;
-                             };
-                         }))
-              applied));
+          eval ~depth:0 ~parent:(-1) root
+            {
+              mv_tid = tid;
+              mv_kind = Backstep.K_partial (Some kind);
+              mv_crumbs = crumbs;
+            }));
   drain ();
   cell :=
     if overridden then Backstep.No_carry
@@ -768,5 +727,4 @@ let search ?(config = default_config) ?snapshot0 ?budget ctx
     suffixes = List.rev !out;
     stats;
     complete = not !budget_hit;
-    exhausted = Budget.exhausted budget;
   }

@@ -23,15 +23,11 @@
 
 type backend = Domains | Forked
 
-(** Runtime backend selection: the [RES_PARALLEL_BACKEND] environment
-    variable ("domains" / "fork") wins; otherwise [Domains] when the
-    runtime reports more than one core, else [Forked] (a uniprocessor
-    gains nothing from domains, and fork at least isolates faults). *)
+(** Runtime backend selection: [Domains] when the runtime reports more
+    than one core, else [Forked] (a uniprocessor gains nothing from
+    domains, and fork at least isolates faults). *)
 let default_backend () =
-  match Sys.getenv_opt "RES_PARALLEL_BACKEND" with
-  | Some "fork" -> Forked
-  | Some "domains" -> Domains
-  | _ -> if Domain.recommended_domain_count () > 1 then Domains else Forked
+  if Domain.recommended_domain_count () > 1 then Domains else Forked
 
 (** How a run went, beyond the replies themselves. *)
 type stats = {

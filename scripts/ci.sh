@@ -351,7 +351,7 @@ dune exec bin/res_cli.exe -- debug "$cache_tmp/prog.res" \
   --snapshot-every 7 > "$cache_tmp/dbg7.txt"
 dune exec bin/res_cli.exe -- debug "$cache_tmp/prog.res" \
   "$cache_tmp/dumps/a.core" --script "$cache_tmp/session.dbg" \
-  --no-snapshot-index > "$cache_tmp/dbg0.txt"
+  --snapshot-every 0 > "$cache_tmp/dbg0.txt"
 cmp "$cache_tmp/dbg64.txt" "$cache_tmp/dbg7.txt" \
   || { echo "debug transcript changed with snapshot interval 7"; exit 1; }
 cmp "$cache_tmp/dbg64.txt" "$cache_tmp/dbg0.txt" \

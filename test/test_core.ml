@@ -833,6 +833,68 @@ let test_log_breadcrumbs_bind_values () =
   check (Alcotest.list int_t) "input pinned by the log" [ 9 ]
     (Suffix.input_script s)
 
+(* The crash block logs its input before dividing by zero; the crash step
+   is the in-progress segment of [work]. *)
+let crash_logged_src =
+  {|
+func main() {
+entry:
+  r0 = input net
+  jmp work
+work:
+  r1 = input net
+  log "x", r1
+  r2 = const 0
+  r3 = div r1, r2
+  halt
+}
+|}
+
+let test_log_breadcrumbs_check_crash_step () =
+  (* an error log that contradicts the value the crash block logs leaves
+     the crash step without a child: nothing further is expanded *)
+  let prog = Res_ir.Validate.check_exn (Res_ir.Parser.parse crash_logged_src) in
+  let config =
+    {
+      (Res_vm.Exec.default_config ()) with
+      oracle = Res_vm.Oracle.scripted [ 1; 9 ];
+    }
+  in
+  let dump =
+    match Res_vm.Exec.run_to_coredump ~config prog with
+    | Some d, _ -> d
+    | None, _ -> Alcotest.fail "expected crash"
+  in
+  let tracer = dump.Res_vm.Coredump.tracer in
+  let tampered =
+    {
+      dump with
+      Res_vm.Coredump.tracer =
+        {
+          tracer with
+          Res_vm.Tracer.logs =
+            List.map
+              (fun (e : Res_vm.Tracer.log_entry) ->
+                { e with log_value = e.log_value + 1 })
+              tracer.Res_vm.Tracer.logs;
+        };
+    }
+  in
+  check int_t "one logged value" 1
+    (List.length (Res_vm.Tracer.logs tracer));
+  let search dump =
+    Search.search
+      ~config:
+        { Search.default_config with max_segments = 2; use_breadcrumbs = true }
+      (Backstep.make_ctx prog) dump
+  in
+  let honest = search dump in
+  check bool_t "the honest log reproduces" true
+    (honest.Search.suffixes <> []);
+  let r = search tampered in
+  check int_t "only the crash step evaluated" 1 r.Search.stats.Search.nodes;
+  check int_t "no suffix" 0 (List.length r.Search.suffixes)
+
 let test_log_breadcrumbs_prune_contradictions () =
   (* consume_logs rejects a segment whose emission contradicts the log *)
   let entry v = { Res_vm.Tracer.log_tid = 0; log_tag = "t"; log_value = v } in
@@ -1440,6 +1502,8 @@ let () =
           Alcotest.test_case "bind values" `Quick test_log_breadcrumbs_bind_values;
           Alcotest.test_case "prune contradictions" `Quick
             test_log_breadcrumbs_prune_contradictions;
+          Alcotest.test_case "crash step checks the log" `Quick
+            test_log_breadcrumbs_check_crash_step;
         ] );
       ( "analyze",
         [
