@@ -774,9 +774,9 @@ let triage_batch_cmd =
     let cache = open_cache cache_dir no_cache in
     let t0 = Unix.gettimeofday () in
     let t =
-      (* one batch per process: forked workers retire with it *)
+      (* forked workers stay until the exit hook reaps them *)
       Res_parallel.Batch.run ?budget_wall:deadline ?budget_fuel:fuel
-        ~jobs:(max 1 jobs) ?backend ~keep:false ?cache items
+        ~jobs:(max 1 jobs) ?backend ?cache items
     in
     print_string t.Res_parallel.Batch.tsv;
     if stats then begin

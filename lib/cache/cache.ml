@@ -116,6 +116,7 @@ let quarantine t path =
   with Sys_error _ | Unix.Unix_error _ -> (
     try Sys.remove path with Sys_error _ | Unix.Unix_error _ -> ())
 
+(** A validated entry's body: what follows its header line. *)
 let body_of_payload payload =
   match String.index_opt payload '\n' with
   | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)

@@ -319,20 +319,18 @@ let formats () =
     { verdict with c_bucket = "a\rb\000"; c_cause = "caf\195\169 \000\r" }
   in
   (* -- batch-triage pool replies -- *)
-  let wire_batch = W.encode_verdict ~index:3 verdict in
+  let wire_batch = W.encode_verdict verdict in
   let wire =
     {
       f_name = "wire";
       f_sealed = true;
-      f_seeds = [ wire_batch; W.encode_verdict ~index:4 escaped ];
+      f_seeds = [ wire_batch; W.encode_verdict escaped ];
       f_hostile =
         [
+          (* the previous version's frame, which named its unit's row *)
+          Sealing.seal (Fmt.str "resbatchres v2\nrow 3\n%s\n" cache_body);
           tamper ~header:W.verdict_header
-            (fun p ->
-              replace_first ~marker:"row 3" ~sub:"row 99999999999999999999" p)
-            wire_batch;
-          tamper ~header:W.verdict_header
-            (fun p -> replace_first ~marker:"row 3" ~sub:"rows 3" p)
+            (fun p -> replace_first ~marker:"\nverdict" ~sub:"\nrow 3\nverdict" p)
             wire_batch;
           tamper ~header:W.verdict_header
             (fun p -> replace_first ~marker:" 12 " ~sub:" 99999999999999999999 " p)
@@ -455,13 +453,8 @@ let formats () =
               (* an entry is "accepted" only if a triage layer would
                  actually consume it: seal valid AND the row decodes.  A
                  sealed-but-unparsable body is an honest miss. *)
-              let body =
-                match String.index_opt payload '\n' with
-                | Some i ->
-                    String.sub payload (i + 1) (String.length payload - i - 1)
-                | None -> ""
-              in
-              Option.is_some (Res_cache.Cache.decode_row body));
+              Option.is_some
+                Res_cache.Cache.(decode_row (body_of_payload payload)));
     }
   in
   (* -- textual IR programs -- *)

@@ -3,9 +3,8 @@
 
     Work division is per distinct dump — the natural unit, since dumps
     are independent and a byte-identical copy has the same verdict — and
-    a unit carries its item's index, program and dump, and the batch's
-    worker the config and budgets: what a worker forked for an earlier
-    batch is sent to serve this one ({!Pool.run}).
+    a unit carries its item's program and dump, and the batch's worker
+    the config and budgets ({!Pool.run}).
     Output is a deterministic TSV: rows sorted by dump name (so shuffled
     input directories produce identical bytes), then cluster lines
     sorted by bucket.  A dump that cannot be loaded, or whose workers
@@ -271,42 +270,43 @@ let pipeline ?cache ~config items analyze =
     exact row an analysis would have produced, so the TSV is
     byte-identical warm or cold.  Each distinct content key is analyzed
     once ({!pipeline}).  Forked workers stay for the process's next
-    batch unless [~keep:false] ({!Pool.run}). *)
+    batch ({!Pool.run}). *)
 let run ?(config = Res.default_config) ?budget_wall ?budget_fuel ?(jobs = 1)
-    ?backend ?kill_unit ?attempts ?keep ?cache items =
+    ?backend ?kill_unit ?attempts ?cache items =
   let (pstats, nodes, pruned, queries), rows, clusters, tsv, cache_hits,
       duplicates =
     pipeline ?cache ~config:(config_key ?budget_wall ?budget_fuel config)
       items (fun items farm settle ->
-        let worker () (i, prog, dump) =
+        let worker (prog, dump) =
           let budget =
             match (budget_wall, budget_fuel) with
             | None, None -> None
             | w, f -> Some (Budget.create ?wall_seconds:w ?fuel:f ())
           in
-          Wire.encode_verdict ~index:i
+          Wire.encode_verdict
             (Res_usecases.Triage.triage_one ~config ?budget prog dump)
         in
         let unit i =
           match items.(i).it_dump with
-          | Ok d -> (i, items.(i).it_prog, d)
+          | Ok d -> (items.(i).it_prog, d)
           | Error _ -> assert false
         in
         let replies, pstats =
-          Pool.run ?backend ?kill_unit ?attempts ?keep ~jobs ~worker
+          Pool.run ?backend ?kill_unit ?attempts ~jobs ~worker
             (List.map unit farm)
         in
+        (* the replies come in [farm]'s order *)
         let nodes = ref 0 and pruned = ref 0 and queries = ref 0 in
-        List.iter
-          (fun reply ->
+        List.iter2
+          (fun i reply ->
             match Option.map Wire.decode_verdict reply with
-            | Some (Ok (i, v)) when i >= 0 && i < Array.length items ->
+            | Some (Ok v) ->
                 settle i v;
                 nodes := !nodes + v.Cache.c_nodes;
                 pruned := !pruned + v.Cache.c_pruned;
                 queries := !queries + v.Cache.c_queries
             | _ -> ())
-          replies;
+          farm replies;
         (pstats, !nodes, !pruned, !queries))
   in
   {

@@ -7,19 +7,18 @@
       array.  Cheapest, but a worker crash takes the process with it.
     - [Forked]: the process's kept children ({!Supervisor.kept}), forked
       on first need and reused by every later run, length-prefixed frames
-      over pipes.  Slower (a child forked by an earlier run is sent this
-      run's worker and units, marshalled, and replies are serialized),
-      but a worker that dies — OOM-killed, segfaulted, or SIGKILLed by
-      the fault injector — is detected by pipe EOF, and the
-      {!Supervisor} reschedules its in-flight unit on a fresh child after
-      a capped backoff.
+      over pipes.  Slower (a worker forked by an earlier run is sent
+      each unit as its work, marshalled with its closures, and replies
+      are serialized), but a worker that dies — OOM-killed, segfaulted,
+      or SIGKILLed by the fault injector — is detected by pipe EOF, and
+      the {!Supervisor} reschedules its in-flight unit on a fresh child
+      after a capped backoff.
 
-    The pool itself knows nothing about RES: callers hand it a worker
-    {e factory} [unit -> 'u -> string] (invoked once per worker and run,
-    so each worker builds private mutable state) and a list of units; it
-    returns one reply slot per unit, [None] where every attempt failed.
-    On the fork backend a unit's payload is its index: a worker carries
-    the run's units with it. *)
+    The pool itself knows nothing about RES: callers hand it a [worker]
+    and a list of units; it returns one reply slot per unit, [None] where
+    every attempt failed.  [worker] keeps no state between units: the
+    domains backend calls it from several domains at once, and the fork
+    backend runs each call in whichever child takes the unit. *)
 
 type backend = Domains | Forked
 
@@ -57,18 +56,14 @@ let run_domains ~jobs ~worker units =
   let results = Array.make n None in
   let next = Atomic.make 0 in
   let lost = Atomic.make 0 in
-  let body () =
-    let f = worker () in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match f units.(i) with
-        | reply -> results.(i) <- Some reply
-        | exception _ -> ignore (Atomic.fetch_and_add lost 1));
-        loop ()
-      end
-    in
-    loop ()
+  let rec body () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      (match worker units.(i) with
+      | reply -> results.(i) <- Some reply
+      | exception _ -> ignore (Atomic.fetch_and_add lost 1));
+      body ()
+    end
   in
   let jobs = max 1 (min jobs n) in
   (* The coordinator's own domain is worker zero; extra domains that fail
@@ -97,19 +92,17 @@ let run_domains ~jobs ~worker units =
 
 (* --- entry point ---------------------------------------------------- *)
 
-(** [run ?backend ?kill_unit ~jobs ~worker units] processes every unit
-    in [units] on [jobs] workers and returns the replies in request order
-    plus run {!stats}.
+(** [run ?backend ?kill_unit ~jobs ~worker units] runs [worker] on
+    every unit in [units] on [jobs] workers and returns the replies in
+    request order plus run {!stats}.
 
     The fork backend is the {!Supervisor} over {!Supervisor.kept} slots:
     the process's kept workers, forked only when a unit finds none idle.
     [kill_unit] (fork backend only) SIGKILLs the worker right after unit
     [i] is first dispatched to it — the fault-injection hook behind the
     worker-kill campaign.  [attempts] bounds tries per unit before it is
-    written off as lost (default 3).  [~keep:false] (fork backend only)
-    retires the workers as the run ends, for a caller that runs no later
-    forked batch ({!Supervisor.kept}). *)
-let run ?backend ?kill_unit ?attempts ?keep ~jobs ~worker units =
+    written off as lost (default 3). *)
+let run ?backend ?kill_unit ?attempts ~jobs ~worker units =
   let backend =
     match backend with Some b -> b | None -> default_backend ()
   in
@@ -124,22 +117,14 @@ let run ?backend ?kill_unit ?attempts ?keep ~jobs ~worker units =
       let units = Array.of_list units in
       let armed = ref kill_unit in
       let kill i _ = !armed = Some i && (armed := None; true) in
-      (* the worker carries the units, so a unit is just its index *)
-      let worker () =
-        let f = worker () in
-        fun i -> f units.(int_of_string i)
-      in
-      let slots, forks =
-        Supervisor.kept ~kill ?keep ~jobs ~payload:string_of_int ~worker ()
-      in
+      let slots, forks = Supervisor.kept ~kill ~jobs ~worker units in
       let sup = Supervisor.create ?attempts slots in
       Array.iteri (fun i _ -> Supervisor.add sup i) units;
       let results = Array.make (Array.length units) None in
       Supervisor.run sup (fun i r -> results.(i) <- Result.to_option r);
-      let workers = min (max 1 jobs) (Array.length units) in
       ( Array.to_list results,
         {
-          p_workers = workers;
+          p_workers = min (max 1 jobs) (Array.length results);
           p_retries = sup.retries;
           p_lost = sup.lost;
           p_respawns = forks.respawned;

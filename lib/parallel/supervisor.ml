@@ -226,18 +226,18 @@ let run t on_done =
 
 (* --- local slots: forked children on pipes -------------------------- *)
 
+(** What a slot set forked: [forked] children in all, [respawned] of
+    them in place of a child of the set that died. *)
+type forks = { mutable forked : int; mutable respawned : int }
+
 type child = {
   pid : int;
   ordinal : int;  (** 1-based, in its set's fork order *)
   req_w : Unix.file_descr;
   res_r : Unix.file_descr;
+  by : forks;  (** the slot set that forked it *)
   mutable busy : bool;
-  mutable serves : int;  (** the slot set whose worker it runs *)
 }
-
-(** What a slot set forked: [forked] children in all, [respawned] of
-    them in place of a child of the set that died. *)
-type forks = { mutable forked : int; mutable respawned : int }
 
 (* The children a slot set runs units on: its own ({!local}), or the
    process's kept set ({!kept}), which outlives every slot set over it.
@@ -265,54 +265,39 @@ let detach set c =
 let wait pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 let sigkill c = try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ()
 
-(* A child serves frames until its request pipe hits EOF: a unit ("u"
-   and its payload) gets its worker's reply, and a worker ("w" and a
-   factory marshalled with its closures, {!kept}) replaces the one it
-   runs.  A worker factory or per-unit exception becomes an
-   "ex"-prefixed reply: a deterministic failure, not retried; only a
-   silent death (EOF without a reply) is. *)
+(* A child answers each frame on its request pipe with [worker ()]'s
+   reply to it, until the pipe hits EOF; [worker ()] runs once, right
+   after the fork.  An exception from either becomes an "ex"-prefixed
+   reply: a deterministic failure, not retried; only a silent death
+   (EOF without a reply) is. *)
 let child_serve req_r res_w worker =
-  let start worker =
-    try Ok (worker ()) with exn -> Error (Printexc.to_string exn)
-  in
-  let f = ref (start worker) in
-  let reply payload =
-    match !f with
-    | Error e -> "ex" ^ e
-    | Ok f -> (
-        match f payload with
-        | r -> "ok" ^ r
-        | exception exn -> "ex" ^ Printexc.to_string exn)
-  in
+  let f = try Ok (worker ()) with exn -> Error (Printexc.to_string exn) in
   let rec loop () =
     match Wire.read_frame req_r with
     | None -> ()
     | Some frame ->
-        if frame.[0] = 'w' then
-          f := start (fun () -> (Marshal.from_string frame 1 : unit -> _) ())
-        else
-          Wire.write_frame res_w
-            (reply (String.sub frame 1 (String.length frame - 1)));
+        Wire.write_frame res_w
+          (match f with
+          | Error e -> "ex" ^ e
+          | Ok f -> (
+              match f frame with
+              | r -> "ok" ^ r
+              | exception exn -> "ex" ^ Printexc.to_string exn));
         loop ()
   in
   loop ()
 
-(* Each slot set's number, which its children record in [serves]. *)
-let slot_sets = ref 0
-
 (* Slots over the children of [set], at most [jobs] units at once; a
-   child is forked when a unit finds none idle.  With [retiring], a child
-   released while no unit is queued retires: its pipes close at once,
-   and a later pass reaps it without blocking ([tick]), and [close]
-   retires the rest.  Without it, a released child stays in [set], idle,
-   for the next unit or the next slot set over [set], which first sends
-   it its own [worker], marshalled with its closures (a child forked
-   from this process runs this executable); a [worker] that cannot be
-   marshalled gets a fresh fork instead.  A fork while a child of [set]
-   lies dead replaces it. *)
+   child is forked when a unit finds none idle, and is sent [payload u
+   ours] for unit [u], where [ours] says this slot set forked it, so it
+   runs [worker] (a [payload] that raises fails the unit, which takes no
+   child).  With [retiring], a child released while no unit is queued
+   retires: its pipes close at once, and a later pass reaps it without
+   blocking ([tick]), and [close] retires the rest.  Without it, a
+   released child stays in [set], idle, for the next unit or the next
+   slot set over [set].  A fork while a child of [set] lies dead
+   replaces it. *)
 let slots_of ?(kill = fun _ _ -> false) ~retiring ~jobs ~payload ~worker set =
-  incr slot_sets;
-  let id = !slot_sets in
   let retired = ref [] and in_use = ref 0 in
   let forks = { forked = 0; respawned = 0 } in
   let spawn () =
@@ -343,38 +328,10 @@ let slots_of ?(kill = fun _ _ -> false) ~retiring ~jobs ~payload ~worker set =
         close_quiet req_r;
         close_quiet res_w;
         let c =
-          {
-            pid;
-            ordinal = set.ordinals;
-            req_w;
-            res_r;
-            busy = false;
-            serves = id;
-          }
+          { pid; ordinal = set.ordinals; req_w; res_r; by = forks; busy = false }
         in
         set.children <- c :: set.children;
         c
-  in
-  let shipped =
-    lazy
-      (match Marshal.to_string worker [ Marshal.Closures ] with
-      | s -> Some ("w" ^ s)
-      | exception _ -> None)
-  in
-  (* an idle child, preferring one that runs [worker] already *)
-  let take () =
-    let idle = List.filter (fun c -> not c.busy) set.children in
-    match List.find_opt (fun c -> c.serves = id) idle with
-    | Some c -> c
-    | None -> (
-        match idle with
-        | [] -> spawn ()
-        | c :: _ when Option.is_some (Lazy.force shipped) -> c
-        | c :: _ ->
-            sigkill c;
-            detach set c;
-            wait c.pid;
-            spawn ())
   in
   (* a unit's child stops being this slot set's *)
   let free c =
@@ -391,23 +348,21 @@ let slots_of ?(kill = fun _ _ -> false) ~retiring ~jobs ~payload ~worker set =
   let start u =
     if !in_use >= max 1 jobs then `Full
     else
-      let p = "u" ^ payload u in
-      let c = take () in
-      c.busy <- true;
-      incr in_use;
-      match
-        if c.serves <> id then begin
-          Wire.write_frame c.req_w (Option.get (Lazy.force shipped));
-          c.serves <- id
-        end;
-        Wire.write_frame c.req_w p
-      with
-      | () ->
-          if kill u c.ordinal then sigkill c;
-          `Started c
-      | exception Unix.Unix_error _ ->
-          kill_child c;
-          `Now (Retry ("worker died", 0.))
+      let idle = List.find_opt (fun c -> not c.busy) set.children in
+      let ours = match idle with Some c -> c.by == forks | None -> true in
+      match payload u ours with
+      | exception exn -> `Now (Failed (Printexc.to_string exn))
+      | p -> (
+          let c = match idle with Some c -> c | None -> spawn () in
+          c.busy <- true;
+          incr in_use;
+          match Wire.write_frame c.req_w p with
+          | () ->
+              if kill u c.ordinal then sigkill c;
+              `Started c
+          | exception Unix.Unix_error _ ->
+              kill_child c;
+              `Now (Retry ("worker died", 0.)))
   in
   let read c =
     match Wire.read_frame c.res_r with
@@ -469,7 +424,9 @@ let slots_of ?(kill = fun _ _ -> false) ~retiring ~jobs ~payload ~worker set =
     injection: true SIGKILLs the child (the [ordinal]th forked) right
     after [u] is sent to it.  Also returns what the slots forked. *)
 let local ?kill ~jobs ~payload ~worker () =
-  slots_of ?kill ~retiring:true ~jobs ~payload ~worker (new_set ())
+  slots_of ?kill ~retiring:true ~jobs
+    ~payload:(fun u _ -> payload u)
+    ~worker (new_set ())
 
 (* --- kept slots: forked children that outlive their batch ------------- *)
 
@@ -519,21 +476,29 @@ let kept_pids () =
     List.map (fun c -> c.pid) !kept_set.children
   else []
 
-(** Slots on the process's kept children: batch triage's.  A kept child
-    is forked when a unit finds none idle, and then serves the units of
-    every later slot set too, idle in between: a child this slot set
-    forked inherits [worker] (as for {!local}), and one an earlier slot
-    set forked is sent it once, marshalled with its closures, before its
-    first unit.  So [worker] must carry what its units need beyond
-    [payload u], and stay small enough to ship.  At most [jobs] of them
-    run this slot set's units at once.  A kept child ends only by dying
-    (a crash, a deadline or fault injection); {!stop_kept} kills the
-    rest when the process exits.  With [~keep:false] they retire
-    instead, as {!local}'s do, and [close] reaps them: for a caller that
-    runs no later batch (a one-shot CLI), since while a child lives, each
-    page its parent writes to is copied first.  [kill] is as for
-    {!local}, with ordinals in the kept children's fork order.  Also
-    returns what the slots forked; [respawned] counts forks in place of a
-    kept child that died, in this slot set or an earlier one. *)
-let kept ?kill ?(keep = true) ~jobs ~payload ~worker () =
-  slots_of ?kill ~retiring:(not keep) ~jobs ~payload ~worker (own_kept ())
+(** Slots on the process's kept children, over the indices of [units]:
+    batch triage's.  A child this slot set forked inherited [worker] and
+    [units] and is sent an index; one kept from an earlier slot set is
+    sent the unit's own work, [fun () -> worker u] marshalled with its
+    closures (a child forked from this process runs this executable), so
+    a run that forks its children marshals nothing.  A unit bound for an
+    earlier child whose work cannot be marshalled (it holds a mutex) is
+    [Failed]: lost, not retried, and it takes no child.  A kept child is
+    forked when a unit finds none idle and stays, idle in between, for
+    every later slot set, until it dies (a crash, a deadline or fault
+    injection) or {!stop_kept} kills it at exit.  [jobs] and [kill] are
+    as for {!local}, with ordinals in the kept children's fork order;
+    the [respawned] forks replace a kept child that died, in this slot
+    set or an earlier one. *)
+let kept ?kill ~jobs ~worker units =
+  slots_of ?kill ~retiring:false ~jobs
+    ~payload:(fun i ours ->
+      if ours then "i" ^ string_of_int i
+      else
+        let u = units.(i) in
+        "x" ^ Marshal.to_string (fun () -> worker u) [ Marshal.Closures ])
+    ~worker:(fun () frame ->
+      let body = String.sub frame 1 (String.length frame - 1) in
+      if frame.[0] = 'i' then worker units.(int_of_string body)
+      else (Marshal.from_string body 0 : unit -> string) ())
+    (own_kept ())

@@ -132,31 +132,21 @@ let read_frame fd =
 
 (* --- pool replies ------------------------------------------------------ *)
 
-(** A batch worker's answer: the corpus index it triaged and its verdict,
-    in the result cache's body codec.  The request direction needs no
-    format of its own: a batch unit's payload is its index among the
-    run's units, which a forked worker carries (inherited at the fork,
-    or sent with the run's worker, {!Supervisor.kept}), and a domain
-    reads them in place. *)
-let verdict_header = "resbatchres v2"
+(** A batch worker's answer: its verdict, in the result cache's body
+    codec.  It names no unit: {!Pool.run} returns the replies in unit
+    order.  The request direction needs no format of its own: a batch
+    unit travels as its index or its marshalled work
+    ({!Supervisor.kept}), and a domain reads it in place. *)
+let verdict_header = "resbatchres v3"
 
-let encode_verdict ~index v =
+let encode_verdict v =
   Res_core.Sealing.seal
-    (Fmt.str "%s\nrow %d\n%s\n" verdict_header index
-       (Res_cache.Cache.encode_row v))
+    (Fmt.str "%s\n%s\n" verdict_header (Res_cache.Cache.encode_row v))
 
 let decode_verdict s =
   match Res_core.Sealing.validate ~header:verdict_header s with
   | Error e -> Error (Io.dump_error_to_string e)
   | Ok payload -> (
-      match
-        Scanf.sscanf_opt payload "%_s@\nrow %d\n%n" (fun i off -> (i, off))
-      with
-      | None -> Error "expected a row index"
-      | Some (index, off) -> (
-          match
-            Res_cache.Cache.decode_row
-              (String.sub payload off (String.length payload - off))
-          with
-          | Some v -> Ok (index, v)
-          | None -> Error "undecodable verdict"))
+      match Res_cache.Cache.(decode_row (body_of_payload payload)) with
+      | Some v -> Ok v
+      | None -> Error "undecodable verdict")

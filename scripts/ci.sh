@@ -286,10 +286,10 @@ distinct=$(for f in "$cache_tmp"/distinct/*; do md5sum < "$f"; done | sort -u | 
        cat "$cache_tmp/distinct.stats"; exit 1; }
 
 # Forked triage workers live no longer than the process that forked
-# them: once a one-shot `res triage -j 2 --backend fork` (whose workers
-# retire with its one batch) and a resbench corpus-triage run (whose
-# passes reuse the first pass's workers until an exit hook kills them)
-# have exited, no process with their command line is left.
+# them: an exit hook kills and reaps them, after a one-shot `res triage
+# -j 2 --backend fork` (one batch) and after a resbench corpus-triage run
+# (whose passes reuse the first pass's workers) alike.  Once both have
+# exited, no process with their command line is left.
 "$RES" triage "$cache_tmp/prog.res" --dir "$cache_tmp/distinct" -j 2 \
   --backend fork --stats > /dev/null 2> "$cache_tmp/forked.stats"
 grep -q " workers=2 restarts=0 forked=2\$" "$cache_tmp/forked.stats" \

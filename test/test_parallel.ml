@@ -14,7 +14,7 @@ module Batch = Res_parallel.Batch
 (* --- pool: fork phase ----------------------------------------------- *)
 
 let test_pool_order_fork () =
-  let worker () = fun s -> "r:" ^ s in
+  let worker s = "r:" ^ s in
   let units = List.init 13 (fun i -> Fmt.str "u%d" i) in
   let replies, stats = Pool.run ~backend:Pool.Forked ~jobs:4 ~worker units in
   Alcotest.(check (list (option string)))
@@ -26,7 +26,7 @@ let test_pool_order_fork () =
 let test_pool_worker_exception_fork () =
   (* A deterministic per-unit exception is a permanent failure: the unit
      reads back as None and is NOT retried (same input, same crash). *)
-  let worker () = fun s -> if s = "boom" then failwith "boom" else s in
+  let worker s = if s = "boom" then failwith "boom" else s in
   let replies, stats =
     Pool.run ~backend:Pool.Forked ~jobs:2 ~worker [ "a"; "boom"; "b" ]
   in
@@ -39,8 +39,7 @@ let test_pool_worker_exception_fork () =
 let test_pool_kill_reschedules () =
   (* SIGKILL a forked worker mid-unit: the coordinator must detect the
      death, respawn, and re-run the unit — every reply present. *)
-  let worker () =
-   fun s ->
+  let worker s =
     if s = "slow" then Unix.sleepf 0.3;
     "r:" ^ s
   in
@@ -69,7 +68,7 @@ let fds_beside_kept () =
    reused numbers: each of 20 runs must answer every unit and leave no
    descriptor behind. *)
 let test_pool_kill_after_retirement () =
-  let worker () s =
+  let worker s =
     Unix.sleepf 0.003;
     s
   in
@@ -117,45 +116,42 @@ let test_local_kill_after_retirement () =
     Alcotest.(check int) "no descriptor left behind" fds (fd_count ())
   done
 
-(* A caller that runs no later batch retires the workers with its run:
-   it reuses the kept ones, and leaves no child behind. *)
-let test_pool_keep_false_retires () =
-  let worker () s = "r:" ^ s in
-  let units = [ "a"; "b"; "c" ] in
-  ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units);
+(* A unit whose work cannot be marshalled (it holds a mutex) cannot be
+   sent to a worker kept from an earlier run: it is lost at once, with
+   no retry and no fork, and the run's other units are answered.  A
+   worker the run forks itself inherits the unit and answers it. *)
+let test_pool_unmarshallable_work () =
+  let worker (s, m) =
+    match m with
+    | Some m -> Mutex.protect m (fun () -> "m:" ^ s)
+    | None -> "r:" ^ s
+  in
+  let held = ("m", Some (Mutex.create ())) in
+  Supervisor.stop_kept ();
+  let replies, stats = Pool.run ~backend:Pool.Forked ~jobs:2 ~worker [ held ] in
+  Alcotest.(check (list (option string))) "forked: answered" [ Some "m:m" ]
+    replies;
+  Alcotest.(check int) "forked: one fork" 1 stats.Pool.p_forked;
+  Supervisor.stop_kept ();
+  ignore
+    (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker [ ("a", None); ("b", None) ]);
+  let pids = Supervisor.kept_pids () in
   let replies, stats =
-    Pool.run ~backend:Pool.Forked ~keep:false ~jobs:2 ~worker units
+    Pool.run ~backend:Pool.Forked ~jobs:2 ~worker
+      [ ("a", None); held; ("b", None) ]
   in
   Alcotest.(check (list (option string)))
-    "replies" (List.map (fun u -> Some ("r:" ^ u)) units) replies;
-  Alcotest.(check int) "run on the kept workers" 0 stats.Pool.p_forked;
-  Alcotest.(check (list int)) "none kept" [] (Supervisor.kept_pids ());
-  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
-  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  | pid, _ -> Alcotest.failf "waitpid found a child (%d)" pid
-
-(* A worker that cannot be marshalled (it holds a mutex) cannot be sent
-   to a kept worker: the run forks its own, which inherit it, in place
-   of the idle ones, and counts no respawn. *)
-let test_pool_unshippable_worker () =
-  Supervisor.stop_kept ();
-  ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker:(fun () s -> s) [ "a" ]);
-  let before = Supervisor.kept_pids () in
-  let m = Mutex.create () in
-  let worker () s = Mutex.protect m (fun () -> "m:" ^ s) in
-  let units = [ "a"; "b"; "c" ] in
-  let replies, stats = Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units in
-  Alcotest.(check (list (option string)))
-    "replies" (List.map (fun u -> Some ("m:" ^ u)) units) replies;
-  Alcotest.(check int) "no respawn" 0 stats.Pool.p_respawns;
-  Alcotest.(check bool) "the idle workers were replaced" true
-    (List.for_all (fun p -> not (List.mem p (Supervisor.kept_pids ()))) before)
+    "the others answered" [ Some "r:a"; None; Some "r:b" ] replies;
+  Alcotest.(check int) "counted lost" 1 stats.Pool.p_lost;
+  Alcotest.(check int) "not retried" 0 stats.Pool.p_retries;
+  Alcotest.(check int) "no fork" 0 stats.Pool.p_forked;
+  Alcotest.(check (list int)) "the same workers" pids (Supervisor.kept_pids ())
 
 (* The exit hook runs in every process that exits through [exit],
    forked children included; a child forked after the workers exist
    must leave its parent's workers alone. *)
 let test_exit_hook_spares_parent_workers () =
-  let worker () s = "r:" ^ s in
+  let worker s = "r:" ^ s in
   let units = [ "a"; "b"; "c" ] in
   Supervisor.stop_kept ();
   ignore (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker units);
@@ -180,9 +176,7 @@ let test_exit_hook_spares_parent_workers () =
 (* After the exit hook, the process has no child left, zombie or alive. *)
 let test_exit_hook_reaps_workers () =
   ignore
-    (Pool.run ~backend:Pool.Forked ~jobs:2
-       ~worker:(fun () s -> s)
-       [ "a"; "b" ]);
+    (Pool.run ~backend:Pool.Forked ~jobs:2 ~worker:Fun.id [ "a"; "b" ]);
   let pids = Supervisor.kept_pids () in
   Alcotest.(check bool) "workers kept" true (pids <> []);
   Supervisor.stop_kept ();
@@ -194,23 +188,29 @@ let test_exit_hook_reaps_workers () =
 (* --- wire (no pool) ------------------------------------------------- *)
 
 let test_wire_roundtrip () =
-  List.iteri
-    (fun i v ->
-      let index = i * 7919 in
-      match Wire.decode_verdict (Wire.encode_verdict ~index v) with
+  List.iter
+    (fun v ->
+      match Wire.decode_verdict (Wire.encode_verdict v) with
       | Error m -> Alcotest.failf "pool reply decode failed: %s" m
-      | Ok (index', v') ->
-          Alcotest.(check int) "index" index index';
-          Alcotest.(check Verdicts.testable) "verdict" v v')
+      | Ok v' -> Alcotest.(check Verdicts.testable) "verdict" v v')
     (Verdicts.generate 300)
 
 let test_wire_rejects_corrupt () =
-  let enc = Wire.encode_verdict ~index:5 (List.hd (Verdicts.generate 1)) in
+  let v = List.hd (Verdicts.generate 1) in
+  let enc = Wire.encode_verdict v in
   let flipped = Bytes.of_string enc in
   Bytes.set flipped (String.length enc / 2) '\255';
   (match Wire.decode_verdict (Bytes.to_string flipped) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt reply must not decode");
+  (* the previous version's frame named its unit's row *)
+  let v2 =
+    Res_core.Sealing.seal
+      (Fmt.str "resbatchres v2\nrow 5\n%s\n" (Res_cache.Cache.encode_row v))
+  in
+  (match Wire.decode_verdict v2 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a v2 reply must not decode");
   match Wire.decode_verdict (String.sub enc 0 (String.length enc - 3)) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated reply must not decode"
@@ -582,10 +582,10 @@ let test_batch_workers_reused () =
   Alcotest.(check string) "same tsv" t1.Batch.tsv t2.Batch.tsv
 
 (** Warm workers serve corpus A, then corpus B under another search
-    depth and a per-dump fuel budget, then A again, then A with one of
-    them SIGKILLed: each TSV is the in-process [-j 1] TSV of the same
-    inputs, and the kill lands on a worker kept from the earlier
-    batches. *)
+    depth and a per-dump fuel budget (another worker function, run on
+    A's workers with no fork), then A again, then A with one of them
+    SIGKILLed: each TSV is the in-process [-j 1] TSV of the same inputs,
+    and the kill lands on a worker kept from the earlier batches. *)
 let test_warm_workers_a_b_a () =
   let a = corpus_items () and b = workload_items () in
   let default = Res_core.Res.default_config in
@@ -614,7 +614,11 @@ let test_warm_workers_a_b_a () =
     t
   in
   ignore (run "A" tsv_a a);
-  ignore (run ~config:config_b ~budget_fuel:1 "B" tsv_b b);
+  let pids = Supervisor.kept_pids () in
+  let t = run ~config:config_b ~budget_fuel:1 "B" tsv_b b in
+  Alcotest.(check int) "B forked none" 0 t.Batch.forked;
+  Alcotest.(check (list int)) "B ran on A's workers" pids
+    (Supervisor.kept_pids ());
   ignore (run "A again" tsv_a a);
   Alcotest.(check int) "A, B, A forked two workers in all" 2 !forked;
   let warm = Supervisor.kept_pids () in
@@ -975,7 +979,7 @@ let test_journal_siblings_found () =
 (* --- pool: domains phase -------------------------------------------- *)
 
 let test_pool_order_domains () =
-  let worker () = fun s -> "r:" ^ s in
+  let worker s = "r:" ^ s in
   let units = List.init 13 (fun i -> Fmt.str "u%d" i) in
   let replies, stats = Pool.run ~backend:Pool.Domains ~jobs:4 ~worker units in
   Alcotest.(check (list (option string)))
@@ -985,7 +989,7 @@ let test_pool_order_domains () =
   Alcotest.(check int) "no lost units" 0 stats.Pool.p_lost
 
 let test_pool_worker_exception_domains () =
-  let worker () = fun s -> if s = "boom" then failwith "boom" else s in
+  let worker s = if s = "boom" then failwith "boom" else s in
   let replies, stats =
     Pool.run ~backend:Pool.Domains ~jobs:2 ~worker [ "a"; "boom"; "b" ]
   in
@@ -995,8 +999,7 @@ let test_pool_worker_exception_domains () =
   Alcotest.(check int) "counted lost" 1 stats.Pool.p_lost
 
 let test_pool_fork_after_domains_rejected () =
-  let worker () = Fun.id in
-  match Pool.run ~backend:Pool.Forked ~jobs:2 ~worker [ "a" ] with
+  match Pool.run ~backend:Pool.Forked ~jobs:2 ~worker:Fun.id [ "a" ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fork after domains must be rejected, not hang"
 
@@ -1028,10 +1031,8 @@ let () =
             test_pool_kill_after_retirement;
           Alcotest.test_case "SIGKILL after local retirements" `Quick
             test_local_kill_after_retirement;
-          Alcotest.test_case "keep:false retires the workers" `Quick
-            test_pool_keep_false_retires;
-          Alcotest.test_case "a worker that cannot ship gets a fork" `Quick
-            test_pool_unshippable_worker;
+          Alcotest.test_case "unmarshallable work is lost" `Quick
+            test_pool_unmarshallable_work;
           Alcotest.test_case "a forked child's exit spares the workers" `Quick
             test_exit_hook_spares_parent_workers;
           Alcotest.test_case "the exit hook reaps every worker" `Quick
